@@ -29,7 +29,6 @@ from .tasks import PairWindow, Task, count_root_tasks, create_tasks, expand_node
 __all__ = [
     "sequential_join",
     "flat_join",
-    "flat_multiprocessing_join",
     "SequentialJoinResult",
     "parallel_spatial_join",
     "ParallelJoinConfig",
@@ -65,14 +64,12 @@ __all__ = [
     "multi_step_join",
 ]
 
-_LAZY = {"flat_join", "flat_multiprocessing_join"}
-
 
 def __getattr__(name):
     # The flat-backend join needs numpy; load it only when actually asked
     # for, so the node-tree core keeps working on numpy-free installs.
-    if name in _LAZY:
-        from . import flat
+    if name == "flat_join":
+        from .flat import flat_join
 
-        return getattr(flat, name)
+        return flat_join
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,17 +10,17 @@ the exact result set of :func:`repro.join.sequential.sequential_join`
 over the same data, so everything downstream of the filter (refinement,
 window post-filters, the service pipeline) is backend-agnostic.
 
-``flat_multiprocessing_join`` is the fork path: workers inherit the
-packed arrays by copy-on-write — fork-inherits-*arrays*, the drop-in
-replacement for :mod:`repro.join.mp`'s fork-inherits-trees — and each
-executes the vectorized kernel on its static range of frontier pairs.
+There is no fork path here: ``_FlatJoinPlan`` is this backend's *join
+plan* for the one forked driver of :mod:`repro.join.mp` — the qualifying
+frontier of :func:`create_flat_tasks` as the task list, one kernel call
+per leased slice, one heartbeat per frontier round.  Workers inherit the
+plan, and with it the packed arrays, by copy-on-write
+(fork-inherits-*arrays*), so the flat backend gets leases, redispatch and
+journalled resume for free.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import warnings
 from typing import Hashable, Optional
 
 import numpy as np
@@ -33,8 +33,13 @@ __all__ = [
     "flat_join",
     "flat_join_pairs",
     "create_flat_tasks",
-    "flat_multiprocessing_join",
 ]
+
+#: Most frontier pairs one round descends together.  A longer frontier is
+#: cut into blocks that descend one after the other — same pairs, same
+#: order — which bounds a round's working set and, under the forked
+#: driver, the time between two heartbeats of a healthy chunk.
+_BLOCK = 1 << 13
 
 
 def flat_join(
@@ -85,6 +90,7 @@ def _frontier_join(
     nodes_r: np.ndarray,
     nodes_s: np.ndarray,
     result: Optional[SequentialJoinResult],
+    beat=None,
 ) -> list[tuple[Hashable, Hashable]]:
     """Descend a frontier of qualifying node pairs to the data level.
 
@@ -93,9 +99,26 @@ def _frontier_join(
     pair enters untested — like the sequential join, whose root pair is
     popped and window-checked rather than pre-filtered — and the first
     round's broadcast takes care of it (a root pair with disjoint MBRs
-    simply produces an all-false mask).
+    simply produces an all-false mask).  *beat* (the forked driver's
+    heartbeat) is called once per round.
     """
     while len(nodes_r) and (level_r > 0 or level_s > 0):
+        if len(nodes_r) > _BLOCK:
+            pairs: list[tuple[Hashable, Hashable]] = []
+            for lo in range(0, len(nodes_r), _BLOCK):
+                pairs += _frontier_join(
+                    tree_r,
+                    tree_s,
+                    level_r,
+                    level_s,
+                    nodes_r[lo : lo + _BLOCK],
+                    nodes_s[lo : lo + _BLOCK],
+                    result,
+                    beat,
+                )
+            return pairs
+        if beat is not None:
+            beat()
         if result is not None and level_r >= 1 and level_s >= 1:
             result.node_pairs_visited += len(nodes_r)
         if level_r > level_s:
@@ -207,7 +230,7 @@ def _intersects(tree_r, level_r, idx_r, tree_s, level_s, idx_s) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Task creation and the fork path (fork-inherits-arrays)
+# Task creation and the join plan of the forked driver
 # ---------------------------------------------------------------------------
 
 
@@ -249,123 +272,43 @@ def create_flat_tasks(
     return level_r, level_s, nodes_r, nodes_s
 
 
-#: Parked by the parent immediately before forking; inherited by the
-#: workers through copy-on-write.  Only (start, stop) range bounds travel
-#: to a worker, only oid pairs travel back.
-_FLAT_WORK: Optional[tuple] = None
+class _FlatJoinPlan:
+    """Join plan of the packed backend (see :func:`repro.join.mp.plan_join`):
+    the :func:`create_flat_tasks` frontier, one vectorized kernel call per
+    slice."""
 
-
-def _run_flat_range(bounds: tuple[int, int]) -> list[tuple[Hashable, Hashable]]:
-    tree_r, tree_s, level_r, level_s, nodes_r, nodes_s, geometry_r, geometry_s = (
-        _FLAT_WORK
-    )
-    start, stop = bounds
-    pairs = _frontier_join(
-        tree_r,
-        tree_s,
-        level_r,
-        level_s,
-        nodes_r[start:stop],
-        nodes_s[start:stop],
-        None,
-    )
-    if geometry_r is not None:
-        pairs = ExactRefinement(geometry_r, geometry_s).filter_answers(pairs)
-    return pairs
-
-
-def flat_multiprocessing_join(
-    tree_r: FlatRTree,
-    tree_s: FlatRTree,
-    processes: Optional[int] = None,
-    *,
-    geometry_r=None,
-    geometry_s=None,
-    timeout_s: Optional[float] = None,
-) -> list[tuple[Hashable, Hashable]]:
-    """The :func:`repro.join.mp.multiprocessing_join` contract on packed
-    arrays: fork workers, inherit the SoA index copy-on-write, split the
-    qualifying frontier into static ranges, run the vectorized kernel.
-
-    Same fallbacks as the node path: serial on one process or spawn-only
-    platforms (with the same warning), and a serial *rescue* recompute if
-    the pool misses ``timeout_s``.
-    """
-    if (geometry_r is None) != (geometry_s is None):
-        raise ValueError("pass geometry for both relations or for neither")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive (or None)")
-    if processes is None:
-        processes = min(8, os.cpu_count() or 1)
-    level_r, level_s, nodes_r, nodes_s = create_flat_tasks(
-        tree_r, tree_s, min_tasks=processes * 4
-    )
-    if len(nodes_r) == 0:
-        return []
-    fork_supported = "fork" in multiprocessing.get_all_start_methods()
-    if processes > 1 and not fork_supported:
-        warnings.warn(
-            "the 'fork' start method is unavailable on this platform "
-            "(spawn-only); flat_multiprocessing_join runs the serial "
-            "fallback — arrays cannot be inherited without serialisation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if processes <= 1 or not fork_supported:
-        return _serial_flat(
-            tree_r, tree_s, level_r, level_s, nodes_r, nodes_s,
-            geometry_r, geometry_s,
+    def __init__(self, tree_r: FlatRTree, tree_s: FlatRTree, min_tasks: int):
+        self.tree_r = tree_r
+        self.tree_s = tree_s
+        self.level_r, self.level_s, self.nodes_r, self.nodes_s = (
+            create_flat_tasks(tree_r, tree_s, min_tasks)
         )
 
-    bounds: list[tuple[int, int]] = []
-    base, extra = divmod(len(nodes_r), processes)
-    start = 0
-    for p in range(processes):
-        size = base + (1 if p < extra else 0)
-        if size:
-            bounds.append((start, start + size))
-        start += size
+    def __len__(self) -> int:
+        return len(self.nodes_r)
 
-    global _FLAT_WORK
-    _FLAT_WORK = (  # repro: fork-init (parent-side parking)
-        tree_r, tree_s, level_r, level_s, nodes_r, nodes_s,
-        geometry_r, geometry_s,
-    )
-    timed_out = False
-    try:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes) as pool:
-            if timeout_s is None:
-                parts = pool.map(_run_flat_range, bounds)
-            else:
-                try:
-                    parts = pool.map_async(_run_flat_range, bounds).get(
-                        timeout_s
-                    )
-                except multiprocessing.TimeoutError:
-                    timed_out = True
-    finally:
-        _FLAT_WORK = None  # repro: fork-init (parent-side unparking)
-    if timed_out:
-        warnings.warn(
-            f"flat_multiprocessing_join did not finish within {timeout_s}s; "
-            f"workers terminated, recomputing on the serial fallback path",
-            RuntimeWarning,
-            stacklevel=2,
+    def signature(self) -> str:
+        """Journal fingerprint; the ``flat:`` prefix makes a journal
+        written by the node plan unreadable here and vice versa."""
+        head = f"flat:{len(self)}:{self.level_r}:{self.level_s}"
+        if not len(self):
+            return head
+        return (
+            f"{head}:{self.nodes_r[0]}-{self.nodes_s[0]}"
+            f":{self.nodes_r[-1]}-{self.nodes_s[-1]}"
         )
-        return _serial_flat(
-            tree_r, tree_s, level_r, level_s, nodes_r, nodes_s,
-            geometry_r, geometry_s,
+
+    def run(self, start: int, stop: int, beat=None) -> list:
+        """Candidate pairs of frontier slice ``[start, stop)``.  A
+        vectorized slice has no per-task loop: *beat* (the heartbeat) is
+        called once per round of the descent (none for an empty slice)."""
+        return _frontier_join(
+            self.tree_r,
+            self.tree_s,
+            self.level_r,
+            self.level_s,
+            self.nodes_r[start:stop],
+            self.nodes_s[start:stop],
+            None,
+            beat,
         )
-    return [pair for part in parts for pair in part]
-
-
-def _serial_flat(
-    tree_r, tree_s, level_r, level_s, nodes_r, nodes_s, geometry_r, geometry_s
-) -> list:
-    pairs = _frontier_join(
-        tree_r, tree_s, level_r, level_s, nodes_r, nodes_s, None
-    )
-    if geometry_r is not None:
-        pairs = ExactRefinement(geometry_r, geometry_s).filter_answers(pairs)
-    return pairs

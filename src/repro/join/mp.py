@@ -1,29 +1,40 @@
-"""Real CPU-parallel filter step via ``multiprocessing`` (GIL workaround).
+"""Real CPU-parallel join via ``multiprocessing`` (GIL workaround).
 
 The simulation of :mod:`repro.join.parallel` reproduces the paper's
-*measurements*; this module demonstrates genuine parallel speed-up on
-today's hardware despite CPython's GIL: the task list of phase 1 is
-partitioned exactly like the static range assignment, and each worker
-process executes the sequential join on its pairs of subtrees.
+*measurements*; this module demonstrates genuine parallel execution on
+today's hardware despite CPython's GIL.  There is **one** forked driver,
+and it follows the paper's own finding that dynamic assignment from a
+shared queue beats static ranges: phase 1 produces a backend-neutral
+*join plan* (:func:`plan_join`), the plan is cut into lease-sized
+*chunks*, and a fork pool pulls the chunks off one queue.
+
+A plan hides the task *format* from the driver: ``len(plan)`` tasks,
+``plan.signature()`` for the journal, ``plan.run(start, stop, beat)``
+for the pairs of one slice.  The node plan is the
+:func:`~repro.join.tasks.create_tasks` list (one :func:`join_subtrees`
+per task); the flat plan (:mod:`repro.join.flat`) is the packed
+backend's frontier (one vectorized kernel call per slice).
 
 Workers are created with the ``fork`` start method, so they inherit the
-in-memory R*-trees from the parent without any serialisation — the
-process-level analogue of the paper's shared virtual memory.  Only the
-task index ranges travel to the workers and only ``(oid, oid)`` pairs
-travel back.
+plan — the in-memory R*-trees or the packed arrays — from the parent
+without any serialisation: the process-level analogue of the paper's
+shared virtual memory.  Only chunk bounds travel to the workers and only
+``(oid, oid)`` pairs travel back.
 
-**Fault tolerance** (:mod:`repro.recovery`): with ``recovery`` (or
-``journal_path``/``faults``) set, the static ranges are split into
-lease-sized *chunks* — one lease per dispatched chunk, heartbeats via a
+**Fault tolerance** (:mod:`repro.recovery`) is not a mode but how the
+driver works: one lease per dispatched chunk, heartbeats via a
 fork-inherited lock-free progress counter per chunk, and a parent-side
-sweep that expires silent chunks and redispatches them.  A worker death
-therefore loses at most one chunk's partial work instead of the whole
-static range (the old behaviour: ``pool.map`` over whole ranges never
-returns the dead worker's part).  Completed chunks may be journalled
-durably; :func:`repro.recovery.coordinator.resume_join` replays them and
-re-runs only the orphans.  The result multiset is exactly-once either
-way: the :class:`~repro.recovery.ledger.ResultLedger` commits the first
-completion per chunk and drops duplicates.
+sweep that expires silent chunks and redispatches them.  A chunk's lease
+clock starts when a worker starts the chunk (the parent keeps it alive
+while it waits in the pool's queue), and a running chunk beats at every
+node pair, frontier round and result piece — so a healthy join may
+outlast ``lease_s`` by any factor without losing a lease.  A worker death
+therefore loses at most one chunk's partial work, and a hung worker is
+expired by its lease instead of blocking the caller.  Completed chunks
+may be journalled durably; :func:`repro.recovery.coordinator.resume_join`
+replays them and re-runs only the orphans.  The result multiset is
+exactly-once either way: the :class:`~repro.recovery.ledger.ResultLedger`
+commits the first completion per chunk and drops duplicates.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
+import queue
 import warnings
 from collections import deque
 from typing import Hashable, Optional
@@ -47,77 +60,149 @@ from ..trace import NULL_TRACER, EventKind, Tracer
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 from .sequential import join_node_pair
-from .tasks import Task, create_tasks, task_signature
+from .tasks import create_tasks, task_signature
 
-__all__ = ["multiprocessing_join", "fault_tolerant_join", "join_subtrees"]
+__all__ = [
+    "multiprocessing_join",
+    "fault_tolerant_join",
+    "join_subtrees",
+    "plan_join",
+]
 
-# Set by the parent immediately before forking; inherited by workers.
+#: ``(plan, geometry_r, geometry_s)``, set by the parent immediately
+#: before forking; inherited by workers.
 _WORK: Optional[tuple] = None
-#: Fork-inherited heartbeat channel of the fault-tolerant engine: one
-#: monotone progress counter per chunk, bumped by the executing worker at
-#: every task boundary.  A RawArray is lock-free — a worker hard-killed
-#: mid-bump cannot wedge anybody (an ``mp.Queue`` could die holding its
-#: feeder lock).
+#: Fork-inherited heartbeat channel: one monotone progress counter per
+#: chunk, bumped by the executing worker at every plan beat (node pair
+#: on the node plan, frontier round on the flat plan).  A RawArray
+#: is lock-free — a worker hard-killed mid-bump cannot wedge anybody (an
+#: ``mp.Queue`` could die holding its feeder lock).
 _PROGRESS = None
+#: Rows a worker refines or pickles between two heartbeats.
+_PIECE_ROWS = 1 << 12
 
 
 def join_subtrees(node_r: Node, node_s: Node) -> list[tuple[Hashable, Hashable]]:
     """Sequential join of one pair of subtrees (one task's work)."""
+    return _join_subtrees(node_r, node_s, None)
+
+
+def _join_subtrees(node_r: Node, node_s: Node, beat) -> list:
+    """:func:`join_subtrees`, calling *beat* after every node pair."""
     result = SequentialJoinResult(pairs=[])
     stack = [(node_r, node_s)]
     while stack:
         a, b = stack.pop()
         children = join_node_pair(a, b, result)
         stack.extend(reversed(children))
+        if beat is not None:
+            beat()
     return result.pairs
 
 
-def _run_task_range(bounds: tuple[int, int]) -> list[tuple[Hashable, Hashable]]:
-    tasks, geometry_r, geometry_s = _WORK
-    start, stop = bounds
-    pairs: list[tuple[Hashable, Hashable]] = []
-    for index in range(start, stop):
-        task = tasks[index]
-        pairs.extend(join_subtrees(task.node_r, task.node_s))
-    if geometry_r is not None:
-        refinement = ExactRefinement(geometry_r, geometry_s)
-        pairs = refinement.filter_answers(pairs)
-    return pairs
+class _NodeJoinPlan:
+    """Join plan of the pointer backend: the :func:`create_tasks` list in
+    local plane-sweep order, one subtree join per task."""
+
+    def __init__(self, tree_r, tree_s, min_tasks: int):
+        self.tasks = create_tasks(tree_r, tree_s, min_tasks=min_tasks)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def signature(self) -> str:
+        return task_signature(self.tasks)
+
+    def run(self, start: int, stop: int, beat=None) -> list:
+        """Candidate pairs of tasks ``[start, stop)``; *beat* (the
+        heartbeat) is called after every node pair, so a lease survives a
+        task that runs longer than ``lease_s``."""
+        pairs: list[tuple[Hashable, Hashable]] = []
+        for task in self.tasks[start:stop]:
+            pairs.extend(_join_subtrees(task.node_r, task.node_s, beat))
+        return pairs
+
+
+def plan_join(tree_r, tree_s, min_tasks: int):
+    """Phase 1 for the forked driver: the one place that picks a backend.
+
+    Two packed trees join on their arrays; anything else runs the node
+    plan — :func:`create_tasks` materialises the packed side of a mixed
+    pair through ``as_node_tree()``, the only path that input has.
+    """
+    if hasattr(tree_r, "as_node_tree") and hasattr(tree_s, "as_node_tree"):
+        from .flat import _FlatJoinPlan  # deferred: needs numpy
+
+        return _FlatJoinPlan(tree_r, tree_s, min_tasks)
+    return _NodeJoinPlan(tree_r, tree_s, min_tasks)
+
+
+def _chunk_pairs(work: tuple, start: int, stop: int, beat=None) -> list:
+    """Result rows of plan slice ``[start, stop)``: the filter step, then
+    the exact refinement when geometry was given — the paper's
+    distribution principle, the processor that finds a candidate refines
+    it."""
+    plan, geometry_r, geometry_s = work
+    pairs = plan.run(start, stop, beat)
+    if geometry_r is None:
+        return pairs
+    refinement = ExactRefinement(geometry_r, geometry_s)
+    answers: list = []
+    for piece in _pieces(pairs):
+        answers += refinement.filter_answers(piece)
+        if beat is not None:
+            beat()
+    return answers
+
+
+def _pieces(rows: list):
+    """*rows* in slices of ``_PIECE_ROWS`` — the unit of work between two
+    heartbeats wherever a chunk loops over its rows."""
+    for lo in range(0, len(rows), _PIECE_ROWS):
+        yield rows[lo : lo + _PIECE_ROWS]
 
 
 def _run_chunk(spec: tuple) -> tuple[int, list]:
-    """Worker body of the fault-tolerant engine: one chunk of tasks.
+    """Worker body: one chunk of the plan.
 
     ``kill_at`` is a parent-computed fault directive (offset of the task
     at whose *start* this execution hard-crashes, or None): the decision
     ledger lives in the parent's injector, so a redispatched chunk is
-    never re-killed at the same task.  The crash is ``os._exit`` at a
-    task boundary — no pool lock is held, so the pool survives and
-    respawns the worker.
+    never re-killed at the same task.  The doomed execution still runs
+    (and heartbeats) the tasks before the offset; the crash is
+    ``os._exit`` between plan calls — no pool lock is held, so the pool
+    survives and respawns the worker.  Returns the chunk id and the result
+    rows as pickled pieces.
     """
     chunk_id, start, stop, kill_at = spec
-    tasks, geometry_r, geometry_s = _WORK
     progress = _PROGRESS  # inherited shared array; this worker's cell only
-    pairs: list[tuple[Hashable, Hashable]] = []
-    for offset, index in enumerate(range(start, stop)):
-        if kill_at is not None and offset == kill_at:
-            os._exit(CRASH_EXIT_CODE)
-        task = tasks[index]
-        pairs.extend(join_subtrees(task.node_r, task.node_s))
-        if progress is not None:
-            progress[chunk_id] += 1  # heartbeat: monotone per-chunk counter
-    if geometry_r is not None:
-        pairs = ExactRefinement(geometry_r, geometry_s).filter_answers(pairs)
-    return chunk_id, pairs
+
+    def beat() -> None:
+        progress[chunk_id] += 1  # heartbeat: monotone per-chunk counter
+
+    beat()  # started: from here on silence costs the lease
+    if kill_at is not None:
+        _WORK[0].run(start, start + kill_at, beat)
+        os._exit(CRASH_EXIT_CODE)
+    rows = _chunk_pairs(_WORK, start, stop, beat)
+    # Serialising a large result would be the one long silent stretch of
+    # a healthy chunk, so it is done here, piecewise, with a beat per
+    # piece; the pool then only moves bytes.
+    blobs = []
+    for piece in _pieces(rows):
+        blobs.append(pickle.dumps(piece, pickle.HIGHEST_PROTOCOL))
+        beat()
+    return chunk_id, blobs
 
 
-def _serial_join(tasks, geometry_r, geometry_s) -> list:
-    pairs: list[tuple[Hashable, Hashable]] = []
-    for task in tasks:
-        pairs.extend(join_subtrees(task.node_r, task.node_s))
-    if geometry_r is not None:
-        pairs = ExactRefinement(geometry_r, geometry_s).filter_answers(pairs)
-    return pairs
+def _drain(done: queue.SimpleQueue, wait_s: float):
+    """Everything on *done*, waiting up to *wait_s* for the first item."""
+    try:
+        yield done.get(timeout=wait_s)
+        while True:
+            yield done.get_nowait()
+    except queue.Empty:
+        return
 
 
 def multiprocessing_join(
@@ -139,131 +224,35 @@ def multiprocessing_join(
     (identical, as a set, to
     :func:`repro.join.sequential.sequential_join`).  With ``geometry_r``
     and ``geometry_s`` (oid → point-tuple mappings), every worker also
-    runs the exact refinement on the candidates it produced — the paper's
-    distribution principle: the processor that finds a candidate refines
-    it.  Falls back to a single process when ``processes`` is 1 or fork is
-    unavailable.
-
-    ``timeout_s`` bounds the parallel phase: if the workers have not
-    delivered within the deadline (a worker hung, crashed, or the machine
-    is badly oversubscribed), the pool is terminated and the join is
-    recomputed on the **serial fallback path** in the parent, with a
-    :class:`RuntimeWarning` — slower, but the caller always gets the
-    answer instead of blocking forever.  ``None`` (the default) preserves
-    the old unbounded behaviour.
-
-    Any of ``recovery``/``journal_path``/``faults`` switches to the
-    **fault-tolerant chunked engine** (:func:`fault_tolerant_join`):
-    lease-sized chunks, heartbeat monitoring, orphan redispatch, an
-    optional durable journal, and exactly-once results even under
-    injected worker kills.  There ``timeout_s`` bounds the whole join
-    too, but the rescue completes only the *missing* chunks inline
-    instead of recomputing everything.
+    runs the exact refinement on the candidates it produced.  Both
+    backends (and a mixed pair) run the same chunked, lease-monitored
+    driver — this is :func:`fault_tolerant_join` without the statistics;
+    see there for ``timeout_s``, ``recovery``, ``journal_path`` and
+    ``faults``.  Runs the chunks inline in the parent when ``processes``
+    is 1 or fork is unavailable.
     """
-    if (geometry_r is None) != (geometry_s is None):
-        raise ValueError("pass geometry for both relations or for neither")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive (or None)")
-    if processes is None:
-        processes = min(8, os.cpu_count() or 1)
-    flat_r = hasattr(tree_r, "as_node_tree")  # flat packed backend
-    flat_s = hasattr(tree_s, "as_node_tree")
-    wants_recovery = (
-        recovery is not None or journal_path is not None or faults is not None
+    pairs, _stats = fault_tolerant_join(
+        tree_r,
+        tree_s,
+        processes,
+        geometry_r=geometry_r,
+        geometry_s=geometry_s,
+        timeout_s=timeout_s,
+        recovery=recovery,
+        journal_path=journal_path,
+        faults=faults,
+        tracer=tracer,
     )
-    if flat_r and flat_s and not wants_recovery:
-        from .flat import flat_multiprocessing_join  # deferred: needs numpy
-
-        return flat_multiprocessing_join(
-            tree_r,
-            tree_s,
-            processes,
-            geometry_r=geometry_r,
-            geometry_s=geometry_s,
-            timeout_s=timeout_s,
-        )
-    # Mixed backends, or the fault-tolerant engine (leases, journal,
-    # exactly-once resume): run the node path over materialised trees.
-    if flat_r:
-        tree_r = tree_r.as_node_tree()
-    if flat_s:
-        tree_s = tree_s.as_node_tree()
-    if wants_recovery:
-        pairs, _stats = fault_tolerant_join(
-            tree_r,
-            tree_s,
-            processes,
-            geometry_r=geometry_r,
-            geometry_s=geometry_s,
-            timeout_s=timeout_s,
-            recovery=recovery,
-            journal_path=journal_path,
-            faults=faults,
-            tracer=tracer,
-        )
-        return pairs
-    global _WORK
-    tasks = create_tasks(tree_r, tree_s, min_tasks=processes * 4)
-    if not tasks:
-        return []
-    fork_supported = "fork" in multiprocessing.get_all_start_methods()
-    if processes > 1 and not fork_supported:
-        warnings.warn(
-            "the 'fork' start method is unavailable on this platform "
-            "(spawn-only); multiprocessing_join runs the serial fallback — "
-            "trees cannot be inherited without serialisation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if processes <= 1 or not fork_supported:
-        return _serial_join(tasks, geometry_r, geometry_s)
-
-    # Static range assignment over the plane-sweep-ordered task list.
-    bounds: list[tuple[int, int]] = []
-    base, extra = divmod(len(tasks), processes)
-    start = 0
-    for p in range(processes):
-        size = base + (1 if p < extra else 0)
-        if size:
-            bounds.append((start, start + size))
-        start += size
-
-    _WORK = (tasks, geometry_r, geometry_s)  # repro: fork-init (parent-side parking)
-    timed_out = False
-    try:
-        context = multiprocessing.get_context("fork")
-        # The with-block terminates the pool on exit — which is exactly
-        # the rescue needed when the deadline fires with workers stuck.
-        with context.Pool(processes) as pool:
-            if timeout_s is None:
-                parts = pool.map(_run_task_range, bounds)
-            else:
-                try:
-                    parts = pool.map_async(_run_task_range, bounds).get(
-                        timeout_s
-                    )
-                except multiprocessing.TimeoutError:
-                    timed_out = True
-    finally:
-        _WORK = None  # repro: fork-init (parent-side unparking)
-    if timed_out:
-        warnings.warn(
-            f"multiprocessing_join did not finish within {timeout_s}s; "
-            f"workers terminated, recomputing on the serial fallback path",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _serial_join(tasks, geometry_r, geometry_s)
-    return [pair for part in parts for pair in part]
+    return pairs
 
 
 # --------------------------------------------------------------------------
-# Fault-tolerant chunked engine
+# The chunked, lease-monitored engine
 # --------------------------------------------------------------------------
 
 
 class _Engine:
-    """One fault-tolerant join: chunking, leases, journal, redispatch.
+    """One forked join: chunking, leases, journal, redispatch.
 
     The parent is the coordinator: it grants one lease per dispatched
     chunk, polls the fork-inherited progress counters as heartbeats,
@@ -277,7 +266,7 @@ class _Engine:
 
     def __init__(
         self,
-        tasks: list[Task],
+        plan,
         geometry_r,
         geometry_s,
         processes: int,
@@ -286,9 +275,8 @@ class _Engine:
         tracer: Tracer,
         timeout_s: Optional[float],
     ):
-        self.tasks = tasks
-        self.geometry_r = geometry_r
-        self.geometry_s = geometry_s
+        self.work = (plan, geometry_r, geometry_s)
+        self.n_tasks = n_tasks = len(plan)
         self.processes = processes
         self.recovery = recovery
         self.tracer = tracer
@@ -300,12 +288,12 @@ class _Engine:
             else None
         )
         chunk = recovery.chunk_tasks or max(
-            1, math.ceil(len(tasks) / (4 * max(1, processes)))
+            1, math.ceil(n_tasks / (4 * max(1, processes)))
         )
         self.chunk_tasks = chunk
-        self.n_chunks = math.ceil(len(tasks) / chunk) if tasks else 0
+        self.n_chunks = math.ceil(n_tasks / chunk)
         self.bounds = [
-            (cid * chunk, min(len(tasks), (cid + 1) * chunk))
+            (cid * chunk, min(n_tasks, (cid + 1) * chunk))
             for cid in range(self.n_chunks)
         ]
         self.lease_table = LeaseTable(
@@ -332,23 +320,24 @@ class _Engine:
         self.inline_runs = 0
         self.commits = 0
         self._last_progress = [0] * self.n_chunks
+        self._started: set[int] = set()  # leases whose chunk has beaten
 
     # -- journal ---------------------------------------------------------------
     def _load_journal(self) -> None:
         scan = self.journal.existing
-        sig = task_signature(self.tasks)
+        sig = self.work[0].signature()
         meta = scan.meta
         if meta is None:
             self.journal.append(
                 "meta",
                 mode="mp",
-                tasks=len(self.tasks),
+                tasks=self.n_tasks,
                 chunk=self.chunk_tasks,
                 signature=sig,
             )
         elif (
             meta.get("signature") != sig
-            or meta.get("tasks") != len(self.tasks)
+            or meta.get("tasks") != self.n_tasks
             or meta.get("chunk") != self.chunk_tasks
         ):
             raise ValueError(
@@ -356,7 +345,7 @@ class _Engine:
                 f"{meta.get('tasks')} tasks in chunks of "
                 f"{meta.get('chunk')} with signature "
                 f"{meta.get('signature')!r}; this run has "
-                f"{len(self.tasks)} tasks in chunks of "
+                f"{self.n_tasks} tasks in chunks of "
                 f"{self.chunk_tasks} with {sig!r}"
             )
         for cid, record in sorted(scan.completions().items()):
@@ -403,14 +392,7 @@ class _Engine:
         lease = self.lease_table.grant(cid, holder=cid)
         if self.journal is not None:
             self.journal.append("grant", task=cid, lease=lease.id, proc=cid)
-        pairs: list = []
-        for index in range(start, stop):
-            task = self.tasks[index]
-            pairs.extend(join_subtrees(task.node_r, task.node_s))
-        if self.geometry_r is not None:
-            pairs = ExactRefinement(
-                self.geometry_r, self.geometry_s
-            ).filter_answers(pairs)
+        pairs = _chunk_pairs(self.work, start, stop)
         self.inline_runs += 1
         self.lease_table.complete(lease.id, rows=len(pairs))
         self._commit(cid, lease.id, pairs)
@@ -430,7 +412,7 @@ class _Engine:
         global _WORK, _PROGRESS
         context = multiprocessing.get_context("fork")
         progress = context.RawArray("Q", max(1, self.n_chunks))
-        _WORK = (self.tasks, self.geometry_r, self.geometry_s)  # repro: fork-init
+        _WORK = self.work  # repro: fork-init (parent-side parking)
         _PROGRESS = progress  # repro: fork-init (parent-side parking)
         deadline = (
             self.clock() + self.timeout_s if self.timeout_s is not None else None
@@ -439,7 +421,11 @@ class _Engine:
 
         try:
             with context.Pool(self.processes) as pool:
-                inflight: dict[int, tuple[int, object]] = {}
+                inflight: dict[int, int] = {}  # lease id -> chunk id
+                # ``(lease id, _run_chunk result)`` per delivered chunk
+                # (None if the worker raised), fed by the pool's result
+                # thread.
+                done: queue.SimpleQueue = queue.SimpleQueue()
 
                 def dispatch(cid: int) -> None:
                     kill_at = self._kill_directive(cid)
@@ -449,19 +435,25 @@ class _Engine:
                             "grant", task=cid, lease=lease.id, proc=cid
                         )
                     start, stop = self.bounds[cid]
-                    handle = pool.apply_async(
-                        _run_chunk, ((cid, start, stop, kill_at),)
+                    self._last_progress[cid] = progress[cid]
+                    inflight[lease.id] = cid
+                    pool.apply_async(
+                        _run_chunk,
+                        ((cid, start, stop, kill_at),),
+                        callback=lambda res, lid=lease.id: done.put((lid, res)),
+                        error_callback=lambda _exc, lid=lease.id: done.put(
+                            (lid, None)
+                        ),
                     )
-                    inflight[lease.id] = (cid, handle)
 
                 try:
-                    self._coordinate(pool, progress, inflight, dispatch, deadline)
+                    self._coordinate(done, progress, inflight, dispatch, deadline)
                 except JoinInterrupted:
                     # The abort hook emulates a dying parent, but the
                     # trace must still reconcile: the abandoned chunks'
                     # leases expire here (a real death leaves them to the
                     # next run's sweep — same outcome, observable now).
-                    for lease_id, (cid, _handle) in list(inflight.items()):
+                    for lease_id, cid in list(inflight.items()):
                         if self.lease_table.is_active(lease_id):
                             self.lease_table.expire(lease_id, "interrupted")
                             self._requeue(lease_id, cid)
@@ -470,7 +462,7 @@ class _Engine:
             _WORK = None  # repro: fork-init (parent-side unparking)
             _PROGRESS = None  # repro: fork-init
 
-    def _coordinate(self, pool, progress, inflight, dispatch, deadline) -> None:
+    def _coordinate(self, done, progress, inflight, dispatch, deadline) -> None:
         while len(self.ledger) < self.n_chunks:
             while self.pending:
                 cid = self.pending.popleft()
@@ -482,45 +474,47 @@ class _Engine:
                     dispatch(cid)
             if not inflight:
                 continue
-            # Collect finished chunks.
-            for lease_id, (cid, handle) in list(inflight.items()):
-                if not handle.ready():
-                    continue
-                del inflight[lease_id]
-                try:
-                    _rcid, rows = handle.get()
-                except Exception:
-                    # The worker raised (not crashed): treat like a
-                    # death — expire and requeue.
-                    if self.lease_table.is_active(lease_id):
-                        self.lease_table.expire(lease_id, "error")
-                        self._requeue(lease_id, cid)
-                    continue
+            # Collect delivered chunks: block until the first arrives or
+            # the sweep interval passes (no busy spin, no time.sleep).
+            for lease_id, result in _drain(done, self.recovery.sweep_s):
+                cid = inflight.pop(lease_id, None)
                 if not self.lease_table.is_active(lease_id):
                     # Declared dead but delivered late: its chunk was
                     # requeued; drop the stale result (the re-execution's
                     # copy commits instead).
                     continue
+                if result is None:
+                    # The worker raised (not crashed): treat like a
+                    # death — expire and requeue.
+                    self.lease_table.expire(lease_id, "error")
+                    self._requeue(lease_id, cid)
+                    continue
+                rows = [row for blob in result[1] for row in pickle.loads(blob)]
                 self.lease_table.complete(lease_id, rows=len(rows))
                 self._commit(cid, lease_id, rows)
-            # Heartbeats: progress counters renew leases.
-            for lease_id, (cid, handle) in inflight.items():
+            # Heartbeats: progress counters renew leases.  A chunk that
+            # has not beaten yet and is not among the ``processes`` oldest
+            # in flight is still queued in the pool; the parent keeps it
+            # alive, so its lease clock starts when a worker starts it
+            # (else a join that outlasts ``lease_s`` would expire its own
+            # healthy tail unstarted).  An unstarted chunk among the
+            # oldest was taken by a worker that died before its first
+            # beat: nobody renews it.
+            for rank, (lease_id, cid) in enumerate(inflight.items()):
                 current = progress[cid]
                 if current != self._last_progress[cid]:
                     self._last_progress[cid] = current
-                    self.lease_table.renew(lease_id)
+                    self._started.add(lease_id)
+                elif rank < self.processes or lease_id in self._started:
+                    continue
+                self.lease_table.renew(lease_id)
             # Sweep: silence past the deadline orphans the chunk.
             for lease in self.lease_table.sweep():
-                cid, _handle = inflight.pop(lease.id, (lease.task, None))
-                self._requeue(lease.id, cid)
+                self._requeue(lease.id, inflight.pop(lease.id, lease.task))
             if deadline is not None and self.clock() > deadline:
                 if len(self.ledger) < self.n_chunks:
                     self._rescue_timeout(inflight)
                 break
-            if inflight:
-                # Block until something finishes or the sweep interval
-                # passes (no busy spin, no time.sleep).
-                next(iter(inflight.values()))[1].wait(self.recovery.sweep_s)
 
     def _rescue_timeout(self, inflight: dict) -> None:
         """Deadline fired: abandon the pool, finish missing chunks inline."""
@@ -531,7 +525,7 @@ class _Engine:
             RuntimeWarning,
             stacklevel=4,
         )
-        for lease_id, (cid, _handle) in list(inflight.items()):
+        for lease_id, cid in list(inflight.items()):
             if self.lease_table.is_active(lease_id):
                 self.lease_table.expire(lease_id, "timeout")
                 self._requeue(lease_id, cid)
@@ -544,7 +538,7 @@ class _Engine:
     # -- results ---------------------------------------------------------------
     def stats(self) -> dict:
         out = {
-            "tasks": len(self.tasks),
+            "tasks": self.n_tasks,
             "chunks": self.n_chunks,
             "chunk_tasks": self.chunk_tasks,
             "replayed_chunks": self.replayed_chunks,
@@ -590,8 +584,16 @@ def fault_tolerant_join(
 
     ``pairs`` is the exactly-once result multiset, grouped by ascending
     chunk id (deterministic given the task list).  ``stats`` reports
-    chunking, lease and ledger counters, redispatches and replays.  A
-    ``recovery.stop_after_commits`` abort raises
+    chunking, lease and ledger counters, redispatches and replays.
+
+    ``timeout_s`` bounds the whole join: when the deadline fires the pool
+    is abandoned and only the *missing* chunks are finished inline in the
+    parent, with a :class:`RuntimeWarning` — the caller always gets the
+    answer.  Without a deadline a dead or hung worker is still caught:
+    its chunk's lease expires and the chunk is redispatched (inline after
+    ``recovery.max_redispatch`` strikes).  ``faults`` injects worker
+    kills; ``journal_path`` (or ``recovery.journal_path``) makes
+    completions durable.  A ``recovery.stop_after_commits`` abort raises
     :class:`~repro.recovery.coordinator.JoinInterrupted`, leaving the
     journal behind for :func:`~repro.recovery.coordinator.resume_join`.
     """
@@ -605,9 +607,9 @@ def fault_tolerant_join(
         recovery = RecoveryConfig(journal_path=journal_path)
     elif journal_path is not None and recovery.journal_path is None:
         recovery = dataclasses.replace(recovery, journal_path=journal_path)
-    tasks = create_tasks(tree_r, tree_s, min_tasks=max(1, processes) * 4)
+    plan = plan_join(tree_r, tree_s, max(1, processes) * 4)
     engine = _Engine(
-        tasks,
+        plan,
         geometry_r,
         geometry_s,
         processes,
@@ -617,7 +619,7 @@ def fault_tolerant_join(
         timeout_s,
     )
     try:
-        if not tasks or not engine.pending:
+        if not engine.pending:
             return engine.finish()
         fork_supported = "fork" in multiprocessing.get_all_start_methods()
         if processes <= 1 or not fork_supported:

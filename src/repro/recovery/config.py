@@ -41,7 +41,7 @@ class RecoveryConfig:
     whose lease goes that long without a heartbeat renewal is declared
     orphaned and returned to the queue.  ``heartbeat_s`` throttles
     renewals (a holder renews at natural progress points — pair
-    boundaries in-sim, per-task progress counters under fork — but emits
+    boundaries in-sim, per-chunk progress counters under fork — but emits
     at most one renewal per interval).  ``sweep_s`` is how often the
     sweeper looks for expired leases (and the parent's poll interval
     under fork).

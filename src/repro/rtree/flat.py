@@ -316,14 +316,16 @@ class FlatRTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated child indices (within level ``level-1``) of all
         *nodes*, plus the repeat-index mapping each child back to its
-        parent's position in *nodes*."""
+        parent's position in *nodes*.  An empty frontier yields two empty
+        int64 arrays, so a batch whose every window missed keeps
+        descending harmlessly."""
         starts = nodes * self.node_size
         counts = (
             np.minimum(starts + self.node_size, self._counts[level - 1]) - starts
         )
         total = int(counts.sum())
         parent_pos = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
-        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        first = np.cumsum(counts) - counts  # exclusive prefix sum
         offsets = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
         return starts[parent_pos] + offsets, parent_pos
 

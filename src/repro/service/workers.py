@@ -105,31 +105,29 @@ def _join_chunk_on(
 ) -> tuple:
     """One chunk of a join split for resumable execution.
 
-    The task list (phase 1 of the parallel join) is deterministic given
+    The join plan (phase 1 of the parallel join) is deterministic given
     the trees, so every worker — including one forked after a crash —
     computes identical chunk boundaries; the engine gathers the chunks
     and retries only the missing ones after a worker death.  Chunk 0
     falls back to the whole join when the trees cannot be task-split
-    (unequal heights), the other chunks then return nothing.
+    (node trees of unequal heights), the other chunks then return
+    nothing.
     """
-    from ..join.mp import join_subtrees
-    from ..join.tasks import create_tasks
+    from ..join.mp import plan_join
 
     tree_r, tree_s = trees[name_r], trees[name_s]
     try:
-        tasks = create_tasks(tree_r, tree_s, min_tasks=n_chunks)
+        plan = plan_join(tree_r, tree_s, n_chunks)
     except ValueError:
-        tasks = None
-    if not tasks:
+        plan = None
+    if not plan:
         if index > 0:
             return ()
         return _join_on(trees, name_r, name_s, window)
-    base, extra = divmod(len(tasks), n_chunks)
+    base, extra = divmod(len(plan), n_chunks)
     start = index * base + min(index, extra)
     stop = start + base + (1 if index < extra else 0)
-    pairs: list = []
-    for task in tasks[start:stop]:
-        pairs.extend(join_subtrees(task.node_r, task.node_s))
+    pairs = plan.run(start, stop)
     return _window_filtered(tree_r, tree_s, pairs, window)
 
 

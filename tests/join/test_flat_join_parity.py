@@ -22,7 +22,9 @@ from repro.join import (
     prepare_trees,
     sequential_join,
 )
-from repro.join.flat import flat_join, flat_join_pairs, flat_multiprocessing_join
+from repro.join import flat as flat_module
+from repro.join.flat import flat_join, flat_join_pairs
+from repro.join.mp import plan_join
 from repro.join.refinement import ExactRefinement
 
 from tests.flat_oracle import (
@@ -52,6 +54,17 @@ class TestSequentialParity:
         assert_join_parity(items_r, items_s, result.pairs)
         assert result.intersection_tests > 0
         assert result.node_pairs_visited > 0
+
+    def test_blocked_descent_is_the_same_join(self, workload, monkeypatch):
+        """A frontier longer than ``_BLOCK`` descends block by block: the
+        same pairs in the same order, the same counters."""
+        _, _, _, _, flat_r, flat_s, _ = workload
+        whole = flat_join(flat_r, flat_s)
+        monkeypatch.setattr(flat_module, "_BLOCK", 5)
+        blocked = flat_join(flat_r, flat_s)
+        assert blocked.pairs == whole.pairs
+        assert blocked.intersection_tests == whole.intersection_tests
+        assert blocked.node_pairs_visited == whole.node_pairs_visited
 
     def test_dispatch_from_sequential_join(self, workload):
         _, _, node_r, node_s, flat_r, flat_s, expected = workload
@@ -105,7 +118,7 @@ class TestMultiprocessingParity:
         items_r, items_s, _, _, flat_r, flat_s, _ = workload
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            pairs = flat_multiprocessing_join(flat_r, flat_s, 4)
+            pairs = multiprocessing_join(flat_r, flat_s, 4)
         assert_join_parity(items_r, items_s, pairs)
 
     def test_dispatch_from_multiprocessing_join(self, workload):
@@ -118,15 +131,50 @@ class TestMultiprocessingParity:
         _, _, _, _, flat_r, flat_s, expected = workload
         assert set(multiprocessing_join(flat_r, flat_s, 1)) == expected
 
-    def test_recovery_routes_through_node_path(self, workload, tmp_path):
+    def test_flat_plan_beats_once_per_round(self, workload, monkeypatch):
+        """The heartbeat is real progress, not decoration: a slice beats
+        on every round of every block, an empty slice never."""
         _, _, _, _, flat_r, flat_s, expected = workload
+        plan = plan_join(flat_r, flat_s, 4)
+        beats = []
+        unblocked = plan.run(0, len(plan), lambda: beats.append(1))
+        rounds = len(beats)
+        assert set(unblocked) == expected and rounds >= 1
+        monkeypatch.setattr(flat_module, "_BLOCK", 5)
+        assert plan.run(0, len(plan), lambda: beats.append(1)) == unblocked
+        assert len(beats) - rounds > rounds
+        assert plan.run(3, 3, lambda: pytest.fail("beat on an empty slice")) == []
+
+    def test_recovery_stays_on_packed_arrays(self, tmp_path):
+        """A journalled (recoverable) flat+flat join runs the flat plan:
+        exact answer, and neither packed tree was ever materialised as a
+        pointer tree."""
+        items_r = dataset("uniform", n=300, seed=41)
+        items_s = dataset("clustered", n=300, seed=42)
+        _, flat_r = build_both(items_r)
+        _, flat_s = build_both(items_s)
         pairs = multiprocessing_join(
             flat_r,
             flat_s,
-            1,
+            2,
             journal_path=str(tmp_path / "join.jnl"),
         )
-        assert set(pairs) == expected
+        assert_join_parity(items_r, items_s, pairs)
+        assert flat_r._node_tree is None and flat_s._node_tree is None
+
+    def test_unequal_heights_fork_path(self):
+        big = dataset("uniform", n=900, seed=31)
+        small = dataset("uniform", n=12, seed=32)
+        _, flat_big = build_both(big)
+        _, flat_small = build_both(small)
+        assert flat_big.num_levels != flat_small.num_levels
+        for processes in (1, 3):
+            assert_join_parity(
+                big, small, multiprocessing_join(flat_big, flat_small, processes)
+            )
+            assert_join_parity(
+                small, big, multiprocessing_join(flat_small, flat_big, processes)
+            )
 
 
 STRATEGIES = [

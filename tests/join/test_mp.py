@@ -59,6 +59,29 @@ class TestMultiprocessingJoin:
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
 
 
+class TestJoinPlan:
+    def test_node_plan_beats_on_every_node_pair(self):
+        """One beat per task could not keep a lease through a task that
+        outlasts ``lease_s``; the node plan beats inside the task."""
+        tree_r, tree_s = (build_tree(m) for m in paper_maps(scale=0.03))
+        assert tree_r.height == tree_s.height == 3  # tasks are subtrees
+        plan = mp_module.plan_join(tree_r, tree_s, 4)
+        beats = []
+        pairs = plan.run(0, len(plan), lambda: beats.append(1))
+        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
+        assert len(beats) > 10 * len(plan)
+        assert plan.run(2, 2, lambda: pytest.fail("beat on an empty slice")) == []
+
+    def test_chunks_are_delivered_in_pieces(self, trees, monkeypatch):
+        """A chunk result crosses the pool pre-pickled in pieces (a beat
+        per piece); reassembly keeps the serial row order."""
+        tree_r, tree_s = trees
+        serial = multiprocessing_join(tree_r, tree_s, processes=1)
+        monkeypatch.setattr(mp_module, "_PIECE_ROWS", 7)
+        assert multiprocessing_join(tree_r, tree_s, processes=2) == serial
+        assert len(serial) > 7
+
+
 class TestForkGuard:
     def test_work_global_reset_after_pool_run(self, trees):
         """The parent must not keep pinning both trees via _WORK after
@@ -89,8 +112,8 @@ class TestForkGuard:
         assert len(pairs) > 0
 
 
-def _hang_forever(bounds):
-    # Stands in for _run_task_range; must be module-level so the pool can
+def _hang_forever(spec):
+    # Stands in for _run_chunk; must be module-level so the pool can
     # pickle a reference to it.
     time.sleep(600)
 
@@ -98,19 +121,45 @@ def _hang_forever(bounds):
 class TestDeadline:
     def test_hung_workers_fall_back_to_serial(self, trees, monkeypatch):
         """Workers that never deliver must not block the caller forever:
-        the deadline terminates the pool, warns, and recomputes serially
-        (regression: pool.map had no timeout)."""
+        the deadline abandons the pool, warns, and finishes the missing
+        chunks inline (regression: pool.map had no timeout)."""
         tree_r, tree_s = trees
-        # The serial fallback path uses join_subtrees directly and is
-        # unaffected by the patch.
-        monkeypatch.setattr(mp_module, "_run_task_range", _hang_forever)
+        # The inline path runs the plan directly and is unaffected by
+        # the patch.
+        monkeypatch.setattr(mp_module, "_run_chunk", _hang_forever)
         started = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="serial fallback"):
+        with pytest.warns(RuntimeWarning, match="did not finish within"):
             pairs = multiprocessing_join(
                 tree_r, tree_s, processes=2, timeout_s=0.5
             )
         assert time.perf_counter() - started < 30
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
+        assert mp_module._WORK is None
+
+    def test_hung_workers_without_deadline_are_expired_by_their_lease(
+        self, trees, monkeypatch
+    ):
+        """No ``timeout_s`` either: silent chunks lose their lease, and
+        after ``max_redispatch`` strikes the parent finishes them inline
+        — the static ``pool.map`` path blocked forever here."""
+        from repro.recovery import RecoveryConfig
+
+        tree_r, tree_s = trees
+        monkeypatch.setattr(mp_module, "_run_chunk", _hang_forever)
+        started = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = multiprocessing_join(
+                tree_r,
+                tree_s,
+                processes=2,
+                recovery=RecoveryConfig(
+                    lease_s=0.2, heartbeat_s=0.1, sweep_s=0.05, max_redispatch=1
+                ),
+            )
+        assert time.perf_counter() - started < 30
+        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
+        assert len(pairs) == len(set(pairs))
         assert mp_module._WORK is None
 
     def test_generous_deadline_runs_parallel_without_warning(self, trees):
@@ -159,8 +208,8 @@ class TestMultiprocessingRefinement:
 class TestWorkerDeathRegression:
     """A worker dying mid-range must not lose its whole static share.
 
-    The legacy path handed each process one contiguous task range; the
-    recoverable path leases chunk-sized pieces instead, so a death costs
+    A static range assignment hands each process one contiguous task
+    range; the driver leases chunk-sized pieces instead, so a death costs
     one chunk-redispatch, not a quarter of the join.
     """
 

@@ -1,12 +1,17 @@
-"""Property-based crash/resume testing of the recoverable simulated join.
+"""Property-based crash/resume testing of the recoverable joins.
 
 Hypothesis draws a crash schedule (which processors die, and at which of
 their task starts), an assignment variant and a reassignment policy; the
 property is the recovery layer's whole contract: the crashed run's trace
 is lawful, and the crashed-then-resumed result is the sequential oracle's
 multiset — every pair exactly once, no matter where the kills landed.
+
+The same contract is then drawn against the forked driver
+(:func:`repro.join.mp.fault_tolerant_join`) on both index backends: task
+kills, an optionally dying parent, then a resume from the journal.
 """
 
+import multiprocessing
 import tempfile
 
 import pytest
@@ -26,8 +31,16 @@ from repro.join import (
     prepare_trees,
     sequential_join,
 )
-from repro.recovery import RecoveryConfig
-from repro.trace import TraceConfig
+from repro.join.mp import fault_tolerant_join
+from repro.recovery import JoinInterrupted, RecoveryConfig
+from repro.rtree import build_flat_tree
+from repro.trace import (
+    ListSink,
+    TraceConfig,
+    Tracer,
+    recovery_checkers,
+    run_checkers,
+)
 
 PROCS = 3
 SCALE = 0.01
@@ -142,3 +155,82 @@ class TestCrashResumeProperty:
                 assert_lawful(result)
                 assert result.recovery["complete"]
             assert multiset(result) == expected
+
+
+# -- the forked driver: one engine, both backends -----------------------------
+
+_FORK_WORKLOADS = {}
+
+
+def fork_workload(backend):
+    if backend not in _FORK_WORKLOADS:
+        m1, m2 = paper_maps(scale=SCALE)
+        if backend == "flat":
+            trees = (build_flat_tree(m1), build_flat_tree(m2))
+        else:
+            trees = workload()[:2]
+        _FORK_WORKLOADS[backend] = trees
+    return _FORK_WORKLOADS[backend]
+
+
+def fork_run(backend, journal, chunk_tasks, faults=None, stop_after=None):
+    """One traced attempt; returns ``(pairs or None if interrupted, stats)``
+    after replaying the trace through the recovery checkers."""
+    sink = ListSink()
+    try:
+        outcome = fault_tolerant_join(
+            *fork_workload(backend),
+            2,
+            recovery=RecoveryConfig(
+                lease_s=0.5,
+                heartbeat_s=0.1,
+                sweep_s=0.02,
+                journal_path=journal,
+                chunk_tasks=chunk_tasks,
+                stop_after_commits=stop_after,
+            ),
+            faults=faults,
+            tracer=Tracer(sinks=[sink]),
+        )
+    except JoinInterrupted:
+        outcome = (None, None)
+    for verdict in run_checkers(sink.events, recovery_checkers()):
+        assert verdict.ok, (verdict.checker, verdict.violations)
+    return outcome
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="requires the fork start method",
+)
+@pytest.mark.parametrize("backend", ["node", "flat"])
+class TestForkCrashResumeProperty:
+    @given(
+        kills=st.lists(
+            st.integers(min_value=0, max_value=30), max_size=3, unique=True
+        ),
+        chunk_tasks=st.integers(min_value=1, max_value=4),
+        stop_after=st.none() | st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_killed_interrupted_then_resumed_is_exactly_once(
+        self, backend, kills, chunk_tasks, stop_after, seed
+    ):
+        """Task kills cost chunk redispatches, a dying parent costs a
+        resume — either way the journalled result is the oracle multiset,
+        on the pointer plan and on the packed plan alike."""
+        expected = workload()[3]
+        faults = FaultPlan(seed=seed, kill_at_task=tuple(kills))
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = f"{tmp}/join.jnl"
+            pairs, stats = fork_run(
+                backend, journal, chunk_tasks, faults, stop_after
+            )
+            if pairs is None:
+                pairs, stats = fork_run(backend, journal, chunk_tasks)
+                assert stats["replayed_chunks"] >= stop_after
+            assert stats["tasks_committed"] + stats["tasks_replayed"] == (
+                stats["chunks"]
+            )
+            assert sorted(pairs) == expected

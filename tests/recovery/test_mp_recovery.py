@@ -1,14 +1,21 @@
 """The fork-path fault-tolerant join: chunked leases, redispatch after
-worker death, interrupt-then-resume through the durable journal."""
+worker death, interrupt-then-resume through the durable journal.
+
+Every class runs twice: as written over the pointer backend, and again
+over the packed backend through its ``...Flat`` subclass, which only
+swaps the ``build`` fixture — the driver is the same, so the contract is.
+"""
 
 import multiprocessing
+import time
 
 import pytest
 
 from repro.datagen import build_tree, paper_maps
 from repro.faults import FaultPlan
 from repro.join import sequential_join
-from repro.join.mp import fault_tolerant_join
+from repro.join import mp as mp_module
+from repro.join.mp import fault_tolerant_join, plan_join
 from repro.join.parallel import prepare_trees
 from repro.recovery import (
     JoinInterrupted,
@@ -17,6 +24,7 @@ from repro.recovery import (
     resume_join,
     run_recoverable_join,
 )
+from repro.rtree import FlatRTree, RStarTree, build_flat_tree
 from repro.trace import ListSink, Tracer, recovery_checkers, run_checkers
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -25,17 +33,54 @@ needs_fork = pytest.mark.skipif(not FORK, reason="requires the fork start method
 FAST = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
 
 
-@pytest.fixture(scope="module")
-def trees():
-    m1, m2 = paper_maps(scale=0.01)
+def build_node(m1, m2):
     tree_r, tree_s = build_tree(m1), build_tree(m2)
     prepare_trees(tree_r, tree_s)
     return tree_r, tree_s
 
 
-@pytest.fixture(scope="module")
-def expected(trees):
-    return sequential_join(*trees).pair_set()
+def build_flat(m1, m2):
+    return build_flat_tree(m1), build_flat_tree(m2)
+
+
+class Backend:
+    """Fixtures of one backend; the builders are the only variable."""
+
+    build = staticmethod(build_node)
+    empty_tree = RStarTree
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return self.build(*paper_maps(scale=0.01))
+
+    @pytest.fixture(scope="class")
+    def expected(self, trees):
+        return sequential_join(*trees).pair_set()
+
+
+class FlatBackend(Backend):
+    build = staticmethod(build_flat)
+    empty_tree = FlatRTree
+
+
+class _SlowPlan:
+    """A join plan whose every slice first idles for ``IDLE_S``, beating
+    — a small join that outlasts a short lease."""
+
+    IDLE_S = 0.2
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.signature = plan.signature
+
+    def __len__(self):
+        return len(self.plan)
+
+    def run(self, start, stop, beat=None):
+        for _ in range(5):
+            time.sleep(self.IDLE_S / 5)
+            beat()
+        return self.plan.run(start, stop, beat)
 
 
 def assert_lawful(sink):
@@ -43,7 +88,7 @@ def assert_lawful(sink):
         assert verdict.ok, (verdict.checker, verdict.violations)
 
 
-class TestHealthyRuns:
+class TestHealthyRuns(Backend):
     @needs_fork
     def test_matches_sequential(self, trees, expected):
         pairs, stats = fault_tolerant_join(*trees, 2, recovery=FAST)
@@ -52,20 +97,44 @@ class TestHealthyRuns:
         assert stats["redispatches"] == 0
         assert stats["tasks_committed"] == stats["chunks"]
 
+    @needs_fork
+    def test_join_longer_than_its_lease_expires_nothing(
+        self, trees, expected, monkeypatch
+    ):
+        """Regression: every chunk's lease clock started when the chunk
+        was queued into the pool, so a healthy join that outlasted
+        ``lease_s`` expired its own waiting tail, redispatched it and
+        finally ran it inline.  The clock starts when a worker starts the
+        chunk, and a running chunk keeps its lease by beating."""
+        monkeypatch.setattr(
+            mp_module, "plan_join", lambda *a: _SlowPlan(plan_join(*a))
+        )
+        pairs, stats = fault_tolerant_join(
+            *trees,
+            2,
+            recovery=RecoveryConfig(
+                lease_s=1.5 * _SlowPlan.IDLE_S, heartbeat_s=0.05, sweep_s=0.02
+            ),
+        )
+        assert set(pairs) == expected
+        # 2 workers, two thirds of a lease per chunk: from the third
+        # round on a chunk has waited longer than its lease to start.
+        assert stats["chunks"] >= 6
+        assert stats["expired"] == 0
+        assert stats["redispatches"] == 0 and stats["inline_runs"] == 0
+
     def test_serial_fallback_matches(self, trees, expected):
         pairs, stats = fault_tolerant_join(*trees, 1, recovery=FAST)
         assert set(pairs) == expected
         assert stats["tasks_committed"] == stats["chunks"]
 
     def test_empty_trees(self):
-        from repro.rtree import RStarTree
-
-        empty = RStarTree()
+        empty = self.empty_tree()
         pairs, stats = fault_tolerant_join(empty, empty, 2, recovery=FAST)
         assert pairs == [] and stats["chunks"] == 0
 
 
-class TestKilledWorkers:
+class TestKilledWorkers(Backend):
     @needs_fork
     def test_targeted_kills_are_redispatched(self, trees, expected):
         sink = ListSink()
@@ -98,7 +167,7 @@ class TestKilledWorkers:
         assert_lawful(sink)
 
 
-class TestInterruptAndResume:
+class TestInterruptAndResume(Backend):
     @needs_fork
     def test_stop_after_commits_raises_and_resume_finishes(
         self, trees, expected, tmp_path
@@ -144,8 +213,53 @@ class TestInterruptAndResume:
         run_recoverable_join(
             *trees, journal_path=journal, processes=1, recovery=FAST
         )
-        m1, m2 = paper_maps(scale=0.02)
-        other_r, other_s = build_tree(m1), build_tree(m2)
-        prepare_trees(other_r, other_s)
+        other_r, other_s = self.build(*paper_maps(scale=0.02))
         with pytest.raises(ValueError, match="journal"):
             resume_join(journal, other_r, other_s, processes=1, recovery=FAST)
+
+    def test_resume_on_the_other_backend_is_rejected(self, trees, tmp_path):
+        """The plan signature names its backend: chunk ids of a node
+        journal mean nothing to the flat plan, and vice versa."""
+        journal = str(tmp_path / "mp.jnl")
+        run_recoverable_join(
+            *trees, journal_path=journal, processes=1, recovery=FAST
+        )
+        other = build_flat if self.build is build_node else build_node
+        with pytest.raises(ValueError, match="journal"):
+            resume_join(
+                journal,
+                *other(*paper_maps(scale=0.01)),
+                processes=1,
+                recovery=FAST,
+            )
+
+
+class TestHealthyRunsFlat(FlatBackend, TestHealthyRuns):
+    pass
+
+
+class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
+    @needs_fork
+    def test_kill_costs_one_chunk_and_never_materialises_a_node_tree(self):
+        """A vectorised slice has no per-task loop, yet a parent-computed
+        kill offset still costs exactly one chunk redispatch."""
+        trees = self.build(*paper_maps(scale=0.01))
+        sink = ListSink()
+        pairs, stats = fault_tolerant_join(
+            *trees,
+            2,
+            recovery=RecoveryConfig(
+                lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05, chunk_tasks=2
+            ),
+            faults=FaultPlan(seed=0, kill_at_task=(3,)),
+            tracer=Tracer(sinks=[sink]),
+        )
+        assert sorted(pairs) == sorted(sequential_join(*trees).pair_set())
+        assert stats["fault_counts"]["task_kills"] == 1
+        assert stats["redispatches"] == 1 and stats["inline_runs"] == 0
+        assert_lawful(sink)
+        assert trees[0]._node_tree is None and trees[1]._node_tree is None
+
+
+class TestInterruptAndResumeFlat(FlatBackend, TestInterruptAndResume):
+    pass

@@ -47,6 +47,42 @@ class TestWindowParity:
         for window, entries in zip(windows, batched):
             assert {e.oid for e in entries} == brute_window(items, window)
 
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            pytest.param([Rect(-10, -10, -9, -9)], id="one-miss"),
+            pytest.param(
+                [Rect(-10, -10, -9, -9), Rect(500, 500, 501, 501)],
+                id="all-miss-batch",
+            ),
+            pytest.param(
+                [
+                    Rect(-10, -10, -9, -9),
+                    Rect(0, 0, 60, 60),
+                    Rect(500, 500, 501, 501),
+                ],
+                id="hit-and-miss-batch",
+            ),
+        ],
+    )
+    def test_batches_with_missing_windows(self, workload, windows):
+        """Regression: a batch whose every window misses below some level
+        leaves an empty frontier, which ``children_of`` used to reject
+        with a broadcast ``ValueError``."""
+        _, node_tree, flat_tree = workload
+        expected = [
+            {e.oid for e in entries}
+            for entries in multi_window_query(node_tree, windows)
+        ]
+        assert [
+            {e.oid for e in entries} for entries in flat_tree.multi_window(windows)
+        ] == expected
+        assert [
+            {e.oid for e in entries}
+            for entries in multi_window_query(flat_tree, windows)
+        ] == expected
+        assert not expected[0], "the first window of every batch must miss"
+
     def test_stats_are_accounted(self, workload):
         _, _, flat_tree = workload
         stats = QueryStats()

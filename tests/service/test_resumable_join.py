@@ -68,6 +68,27 @@ class TestChunkedEqualsUnchunked:
         assert chunked.value == plain.value
 
 
+    def test_flat_trees_are_chunked_on_their_arrays(self, workload):
+        """The chunk decomposition comes from the backend-neutral join
+        plan: packed trees are sliced as packed trees, no worker rebuilds
+        them as pointer trees (inline pool, so the trees are inspectable)."""
+        from repro.rtree import build_flat_tree
+
+        trees, _ = workload
+        m1, m2 = paper_maps(scale=0.02)
+        flat = {"r": build_flat_tree(m1), "s": build_flat_tree(m2)}
+        request = JoinRequest(tree_r="r", tree_s="s")
+        plain = submit_one(trees, EngineConfig(workers=0, batching=False), request)
+        chunked = submit_one(
+            flat,
+            EngineConfig(workers=0, batching=False, join_chunks=4),
+            request,
+        )
+        assert chunked.status is Status.OK
+        assert chunked.value == plain.value
+        assert flat["r"]._node_tree is None and flat["s"]._node_tree is None
+
+
 class TestCrashingPool:
     def test_crashy_workers_only_rerun_lost_chunks(self, workload):
         trees, _ = workload
