@@ -12,9 +12,11 @@ from .polygon import Polygon
 from .polyline import Polyline
 from .rect import Rect
 from .segment import Segment
+from .table import BoxTable
 
 __all__ = [
     "Rect",
+    "BoxTable",
     "Segment",
     "Polyline",
     "Polygon",

@@ -1,0 +1,117 @@
+"""Columnar boxes: the ingest currency of the builders and the partitioner.
+
+A :class:`BoxTable` holds one dataset as a list of object identifiers
+plus four ``float64`` columns ``xl / yl / xu / yu`` — row *i* is the box
+of ``oids[i]``.  Everything that reads a whole dataset (the flat and STR
+tree builders, :class:`~repro.shard.partition.Partitioner`,
+:func:`~repro.shard.partition.partition_rows`) reads it in this shape, so
+set-up never walks per-object ``(oid, Rect)`` tuples; :class:`Rect`
+objects are made only at the API edge (:meth:`BoxTable.items`,
+:meth:`BoxTable.bbox`).
+
+The constructor is the input boundary: it rejects non-finite coordinates
+and inverted boxes once, so the array kernels below it never see a NaN.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
+
+from .rect import Rect
+
+__all__ = ["BoxTable"]
+
+COLUMNS = ("xl", "yl", "xu", "yu")
+
+
+class BoxTable:
+    """``oids`` plus the four coordinate columns of their boxes."""
+
+    __slots__ = ("oids", *COLUMNS)
+
+    def __init__(self, oids: Sequence[Hashable], xl, yl, xu, yu):
+        self.oids = list(oids)
+        columns = [np.asarray(c, dtype=np.float64) for c in (xl, yl, xu, yu)]
+        if any(column.shape != (len(self.oids),) for column in columns):
+            raise ValueError("oids and the four columns must have one length")
+        self.xl, self.yl, self.xu, self.yu = columns
+        # NaN fails both comparisons; the infinities need their own test.
+        valid = (self.xl <= self.xu) & (self.yl <= self.yu)
+        for column in columns:
+            valid &= np.isfinite(column)
+        if not valid.all():
+            row = int(np.argmin(valid))
+            raise ValueError(
+                f"object {self.oids[row]!r} has a non-finite or inverted box "
+                f"({self.xl[row]}, {self.yl[row]}, {self.xu[row]}, {self.yu[row]})"
+            )
+
+    @classmethod
+    def from_rects(cls, oids: Sequence[Hashable], rects: Sequence) -> "BoxTable":
+        """Row *i* is ``oids[i]`` with the box of ``rects[i]`` (anything
+        exposing ``xl, yl, xu, yu``)."""
+        n = len(rects)
+        return cls(
+            oids,
+            np.fromiter((r.xl for r in rects), np.float64, count=n),
+            np.fromiter((r.yl for r in rects), np.float64, count=n),
+            np.fromiter((r.xu for r in rects), np.float64, count=n),
+            np.fromiter((r.yu for r in rects), np.float64, count=n),
+        )
+
+    @classmethod
+    def from_items(cls, items) -> "BoxTable":
+        """*items* as a table: a table is returned as it is, anything else
+        is read as ``(oid, rect)`` pairs."""
+        if isinstance(items, cls):
+            return items
+        items = list(items)
+        return cls.from_rects([oid for oid, _ in items], [r for _, r in items])
+
+    @classmethod
+    def concat(cls, tables: Iterable["BoxTable"]) -> "BoxTable":
+        """The rows of every table, in order."""
+        tables = list(tables)
+        return cls(
+            [oid for table in tables for oid in table.oids],
+            *(
+                np.concatenate([getattr(table, name) for table in tables])
+                for name in COLUMNS
+            ),
+        )
+
+    def take(self, rows) -> "BoxTable":
+        """The table of *rows* (an integer index array), in that order."""
+        oids = self.oids
+        return BoxTable(
+            [oids[row] for row in rows.tolist()],
+            self.xl[rows],
+            self.yl[rows],
+            self.xu[rows],
+            self.yu[rows],
+        )
+
+    def bbox(self) -> Rect:
+        """The MBR of every box; an empty table has none."""
+        if not self.oids:
+            raise ValueError("an empty table has no bounding box")
+        return Rect(self.xl.min(), self.yl.min(), self.xu.max(), self.yu.max())
+
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(x, y)`` columns of the box centers."""
+        return (self.xl + self.xu) / 2.0, (self.yl + self.yu) / 2.0
+
+    def items(self) -> list[tuple[Hashable, Rect]]:
+        """The rows as ``(oid, Rect)`` pairs — the object edge."""
+        boxes = zip(
+            self.xl.tolist(), self.yl.tolist(), self.xu.tolist(), self.yu.tolist()
+        )
+        return [(oid, Rect(*box)) for oid, box in zip(self.oids, boxes)]
+
+    def __len__(self) -> int:
+        return len(self.oids)
+
+    def __repr__(self) -> str:
+        return f"<BoxTable {len(self.oids)} rows>"

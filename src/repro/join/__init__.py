@@ -11,6 +11,7 @@ from .assignment import (
     static_range_assignment,
     static_round_robin_assignment,
 )
+from .flat import flat_join
 from .mp import multiprocessing_join
 from .multistep import MultiStepResult, SecondFilter, multi_step_join
 from .parallel import ParallelJoinConfig, parallel_spatial_join, prepare_trees
@@ -63,13 +64,3 @@ __all__ = [
     "MultiStepResult",
     "multi_step_join",
 ]
-
-
-def __getattr__(name):
-    # The flat-backend join needs numpy; load it only when actually asked
-    # for, so the node-tree core keeps working on numpy-free installs.
-    if name == "flat_join":
-        from .flat import flat_join
-
-        return flat_join
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

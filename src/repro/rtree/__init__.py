@@ -2,6 +2,7 @@
 
 from .bulk import str_bulk_load
 from .entry import Entry
+from .flat import FlatRTree, build_flat_tree
 from .guttman import GuttmanRTree
 from .node import Node
 from .pagestore import PageStore
@@ -25,15 +26,3 @@ __all__ = [
     "oid_order_key",
     "QueryStats",
 ]
-
-_LAZY = {"FlatRTree", "build_flat_tree"}
-
-
-def __getattr__(name):
-    # The flat backend needs numpy; load it only when actually asked for,
-    # so the node-tree core keeps working on numpy-free installs.
-    if name in _LAZY:
-        from . import flat
-
-        return getattr(flat, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

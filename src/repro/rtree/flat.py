@@ -33,17 +33,12 @@ fork-inherits-arrays, where the service layer today fork-inherits-trees.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - numpy ships with [dev]
-    raise ImportError(
-        "the flat R-tree backend requires numpy (install the package "
-        "with the [dev] extra or keep using the node-tree backend)"
-    ) from exc
+import numpy as np
 
 from ..geometry.rect import Rect
+from ..geometry.table import BoxTable
 from ..zorder.curve import Quantizer, interleave_array
 from .entry import Entry
 from .node import Node
@@ -105,41 +100,37 @@ class FlatRTree:
     @classmethod
     def build(
         cls,
-        items: Iterable[tuple[Hashable, Rect]],
+        items,
         *,
         node_size: int = DEFAULT_NODE_SIZE,
         curve_bits: int = DEFAULT_CURVE_BITS,
     ) -> "FlatRTree":
-        """Pack *items* bottom-up over a Z-order sort of box centers.
+        """Pack *items* — ``(oid, rect)`` pairs or a
+        :class:`~repro.geometry.table.BoxTable` — bottom-up over a Z-order
+        sort of box centers.
 
         Deterministic: equal Morton codes keep their input order (stable
         sort), so two builds over the same item sequence are identical.
         """
         if node_size < 2:
             raise ValueError("node_size must be at least 2")
-        items = list(items)
+        table = BoxTable.from_items(items)
         tree = cls()
         tree.node_size = node_size
-        n = len(items)
+        n = len(table)
         if n == 0:
             return tree
         tree.size = n
 
-        exl = np.fromiter((r.xl for _, r in items), np.float64, count=n)
-        eyl = np.fromiter((r.yl for _, r in items), np.float64, count=n)
-        exu = np.fromiter((r.xu for _, r in items), np.float64, count=n)
-        eyu = np.fromiter((r.yu for _, r in items), np.float64, count=n)
-
-        bounds = Rect(exl.min(), eyl.min(), exu.max(), eyu.max())
-        quantizer = Quantizer(bounds, curve_bits)
-        ix, iy = quantizer.cells_of((exl + exu) * 0.5, (eyl + eyu) * 0.5)
+        quantizer = Quantizer(table.bbox(), curve_bits)
+        ix, iy = quantizer.cells_of(*table.centers())
         order = np.argsort(interleave_array(ix, iy, curve_bits), kind="stable")
 
-        level_xl = [exl[order]]
-        level_yl = [eyl[order]]
-        level_xu = [exu[order]]
-        level_yu = [eyu[order]]
-        tree.oids = [items[int(i)][0] for i in order]
+        level_xl = [table.xl[order]]
+        level_yl = [table.yl[order]]
+        level_xu = [table.xu[order]]
+        level_yu = [table.yu[order]]
+        tree.oids = [table.oids[i] for i in order.tolist()]
         counts = [n]
         while counts[-1] > 1 or len(counts) == 1:
             starts = np.arange(0, counts[-1], node_size)
@@ -487,4 +478,4 @@ class FlatRTree:
 def build_flat_tree(map_data, *, node_size: int = DEFAULT_NODE_SIZE) -> FlatRTree:
     """Pack a generated map (:class:`repro.datagen.MapData`) — the flat
     twin of :func:`repro.datagen.build_tree`."""
-    return FlatRTree.build(map_data.items(), node_size=node_size)
+    return FlatRTree.build(map_data.table(), node_size=node_size)

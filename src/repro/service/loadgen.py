@@ -781,7 +781,7 @@ def _shard_main(args) -> int:
         flush=True,
     )
     map1, map2 = paper_maps(scale=args.scale, seed=args.seed)
-    datasets = {"map1": map1.items(), "map2": map2.items()}
+    datasets = {"map1": map1.table(), "map2": map2.table()}
     region = map1.region
 
     def shard_config(k, replicas, faults=None):

@@ -27,6 +27,7 @@ from .partition import (
     ShardedDataset,
     build_sharded,
     partition_items,
+    partition_rows,
 )
 from .router import ShardConfig, ShardRouter
 
@@ -36,6 +37,7 @@ __all__ = [
     "ShardedDataset",
     "build_sharded",
     "partition_items",
+    "partition_rows",
     "ShardConfig",
     "ShardRouter",
     "data_entries",

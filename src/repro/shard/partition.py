@@ -37,16 +37,25 @@ A :class:`PartitionMap` is a frozen value object of primitives, so it
 pickles cheaply into forked worker pools and its routing decisions are
 reproducible anywhere — the worker-side join kernel re-runs the same
 ownership test the router used.
+
+Set-up is columnar: fitting, :func:`partition_rows` and the per-shard
+builds read one :class:`~repro.geometry.table.BoxTable` per dataset and
+make no per-object ``Rect``.  The scalar ``cell_of_point`` /
+``owner_of_point`` / ``shards_of_rect`` serve the router once per request
+and are the rule the array kernel is tested against, row for row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..geometry.rect import Rect
+from ..geometry.table import BoxTable
 from ..rtree.bulk import str_bulk_load
-from ..rtree.rstar import RStarTree
+from ..rtree.flat import FlatRTree
 from ..zorder.curve import interleave
 
 __all__ = [
@@ -55,6 +64,7 @@ __all__ = [
     "ShardedDataset",
     "build_sharded",
     "partition_items",
+    "partition_rows",
 ]
 
 #: Default cell-grid side for ``zrange`` mode (power of two: Morton
@@ -95,35 +105,22 @@ class PartitionMap:
 
     # -- point / rect location -------------------------------------------------
     def cell_of_point(self, x: float, y: float) -> int:
-        ix = int((x - self.x0) / self.cell_w)
-        iy = int((y - self.y0) / self.cell_h)
-        if ix < 0:
-            ix = 0
-        elif ix >= self.gx:
-            ix = self.gx - 1
-        if iy < 0:
-            iy = 0
-        elif iy >= self.gy:
-            iy = self.gy - 1
+        ix = min(max(int((x - self.x0) / self.cell_w), 0), self.gx - 1)
+        iy = min(max(int((y - self.y0) / self.cell_h), 0), self.gy - 1)
         return iy * self.gx + ix
 
     def owner_of_point(self, x: float, y: float) -> int:
         return self.owner[self.cell_of_point(x, y)]
 
-    def cells_of_rect(self, rect: Rect) -> Iterable[int]:
-        """Indices of every cell the (clamped) rectangle overlaps."""
+    def shards_of_rect(self, rect: Rect) -> frozenset:
+        """Every shard owning a cell the (clamped) rectangle overlaps."""
         lo = self.cell_of_point(rect.xl, rect.yl)
         hi = self.cell_of_point(rect.xu, rect.yu)
-        ix0, iy0 = lo % self.gx, lo // self.gx
-        ix1, iy1 = hi % self.gx, hi // self.gx
-        for iy in range(iy0, iy1 + 1):
-            base = iy * self.gx
-            for ix in range(ix0, ix1 + 1):
-                yield base + ix
-
-    def shards_of_rect(self, rect: Rect) -> frozenset:
-        """Every shard whose region the rectangle overlaps."""
-        return frozenset(self.owner[c] for c in self.cells_of_rect(rect))
+        return frozenset(
+            self.owner[iy * self.gx + ix]
+            for iy in range(lo // self.gx, hi // self.gx + 1)
+            for ix in range(lo % self.gx, hi % self.gx + 1)
+        )
 
     # -- geometry of the decomposition ----------------------------------------
     def cell_rect(self, cell: int) -> Rect:
@@ -192,10 +189,12 @@ class Partitioner:
                 raise ValueError("fewer cells than shards")
         self.cells_per_side = cells_per_side
 
-    def fit(self, items: Sequence[tuple[Hashable, Rect]]) -> PartitionMap:
-        if not items:
+    def fit(self, items) -> PartitionMap:
+        """Fit to ``(oid, rect)`` pairs or a :class:`BoxTable`."""
+        table = BoxTable.from_items(items)
+        if not len(table):
             raise ValueError("cannot partition an empty dataset")
-        bbox = Rect.union_all(rect for _, rect in items)
+        bbox = table.bbox()
         # Degenerate extents (all objects on one line) still need cells
         # of positive size for the index arithmetic to divide by.
         width = max(bbox.xu - bbox.xl, 1e-9)
@@ -204,40 +203,30 @@ class Partitioner:
             gx, gy = _near_square_factors(self.shards)
             if (width < height) != (gx < gy):
                 gx, gy = gy, gx
-            return PartitionMap(
-                mode="grid",
-                shards=self.shards,
-                x0=bbox.xl,
-                y0=bbox.yl,
-                cell_w=width / gx,
-                cell_h=height / gy,
-                gx=gx,
-                gy=gy,
-                owner=tuple(range(self.shards)),
-            )
-        return self._fit_zrange(items, bbox, width, height)
-
-    def _fit_zrange(
-        self, items, bbox: Rect, width: float, height: float
-    ) -> PartitionMap:
-        side = self.cells_per_side
-        bits = side.bit_length() - 1
-        probe = PartitionMap(
-            mode="zrange",
-            shards=1,
+            owner = tuple(range(self.shards))
+        else:
+            gx = gy = self.cells_per_side
+            owner = (0,) * (gx * gy)  # every cell unowned until the cut
+        grid = PartitionMap(
+            mode=self.mode,
+            shards=self.shards,
             x0=bbox.xl,
             y0=bbox.yl,
-            cell_w=width / side,
-            cell_h=height / side,
-            gx=side,
-            gy=side,
-            owner=(0,) * (side * side),
+            cell_w=width / gx,
+            cell_h=height / gy,
+            gx=gx,
+            gy=gy,
+            owner=owner,
         )
-        counts = [0] * (side * side)
-        for _, rect in items:
-            cx = (rect.xl + rect.xu) / 2.0
-            cy = (rect.yl + rect.yu) / 2.0
-            counts[probe.cell_of_point(cx, cy)] += 1
+        return grid if self.mode == "grid" else self._fit_zrange(table, grid)
+
+    def _fit_zrange(self, table: BoxTable, grid: PartitionMap) -> PartitionMap:
+        """*grid* with its cells dealt to the shards along the Morton order."""
+        side = self.cells_per_side
+        bits = side.bit_length() - 1
+        counts = np.bincount(
+            _cells_of_points(grid, *table.centers()), minlength=side * side
+        ).tolist()
         order = sorted(
             range(side * side),
             key=lambda c: interleave(c % side, c // side, bits),
@@ -247,7 +236,7 @@ class Partitioner:
         # its run holds its proportional share of the objects — but never
         # leave fewer cells than remaining shards, so every shard owns at
         # least one cell and the cells still tile the space.
-        total = len(items)
+        total = len(table)
         shard, acc = 0, 0
         for position, cell in enumerate(order):
             remaining_cells = len(order) - position
@@ -263,52 +252,59 @@ class Partitioner:
                 shard += 1
             owner[cell] = shard
             acc += counts[cell]
-        return PartitionMap(
-            mode="zrange",
-            shards=self.shards,
-            x0=bbox.xl,
-            y0=bbox.yl,
-            cell_w=width / side,
-            cell_h=height / side,
-            gx=side,
-            gy=side,
-            owner=tuple(owner),
-        )
+        return replace(grid, owner=tuple(owner))
 
 
-def partition_items(
-    items: Sequence[tuple[Hashable, Rect]], pmap: PartitionMap
-) -> tuple[list, list]:
-    """``(owned, replicated)`` per-shard item lists.
+def _cells_of_points(pmap: PartitionMap, xs, ys):
+    """:meth:`PartitionMap.cell_of_point` over coordinate arrays: truncate
+    toward zero like ``int()``, and clamp while still in floats so no
+    value is too large to cast."""
+    ix = np.clip(np.trunc((xs - pmap.x0) / pmap.cell_w), 0, pmap.gx - 1)
+    iy = np.clip(np.trunc((ys - pmap.y0) / pmap.cell_h), 0, pmap.gy - 1)
+    return iy.astype(np.int64) * pmap.gx + ix.astype(np.int64)
 
-    ``owned[s]`` holds the objects shard *s* owns (MBR center); the
-    lists partition the dataset.  ``replicated[s]`` holds every object
-    overlapping shard *s*'s region — the list the shard's tree is built
-    from; boundary objects appear in several.
+
+def partition_rows(table: BoxTable, pmap: PartitionMap) -> tuple[list, list]:
+    """``(owned, replicated)`` per-shard row-index arrays (ascending): the
+    array form of ``owner_of_point`` / ``shards_of_rect``, row for row.
+
+    ``owned[s]`` are the rows whose MBR center shard *s* owns; they
+    partition the table.  ``replicated[s]`` are the rows overlapping shard
+    *s*'s region — what its tree is built from; boundary rows are in several.
     """
-    owned: list = [[] for _ in range(pmap.shards)]
-    replicated: list = [[] for _ in range(pmap.shards)]
-    for oid, rect in items:
-        cx = (rect.xl + rect.xu) / 2.0
-        cy = (rect.yl + rect.yu) / 2.0
-        owned[pmap.owner_of_point(cx, cy)].append((oid, rect))
-        for shard in pmap.shards_of_rect(rect):
-            replicated[shard].append((oid, rect))
-    return owned, replicated
+    owner = np.asarray(pmap.owner, dtype=np.int64)
+    owners = owner[_cells_of_points(pmap, *table.centers())]
+    iy0, ix0 = np.divmod(_cells_of_points(pmap, table.xl, table.yl), pmap.gx)
+    iy1, ix1 = np.divmod(_cells_of_points(pmap, table.xu, table.yu), pmap.gx)
+    nx = ix1 - ix0 + 1
+    # One entry per (row, overlapped cell): row r contributes the
+    # spans[r] cells of its range, numbered row-major inside it.
+    spans = nx * (iy1 - iy0 + 1)
+    row = np.repeat(np.arange(len(table), dtype=np.int64), spans)
+    within = np.arange(len(row), dtype=np.int64) - np.repeat(
+        np.cumsum(spans) - spans, spans
+    )
+    dy, dx = np.divmod(within, nx[row])
+    member = np.zeros((len(table), pmap.shards), dtype=bool)
+    member[row, owner[(iy0[row] + dy) * pmap.gx + ix0[row] + dx]] = True
+    return (
+        [np.flatnonzero(owners == s) for s in range(pmap.shards)],
+        [np.flatnonzero(member[:, s]) for s in range(pmap.shards)],
+    )
 
 
-def _build_tree(items: Sequence[tuple[Hashable, Rect]], backend: str):
-    """One shard-local tree; empty shards get an empty node tree (both
-    query kernels duck-type it and answer nothing)."""
-    if not items:
-        return RStarTree()
-    if backend == "flat":
-        from ..rtree.flat import FlatRTree
+def partition_items(items, pmap: PartitionMap) -> tuple[list, list]:
+    """:func:`partition_rows` as per-shard ``(oid, rect)`` lists."""
+    table = BoxTable.from_items(items)
+    return tuple(
+        [table.take(rows).items() for rows in per_shard]
+        for per_shard in partition_rows(table, pmap)
+    )
 
-        return FlatRTree.build(items)
-    if backend != "node":
-        raise ValueError(f"unknown backend {backend!r}")
-    return str_bulk_load(items)
+
+#: One shard-local tree, by backend; an empty shard gets an empty tree of
+#: the same backend, so a shard never joins a mixed pair.
+_BUILDERS = {"flat": FlatRTree.build, "node": str_bulk_load}
 
 
 @dataclass(frozen=True)
@@ -367,15 +363,15 @@ class ShardedDataset:
 
 
 def build_sharded(
-    datasets: Mapping[str, Sequence[tuple[Hashable, Rect]]],
+    datasets: Mapping[str, object],
     shards: int,
     *,
     mode: str = "grid",
     backend: str = "node",
     cells_per_side: Optional[int] = None,
 ) -> ShardedDataset:
-    """Partition every named dataset with ONE shared map and build the
-    per-shard trees.
+    """Partition every named dataset (``(oid, rect)`` pairs or a
+    :class:`BoxTable`) with ONE shared map and build the per-shard trees.
 
     A single :class:`PartitionMap` (fitted on the union of all datasets)
     covers every tree, so a join between two trees agrees with itself
@@ -383,25 +379,23 @@ def build_sharded(
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    everything = [item for items in datasets.values() for item in items]
+    if backend not in _BUILDERS:
+        raise ValueError(f"unknown backend {backend!r}")
+    tables = {
+        name: BoxTable.from_items(items) for name, items in datasets.items()
+    }
     pmap = Partitioner(shards, mode, cells_per_side=cells_per_side).fit(
-        everything
+        BoxTable.concat(tables.values())
     )
-    trees = []
-    content_mbrs = []
-    counts = []
-    for shard in range(shards):
-        trees.append({})
-        content_mbrs.append({})
-        counts.append({})
-    for name, items in datasets.items():
-        _, replicated = partition_items(items, pmap)
-        for shard in range(shards):
-            local = replicated[shard]
-            trees[shard][name] = _build_tree(local, backend)
-            content_mbrs[shard][name] = (
-                Rect.union_all(rect for _, rect in local) if local else None
-            )
+    trees = [{} for _ in range(shards)]
+    content_mbrs = [{} for _ in range(shards)]
+    counts = [{} for _ in range(shards)]
+    for name, table in tables.items():
+        _, replicated = partition_rows(table, pmap)
+        for shard, rows in enumerate(replicated):
+            local = table.take(rows)
+            trees[shard][name] = _BUILDERS[backend](local)
+            content_mbrs[shard][name] = local.bbox() if len(local) else None
             counts[shard][name] = len(local)
     return ShardedDataset(
         pmap=pmap,

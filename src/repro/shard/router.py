@@ -42,7 +42,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..faults import FaultInjector, FaultPlan
 from ..geometry.rect import Rect
@@ -123,7 +123,7 @@ class ShardRouter:
 
     def __init__(
         self,
-        datasets: Mapping[str, Sequence[tuple[Hashable, Rect]]],
+        datasets: Mapping[str, object],
         config: Optional[ShardConfig] = None,
         *,
         sinks: Sequence = (),
@@ -221,7 +221,7 @@ class ShardRouter:
     ) -> "ShardRouter":
         """Build from named :class:`~repro.datagen.maps.MapData` objects."""
         return cls(
-            {name: data.items() for name, data in maps.items()},
+            {name: data.table() for name, data in maps.items()},
             config,
             sinks=sinks,
         )

@@ -1,0 +1,87 @@
+"""BoxTable: the columnar ingest currency and its input boundary."""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.geometry import BoxTable, Rect
+
+ITEMS = [
+    (7, Rect(0.0, 1.0, 2.0, 3.0)),
+    ("b", Rect(-1.0, -1.0, -1.0, 4.0)),
+    ((3, "c"), Rect(5.0, 5.0, 6.5, 5.0)),
+]
+
+
+class TestShape:
+    def test_from_items_round_trips(self):
+        table = BoxTable.from_items(ITEMS)
+        assert len(table) == 3
+        assert table.oids == [7, "b", (3, "c")]
+        assert table.xl.dtype == np.float64
+        assert table.xu.tolist() == [2.0, -1.0, 6.5]
+        assert table.items() == ITEMS
+
+    def test_from_items_reads_any_iterable_and_passes_a_table_through(self):
+        table = BoxTable.from_items(iter(ITEMS))
+        assert table.items() == ITEMS
+        assert BoxTable.from_items(table) is table
+
+    def test_from_rects_pairs_oids_with_anything_box_shaped(self):
+        table = BoxTable.from_rects(
+            [oid for oid, _ in ITEMS], [rect for _, rect in ITEMS]
+        )
+        assert table.items() == ITEMS
+
+    def test_take_keeps_the_given_order(self):
+        table = BoxTable.from_items(ITEMS)
+        taken = table.take(np.array([2, 0]))
+        assert taken.items() == [ITEMS[2], ITEMS[0]]
+        assert len(table.take(np.array([], dtype=np.int64))) == 0
+
+    def test_bbox_and_centers(self):
+        table = BoxTable.from_items(ITEMS)
+        assert table.bbox() == Rect(-1.0, -1.0, 6.5, 5.0)
+        cx, cy = table.centers()
+        assert cx.tolist() == [1.0, -1.0, 5.75]
+        assert cy.tolist() == [2.0, 1.5, 5.0]
+
+    def test_concat_appends_rows_in_order(self):
+        table = BoxTable.concat(
+            [BoxTable.from_items(ITEMS[:1]), BoxTable.from_items(ITEMS[1:])]
+        )
+        assert table.items() == ITEMS
+
+    def test_empty_table(self):
+        table = BoxTable.from_items([])
+        assert len(table) == 0 and table.items() == []
+        with pytest.raises(ValueError):
+            table.bbox()
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(4))
+    def test_non_finite_coordinate_names_the_first_offender(self, bad, column):
+        columns = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        columns[column][1] = bad
+        columns[column][2] = bad
+        with pytest.raises(ValueError, match="'second'"):
+            BoxTable(["first", "second", "third"], *columns)
+
+    def test_nan_hidden_inside_a_rect_is_caught(self):
+        # Rect lets NaN through (``nan < 0`` is false); the table does not.
+        smuggled = Rect(0.0, 0.0, math.nan, math.nan)
+        with pytest.raises(ValueError, match="object 41 "):
+            BoxTable.from_items([(40, Rect(0, 0, 1, 1)), (41, smuggled)])
+
+    def test_inverted_box(self):
+        with pytest.raises(ValueError, match="object 1 "):
+            BoxTable([0, 1], [0.0, 2.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="object 0 "):
+            BoxTable([0], [0.0], [3.0], [1.0], [1.0])
+
+    def test_ragged_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            BoxTable([0, 1], [0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])

@@ -8,7 +8,9 @@ The laws the sharded tier must uphold for *any* dataset:
 * a window's routed shard set equals the brute-force set of shards
   whose regions the window overlaps, and the merged window answer
   equals a brute-force scan — in both partitioning modes;
-* sharded kNN equals a brute-force scan, tie order included.
+* sharded kNN equals a brute-force scan, tie order included;
+* the vectorised ``partition_rows`` is the scalar ``owner_of_point`` /
+  ``shards_of_rect`` rule, row for row.
 """
 
 import math
@@ -16,10 +18,16 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.rect import Rect
+from repro.geometry import BoxTable, Rect
 from repro.rtree.query import oid_order_key
 from repro.shard.ops import sharded_knn, sharded_window
-from repro.shard.partition import Partitioner, build_sharded, partition_items
+from repro.shard.partition import (
+    Partitioner,
+    _cells_of_points,
+    build_sharded,
+    partition_items,
+    partition_rows,
+)
 
 coords = st.floats(
     min_value=-100.0, max_value=100.0,
@@ -145,3 +153,99 @@ class TestRoutedQueryLaws:
         )
         want = tuple((float(d), oid) for d, _, oid in ranked[:k])
         assert got == want
+
+
+# -- the array kernel against the scalar rule ---------------------------------
+@st.composite
+def fitted_maps(draw):
+    """A PartitionMap fitted to a drawn dataset — one in four with a
+    degenerate extent (every object on one vertical or horizontal line)."""
+    items = draw(datasets())
+    line = draw(st.sampled_from([None, None, None, "x", "y"]))
+    if line == "x":
+        items = [(oid, Rect(3.0, r.yl, 3.0, r.yu)) for oid, r in items]
+    elif line == "y":
+        items = [(oid, Rect(r.xl, -7.5, r.xu, -7.5)) for oid, r in items]
+    k = draw(st.integers(min_value=1, max_value=9))
+    return Partitioner(k, mode=draw(modes)).fit(items)
+
+
+@st.composite
+def axis_values(draw, origin, width, cells):
+    """A coordinate placed where the cell arithmetic is sharpest: exactly
+    on a cell edge (also one cell outside the grid), a hair either side
+    of one, or anywhere from well below to well above the fitted extent."""
+    edge = origin + draw(st.integers(min_value=-1, max_value=cells + 1)) * width
+    kind = draw(st.sampled_from(["edge", "below", "above", "free"]))
+    if kind == "edge":
+        return edge
+    if kind == "below":
+        return math.nextafter(edge, -math.inf)
+    if kind == "above":
+        return math.nextafter(edge, math.inf)
+    span = cells * width
+    return draw(
+        st.floats(min_value=origin - span - 1.0, max_value=origin + 2.0 * span + 1.0)
+    )
+
+
+@st.composite
+def probe_rects(draw, pmap):
+    """Rects on and off the grid, spanning any number of cells per axis."""
+    xs = sorted(
+        draw(st.lists(axis_values(pmap.x0, pmap.cell_w, pmap.gx), min_size=2, max_size=2))
+    )
+    ys = sorted(
+        draw(st.lists(axis_values(pmap.y0, pmap.cell_h, pmap.gy), min_size=2, max_size=2))
+    )
+    return Rect(xs[0], ys[0], xs[1], ys[1])
+
+
+oid_values = st.one_of(
+    st.integers(), st.text(max_size=4), st.tuples(st.integers(), st.text(max_size=2))
+)
+
+
+class TestKernelMatchesScalarRule:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_partition_rows_is_the_scalar_rule_row_for_row(self, data):
+        pmap = data.draw(fitted_maps())
+        rects_ = data.draw(st.lists(probe_rects(pmap), min_size=1, max_size=40))
+        oids = data.draw(
+            st.lists(oid_values, min_size=len(rects_), max_size=len(rects_), unique=True)
+        )
+        table = BoxTable.from_items(zip(oids, rects_))
+        owned, replicated = partition_rows(table, pmap)
+        assert len(owned) == len(replicated) == pmap.shards
+        for rows in (*owned, *replicated):
+            assert rows.dtype.kind == "i"
+            assert rows.tolist() == sorted(set(rows.tolist()))
+        for row, rect in enumerate(rects_):
+            cx = (rect.xl + rect.xu) / 2.0
+            cy = (rect.yl + rect.yu) / 2.0
+            assert [s for s in range(pmap.shards) if row in owned[s]] == [
+                pmap.owner_of_point(cx, cy)
+            ]
+            assert {
+                s for s in range(pmap.shards) if row in replicated[s]
+            } == pmap.shards_of_rect(rect)
+        # the item-list wrapper is the same kernel, oids carried through
+        owned_items, replicated_items = partition_items(table, pmap)
+        for rows, per_shard in zip((*owned, *replicated), (*owned_items, *replicated_items)):
+            assert [oid for oid, _ in per_shard] == [oids[r] for r in rows.tolist()]
+            assert [rect for _, rect in per_shard] == [rects_[r] for r in rows.tolist()]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fit_reads_tables_and_items_alike(self, data):
+        items = data.draw(datasets())
+        k = data.draw(st.integers(min_value=1, max_value=9))
+        mode = data.draw(modes)
+        from_items = Partitioner(k, mode=mode).fit(items)
+        assert Partitioner(k, mode=mode).fit(BoxTable.from_items(items)) == from_items
+        # the cells zrange counted objects in are the scalar rule's cells
+        table = BoxTable.from_items(items)
+        assert _cells_of_points(from_items, *table.centers()).tolist() == [
+            from_items.cell_of_point(*rect.center()) for _, rect in items
+        ]

@@ -1,10 +1,15 @@
 """Partitioner mechanics: grids, Morton cuts, ownership, replication."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.geometry.rect import Rect
+from repro.geometry import BoxTable, Rect
+from repro.join import multiprocessing_join, sequential_join
+from repro.rtree import FlatRTree, RStarTree
+from repro.shard.ops import shard_join_pairs, sharded_join
 from repro.shard.partition import (
     PartitionMap,
     Partitioner,
@@ -173,3 +178,96 @@ class TestBuildSharded:
         bounds = sharded.pmap.bounds()
         assert bounds.xl <= 0 and bounds.xu >= 60
         assert bounds.yl <= 0 and bounds.yu >= 51
+
+    def test_tables_and_items_build_the_same_shards(self):
+        datasets = {"a": make_items(120, 10), "b": make_items(80, 11)}
+        tables = {name: BoxTable.from_items(items) for name, items in datasets.items()}
+        from_items = build_sharded(datasets, 4, mode="zrange", backend="flat")
+        from_tables = build_sharded(tables, 4, mode="zrange", backend="flat")
+        assert from_tables.pmap == from_items.pmap
+        assert from_tables.counts == from_items.counts
+        assert from_tables.content_mbrs == from_items.content_mbrs
+        for shard in range(4):
+            for name in datasets:
+                ours = from_tables.trees[shard][name]
+                theirs = from_items.trees[shard][name]
+                assert ours.oids == theirs.oids
+                assert np.array_equal(ours.xmin, theirs.xmin)
+
+    @pytest.mark.parametrize("mode", ["grid", "zrange"])
+    def test_shard_trees_hold_exactly_the_replicated_rows(self, mode):
+        items = make_items(150, 12)
+        sharded = build_sharded({"a": items}, 5, mode=mode, backend="flat")
+        _, replicated = partition_items(items, sharded.pmap)
+        for shard, per_shard in enumerate(replicated):
+            tree = sharded.trees[shard]["a"]
+            assert sorted(tree.oids) == [oid for oid, _ in per_shard]
+            mbr = sharded.content_mbrs[shard]["a"]
+            assert mbr == (
+                Rect.union_all(rect for _, rect in per_shard) if per_shard else None
+            )
+
+    @pytest.mark.parametrize("backend", ["node", "flat"])
+    def test_bad_box_is_rejected_at_ingest(self, backend):
+        items = make_items(30, 13) + [(99, Rect(1.0, 1.0, math.nan, 2.0))]
+        with pytest.raises(ValueError, match="object 99 "):
+            build_sharded({"a": make_items(10, 14), "b": items}, 3, backend=backend)
+        with pytest.raises(ValueError, match="object 99 "):
+            Partitioner(3).fit(items)
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            build_sharded({"a": make_items(5, 15)}, 2, backend="packed")
+
+
+class TestEmptyShards:
+    """An empty shard holds an empty tree of the *requested* backend, so
+    no join on it is a mixed pair."""
+
+    @pytest.mark.parametrize(
+        "backend, kind", [("flat", FlatRTree), ("node", RStarTree)]
+    )
+    def test_every_shard_tree_is_of_the_requested_backend(self, backend, kind):
+        datasets = {"a": make_items(100, 16), "b": [(1000, Rect(1, 1, 2, 2))]}
+        sharded = build_sharded(datasets, 4, backend=backend)
+        assert sum(1 for c in sharded.counts if c["b"] == 0) == 3
+        for trees in sharded.trees:
+            assert all(type(tree) is kind for tree in trees.values())
+
+    def test_sharded_flat_join_never_builds_a_node_tree(self):
+        datasets = {"a": make_items(100, 16), "b": [(1000, Rect(1, 1, 2, 2))]}
+        sharded = build_sharded(datasets, 4, backend="flat")
+        whole_a = FlatRTree.build(datasets["a"])
+        whole_b = FlatRTree.build(datasets["b"])
+        expected = tuple(sorted(sequential_join(whole_a, whole_b).pairs))
+        assert sharded_join(sharded, "a", "b") == expected
+        merged = []
+        for shard, trees in enumerate(sharded.trees):
+            # the join entry points themselves, on the empty shards too
+            merged += shard_join_pairs(trees["a"], trees["b"], sharded.pmap, shard)
+            assert sorted(multiprocessing_join(trees["a"], trees["b"], 2)) == sorted(
+                sequential_join(trees["a"], trees["b"]).pairs
+            )
+            assert all(tree._node_tree is None for tree in trees.values())
+        assert tuple(sorted(merged)) == expected
+
+
+def test_build_sharded_makes_no_per_object_rect(monkeypatch):
+    """The guard against the per-object path coming back: sharding two
+    5,000-row tables constructs O(shards x trees) Rects, not O(rows)."""
+    shards = 4
+    datasets = {
+        "a": BoxTable.from_items(make_items(5000, 17)),
+        "b": BoxTable.from_items(make_items(5000, 18)),
+    }
+    made = []
+    init = Rect.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Rect, "__init__", counting)
+    sharded = build_sharded(datasets, shards, mode="zrange", backend="flat")
+    assert sum(c["a"] + c["b"] for c in sharded.counts) >= 10000
+    assert len(made) <= 4 * shards * len(datasets)
