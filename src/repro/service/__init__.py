@@ -7,8 +7,10 @@ and **spatial-join** requests and executes them on a pool of forked
 workers that inherit the in-memory trees (the process-level shared
 virtual memory of :mod:`repro.join.mp`), with
 
-* **admission control** — global in-flight bound, per-class waiting-room
-  and concurrency limits, per-request timeout, graceful draining stop;
+* one **front door** (:class:`FrontDoor`, shared with the sharded tier of
+  :mod:`repro.shard`): request validation, admission control — global
+  in-flight bound, per-class waiting-room and concurrency limits —
+  per-request timeout, graceful draining stop;
 * a **micro-batcher** coalescing near-simultaneous window queries into
   one shared tree traversal (:mod:`repro.service.batcher`);
 * an **LRU + TTL result cache** on canonicalised query keys
@@ -31,6 +33,7 @@ virtual memory of :mod:`repro.join.mp`), with
 from .batcher import MicroBatcher
 from .cache import MISS, ResultCache
 from .engine import Engine, EngineConfig
+from .frontdoor import FrontDoor
 from .metrics import LatencyReservoir, ServiceMetrics, percentile
 from .resilience import (
     CircuitBreaker,
@@ -54,6 +57,7 @@ from .workers import WorkerPool, fork_available
 __all__ = [
     "Engine",
     "EngineConfig",
+    "FrontDoor",
     "RequestClass",
     "Status",
     "WindowRequest",

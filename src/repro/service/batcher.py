@@ -9,8 +9,8 @@ coalescing window) for directory-page sharing and a per-batch rather than
 per-query worker dispatch.
 
 The batcher is deliberately dumb about execution: the engine passes in an
-async *runner* that owns admission semaphores, the worker pool, the result
-cache and event emission.  The batcher only collects, groups and hands
+async *runner* that owns admission semaphores, the worker pool and event
+emission.  The batcher only collects, groups and hands
 over.
 """
 
@@ -27,19 +27,17 @@ __all__ = ["MicroBatcher", "PendingWindow"]
 class PendingWindow:
     """One window query waiting for its batch."""
 
-    __slots__ = ("request", "future", "use_cache", "enqueued_at", "deadline")
+    __slots__ = ("request", "future", "enqueued_at", "deadline")
 
     def __init__(
         self,
         request: WindowRequest,
         future: asyncio.Future,
-        use_cache: bool,
         enqueued_at: float,
         deadline: Optional[float] = None,
     ):
         self.request = request
         self.future = future
-        self.use_cache = use_cache
         self.enqueued_at = enqueued_at
         #: Engine-clock instant the submitting request's budget runs out
         #: (None = unbounded); the batch runs under its most patient

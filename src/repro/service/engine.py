@@ -1,24 +1,17 @@
 """The serving engine: concurrent spatial queries over pre-built R*-trees.
 
-``Engine`` is the front door of :mod:`repro.service`.  Callers submit
-typed requests (:mod:`repro.service.model`) from any number of asyncio
-tasks; the engine
-
-1. applies **admission control** — a global in-flight bound, a per-class
-   waiting-room bound and per-class execution concurrency limits — and
-   rejects immediately rather than queueing unboundedly;
-2. consults the **result cache** (LRU + TTL, canonical query keys);
-3. routes cache misses to the execution backend: window queries through
-   the **micro-batcher** (one shared traversal per batch), kNN and join
-   requests straight to the **worker pool** (forked processes inheriting
-   the trees, the `join/mp.py` SVM trick, or threads where fork is
-   unavailable);
-4. enforces a per-request **timeout** and supports caller cancellation;
-5. emits every transition as an ``SVC_*`` event on a wall-clocked
-   :class:`~repro.trace.tracer.Tracer`, with :class:`ServiceMetrics` as a
-   standing sink — so JSONL sinks, timelines and the
-   :class:`~repro.trace.checkers.ServiceAccountingChecker` work on
-   serving runs exactly like on simulation runs.
+``Engine`` is the single-pool tier of :mod:`repro.service`.  Its front
+door — validation, admission control, the result cache, the per-request
+deadline, the ``SVC_*`` event ledger and the draining ``stop()`` — is
+:class:`~repro.service.frontdoor.FrontDoor`, the same code the sharded
+tier (:class:`~repro.shard.router.ShardRouter`) runs.  This module holds
+only the engine's execution plan behind that base's hooks: ``_execute``
+routes a cache miss to the backend — window queries through the
+**micro-batcher** (one shared traversal per batch), kNN and join requests
+straight to the **worker pool** (forked processes inheriting the trees,
+the `join/mp.py` SVM trick, or threads where fork is unavailable) — and
+``_start_backend`` / ``_stop_backend`` bring pool, supervisor and batcher
+up and (batches flushed first) down.
 
 Around the execution backend sits the **resilience layer**:
 
@@ -27,10 +20,10 @@ Around the execution backend sits the **resilience layer**:
   capped exponential backoff — always inside the request's original
   admission-timeout budget, never beyond it;
 * a per-request-class **circuit breaker** (closed → open → half-open)
-  cuts a failing class off; while open, cacheable requests degrade to
-  **stale cache serves** (flagged on the response and in the metrics)
-  and everything else is **shed** with an explicit 503-style
-  :data:`~repro.service.model.Status.SHED`;
+  cuts a failing class off; while open, the front door degrades
+  cacheable requests to **stale cache serves** (flagged on the response
+  and in the metrics) and sheds everything else with an explicit
+  503-style :data:`~repro.service.model.Status.SHED`;
 * a :class:`~repro.service.supervisor.Supervisor` polls worker liveness,
   turns crashes/respawns into trace events, sweeps overdue calls and
   re-forks the pool (workers re-inherit the tree registry) if it dies
@@ -39,31 +32,23 @@ Around the execution backend sits the **resilience layer**:
   crashes, hangs and slow I/O at the pool seam for chaos testing — the
   ``FLT_*``/``SUP_*`` ledgers reconcile via the
   :class:`~repro.trace.checkers.ResilienceAccountingChecker`.
-
-Shutdown is graceful: ``stop()`` stops admitting, drains every in-flight
-request (batches included), then releases the worker pool.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..faults import FaultInjector, FaultPlan
-from ..trace import EventKind, Tracer
+from ..faults import FaultPlan
+from ..trace import EventKind
 from .batcher import MicroBatcher, PendingWindow
-from .cache import MISS, ResultCache
-from .metrics import ServiceMetrics
+from .frontdoor import FrontDoor, totals
 from .model import (
-    JoinRequest,
     KNNRequest,
     Request,
     RequestClass,
-    Response,
-    Status,
     WindowRequest,
     canonical_rect,
 )
@@ -72,8 +57,6 @@ from .supervisor import Supervisor
 from .workers import WorkerPool
 
 __all__ = ["Engine", "EngineConfig"]
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -137,7 +120,7 @@ class EngineConfig:
     join_chunks: int = 0
 
 
-class Engine:
+class Engine(FrontDoor):
     """Concurrent spatial-query engine over a named-tree registry."""
 
     def __init__(
@@ -149,25 +132,9 @@ class Engine:
     ):
         if not trees:
             raise ValueError("the engine needs at least one tree")
-        self.config = config or EngineConfig()
+        config = config or EngineConfig()
+        super().__init__(config, sinks=sinks, keep_stale=config.serve_stale)
         self.trees = dict(trees)
-        self.metrics = ServiceMetrics()
-        self._t0 = time.monotonic()
-        self.tracer = Tracer(
-            clock=lambda: time.monotonic() - self._t0,
-            sinks=[self.metrics, *sinks],
-        )
-        self.cache = ResultCache(
-            self.config.cache_capacity,
-            self.config.cache_ttl_s,
-            keep_stale=self.config.serve_stale,
-            tracer=self.tracer,
-        )
-        self.injector = (
-            FaultInjector(self.config.faults, tracer=self.tracer)
-            if self.config.faults is not None and self.config.faults.active
-            else None
-        )
         self.pool = WorkerPool(
             self.trees,
             self.config.workers,
@@ -199,237 +166,64 @@ class Engine:
             )
             for cls in RequestClass
         }
-        self._running = False
-        self._draining = False
-        self._inflight = 0
-        self._waiting = {cls: 0 for cls in RequestClass}
-        self._sems: dict[RequestClass, asyncio.Semaphore] = {}
-        self._idle: Optional[asyncio.Event] = None
 
-    # -- life cycle -----------------------------------------------------------
-    async def start(self) -> None:
-        if self._running:
-            raise RuntimeError("engine already started")
-        self._sems = {
-            RequestClass.WINDOW: asyncio.Semaphore(self.config.window_limit),
-            RequestClass.KNN: asyncio.Semaphore(self.config.knn_limit),
-            RequestClass.JOIN: asyncio.Semaphore(self.config.join_limit),
-        }
-        self._idle = asyncio.Event()
-        self._idle.set()
+    # -- the execution plan ---------------------------------------------------
+    def _tree_names(self):
+        return self.trees
+
+    def _start_backend(self) -> dict:
         self.pool.start()
         if self.supervisor is not None:
             self.supervisor.start()
         if self.config.batching:
             self.batcher.start()
-        self._running = True
-        self._draining = False
-        self.tracer.emit(
-            EventKind.SVC_ENGINE_START,
-            trees=",".join(sorted(self.trees)),
-            workers=self.config.workers,
-            forked=int(self.pool.forked),
-            batching=int(self.config.batching),
-            faulted=int(self.injector is not None),
-        )
+        return {
+            "forked": int(self.pool.forked),
+            "batching": int(self.config.batching),
+        }
 
-    async def stop(self) -> None:
-        """Stop admitting, drain in-flight work, release the backend."""
-        if not self._running:
-            return
-        self._draining = True
-        await self._idle.wait()
+    async def _stop_backend(self) -> None:
         if self.config.batching:
             await self.batcher.close()
         if self.supervisor is not None:
             await self.supervisor.stop()
         await self.pool.close()
-        self._running = False
-        self.tracer.emit(
-            EventKind.SVC_ENGINE_STOP,
-            completed=self.metrics.completed,
-            rejected=self.metrics.rejected,
-            timeouts=self.metrics.timeouts,
-        )
-        self.tracer.close()
 
-    async def __aenter__(self) -> "Engine":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # -- front door -----------------------------------------------------------
-    async def submit(self, request: Request, timeout=_UNSET) -> Response:
-        """Serve one request; always returns a terminal :class:`Response`
-        (admission rejections included) except on caller cancellation."""
+    async def _execute(self, request: Request, deadline: Optional[float]):
         cls = request.cls
-        t0 = self._now()
-        self._emit(EventKind.SVC_REQUEST_SUBMITTED, cls)
-        if not self._running or self._draining:
-            return self._reject(cls, t0, "shutdown", "engine is not accepting requests")
-        if self._inflight >= self.config.max_inflight:
-            return self._reject(
-                cls, t0, "capacity",
-                f"in-flight limit {self.config.max_inflight} reached",
+        if isinstance(request, WindowRequest):
+            if self.config.batching:
+                future = asyncio.get_running_loop().create_future()
+                await self.batcher.put(
+                    PendingWindow(request, future, self._now(), deadline=deadline)
+                )
+                return await future
+            values = await self._guarded(
+                cls, "windows", request.tree,
+                [canonical_rect(request.window)], deadline=deadline,
             )
-        if self._waiting[cls] >= self.config.queue_limit:
-            return self._reject(
-                cls, t0, "queue",
-                f"waiting-room limit {self.config.queue_limit} reached for "
-                f"class {cls.value}",
+            return values[0], 1
+        if isinstance(request, KNNRequest):
+            value = await self._guarded(
+                cls, "knn", request.tree, float(request.x),
+                float(request.y), int(request.k), deadline=deadline,
             )
-        use_cache = self.config.cache_capacity > 0 and request.cacheable
-        self._inflight += 1
-        self._idle.clear()
-        self._emit(
-            EventKind.SVC_REQUEST_ADMITTED,
-            cls,
-            cache=int(use_cache),
-            inflight=self._inflight,
+            return value, 0
+        window = (
+            canonical_rect(request.window)
+            if request.window is not None
+            else None
         )
-        if timeout is _UNSET:
-            timeout = self.config.default_timeout_s
-        # The admission timeout is the request's whole fault budget:
-        # every retry backoff and execution attempt fits inside it.
-        deadline = None if timeout is None else t0 + timeout
-        try:
-            try:
-                work = self._process(request, use_cache, t0, deadline)
-                if timeout is not None:
-                    response = await asyncio.wait_for(work, timeout)
-                else:
-                    response = await work
-            except asyncio.TimeoutError:
-                self._emit(EventKind.SVC_REQUEST_TIMEOUT, cls, cache=int(use_cache))
-                return Response(
-                    Status.TIMEOUT,
-                    cls,
-                    latency_s=self._now() - t0,
-                    detail=f"timed out after {timeout}s",
-                )
-            except asyncio.CancelledError:
-                self._emit(EventKind.SVC_REQUEST_CANCELLED, cls, cache=int(use_cache))
-                raise
-            except Exception as exc:
-                self._emit(
-                    EventKind.SVC_REQUEST_ERROR, cls, error=type(exc).__name__
-                )
-                return Response(
-                    Status.ERROR,
-                    cls,
-                    latency_s=self._now() - t0,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            if response.status is Status.SHED:
-                # _degraded already emitted SVC_REQUEST_SHED.
-                return response
-            self._emit(
-                EventKind.SVC_REQUEST_COMPLETED,
-                cls,
-                latency_s=response.latency_s,
-                cached=int(response.cached),
-                stale=int(response.stale),
-                batch=response.batch_size,
+        if self.config.join_chunks > 1:
+            value = await self._chunked_join(
+                cls, request.tree_r, request.tree_s, window, deadline
             )
-            return response
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-
-    # -- request processing ---------------------------------------------------
-    async def _process(
-        self, request: Request, use_cache: bool, t0: float,
-        deadline: Optional[float],
-    ) -> Response:
-        cls = request.cls
-        key = request.cache_key() if use_cache else None
-        if use_cache:
-            value = self.cache.get(key)
-            if value is not MISS:
-                return Response(
-                    Status.OK, cls, value=value,
-                    latency_s=self._now() - t0, cached=True,
-                )
-        try:
-            if isinstance(request, WindowRequest):
-                self._require_tree(request.tree)
-                if self.config.batching:
-                    future = asyncio.get_running_loop().create_future()
-                    await self.batcher.put(
-                        PendingWindow(
-                            request, future, use_cache, self._now(),
-                            deadline=deadline,
-                        )
-                    )
-                    value, batch_size = await future
-                    return Response(
-                        Status.OK, cls, value=value,
-                        latency_s=self._now() - t0, batch_size=batch_size,
-                    )
-                values = await self._guarded(
-                    cls, "windows", request.tree,
-                    [canonical_rect(request.window)], deadline=deadline,
-                )
-                value = values[0]
-                batch_size = 1
-            elif isinstance(request, KNNRequest):
-                self._require_tree(request.tree)
-                if request.k < 1:
-                    raise ValueError("k must be at least 1")
-                value = await self._guarded(
-                    cls, "knn", request.tree, float(request.x),
-                    float(request.y), int(request.k), deadline=deadline,
-                )
-                batch_size = 0
-            elif isinstance(request, JoinRequest):
-                self._require_tree(request.tree_r)
-                self._require_tree(request.tree_s)
-                window = (
-                    canonical_rect(request.window)
-                    if request.window is not None
-                    else None
-                )
-                if self.config.join_chunks > 1:
-                    value = await self._chunked_join(
-                        cls, request.tree_r, request.tree_s, window, deadline
-                    )
-                else:
-                    value = await self._guarded(
-                        cls, "join", request.tree_r, request.tree_s, window,
-                        deadline=deadline,
-                    )
-                batch_size = 0
-            else:
-                raise TypeError(f"unknown request type {type(request).__name__}")
-        except CircuitOpenError:
-            return self._degraded(cls, key, use_cache, t0)
-        if use_cache:
-            self.cache.put(key, value)
-        return Response(
-            Status.OK, cls, value=value,
-            latency_s=self._now() - t0, batch_size=batch_size,
-        )
-
-    def _degraded(
-        self, cls: RequestClass, key, use_cache: bool, t0: float
-    ) -> Response:
-        """Open-circuit fallback: stale cache serve, else shed the load."""
-        if use_cache and self.config.serve_stale:
-            stale = self.cache.get_stale(key)
-            if stale is not MISS:
-                return Response(
-                    Status.OK, cls, value=stale,
-                    latency_s=self._now() - t0, cached=True, stale=True,
-                    detail="stale cache entry served while circuit open",
-                )
-        self._emit(EventKind.SVC_REQUEST_SHED, cls)
-        return Response(
-            Status.SHED, cls, latency_s=self._now() - t0,
-            detail=f"circuit open for class {cls.value}; request shed",
-        )
+        else:
+            value = await self._guarded(
+                cls, "join", request.tree_r, request.tree_s, window,
+                deadline=deadline,
+            )
+        return value, 0
 
     async def _chunked_join(
         self,
@@ -464,21 +258,15 @@ class Engine:
             merged.extend(part)
         return tuple(sorted(merged))
 
-    async def _guarded(
+    def _guarded(
         self, cls: RequestClass, kind: str, *args,
         deadline: Optional[float] = None,
     ):
         """One worker-pool execution under the class concurrency limit,
         with retries under the circuit breaker and the deadline budget."""
-        self._waiting[cls] += 1
-        try:
-            await self._sems[cls].acquire()
-        finally:
-            self._waiting[cls] -= 1
-        try:
-            return await self._execute_with_retry(cls, kind, args, deadline)
-        finally:
-            self._sems[cls].release()
+        return self._in_slot(
+            cls, self._execute_with_retry, cls, kind, args, deadline
+        )
 
     async def _execute_with_retry(
         self, cls: RequestClass, kind: str, args: tuple,
@@ -573,44 +361,13 @@ class Engine:
             size=size,
         )
         for item, value in zip(items, values):
-            if item.use_cache:
-                self.cache.put(item.request.cache_key(), value)
             if not item.future.done():
                 item.future.set_result((value, size))
-
-    # -- helpers --------------------------------------------------------------
-    def _now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def _emit(self, kind: EventKind, cls: Optional[RequestClass] = None, **data):
-        if self.tracer.enabled:
-            if cls is not None:
-                data["cls"] = cls.value
-            self.tracer.emit(kind, **data)
-
-    def _reject(
-        self, cls: RequestClass, t0: float, reason: str, detail: str
-    ) -> Response:
-        self._emit(EventKind.SVC_REQUEST_REJECTED, cls, reason=reason)
-        return Response(
-            Status.REJECTED, cls, latency_s=self._now() - t0, detail=detail
-        )
-
-    def _require_tree(self, name: str) -> None:
-        if name not in self.trees:
-            raise KeyError(f"unknown tree {name!r}; have {sorted(self.trees)}")
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
 
     def snapshot(self) -> dict:
         """Metrics + cache + resilience counters, JSON-able."""
         return {
-            "metrics": self.metrics.report(),
-            "cache": self.cache.stats(),
-            "inflight": self._inflight,
-            "running": self._running,
+            **super().snapshot(),
             "breakers": {
                 cls.value: breaker.snapshot()
                 for cls, breaker in self.breakers.items()
@@ -619,27 +376,11 @@ class Engine:
                 self.supervisor.snapshot()
                 if self.supervisor is not None else None
             ),
-            "pool": {
-                "restarts": self.pool.restarts,
-                "calls_failed": self.pool.calls_failed,
-                "calls_abandoned": self.pool.calls_abandoned,
-            },
-            "faults_injected": (
-                self.injector.counts() if self.injector is not None else None
+            "pool": totals(
+                [self.pool], "restarts", "calls_failed", "calls_abandoned"
             ),
-            # Per-shard metrics live under this key on the sharded tier
-            # (ShardRouter.snapshot()); the single-pool engine serves one
-            # implicit shard, reported as None so dashboards can key on
-            # the same field either way.
+            # Per-shard metrics live under this key on the sharded tier;
+            # the single-pool engine serves one implicit shard, reported
+            # as None so dashboards can key on the same field either way.
             "shards": None,
         }
-
-    def __repr__(self) -> str:
-        state = (
-            "draining" if self._draining and self._running
-            else "running" if self._running else "stopped"
-        )
-        return (
-            f"<Engine {state} trees={sorted(self.trees)} "
-            f"inflight={self._inflight}>"
-        )

@@ -51,6 +51,7 @@ import asyncio
 import random
 import time
 from collections import Counter
+from dataclasses import asdict
 from typing import Optional
 
 from ..bench.render import heading, render_table, report_json
@@ -200,8 +201,8 @@ async def _drive(
     seed: int,
     timeout_s: Optional[float],
 ) -> tuple[int, Counter, float]:
-    """Drive *submit* (Engine or ShardRouter, same protocol) with the
-    configured arrival model; returns (submitted, statuses, elapsed)."""
+    """Drive *submit* (any tier's front door) with the configured
+    arrival model; returns (submitted, statuses, elapsed)."""
     statuses: Counter = Counter()
     submitted = 0
     wall_start = time.perf_counter()
@@ -238,6 +239,49 @@ async def _drive(
     return submitted, statuses, time.perf_counter() - wall_start
 
 
+async def _run(
+    make_target, region, factory, check_invariants: bool, **drive
+) -> tuple[dict, dict]:
+    """One load-test run of either tier: start, :func:`_drive` (*drive*
+    is its keywords), stop, report and — with ``check_invariants`` —
+    replay the collected event stream through
+    :func:`repro.trace.service_checkers`.  Returns ``(summary, snapshot)``;
+    *make_target(sinks)* builds the not-yet-started tier."""
+    factory = factory or RequestFactory(region, drive["seed"])
+    sink = ListSink() if check_invariants else None
+    target = make_target(() if sink is None else (sink,))
+    await target.start()
+    submitted, statuses, elapsed = await _drive(target.submit, factory, **drive)
+    await target.stop()
+    report = target.metrics.report(elapsed)
+    snapshot = target.snapshot()
+    closed = drive["mode"] == "closed"
+    summary = {
+        "mode": drive["mode"],
+        "duration_s": drive["duration_s"],
+        "elapsed_s": elapsed,
+        "clients": drive["clients"] if closed else None,
+        "offered_rate_rps": None if closed else drive["rate"],
+        "submitted": submitted,
+        "statuses": dict(statuses),
+        # every submit() returned a terminal Response; anything else is a
+        # lost request — the chaos run's headline invariant
+        "lost": submitted - sum(statuses.values()),
+        "report": report,
+        "cache": target.cache.stats(),
+        "queue_depth_max": report["queue_depth_max"],
+        "resilience": {
+            "supervisor": snapshot["supervisor"],
+            "pool": snapshot["pool"],
+            "faults_injected": snapshot["faults_injected"],
+        },
+        "verdicts": None if sink is None else [
+            asdict(v) for v in run_checkers(sink.events, service_checkers())
+        ],
+    }
+    return summary, snapshot
+
+
 async def run_load(
     trees,
     region,
@@ -259,56 +303,14 @@ async def run_load(
     accounting plus the resilience ledger); the verdicts land in the
     summary under ``"verdicts"``.
     """
-    factory = factory or RequestFactory(region, seed)
-    sink = ListSink() if check_invariants else None
-    engine = Engine(
-        trees,
-        config or EngineConfig(),
-        sinks=() if sink is None else (sink,),
-    )
-    await engine.start()
-    submitted, statuses, elapsed = await _drive(
-        engine.submit, factory,
+    summary, snapshot = await _run(
+        lambda sinks: Engine(trees, config or EngineConfig(), sinks=sinks),
+        region, factory, check_invariants,
         duration_s=duration_s, mode=mode, clients=clients, rate=rate,
         seed=seed, timeout_s=timeout_s,
     )
-    await engine.stop()
-    report = engine.metrics.report(elapsed)
-    snapshot = engine.snapshot()
-    verdicts = None
-    if sink is not None:
-        verdicts = [
-            {
-                "checker": v.checker,
-                "ok": v.ok,
-                "violation_count": v.violation_count,
-                "violations": v.violations,
-                "stats": v.stats,
-            }
-            for v in run_checkers(sink.events, service_checkers())
-        ]
-    return {
-        "mode": mode,
-        "duration_s": duration_s,
-        "elapsed_s": elapsed,
-        "clients": clients if mode == "closed" else None,
-        "offered_rate_rps": rate if mode == "open" else None,
-        "submitted": submitted,
-        "statuses": dict(statuses),
-        # every submit() returned a terminal Response; anything else is a
-        # lost request — the chaos run's headline invariant
-        "lost": submitted - sum(statuses.values()),
-        "report": report,
-        "cache": engine.cache.stats(),
-        "queue_depth_max": report["queue_depth_max"],
-        "resilience": {
-            "breakers": snapshot["breakers"],
-            "supervisor": snapshot["supervisor"],
-            "pool": snapshot["pool"],
-            "faults_injected": snapshot["faults_injected"],
-        },
-        "verdicts": verdicts,
-    }
+    summary["resilience"]["breakers"] = snapshot["breakers"]
+    return summary
 
 
 async def run_shard_load(
@@ -327,64 +329,44 @@ async def run_shard_load(
 ) -> dict:
     """One load-test run against the sharded tier (``repro.shard``).
 
-    Same shape as :func:`run_load` — the :class:`~repro.shard.router.
-    ShardRouter` speaks the Engine protocol — plus the router's
-    per-shard serving counters under ``"shards"`` (routed sub-requests,
-    rows, failovers, kNN prunes per shard: the hot-shard evidence).
+    The same driver and summary as :func:`run_load` — both tiers are one
+    front door — plus the router's per-shard serving counters under
+    ``"shards"`` (routed sub-requests, rows, failovers, kNN prunes per
+    shard: the hot-shard evidence), its ``"partition"`` and the
+    lease/ledger counters.
     """
     from ..shard import ShardConfig, ShardRouter
 
-    factory = factory or RequestFactory(region, seed)
-    sink = ListSink() if check_invariants else None
-    router = ShardRouter(
-        datasets,
-        config or ShardConfig(),
-        sinks=() if sink is None else (sink,),
-    )
-    await router.start()
-    submitted, statuses, elapsed = await _drive(
-        router.submit, factory,
+    summary, snapshot = await _run(
+        lambda sinks: ShardRouter(
+            datasets, config or ShardConfig(), sinks=sinks
+        ),
+        region, factory, check_invariants,
         duration_s=duration_s, mode=mode, clients=clients, rate=rate,
         seed=seed, timeout_s=timeout_s,
     )
-    await router.stop()
-    report = router.metrics.report(elapsed)
-    snapshot = router.snapshot()
-    verdicts = None
-    if sink is not None:
-        verdicts = [
-            {
-                "checker": v.checker,
-                "ok": v.ok,
-                "violation_count": v.violation_count,
-                "violations": v.violations,
-                "stats": v.stats,
-            }
-            for v in run_checkers(sink.events, service_checkers())
-        ]
-    return {
-        "mode": mode,
-        "duration_s": duration_s,
-        "elapsed_s": elapsed,
-        "clients": clients if mode == "closed" else None,
-        "offered_rate_rps": rate if mode == "open" else None,
-        "submitted": submitted,
-        "statuses": dict(statuses),
-        "lost": submitted - sum(statuses.values()),
-        "report": report,
-        "cache": router.cache.stats(),
-        "queue_depth_max": report["queue_depth_max"],
-        "partition": snapshot["partition"],
-        "shards": snapshot["shards"],
-        "resilience": {
-            "supervisor": snapshot["supervisor"],
-            "pool": snapshot["pool"],
-            "faults_injected": snapshot["faults_injected"],
-            "leases": snapshot["leases"],
-            "ledger": snapshot["ledger"],
-        },
-        "verdicts": verdicts,
-    }
+    summary["partition"] = snapshot["partition"]
+    summary["shards"] = snapshot["shards"]
+    summary["resilience"]["leases"] = snapshot["leases"]
+    summary["resilience"]["ledger"] = snapshot["ledger"]
+    return summary
+
+
+def _audit(name: str, summary: dict, failures: list) -> None:
+    """Append to *failures* what a checked run got wrong: lost requests
+    and every checker verdict that is not ok."""
+    if summary["lost"]:
+        failures.append(
+            f"{name}: lost {summary['lost']} request(s) "
+            f"(submitted but no terminal response)"
+        )
+    for verdict in summary["verdicts"]:
+        if not verdict["ok"]:
+            failures.append(
+                f"{name}: checker {verdict['checker']} reported "
+                f"{verdict['violation_count']} violation(s): "
+                f"{verdict['violations'][:3]}"
+            )
 
 
 def _print_summary(summary: dict) -> None:
@@ -683,19 +665,8 @@ def _chaos_main(args, run) -> int:
     _print_summary(faulted)
 
     failures: list[str] = []
-    for name, summary in (("healthy", healthy), ("faulted", faulted)):
-        if summary["lost"]:
-            failures.append(
-                f"{name} run lost {summary['lost']} request(s) "
-                f"(submitted but no terminal response)"
-            )
-        for verdict in summary["verdicts"]:
-            if not verdict["ok"]:
-                failures.append(
-                    f"{name} run: checker {verdict['checker']} reported "
-                    f"{verdict['violation_count']} violation(s): "
-                    f"{verdict['violations'][:3]}"
-                )
+    _audit("healthy run", healthy, failures)
+    _audit("faulted run", faulted, failures)
 
     resilience = faulted["resilience"]
     print(
@@ -824,20 +795,6 @@ def _shard_main(args) -> int:
 
     failures: list[str] = []
 
-    def audit(name: str, summary: dict) -> None:
-        if summary["lost"]:
-            failures.append(
-                f"{name}: lost {summary['lost']} request(s) "
-                f"(submitted but no terminal response)"
-            )
-        for verdict in summary["verdicts"]:
-            if not verdict["ok"]:
-                failures.append(
-                    f"{name}: checker {verdict['checker']} reported "
-                    f"{verdict['violation_count']} violation(s): "
-                    f"{verdict['violations'][:3]}"
-                )
-
     wall_start = time.perf_counter()
     section_s = max(1.0, args.duration / 3)
 
@@ -851,7 +808,7 @@ def _shard_main(args) -> int:
         ))
         summary = run_arm(k, 1, section_s, "uniform")
         _print_summary(summary)
-        audit(f"scaling K={k}", summary)
+        _audit(f"scaling K={k}", summary, failures)
         scaling.append({
             "shards": k,
             "throughput_rps": summary["report"]["throughput_rps"],
@@ -870,7 +827,7 @@ def _shard_main(args) -> int:
         ))
         summary = run_arm(args.shards, r, section_s, skew_mode)
         _print_summary(summary)
-        audit(f"skew {label}", summary)
+        _audit(f"skew {label}", summary, failures)
         routed = {
             s: stats["subrequests"]
             for s, stats in summary["shards"].items()
@@ -902,7 +859,7 @@ def _shard_main(args) -> int:
     ))
     faulted = run_arm(args.shards, replicas, section_s, "uniform", plan)
     _print_summary(faulted)
-    audit("failover", faulted)
+    _audit("failover", faulted, failures)
     failovers = sum(s["failovers"] for s in faulted["shards"].values())
     resilience = faulted["resilience"]
     print(

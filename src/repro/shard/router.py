@@ -1,12 +1,15 @@
 """The shard router: a shared-nothing serving tier over K worker pools.
 
 ``ShardRouter`` is the sharded sibling of
-:class:`~repro.service.engine.Engine` and speaks the same protocol —
-typed requests in, :class:`~repro.service.model.Response` out, ``SVC_*``
-life-cycle events on a wall-clocked tracer, an Engine-shaped
-``snapshot()`` — so load generators, metrics sinks and the
+:class:`~repro.service.engine.Engine` and *is* the same front door:
+both subclass :class:`~repro.service.frontdoor.FrontDoor`, which owns
+validation, admission, the cache, the deadline, the ``SVC_*`` ledger,
+``start``/``stop`` and the common ``snapshot()`` keys — so load
+generators, metrics sinks and the
 :class:`~repro.trace.checkers.ServiceAccountingChecker` work on either
-unchanged.  What changes is the execution plan:
+unchanged.  This module holds only the sharded execution plan behind the
+hooks a tier implements (``_execute``, ``_start_backend`` /
+``_stop_backend``, ``_tree_names``):
 
 * the dataset is **spatially partitioned** (:mod:`repro.shard.partition`)
   into K shards, each owning its own R-tree(s) served by its own
@@ -44,32 +47,31 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..geometry.rect import Rect
 from ..recovery.lease import LeaseTable
 from ..recovery.ledger import ResultLedger
-from ..service.cache import MISS, ResultCache
-from ..service.metrics import ServiceMetrics
+from ..service.frontdoor import FrontDoor, totals
 from ..service.model import (
     JoinRequest,
     KNNRequest,
     Request,
     RequestClass,
-    Response,
-    Status,
     WindowRequest,
     canonical_rect,
 )
 from ..service.resilience import WorkerError
 from ..service.supervisor import Supervisor
 from ..service.workers import WorkerPool
-from ..trace import EventKind, Tracer
+from ..trace import EventKind
 from .ops import merge_knn, mindist
 from .partition import ShardedDataset, build_sharded
 
 __all__ = ["ShardRouter", "ShardConfig"]
 
-_UNSET = object()
+#: Sub-request lease duration.  Failover expires leases explicitly, so
+#: this only bounds bookkeeping, not detection latency.
+_LEASE_S = 5.0
 
 #: Each replica pool owns a disjoint call-id range this wide, so the
 #: ``FLT_INJECT_* .call`` / ``SUP_CALL_*`` ledgers of many pools sharing
@@ -89,9 +91,6 @@ class ShardConfig:
     ``workers``          — forked processes per replica pool (0 = threads);
     ``max_attempts``     — attempts per sub-request across replicas
                            before the request errors;
-    ``lease_s``          — sub-request lease duration (failover expires
-                           leases explicitly, so this only bounds
-                           bookkeeping, not detection latency);
     the remaining knobs mirror
     :class:`~repro.service.engine.EngineConfig` and behave identically.
     """
@@ -112,13 +111,12 @@ class ShardConfig:
     max_attempts: int = 3
     cache_capacity: int = 1024
     cache_ttl_s: Optional[float] = 60.0
-    lease_s: float = 5.0
     supervise: bool = True
     supervisor_interval_s: float = 0.2
     faults: Optional[FaultPlan] = None
 
 
-class ShardRouter:
+class ShardRouter(FrontDoor):
     """Routes spatial queries across per-shard replica worker pools."""
 
     def __init__(
@@ -129,38 +127,17 @@ class ShardRouter:
         sinks: Sequence = (),
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.config = config or ShardConfig()
+        super().__init__(config or ShardConfig(), sinks=sinks, clock=clock)
         if self.config.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.config.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        self.metrics = ServiceMetrics()
-        # The serving tier owns real time; tests inject a fake clock and
-        # everything downstream (tracer, deadlines, leases) follows it.
-        self._clock = clock
-        self._t0 = clock()
-        self.tracer = Tracer(
-            clock=self._now,
-            sinks=[self.metrics, *sinks],
-        )
         self.sharded: ShardedDataset = build_sharded(
             datasets,
             self.config.shards,
             mode=self.config.mode,
             backend=self.config.backend,
             cells_per_side=self.config.cells_per_side,
-        )
-        self.cache = ResultCache(
-            self.config.cache_capacity,
-            self.config.cache_ttl_s,
-            keep_stale=False,
-            clock=self._now,
-            tracer=self.tracer,
-        )
-        self.injector = (
-            FaultInjector(self.config.faults, tracer=self.tracer)
-            if self.config.faults is not None and self.config.faults.active
-            else None
         )
         self.pools: list[list[WorkerPool]] = []
         self.supervisors: list[Supervisor] = []
@@ -187,7 +164,7 @@ class ShardRouter:
                     )
             self.pools.append(replicas)
         self.leases = LeaseTable(
-            clock=self._now, lease_s=self.config.lease_s, tracer=self.tracer
+            clock=self._now, lease_s=_LEASE_S, tracer=self.tracer
         )
         self.ledger = ResultLedger(self.tracer)
         self._rr = [0] * self.config.shards
@@ -204,12 +181,6 @@ class ShardRouter:
             for _ in range(self.config.shards)
         ]
         self._req_seq = itertools.count()
-        self._running = False
-        self._draining = False
-        self._inflight = 0
-        self._waiting = {cls: 0 for cls in RequestClass}
-        self._sems: dict[RequestClass, asyncio.Semaphore] = {}
-        self._idle: Optional[asyncio.Event] = None
 
     @classmethod
     def from_maps(
@@ -226,35 +197,23 @@ class ShardRouter:
             sinks=sinks,
         )
 
-    # -- life cycle -----------------------------------------------------------
-    async def start(self) -> None:
-        if self._running:
-            raise RuntimeError("router already started")
-        self._sems = {
-            RequestClass.WINDOW: asyncio.Semaphore(self.config.window_limit),
-            RequestClass.KNN: asyncio.Semaphore(self.config.knn_limit),
-            RequestClass.JOIN: asyncio.Semaphore(self.config.join_limit),
-        }
-        self._idle = asyncio.Event()
-        self._idle.set()
+    # -- the execution plan ---------------------------------------------------
+    def _tree_names(self):
+        return self.sharded.trees[0]
+
+    def _start_backend(self) -> dict:
         for replicas in self.pools:
             for pool in replicas:
                 pool.start()
         for supervisor in self.supervisors:
             supervisor.start()
-        self._running = True
-        self._draining = False
-        self.tracer.emit(
-            EventKind.SVC_ENGINE_START,
-            trees=",".join(self.sharded.tree_names()),
-            workers=self.config.workers,
-            shards=self.config.shards,
-            replicas=self.config.replicas,
-            mode=self.config.mode,
-            backend=self.config.backend,
-            faulted=int(self.injector is not None),
-        )
         self._announce_topology()
+        return {
+            "shards": self.config.shards,
+            "replicas": self.config.replicas,
+            "mode": self.config.mode,
+            "backend": self.config.backend,
+        }
 
     def _announce_topology(self) -> None:
         """One ``SHD_SHARD_UP`` per (shard, tree): the content geometry
@@ -277,153 +236,27 @@ class ShardRouter:
                     )
                 self.tracer.emit(EventKind.SHD_SHARD_UP, **payload)
 
-    async def stop(self) -> None:
-        """Stop admitting, drain in-flight requests, release every pool."""
-        if not self._running:
-            return
-        self._draining = True
-        await self._idle.wait()
+    async def _stop_backend(self) -> None:
         for supervisor in self.supervisors:
             await supervisor.stop()
         for replicas in self.pools:
             for pool in replicas:
                 await pool.close()
-        self._running = False
-        self.tracer.emit(
-            EventKind.SVC_ENGINE_STOP,
-            completed=self.metrics.completed,
-            rejected=self.metrics.rejected,
-            timeouts=self.metrics.timeouts,
-        )
-        self.tracer.close()
-
-    async def __aenter__(self) -> "ShardRouter":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # -- front door (the Engine protocol) -------------------------------------
-    async def submit(self, request: Request, timeout=_UNSET) -> Response:
-        cls = request.cls
-        t0 = self._now()
-        self._emit(EventKind.SVC_REQUEST_SUBMITTED, cls)
-        if not self._running or self._draining:
-            return self._reject(
-                cls, t0, "shutdown", "router is not accepting requests"
-            )
-        if self._inflight >= self.config.max_inflight:
-            return self._reject(
-                cls, t0, "capacity",
-                f"in-flight limit {self.config.max_inflight} reached",
-            )
-        if self._waiting[cls] >= self.config.queue_limit:
-            return self._reject(
-                cls, t0, "queue",
-                f"waiting-room limit {self.config.queue_limit} reached for "
-                f"class {cls.value}",
-            )
-        use_cache = self.config.cache_capacity > 0 and request.cacheable
-        self._inflight += 1
-        self._idle.clear()
-        self._emit(
-            EventKind.SVC_REQUEST_ADMITTED,
-            cls,
-            cache=int(use_cache),
-            inflight=self._inflight,
-        )
-        if timeout is _UNSET:
-            timeout = self.config.default_timeout_s
-        deadline = None if timeout is None else t0 + timeout
-        try:
-            try:
-                work = self._process(request, use_cache, t0, deadline)
-                if timeout is not None:
-                    response = await asyncio.wait_for(work, timeout)
-                else:
-                    response = await work
-            except asyncio.TimeoutError:
-                self._emit(
-                    EventKind.SVC_REQUEST_TIMEOUT, cls, cache=int(use_cache)
-                )
-                return Response(
-                    Status.TIMEOUT,
-                    cls,
-                    latency_s=self._now() - t0,
-                    detail=f"timed out after {timeout}s",
-                )
-            except asyncio.CancelledError:
-                self._emit(
-                    EventKind.SVC_REQUEST_CANCELLED, cls, cache=int(use_cache)
-                )
-                raise
-            except Exception as exc:
-                self._emit(
-                    EventKind.SVC_REQUEST_ERROR, cls, error=type(exc).__name__
-                )
-                return Response(
-                    Status.ERROR,
-                    cls,
-                    latency_s=self._now() - t0,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            self._emit(
-                EventKind.SVC_REQUEST_COMPLETED,
-                cls,
-                latency_s=response.latency_s,
-                cached=int(response.cached),
-                stale=0,
-                batch=0,
-            )
-            return response
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
 
     # -- routing --------------------------------------------------------------
-    async def _process(
-        self,
-        request: Request,
-        use_cache: bool,
-        t0: float,
-        deadline: Optional[float],
-    ) -> Response:
-        cls = request.cls
-        key = request.cache_key() if use_cache else None
-        if use_cache:
-            value = self.cache.get(key)
-            if value is not MISS:
-                return Response(
-                    Status.OK, cls, value=value,
-                    latency_s=self._now() - t0, cached=True,
-                )
+    async def _execute(self, request: Request, deadline: Optional[float]):
         rid = next(self._req_seq)
         if isinstance(request, WindowRequest):
             value = await self._route_window(rid, request, deadline)
         elif isinstance(request, KNNRequest):
             value = await self._route_knn(rid, request, deadline)
-        elif isinstance(request, JoinRequest):
-            value = await self._route_join(rid, request, deadline)
         else:
-            raise TypeError(f"unknown request type {type(request).__name__}")
-        if use_cache:
-            self.cache.put(key, value)
-        return Response(
-            Status.OK, cls, value=value, latency_s=self._now() - t0
-        )
-
-    def _require_tree(self, name: str) -> None:
-        if name not in self.sharded.trees[0]:
-            raise KeyError(
-                f"unknown tree {name!r}; have {self.sharded.tree_names()}"
-            )
+            value = await self._route_join(rid, request, deadline)
+        return value, 0
 
     async def _route_window(
         self, rid: int, request: WindowRequest, deadline
     ) -> tuple:
-        self._require_tree(request.tree)
         canon = canonical_rect(request.window)
         rect = Rect(*canon)
         route = self.sharded.routed_shards(request.tree, rect)
@@ -447,7 +280,7 @@ class ShardRouter:
             total += len(values[0])
             merged.update(values[0])
         value = tuple(sorted(merged))
-        self._emit_raw(
+        self._emit(
             EventKind.SHD_MERGED, req=rid, cls="window",
             rows=len(value), parts=total, duplicates=total - len(value),
         )
@@ -456,9 +289,6 @@ class ShardRouter:
     async def _route_knn(
         self, rid: int, request: KNNRequest, deadline
     ) -> tuple:
-        self._require_tree(request.tree)
-        if request.k < 1:
-            raise ValueError("k must be at least 1")
         x, y, k = float(request.x), float(request.y), int(request.k)
         order = []
         for shard in range(self.config.shards):
@@ -477,19 +307,19 @@ class ShardRouter:
                 # Strictly above the k-th distance: an equal-distance
                 # shard may still hold a tie that wins by oid order.
                 self._shard_stats[shard]["knn_skips"] += 1
-                self._emit_raw(
+                self._emit(
                     EventKind.SHD_SHARD_SKIPPED, req=rid, shard=shard,
                     mindist=bound, kth=best[-1][0],
                 )
                 continue
-            found = await self._sub(
+            found = await self._slotted(
                 rid, shard, RequestClass.KNN,
                 "knn", (request.tree, x, y, k), deadline,
             )
             total += len(found)
             merge_knn(best, found, k)
         value = tuple((d, oid) for d, _, oid in best)
-        self._emit_raw(
+        self._emit(
             EventKind.SHD_MERGED, req=rid, cls="knn",
             rows=len(value), parts=total, duplicates=total - len(value),
         )
@@ -498,8 +328,6 @@ class ShardRouter:
     async def _route_join(
         self, rid: int, request: JoinRequest, deadline
     ) -> tuple:
-        self._require_tree(request.tree_r)
-        self._require_tree(request.tree_s)
         window = (
             canonical_rect(request.window)
             if request.window is not None
@@ -537,7 +365,7 @@ class ShardRouter:
             merged.extend(pairs)
         value = tuple(sorted(merged))
         duplicates = len(merged) - len(set(merged))
-        self._emit_raw(
+        self._emit(
             EventKind.SHD_MERGED, req=rid, cls="join",
             rows=len(value), parts=len(merged), duplicates=duplicates,
         )
@@ -558,10 +386,10 @@ class ShardRouter:
             return []
         if len(calls) == 1:
             shard, kind, args = calls[0]
-            return [await self._sub(rid, shard, cls, kind, args, deadline)]
+            return [await self._slotted(rid, shard, cls, kind, args, deadline)]
         tasks = [
             asyncio.ensure_future(
-                self._sub(rid, shard, cls, kind, args, deadline)
+                self._slotted(rid, shard, cls, kind, args, deadline)
             )
             for shard, kind, args in calls
         ]
@@ -572,6 +400,10 @@ class ShardRouter:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             raise
+
+    def _slotted(self, rid: int, shard: int, cls: RequestClass, *call):
+        """:meth:`_sub` holding one of the class's execution slots."""
+        return self._in_slot(cls, self._sub, rid, shard, cls, *call)
 
     async def _sub(
         self,
@@ -603,11 +435,6 @@ class ShardRouter:
         RecoveryAccountingChecker reconciles) before the next replica
         picks it up.
         """
-        self._waiting[cls] += 1
-        try:
-            await self._sems[cls].acquire()
-        finally:
-            self._waiting[cls] -= 1
         stats = self._shard_stats[shard]
         stats["subrequests"] += 1
         stats["inflight"] += 1
@@ -651,7 +478,7 @@ class ShardRouter:
                     )
                 holder = shard * replicas + replica
                 lease = self.leases.grant(task, holder=holder)
-                self._emit_raw(
+                self._emit(
                     EventKind.SHD_SUBREQUEST_SENT,
                     req=rid, shard=shard, replica=replica,
                     attempt=attempt, op=kind,
@@ -682,7 +509,7 @@ class ShardRouter:
                     if deadline is not None:
                         payload["remaining_s"] = deadline - self._now()
                     self._emit(EventKind.SUP_CALL_RETRY, cls, **payload)
-                    self._emit_raw(
+                    self._emit(
                         EventKind.SHD_FAILOVER,
                         req=rid, shard=shard, replica=replica,
                         next_replica=(start + attempt + 1) % replicas,
@@ -697,7 +524,7 @@ class ShardRouter:
                     self.leases.complete(lease.id, rows=rows)
                     lease = None
                     stats["rows"] += rows
-                    self._emit_raw(
+                    self._emit(
                         EventKind.SHD_SUBREQUEST_DONE,
                         req=rid, shard=shard, replica=replica,
                         attempt=attempt, rows=rows,
@@ -717,7 +544,7 @@ class ShardRouter:
                 self.leases.expire(lease.id, reason="abandoned")
                 self._requeue(task, holder, abandoned=1)
             if pending_sent:
-                self._emit_raw(
+                self._emit(
                     EventKind.SHD_SUBREQUEST_FAILED,
                     req=rid, shard=shard, attempts=attempt + 1,
                     error="abandoned",
@@ -725,7 +552,6 @@ class ShardRouter:
             raise
         finally:
             stats["inflight"] -= 1
-            self._sems[cls].release()
 
     def _give_up(
         self, rid: int, shard: int, cls: RequestClass, attempts: int,
@@ -744,17 +570,14 @@ class ShardRouter:
             # budget that expired before the first attempt) the failure
             # is the raised exception alone — an unmatched FAILED would
             # unbalance the settlement ledger.
-            self._emit_raw(
+            self._emit(
                 EventKind.SHD_SUBREQUEST_FAILED,
                 req=rid, shard=shard, attempts=attempts, error=error,
             )
         return exc
 
     def _requeue(self, task: str, holder: int, **extra) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.LSE_REQUEUED, proc=holder, task=task, **extra
-            )
+        self._emit(EventKind.LSE_REQUEUED, proc=holder, task=task, **extra)
 
     @staticmethod
     def _row_count(kind: str, value) -> int:
@@ -763,105 +586,45 @@ class ShardRouter:
         return len(value)
 
     # -- helpers --------------------------------------------------------------
-    def _now(self) -> float:
-        return self._clock() - self._t0
-
-    def _emit(
-        self, kind: EventKind, cls: Optional[RequestClass] = None, **data
-    ) -> None:
-        if self.tracer.enabled:
-            if cls is not None:
-                data["cls"] = cls.value
-            self.tracer.emit(kind, **data)
-
-    def _emit_raw(self, kind: EventKind, **data) -> None:
-        """Emit with *data* verbatim (the ``SHD_*`` events carry their
-        own string ``cls`` key)."""
-        if self.tracer.enabled:
-            self.tracer.emit(kind, **data)
-
     def _emit_routed(
         self, rid: int, cls: str, route: Sequence[int], **geometry
     ) -> None:
         for shard in route:
             self._shard_stats[shard]["routed"] += 1
-        self._emit_raw(
+        self._emit(
             EventKind.SHD_REQUEST_ROUTED,
             req=rid, cls=cls, fanout=len(route),
             shards=",".join(str(s) for s in route),
             **geometry,
         )
 
-    def _reject(
-        self, cls: RequestClass, t0: float, reason: str, detail: str
-    ) -> Response:
-        self._emit(EventKind.SVC_REQUEST_REJECTED, cls, reason=reason)
-        return Response(
-            Status.REJECTED, cls, latency_s=self._now() - t0, detail=detail
-        )
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     def snapshot(self) -> dict:
-        """Engine-shaped snapshot plus per-shard serving metrics."""
+        """The common keys plus routing, lease and per-shard metrics."""
         shards = {}
         for shard in range(self.config.shards):
             replicas = self.pools[shard]
-            stats = self._shard_stats[shard]
             shards[str(shard)] = {
                 "objects": dict(self.sharded.counts[shard]),
-                "routed": stats["routed"],
-                "subrequests": stats["subrequests"],
-                "rows": stats["rows"],
-                "failovers": stats["failovers"],
-                "knn_skips": stats["knn_skips"],
-                "inflight": stats["inflight"],
-                "max_inflight": stats["max_inflight"],
+                **self._shard_stats[shard],
                 "queue_depth": sum(p.inflight_calls for p in replicas),
                 "replicas": len(replicas),
                 "pool_restarts": sum(p.restarts for p in replicas),
                 "calls_failed": sum(p.calls_failed for p in replicas),
             }
         return {
-            "metrics": self.metrics.report(),
-            "cache": self.cache.stats(),
-            "inflight": self._inflight,
-            "running": self._running,
+            **super().snapshot(),
             "breakers": None,
             "supervisor": (
-                {
-                    "sweeps": sum(s.sweeps for s in self.supervisors),
-                    "crashes_detected": sum(
-                        s.crashes_detected for s in self.supervisors
-                    ),
-                    "respawns_detected": sum(
-                        s.respawns_detected for s in self.supervisors
-                    ),
-                    "deadline_expiries": sum(
-                        s.deadline_expiries for s in self.supervisors
-                    ),
-                    "pool_restarts": sum(
-                        s.pool_restarts for s in self.supervisors
-                    ),
-                }
+                totals(
+                    self.supervisors, "sweeps", "crashes_detected",
+                    "respawns_detected", "deadline_expiries", "pool_restarts",
+                )
                 if self.supervisors
                 else None
             ),
-            "pool": {
-                "restarts": sum(
-                    p.restarts for r in self.pools for p in r
-                ),
-                "calls_failed": sum(
-                    p.calls_failed for r in self.pools for p in r
-                ),
-                "calls_abandoned": sum(
-                    p.calls_abandoned for r in self.pools for p in r
-                ),
-            },
-            "faults_injected": (
-                self.injector.counts() if self.injector is not None else None
+            "pool": totals(
+                [p for replicas in self.pools for p in replicas],
+                "restarts", "calls_failed", "calls_abandoned",
             ),
             "partition": {
                 "mode": self.sharded.pmap.mode,
@@ -874,14 +637,3 @@ class ShardRouter:
             "ledger": self.ledger.stats(),
             "shards": shards,
         }
-
-    def __repr__(self) -> str:
-        state = (
-            "draining" if self._draining and self._running
-            else "running" if self._running else "stopped"
-        )
-        return (
-            f"<ShardRouter {state} shards={self.config.shards} "
-            f"replicas={self.config.replicas} mode={self.config.mode} "
-            f"inflight={self._inflight}>"
-        )

@@ -1,8 +1,15 @@
 """Engine front-door behaviour: admission control, timeouts, shutdown,
-cache-differential correctness and trace-ledger reconciliation."""
+cache-differential correctness and trace-ledger reconciliation.
+
+The front door is one class (``repro.service.frontdoor.FrontDoor``), so
+its tests run twice: as written over :class:`Engine`, and again over a
+2-shard :class:`ShardRouter` through the ``...Sharded`` subclasses, which
+only swap the ``make_target`` class attribute.
+"""
 
 import asyncio
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +25,8 @@ from repro.service import (
     Status,
     WindowRequest,
 )
+from repro.service.workers import WorkerPool
+from repro.shard import ShardConfig, ShardRouter, data_entries
 from repro.trace import ListSink, run_checkers, service_checkers
 
 
@@ -26,6 +35,37 @@ def workload():
     map1, map2 = paper_maps(scale=0.01)
     trees = {"map1": build_tree(map1), "map2": build_tree(map2)}
     return trees, map1.region.side
+
+
+def make_engine(trees, config=None, sinks=()):
+    return Engine(trees, config, sinks=sinks)
+
+
+def make_router(trees, config=None, sinks=()):
+    """The same objects and the same shared knobs on the sharded tier
+    (the engine-only ones — batching, breakers — have no counterpart)."""
+    config = config or EngineConfig()
+    shared = {
+        f.name: getattr(config, f.name)
+        for f in fields(ShardConfig)
+        if hasattr(config, f.name)
+    }
+    datasets = {
+        name: [(e.oid, e.rect) for e in data_entries(tree)]
+        for name, tree in trees.items()
+    }
+    return ShardRouter(datasets, ShardConfig(shards=2, **shared), sinks=sinks)
+
+
+class FrontDoorSuite:
+    """Fixtures of one tier; the constructor is the only variable."""
+
+    make_target = staticmethod(make_engine)
+
+    @staticmethod
+    def assert_lawful(sink):
+        verdicts = run_checkers(sink.events, service_checkers())
+        assert all(v.ok for v in verdicts), [v.violations for v in verdicts]
 
 
 def random_window(rng, side, frac=0.1):
@@ -114,16 +154,17 @@ class TestDifferentialCorrectness:
         assert cache.lookups == accounting["admitted"]
 
 
-class TestAdmissionControl:
+class TestAdmissionControl(FrontDoorSuite):
     def test_inflight_limit_rejects_and_recovers(self, workload):
         trees, side = workload
         config = EngineConfig(
             workers=0, max_inflight=16, cache_capacity=0,
             batch_window_s=0.005, max_batch=4,
         )
+        sink = ListSink()
 
         async def main():
-            async with Engine(trees, config) as engine:
+            async with self.make_target(trees, config, [sink]) as engine:
                 big = Rect(0, 0, side, side)
                 responses = await asyncio.gather(
                     *(
@@ -143,6 +184,7 @@ class TestAdmissionControl:
         assert all("limit" in r.detail for r in rejected)
         assert late.ok
         assert engine.metrics.rejected == len(rejected)
+        self.assert_lawful(sink)
 
     def test_sustains_64_concurrent_inflight(self, workload):
         """≥ 64 window queries genuinely in flight at once, admission
@@ -155,7 +197,7 @@ class TestAdmissionControl:
         sink = ListSink()
 
         async def main():
-            engine = Engine(trees, config, sinks=[sink])
+            engine = self.make_target(trees, config, [sink])
             await engine.start()
             rng = random.Random(5)
             responses = await asyncio.gather(
@@ -178,20 +220,26 @@ class TestAdmissionControl:
         assert engine.metrics.queue_depth_max >= 64
         assert rejected > 0  # admission control engaged
         assert completed >= 96
-        verdicts = run_checkers(sink.events, service_checkers())
-        assert all(v.ok for v in verdicts), [v.violations for v in verdicts]
+        self.assert_lawful(sink)
 
-    def test_timeout_returns_timeout_status(self, workload):
+    def test_timeout_returns_timeout_status(self, workload, monkeypatch):
         # A lone window request waits the full coalescing window (200 ms)
         # in the batcher, far past its 10 ms budget → deterministic timeout.
+        # A tier with no batcher reaches the pool, which never answers.
         trees, side = workload
         config = EngineConfig(
             workers=0, cache_capacity=0,
             batch_window_s=0.2, max_batch=64,
         )
+        sink = ListSink()
+
+        async def hanging_run(pool, kind, *args, timeout_s=None):
+            await asyncio.sleep(30.0)
+
+        monkeypatch.setattr(WorkerPool, "run", hanging_run)
 
         async def main():
-            async with Engine(trees, config) as engine:
+            async with self.make_target(trees, config, [sink]) as engine:
                 return await engine.submit(
                     WindowRequest("map1", Rect(0, 0, side, side)),
                     timeout=0.01,
@@ -200,6 +248,7 @@ class TestAdmissionControl:
         response = asyncio.run(main())
         assert response.status is Status.TIMEOUT
         assert "timed out" in response.detail
+        self.assert_lawful(sink)
 
     def test_per_class_limits_serialize_joins(self, workload):
         trees, _ = workload
@@ -207,9 +256,10 @@ class TestAdmissionControl:
             workers=0, join_limit=1, cache_capacity=0,
             default_timeout_s=60.0,
         )
+        sink = ListSink()
 
         async def main():
-            async with Engine(trees, config) as engine:
+            async with self.make_target(trees, config, [sink]) as engine:
                 responses = await asyncio.gather(
                     *(engine.submit(JoinRequest("map1", "map2")) for _ in range(3))
                 )
@@ -219,14 +269,18 @@ class TestAdmissionControl:
         assert all(r.ok for r in responses)
         values = {r.value for r in responses}
         assert len(values) == 1  # identical answers
+        self.assert_lawful(sink)
 
 
-class TestErrorsAndShutdown:
+class TestErrorsAndShutdown(FrontDoorSuite):
     def test_unknown_tree_is_an_error_response(self, workload):
         trees, _ = workload
+        sink = ListSink()
 
         async def main():
-            async with Engine(trees, EngineConfig(workers=0)) as engine:
+            async with self.make_target(
+                trees, EngineConfig(workers=0), [sink]
+            ) as engine:
                 return await engine.submit(
                     WindowRequest("nope", Rect(0, 0, 1, 1))
                 )
@@ -234,22 +288,28 @@ class TestErrorsAndShutdown:
         response = asyncio.run(main())
         assert response.status is Status.ERROR
         assert "nope" in response.detail
+        self.assert_lawful(sink)
 
     def test_invalid_k_is_an_error_response(self, workload):
         trees, _ = workload
+        sink = ListSink()
 
         async def main():
-            async with Engine(trees, EngineConfig(workers=0)) as engine:
+            async with self.make_target(
+                trees, EngineConfig(workers=0), [sink]
+            ) as engine:
                 return await engine.submit(KNNRequest("map1", 0, 0, 0))
 
         response = asyncio.run(main())
         assert response.status is Status.ERROR
+        self.assert_lawful(sink)
 
     def test_submit_after_stop_rejected(self, workload):
         trees, _ = workload
+        sink = ListSink()
 
         async def main():
-            engine = Engine(trees, EngineConfig(workers=0))
+            engine = self.make_target(trees, EngineConfig(workers=0), [sink])
             await engine.start()
             await engine.stop()
             return await engine.submit(WindowRequest("map1", Rect(0, 0, 1, 1)))
@@ -257,15 +317,17 @@ class TestErrorsAndShutdown:
         response = asyncio.run(main())
         assert response.status is Status.REJECTED
         assert "not accepting" in response.detail
+        self.assert_lawful(sink)
 
     def test_stop_drains_inflight_work(self, workload):
         trees, side = workload
         config = EngineConfig(
             workers=0, cache_capacity=0, batch_window_s=0.01, max_batch=32
         )
+        sink = ListSink()
 
         async def main():
-            engine = Engine(trees, config)
+            engine = self.make_target(trees, config, [sink])
             await engine.start()
             pending = [
                 asyncio.create_task(
@@ -283,10 +345,19 @@ class TestErrorsAndShutdown:
             r.status in (Status.OK, Status.REJECTED) for r in responses
         )
         assert any(r.ok for r in responses)
+        self.assert_lawful(sink)
 
     def test_engine_requires_trees(self):
         with pytest.raises(ValueError):
-            Engine({})
+            self.make_target({})
+
+
+class TestAdmissionControlSharded(TestAdmissionControl):
+    make_target = staticmethod(make_router)
+
+
+class TestErrorsAndShutdownSharded(TestErrorsAndShutdown):
+    make_target = staticmethod(make_router)
 
 
 @pytest.mark.slow
