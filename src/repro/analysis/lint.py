@@ -144,10 +144,6 @@ class LintContext:
             return self.lines[line - 1]
         return ""
 
-    def has_marker(self, line: int, marker: str) -> bool:
-        """Is ``# repro: <marker>`` present on *line*?"""
-        return f"repro: {marker}" in self.line_text(line)
-
 
 def _suppressed(ctx: LintContext, line: int, rule_id: str) -> bool:
     match = _NOQA_RE.search(ctx.line_text(line))

@@ -23,9 +23,10 @@ PAIR001   every ``CircuitBreaker.allow()`` admission is settled in a
 PAIR002   every ``.acquire()`` has a ``try/finally`` releasing it — a
           leaked latch deadlocks the simulated machine
 FORK001   no writes to fork-inherited module globals outside registered
-          initializers (functions named ``*init*``/``*fork*`` or sites
-          marked ``# repro: fork-init``) — two live pools clobbering one
-          registry was a real bug class
+          initializers (functions named ``*init*``/``*fork*``) — two live
+          pools clobbering one registry was a real bug class; worker state
+          travels as ``Process(args=...)`` (:mod:`repro.recovery.procs`),
+          so no module has a parking spot left to sanction
 ASYNC001  no blocking calls (``time.sleep``, ``subprocess``, ``os.system``,
           bare ``open``) inside ``async def`` in the serving layer — one
           blocked event loop stalls every in-flight request
@@ -408,15 +409,12 @@ class ForkGlobalWriteRule(Rule):
                 )
                 if target_name is None:
                     continue
-                if ctx.has_marker(node.lineno, "fork-init"):
-                    continue
                 yield (
                     node.lineno,
                     f"write to fork-inherited module global "
                     f"{target_name!r} outside a registered initializer; "
-                    f"mark the site '# repro: fork-init' if it is the "
-                    f"parent-side parking spot, or move it into the "
-                    f"worker initializer",
+                    f"pass the state to the workers as their start "
+                    f"argument instead of parking it in a global",
                 )
 
     @staticmethod

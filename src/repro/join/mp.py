@@ -6,7 +6,9 @@ today's hardware despite CPython's GIL.  There is **one** forked driver,
 and it follows the paper's own finding that dynamic assignment from a
 shared queue beats static ranges: phase 1 produces a backend-neutral
 *join plan* (:func:`plan_join`), the plan is cut into lease-sized
-*chunks*, and a fork pool pulls the chunks off one queue.
+*chunks*, and the chunks are the tasks of the one process substrate
+(:class:`~repro.recovery.procs.PipedWorkers`): an idle worker is handed
+the next chunk off one FIFO.
 
 A plan hides the task *format* from the driver: ``len(plan)`` tasks,
 ``plan.signature()`` for the journal, ``plan.run(start, stop, beat)``
@@ -15,22 +17,23 @@ for the pairs of one slice.  The node plan is the
 per task); the flat plan (:mod:`repro.join.flat`) is the packed
 backend's frontier (one vectorized kernel call per slice).
 
-Workers are created with the ``fork`` start method, so they inherit the
-plan — the in-memory R*-trees or the packed arrays — from the parent
+Workers are forked with the plan — the in-memory R*-trees or the packed
+arrays — as their start argument, so they inherit it from the parent
 without any serialisation: the process-level analogue of the paper's
 shared virtual memory.  Only chunk bounds travel to the workers and only
 ``(oid, oid)`` pairs travel back.
 
 **Fault tolerance** (:mod:`repro.recovery`) is not a mode but how the
-driver works: one lease per dispatched chunk, heartbeats via a
-fork-inherited lock-free progress counter per chunk, and a parent-side
-sweep that expires silent chunks and redispatches them.  A chunk's lease
-clock starts when a worker starts the chunk (the parent keeps it alive
-while it waits in the pool's queue), and a running chunk beats at every
-node pair, frontier round and result piece — so a healthy join may
-outlast ``lease_s`` by any factor without losing a lease.  A worker death
-therefore loses at most one chunk's partial work, and a hung worker is
-expired by its lease instead of blocking the caller.  Completed chunks
+driver works: one lease per chunk, granted when the chunk is handed to a
+worker (a queued chunk has no clock to run out), and kept alive by
+heartbeats on a fork-inherited lock-free progress counter — a running
+chunk beats at every node pair, frontier round and result piece, so a
+healthy join may outlast ``lease_s`` by any factor without losing a
+lease.  A worker death is an event, not a timeout: the substrate reports
+it at once, naming the chunk the worker held; that lease expires
+(``reason="died"``) and the chunk is requeued, so a death loses at most
+one chunk's partial work.  A *silent* worker is expired by its lease and
+killed — it never keeps its slot — and its chunk requeued.  Completed chunks
 may be journalled durably; :func:`repro.recovery.coordinator.resume_join`
 replays them and re-runs only the orphans.  The result multiset is
 exactly-once either way: the :class:`~repro.recovery.ledger.ResultLedger`
@@ -44,7 +47,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import queue
 import warnings
 from collections import deque
 from typing import Hashable, Optional
@@ -54,6 +56,7 @@ from ..recovery.config import RecoveryConfig, wall_clock
 from ..recovery.journal import JoinJournal
 from ..recovery.ledger import ResultLedger
 from ..recovery.lease import LeaseTable
+from ..recovery.procs import PipedWorkers
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
@@ -69,15 +72,6 @@ __all__ = [
     "plan_join",
 ]
 
-#: ``(plan, geometry_r, geometry_s)``, set by the parent immediately
-#: before forking; inherited by workers.
-_WORK: Optional[tuple] = None
-#: Fork-inherited heartbeat channel: one monotone progress counter per
-#: chunk, bumped by the executing worker at every plan beat (node pair
-#: on the node plan, frontier round on the flat plan).  A RawArray
-#: is lock-free — a worker hard-killed mid-bump cannot wedge anybody (an
-#: ``mp.Queue`` could die holding its feeder lock).
-_PROGRESS = None
 #: Rows a worker refines or pickles between two heartbeats.
 _PIECE_ROWS = 1 << 12
 
@@ -162,47 +156,39 @@ def _pieces(rows: list):
         yield rows[lo : lo + _PIECE_ROWS]
 
 
-def _run_chunk(spec: tuple) -> tuple[int, list]:
+def _run_chunk(work: tuple, progress, spec: tuple) -> tuple[int, list]:
     """Worker body: one chunk of the plan.
+
+    *work* is ``(plan, geometry_r, geometry_s)`` and *progress* the
+    heartbeat channel, both inherited at fork: one monotone counter per
+    chunk in a lock-free ``RawArray`` — a worker hard-killed mid-bump
+    cannot wedge anybody.
 
     ``kill_at`` is a parent-computed fault directive (offset of the task
     at whose *start* this execution hard-crashes, or None): the decision
     ledger lives in the parent's injector, so a redispatched chunk is
     never re-killed at the same task.  The doomed execution still runs
-    (and heartbeats) the tasks before the offset; the crash is
-    ``os._exit`` between plan calls — no pool lock is held, so the pool
-    survives and respawns the worker.  Returns the chunk id and the result
-    rows as pickled pieces.
+    (and heartbeats) the tasks before the offset, then calls ``os._exit``.
+    Returns the chunk id and the result rows as pickled pieces.
     """
     chunk_id, start, stop, kill_at = spec
-    progress = _PROGRESS  # inherited shared array; this worker's cell only
 
     def beat() -> None:
-        progress[chunk_id] += 1  # heartbeat: monotone per-chunk counter
+        progress[chunk_id] += 1  # this worker's cell only
 
     beat()  # started: from here on silence costs the lease
     if kill_at is not None:
-        _WORK[0].run(start, start + kill_at, beat)
+        work[0].run(start, start + kill_at, beat)
         os._exit(CRASH_EXIT_CODE)
-    rows = _chunk_pairs(_WORK, start, stop, beat)
+    rows = _chunk_pairs(work, start, stop, beat)
     # Serialising a large result would be the one long silent stretch of
     # a healthy chunk, so it is done here, piecewise, with a beat per
-    # piece; the pool then only moves bytes.
+    # piece; the pipe then only moves bytes.
     blobs = []
     for piece in _pieces(rows):
         blobs.append(pickle.dumps(piece, pickle.HIGHEST_PROTOCOL))
         beat()
     return chunk_id, blobs
-
-
-def _drain(done: queue.SimpleQueue, wait_s: float):
-    """Everything on *done*, waiting up to *wait_s* for the first item."""
-    try:
-        yield done.get(timeout=wait_s)
-        while True:
-            yield done.get_nowait()
-    except queue.Empty:
-        return
 
 
 def multiprocessing_join(
@@ -254,11 +240,12 @@ def multiprocessing_join(
 class _Engine:
     """One forked join: chunking, leases, journal, redispatch.
 
-    The parent is the coordinator: it grants one lease per dispatched
-    chunk, polls the fork-inherited progress counters as heartbeats,
-    sweeps expired leases and redispatches their chunks (inline in the
-    parent after ``max_redispatch`` strikes — guaranteed progress even
-    with a wedged pool).  Results commit through the exactly-once ledger;
+    The parent is the coordinator and the substrate's *sink*: it grants
+    one lease per chunk at hand-off, reads the fork-inherited progress
+    counters as heartbeats, requeues the chunk of a worker that died or
+    went silent (inline in the parent after ``max_redispatch`` strikes —
+    guaranteed progress whatever the workers do).  Results commit through
+    the exactly-once ledger;
     with a journal every grant/completion is durable and a later
     :func:`~repro.recovery.coordinator.resume_join` replays the committed
     chunks.
@@ -320,7 +307,8 @@ class _Engine:
         self.inline_runs = 0
         self.commits = 0
         self._last_progress = [0] * self.n_chunks
-        self._started: set[int] = set()  # leases whose chunk has beaten
+        self._progress = None  # the heartbeat RawArray of a forked run
+        self.inflight: dict[int, int] = {}  # chunk a worker holds -> lease id
 
     # -- journal ---------------------------------------------------------------
     def _load_journal(self) -> None:
@@ -409,115 +397,97 @@ class _Engine:
             self._run_inline(self.pending.popleft())
 
     def run_parallel(self) -> None:
-        global _WORK, _PROGRESS
         context = multiprocessing.get_context("fork")
-        progress = context.RawArray("Q", max(1, self.n_chunks))
-        _WORK = self.work  # repro: fork-init (parent-side parking)
-        _PROGRESS = progress  # repro: fork-init (parent-side parking)
+        self._progress = context.RawArray("Q", max(1, self.n_chunks))
         deadline = (
             self.clock() + self.timeout_s if self.timeout_s is not None else None
         )
         from ..recovery.coordinator import JoinInterrupted
 
+        workers = PipedWorkers(
+            self.processes, _run_chunk, (self.work, self._progress), self
+        )
+        workers.start()
         try:
-            with context.Pool(self.processes) as pool:
-                inflight: dict[int, int] = {}  # lease id -> chunk id
-                # ``(lease id, _run_chunk result)`` per delivered chunk
-                # (None if the worker raised), fed by the pool's result
-                # thread.
-                done: queue.SimpleQueue = queue.SimpleQueue()
-
-                def dispatch(cid: int) -> None:
-                    kill_at = self._kill_directive(cid)
-                    lease = self.lease_table.grant(cid, holder=cid)
-                    if self.journal is not None:
-                        self.journal.append(
-                            "grant", task=cid, lease=lease.id, proc=cid
-                        )
-                    start, stop = self.bounds[cid]
-                    self._last_progress[cid] = progress[cid]
-                    inflight[lease.id] = cid
-                    pool.apply_async(
-                        _run_chunk,
-                        ((cid, start, stop, kill_at),),
-                        callback=lambda res, lid=lease.id: done.put((lid, res)),
-                        error_callback=lambda _exc, lid=lease.id: done.put(
-                            (lid, None)
-                        ),
-                    )
-
-                try:
-                    self._coordinate(done, progress, inflight, dispatch, deadline)
-                except JoinInterrupted:
-                    # The abort hook emulates a dying parent, but the
-                    # trace must still reconcile: the abandoned chunks'
-                    # leases expire here (a real death leaves them to the
-                    # next run's sweep — same outcome, observable now).
-                    for lease_id, cid in list(inflight.items()):
-                        if self.lease_table.is_active(lease_id):
-                            self.lease_table.expire(lease_id, "interrupted")
-                            self._requeue(lease_id, cid)
-                    raise
+            self._coordinate(workers, deadline)
+        except JoinInterrupted:
+            # The abort hook emulates a dying parent, but the trace must
+            # still reconcile: the abandoned chunks' leases expire here (a
+            # real death leaves them to the next run's sweep — same
+            # outcome, observable now).
+            self._abandon("interrupted")
+            raise
         finally:
-            _WORK = None  # repro: fork-init (parent-side unparking)
-            _PROGRESS = None  # repro: fork-init
+            workers.close()
 
-    def _coordinate(self, done, progress, inflight, dispatch, deadline) -> None:
+    def _coordinate(self, workers: PipedWorkers, deadline) -> None:
         while len(self.ledger) < self.n_chunks:
-            while self.pending:
+            if self.pending:
                 cid = self.pending.popleft()
                 if self.redispatches[cid] > self.recovery.max_redispatch:
-                    # Too many strikes: stop trusting the pool with this
-                    # chunk and finish it in the parent.
+                    # Too many strikes: stop trusting the workers with
+                    # this chunk and finish it in the parent.
                     self._run_inline(cid)
                 else:
-                    dispatch(cid)
-            if not inflight:
+                    workers.submit(cid)
                 continue
-            # Collect delivered chunks: block until the first arrives or
-            # the sweep interval passes (no busy spin, no time.sleep).
-            for lease_id, result in _drain(done, self.recovery.sweep_s):
-                cid = inflight.pop(lease_id, None)
-                if not self.lease_table.is_active(lease_id):
-                    # Declared dead but delivered late: its chunk was
-                    # requeued; drop the stale result (the re-execution's
-                    # copy commits instead).
-                    continue
-                if result is None:
-                    # The worker raised (not crashed): treat like a
-                    # death — expire and requeue.
-                    self.lease_table.expire(lease_id, "error")
-                    self._requeue(lease_id, cid)
-                    continue
-                rows = [row for blob in result[1] for row in pickle.loads(blob)]
-                self.lease_table.complete(lease_id, rows=len(rows))
-                self._commit(cid, lease_id, rows)
-            # Heartbeats: progress counters renew leases.  A chunk that
-            # has not beaten yet and is not among the ``processes`` oldest
-            # in flight is still queued in the pool; the parent keeps it
-            # alive, so its lease clock starts when a worker starts it
-            # (else a join that outlasts ``lease_s`` would expire its own
-            # healthy tail unstarted).  An unstarted chunk among the
-            # oldest was taken by a worker that died before its first
-            # beat: nobody renews it.
-            for rank, (lease_id, cid) in enumerate(inflight.items()):
-                current = progress[cid]
+            # Results and deaths arrive as events (handoff/done/died
+            # below); block until the first or the sweep interval.
+            workers.wait(self.recovery.sweep_s)
+            # Heartbeats: a progress counter that moved renews the lease.
+            for cid, lease_id in self.inflight.items():
+                current = self._progress[cid]
                 if current != self._last_progress[cid]:
                     self._last_progress[cid] = current
-                    self._started.add(lease_id)
-                elif rank < self.processes or lease_id in self._started:
-                    continue
-                self.lease_table.renew(lease_id)
-            # Sweep: silence past the deadline orphans the chunk.
+                    self.lease_table.renew(lease_id)
+            # Sweep: silence past the deadline costs the holder its life
+            # (a hung worker must not keep its slot) and requeues the chunk.
             for lease in self.lease_table.sweep():
-                self._requeue(lease.id, inflight.pop(lease.id, lease.task))
+                del self.inflight[lease.task]
+                workers.drop(lease.task)
+                self._requeue(lease.id, lease.task)
             if deadline is not None and self.clock() > deadline:
                 if len(self.ledger) < self.n_chunks:
-                    self._rescue_timeout(inflight)
+                    self._rescue_timeout()
                 break
 
-    def _rescue_timeout(self, inflight: dict) -> None:
-        """Deadline fired: abandon the pool, finish missing chunks inline."""
+    # -- the substrate's sink --------------------------------------------------
+    def handoff(self, cid: int, pid: int) -> tuple:
+        """An idle worker takes chunk *cid*: its lease clock starts now."""
+        kill_at = self._kill_directive(cid)
+        lease = self.lease_table.grant(cid, holder=cid)
+        if self.journal is not None:
+            self.journal.append("grant", task=cid, lease=lease.id, proc=cid)
+        self._last_progress[cid] = self._progress[cid]
+        self.inflight[cid] = lease.id
+        return (cid, *self.bounds[cid], kill_at)
+
+    def done(self, cid: int, ok: bool, value) -> None:
+        if not ok:  # the worker raised (not crashed)
+            self._orphan(cid, "error")
+            return
+        lease_id = self.inflight.pop(cid)
+        rows = [row for blob in value[1] for row in pickle.loads(blob)]
+        self.lease_table.complete(lease_id, rows=len(rows))
+        self._commit(cid, lease_id, rows)
+
+    def died(self, cid, pid, exitcode, killed, replacement_pid) -> None:
+        if cid is not None:  # None: idle, or killed by the sweep above
+            self._orphan(cid, "died")
+
+    def _orphan(self, cid: int, reason: str) -> None:
+        """Chunk *cid* lost its worker: expire its lease, requeue it."""
+        lease_id = self.inflight.pop(cid)
+        self.lease_table.expire(lease_id, reason)
+        self._requeue(lease_id, cid)
+
+    def _abandon(self, reason: str) -> None:
+        """Orphan every chunk a worker still holds."""
+        for cid in list(self.inflight):
+            self._orphan(cid, reason)
+
+    def _rescue_timeout(self) -> None:
+        """Deadline fired: abandon the workers, finish missing chunks inline."""
         warnings.warn(
             f"fault-tolerant join did not finish within {self.timeout_s}s; "
             f"completing {self.n_chunks - len(self.ledger)} missing "
@@ -525,13 +495,9 @@ class _Engine:
             RuntimeWarning,
             stacklevel=4,
         )
-        for lease_id, cid in list(inflight.items()):
-            if self.lease_table.is_active(lease_id):
-                self.lease_table.expire(lease_id, "timeout")
-                self._requeue(lease_id, cid)
-        inflight.clear()
-        while self.pending:
-            cid = self.pending.popleft()
+        self._abandon("timeout")
+        self.pending.clear()
+        for cid in range(self.n_chunks):
             if cid not in self.ledger:
                 self._run_inline(cid)
 
@@ -586,12 +552,13 @@ def fault_tolerant_join(
     chunk id (deterministic given the task list).  ``stats`` reports
     chunking, lease and ledger counters, redispatches and replays.
 
-    ``timeout_s`` bounds the whole join: when the deadline fires the pool
-    is abandoned and only the *missing* chunks are finished inline in the
-    parent, with a :class:`RuntimeWarning` — the caller always gets the
-    answer.  Without a deadline a dead or hung worker is still caught:
-    its chunk's lease expires and the chunk is redispatched (inline after
-    ``recovery.max_redispatch`` strikes).  ``faults`` injects worker
+    ``timeout_s`` bounds the whole join: when the deadline fires the
+    workers are abandoned and only the *missing* chunks are finished
+    inline in the parent, with a :class:`RuntimeWarning` — the caller
+    always gets the answer.  Without a deadline a dead worker's chunk is
+    requeued the moment it dies, and a hung worker is killed when its
+    chunk's lease expires (inline after ``recovery.max_redispatch``
+    strikes).  ``faults`` injects worker
     kills; ``journal_path`` (or ``recovery.journal_path``) makes
     completions durable.  A ``recovery.stop_after_commits`` abort raises
     :class:`~repro.recovery.coordinator.JoinInterrupted`, leaving the

@@ -11,7 +11,11 @@ reproduction survive losing any of them — or the whole process:
 * :mod:`~repro.recovery.journal` — append-only CRC-framed JSONL journal
   of grants and completed result batches, torn-write-tolerant;
 * :mod:`~repro.recovery.coordinator` — ``resume_join``: replay a dead
-  run's journal, re-run only the orphans.
+  run's journal, re-run only the orphans;
+* :mod:`~repro.recovery.procs` — the one process substrate: forked
+  workers on pipes, one task to one idle worker, a death reported as an
+  event that names the task it cost.  The forked join and the serving
+  pools are task sources of it.
 
 Both execution paths use the same pieces: the simulated join
 (``ParallelJoinConfig.recovery``) with the simulation clock, and the

@@ -43,8 +43,8 @@ class RecoveryConfig:
     renewals (a holder renews at natural progress points — pair
     boundaries in-sim, per-chunk progress counters under fork — but emits
     at most one renewal per interval).  ``sweep_s`` is how often the
-    sweeper looks for expired leases (and the parent's poll interval
-    under fork).
+    sweeper looks for expired leases (under fork: the longest the parent
+    blocks waiting for a result or a death before it looks).
     """
 
     lease_s: float = 2.0

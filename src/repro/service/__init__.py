@@ -23,11 +23,12 @@ virtual memory of :mod:`repro.join.mp`), with
   report and emits ``BENCH_service.json`` (``--chaos`` adds a seeded
   fault-injection run and ``BENCH_chaos.json``);
 * a **resilience layer** (:mod:`repro.service.resilience`,
-  :mod:`repro.service.supervisor`): supervised worker calls with typed
+  :mod:`repro.service.workers`): supervised worker calls with typed
   :class:`WorkerError` outcomes, capped-backoff retries inside the
   request's deadline budget, per-class circuit breakers with
-  serve-stale/shed degraded modes, and a supervisor that detects worker
-  crashes and re-forks a dead pool.
+  serve-stale/shed degraded modes, and a worker pool that is told of a
+  worker's death as it happens, fails exactly the call that worker held
+  and forks its replacement.
 """
 
 from .batcher import MicroBatcher
@@ -41,7 +42,6 @@ from .resilience import (
     RetryPolicy,
     WorkerError,
 )
-from .supervisor import Supervisor
 from .model import (
     JoinRequest,
     KNNRequest,
@@ -78,5 +78,4 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "WorkerError",
-    "Supervisor",
 ]

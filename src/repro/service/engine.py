@@ -10,24 +10,24 @@ routes a cache miss to the backend — window queries through the
 **micro-batcher** (one shared traversal per batch), kNN and join requests
 straight to the **worker pool** (forked processes inheriting the trees,
 the `join/mp.py` SVM trick, or threads where fork is unavailable) — and
-``_start_backend`` / ``_stop_backend`` bring pool, supervisor and batcher
-up and (batches flushed first) down.
+``_start_backend`` / ``_stop_backend`` bring pool and batcher up and
+(batches flushed first) down.
 
 Around the execution backend sits the **resilience layer**:
 
 * every worker-pool call is supervised (typed :class:`WorkerError`
   outcomes, per-attempt deadlines) and failed calls are **retried** with
   capped exponential backoff — always inside the request's original
-  admission-timeout budget, never beyond it;
+  admission-timeout budget, never beyond it.  The pool is told of a
+  worker's death the moment it happens and fails exactly the call that
+  worker held (``worker-died``), forks a replacement, and kills a worker
+  whose call outlives its attempt deadline, so nothing is polled and the
+  breaker is not the crash detector;
 * a per-request-class **circuit breaker** (closed → open → half-open)
   cuts a failing class off; while open, the front door degrades
   cacheable requests to **stale cache serves** (flagged on the response
   and in the metrics) and sheds everything else with an explicit
   503-style :data:`~repro.service.model.Status.SHED`;
-* a :class:`~repro.service.supervisor.Supervisor` polls worker liveness,
-  turns crashes/respawns into trace events, sweeps overdue calls and
-  re-forks the pool (workers re-inherit the tree registry) if it dies
-  entirely;
 * a seeded :class:`~repro.faults.plan.FaultPlan` can inject worker
   crashes, hangs and slow I/O at the pool seam for chaos testing — the
   ``FLT_*``/``SUP_*`` ledgers reconcile via the
@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Sequence
 from ..faults import FaultPlan
 from ..trace import EventKind
 from .batcher import MicroBatcher, PendingWindow
-from .frontdoor import FrontDoor, totals
+from .frontdoor import FrontDoor, pool_totals
 from .model import (
     KNNRequest,
     Request,
@@ -53,7 +53,6 @@ from .model import (
     canonical_rect,
 )
 from .resilience import CircuitBreaker, CircuitOpenError, RetryPolicy, WorkerError
-from .supervisor import Supervisor
 from .workers import WorkerPool
 
 __all__ = ["Engine", "EngineConfig"]
@@ -76,15 +75,14 @@ class EngineConfig:
                          — result cache size (0 disables) and TTL;
     ``retry`` / ``attempt_timeout_s``
                          — backoff policy for failed worker calls and the
-                           per-attempt execution deadline (always clipped
-                           to the request's remaining budget);
+                           per-attempt execution deadline, from hand-off
+                           to a worker (always clipped to the request's
+                           remaining budget);
     ``breaker_failure_threshold`` / ``breaker_reset_s``
                          — consecutive failures that open a class's
                            circuit, and how long it stays open;
     ``serve_stale``      — degrade open-circuit cacheable requests to
                            TTL-expired cache entries instead of shedding;
-    ``supervise`` / ``supervisor_interval_s``
-                         — worker liveness polling and deadline sweeps;
     ``faults``           — seeded fault plan injected at the pool seam
                            (None = healthy);
     ``seed``             — seeds retry jitter (None = nondeterministic);
@@ -108,13 +106,11 @@ class EngineConfig:
     breaker_failure_threshold: int = 5
     breaker_reset_s: float = 0.5
     serve_stale: bool = True
-    supervise: bool = True
-    supervisor_interval_s: float = 0.2
     faults: Optional[FaultPlan] = None
     seed: Optional[int] = None
     #: Split every join into this many worker calls (0/1 = one call).
     #: Completed chunks are held by the engine while the rest retry, so
-    #: a worker crash or pool restart re-runs only the missing chunks —
+    #: a worker crash re-runs only the missing chunk —
     #: the serving-layer analogue of :mod:`repro.recovery`'s orphan
     #: recovery.  The merged result is identical to the unchunked join.
     join_chunks: int = 0
@@ -141,15 +137,6 @@ class Engine(FrontDoor):
             injector=self.injector,
             tracer=self.tracer,
         )
-        self.supervisor = (
-            Supervisor(
-                self.pool,
-                interval_s=self.config.supervisor_interval_s,
-                tracer=self.tracer,
-            )
-            if self.config.supervise
-            else None
-        )
         self.batcher = MicroBatcher(
             self._run_window_group,
             window_s=self.config.batch_window_s,
@@ -173,8 +160,6 @@ class Engine(FrontDoor):
 
     def _start_backend(self) -> dict:
         self.pool.start()
-        if self.supervisor is not None:
-            self.supervisor.start()
         if self.config.batching:
             self.batcher.start()
         return {
@@ -185,8 +170,6 @@ class Engine(FrontDoor):
     async def _stop_backend(self) -> None:
         if self.config.batching:
             await self.batcher.close()
-        if self.supervisor is not None:
-            await self.supervisor.stop()
         await self.pool.close()
 
     async def _execute(self, request: Request, deadline: Optional[float]):
@@ -238,8 +221,8 @@ class Engine(FrontDoor):
         Each chunk runs under its own retry/breaker budget, so a worker
         crash mid-join costs one chunk's re-execution, not the whole
         join: the chunks that already returned are held here while the
-        failed one retries (against the restarted pool if the crash took
-        the worker down).  Chunk boundaries are computed in the workers
+        failed one retries (on the replacement if the crash took the
+        worker down).  Chunk boundaries are computed in the workers
         from the deterministic task list, so every retry — on any
         worker — re-runs exactly the same slice.
         """
@@ -372,13 +355,7 @@ class Engine(FrontDoor):
                 cls.value: breaker.snapshot()
                 for cls, breaker in self.breakers.items()
             },
-            "supervisor": (
-                self.supervisor.snapshot()
-                if self.supervisor is not None else None
-            ),
-            "pool": totals(
-                [self.pool], "restarts", "calls_failed", "calls_abandoned"
-            ),
+            **pool_totals([self.pool]),
             # Per-shard metrics live under this key on the sharded tier;
             # the single-pool engine serves one implicit shard, reported
             # as None so dashboards can key on the same field either way.

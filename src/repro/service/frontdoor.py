@@ -62,15 +62,32 @@ from .model import (
 )
 from .resilience import CircuitOpenError
 
-__all__ = ["FrontDoor", "totals"]
+__all__ = ["FrontDoor", "pool_totals"]
 
 _UNSET = object()
 
 
-def totals(objects, *names: str) -> dict:
-    """Per-name sums of integer attributes over *objects* (pools,
-    supervisors): the snapshot shape of one and of many is the same."""
-    return {name: sum(getattr(o, name) for o in objects) for name in names}
+def pool_totals(pools) -> dict:
+    """The ``supervisor`` and ``pool`` snapshot blocks, summed over
+    *pools*: the shape of one pool and of many is the same.  The
+    ``supervisor`` block is the pools' own death / respawn counters."""
+
+    def total(name: str) -> int:
+        return sum(getattr(pool, name) for pool in pools)
+
+    return {
+        "supervisor": {
+            "crashes_detected": total("crashes_detected"),
+            "respawns_detected": total("respawns_detected"),
+            "workers_killed": total("workers_killed"),
+            # A pool is never re-forked whole; read by perf's probe.
+            "pool_restarts": 0,
+        },
+        "pool": {
+            "calls_failed": total("calls_failed"),
+            "calls_abandoned": total("calls_abandoned"),
+        },
+    }
 
 
 class FrontDoor:

@@ -671,7 +671,7 @@ def _chaos_main(args, run) -> int:
     resilience = faulted["resilience"]
     print(
         f"\nfaults injected: {resilience['faults_injected']}   "
-        f"pool: {resilience['pool']}   supervisor: {resilience['supervisor']}"
+        f"calls: {resilience['pool']}   workers: {resilience['supervisor']}"
     )
     healthy_tp = healthy["report"]["throughput_rps"]
     faulted_tp = faulted["report"]["throughput_rps"]

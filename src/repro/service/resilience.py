@@ -32,9 +32,9 @@ class WorkerError(RuntimeError):
     guaranteed to resolve (never a silently pending future).
 
     ``cause_type`` names the original exception class (or the synthetic
-    reason: ``"deadline"``, ``"pool-restarted"``); ``call_id`` threads
-    the pool-call identity through to the retry layer so the trace ledger
-    can match each failure to its retry or give-up.
+    reason: ``"worker-died"``, ``"deadline"``, ``"pool-closed"``);
+    ``call_id`` threads the pool-call identity through to the retry layer
+    so the trace ledger can match each failure to its retry or give-up.
     """
 
     def __init__(

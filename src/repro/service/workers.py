@@ -1,71 +1,59 @@
 """Execution backend of the serving engine: forked workers or threads.
 
-The process mode reuses the ``fork``-inherits-trees trick of
-:mod:`repro.join.mp`: the tree registry is parked in a module-level
-table (keyed per pool, so several live pools in one process never
-clobber each other) immediately before the pool forks, and every worker
-process inherits the in-memory R*-trees through copy-on-write — the
-process-level analogue of the paper's shared virtual memory.  Only primitive arguments (tree names,
-rect tuples, coordinates) travel to the workers and only oid tuples travel
-back; no tree is ever pickled.
+The process mode is a task source of the one process substrate,
+:class:`~repro.recovery.procs.PipedWorkers` (the same one the forked join
+of :mod:`repro.join.mp` runs on): the workers are forked with this pool's
+tree registry as their start argument, so every worker — and every
+replacement forked after a death — inherits the in-memory R*-trees
+through copy-on-write, the process-level analogue of the paper's shared
+virtual memory, and two live pools cannot see each other's trees.  Only
+primitive arguments (tree names, rect tuples, coordinates) travel to the
+workers and only oid tuples travel back; no tree is ever pickled.
 
 On platforms without ``fork`` (or with ``processes=0``) the pool degrades
 to a thread executor over the very same execution functions — correct,
 GIL-bound, and sufficient for tests and small deployments.
 
 Every call through :meth:`WorkerPool.run` is **supervised**: it carries a
-call id and an optional deadline, and it always terminates in a typed
-outcome — the value, a :class:`~repro.service.resilience.WorkerError`
-(worker exception, hard crash, deadline, pool restart), or a propagated
-cancellation — never a silently pending future.  Fault directives from a
-:class:`~repro.faults.injector.FaultInjector` ride along to the worker,
-and the pool emits the ``SUP_CALL_*`` side of the resilience ledger.
-:meth:`restart` re-forks the pool from the parent's tree registry (the
-workers re-inherit every tree) and fails all in-flight calls so the
-engine's retry layer re-enqueues them.
+call id and a deadline, and it always terminates in a typed outcome — the
+value, a :class:`~repro.service.resilience.WorkerError` (worker
+exception, ``worker-died``, ``deadline``, ``pool-closed``), or a
+propagated cancellation — never a silently pending future.  Nothing is
+polled.  A worker holds one call at a time and the pool knows which, so a
+death is an event that fails exactly that call, at once, and is recorded
+as ``SUP_WORKER_CRASH_DETECTED`` / ``SUP_WORKER_RESPAWNED`` with its
+victim; a call's deadline runs from hand-off to a worker (time spent
+queued behind other calls is not the worker's fault), and when it fires
+the holder is killed and replaced — a hung worker never keeps its slot.
+A fresh worker answers one throwaway query per tree before it reports
+ready (:func:`_warm`), so that clock never charges a call for a cold
+start: killing a worker that was only warming up would buy a replacement
+just as cold.
+Fault directives from a :class:`~repro.faults.injector.FaultInjector`
+ride along to the worker, and the pool emits the ``SUP_CALL_*`` side of
+the resilience ledger.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing
 import os
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from ..faults import FaultDirective, FaultInjector, InjectedCrash, apply_directive
+from ..faults import FaultDirective, FaultInjector, apply_directive
 from ..geometry.rect import Rect
 from ..join.sequential import sequential_join
 from ..query.batch import multi_window_query
+from ..recovery.procs import PipedWorkers
 from ..rtree.query import nearest_neighbors, window_query
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .resilience import WorkerError
 
 __all__ = ["WorkerPool", "fork_available"]
-
-#: Tree registries parked by the parent immediately before forking,
-#: keyed per pool so several live pools in one process cannot clobber
-#: each other: a replacement worker auto-forked after a crash re-reads
-#: *its own* pool's entry, never another pool's.  Inherited by workers
-#: through fork (copy-on-write); entries are dropped at pool close.
-_WORK_TREES: dict[int, Mapping[str, object]] = {}
-_POOL_KEYS = itertools.count(1)
-#: Worker-side: which registry entry this worker's pool owns.
-_POOL_KEY: Optional[int] = None
-
-
-def _fork_init(pool_key: int) -> None:
-    """Worker initializer: pin this worker to its pool's tree registry.
-
-    Runs in every worker the pool forks — including replacements it
-    auto-forks after a crash — so the binding survives worker churn.
-    """
-    global _POOL_KEY
-    _POOL_KEY = pool_key
 
 
 def fork_available() -> bool:
@@ -169,16 +157,26 @@ _EXEC_FNS = {
 }
 
 
-def _fork_call(kind: str, directive: Optional[FaultDirective], args: tuple):
-    """Worker-side dispatch: apply any fault directive, then execute.
-
-    Resolves the tree registry inherited at fork time.  A ``crash``
+def _fork_call(trees, call: tuple):
+    """Worker-side dispatch: apply any fault directive, then execute
+    against the tree registry inherited at fork time.  A ``crash``
     directive kills this worker process outright (``os._exit``) — the
-    parent observes a lost call, exactly like a real segfault.
+    parent observes the death, exactly like a real segfault.
     """
+    kind, directive, args = call
     if directive is not None:
         apply_directive(directive, hard_crash=True)
-    return _EXEC_FNS[kind](_WORK_TREES[_POOL_KEY], *args)
+    return _EXEC_FNS[kind](trees, *args)
+
+
+def _warm(trees) -> None:
+    """Runs in a fresh worker before it says ready: one throwaway query
+    per tree, so whatever a backend builds on first use (the packed
+    tree's result entries: 0.1–0.2 s per full-scale map) is not charged
+    to the first call's deadline."""
+    for tree in trees.values():
+        if tree.size:
+            nearest_neighbors(tree, 0.0, 0.0, k=1)
 
 
 def _inline_call(
@@ -190,17 +188,31 @@ def _inline_call(
     return _EXEC_FNS[kind](trees, *args)
 
 
-class _InflightCall:
-    """Parent-side record of one dispatched call (for the supervisor)."""
+class _Call:
+    """Parent-side record of one call from :meth:`WorkerPool.run`."""
 
-    __slots__ = ("call_id", "kind", "future", "deadline_at", "faulted")
+    __slots__ = ("call_id", "kind", "args", "future", "timeout_s", "timer",
+                 "faulted")
 
-    def __init__(self, call_id, kind, future, deadline_at, faulted):
+    def __init__(self, call_id, kind, args, future, timeout_s):
         self.call_id = call_id
         self.kind = kind
+        self.args = args
         self.future = future
-        self.deadline_at = deadline_at
-        self.faulted = faulted
+        self.timeout_s = timeout_s
+        self.timer = None
+        self.faulted = False
+
+    def fail(self, message: str, cause_type: str) -> None:
+        if not self.future.done():
+            self.future.set_exception(
+                WorkerError(
+                    f"call {self.call_id} ({self.kind}) {message}",
+                    cause_type=cause_type,
+                    call_id=self.call_id,
+                    kind=self.kind,
+                )
+            )
 
 
 class WorkerPool:
@@ -209,14 +221,11 @@ class WorkerPool:
     ``processes > 0`` asks for that many forked workers; 0 (or a platform
     without ``fork``, with a warning) selects the thread fallback.
     ``injector`` enables fault injection on calls; ``tracer`` receives
-    the ``SUP_CALL_*`` ledger.  ``default_timeout_s`` is the deadline a
-    fork-mode call falls back to when :meth:`run` is given none: a
-    hard-crashed fork never fires its ``apply_async`` callback, and a
-    deadline-less in-flight entry is invisible to the supervisor's
-    :meth:`expire_overdue` sweep — the call would pend forever (and
-    ``Engine.stop`` would deadlock draining it).  Pass ``None`` only if
-    you accept that risk; thread-mode calls always resolve and use the
-    caller's timeout verbatim.
+    the ``SUP_*`` ledger.  ``default_timeout_s`` is the deadline a
+    fork-mode call falls back to when :meth:`run` is given none: it still
+    bounds a *hung* worker whose caller gave no deadline (a dead one is
+    reported at once either way).  Thread-mode calls always resolve and
+    use the caller's timeout verbatim.
     """
 
     def __init__(
@@ -243,21 +252,26 @@ class WorkerPool:
         self.default_timeout_s = default_timeout_s
         #: Names this pool in the ``SUP_*`` ledger.  A single-pool engine
         #: leaves it empty; the sharded tier labels each replica pool so
-        #: per-pool restart counters stay distinguishable in one stream.
+        #: per-pool deaths stay distinguishable in one stream.
         self.label = label
         #: Start of this pool's call-id range.  Call ids key the
         #: fault/recovery ledgers (``FLT_INJECT_* .call`` vs
         #: ``SUP_CALL_*``), so pools sharing one tracer must carve out
         #: disjoint ranges or their ledger entries collide.
         self._call_seq = call_id_base
-        self._pool = None
-        self._pool_key: Optional[int] = None
+        self._workers: Optional[PipedWorkers] = None
+        self._loop = None  # the loop whose readers deliver worker events
         self._executor: Optional[ThreadPoolExecutor] = None
         self.forked = False
-        self._inflight: dict[int, _InflightCall] = {}
-        self.restarts = 0
+        self._inflight: dict[int, _Call] = {}
         self.calls_failed = 0
         self.calls_abandoned = 0
+        #: Deaths nobody asked for (crash, external kill), the
+        #: replacements forked, and the workers this pool killed itself
+        #: because the call they held ran out of time or lost its caller.
+        self.crashes_detected = 0
+        self.respawns_detected = 0
+        self.workers_killed = 0
 
     # -- life cycle -----------------------------------------------------------
     def start(self) -> None:
@@ -271,7 +285,10 @@ class WorkerPool:
             )
             processes = 0
         if processes > 0:
-            self._fork_pool(processes)
+            self._workers = PipedWorkers(
+                processes, _fork_call, (self.trees,), self, warm=_warm
+            )
+            self._workers.start()
             self.forked = True
         else:
             threads = max(2, min(8, os.cpu_count() or 2))
@@ -279,123 +296,22 @@ class WorkerPool:
                 max_workers=threads, thread_name_prefix="repro-service"
             )
 
-    def _fork_pool(self, processes: int) -> None:
-        # The registry entry must STAY parked for the pool's lifetime:
-        # multiprocessing.Pool forks a replacement from the parent each
-        # time a worker dies, and a replacement forked without the entry
-        # would inherit no trees and fail every call it serves.  The
-        # parent holds ``self.trees`` anyway, so this costs nothing.
-        self._pool_key = next(_POOL_KEYS)
-        _WORK_TREES[self._pool_key] = self.trees
-        context = multiprocessing.get_context("fork")
-        self._pool = context.Pool(
-            processes, initializer=_fork_init, initargs=(self._pool_key,)
-        )
-
-    def _release_trees(self) -> None:
-        if self._pool_key is not None:
-            _WORK_TREES.pop(self._pool_key, None)
-            self._pool_key = None
-
-    def restart(self) -> int:
-        """Tear down the forked pool and re-fork it from the tree registry.
-
-        The fresh workers re-inherit every tree through fork, exactly as
-        at :meth:`start`.  All in-flight calls fail with a typed
-        :class:`WorkerError` so their awaiters re-enqueue through the
-        engine's retry layer; returns the number of calls so failed.
-        Thread mode has nothing to respawn and is a no-op.
-        """
-        if self._pool is None:
-            return 0
-        dead, self._pool = self._pool, None
-        dead.terminate()
-        dead.join()
-        self._release_trees()
-        self._fork_pool(self.requested_processes)
-        self.restarts += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.SUP_POOL_RESTARTED,
-                restarts=self.restarts,
-                pool=self.label,
-            )
-        failed = 0
-        for entry in list(self._inflight.values()):
-            if not entry.future.done():
-                entry.future.set_exception(
-                    WorkerError(
-                        "worker pool restarted with the call in flight",
-                        cause_type="pool-restarted",
-                        call_id=entry.call_id,
-                        kind=entry.kind,
-                    )
-                )
-                failed += 1
-        return failed
-
     async def close(self) -> None:
-        """Release the backend (blocking joins run off-loop).
-
-        Uses ``terminate()`` rather than ``close()``: a worker that hard-
-        crashed mid-call leaves its ``apply_async`` entry in the pool's
-        result cache forever, and ``close()+join()`` spins on that cache
-        never emptying.  The engine has already drained every awaited
-        request by the time it closes the pool, so nothing of value is
-        lost.
-        """
-        loop = asyncio.get_running_loop()
-        if self._pool is not None:
-            pool = self._pool
-            self._pool = None
-            pool.terminate()
-            await loop.run_in_executor(None, pool.join)
-            self._release_trees()
+        """Release the backend; a call still in flight fails typed."""
+        if self._workers is not None:
+            workers, self._workers = self._workers, None
+            workers.close()
+            for call in self._inflight.values():
+                call.fail("lost its pool: closed", "pool-closed")
         if self._executor is not None:
-            executor = self._executor
-            self._executor = None
-            await loop.run_in_executor(None, partial(executor.shutdown, True))
+            executor, self._executor = self._executor, None
+            await asyncio.get_running_loop().run_in_executor(
+                None, partial(executor.shutdown, True)
+            )
 
-    # -- health (what the supervisor polls) -----------------------------------
     def worker_pids(self) -> frozenset[int]:
         """PIDs of the currently live forked workers (empty in thread mode)."""
-        pool = self._pool
-        if pool is None:
-            return frozenset()
-        try:
-            return frozenset(
-                p.pid for p in pool._pool if p.pid is not None and p.is_alive()
-            )
-        except (AttributeError, OSError):  # pool mid-teardown
-            return frozenset()
-
-    def expire_overdue(self, grace_s: float = 0.0) -> int:
-        """Fail every in-flight call whose deadline has passed.
-
-        The belt to :meth:`run`'s ``timeout_s`` braces: normally the
-        awaiter's own ``wait_for`` fires first, but a caller that
-        dispatched without a timeout still gets its future resolved here
-        when the supervisor sweeps.  Returns the number of calls failed.
-        """
-        now = time.monotonic()
-        expired = 0
-        for entry in list(self._inflight.values()):
-            if (
-                entry.deadline_at is not None
-                and now > entry.deadline_at + grace_s
-                and not entry.future.done()
-            ):
-                entry.future.set_exception(
-                    WorkerError(
-                        f"call {entry.call_id} ({entry.kind}) exceeded its "
-                        f"deadline (supervisor sweep)",
-                        cause_type="deadline",
-                        call_id=entry.call_id,
-                        kind=entry.kind,
-                    )
-                )
-                expired += 1
-        return expired
+        return frozenset() if self._workers is None else self._workers.pids()
 
     @property
     def inflight_calls(self) -> int:
@@ -406,55 +322,32 @@ class WorkerPool:
         """Run one supervised execution; awaitable from the event loop.
 
         Raises :class:`WorkerError` on any failure (worker exception,
-        crash, deadline) — the future always resolves.  ``timeout_s``
-        bounds this single attempt; retrying is the caller's policy.
+        death, deadline) — the future always resolves.  ``timeout_s``
+        bounds this single attempt, from hand-off to a worker; retrying
+        is the caller's policy.
         """
         if kind not in _EXEC_FNS:
             raise KeyError(f"unknown execution kind {kind!r}")
-        if timeout_s is None and self._pool is not None:
-            # Fork-mode calls always carry a deadline: a hard-crashed
-            # worker never fires the apply_async callback, and without
-            # a deadline neither the timer below nor the supervisor's
-            # expire_overdue sweep could ever resolve the future.
+        workers = self._workers
+        if timeout_s is None and workers is not None:
             timeout_s = self.default_timeout_s
         loop = asyncio.get_running_loop()
         call_id = self._call_seq
         self._call_seq += 1
-        directive = (
-            self.injector.worker_directive(call_id)
-            if self.injector is not None
-            else None
-        )
-        future: asyncio.Future = loop.create_future()
-        deadline_at = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        entry = _InflightCall(
-            call_id, kind, future, deadline_at, directive is not None
-        )
-        self._inflight[call_id] = entry
-        timer = None
-        if timeout_s is not None:
-            # A plain timer failing the future is much cheaper per call
-            # than asyncio.wait_for (no wrapper coroutine, no cancellation
-            # plumbing) — and this is the hot path of every request.
-            def _expire() -> None:
-                if not future.done():
-                    future.set_exception(
-                        WorkerError(
-                            f"call {call_id} ({kind}) exceeded its "
-                            f"{timeout_s}s deadline (crashed or hung worker)",
-                            cause_type="deadline",
-                            call_id=call_id,
-                            kind=kind,
-                        )
-                    )
-
-            timer = loop.call_later(timeout_s, _expire)
+        call = _Call(call_id, kind, args, loop.create_future(), timeout_s)
+        self._inflight[call_id] = call
         try:
-            self._dispatch(loop, kind, directive, args, call_id, future)
-            value = await future
-            if entry.faulted and self.tracer.enabled:
+            if timeout_s is not None and timeout_s <= 0:
+                call.fail("was given no time at all", "deadline")
+            elif workers is not None:
+                if self._loop is not loop:
+                    self._loop = loop
+                    workers.watch(loop)
+                workers.submit(call_id)
+            else:
+                self._run_in_thread(loop, call)
+            value = await call.future
+            if call.faulted and self.tracer.enabled:
                 # A faulted call that completed anyway (short hang, slow
                 # I/O): close its ledger entry explicitly.
                 self.tracer.emit(EventKind.SUP_CALL_OK, call=call_id)
@@ -471,60 +364,109 @@ class WorkerPool:
             raise
         except asyncio.CancelledError:
             self.calls_abandoned += 1
+            if self._workers is not None:
+                # Nobody waits for it any more: unqueue it, or free the
+                # worker that holds it.
+                self._workers.drop(call_id)
             if self.tracer.enabled:
                 self.tracer.emit(EventKind.SUP_CALL_ABANDONED, call=call_id)
             raise
         finally:
-            if timer is not None:
-                timer.cancel()
-            self._inflight.pop(call_id, None)
+            if call.timer is not None:
+                call.timer.cancel()
+            del self._inflight[call_id]
 
-    def _dispatch(self, loop, kind, directive, args, call_id, future) -> None:
-        if self._pool is not None:
+    def _directive(self, call: _Call) -> Optional[FaultDirective]:
+        if self.injector is None:
+            return None
+        directive = self.injector.worker_directive(call.call_id)
+        call.faulted = directive is not None
+        return directive
 
-            def _resolve(value, fut=future):
-                loop.call_soon_threadsafe(_set_result, fut, value)
-
-            def _fail(exc, fut=future, cid=call_id, knd=kind):
-                # Always a typed WorkerError: whatever the worker raised
-                # (or failed to pickle back) resolves the caller's future.
-                if not isinstance(exc, WorkerError):
-                    exc = WorkerError(
-                        f"worker call {cid} ({knd}) failed: "
-                        f"{type(exc).__name__}: {exc}",
-                        cause_type=type(exc).__name__,
-                        call_id=cid,
-                        kind=knd,
-                    )
-                loop.call_soon_threadsafe(_set_exception, fut, exc)
-
-            self._pool.apply_async(
-                _fork_call,
-                (kind, directive, tuple(args)),
-                callback=_resolve,
-                error_callback=_fail,
-            )
+    def _expire(self, call: _Call) -> None:
+        if call.future.done():
             return
+        if self._workers is not None:
+            # The timer runs from hand-off, so a worker holds the call:
+            # a hung worker must not keep its slot.
+            self._workers.drop(call.call_id)
+        call.fail(
+            f"exceeded its {call.timeout_s}s deadline (hung or slow worker)",
+            "deadline",
+        )
+
+    # -- the substrate's sink (fork mode) --------------------------------------
+    def handoff(self, call_id: int, pid: int) -> tuple:
+        """An idle worker takes the call: fault decision and attempt clock
+        both start here, so neither is spent on a call that never runs."""
+        call = self._inflight[call_id]
+        if call.timeout_s is not None:
+            call.timer = self._loop.call_later(
+                call.timeout_s, self._expire, call
+            )
+        return call.kind, self._directive(call), call.args
+
+    def done(self, call_id: int, ok: bool, value) -> None:
+        call = self._inflight[call_id]
+        if ok:
+            if not call.future.done():
+                call.future.set_result(value)
+        else:
+            # Always a typed WorkerError, whatever the worker raised.
+            call.fail("failed: %s: %s" % value, value[0])
+
+    def died(self, call_id, pid, exitcode, killed, replacement_pid) -> None:
+        traced = self.tracer.enabled
+        if killed:
+            self.workers_killed += 1
+        else:
+            self.crashes_detected += 1
+            if traced:
+                payload = {"pid": pid, "pool": self.label, "exitcode": exitcode}
+                if call_id is not None:
+                    payload["call"] = call_id
+                self.tracer.emit(EventKind.SUP_WORKER_CRASH_DETECTED, **payload)
+        self.respawns_detected += 1
+        if traced:
+            self.tracer.emit(
+                EventKind.SUP_WORKER_RESPAWNED,
+                pid=replacement_pid,
+                pool=self.label,
+            )
+        if call_id is not None:
+            self._inflight[call_id].fail(
+                f"lost its worker: pid {pid} died with exit code {exitcode}",
+                "worker-died",
+            )
+
+    # -- the thread fallback ---------------------------------------------------
+    def _run_in_thread(self, loop, call: _Call) -> None:
         if self._executor is None:
             raise RuntimeError("worker pool is not started")
+        if call.timeout_s is not None:
+            # A plain timer failing the future is much cheaper per call
+            # than asyncio.wait_for (no wrapper coroutine, no cancellation
+            # plumbing) — and this is the hot path of every request.
+            call.timer = loop.call_later(call.timeout_s, self._expire, call)
+        directive = self._directive(call)
 
-        def _thread_fn(trees=self.trees, cid=call_id, knd=kind):
+        def _thread_fn(trees=self.trees):
             try:
-                return _inline_call(trees, knd, directive, args)
+                return _inline_call(trees, call.kind, directive, call.args)
             except WorkerError:
                 raise
             except BaseException as exc:
                 raise WorkerError(
-                    f"worker call {cid} ({knd}) failed: "
+                    f"worker call {call.call_id} ({call.kind}) failed: "
                     f"{type(exc).__name__}: {exc}",
                     cause_type=type(exc).__name__,
-                    call_id=cid,
-                    kind=knd,
+                    call_id=call.call_id,
+                    kind=call.kind,
                 ) from exc
 
         thread_future = loop.run_in_executor(self._executor, _thread_fn)
         thread_future.add_done_callback(
-            lambda tf, fut=future: _settle_from(tf, fut)
+            lambda tf, fut=call.future: _settle_from(tf, fut)
         )
 
     # -- convenience ----------------------------------------------------------
@@ -554,18 +496,8 @@ class WorkerPool:
         )
         return (
             f"<WorkerPool {mode} trees={sorted(self.trees)} "
-            f"inflight={len(self._inflight)} restarts={self.restarts}>"
+            f"inflight={len(self._inflight)} crashes={self.crashes_detected}>"
         )
-
-
-def _set_result(fut: asyncio.Future, value) -> None:
-    if not fut.done():
-        fut.set_result(value)
-
-
-def _set_exception(fut: asyncio.Future, exc) -> None:
-    if not fut.done():
-        fut.set_exception(exc)
 
 
 def _settle_from(source: asyncio.Future, target: asyncio.Future) -> None:

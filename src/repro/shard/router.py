@@ -26,11 +26,12 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
 * each shard runs **R replica pools** with round-robin read routing, and
   every routed sub-request executes under a
   :class:`~repro.recovery.lease.LeaseTable` lease: a crashed or hung
-  replica fails the attempt, the lease expires and is requeued
+  replica fails the attempt — a crash at once, as ``worker-died``, a
+  hang at the attempt deadline — the lease expires and is requeued
   (``LSE_REQUEUED``), and the sub-request **fails over** to the next
   replica (``SHD_FAILOVER``) instead of failing the request — with one
-  replica, the retry lands on the pool the per-pool
-  :class:`~repro.service.supervisor.Supervisor` re-forks.  The
+  replica, the retry lands on the same pool, which has already forked
+  the dead worker's replacement.  The
   :class:`~repro.recovery.ledger.ResultLedger` keeps the merge
   exactly-once if a lost attempt ever resurfaces.
 
@@ -51,7 +52,7 @@ from ..faults import FaultPlan
 from ..geometry.rect import Rect
 from ..recovery.lease import LeaseTable
 from ..recovery.ledger import ResultLedger
-from ..service.frontdoor import FrontDoor, totals
+from ..service.frontdoor import FrontDoor, pool_totals
 from ..service.model import (
     JoinRequest,
     KNNRequest,
@@ -61,7 +62,6 @@ from ..service.model import (
     canonical_rect,
 )
 from ..service.resilience import WorkerError
-from ..service.supervisor import Supervisor
 from ..service.workers import WorkerPool
 from ..trace import EventKind
 from .ops import merge_knn, mindist
@@ -111,8 +111,6 @@ class ShardConfig:
     max_attempts: int = 3
     cache_capacity: int = 1024
     cache_ttl_s: Optional[float] = 60.0
-    supervise: bool = True
-    supervisor_interval_s: float = 0.2
     faults: Optional[FaultPlan] = None
 
 
@@ -140,7 +138,6 @@ class ShardRouter(FrontDoor):
             cells_per_side=self.config.cells_per_side,
         )
         self.pools: list[list[WorkerPool]] = []
-        self.supervisors: list[Supervisor] = []
         for shard in range(self.config.shards):
             replicas = []
             for replica in range(self.config.replicas):
@@ -154,14 +151,6 @@ class ShardRouter(FrontDoor):
                     call_id_base=index * _CALL_ID_STRIDE,
                 )
                 replicas.append(pool)
-                if self.config.supervise:
-                    self.supervisors.append(
-                        Supervisor(
-                            pool,
-                            interval_s=self.config.supervisor_interval_s,
-                            tracer=self.tracer,
-                        )
-                    )
             self.pools.append(replicas)
         self.leases = LeaseTable(
             clock=self._now, lease_s=_LEASE_S, tracer=self.tracer
@@ -205,8 +194,6 @@ class ShardRouter(FrontDoor):
         for replicas in self.pools:
             for pool in replicas:
                 pool.start()
-        for supervisor in self.supervisors:
-            supervisor.start()
         self._announce_topology()
         return {
             "shards": self.config.shards,
@@ -237,8 +224,6 @@ class ShardRouter(FrontDoor):
                 self.tracer.emit(EventKind.SHD_SHARD_UP, **payload)
 
     async def _stop_backend(self) -> None:
-        for supervisor in self.supervisors:
-            await supervisor.stop()
         for replicas in self.pools:
             for pool in replicas:
                 await pool.close()
@@ -608,24 +593,13 @@ class ShardRouter(FrontDoor):
                 **self._shard_stats[shard],
                 "queue_depth": sum(p.inflight_calls for p in replicas),
                 "replicas": len(replicas),
-                "pool_restarts": sum(p.restarts for p in replicas),
+                "crashes_detected": sum(p.crashes_detected for p in replicas),
                 "calls_failed": sum(p.calls_failed for p in replicas),
             }
         return {
             **super().snapshot(),
             "breakers": None,
-            "supervisor": (
-                totals(
-                    self.supervisors, "sweeps", "crashes_detected",
-                    "respawns_detected", "deadline_expiries", "pool_restarts",
-                )
-                if self.supervisors
-                else None
-            ),
-            "pool": totals(
-                [p for replicas in self.pools for p in replicas],
-                "restarts", "calls_failed", "calls_abandoned",
-            ),
+            **pool_totals([p for replicas in self.pools for p in replicas]),
             "partition": {
                 "mode": self.sharded.pmap.mode,
                 "shards": self.config.shards,

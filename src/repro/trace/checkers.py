@@ -669,10 +669,11 @@ class ResilienceAccountingChecker(InvariantChecker):
       closed→open, open→half-open, half-open→open|closed;
     * worker supervision is lawful: a pid reported crashed
       (``SUP_WORKER_CRASH_DETECTED``) cannot crash again unless the pid
-      re-entered the pool via ``SUP_WORKER_RESPAWNED``, and the
-      ``restarts`` counter carried by ``SUP_POOL_RESTARTED`` increases
-      strictly monotonically per pool (the ``pool`` label; one stream
-      can carry many pools — the sharded tier runs one per replica).
+      re-entered the pool via ``SUP_WORKER_RESPAWNED``, and a crash that
+      names its victim (``call``) is honoured — that call closes as
+      ``SUP_CALL_FAILED error="worker-died"`` (or ``SUP_CALL_ABANDONED``
+      when its awaiter went away in the same instant), never as a
+      success, never under another cause, never not at all.
 
     On a healthy stream (no ``FLT_*``/``SUP_*`` events at all) every rule
     is vacuously satisfied, so the checker can ride on any service run.
@@ -724,9 +725,8 @@ class ResilienceAccountingChecker(InvariantChecker):
         self.surfaced = 0  # error + timeout + cancellation outcomes
         self.worker_crashes = 0
         self.worker_respawns = 0
-        self.pool_restarts = 0
         self._crashed_pids: set = set()
-        self._last_restart_count: dict = {}  # pool label -> last counter
+        self._victims: dict = {}  # call a crash named -> the crashed pid
 
     def observe(self, event: TraceEvent) -> None:
         kind = event.kind
@@ -739,6 +739,16 @@ class ResilienceAccountingChecker(InvariantChecker):
         elif kind in self._CALL_CLOSERS:
             call = data.get("call")
             self._closed.add(call)
+            pid = self._victims.pop(call, None)
+            if pid is not None and not (
+                kind is EventKind.SUP_CALL_ABANDONED
+                or data.get("error") == "worker-died"
+            ):
+                self._violate(
+                    f"call {call} was held by crashed worker pid {pid} "
+                    f"but closed as {kind.value} "
+                    f"error={data.get('error')!r}, not as worker-died"
+                )
             if kind is EventKind.SUP_CALL_OK:
                 self.calls_ok += 1
             elif kind is EventKind.SUP_CALL_ABANDONED:
@@ -789,23 +799,13 @@ class ResilienceAccountingChecker(InvariantChecker):
                     f"respawn in between"
                 )
             self._crashed_pids.add(pid)
+            if data.get("call") is not None:
+                self._victims[data["call"]] = pid
         elif kind is EventKind.SUP_WORKER_RESPAWNED:
             self.worker_respawns += 1
             # Respawns carry the *new* pid; discarding handles OS pid reuse,
             # which is the only way a crashed pid can lawfully crash again.
             self._crashed_pids.discard(data.get("pid"))
-        elif kind is EventKind.SUP_POOL_RESTARTED:
-            self.pool_restarts += 1
-            count = data.get("restarts")
-            if count is not None:
-                pool = data.get("pool", "")
-                last = self._last_restart_count.get(pool, 0)
-                if count <= last:
-                    self._violate(
-                        f"pool {pool!r} restart counter went {last} "
-                        f"-> {count}; restarts must increase strictly"
-                    )
-                self._last_restart_count[pool] = count
         elif kind in (
             EventKind.SVC_REQUEST_ERROR,
             EventKind.SVC_REQUEST_TIMEOUT,
@@ -845,6 +845,11 @@ class ResilienceAccountingChecker(InvariantChecker):
         self.violation_count += max(
             0, len(unanswered) - MAX_STORED_VIOLATIONS
         )
+        for call, pid in sorted(self._victims.items()):
+            self._violate(
+                f"call {call} was held by crashed worker pid {pid} and "
+                f"never closed as worker-died"
+            )
         if self.giveups > self.surfaced:
             self._violate(
                 f"give-ups ({self.giveups}) exceed surfaced "
@@ -880,7 +885,6 @@ class ResilienceAccountingChecker(InvariantChecker):
             "breaker_transitions": self.breaker_transitions,
             "worker_crashes": self.worker_crashes,
             "worker_respawns": self.worker_respawns,
-            "pool_restarts": self.pool_restarts,
         }
 
 

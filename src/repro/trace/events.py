@@ -140,7 +140,6 @@ class EventKind(str, enum.Enum):
     SUP_CALL_GIVEUP = "sup_call_giveup"    # retries exhausted; error surfaces
     SUP_WORKER_CRASH_DETECTED = "sup_worker_crash_detected"
     SUP_WORKER_RESPAWNED = "sup_worker_respawned"
-    SUP_POOL_RESTARTED = "sup_pool_restarted"
     SUP_BREAKER_OPEN = "sup_breaker_open"
     SUP_BREAKER_HALF_OPEN = "sup_breaker_half_open"
     SUP_BREAKER_CLOSED = "sup_breaker_closed"

@@ -16,11 +16,6 @@ def park_bad(trees):
     _CURRENT = trees  # planted FORK001
 
 
-def park_marked(trees):
-    global _CURRENT
-    _CURRENT = trees  # repro: fork-init
-
-
 def register_bad(key, trees):
     _REGISTRY[key] = trees  # planted FORK001 (subscript store)
 

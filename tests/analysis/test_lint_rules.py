@@ -71,7 +71,6 @@ class TestSuppression:
             )
             line = source_file.read_text().splitlines()[finding.line - 1]
             assert "repro: noqa" not in line
-            assert "repro: fork-init" not in line
 
     def test_bare_noqa_suppresses_every_rule(self, tmp_path):
         sim = tmp_path / "sim"

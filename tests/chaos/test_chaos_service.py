@@ -53,7 +53,6 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
         attempt_timeout_s=0.5,
         retry=RetryPolicy(max_attempts=4),
         default_timeout_s=timeout,
-        supervisor_interval_s=0.1,
     )
     sink = ListSink()
     rng = random.Random(7)
@@ -73,6 +72,17 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
 
     responses, snapshot = asyncio.run(main())
     return reqs, responses, snapshot, sink
+
+
+def assert_deaths_are_exact(snapshot):
+    """A fault is decided when a worker takes the call, so every injected
+    crash is one death, seen as it happens: the count is exact, and every
+    dead or killed (hung past its deadline) worker was replaced."""
+    deaths = snapshot["supervisor"]
+    assert deaths["crashes_detected"] == snapshot["faults_injected"]["crashes"]
+    assert deaths["respawns_detected"] == (
+        deaths["crashes_detected"] + deaths["workers_killed"]
+    )
 
 
 @pytest.mark.slow
@@ -114,6 +124,7 @@ class TestChaosInvariantForked:
         # Chaos actually happened: faults were injected and survived.
         faults = snapshot["faults_injected"]
         assert faults["crashes"] + faults["hangs"] + faults["slow_ios"] > 0
+        assert_deaths_are_exact(snapshot)
 
         # Every injected fault reconciled, retries within deadlines,
         # breaker transitions lawful — the full checker battery agrees.
@@ -129,9 +140,7 @@ class TestChaosInvariantForked:
             trees, side, workers=2, requests=60, plan=plan
         )
         assert snapshot["faults_injected"]["crashes"] > 0
-        supervisor = snapshot["supervisor"]
-        assert supervisor["crashes_detected"] > 0
-        assert supervisor["respawns_detected"] > 0
+        assert_deaths_are_exact(snapshot)
         # Despite the carnage, work still succeeded after retries.
         assert any(r.ok for r in responses)
         verdicts = run_checkers(sink.events, service_checkers())

@@ -1,5 +1,6 @@
 """Tests for the real multiprocessing filter-step backend."""
 
+import multiprocessing
 import time
 import warnings
 
@@ -82,17 +83,23 @@ class TestJoinPlan:
         assert len(serial) > 7
 
 
+def assert_nothing_left_behind():
+    assert multiprocessing.active_children() == []
+    assert not hasattr(mp_module, "_WORK")
+
+
 class TestForkGuard:
     def test_work_global_reset_after_pool_run(self, trees):
-        """The parent must not keep pinning both trees via _WORK after
-        the pool has finished (regression: fork-inherited state leak)."""
+        """Nothing outlives the run (regression: fork-inherited state
+        leak): workers get the plan as their fork argument, so there is
+        no parking global to reset, and every worker is gone."""
         tree_r, tree_s = trees
         multiprocessing_join(tree_r, tree_s, processes=2)
-        assert mp_module._WORK is None
+        assert_nothing_left_behind()
 
     def test_spawn_only_platform_warns_and_falls_back(self, trees, monkeypatch):
         """Without fork (spawn-only platforms) the join must warn and run
-        the serial path — same answers, no pool, _WORK untouched."""
+        the serial path — same answers, no worker forked."""
         tree_r, tree_s = trees
         monkeypatch.setattr(
             mp_module.multiprocessing,
@@ -102,7 +109,7 @@ class TestForkGuard:
         with pytest.warns(RuntimeWarning, match="fork"):
             pairs = multiprocessing_join(tree_r, tree_s, processes=4)
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
-        assert mp_module._WORK is None
+        assert_nothing_left_behind()
 
     def test_single_process_does_not_warn(self, trees):
         tree_r, tree_s = trees
@@ -112,9 +119,8 @@ class TestForkGuard:
         assert len(pairs) > 0
 
 
-def _hang_forever(spec):
-    # Stands in for _run_chunk; must be module-level so the pool can
-    # pickle a reference to it.
+def _hang_forever(*_):
+    # Stands in for _run_chunk in the forked workers.
     time.sleep(600)
 
 
@@ -134,7 +140,7 @@ class TestDeadline:
             )
         assert time.perf_counter() - started < 30
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
-        assert mp_module._WORK is None
+        assert_nothing_left_behind()
 
     def test_hung_workers_without_deadline_are_expired_by_their_lease(
         self, trees, monkeypatch
@@ -154,13 +160,48 @@ class TestDeadline:
                 tree_s,
                 processes=2,
                 recovery=RecoveryConfig(
-                    lease_s=0.2, heartbeat_s=0.1, sweep_s=0.05, max_redispatch=1
+                    lease_s=0.1, heartbeat_s=0.05, sweep_s=0.02, max_redispatch=1
                 ),
             )
         assert time.perf_counter() - started < 30
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
         assert len(pairs) == len(set(pairs))
-        assert mp_module._WORK is None
+        assert_nothing_left_behind()
+
+    def test_silent_chunk_costs_its_worker_not_the_pool(
+        self, trees, monkeypatch, tmp_path
+    ):
+        """One chunk goes silent on its first execution: its lease expires,
+        the holder is killed (it never keeps its slot), and the chunk is
+        re-run by a worker — nothing falls back to the inline path."""
+        from repro.join.mp import fault_tolerant_join
+        from repro.recovery import RecoveryConfig
+
+        tree_r, tree_s = trees
+        run_chunk, hung_once = mp_module._run_chunk, tmp_path / "hung-once"
+
+        def hang_chunk_1_once(work, progress, spec):
+            if spec[0] == 1 and not hung_once.exists():
+                hung_once.touch()
+                time.sleep(600)
+            return run_chunk(work, progress, spec)
+
+        monkeypatch.setattr(mp_module, "_run_chunk", hang_chunk_1_once)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs, stats = fault_tolerant_join(
+                tree_r,
+                tree_s,
+                2,
+                recovery=RecoveryConfig(
+                    lease_s=0.2, heartbeat_s=0.1, sweep_s=0.05
+                ),
+            )
+        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
+        assert len(pairs) == len(set(pairs))
+        assert stats["expired"] == stats["redispatches"] == 1
+        assert stats["inline_runs"] == 0
+        assert_nothing_left_behind()
 
     def test_generous_deadline_runs_parallel_without_warning(self, trees):
         tree_r, tree_s = trees
@@ -222,11 +263,14 @@ class TestWorkerDeathRegression:
         from repro.join.mp import fault_tolerant_join
         from repro.recovery import RecoveryConfig
 
+        from repro.trace import EventKind, ListSink, Tracer
+
         tree_r, tree_s = trees
         expected = sequential_join(tree_r, tree_s).pair_set()
         recovery = RecoveryConfig(
             lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05, chunk_tasks=2
         )
+        sink = ListSink()
         # Kill whichever worker starts task 4 — mid-chunk, mid-range.
         pairs, stats = fault_tolerant_join(
             tree_r,
@@ -234,6 +278,7 @@ class TestWorkerDeathRegression:
             2,
             recovery=recovery,
             faults=FaultPlan(seed=0, kill_at_task=(4,)),
+            tracer=Tracer(sinks=[sink]),
         )
         assert set(pairs) == expected
         assert len(pairs) == len(set(pairs))
@@ -243,3 +288,9 @@ class TestWorkerDeathRegression:
         assert stats["redispatches"] == 1
         assert stats["fault_counts"]["task_kills"] == 1
         assert stats["tasks_committed"] == stats["chunks"]
+        # The death itself expired the lease: nobody waited lease_s out.
+        assert [
+            (e.data["task"], e.data["reason"])
+            for e in sink.events
+            if e.kind is EventKind.LSE_EXPIRED
+        ] == [(2, "died")]

@@ -25,7 +25,13 @@ from repro.recovery import (
     run_recoverable_join,
 )
 from repro.rtree import FlatRTree, RStarTree, build_flat_tree
-from repro.trace import ListSink, Tracer, recovery_checkers, run_checkers
+from repro.trace import (
+    EventKind,
+    ListSink,
+    Tracer,
+    recovery_checkers,
+    run_checkers,
+)
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK, reason="requires the fork start method")
@@ -86,6 +92,20 @@ class _SlowPlan:
 def assert_lawful(sink):
     for verdict in run_checkers(sink.events, recovery_checkers()):
         assert verdict.ok, (verdict.checker, verdict.violations)
+
+
+def assert_every_kill_was_an_event(sink, stats):
+    """Each kill is one death, reported as it happens: its lease expires
+    as ``died`` — never by running out its ``lease_s`` (``deadline``) —
+    and its chunk is requeued once."""
+    reasons = [
+        event.data["reason"]
+        for event in sink.events
+        if event.kind is EventKind.LSE_EXPIRED
+    ]
+    kills = stats["fault_counts"]["task_kills"]
+    assert reasons == ["died"] * kills
+    assert stats["expired"] == stats["redispatches"] == kills
 
 
 class TestHealthyRuns(Backend):
@@ -150,6 +170,7 @@ class TestKilledWorkers(Backend):
         assert stats["redispatches"] >= 1
         assert stats["expired"] >= 1
         assert stats["fault_counts"]["task_kills"] >= 1
+        assert_every_kill_was_an_event(sink, stats)
         assert_lawful(sink)
 
     @needs_fork
@@ -164,6 +185,8 @@ class TestKilledWorkers(Backend):
         )
         assert set(pairs) == expected
         assert len(pairs) == len(set(pairs))
+        assert stats["fault_counts"]["task_kills"] >= 1
+        assert_every_kill_was_an_event(sink, stats)
         assert_lawful(sink)
 
 
@@ -257,6 +280,7 @@ class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
         assert sorted(pairs) == sorted(sequential_join(*trees).pair_set())
         assert stats["fault_counts"]["task_kills"] == 1
         assert stats["redispatches"] == 1 and stats["inline_runs"] == 0
+        assert_every_kill_was_an_event(sink, stats)
         assert_lawful(sink)
         assert trees[0]._node_tree is None and trees[1]._node_tree is None
 

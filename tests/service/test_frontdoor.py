@@ -36,7 +36,7 @@ def make_engine(sinks=()):
 
 
 def make_router(sinks=()):
-    config = ShardConfig(shards=2, workers=0, supervise=False)
+    config = ShardConfig(shards=2, workers=0)
     return ShardRouter(DATASETS, config, sinks=sinks)
 
 

@@ -11,9 +11,10 @@ import time
 import pytest
 
 from repro.datagen import build_tree, paper_maps
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
 from repro.service import WorkerError, WorkerPool, fork_available
-from repro.trace import EventKind, ListSink, Tracer
+from repro.trace import EventKind, ListSink, Tracer, run_checkers
+from repro.trace.checkers import ResilienceAccountingChecker
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,15 @@ def run_pool(trees, processes, coro_fn, **pool_kwargs):
             await pool.close()
 
     return asyncio.run(main())
+
+
+async def wait_until(probe, timeout_s=5.0):
+    """Poll *probe* until it returns something truthy; return that."""
+    deadline = time.monotonic() + timeout_s
+    while not (value := probe()):
+        assert time.monotonic() < deadline, "condition never became true"
+        await asyncio.sleep(0.005)
+    return value
 
 
 class TestWorkerErrorType:
@@ -96,70 +106,149 @@ class TestForkModeFailures:
         error = run_pool(trees, 2, body)
         assert error.cause_type == "KeyError"
 
-    def test_killed_worker_resolves_future_with_deadline_error(self, trees):
+    def test_killed_worker_fails_its_call_as_worker_died(self, trees):
         """SIGKILL one worker while its call is in flight: the awaited
-        future must still resolve — as a typed deadline WorkerError —
-        instead of hanging forever (the original ``_fail`` bug).  A hang
-        directive pins the call inside the worker so the kill is
-        guaranteed to land mid-call."""
+        future resolves — as a typed ``worker-died`` WorkerError, at the
+        death and not at the deadline — instead of hanging forever (the
+        original ``_fail`` bug).  A hang directive pins the call inside
+        the worker so the kill is guaranteed to land mid-call."""
         plan = FaultPlan(seed=1, worker_hang_p=1.0, hang_s=30.0)
         injector = FaultInjector(plan)
 
         async def body(pool):
-            victim = next(iter(pool.worker_pids()))
-
-            async def assassin():
-                await asyncio.sleep(0.1)
-                os.kill(victim, signal.SIGKILL)
-
-            kill_task = asyncio.ensure_future(assassin())
+            call = asyncio.ensure_future(
+                pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=20.0)
+            )
+            victim = await wait_until(pool.worker_pids)
+            await wait_until(lambda: injector.hangs)  # handed to the victim
+            os.kill(next(iter(victim)), signal.SIGKILL)
             with pytest.raises(WorkerError) as info:
-                await pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=1.0)
-            await kill_task
-            return info.value
+                await asyncio.wait_for(call, 5.0)
+            return info.value, victim, pool.worker_pids()
 
-        error = run_pool(trees, 1, body, injector=injector)
-        assert error.cause_type == "deadline"
+        error, victim, after = run_pool(trees, 1, body, injector=injector)
+        assert error.cause_type == "worker-died"
         assert error.kind == "knn"
+        assert after and after.isdisjoint(victim)
 
     def test_injected_crash_resolves_future(self, trees):
-        """A worker dying via os._exit (the injected crash) leaves its
-        apply_async entry orphaned; the deadline brace must still fail
-        the call in bounded time."""
+        """A worker dying via os._exit (the injected crash) fails the call
+        it held at once — no deadline is waited out."""
         plan = FaultPlan(seed=2, worker_crash_p=1.0)
         injector = FaultInjector(plan)
 
         async def body(pool):
-            started = time.monotonic()
             with pytest.raises(WorkerError) as info:
-                await pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=0.5)
-            return info.value, time.monotonic() - started
+                await asyncio.wait_for(
+                    pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=20.0), 5.0
+                )
+            return info.value
 
-        error, elapsed = run_pool(trees, 2, body, injector=injector)
-        assert error.cause_type == "deadline"
-        assert elapsed < 10
+        error = run_pool(trees, 2, body, injector=injector)
+        assert error.cause_type == "worker-died"
+        assert str(CRASH_EXIT_CODE) in str(error)
         assert injector.crashes == 1
 
     def test_crashed_worker_without_timeout_uses_pool_default(self, trees):
-        """Regression: with ``timeout_s=None`` a hard-crashed fork never
-        fires its apply_async callback and the deadline sweep skips
-        deadline-less entries — the call pended forever (and a draining
-        engine deadlocked behind it).  Fork-mode calls now fall back to
-        the pool-level default deadline."""
-        plan = FaultPlan(seed=3, worker_crash_p=1.0)
-        injector = FaultInjector(plan)
+        """Regression: with ``timeout_s=None`` a fork-mode call used to
+        pend forever behind a dead worker (and a draining engine
+        deadlocked behind it).  A death now fails the call by itself; the
+        pool-level default deadline still bounds a *hung* worker whose
+        caller gave none."""
+        injector = FaultInjector(FaultPlan(seed=3, worker_crash_p=1.0))
 
-        async def body(pool):
-            started = time.monotonic()
+        async def crashed(pool):
             with pytest.raises(WorkerError) as info:
-                await pool.run("knn", "map1", 0.5, 0.5, 3)  # no timeout
-            return info.value, time.monotonic() - started
+                await asyncio.wait_for(
+                    pool.run("knn", "map1", 0.5, 0.5, 3), 5.0  # no timeout
+                )
+            return info.value
 
-        error, elapsed = run_pool(
-            trees, 2, body, injector=injector, default_timeout_s=0.5
+        error = run_pool(trees, 2, crashed, injector=injector)
+        assert error.cause_type == "worker-died"
+
+        injector = FaultInjector(
+            FaultPlan(seed=3, worker_hang_p=1.0, hang_s=30.0)
+        )
+        error = run_pool(
+            trees, 2, crashed, injector=injector, default_timeout_s=0.2
         )
         assert error.cause_type == "deadline"
-        assert elapsed < 10
+
+    def test_hung_worker_frees_its_slot(self, trees):
+        """Regression: a hung worker kept its pool slot after its call was
+        failed — with one worker the next healthy call failed ``deadline``
+        too and the third waited out the hang.  The deadline now kills
+        the holder, so the next call is served by its replacement."""
+        injector = FaultInjector(
+            FaultPlan(seed=5, worker_hang_p=1.0, hang_s=3.0)
+        )
+
+        async def body(pool):
+            before = await wait_until(pool.worker_pids)
+            with pytest.raises(WorkerError) as info:
+                await pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=0.2)
+            pool.injector = None  # healthy from here on
+            # Answered inside a deadline shorter than the hang still has
+            # to run: not by the hung worker, and not behind it.
+            value = await pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=2.0)
+            return info.value, value, before, pool.worker_pids()
+
+        error, value, before, after = run_pool(
+            trees, 1, body, injector=injector
+        )
+        assert error.cause_type == "deadline"
+        assert len(value) == 3
+        assert after and after.isdisjoint(before)
+
+    def test_dead_worker_fails_only_its_own_call(self, trees):
+        """A death is an event, and it names its victim: the dead worker's
+        call fails ``worker-died`` at once while the sibling's call, in
+        flight at the same moment, completes; the ledger records the
+        crash with its call and the respawn."""
+        sink = ListSink()
+        tracer = Tracer(clock=time.monotonic, sinks=[sink])
+        hang = FaultInjector(
+            FaultPlan(seed=6, worker_hang_p=1.0, hang_s=0.5), tracer=tracer
+        )
+        crash = FaultInjector(
+            FaultPlan(seed=6, worker_crash_p=1.0), tracer=tracer
+        )
+
+        async def body(pool):
+            sibling = asyncio.ensure_future(
+                pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=20.0)
+            )
+            await wait_until(lambda: hang.hangs)  # a worker holds it, asleep
+            pool.injector = crash
+            with pytest.raises(WorkerError) as info:
+                await asyncio.wait_for(
+                    pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=20.0), 5.0
+                )
+            # Reported at the death (~1 ms), not at any deadline: the
+            # sibling's half-second nap is not even over.
+            assert not sibling.done()
+            value = await asyncio.wait_for(sibling, 5.0)
+            return info.value, value, pool
+
+        error, value, pool = run_pool(
+            trees, 2, body, injector=hang, tracer=tracer
+        )
+        assert error.cause_type == "worker-died"
+        assert len(value) == 3
+        assert (pool.crashes_detected, pool.respawns_detected) == (1, 1)
+        assert pool.workers_killed == 0
+        crashes = [
+            e for e in sink.events
+            if e.kind is EventKind.SUP_WORKER_CRASH_DETECTED
+        ]
+        assert [(e.data["call"], e.data["exitcode"]) for e in crashes] == [
+            (error.call_id, CRASH_EXIT_CODE)
+        ]
+        verdict = run_checkers(sink.events, [ResilienceAccountingChecker()])[0]
+        # This test is the pool's caller, and it retries nothing: only
+        # the unanswered-failure rule may speak.
+        assert all("never answered" in v for v in verdict.violations)
 
     def test_two_live_pools_keep_their_own_registries(self, trees):
         """Regression: the tree registry used to be a single module
@@ -206,49 +295,57 @@ class TestForkModeFailures:
         assert len(a) == 3
         assert len(b) == 3
 
-    def test_restart_fails_inflight_and_recovers(self, trees):
+    def test_every_worker_killed_every_call_typed_every_worker_replaced(
+        self, trees
+    ):
+        """SIGKILL every worker with a call in flight on each: each call
+        fails typed, each worker is replaced, the next call succeeds."""
+        injector = FaultInjector(
+            FaultPlan(seed=8, worker_hang_p=1.0, hang_s=30.0)
+        )
+
         async def body(pool):
-            pids_before = pool.worker_pids()
-            assert pids_before
-
-            call = asyncio.ensure_future(
-                pool.run("knn", "map1", 0.5, 0.5, 8, timeout_s=5.0)
+            calls = [
+                asyncio.ensure_future(
+                    pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=20.0)
+                )
+                for _ in range(2)
+            ]
+            await wait_until(lambda: injector.hangs == 2)
+            before = pool.worker_pids()
+            for pid in before:
+                os.kill(pid, signal.SIGKILL)
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*calls, return_exceptions=True), 5.0
             )
-            await asyncio.sleep(0)  # let the dispatch happen
-            pool.restart()
-            outcome = await asyncio.gather(call, return_exceptions=True)
-
-            # The fresh pool re-inherited the trees and serves again.
+            pool.injector = None
             value = await pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=5.0)
-            return pids_before, pool.worker_pids(), outcome[0], value
+            return before, pool.worker_pids(), outcomes, value, pool
 
-        before, after, outcome, value = run_pool(trees, 2, body)
-        assert after and after.isdisjoint(before)
-        # The in-flight call either finished before the restart landed or
-        # was failed by it — but it resolved either way.
-        assert isinstance(outcome, (tuple, WorkerError))
-        if isinstance(outcome, WorkerError):
-            assert outcome.cause_type == "pool-restarted"
+        before, after, outcomes, value, pool = run_pool(
+            trees, 2, body, injector=injector
+        )
+        assert len(before) == len(after) == 2 and after.isdisjoint(before)
+        assert [type(o) for o in outcomes] == [WorkerError, WorkerError]
+        assert {o.cause_type for o in outcomes} == {"worker-died"}
         assert len(value) == 3
+        assert pool.crashes_detected == pool.respawns_detected == 2
 
-    def test_expire_overdue_fails_stuck_calls(self, trees):
-        """The supervisor's belt to run()'s braces: a registered call
-        whose deadline has passed gets its future failed by the sweep."""
-        from repro.service.workers import _InflightCall
+    def test_close_fails_a_call_still_in_flight(self, trees):
+        """``close()`` with a call in flight returns, and the call ends
+        typed instead of pending forever."""
+        injector = FaultInjector(
+            FaultPlan(seed=9, worker_hang_p=1.0, hang_s=30.0)
+        )
 
-        async def body(pool):
-            loop = asyncio.get_running_loop()
-            stuck = loop.create_future()
-            pool._inflight[999] = _InflightCall(
-                999, "knn", stuck, time.monotonic() - 1.0, True
-            )
-            expired = pool.expire_overdue()
-            error = stuck.exception()
-            del pool._inflight[999]
-            return expired, error
+        async def main():
+            pool = WorkerPool(trees, 1, injector=injector)
+            pool.start()
+            held = asyncio.ensure_future(pool.run("knn", "map1", 0.5, 0.5, 3))
+            queued = asyncio.ensure_future(pool.run("knn", "map1", 0.5, 0.5, 3))
+            await wait_until(lambda: injector.hangs)
+            await asyncio.wait_for(pool.close(), 5.0)
+            return await asyncio.gather(held, queued, return_exceptions=True)
 
-        expired, error = run_pool(trees, 1, body)
-        assert expired == 1
-        assert isinstance(error, WorkerError)
-        assert error.cause_type == "deadline"
-        assert error.call_id == 999
+        outcomes = asyncio.run(main())
+        assert [o.cause_type for o in outcomes] == ["pool-closed"] * 2

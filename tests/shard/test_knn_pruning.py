@@ -94,7 +94,7 @@ class TestRouterLevelPruning:
 
         async def main():
             cfg = ShardConfig(shards=2, replicas=1, workers=0,
-                              supervise=False, cache_capacity=0)
+                              cache_capacity=0)
             async with ShardRouter(datasets, cfg, sinks=[sink]) as router:
                 response = await router.submit(KNNRequest("pts", x, y, k))
                 assert response.status is Status.OK

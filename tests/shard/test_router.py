@@ -47,8 +47,7 @@ ORACLE = {name: str_bulk_load(items) for name, items in DATASETS.items()}
 
 
 def config(**kw):
-    base = dict(shards=4, replicas=1, workers=0, supervise=False,
-                cache_capacity=0)
+    base = dict(shards=4, replicas=1, workers=0, cache_capacity=0)
     base.update(kw)
     return ShardConfig(**base)
 
@@ -158,7 +157,7 @@ class TestFailover:
             statuses = []
             async with ShardRouter(
                 DATASETS,
-                config(replicas=2, workers=2, supervise=True, faults=plan,
+                config(replicas=2, workers=2, faults=plan,
                        max_attempts=4, attempt_timeout_s=2.0),
                 sinks=[sink],
             ) as router:
@@ -176,11 +175,18 @@ class TestFailover:
         assert all(s is Status.OK for s in statuses)
         failovers = [e for e in sink.events if e.kind == EventKind.SHD_FAILOVER]
         assert failovers, "crash_p=0.3 over 30 requests must fail over"
-        # every failover re-dispatched to the other replica
+        # every failover re-dispatched to the other replica, and was
+        # caused by the death itself — no attempt deadline was waited out
         for event in failovers:
             assert event.data["next_replica"] != event.data["replica"]
+            assert event.data["error"] == "worker-died"
         assert snap["leases"]["active"] == 0
         assert snap["leases"]["expired"] == len(failovers)
+        crashes = snap["faults_injected"]["crashes"]
+        assert snap["supervisor"]["crashes_detected"] == crashes
+        assert snap["supervisor"]["respawns_detected"] == crashes
+        assert snap["supervisor"]["workers_killed"] == 0
+        assert len(failovers) == crashes
         assert_checkers_clean(sink)
 
     def test_single_replica_retries_same_pool(self):
@@ -393,5 +399,5 @@ class TestSnapshot:
         for stats in snap["shards"].values():
             for key in ("objects", "subrequests", "rows", "failovers",
                         "knn_skips", "inflight", "queue_depth", "replicas",
-                        "pool_restarts"):
+                        "crashes_detected"):
                 assert key in stats, key

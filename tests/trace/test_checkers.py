@@ -459,6 +459,48 @@ class TestResilienceAccounting:
         s.emit(EventKind.SUP_BREAKER_OPEN, cls="knn")
         assert verdict_of(self.make(), s.events).ok
 
+    def crash_stream(self, *closing):
+        """A crash that names call 7 as its victim, then *closing*."""
+        s = Stream()
+        s.emit(EventKind.FLT_INJECT_CRASH, call=7)
+        s.emit(EventKind.SUP_WORKER_CRASH_DETECTED, pid=41, pool="",
+               exitcode=86, call=7)
+        s.emit(EventKind.SUP_WORKER_RESPAWNED, pid=42, pool="")
+        for kind, data in closing:
+            s.emit(kind, call=7, **data)
+        return s
+
+    def test_crash_victim_closed_as_worker_died_reconciles(self):
+        s = self.crash_stream(
+            (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "worker-died"}),
+            (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
+        )
+        verdict = verdict_of(self.make(), s.events)
+        assert verdict.ok, verdict.violations
+        assert verdict.stats["worker_crashes"] == 1
+        assert verdict.stats["worker_respawns"] == 1
+        # The awaiter may vanish in the same instant: also lawful.
+        gone = self.crash_stream((EventKind.SUP_CALL_ABANDONED, {}))
+        assert verdict_of(self.make(), gone.events).ok
+
+    def test_crash_victim_closed_under_another_cause_violates(self):
+        """Planted bug: the pool learnt of the death, named the call, and
+        still let it run into its deadline (what every crash did before
+        deaths were events)."""
+        s = self.crash_stream(
+            (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "deadline"}),
+            (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
+        )
+        verdict = verdict_of(self.make(), s.events)
+        assert not verdict.ok
+        assert any("not as worker-died" in v for v in verdict.violations)
+
+    def test_crash_victim_never_closed_violates(self):
+        verdict = verdict_of(self.make(), self.crash_stream().events)
+        assert not verdict.ok
+        assert any("never closed as worker-died" in v
+                   for v in verdict.violations)
+
     def test_disk_seam_slow_io_is_not_call_keyed(self):
         # Page-keyed SLOW_IO (no "call" field) needs no SUP_CALL closure.
         s = Stream()
