@@ -46,10 +46,11 @@ from .lint import LintContext, ProjectIndex
 
 __all__ = ["Rule", "ProjectRule", "file_rules", "project_rules", "all_rule_ids"]
 
-#: Path components whose modules must stay deterministic.
+#: Path components whose modules must stay deterministic (``datagen``: the
+#: seeded draw stream is the data set every pinned number depends on).
 DETERMINISTIC_COMPONENTS = frozenset(
     {"sim", "join", "faults", "buffer", "storage", "trace",
-     "recovery", "shard", "rtree"}
+     "recovery", "shard", "rtree", "datagen"}
 )
 #: Path components of the async serving layer.
 SERVICE_COMPONENTS = frozenset({"service"})

@@ -1,16 +1,14 @@
 """The two evaluation maps and their R*-trees (paper sections 4.1 / Table 1).
 
 :func:`paper_maps` generates stand-ins for the two TIGER county maps —
-131,443 street objects and 127,312 boundary/river/railway objects at full
-scale — over one shared :class:`~repro.datagen.region.Region`, and
-:func:`build_tree` packs a map into an R*-tree whose occupancy matches the
-dynamically built trees of the paper (the STR ``fill``/``dir_fill`` values
-below reproduce Table 1's page counts and height 3 at full scale).
+131,443 street and 127,312 boundary/river/railway objects at full scale,
+each map one columnar :class:`BoxTable` — over one shared :class:`Region`;
+:func:`build_tree` packs a map's table into an R*-tree whose occupancy
+matches the paper's dynamically built trees (the STR ``fill``/``dir_fill``
+values below reproduce Table 1's page counts and height 3 at full scale).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
@@ -33,31 +31,38 @@ LEAF_FILL = 0.731
 DIR_FILL = 0.80
 
 
-@dataclass
 class MapData:
-    """One generated map: named objects over a region."""
+    """One generated map: a name, its region, the boxes as one
+    :class:`BoxTable` (row *i* is object *i*) and, when the generator kept
+    them, the exact point chains in row order.  The table is the map: the
+    object views below are built from it per call and never kept."""
 
-    name: str
-    region: Region
-    objects: list[SpatialObject]
-
-    def items(self) -> list[tuple[int, Rect]]:
-        """``(oid, mbr)`` pairs, the input format of the tree builders."""
-        return [(o.oid, o.mbr) for o in self.objects]
+    def __init__(self, name: str, region: Region, table: BoxTable, chains=None):
+        self.name, self.region = name, region
+        self._table, self._chains = table, chains
 
     def table(self) -> BoxTable:
-        """The same rows as one columnar :class:`BoxTable`, filled straight
-        from the objects — what the flat builder and the partitioner read.
-        Built on every call: a map does not keep its columns."""
-        return BoxTable.from_rects(
-            [o.oid for o in self.objects], [o.mbr for o in self.objects]
-        )
+        """*The* table of the map — the same one to every builder."""
+        return self._table
+
+    def items(self) -> list[tuple[int, Rect]]:
+        """``(oid, mbr)`` pairs, for oracles and examples (a fresh list)."""
+        return self._table.items()
+
+    @property
+    def objects(self) -> list[SpatialObject]:
+        """One :class:`SpatialObject` a row (a fresh list)."""
+        chains = self._chains or [None] * len(self)
+        return [
+            SpatialObject(oid, mbr, points)
+            for (oid, mbr), points in zip(self.items(), chains)
+        ]
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self._table)
 
     def __repr__(self) -> str:
-        return f"<MapData {self.name!r} {len(self.objects)} objects>"
+        return f"<MapData {self.name!r} {len(self)} objects>"
 
 
 def paper_maps(
@@ -81,16 +86,11 @@ def paper_maps(
         region, count2, seed=seed + 2, include_geometry=include_geometry
     )
     return (
-        MapData("map 1 (streets)", region, streets),
-        MapData("map 2 (boundaries, rivers, railways)", region, features),
+        MapData("map 1 (streets)", region, *streets),
+        MapData("map 2 (boundaries, rivers, railways)", region, *features),
     )
 
 
 def build_tree(map_data: MapData, *, fill: float = LEAF_FILL, dir_fill: float = DIR_FILL) -> RStarTree:
-    """Pack a map into an R*-tree with paper-like occupancy.
-
-    The one builder that reads :meth:`MapData.items`: node entries share
-    the float objects of the map's own rectangles, which a table's columns
-    would copy (+24 MB of resident memory for the two full-scale trees).
-    """
-    return str_bulk_load(map_data.items(), fill=fill, dir_fill=dir_fill)
+    """Pack a map into an R*-tree with paper-like occupancy."""
+    return str_bulk_load(map_data.table(), fill=fill, dir_fill=dir_fill)

@@ -19,11 +19,18 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from ..geometry.rect import Rect
+from ..geometry.table import BoxTable
 
-__all__ = ["Region", "SpatialObject"]
+__all__ = ["Region", "SpatialObject", "BoxColumns"]
+
+Chain = tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -32,29 +39,40 @@ class SpatialObject:
 
     ``points`` is None when the generator was asked to skip exact geometry
     (benchmarks only need MBRs; the refinement cost is a function of the
-    MBRs per section 4.2).  The MBR coordinates are also exposed flat so a
-    SpatialObject can be fed to the plane-sweep directly.
+    MBRs per section 4.2).  A map builds these per call from its columns
+    (:attr:`MapData.objects`) and keeps none.
     """
 
     oid: int
     mbr: Rect
-    points: tuple[tuple[float, float], ...] | None = field(default=None, compare=False)
+    points: Optional[Chain] = field(default=None, compare=False)
 
-    @property
-    def xl(self) -> float:
-        return self.mbr.xl
 
-    @property
-    def yl(self) -> float:
-        return self.mbr.yl
+class BoxColumns:
+    """What a generator writes: one box a point chain, as four raw-double
+    columns, and the chains themselves only when exact geometry is kept."""
 
-    @property
-    def xu(self) -> float:
-        return self.mbr.xu
+    def __init__(self, include_geometry: bool):
+        self.xl, self.yl, self.xu, self.yu = (array("d") for _ in range(4))
+        self.chains: Optional[list[Chain]] = [] if include_geometry else None
 
-    @property
-    def yu(self) -> float:
-        return self.mbr.yu
+    def __len__(self) -> int:
+        return len(self.xl)
+
+    def add_chain(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        """Append the MBR of the chain ``zip(xs, ys)`` — the floats
+        :meth:`Rect.from_points` would pick (the first of equal extremes)."""
+        self.xl.append(min(xs))
+        self.yl.append(min(ys))
+        self.xu.append(max(xs))
+        self.yu.append(max(ys))
+        if self.chains is not None:
+            self.chains.append(tuple(zip(xs, ys)))
+
+    def finish(self) -> tuple[BoxTable, Optional[list[Chain]]]:
+        """The table over the columns (oids are the row numbers), the chains."""
+        rows = range(len(self))
+        return BoxTable(rows, self.xl, self.yl, self.xu, self.yu), self.chains
 
 
 class Region:
@@ -80,23 +98,11 @@ class Region:
             weights.append(rng.paretovariate(1.2))
         total = sum(weights)
         self.city_weights = [w / total for w in weights]
-        self._cumulative: list[float] = []
-        acc = 0.0
-        for w in self.city_weights:
-            acc += w
-            self._cumulative.append(acc)
+        self._cumulative = list(accumulate(self.city_weights))
 
     def pick_city(self, rng: random.Random) -> int:
         """Sample a city index proportional to population weight."""
-        u = rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._cumulative, rng.random(), 0, len(self.cities) - 1)
 
     def sample_settlement_point(
         self, rng: random.Random, rural_fraction: float = 0.15
@@ -107,9 +113,7 @@ class Region:
         index = self.pick_city(rng)
         cx, cy = self.cities[index]
         sigma = self.city_sigmas[index]
-        x = min(max(rng.gauss(cx, sigma), 0.0), self.side)
-        y = min(max(rng.gauss(cy, sigma), 0.0), self.side)
-        return (x, y)
+        return self.clamp(rng.gauss(cx, sigma), rng.gauss(cy, sigma))
 
     def clamp(self, x: float, y: float) -> tuple[float, float]:
         return (min(max(x, 0.0), self.side), min(max(y, 0.0), self.side))

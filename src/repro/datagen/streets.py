@@ -6,15 +6,20 @@ grid direction (axis-parallel with jitter, occasionally diagonal) and walks
 one to three short steps.  Streets therefore produce small, thin, heavily
 clustered MBRs — the MBR population whose skew drives the paper's task
 imbalance.
+
+The generator writes columns — four doubles a street into a
+:class:`BoxColumns`, no per-street object.  Its ``random.Random`` draw
+order *is* the data set (``tests/datagen`` pins a digest): reorder no draw.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Optional
 
-from ..geometry.rect import Rect
-from .region import Region, SpatialObject
+from ..geometry.table import BoxTable
+from .region import BoxColumns, Chain, Region
 
 __all__ = ["generate_streets"]
 
@@ -27,36 +32,33 @@ def generate_streets(
     count: int,
     seed: int,
     include_geometry: bool = False,
-) -> list[SpatialObject]:
-    """Generate *count* street objects over *region*.
-
-    Deterministic for a given ``(region, count, seed)``.  Object ids run
-    from 0 to ``count - 1``.
-    """
+) -> tuple[BoxTable, Optional[list[Chain]]]:
+    """Generate *count* streets over *region*: their boxes as one table
+    (object ids run from 0 to ``count - 1``) and, under *include_geometry*
+    only, their point chains in row order.  Deterministic for a given
+    ``(region, count, seed)``; keeping the geometry perturbs no draw."""
     rng = random.Random(seed)
-    objects: list[SpatialObject] = []
+    random_, uniform, gauss, randint = rng.random, rng.uniform, rng.gauss, rng.randint
+    columns = BoxColumns(include_geometry)
+    side = region.side
+    cos, sin = math.cos, math.sin
     grid_angles = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
-    for oid in range(count):
+    for _ in range(count):
         x, y = region.sample_settlement_point(rng)
-        if rng.random() < 0.85:
-            angle = rng.choice(grid_angles) + rng.gauss(0.0, 0.06)
+        if random_() < 0.85:
+            angle = rng.choice(grid_angles) + gauss(0.0, 0.06)
         else:
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-        steps = rng.randint(1, 3)
-        points = [(x, y)]
-        for _ in range(steps):
-            length = rng.uniform(0.5, 1.5) * STEP_LENGTH
-            angle += rng.gauss(0.0, 0.15)
-            x, y = region.clamp(
-                x + length * math.cos(angle), y + length * math.sin(angle)
-            )
-            points.append((x, y))
-        mbr = Rect.from_points(points)
-        objects.append(
-            SpatialObject(
-                oid=oid,
-                mbr=mbr,
-                points=tuple(points) if include_geometry else None,
-            )
-        )
-    return objects
+            angle = uniform(0.0, 2.0 * math.pi)
+        xs, ys = [x], [y]
+        for _ in range(randint(1, 3)):
+            length = uniform(0.5, 1.5) * STEP_LENGTH
+            angle += gauss(0.0, 0.15)
+            # Region.clamp, spelled without the calls (same floats)
+            x += length * cos(angle)
+            y += length * sin(angle)
+            x = 0.0 if x < 0.0 else side if x > side else x
+            y = 0.0 if y < 0.0 else side if y > side else y
+            xs.append(x)
+            ys.append(y)
+        columns.add_chain(xs, ys)
+    return columns.finish()

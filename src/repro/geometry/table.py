@@ -33,10 +33,14 @@ class BoxTable:
 
     def __init__(self, oids: Sequence[Hashable], xl, yl, xu, yu):
         self.oids = list(oids)
-        columns = [np.asarray(c, dtype=np.float64) for c in (xl, yl, xu, yu)]
+        # Read-only views: one table is shared by every builder, and the
+        # caller's own arrays stay writable.
+        columns = [np.asarray(c, dtype=np.float64).view() for c in (xl, yl, xu, yu)]
         if any(column.shape != (len(self.oids),) for column in columns):
             raise ValueError("oids and the four columns must have one length")
         self.xl, self.yl, self.xu, self.yu = columns
+        for column in columns:
+            column.setflags(write=False)
         # NaN fails both comparisons; the infinities need their own test.
         valid = (self.xl <= self.xu) & (self.yl <= self.yu)
         for column in columns:
@@ -83,7 +87,8 @@ class BoxTable:
         )
 
     def take(self, rows) -> "BoxTable":
-        """The table of *rows* (an integer index array), in that order."""
+        """The table of *rows* (any integer index sequence), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
         oids = self.oids
         return BoxTable(
             [oids[row] for row in rows.tolist()],

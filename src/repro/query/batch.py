@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..rtree.entry import Entry
+from ..rtree.query import require_window
 
 __all__ = ["multi_window_query"]
 
@@ -27,6 +28,8 @@ def multi_window_query(tree, windows: Sequence) -> list[list[Entry]]:
     returns for that window alone (as a set of entries; the visit order
     may differ because the traversal is driven by the union of windows).
     """
+    for window in windows:
+        require_window(window)
     if hasattr(tree, "multi_window"):  # flat packed backend
         return tree.multi_window(windows)
     results: list[list[Entry]] = [[] for _ in windows]

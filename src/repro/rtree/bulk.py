@@ -7,12 +7,20 @@ vertical slabs, sort each slab by y-center, pack runs of ``fill * capacity``
 entries into leaves, then repeat one level up until a single root remains.
 The ``fill`` knob reproduces dynamic-build occupancy (0.70 gives page
 counts close to the paper's Table 1).
+
+A :class:`~repro.geometry.table.BoxTable` has its leaf level — nearly all
+of the work — ordered by numpy sorts over the columns
+(:func:`_pack_leaves`), and its data entries are created once, already in
+leaf order; ``(oid, rect)`` pairs and the few directory entries above the
+leaves tile as entry lists (:func:`_pack_level`).  Both give the same tree.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
+
+import numpy as np
 
 from ..geometry.table import BoxTable
 from ..storage.page import StorageParams
@@ -61,13 +69,12 @@ def str_bulk_load(
     if not len(table):
         return tree
 
-    # An entry keeps its four coordinates as float objects.  Pairs lend it
-    # theirs (a map's Rects outlive its tree, and sharing them saves 96 B
-    # an entry: 24 MB over both full-scale maps); a table has none to lend.
-    pairs = table.items() if items is table else items
-    entries = [Entry.for_object(rect, oid) for oid, rect in pairs]
     per_leaf = max(tree.min_data, int(tree.data_capacity * fill))
-    nodes = _pack_level(entries, level=0, per_node=per_leaf, min_count=tree.min_data)
+    if items is table:
+        nodes = _pack_leaves(table, per_node=per_leaf, min_count=tree.min_data)
+    else:  # the entries share the float objects of the pairs' rectangles
+        entries = [Entry.for_object(rect, oid) for oid, rect in items]
+        nodes = _pack_level(entries, level=0, per_node=per_leaf, min_count=tree.min_data)
     height = 1
     per_dir = max(tree.min_dir, int(tree.dir_capacity * dir_fill))
     while len(nodes) > 1:
@@ -103,12 +110,40 @@ def _pack_level(
 
     by_x = sorted(entries, key=_center_x)
     nodes: list[Node] = []
-    for slab in _even_chunks(by_x, slab_count):
+    for slab in _chunks(by_x, _even_sizes(total, slab_count)):
         slab.sort(key=_center_y)
         runs = _node_count(len(slab), per_node, min_count)
-        for run in _even_chunks(slab, runs):
+        for run in _chunks(slab, _even_sizes(len(slab), runs)):
             nodes.append(Node(level, run))
     return nodes
+
+
+def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Node]:
+    """The leaf level of :func:`_pack_level` over the rows of *table*: the
+    same two stable sorts, done on the center columns, then one data entry
+    a row created in leaf order — no ``Rect``, no pair, no re-sorted list."""
+    total = len(table)
+    if total <= per_node:
+        order, sizes = np.arange(total), [total]
+    else:
+        node_count = _node_count(total, per_node, min_count)
+        slabs = _even_sizes(total, math.ceil(math.sqrt(node_count)))
+        by_x = np.argsort(table.xl + table.xu, kind="stable")
+        slab_of = np.repeat(np.arange(len(slabs)), slabs)
+        # lexsort is stable: equal y-centers keep their x order in a slab
+        order = by_x[np.lexsort(((table.yl + table.yu)[by_x], slab_of))]
+        sizes = [
+            size
+            for slab in slabs
+            for size in _even_sizes(slab, _node_count(slab, per_node, min_count))
+        ]
+    rows = table.take(order)
+    columns = (c.tolist() for c in (rows.xl, rows.yl, rows.xu, rows.yu))
+    entries = [
+        Entry(xl, yl, xu, yu, None, oid)
+        for oid, xl, yl, xu, yu in zip(rows.oids, *columns)
+    ]
+    return [Node(0, run) for run in _chunks(entries, sizes)]
 
 
 def _node_count(total: int, per_node: int, min_count: int) -> int:
@@ -119,13 +154,17 @@ def _node_count(total: int, per_node: int, min_count: int) -> int:
     return max(1, min(wanted, feasible))
 
 
-def _even_chunks(seq: list[Entry], chunk_count: int) -> list[list[Entry]]:
-    """Split *seq* into *chunk_count* contiguous chunks of near-equal size."""
-    base, extra = divmod(len(seq), chunk_count)
+def _even_sizes(total: int, chunk_count: int) -> list[int]:
+    """*chunk_count* near-equal sizes summing to *total*, larger ones first."""
+    base, extra = divmod(total, chunk_count)
+    return [base + 1] * extra + [base] * (chunk_count - extra)
+
+
+def _chunks(seq: list[Entry], sizes: list[int]) -> list[list[Entry]]:
+    """Split *seq* into contiguous chunks of the given *sizes*."""
     chunks: list[list[Entry]] = []
     start = 0
-    for index in range(chunk_count):
-        size = base + (1 if index < extra else 0)
+    for size in sizes:
         chunks.append(seq[start : start + size])
         start += size
     return chunks

@@ -12,7 +12,10 @@ Both functions are *backend entry points*: they accept either the
 pointer-based :class:`~repro.rtree.rstar.RStarTree` or the packed
 :class:`~repro.rtree.flat.FlatRTree` (duck-typed on its ``window_entries``
 / ``nearest`` kernels, so importing this module never pulls in numpy) and
-produce identical result sets either way.
+produce identical result sets either way.  They are also where query
+coordinates are checked (:func:`coordinate_error`): a NaN compares false
+with everything, so below this line it would be answered with silence or
+with arbitrary rows, differently per backend.
 """
 
 from __future__ import annotations
@@ -20,13 +23,40 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Hashable, Optional
+from numbers import Real
+from typing import Hashable, Iterable, Optional
 
 from ..geometry.rect import Rect
 from .entry import Entry
 from .rstar import RStarTree
 
 __all__ = ["window_query", "nearest_neighbors", "QueryStats", "oid_order_key"]
+
+WINDOW_FIELDS = ("window.xl", "window.yl", "window.xu", "window.yu")
+
+
+def coordinate_error(
+    fields: Iterable[tuple[str, object]], *, infinite_ok: bool = False
+) -> Optional[str]:
+    """Why the first offending ``(name, value)`` of *fields* cannot be a
+    query coordinate, or None — the one check of the serving front door
+    and of the dispatchers below.  *infinite_ok* admits the infinities (a
+    half-plane is a window; a point at infinity is not a point)."""
+    for name, value in fields:
+        if isinstance(value, Real) and (
+            value == value if infinite_ok else math.isfinite(value)
+        ):
+            continue
+        return f"{name} must be a finite number, got {value!r}"
+    return None
+
+
+def require_window(window) -> None:
+    """Raise ``ValueError`` for a window with a NaN (or non-numeric) corner."""
+    corners = (window.xl, window.yl, window.xu, window.yu)
+    reason = coordinate_error(zip(WINDOW_FIELDS, corners), infinite_ok=True)
+    if reason is not None:
+        raise ValueError(reason)
 
 
 class QueryStats:
@@ -72,6 +102,7 @@ def window_query(
     order of the chosen backend (depth-first here, ascending packed order
     on the flat backend).
     """
+    require_window(window)
     if hasattr(tree, "window_entries"):  # flat packed backend
         return tree.window_entries(window, stats=stats)
     result: list[Entry] = []
@@ -113,6 +144,9 @@ def nearest_neighbors(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    reason = coordinate_error((("x", x), ("y", y)))
+    if reason is not None:
+        raise ValueError(reason)
     if hasattr(tree, "nearest"):  # flat packed backend
         return tree.nearest(x, y, k)
     if tree.size == 0:

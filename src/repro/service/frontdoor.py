@@ -41,12 +41,12 @@ failover) are the two tiers.  Nothing here knows which one it serves.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 from ..faults import FaultInjector
+from ..rtree.query import WINDOW_FIELDS, coordinate_error
 from ..trace import EventKind, Tracer
 from .cache import MISS, ResultCache
 from .metrics import ServiceMetrics
@@ -305,11 +305,8 @@ class FrontDoor:
                 corners = canonical_rect(request.window)
             except (AttributeError, TypeError, ValueError) as exc:
                 return f"window is not a rectangle ({exc})"
-            fields = zip(("window.xl", "window.yl", "window.xu", "window.yu"), corners)
-        for name, value in fields:
-            if not isinstance(value, Real) or not math.isfinite(value):
-                return f"{name} must be a finite number, got {value!r}"
-        return None
+            fields = zip(WINDOW_FIELDS, corners)
+        return coordinate_error(fields)
 
     async def _process(
         self, request: Request, use_cache: bool, t0: float,

@@ -108,6 +108,16 @@ class TestScoping:
         findings, _ = run_lint([tmp_path])
         assert findings == []
 
+    def test_the_data_generators_are_in_the_deterministic_scope(self, tmp_path):
+        (tmp_path / "datagen").mkdir()
+        (tmp_path / "datagen" / "mod.py").write_text(
+            "import random, time\n"
+            "def f():\n"
+            "    return random.random() + time.time()\n"
+        )
+        findings, _ = run_lint([tmp_path])
+        assert sorted(f.rule for f in findings) == ["DET001", "DET002"]
+
     def test_syntax_error_reported_not_crashing(self, tmp_path):
         (tmp_path / "broken.py").write_text("def broken(:\n")
         findings, stats = run_lint([tmp_path])

@@ -1,5 +1,8 @@
 """Tests for the synthetic TIGER-like map generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.datagen import (
@@ -12,7 +15,7 @@ from repro.datagen import (
     generate_streets,
     paper_maps,
 )
-from repro.geometry import sweep_pairs, x_sorted
+from repro.geometry import Rect, sweep_pairs, x_sorted
 from repro.rtree import tree_stats
 
 
@@ -58,47 +61,49 @@ class TestRegion:
 
 
 class TestGenerators:
+    """A generator returns ``(table, chains)``: the boxes as one BoxTable
+    and the point chains in row order, or None without geometry."""
+
     def test_street_count_and_ids(self):
         region = Region(scale=0.05, seed=1)
-        streets = generate_streets(region, 500, seed=2)
+        streets, _ = generate_streets(region, 500, seed=2)
         assert len(streets) == 500
-        assert [o.oid for o in streets] == list(range(500))
+        assert streets.oids == list(range(500))
 
     def test_streets_inside_region(self):
         region = Region(scale=0.05, seed=1)
-        for obj in generate_streets(region, 300, seed=2):
-            assert region.bounds.contains(obj.mbr)
+        for _, mbr in generate_streets(region, 300, seed=2)[0].items():
+            assert region.bounds.contains(mbr)
 
     def test_streets_deterministic(self):
         region = Region(scale=0.05, seed=1)
-        a = generate_streets(region, 100, seed=2)
-        b = generate_streets(region, 100, seed=2)
-        assert [o.mbr for o in a] == [o.mbr for o in b]
+        a, _ = generate_streets(region, 100, seed=2)
+        b, _ = generate_streets(region, 100, seed=2)
+        assert a.items() == b.items()
 
     def test_streets_are_small(self):
         region = Region(scale=0.05, seed=1)
-        streets = generate_streets(region, 300, seed=2)
-        mean_extent = sum(o.mbr.width() + o.mbr.height() for o in streets) / 300
+        streets, _ = generate_streets(region, 300, seed=2)
+        mean_extent = sum(r.width() + r.height() for _, r in streets.items()) / 300
         assert mean_extent < 0.01 * region.side
 
     def test_geometry_optional(self):
         region = Region(scale=0.05, seed=1)
-        bare = generate_streets(region, 10, seed=2)
-        rich = generate_streets(region, 10, seed=2, include_geometry=True)
-        assert all(o.points is None for o in bare)
-        assert all(o.points is not None and len(o.points) >= 2 for o in rich)
+        bare, no_chains = generate_streets(region, 10, seed=2)
+        rich, chains = generate_streets(region, 10, seed=2, include_geometry=True)
+        assert no_chains is None
+        assert len(chains) == 10 and all(len(points) >= 2 for points in chains)
         # Geometry must stay inside the stated MBR.
-        for obj in rich:
-            from repro.geometry import Rect
-
-            assert obj.mbr == Rect.from_points(obj.points)
+        for (_, mbr), points in zip(rich.items(), chains):
+            assert mbr == Rect.from_points(points)
+        assert bare.items() == rich.items()
 
     def test_boundaries_count_and_region(self):
         region = Region(scale=0.05, seed=1)
-        objs = generate_boundaries(region, 400, seed=3)
+        objs, _ = generate_boundaries(region, 400, seed=3)
         assert len(objs) == 400
-        for obj in objs:
-            assert region.bounds.contains(obj.mbr)
+        for _, mbr in objs.items():
+            assert region.bounds.contains(mbr)
 
     def test_boundaries_mix_validated(self):
         region = Region(scale=0.05, seed=1)
@@ -107,9 +112,60 @@ class TestGenerators:
 
     def test_boundaries_include_long_and_short_features(self):
         region = Region(scale=0.2, seed=1)
-        objs = generate_boundaries(region, 2000, seed=3)
-        extents = sorted(max(o.mbr.width(), o.mbr.height()) for o in objs)
+        objs, _ = generate_boundaries(region, 2000, seed=3)
+        extents = sorted(max(r.width(), r.height()) for _, r in objs.items())
         assert extents[0] < extents[-1]  # heterogeneous feature sizes
+
+
+def table_digest(table) -> str:
+    """sha-256 over the ``xl|yl|xu|yu`` bytes + ``repr(oids)``."""
+    digest = hashlib.sha256()
+    for name in ("xl", "yl", "xu", "yu"):
+        digest.update(getattr(table, name).tobytes())
+    digest.update(repr(table.oids).encode())
+    return digest.hexdigest()
+
+
+#: Recorded at the commit before the generators wrote columns (PR 16's
+#: object-building loops).  The ``random.Random`` draw stream is the data
+#: set: every pinned counter and EXPERIMENTS.md row depends on it.  The
+#: three points cover the default seed, another seed, and a scale whose
+#: river/railway walk length ``max(8, round(40 * sqrt(scale)))`` is not 8.
+GOLDEN = {
+    (0.02, 42): (
+        "48ce83caaee0d0bece3ee41116e9fec64eb81e5a536aa1d06bdaf05d3399e6a4",
+        "293f6d50423c059a4a239328ce794d61eb290c1030c90679f29e578edad4ad01",
+    ),
+    (0.013, 7): (
+        "1642b708567f4a5e7a1a242e90ba998ab2db0918812a8d9b78f7bcd8034f32ea",
+        "9902eaf8adde07fb5d8ac51142465f51b1b980b8ace4915640e4db50e96de871",
+    ),
+    (0.09, 3): (
+        "9df727efbf2159c38071487e25fd6ce021f20faaad219f4fb74fb1da2d63c2c6",
+        "81def5abf3015587a01975b06e418f42ed494746f9efd2e8350a8e9636fd6807",
+    ),
+}
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("scale, seed", sorted(GOLDEN))
+    def test_golden_digest(self, scale, seed):
+        maps = paper_maps(scale=scale, seed=seed)
+        assert tuple(table_digest(m.table()) for m in maps) == GOLDEN[scale, seed]
+
+    @pytest.mark.parametrize("scale, seed", sorted(GOLDEN))
+    def test_keeping_the_geometry_perturbs_no_draw(self, scale, seed):
+        bare = paper_maps(scale=scale, seed=seed)
+        rich = paper_maps(scale=scale, seed=seed, include_geometry=True)
+        for plain, with_points in zip(bare, rich):
+            assert table_digest(with_points.table()) == table_digest(plain.table())
+            assert all(o.points is None for o in plain.objects)
+            # every row is the MBR of its own chain, bit for bit
+            table = with_points.table()
+            mbrs = [Rect.from_points(o.points) for o in with_points.objects]
+            for name in ("xl", "yl", "xu", "yu"):
+                column = np.array([getattr(r, name) for r in mbrs])
+                assert column.tobytes() == getattr(table, name).tobytes(), name
 
 
 class TestPaperMaps:

@@ -40,6 +40,12 @@ class TestShape:
         assert taken.items() == [ITEMS[2], ITEMS[0]]
         assert len(table.take(np.array([], dtype=np.int64))) == 0
 
+    def test_take_accepts_any_integer_index_sequence(self):
+        table = BoxTable.from_items(ITEMS)
+        for rows in ([2, 0], (2, 0), range(2, -1, -2), np.array([2, 0], np.int32)):
+            assert table.take(rows).items() == [ITEMS[2], ITEMS[0]]
+        assert len(table.take([])) == 0
+
     def test_bbox_and_centers(self):
         table = BoxTable.from_items(ITEMS)
         assert table.bbox() == Rect(-1.0, -1.0, 6.5, 5.0)
@@ -58,6 +64,34 @@ class TestShape:
         assert len(table) == 0 and table.items() == []
         with pytest.raises(ValueError):
             table.bbox()
+
+
+class TestSharing:
+    """One table is handed to every builder, so nobody may write it."""
+
+    def test_columns_are_read_only(self):
+        table = BoxTable.from_items(ITEMS)
+        for name in ("xl", "yl", "xu", "yu"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 9.0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name).sort()
+        assert table.items() == ITEMS
+
+    def test_the_callers_own_arrays_stay_writable(self):
+        columns = [np.array([0.0, 1.0]) for _ in range(4)]
+        BoxTable([0, 1], *columns)
+        for column in columns:
+            column[0] = 5.0  # the table froze its views, not these
+
+    def test_take_and_concat_return_fresh_tables(self):
+        table = BoxTable.from_items(ITEMS)
+        everything = np.arange(len(table))
+        for fresh in (table.take(everything), BoxTable.concat([table])):
+            assert fresh is not table and fresh.oids is not table.oids
+            assert fresh.items() == table.items()
+            for name in ("xl", "yl", "xu", "yu"):
+                assert not np.shares_memory(getattr(fresh, name), getattr(table, name))
 
 
 class TestBoundary:

@@ -1,17 +1,22 @@
 """Columnar ingest: builders fed a BoxTable build the trees they built
-from ``(oid, rect)`` items — same arrays, same node-tree shape — reject
-bad boxes at the boundary, and make no per-object ``Rect`` on the way."""
+from ``(oid, rect)`` items — same arrays, the same node tree node for
+node — reject bad boxes at the boundary, and make no per-object ``Rect``
+or ``SpatialObject`` anywhere between the generators and the trees."""
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datagen import build_tree, paper_maps
+from repro.datagen import SpatialObject, build_tree, paper_maps
 from repro.datagen.maps import DIR_FILL, LEAF_FILL
 from repro.geometry import BoxTable, Rect
 from repro.rtree import FlatRTree, build_flat_tree, str_bulk_load
+from repro.shard import ShardConfig, ShardRouter
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +52,15 @@ class TestSameTrees:
     def test_map_table_holds_the_items(self, maps):
         for data in maps:
             assert data.table().items() == data.items()
-            assert data.table() is not data.table()  # built per call, not kept
+            assert data.table() is data.table()  # the map is this one table
+            assert data.items() is not data.items()  # the object edge: per call
+            # ...and the map holds no object list after items() / objects
+            first = weakref.ref(data.objects[0])
+            assert [o.oid for o in data.objects] == data.table().oids
+            assert first() is None
+            assert not any(
+                isinstance(value, (list, tuple, dict)) for value in vars(data).values()
+            )
 
     def test_flat_tree_from_table_equals_tree_from_items(self, maps):
         for data in maps:
@@ -78,6 +91,103 @@ class TestSameTrees:
         node = str_bulk_load(BoxTable.from_items(items))
         leaves, _ = leaf_sequence(node)
         assert sorted(row[0] for leaf in leaves for row in leaf) == sorted(flat.oids)
+
+
+def node_sequence(tree):
+    """Every node depth-first: its level and its entries in order, each
+    with all four coordinates and its oid (None on a directory entry)."""
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(
+            (node.level, [(e.oid, e.xl, e.yl, e.xu, e.yu) for e in node.entries])
+        )
+        if node.level:
+            stack.extend(entry.child for entry in reversed(node.entries))
+    return nodes
+
+
+def assert_leaf_packer_parity(table, **options):
+    """The column leaf packer against its reference, the list-sorting
+    ``_pack_level`` that ``(oid, rect)`` pairs still take."""
+    packed = str_bulk_load(table, **options)
+    reference = str_bulk_load(table.items(), **options)
+    assert (packed.height, packed.size) == (reference.height, reference.size)
+    assert node_sequence(packed) == node_sequence(reference)
+    packed.validate()
+    return packed
+
+
+def tied_table(n, seed=0, xs=4, ys=4):
+    """*n* boxes whose centers take only ``xs * ys`` distinct values, in a
+    shuffled row order: nearly every comparison in either sort is a tie."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, xs, size=n).astype(float)
+    y = rng.integers(0, ys, size=n).astype(float)
+    return BoxTable(range(n), x, y, x + 1.0, y + 1.0)
+
+
+#: data_capacity 26 → min_data 10; fill 0.3 → per_leaf 10; 19 rows want two
+#: leaves but can fill only one: the ``min_count`` branch of ``_node_count``.
+FEASIBILITY = dict(fill=0.3)
+SMALL_PAGES = dict(fill=0.5, dir_fill=0.6, data_capacity=8, dir_capacity=6)
+
+
+class TestLeafPackerParity:
+    """Where ties and edges live: the numpy sorts must reproduce the
+    stable ``sorted(key=_center_x)`` / ``slab.sort(key=_center_y)``."""
+
+    def test_paper_maps(self, maps):
+        for data in maps:
+            tree = assert_leaf_packer_parity(
+                data.table(), fill=LEAF_FILL, dir_fill=DIR_FILL
+            )
+            assert node_sequence(tree) == node_sequence(build_tree(data))
+
+    @pytest.mark.parametrize(
+        "n, options",
+        [(n, {}) for n in (0, 1, 18, 19, 37, 700)]  # per_leaf is 18
+        + [(n, SMALL_PAGES) for n in (0, 1, 4, 5, 9, 333)]  # per_leaf is 4
+        + [(n, FEASIBILITY) for n in (10, 11, 19, 25, 29, 451)],
+    )
+    def test_edge_counts_and_options(self, n, options):
+        for xs, ys in ((4, 4), (1, 5), (5, 1), (1, 1)):
+            tree = assert_leaf_packer_parity(tied_table(n, n, xs, ys), **options)
+            assert tree.size == n
+
+    def test_feasibility_branch_is_reached(self):
+        tree = assert_leaf_packer_parity(tied_table(19), **FEASIBILITY)
+        assert tree.height == 1 and len(tree.root.entries) == 19
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+            max_size=150,
+        ),
+        st.sampled_from([{}, SMALL_PAGES, FEASIBILITY]),
+        st.sampled_from(["xy", "x", "y"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_many_equal_centers(self, rows, options, tied):
+        # duplicates throughout; "x" / "y" make that center all-equal
+        x = [0.0 if tied == "x" else float(row[0]) for row in rows]
+        y = [0.0 if tied == "y" else float(row[1]) for row in rows]
+        w = [float(row[2]) for row in rows]
+        oids = [("row", i) for i in range(len(rows))]
+        table = BoxTable(
+            oids, x, y, [a + b for a, b in zip(x, w)], [a + b for a, b in zip(y, w)]
+        )
+        assert_leaf_packer_parity(table, **options)
+
+    def test_an_unstable_sort_is_caught(self, monkeypatch):
+        table = tied_table(3000, seed=1)
+        assert_leaf_packer_parity(table)
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, kind=None, **kw: argsort(a, kind="quicksort", **kw)
+        )
+        with pytest.raises(AssertionError):
+            assert_leaf_packer_parity(table)
 
 
 BUILDERS = [FlatRTree.build, str_bulk_load]
@@ -123,11 +233,38 @@ def test_flat_build_makes_no_per_object_rect(monkeypatch):
     assert len(made) <= 4
 
 
+def test_set_up_makes_no_per_object_rect_or_spatial_object(monkeypatch):
+    """The whole columnar path, generators included: ~5,000 objects go from
+    ``paper_maps`` into the node trees, the flat trees and a shard router
+    over a constant number of Rects (region bounds, bounding boxes) and
+    not one SpatialObject."""
+    made = {Rect: 0, SpatialObject: 0}
+    for cls in made:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    maps = paper_maps(scale=0.02, seed=42)
+    assert sum(len(data) for data in maps) > 5000
+    for data in maps:
+        assert len(build_tree(data)) == len(data)
+        assert build_flat_tree(data).size == len(data)
+    for backend in ("node", "flat"):
+        ShardRouter.from_maps(
+            {"map1": maps[0], "map2": maps[1]}, ShardConfig(backend=backend)
+        )
+    assert made[SpatialObject] == 0
+    assert made[Rect] <= 64
+    # the guard is live: the object edge does make them
+    maps[0].objects
+    assert made[SpatialObject] == len(maps[0]) <= made[Rect]
+
+
 def test_no_builder_entry_point_reads_map_items():
-    """``MapData.items()`` rebuilds a 130k-tuple list per call; it is for
-    oracles and examples.  Inside ``src/repro`` only ``build_tree``, next
-    to its definition, reads it (node entries share the map's floats);
-    every other builder entry point takes ``MapData.table()``."""
+    """``MapData.items()`` builds a 130k-tuple list per call; it is for
+    oracles, examples and tests.  No file under ``src/repro`` reads it:
+    every builder entry point takes ``MapData.table()``."""
     import re
     from pathlib import Path
 
@@ -142,7 +279,6 @@ def test_no_builder_entry_point_reads_map_items():
     hits = [
         f"{path.relative_to(root)}:{number}: {line.strip()}"
         for path in sorted(root.rglob("*.py"))
-        if path.relative_to(root).as_posix() != "datagen/maps.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if call.search(line)
     ]
@@ -151,8 +287,8 @@ def test_no_builder_entry_point_reads_map_items():
 
 def test_node_entries_share_the_floats_of_the_pairs_they_came_from():
     """``str_bulk_load`` over pairs copies no coordinate: every data entry
-    holds the very float objects of its source ``Rect`` (96 B an entry at
-    full scale is the join workload's resident memory)."""
+    holds the very float objects of its source ``Rect`` (a caller that has
+    pairs pays 96 B an entry less)."""
     items = [(i, Rect(i + 0.25, i + 0.5, i + 1.25, i + 1.5)) for i in range(50)]
     by_oid = dict(items)
     tree = str_bulk_load(items)
