@@ -1,42 +1,17 @@
 """Shared fixtures of the benchmark suite.
 
-The workload (maps + trees) is built once per session and shared by all
-benches; ``REPRO_SCALE`` (default 0.25) selects the fraction of the
-paper's 131k/127k objects, and ``--backend {node,flat}`` (or
-``REPRO_BACKEND``) selects the index backend, so every bench runs
-head-to-head across backends.  With ``--backend flat`` all reports gain
-a ``_flat`` suffix (``BENCH_<name>_flat.json``) so the two arms never
-clobber each other.
+The workload (maps + node R*-trees + page store) is built once per
+session and shared by all benches; ``REPRO_SCALE`` (default 0.25)
+selects the fraction of the paper's 131k/127k objects.  Every bench here
+reproduces a table or figure of the paper on its paged index; the packed
+in-memory backend is measured by ``python -m perf``.
 """
 
 import pytest
 
-from repro.bench import (
-    BACKENDS,
-    active_backend,
-    active_scale,
-    get_workload,
-    set_report_suffix,
-)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="index backend for the workload trees (default: "
-        "REPRO_BACKEND env var or 'node')",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def backend(request):
-    chosen = request.config.getoption("--backend") or active_backend()
-    set_report_suffix("" if chosen == "node" else f"_{chosen}")
-    return chosen
+from repro.bench import active_scale, get_workload
 
 
 @pytest.fixture(scope="session")
-def workload(backend):
-    return get_workload(active_scale(), backend=backend)
+def workload():
+    return get_workload(active_scale())

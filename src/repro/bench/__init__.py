@@ -10,9 +10,7 @@ from .figures import (
     figure9_and_10,
 )
 from .harness import (
-    BACKENDS,
     Workload,
-    active_backend,
     active_scale,
     get_workload,
     run_join,
@@ -27,7 +25,6 @@ from .render import (
     render_table,
     report,
     report_json,
-    set_report_suffix,
 )
 from .tables import PAPER_TABLE1, table1_rows, table2_rows
 
@@ -35,8 +32,6 @@ __all__ = [
     "Workload",
     "get_workload",
     "active_scale",
-    "active_backend",
-    "BACKENDS",
     "run_join",
     "scaled_pages",
     "set_tracing",
@@ -56,6 +51,5 @@ __all__ = [
     "heading",
     "report",
     "report_json",
-    "set_report_suffix",
     "ascii_chart",
 ]

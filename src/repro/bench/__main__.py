@@ -17,10 +17,8 @@ import time
 
 from ..trace import TraceConfig
 from . import (
-    BACKENDS,
     ablation_task_order,
     ablation_tuning_techniques,
-    active_backend,
     active_scale,
     figure5,
     figure7,
@@ -29,7 +27,6 @@ from . import (
     get_workload,
     heading,
     render_table,
-    set_report_suffix,
     set_tracing,
     table1_rows,
     table2_rows,
@@ -88,13 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="workload scale (default: REPRO_SCALE env var or 0.25)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="index backend (default: REPRO_BACKEND env var or 'node'); "
-        "'flat' runs the packed numpy backend through the same experiments",
-    )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
         "--trace",
@@ -122,12 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     scale = args.scale if args.scale is not None else active_scale()
-    backend = args.backend if args.backend is not None else active_backend()
     print(f"scale = {scale} "
-          f"({'paper size' if scale == 1.0 else 'scaled workload'}), "
-          f"backend = {backend}")
-    set_report_suffix("" if backend == "node" else f"_{backend}")
-    workload = get_workload(scale, backend=backend)
+          f"({'paper size' if scale == 1.0 else 'scaled workload'})")
+    workload = get_workload(scale)
 
     if args.trace:
         set_tracing(TraceConfig(jsonl_path=args.trace_jsonl))

@@ -32,21 +32,16 @@ __all__ = [
     "Workload",
     "get_workload",
     "active_scale",
-    "active_backend",
-    "BACKENDS",
     "run_join",
     "scaled_pages",
     "set_tracing",
     "trace_reports",
 ]
 
-_CACHE: dict[tuple[float, str], "Workload"] = {}
+_CACHE: dict[float, "Workload"] = {}
 
 #: Default experiment scale (fraction of the paper's object counts).
 DEFAULT_SCALE = 0.25
-
-#: The selectable index backends of the bench suite.
-BACKENDS = ("node", "flat")
 
 
 def active_scale() -> float:
@@ -54,24 +49,11 @@ def active_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", DEFAULT_SCALE))
 
 
-def active_backend() -> str:
-    """The active backend: ``REPRO_BACKEND`` env var or ``node``."""
-    backend = os.environ.get("REPRO_BACKEND", "node")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected node|flat)")
-    return backend
-
-
 @dataclass
 class Workload:
-    """The two maps, their prepared trees and the shared page store.
-
-    With ``backend="flat"`` the trees are packed
-    :class:`~repro.rtree.flat.FlatRTree` instances; every entry point of
-    the query/join layers dispatches on them, and the page store covers
-    their cached node-tree adapters so the simulated-machine benches run
-    the packed index unchanged.
-    """
+    """The two maps, their prepared R*-trees and the shared page store —
+    the paper's paged index, which is what every experiment here measures
+    (the packed in-memory backend is measured by ``perf``)."""
 
     scale: float
     map1: MapData
@@ -79,34 +61,21 @@ class Workload:
     tree1: RStarTree
     tree2: RStarTree
     page_store: PageStore
-    backend: str = "node"
 
 
-def get_workload(
-    scale: float | None = None, backend: str | None = None
-) -> Workload:
+def get_workload(scale: float | None = None) -> Workload:
     """Build (or fetch the cached) paper workload at *scale*."""
     if scale is None:
         scale = active_scale()
-    if backend is None:
-        backend = active_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected node|flat)")
-    cached = _CACHE.get((scale, backend))
+    cached = _CACHE.get(scale)
     if cached is not None:
         return cached
     map1, map2 = paper_maps(scale=scale)
-    if backend == "flat":
-        from ..rtree.flat import build_flat_tree  # deferred: needs numpy
-
-        tree1 = build_flat_tree(map1)
-        tree2 = build_flat_tree(map2)
-    else:
-        tree1 = build_tree(map1)
-        tree2 = build_tree(map2)
+    tree1 = build_tree(map1)
+    tree2 = build_tree(map2)
     page_store = prepare_trees(tree1, tree2)
-    workload = Workload(scale, map1, map2, tree1, tree2, page_store, backend)
-    _CACHE[(scale, backend)] = workload
+    workload = Workload(scale, map1, map2, tree1, tree2, page_store)
+    _CACHE[scale] = workload
     return workload
 
 

@@ -13,59 +13,40 @@ __all__ = [
     "heading",
     "report",
     "report_json",
-    "set_report_suffix",
     "ascii_chart",
 ]
 
-#: Appended to every report file stem (``BENCH_<name><suffix>.json``).
-#: The bench runners set ``_flat`` when the flat backend is selected, so
-#: a head-to-head run never clobbers the node-backend reports.
-_SUFFIX = ""
 
-
-def set_report_suffix(suffix: str) -> None:
-    """Set (or clear, with ``""``) the report-name suffix."""
-    global _SUFFIX
-    _SUFFIX = suffix
-
-
-def report(name: str, text: str, *, tagged: bool = True) -> str:
+def report(name: str, text: str) -> str:
     """Print *text* and persist it under ``benchmarks/results/<name>.txt``.
 
     pytest captures stdout, so benches also write their rendered tables to
     disk (directory overridable via ``REPRO_REPORT_DIR``); the file is
-    overwritten per run.  ``tagged=False`` opts out of the backend suffix
-    (for benches that already compare backends internally).  Returns
-    *text* for chaining.
+    overwritten per run.  Returns *text* for chaining.
     """
     print(text)
     directory = os.environ.get("REPRO_REPORT_DIR", "benchmarks/results")
-    stem = f"{name}{_SUFFIX}" if tagged else name
     try:
         os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, f"{stem}.txt"), "w") as handle:
+        with open(os.path.join(directory, f"{name}.txt"), "w") as handle:
             handle.write(text + "\n")
     except OSError:
         pass  # read-only checkout: printing alone still serves -s runs
     return text
 
 
-def report_json(
-    name: str, payload: Mapping[str, object], *, tagged: bool = True
-) -> str:
+def report_json(name: str, payload: Mapping[str, object]) -> str:
     """Persist *payload* as ``BENCH_<name>.json`` at the repo root.
 
     The machine-readable twin of :func:`report`: every bench emits one
     JSON document (config, scale, wall time, simulated times) so the perf
     trajectory can be tracked across commits without parsing tables.  The
     directory is overridable via ``REPRO_BENCH_JSON_DIR``; non-finite
-    floats become ``null`` so the output is strict JSON.  ``tagged=False``
-    opts out of the backend suffix.  Returns the target path (written or
-    not).
+    floats become ``null`` so the output is strict JSON.  Returns the
+    target path (written or not).
     """
     directory = os.environ.get("REPRO_BENCH_JSON_DIR", ".")
-    stem = f"{name}{_SUFFIX}" if tagged else name
-    path = os.path.join(directory, f"BENCH_{stem}.json")
+    path = os.path.join(directory, f"BENCH_{name}.json")
     try:
         os.makedirs(directory, exist_ok=True)
         with open(path, "w") as handle:

@@ -25,7 +25,7 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from ..rtree.flat import FlatRTree
+from ..rtree.flat import FlatRTree, is_flat
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 
@@ -33,6 +33,7 @@ __all__ = [
     "flat_join",
     "flat_join_pairs",
     "create_flat_tasks",
+    "packed_pair",
 ]
 
 #: Most frontier pairs one round descends together.  A longer frontier is
@@ -40,6 +41,21 @@ __all__ = [
 #: order — which bounds a round's working set and, under the forked
 #: driver, the time between two heartbeats of a healthy chunk.
 _BLOCK = 1 << 13
+
+
+def packed_pair(tree_r, tree_s) -> bool:
+    """True for two packed trees, False for two node trees — what every
+    join entry point that serves either backend asks first.  A mixed pair
+    is refused: no kernel joins arrays with pages, and rebuilding one side
+    would silently time a tree the caller never built."""
+    flat_r, flat_s = is_flat(tree_r), is_flat(tree_s)
+    if flat_r != flat_s:
+        kinds = ("a node R*-tree", "a packed FlatRTree")
+        raise ValueError(
+            f"cannot join mixed backends: tree_r is {kinds[flat_r]}, tree_s "
+            f"is {kinds[flat_s]}; build both relations on one backend"
+        )
+    return flat_r
 
 
 def flat_join(

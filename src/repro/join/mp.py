@@ -60,6 +60,7 @@ from ..recovery.procs import PipedWorkers
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
+from .flat import _FlatJoinPlan, packed_pair
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 from .sequential import join_node_pair
@@ -120,13 +121,10 @@ class _NodeJoinPlan:
 def plan_join(tree_r, tree_s, min_tasks: int):
     """Phase 1 for the forked driver: the one place that picks a backend.
 
-    Two packed trees join on their arrays; anything else runs the node
-    plan — :func:`create_tasks` materialises the packed side of a mixed
-    pair through ``as_node_tree()``, the only path that input has.
+    Two packed trees join on their arrays, two node trees on the
+    :func:`create_tasks` list; a mixed pair is a ``ValueError``.
     """
-    if hasattr(tree_r, "as_node_tree") and hasattr(tree_s, "as_node_tree"):
-        from .flat import _FlatJoinPlan  # deferred: needs numpy
-
+    if packed_pair(tree_r, tree_s):
         return _FlatJoinPlan(tree_r, tree_s, min_tasks)
     return _NodeJoinPlan(tree_r, tree_s, min_tasks)
 
@@ -211,11 +209,11 @@ def multiprocessing_join(
     :func:`repro.join.sequential.sequential_join`).  With ``geometry_r``
     and ``geometry_s`` (oid → point-tuple mappings), every worker also
     runs the exact refinement on the candidates it produced.  Both
-    backends (and a mixed pair) run the same chunked, lease-monitored
-    driver — this is :func:`fault_tolerant_join` without the statistics;
-    see there for ``timeout_s``, ``recovery``, ``journal_path`` and
-    ``faults``.  Runs the chunks inline in the parent when ``processes``
-    is 1 or fork is unavailable.
+    backends run the same chunked, lease-monitored driver — this is
+    :func:`fault_tolerant_join` without the statistics; see there for
+    ``timeout_s``, ``recovery``, ``journal_path`` and ``faults``.  Runs
+    the chunks inline in the parent when ``processes`` is 1 or fork is
+    unavailable.
     """
     pairs, _stats = fault_tolerant_join(
         tree_r,

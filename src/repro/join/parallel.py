@@ -36,6 +36,7 @@ from ..recovery.config import RecoveryConfig
 from ..recovery.journal import JoinJournal
 from ..recovery.lease import LeaseTable
 from ..recovery.ledger import ResultLedger
+from ..rtree.flat import require_node_trees
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
 from ..sim.engine import Environment
@@ -139,13 +140,7 @@ def prepare_trees(tree_r: RStarTree, tree_s: RStarTree) -> PageStore:
     A self-join (``tree_r is tree_s``) paginates the tree once and aliases
     it as both join inputs, so every page exists — and is charged — once.
     """
-    # Flat packed backend: the simulated machine measures page accesses
-    # over Node/PageStore structures, so materialise the packed levels as
-    # an equivalent node tree (cached — a self-join aliases to one tree).
-    if hasattr(tree_r, "as_node_tree"):
-        tree_r = tree_r.as_node_tree()
-    if hasattr(tree_s, "as_node_tree"):
-        tree_s = tree_s.as_node_tree()
+    require_node_trees("prepare_trees", tree_r, tree_s)
     page_store = PageStore()
     for node in tree_r.nodes():
         node.sort_entries_by_xl()
@@ -171,10 +166,7 @@ def parallel_spatial_join(
     :func:`prepare_trees` (sharing it across runs avoids re-sorting;
     buffers always start cold regardless).
     """
-    if hasattr(tree_r, "as_node_tree"):  # flat packed backend
-        tree_r = tree_r.as_node_tree()
-    if hasattr(tree_s, "as_node_tree"):
-        tree_s = tree_s.as_node_tree()
+    require_node_trees("parallel_spatial_join", tree_r, tree_s)
     run = _JoinRun(tree_r, tree_s, config, page_store)
     return run.execute()
 

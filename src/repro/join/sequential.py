@@ -19,6 +19,7 @@ from typing import Hashable, Optional
 from ..geometry.planesweep import restrict_to_window, sweep_pairs
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
+from .flat import flat_join, packed_pair
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 from .tasks import PairWindow
@@ -40,20 +41,18 @@ def sequential_join(
     their exact geometry and only the answers are kept (multi-step
     processing); otherwise the candidate set of the filter step is
     returned.  Candidates appear in the local plane-sweep order when
-    ``use_sweep`` is on.
+    ``use_sweep`` is on.  Two packed trees run the vectorized kernel of
+    :mod:`repro.join.flat`, which has no tuning switches: the ablation
+    (either knob off) is measured on node R*-trees only.
     """
-    flat_r = hasattr(tree_r, "as_node_tree")  # flat packed backend
-    flat_s = hasattr(tree_s, "as_node_tree")
-    if flat_r and flat_s and use_restriction and use_sweep:
-        from .flat import flat_join  # deferred: needs numpy
-
+    if packed_pair(tree_r, tree_s):
+        if not (use_restriction and use_sweep):
+            raise ValueError(
+                "use_restriction=False / use_sweep=False ablate the node "
+                "R*-tree join; the packed kernel has neither switch — run "
+                "the ablation on node trees"
+            )
         return flat_join(tree_r, tree_s, refinement=refinement)
-    # Mixed backends (or an ablation run, whose tuning knobs have no
-    # analogue in the vectorized kernel): join the materialised node trees.
-    if flat_r:
-        tree_r = tree_r.as_node_tree()
-    if flat_s:
-        tree_s = tree_s.as_node_tree()
     result = SequentialJoinResult(pairs=[])
     if tree_r.size == 0 or tree_s.size == 0:
         return result

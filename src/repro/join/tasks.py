@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..geometry.planesweep import restrict_to_window, sweep_pairs
+from ..rtree.flat import require_node_trees
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 
@@ -96,10 +97,7 @@ def create_tasks(
     are not yet leaves.  Nodes must be kept with entries sorted by ``xl``
     (see :func:`repro.join.parallel.prepare_trees`).
     """
-    if hasattr(tree_r, "as_node_tree"):  # flat packed backend
-        tree_r = tree_r.as_node_tree()
-    if hasattr(tree_s, "as_node_tree"):
-        tree_s = tree_s.as_node_tree()
+    require_node_trees("create_tasks", tree_r, tree_s)
     if tree_r.size == 0 or tree_s.size == 0:
         return []
     root_window = PairWindow(tree_r.root, tree_s.root)
@@ -147,10 +145,7 @@ def task_signature(tasks: list[Task]) -> str:
 
 def count_root_tasks(tree_r: RStarTree, tree_s: RStarTree) -> int:
     """m of the paper's Table 1: intersecting pairs of root entries."""
-    if hasattr(tree_r, "as_node_tree"):  # flat packed backend
-        tree_r = tree_r.as_node_tree()
-    if hasattr(tree_s, "as_node_tree"):
-        tree_s = tree_s.as_node_tree()
+    require_node_trees("count_root_tasks", tree_r, tree_s)
     if tree_r.size == 0 or tree_s.size == 0:
         return 0
     if tree_r.height == 1 or tree_s.height == 1:

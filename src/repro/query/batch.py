@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..rtree.entry import Entry
+from ..rtree.flat import is_flat
 from ..rtree.query import require_window
 
 __all__ = ["multi_window_query"]
@@ -30,7 +31,7 @@ def multi_window_query(tree, windows: Sequence) -> list[list[Entry]]:
     """
     for window in windows:
         require_window(window)
-    if hasattr(tree, "multi_window"):  # flat packed backend
+    if is_flat(tree):
         return tree.multi_window(windows)
     results: list[list[Entry]] = [[] for _ in windows]
     if not windows or tree.size == 0:

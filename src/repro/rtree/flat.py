@@ -21,13 +21,15 @@ is the position of level ``l``'s first box in the global arrays, so the
 slice of level ``l`` is ``level_offsets[l]:level_offsets[l+1]`` — the
 level boundaries partition the arrays.
 
-The class is a drop-in *backend*: :func:`repro.rtree.query.window_query`,
+The class is the in-memory *execution* index:
+:func:`repro.rtree.query.window_query`,
 :func:`repro.rtree.query.nearest_neighbors`,
-:func:`repro.query.batch.multi_window_query` and the join entry points
-all dispatch on it, and :meth:`as_node_tree` materialises an equivalent
-pointer tree so the simulated-machine paths (pagination, LSR/GSRR/GD)
-run the packed structure unchanged.  Because the arrays are plain module
-data, a forked worker inherits the whole index by copy-on-write —
+:func:`repro.query.batch.multi_window_query`, the sequential and forked
+joins and the shard tier dispatch on it (:func:`is_flat`).  It has no
+pages, so everything that measures page accesses — pagination, the
+simulated LSR/GSRR/GD machine, Table 1 — takes the node R*-tree only
+(:func:`require_node_trees`).  Because the arrays are plain module data,
+a forked worker inherits the whole index by copy-on-write —
 fork-inherits-arrays, where the service layer today fork-inherits-trees.
 """
 
@@ -41,11 +43,9 @@ from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
 from ..zorder.curve import Quantizer, interleave_array
 from .entry import Entry
-from .node import Node
 from .query import QueryStats, oid_order_key
-from .rstar import RStarTree
 
-__all__ = ["FlatRTree", "build_flat_tree", "is_flat"]
+__all__ = ["FlatRTree", "build_flat_tree", "is_flat", "require_node_trees"]
 
 #: Default fan-out.  Wider nodes amortise numpy's per-call overhead but
 #: make each node's MBR looser, which inflates the candidate crosses of
@@ -60,6 +60,19 @@ DEFAULT_CURVE_BITS = 16
 def is_flat(tree) -> bool:
     """True when *tree* is a flat packed backend instance."""
     return isinstance(tree, FlatRTree)
+
+
+def require_node_trees(function: str, *trees) -> None:
+    """Raise ``TypeError`` when a packed tree reaches *function*, one of
+    the entry points that walk :class:`~repro.rtree.node.Node` pages."""
+    if any(is_flat(tree) for tree in trees):
+        raise TypeError(
+            f"{function} walks the pages of a node R*-tree and was given a "
+            "packed FlatRTree, which has none; packed trees are taken by "
+            "window_query, nearest_neighbors, multi_window_query, "
+            "sequential_join, multiprocessing_join / fault_tolerant_join "
+            "and the shard tier"
+        )
 
 
 class FlatRTree:
@@ -79,7 +92,6 @@ class FlatRTree:
         "ymax",
         "level_offsets",
         "_counts",
-        "_node_tree",
         "_entries",
     )
 
@@ -93,7 +105,6 @@ class FlatRTree:
         self.ymax = np.empty(0, dtype=np.float64)
         self.level_offsets = np.zeros(1, dtype=np.int64)
         self._counts: list[int] = []
-        self._node_tree: Optional[RStarTree] = None
         self._entries: Optional[list[Entry]] = None
 
     # ------------------------------------------------------------- build
@@ -167,10 +178,6 @@ class FlatRTree:
     def level_count(self, level: int) -> int:
         """Number of boxes at *level* (level 0 = data boxes)."""
         return self._counts[level]
-
-    def level_slice(self, level: int) -> tuple[int, int]:
-        """``[start, stop)`` of *level*'s boxes in the global arrays."""
-        return int(self.level_offsets[level]), int(self.level_offsets[level + 1])
 
     def child_range(self, level: int, index: int) -> tuple[int, int]:
         """``[start, stop)`` of node ``(level, index)``'s children within
@@ -401,46 +408,6 @@ class FlatRTree:
                         heap, (dist, 0, child, next(seq), level - 1, child)
                     )
         return results
-
-    # ------------------------------------------------- node-tree adapter
-    def as_node_tree(self) -> RStarTree:
-        """An equivalent pointer tree over the packed structure (cached).
-
-        The simulated-machine paths — pagination, path buffers, the
-        LSR/GSRR/GD join variants and the parallel queries — traverse
-        :class:`~repro.rtree.node.Node` objects; this adapter lets them
-        run the *packed* index without any change, so 'flat' is a
-        selectable backend there too (same result sets, array kernels
-        where they pay, node traversal where the simulation needs pages).
-        """
-        if self._node_tree is not None:
-            return self._node_tree
-        shell = RStarTree(
-            dir_capacity=self.node_size, data_capacity=self.node_size
-        )
-        if self.size == 0:
-            self._node_tree = shell
-            return shell
-        leaves = []
-        for i in range(self._counts[1]):
-            lo, hi = self.child_range(1, i)
-            leaves.append(
-                Node(0, [self.entry(j) for j in range(lo, hi)])
-            )
-        nodes = leaves
-        for level in range(2, self.num_levels):
-            grouped = []
-            for i in range(self._counts[level]):
-                lo, hi = self.child_range(level, i)
-                grouped.append(
-                    Node(level - 1, [Entry.for_child(c) for c in nodes[lo:hi]])
-                )
-            nodes = grouped
-        shell.root = nodes[0]
-        shell.height = self.num_levels - 1
-        shell.size = self.size
-        self._node_tree = shell
-        return shell
 
     # -------------------------------------------------------- validation
     def validate(self) -> None:

@@ -10,12 +10,13 @@ module provides both over the same R*-tree:
 
 Both functions are *backend entry points*: they accept either the
 pointer-based :class:`~repro.rtree.rstar.RStarTree` or the packed
-:class:`~repro.rtree.flat.FlatRTree` (duck-typed on its ``window_entries``
-/ ``nearest`` kernels, so importing this module never pulls in numpy) and
-produce identical result sets either way.  They are also where query
-coordinates are checked (:func:`coordinate_error`): a NaN compares false
-with everything, so below this line it would be answered with silence or
-with arbitrary rows, differently per backend.
+:class:`~repro.rtree.flat.FlatRTree` and produce identical result sets
+either way.  They ask :func:`~repro.rtree.flat.is_flat`, imported inside
+each dispatcher because :mod:`repro.rtree.flat` itself imports
+:class:`QueryStats` and :func:`oid_order_key` from this module.  They are
+also where query coordinates are checked (:func:`coordinate_error`): a
+NaN compares false with everything, so below this line it would be
+answered with silence or with arbitrary rows, differently per backend.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ def window_query(
     order of the chosen backend (depth-first here, ascending packed order
     on the flat backend).
     """
+    from .flat import is_flat
+
     require_window(window)
-    if hasattr(tree, "window_entries"):  # flat packed backend
+    if is_flat(tree):
         return tree.window_entries(window, stats=stats)
     result: list[Entry] = []
     stack = [tree.root]
@@ -142,12 +145,14 @@ def nearest_neighbors(
     *before* that entry is emitted; entries therefore pop in exact
     ``(distance, oid key)`` order.
     """
+    from .flat import is_flat
+
     if k < 1:
         raise ValueError("k must be at least 1")
     reason = coordinate_error((("x", x), ("y", y)))
     if reason is not None:
         raise ValueError(reason)
-    if hasattr(tree, "nearest"):  # flat packed backend
+    if is_flat(tree):
         return tree.nearest(x, y, k)
     if tree.size == 0:
         return []

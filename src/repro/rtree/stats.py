@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .flat import require_node_trees
 from .rstar import RStarTree
 
 __all__ = ["TreeStats", "tree_stats"]
@@ -37,15 +38,9 @@ class TreeStats:
         }
 
 
-def tree_stats(tree) -> TreeStats:
-    """Compute the Table 1 statistics of *tree* in one traversal.
-
-    Accepts either backend: a flat packed tree is measured through its
-    node-tree adapter, so the numbers describe the same paged shape the
-    simulated-machine paths traverse.
-    """
-    if hasattr(tree, "as_node_tree"):  # flat packed backend
-        tree = tree.as_node_tree()
+def tree_stats(tree: RStarTree) -> TreeStats:
+    """Compute the Table 1 statistics of *tree* in one traversal."""
+    require_node_trees("tree_stats", tree)
     data_pages = 0
     dir_pages = 0
     data_entries = 0

@@ -33,8 +33,8 @@ healthy-vs-faulted comparison is written to ``BENCH_chaos.json``.
 over the shard-count ladder up to K, hot-shard skew (``--skew
 hotspot|zipf``) with and without per-shard replication, and a
 crash-failover run that must complete every request through replica
-re-dispatch; the ``SHD_*``/``LSE_*`` routing and lease ledgers are
-checker-verified and the comparison lands in ``BENCH_shard.json``.
+re-dispatch; the ``SHD_*`` routing ledger is checker-verified and the
+comparison lands in ``BENCH_shard.json``.
 
 ``--resume`` benchmarks the recoverable join instead of the serving
 engine: the same journalled join is run healthy, under seeded task kills
@@ -58,6 +58,7 @@ from ..bench.render import heading, render_table, report_json
 from ..datagen import build_tree, paper_maps
 from ..faults import FaultPlan
 from ..geometry.rect import Rect
+from ..rtree.flat import build_flat_tree
 from ..trace import ListSink, run_checkers, service_checkers
 from .engine import Engine, EngineConfig
 from .model import JoinRequest, KNNRequest, WindowRequest
@@ -80,8 +81,6 @@ def build_trees(scale: float, seed: int, backend: str = "node"):
     """
     map1, map2 = paper_maps(scale=scale, seed=seed)
     if backend == "flat":
-        from ..rtree.flat import build_flat_tree  # deferred: needs numpy
-
         trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
     elif backend == "node":
         trees = {"map1": build_tree(map1), "map2": build_tree(map2)}
@@ -332,8 +331,7 @@ async def run_shard_load(
     The same driver and summary as :func:`run_load` — both tiers are one
     front door — plus the router's per-shard serving counters under
     ``"shards"`` (routed sub-requests, rows, failovers, kNN prunes per
-    shard: the hot-shard evidence), its ``"partition"`` and the
-    lease/ledger counters.
+    shard: the hot-shard evidence) and its ``"partition"``.
     """
     from ..shard import ShardConfig, ShardRouter
 
@@ -347,8 +345,6 @@ async def run_shard_load(
     )
     summary["partition"] = snapshot["partition"]
     summary["shards"] = snapshot["shards"]
-    summary["resilience"]["leases"] = snapshot["leases"]
-    summary["resilience"]["ledger"] = snapshot["ledger"]
     return summary
 
 
@@ -862,10 +858,7 @@ def _shard_main(args) -> int:
     _audit("failover", faulted, failures)
     failovers = sum(s["failovers"] for s in faulted["shards"].values())
     resilience = faulted["resilience"]
-    print(
-        f"failovers: {failovers}   faults: {resilience['faults_injected']}"
-        f"   leases: {resilience['leases']}"
-    )
+    print(f"failovers: {failovers}   faults: {resilience['faults_injected']}")
 
     payload = {
         "bench": "shard",
@@ -908,7 +901,7 @@ def _shard_main(args) -> int:
             print(f"SHARD FAILURE: {failure}")
         return 1
     print(
-        "shard invariants hold: no lost requests, routing/lease/service "
+        "shard invariants hold: no lost requests, routing/service "
         "checkers green across every arm"
     )
     return 0

@@ -26,6 +26,7 @@ from typing import Hashable, Optional, Sequence
 
 from ..geometry.rect import Rect
 from ..join.sequential import sequential_join
+from ..rtree.flat import is_flat
 from ..rtree.query import nearest_neighbors, oid_order_key, window_query
 from .partition import PartitionMap, ShardedDataset
 
@@ -41,7 +42,7 @@ __all__ = [
 
 def data_entries(tree):
     """All data-level entries of either backend."""
-    if hasattr(tree, "entry"):  # flat packed backend
+    if is_flat(tree):
         return [tree.entry(i) for i in range(len(tree))]
     return list(tree.data_entries())
 

@@ -23,17 +23,16 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
   joins — every decision emitted as an ``SHD_*`` event the
   :class:`~repro.trace.checkers.ShardAccountingChecker` re-derives from
   the announced shard geometry;
-* each shard runs **R replica pools** with round-robin read routing, and
-  every routed sub-request executes under a
-  :class:`~repro.recovery.lease.LeaseTable` lease: a crashed or hung
-  replica fails the attempt — a crash at once, as ``worker-died``, a
-  hang at the attempt deadline — the lease expires and is requeued
-  (``LSE_REQUEUED``), and the sub-request **fails over** to the next
-  replica (``SHD_FAILOVER``) instead of failing the request — with one
-  replica, the retry lands on the same pool, which has already forked
-  the dead worker's replacement.  The
-  :class:`~repro.recovery.ledger.ResultLedger` keeps the merge
-  exactly-once if a lost attempt ever resurfaces.
+* each shard runs **R replica pools** with round-robin read routing: a
+  crashed or hung replica fails the attempt — a crash at once, as
+  ``worker-died``, a hang at the attempt deadline — and the sub-request
+  **fails over** to the next replica (``SHD_FAILOVER``, carrying the
+  cause) instead of failing the request — with one replica, the retry
+  lands on the same pool, which has already forked the dead worker's
+  replacement.  The attempt loop returns on the first success and a
+  failed attempt's holder is dead, so every ``SHD_SUBREQUEST_SENT``
+  settles exactly once (``DONE | FAILOVER | FAILED``) with no further
+  bookkeeping; the router keeps nothing per sub-request.
 
 The router deliberately has no micro-batcher and no circuit breakers:
 batching belongs to the single-tree engine it can wrap per shard later,
@@ -50,8 +49,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..faults import FaultPlan
 from ..geometry.rect import Rect
-from ..recovery.lease import LeaseTable
-from ..recovery.ledger import ResultLedger
 from ..service.frontdoor import FrontDoor, pool_totals
 from ..service.model import (
     JoinRequest,
@@ -68,10 +65,6 @@ from .ops import merge_knn, mindist
 from .partition import ShardedDataset, build_sharded
 
 __all__ = ["ShardRouter", "ShardConfig"]
-
-#: Sub-request lease duration.  Failover expires leases explicitly, so
-#: this only bounds bookkeeping, not detection latency.
-_LEASE_S = 5.0
 
 #: Each replica pool owns a disjoint call-id range this wide, so the
 #: ``FLT_INJECT_* .call`` / ``SUP_CALL_*`` ledgers of many pools sharing
@@ -152,10 +145,6 @@ class ShardRouter(FrontDoor):
                 )
                 replicas.append(pool)
             self.pools.append(replicas)
-        self.leases = LeaseTable(
-            clock=self._now, lease_s=_LEASE_S, tracer=self.tracer
-        )
-        self.ledger = ResultLedger(self.tracer)
         self._rr = [0] * self.config.shards
         self._shard_stats = [
             {
@@ -399,7 +388,7 @@ class ShardRouter(FrontDoor):
         args: tuple,
         deadline: Optional[float],
     ):
-        """One routed sub-request: leased execution with replica failover.
+        """One routed sub-request: execution with replica failover.
 
         Every ``SENT`` settles exactly once — DONE on success, FAILOVER
         between attempts, FAILED on the last attempt (or on abandonment
@@ -414,11 +403,6 @@ class ShardRouter(FrontDoor):
           as FAILED instead of announcing a retry that never comes;
         * a cancelled request emits FAILED only when the current
           attempt's SENT is still unsettled.
-
-        Every attempt runs under its own lease; a failed attempt's lease
-        expires and its task is requeued (the ``LSE_*`` ledger the
-        RecoveryAccountingChecker reconciles) before the next replica
-        picks it up.
         """
         stats = self._shard_stats[shard]
         stats["subrequests"] += 1
@@ -427,8 +411,6 @@ class ShardRouter(FrontDoor):
         replicas = self.config.replicas
         start = self._rr[shard]
         self._rr[shard] = (start + 1) % replicas
-        task = f"{rid}/{shard}"
-        lease = None
         pending_sent = False  # the current attempt's SENT is unsettled
         try:
             for attempt in range(self.config.max_attempts):
@@ -461,8 +443,6 @@ class ShardRouter(FrontDoor):
                         max(0.0, remaining) if timeout_s is None
                         else min(timeout_s, max(0.0, remaining))
                     )
-                holder = shard * replicas + replica
-                lease = self.leases.grant(task, holder=holder)
                 self._emit(
                     EventKind.SHD_SUBREQUEST_SENT,
                     req=rid, shard=shard, replica=replica,
@@ -472,9 +452,6 @@ class ShardRouter(FrontDoor):
                 try:
                     value = await pool.run(kind, *args, timeout_s=timeout_s)
                 except WorkerError as exc:
-                    self.leases.expire(lease.id, reason=exc.cause_type)
-                    self._requeue(task, holder)
-                    lease = None
                     # Decide give-up vs failover *now*, before promising
                     # a resend: out of attempts, or out of budget for
                     # another one.
@@ -503,31 +480,21 @@ class ShardRouter(FrontDoor):
                     pending_sent = False
                     continue
                 rows = self._row_count(kind, value)
-                # First completion wins; a resurfacing lost attempt would
-                # land here again and be dropped (LSE_DUP_DROPPED).
-                if self.ledger.commit(task, (), lease=lease.id, proc=holder):
-                    self.leases.complete(lease.id, rows=rows)
-                    lease = None
-                    stats["rows"] += rows
-                    self._emit(
-                        EventKind.SHD_SUBREQUEST_DONE,
-                        req=rid, shard=shard, replica=replica,
-                        attempt=attempt, rows=rows,
-                    )
-                    pending_sent = False
+                stats["rows"] += rows
+                self._emit(
+                    EventKind.SHD_SUBREQUEST_DONE,
+                    req=rid, shard=shard, replica=replica,
+                    attempt=attempt, rows=rows,
+                )
+                pending_sent = False
                 return value
             raise AssertionError("unreachable: attempts exhausted silently")
         except asyncio.CancelledError:
-            # The awaiting request timed out or was cancelled: the
-            # attempt's lease is released (expired + requeued, with no
-            # taker — the request is gone) and, if the attempt's SENT is
-            # still unsettled, the sub-request settles as FAILED so the
-            # fan-out ledger balances.  With no SENT pending there is
-            # nothing to settle and FAILED would unbalance it instead.
-            if lease is not None and self.leases.is_active(lease.id):
-                holder = lease.holder
-                self.leases.expire(lease.id, reason="abandoned")
-                self._requeue(task, holder, abandoned=1)
+            # The awaiting request timed out or was cancelled: if the
+            # attempt's SENT is still unsettled, the sub-request settles
+            # as FAILED so the fan-out ledger balances.  With no SENT
+            # pending there is nothing to settle and FAILED would
+            # unbalance it instead.
             if pending_sent:
                 self._emit(
                     EventKind.SHD_SUBREQUEST_FAILED,
@@ -561,9 +528,6 @@ class ShardRouter(FrontDoor):
             )
         return exc
 
-    def _requeue(self, task: str, holder: int, **extra) -> None:
-        self._emit(EventKind.LSE_REQUEUED, proc=holder, task=task, **extra)
-
     @staticmethod
     def _row_count(kind: str, value) -> int:
         if kind == "windows":
@@ -584,7 +548,7 @@ class ShardRouter(FrontDoor):
         )
 
     def snapshot(self) -> dict:
-        """The common keys plus routing, lease and per-shard metrics."""
+        """The common keys plus routing and per-shard metrics."""
         shards = {}
         for shard in range(self.config.shards):
             replicas = self.pools[shard]
@@ -607,7 +571,5 @@ class ShardRouter(FrontDoor):
                 "backend": self.config.backend,
                 "grid": f"{self.sharded.pmap.gx}x{self.sharded.pmap.gy}",
             },
-            "leases": self.leases.stats(),
-            "ledger": self.ledger.stats(),
             "shards": shards,
         }

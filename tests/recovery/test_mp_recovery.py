@@ -282,7 +282,6 @@ class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
         assert stats["redispatches"] == 1 and stats["inline_runs"] == 0
         assert_every_kill_was_an_event(sink, stats)
         assert_lawful(sink)
-        assert trees[0]._node_tree is None and trees[1]._node_tree is None
 
 
 class TestInterruptAndResumeFlat(FlatBackend, TestInterruptAndResume):

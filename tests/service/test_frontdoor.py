@@ -113,9 +113,7 @@ class TestSnapshotShape:
     def test_top_level_keys_are_pinned_per_tier(self):
         (_, engine, _), (_, router, _) = (serve(make, []) for make in TIERS)
         assert set(engine.snapshot()) == COMMON_KEYS
-        assert set(router.snapshot()) == COMMON_KEYS | {
-            "partition", "leases", "ledger"
-        }
+        assert set(router.snapshot()) == COMMON_KEYS | {"partition"}
         for key in ("metrics", "cache", "pool"):
             assert set(engine.snapshot()[key]) == set(router.snapshot()[key])
 

@@ -70,8 +70,7 @@ class TestChunkedEqualsUnchunked:
 
     def test_flat_trees_are_chunked_on_their_arrays(self, workload):
         """The chunk decomposition comes from the backend-neutral join
-        plan: packed trees are sliced as packed trees, no worker rebuilds
-        them as pointer trees (inline pool, so the trees are inspectable)."""
+        plan: packed trees are sliced as packed trees."""
         from repro.rtree import build_flat_tree
 
         trees, _ = workload
@@ -86,7 +85,6 @@ class TestChunkedEqualsUnchunked:
         )
         assert chunked.status is Status.OK
         assert chunked.value == plain.value
-        assert flat["r"]._node_tree is None and flat["s"]._node_tree is None
 
 
 class TestCrashingPool:

@@ -248,7 +248,6 @@ class TestEmptyShards:
             assert sorted(multiprocessing_join(trees["a"], trees["b"], 2)) == sorted(
                 sequential_join(trees["a"], trees["b"]).pairs
             )
-            assert all(tree._node_tree is None for tree in trees.values())
         assert tuple(sorted(merged)) == expected
 
 
