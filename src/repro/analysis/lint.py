@@ -20,11 +20,12 @@ full of debt shows up in the baseline, not behind a blanket pragma.
 Project index
 -------------
 Two rules need cross-file knowledge: the trace-event registry (which
-``EventKind`` members exist) and the accounting-checker source (which
-ledger events it reconciles).  The :class:`ProjectIndex` resolves both
-from the analyzed tree when present (``**/trace/events.py`` and
-``**/trace/checkers.py``) and falls back to the installed
-:mod:`repro.trace` otherwise, so the engine also works on fixture
+``EventKind`` members exist) and the two homes of the invariants (which
+ledger events they reconcile).  The :class:`ProjectIndex` resolves both
+from the analyzed tree when present (``**/trace/events.py``; the
+hand-written checkers in ``**/trace/checkers.py`` and the protocol
+specs in ``**/protocol/specs.py``) and falls back to the installed
+:mod:`repro` otherwise, so the engine also works on fixture
 repositories and external code.
 """
 
@@ -51,7 +52,7 @@ class ProjectIndex:
 
     #: Declared ``EventKind`` member names, or None when unresolvable.
     declared_events: Optional[frozenset[str]] = None
-    #: ``EventKind`` members referenced by the invariant checkers.
+    #: ``EventKind`` members read by a hand-written checker or a spec.
     checker_event_refs: Optional[frozenset[str]] = None
     #: Every ``emit(EventKind.X, ...)`` site seen: (path, line, member).
     emit_sites: list[tuple[str, int, str]] = field(default_factory=list)
@@ -59,7 +60,10 @@ class ProjectIndex:
     @classmethod
     def build(cls, files: Sequence[Path], rel: dict[Path, str]) -> "ProjectIndex":
         events_file = _find_special(files, "events.py")
-        checkers_file = _find_special(files, "checkers.py")
+        homes = (
+            _find_special(files, "checkers.py"),
+            _find_special(files, "specs.py", parent="protocol"),
+        )
         declared = None
         if events_file is not None:
             declared = _declared_events_from_source(
@@ -67,21 +71,21 @@ class ProjectIndex:
             )
         if declared is None:
             declared = _declared_events_installed()
-        refs = None
-        if checkers_file is not None:
-            refs = _event_refs_in_source(
-                checkers_file.read_text(encoding="utf-8")
-            )
-        if refs is None:
+        sources = [h.read_text(encoding="utf-8") for h in homes if h is not None]
+        if sources:
+            refs = _event_refs_in_source("".join(sources))
+        else:
             refs = _event_refs_installed()
         return cls(declared_events=declared, checker_event_refs=refs)
 
 
-def _find_special(files: Sequence[Path], name: str) -> Optional[Path]:
-    """The trace-layer file *name*, preferring a ``trace/`` parent."""
+def _find_special(
+    files: Sequence[Path], name: str, parent: str = "trace"
+) -> Optional[Path]:
+    """The file *name*, preferring one directly under *parent*."""
     candidates = [f for f in files if f.name == name]
     for candidate in candidates:
-        if candidate.parent.name == "trace":
+        if candidate.parent.name == parent:
             return candidate
     return candidates[0] if candidates else None
 
@@ -120,9 +124,12 @@ def _event_refs_installed() -> Optional[frozenset[str]]:
         import inspect
 
         from ..trace import checkers
+        from .protocol import specs
     except Exception:  # pragma: no cover
         return None
-    return _event_refs_in_source(inspect.getsource(checkers))
+    return _event_refs_in_source(
+        inspect.getsource(checkers) + inspect.getsource(specs)
+    )
 
 
 @dataclass

@@ -17,7 +17,8 @@ event's ``proc`` as the actor and its payload as ``data`` — and flags:
 Because the same automatons are proved safe by the bounded model
 checker, a conforming trace inherits the proved properties: the trace
 exhibits only specified edges, and every specified behaviour satisfies
-the spec's safety properties.
+the spec's safety properties.  The monitors are the *only* runtime check
+of these protocols; :mod:`repro.trace.checkers` holds no second copy.
 """
 
 from __future__ import annotations
@@ -131,6 +132,6 @@ def conformance_checkers() -> list[InvariantChecker]:
     """Fresh conformance checkers for every registered spec.
 
     Each is vacuous on streams without its protocol's events, so the
-    full set can ride alongside the hand-written checkers on every run.
+    full set rides in every checker set of :mod:`repro.trace.checkers`.
     """
     return [ProtocolConformanceChecker(spec) for spec in SPECS]

@@ -14,9 +14,10 @@ DET002    no unseeded randomness in deterministic modules: every RNG is a
 TRC001    every ``emit(...)`` names a declared ``EventKind`` member —
           undeclared or string event names silently bypass every checker
 TRC002    every emitted ``FLT_*``/``SUP_*``/``LSE_*``/``JNL_*``/``SHD_*``
-          ledger event is reconciled by an accounting checker (resilience,
-          recovery or shard) — an unreferenced ledger event is a fault
-          class that can be silently lost
+          ledger event is read by one of the invariants' two homes — an
+          accounting checker (resilience, recovery, shard) or a protocol
+          spec — an unreferenced ledger event is a fault class that can be
+          silently lost
 PAIR001   every ``CircuitBreaker.allow()`` admission is settled in a
           ``try/finally`` via ``record_success``/``record_failure``/
           ``release`` — a leaked half-open probe slot wedges the breaker
@@ -318,7 +319,7 @@ class DeclaredEventRule(Rule):
 @_register
 class LedgerCounterpartRule(ProjectRule):
     id = "TRC002"
-    description = "ledger event without an accounting-checker counterpart"
+    description = "ledger event read by no accounting checker and no spec"
 
     def finalize(
         self, project: ProjectIndex
@@ -334,10 +335,9 @@ class LedgerCounterpartRule(ProjectRule):
                 yield (
                     path,
                     line,
-                    f"EventKind.{member} is emitted but never referenced by "
-                    f"the trace checkers — the resilience/recovery "
-                    f"accounting ledger cannot reconcile it and the event "
-                    f"can be silently lost",
+                    f"EventKind.{member} is emitted but read by neither "
+                    f"the trace checkers nor a protocol spec — no ledger "
+                    f"can reconcile it and the event can be silently lost",
                 )
 
 

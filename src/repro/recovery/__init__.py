@@ -20,7 +20,8 @@ reproduction survive losing any of them — or the whole process:
 Both execution paths use the same pieces: the simulated join
 (``ParallelJoinConfig.recovery``) with the simulation clock, and the
 fork-based ``multiprocessing_join`` with the wall clock.  The event
-stream (``LSE_*``/``JNL_*``) is reconciled by
+stream (``LSE_*``/``JNL_*``) is checked by the ``lease`` / ``journal``
+spec monitors (:mod:`repro.analysis.protocol.specs`) and, beyond them, by
 :class:`repro.trace.checkers.RecoveryAccountingChecker`.
 """
 

@@ -15,9 +15,10 @@ a reassigned pair set is granted a *split* lease on the same task, so a
 dead thief is detected exactly like a dead primary holder.
 
 The clock is injected: the simulation passes ``lambda: env.now``, the
-fork coordinator passes :func:`repro.recovery.config.wall_clock`.  All
-lease events (``LSE_*``) are reconciled by
-:class:`~repro.trace.checkers.RecoveryAccountingChecker`.
+fork coordinator passes :func:`repro.recovery.config.wall_clock`.  Lease
+events (``LSE_*``) are checked per task by the ``lease`` spec's monitor
+(:mod:`repro.analysis.protocol.specs`) and per lease id, splits included,
+by :class:`~repro.trace.checkers.RecoveryAccountingChecker`.
 """
 
 from __future__ import annotations

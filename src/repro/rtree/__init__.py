@@ -3,7 +3,6 @@
 from .bulk import str_bulk_load
 from .entry import Entry
 from .flat import FlatRTree, build_flat_tree
-from .guttman import GuttmanRTree
 from .node import Node
 from .pagestore import PageStore
 from .query import QueryStats, nearest_neighbors, oid_order_key, window_query
@@ -14,7 +13,6 @@ __all__ = [
     "Entry",
     "Node",
     "RStarTree",
-    "GuttmanRTree",
     "FlatRTree",
     "build_flat_tree",
     "str_bulk_load",

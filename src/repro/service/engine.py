@@ -64,10 +64,9 @@ class EngineConfig:
 
     ``workers``          — forked worker processes (0 = thread fallback);
     ``max_inflight``     — global bound on admitted-but-unfinished requests;
-    ``queue_limit``      — per-class bound on requests waiting for execution;
-    ``window_limit`` / ``knn_limit`` / ``join_limit``
-                         — per-class concurrent executions (batches count
-                           once for the whole batch);
+    ``join_limit``       — concurrent join executions (the window / kNN
+                           slots and the waiting-room bound are constants
+                           of :mod:`~repro.service.frontdoor`);
     ``default_timeout_s``— per-request timeout unless overridden at submit;
     ``batching`` / ``batch_window_s`` / ``max_batch``
                          — micro-batcher switch, coalescing window, cap;
@@ -78,9 +77,7 @@ class EngineConfig:
                            per-attempt execution deadline, from hand-off
                            to a worker (always clipped to the request's
                            remaining budget);
-    ``breaker_failure_threshold`` / ``breaker_reset_s``
-                         — consecutive failures that open a class's
-                           circuit, and how long it stays open;
+    ``breaker_reset_s``  — how long a class's opened circuit stays open;
     ``serve_stale``      — degrade open-circuit cacheable requests to
                            TTL-expired cache entries instead of shedding;
     ``faults``           — seeded fault plan injected at the pool seam
@@ -91,9 +88,6 @@ class EngineConfig:
 
     workers: int = 0
     max_inflight: int = 128
-    queue_limit: int = 1024
-    window_limit: int = 32
-    knn_limit: int = 16
     join_limit: int = 2
     default_timeout_s: Optional[float] = 10.0
     batching: bool = True
@@ -103,7 +97,6 @@ class EngineConfig:
     cache_ttl_s: Optional[float] = 60.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     attempt_timeout_s: Optional[float] = 2.0
-    breaker_failure_threshold: int = 5
     breaker_reset_s: float = 0.5
     serve_stale: bool = True
     faults: Optional[FaultPlan] = None
@@ -146,7 +139,6 @@ class Engine(FrontDoor):
         self.breakers: dict[RequestClass, CircuitBreaker] = {
             cls: CircuitBreaker(
                 cls.value,
-                failure_threshold=self.config.breaker_failure_threshold,
                 reset_timeout_s=self.config.breaker_reset_s,
                 clock=self._now,
                 tracer=self.tracer,

@@ -34,8 +34,8 @@ A tier supplies only its execution plan, through three hooks:
 * ``_tree_names()`` — the served tree names (any container).
 
 :class:`~repro.service.engine.Engine` (batcher + breakers + one pool) and
-:class:`~repro.shard.router.ShardRouter` (routing + leases + replica
-failover) are the two tiers.  Nothing here knows which one it serves.
+:class:`~repro.shard.router.ShardRouter` (routing + replica failover)
+are the two tiers.  Nothing here knows which one it serves.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ __all__ = ["FrontDoor", "pool_totals"]
 
 _UNSET = object()
 
+#: Per-class bound on requests waiting for an execution slot, and the
+#: slots of the two cheap classes (a batch counts once; joins differ per
+#: tier: ``join_limit`` is a config field).
+QUEUE_LIMIT = 1024
+WINDOW_LIMIT = 32
+KNN_LIMIT = 16
+
 
 def pool_totals(pools) -> dict:
     """The ``supervisor`` and ``pool`` snapshot blocks, summed over
@@ -94,9 +101,8 @@ class FrontDoor:
     """Admission, deadline, cache and life cycle of one serving tier.
 
     *config* carries the fields both tiers' configs share
-    (``max_inflight``, ``queue_limit``, ``window_limit`` / ``knn_limit``
-    / ``join_limit``, ``default_timeout_s``, ``cache_capacity``,
-    ``cache_ttl_s``, ``workers``, ``faults``).
+    (``max_inflight``, ``join_limit``, ``default_timeout_s``,
+    ``cache_capacity``, ``cache_ttl_s``, ``workers``, ``faults``).
     """
 
     def __init__(
@@ -152,8 +158,9 @@ class FrontDoor:
         if self._running:
             raise RuntimeError(f"{type(self).__name__} already started")
         self._sems = {
-            cls: asyncio.Semaphore(getattr(self.config, f"{cls.value}_limit"))
-            for cls in RequestClass
+            RequestClass.WINDOW: asyncio.Semaphore(WINDOW_LIMIT),
+            RequestClass.KNN: asyncio.Semaphore(KNN_LIMIT),
+            RequestClass.JOIN: asyncio.Semaphore(self.config.join_limit),
         }
         self._idle = asyncio.Event()
         self._idle.set()
@@ -207,10 +214,10 @@ class FrontDoor:
                 cls, t0, "capacity",
                 f"in-flight limit {self.config.max_inflight} reached",
             )
-        if self._waiting[cls] >= self.config.queue_limit:
+        if self._waiting[cls] >= QUEUE_LIMIT:
             return self._reject(
                 cls, t0, "queue",
-                f"waiting-room limit {self.config.queue_limit} reached for "
+                f"waiting-room limit {QUEUE_LIMIT} reached for "
                 f"class {cls.value}",
             )
         # An invalid request is admitted (the ledger is submitted =

@@ -31,8 +31,9 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
   lands on the same pool, which has already forked the dead worker's
   replacement.  The attempt loop returns on the first success and a
   failed attempt's holder is dead, so every ``SHD_SUBREQUEST_SENT``
-  settles exactly once (``DONE | FAILOVER | FAILED``) with no further
-  bookkeeping; the router keeps nothing per sub-request.
+  settles exactly once (``DONE | FAILOVER | FAILED``, monitored by the
+  ``shard-settlement`` spec) with no further bookkeeping; the router
+  keeps nothing per sub-request.
 
 The router deliberately has no micro-batcher and no circuit breakers:
 batching belongs to the single-tree engine it can wrap per shard later,
@@ -95,9 +96,6 @@ class ShardConfig:
     workers: int = 0
     cells_per_side: Optional[int] = None
     max_inflight: int = 128
-    queue_limit: int = 1024
-    window_limit: int = 32
-    knn_limit: int = 16
     join_limit: int = 4
     default_timeout_s: Optional[float] = 10.0
     attempt_timeout_s: Optional[float] = 2.0

@@ -13,9 +13,8 @@ four lawfulness properties the paper's measurements silently rely on:
   level respects the configured :class:`~repro.join.reassign.ReassignLevel`;
   with reassignment off, no steal happens at all.
 * :class:`BufferCoherenceChecker` — a local LRU hit names a page that was
-  resident in that processor's buffer; a remote (global-buffer) fetch
-  names the processor the directory registered for the page; pages are
-  registered to at most one owner at a time.
+  resident in that processor's buffer, and only a resident page is
+  evicted.
 * :class:`ClockMonotonicityChecker` — simulated time never runs backwards,
   globally and per processor, and sequence numbers are strictly monotone.
 
@@ -23,6 +22,14 @@ Plus :class:`DiskAccountingChecker`: every disk completion matches an
 enqueue, pages land on ``page_id % num_disks``, and per-disk service
 intervals never overlap (each simulated disk serves one request at a
 time).
+
+This module holds only what a per-key automaton or an end-of-stream
+count equation cannot say — geometry, time intervals, cross-stream
+reconciliation, row sums, per-lease-id rules.  The five protocols that
+*are* such automatons (circuit breaker, lease life cycle, journal, shard
+settlement, buffer directory) are stated once, in
+:mod:`repro.analysis.protocol.specs`, and ride in every checker set as
+``protocol:<spec>`` monitors (DESIGN.md §5: invariant → its one home).
 """
 
 from __future__ import annotations
@@ -201,12 +208,11 @@ class TaskConservationChecker(InvariantChecker):
         self._state[key] = (then, event.proc)
 
     def at_end(self) -> None:
-        leftover = [k for k, (s, _) in self._state.items() if s != "done"]
-        for key in leftover[:MAX_STORED_VIOLATIONS]:
-            self._violate(
-                f"pair {key} never finished (final state {self._state[key]})"
-            )
-        self.violation_count += max(0, len(leftover) - MAX_STORED_VIOLATIONS)
+        for key, state in self._state.items():
+            if state[0] != "done":
+                self._violate(
+                    f"pair {key} never finished (final state {state})"
+                )
         for key in self._task_keys:
             if self._executions.get(key, 0) != 1:
                 self._violate(
@@ -293,30 +299,29 @@ class StealSoundnessChecker(InvariantChecker):
             )
 
     def at_end(self) -> None:
-        for key, (victim, thief) in list(self._transit.items())[
-            :MAX_STORED_VIOLATIONS
-        ]:
+        for key, (victim, thief) in self._transit.items():
             self._violate(
                 f"pair {key} stolen from P{victim} for P{thief} "
                 f"never arrived"
             )
-        self.violation_count += max(
-            0, len(self._transit) - MAX_STORED_VIOLATIONS
-        )
 
     def stats(self) -> dict[str, int]:
         return {"steals": self._steals, "pairs_moved": self._pairs_moved}
 
 
 class BufferCoherenceChecker(InvariantChecker):
-    """Local hits are resident; remote fetches match the directory."""
+    """Local LRU hits and evictions name pages resident in that buffer.
+
+    Who *owns* a page in the global directory — and so whom a remote
+    fetch may copy from — is the ``buffer-directory`` spec's statement
+    (``protocol:buffer-directory``); remote fetches are only counted here.
+    """
 
     name = "buffer-coherence"
 
     def __init__(self) -> None:
         super().__init__()
         self._resident: dict[int, set[int]] = {}
-        self._directory: dict[int, int] = {}
         self._lru_hits = 0
         self._remote_fetches = 0
 
@@ -343,41 +348,11 @@ class BufferCoherenceChecker(InvariantChecker):
                     )
         elif kind is EventKind.REMOTE_FETCH:
             self._remote_fetches += 1
-            page, owner = data["page"], data["owner"]
-            registered = self._directory.get(page)
-            if registered != owner:
-                self._violate(
-                    f"P{event.proc} remote-fetched page {page} from "
-                    f"P{owner}, but the directory registers "
-                    f"{'nobody' if registered is None else f'P{registered}'}"
-                )
-            if owner == event.proc:
-                self._violate(
-                    f"P{event.proc} remote-fetched page {page} from itself"
-                )
-        elif kind is EventKind.PAGE_REGISTERED:
-            page = data["page"]
-            previous = self._directory.get(page)
-            if previous is not None and previous != event.proc:
-                self._violate(
-                    f"page {page} registered to P{event.proc} while still "
-                    f"registered to P{previous}"
-                )
-            self._directory[page] = event.proc
-        elif kind is EventKind.PAGE_DEREGISTERED:
-            page = data["page"]
-            if self._directory.get(page) != event.proc:
-                self._violate(
-                    f"P{event.proc} deregistered page {page} it does "
-                    f"not own in the directory"
-                )
-            self._directory.pop(page, None)
 
     def stats(self) -> dict[str, int]:
         return {
             "lru_hits": self._lru_hits,
             "remote_fetches": self._remote_fetches,
-            "registered_at_end": len(self._directory),
         }
 
 
@@ -432,16 +407,11 @@ class DiskAccountingChecker(InvariantChecker):
             self._busy_until[data["disk"]] = event.time
 
     def at_end(self) -> None:
-        for (proc, page, disk), count in list(self._outstanding.items())[
-            :MAX_STORED_VIOLATIONS
-        ]:
+        for (proc, page, disk), count in self._outstanding.items():
             self._violate(
                 f"{count} disk request(s) of P{proc} for page {page} on "
                 f"disk {disk} never completed"
             )
-        self.violation_count += max(
-            0, len(self._outstanding) - MAX_STORED_VIOLATIONS
-        )
 
     def stats(self) -> dict[str, int]:
         return {"disk_reads": self._reads}
@@ -665,8 +635,6 @@ class ResilienceAccountingChecker(InvariantChecker):
     * every injected page corruption is detected and repaired
       (``FLT_INJECT_CORRUPT`` == ``SUP_PAGE_CORRUPT_DETECTED`` ==
       ``SUP_PAGE_REPAIRED``, also per page id);
-    * circuit-breaker transitions are lawful per class:
-      closed→open, open→half-open, half-open→open|closed;
     * worker supervision is lawful: a pid reported crashed
       (``SUP_WORKER_CRASH_DETECTED``) cannot crash again unless the pid
       re-entered the pool via ``SUP_WORKER_RESPAWNED``, and a crash that
@@ -675,8 +643,11 @@ class ResilienceAccountingChecker(InvariantChecker):
       when its awaiter went away in the same instant), never as a
       success, never under another cause, never not at all.
 
-    On a healthy stream (no ``FLT_*``/``SUP_*`` events at all) every rule
-    is vacuously satisfied, so the checker can ride on any service run.
+    Which circuit-breaker edges are lawful is the ``circuit-breaker``
+    spec's statement (``protocol:circuit-breaker``); transitions are only
+    counted here.  On a healthy stream (no ``FLT_*``/``SUP_*`` events at
+    all) every rule is vacuously satisfied, so the checker can ride on
+    any service run.
     """
 
     name = "resilience-accounting"
@@ -691,16 +662,10 @@ class ResilienceAccountingChecker(InvariantChecker):
         EventKind.SUP_CALL_FAILED,
         EventKind.SUP_CALL_ABANDONED,
     }
-    _BREAKER_EDGES = {
-        ("closed", EventKind.SUP_BREAKER_OPEN),
-        ("open", EventKind.SUP_BREAKER_HALF_OPEN),
-        ("half-open", EventKind.SUP_BREAKER_OPEN),
-        ("half-open", EventKind.SUP_BREAKER_CLOSED),
-    }
-    _BREAKER_STATE = {
-        EventKind.SUP_BREAKER_OPEN: "open",
-        EventKind.SUP_BREAKER_HALF_OPEN: "half-open",
-        EventKind.SUP_BREAKER_CLOSED: "closed",
+    _BREAKER_MOVES = {
+        EventKind.SUP_BREAKER_OPEN,
+        EventKind.SUP_BREAKER_HALF_OPEN,
+        EventKind.SUP_BREAKER_CLOSED,
     }
 
     def __init__(self) -> None:
@@ -720,7 +685,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         self._corrupt_pages: dict = {}
         self._detected_pages: dict = {}
         self._repaired_pages: dict = {}
-        self._breaker_state: dict = {}
         self.breaker_transitions = 0
         self.surfaced = 0  # error + timeout + cancellation outcomes
         self.worker_crashes = 0
@@ -780,16 +744,8 @@ class ResilienceAccountingChecker(InvariantChecker):
             self.repairs += 1
             page = data.get("page")
             self._repaired_pages[page] = self._repaired_pages.get(page, 0) + 1
-        elif kind in self._BREAKER_STATE:
+        elif kind in self._BREAKER_MOVES:
             self.breaker_transitions += 1
-            cls = data.get("cls", "?")
-            current = self._breaker_state.get(cls, "closed")
-            if (current, kind) not in self._BREAKER_EDGES:
-                self._violate(
-                    f"breaker[{cls}] transitioned {current} -> "
-                    f"{self._BREAKER_STATE[kind]} — not a lawful edge"
-                )
-            self._breaker_state[cls] = self._BREAKER_STATE[kind]
         elif kind is EventKind.SUP_WORKER_CRASH_DETECTED:
             self.worker_crashes += 1
             pid = data.get("pid")
@@ -827,24 +783,18 @@ class ResilienceAccountingChecker(InvariantChecker):
             self._unanswered[call] = open_failures - 1
 
     def at_end(self) -> None:
-        lost = sorted(
+        for call in sorted(
             c for c in self._faulted - self._closed if c is not None
-        )
-        for call in lost[:MAX_STORED_VIOLATIONS]:
+        ):
             self._violate(
                 f"injected fault on call {call} was never closed "
                 f"(no SUP_CALL_OK/FAILED/ABANDONED) — silently lost"
             )
-        self.violation_count += max(0, len(lost) - MAX_STORED_VIOLATIONS)
-        unanswered = sorted(k for k in self._unanswered if k is not None)
-        for call in unanswered[:MAX_STORED_VIOLATIONS]:
+        for call in sorted(k for k in self._unanswered if k is not None):
             self._violate(
                 f"failure of call {call} never answered by a retry or "
                 f"give-up"
             )
-        self.violation_count += max(
-            0, len(unanswered) - MAX_STORED_VIOLATIONS
-        )
         for call, pid in sorted(self._victims.items()):
             self._violate(
                 f"call {call} was held by crashed worker pid {pid} and "
@@ -889,42 +839,32 @@ class ResilienceAccountingChecker(InvariantChecker):
 
 
 class RecoveryAccountingChecker(InvariantChecker):
-    """Lease/journal accounting: grants = completions + orphans-requeued,
-    and no result row lost or double-counted.
+    """Per-lease-id accounting, kill detection, and no result row lost or
+    double-counted.
 
     The recovery layer (:mod:`repro.recovery`) emits one ``LSE_*`` event
     per lease transition and ``JNL_*`` events for the durable journal;
     the fault injector emits the task-kill / torn-append sabotage ledger.
-    The streams must reconcile:
+    The per-*task* life cycle (grant → {complete, expire → requeue},
+    replay, duplicate drops) is the ``lease`` spec's statement and the
+    scan / torn-line ledger the ``journal`` spec's (``protocol:lease``,
+    ``protocol:journal``).  What they cannot say is checked here:
 
-    * every lease is **granted once** and **closed exactly once** —
+    * every lease *id* — primary or split (a buddy-steal claim on the
+      same task) — is **granted once** and **closed exactly once**,
       completed (``LSE_COMPLETED``) or expired (``LSE_EXPIRED``); a lease
       still active when the stream ends leaked ownership;
     * renewals (``LSE_RENEWED``) only touch active leases;
-    * every expired *primary* lease requeues its task exactly once
-      (``LSE_REQUEUED``) — that is the "grants = completions +
-      orphans-requeued" ledger; split leases (buddy-steal claims on the
-      same task) expire with their attempt and need no requeue of their
-      own;
-    * at most one primary completion per task — a second would commit the
-      task's rows twice; late duplicates must surface as
-      ``LSE_DUP_DROPPED``, which in turn is lawful only for a task whose
-      rows were already committed or replayed;
-    * a task may be **replayed from the journal** (``JNL_REPLAYED``) or
-      completed live, never both in one run;
     * the final result size carried by ``RUN_END`` (``candidates``)
       equals committed rows + replayed rows — no row lost, none counted
       twice;
     * every injected task kill (``FLT_INJECT_TASK_KILL``) is *detected*:
       the killed processor's leases expire (at least as many expiries on
-      that proc as kills);
-    * journal scans are self-consistent: the per-scan ``torn`` counts of
-      ``JNL_SCANNED`` sum to the ``JNL_TORN_DETECTED`` events emitted
-      (torn injections, ``FLT_INJECT_TORN_APPEND``, are counted as stats
-      — they only become *detectable* once some later run scans the
-      file).
+      that proc as kills).
 
-    On a stream without recovery events every rule is vacuous, so the
+    Torn injections (``FLT_INJECT_TORN_APPEND``) are counted as a stat —
+    they only become *detectable* once some later run scans the file.  On
+    a stream without recovery events every rule is vacuous, so the
     checker rides in the default set.
     """
 
@@ -933,25 +873,19 @@ class RecoveryAccountingChecker(InvariantChecker):
     def __init__(self) -> None:
         super().__init__()
         self._lease_state: dict = {}  # lease id -> "active"|"completed"|"expired"
-        self._lease_split: dict = {}
         self._lease_proc: dict = {}
-        self._pending_requeues: dict = {}  # task -> expired primaries not yet requeued
-        self._completed_tasks: dict = {}  # task -> rows (primary completions)
-        self._replayed_tasks: dict = {}  # task -> rows
         self._kills_by_proc: dict = {}
         self._expiries_by_proc: dict = {}
         self.grants = 0
         self.renewals = 0
         self.completions = 0
         self.expirations = 0
-        self.requeues = 0
         self.dup_dropped = 0
         self.task_kills = 0
         self.torn_injected = 0
-        self.torn_detected = 0
-        self.journal_appends = 0
-        self.journal_scans = 0
-        self._scanned_torn_total = 0
+        self.replayed = 0
+        self._committed = 0  # primary completions
+        self._ledger_rows = 0  # rows of primary completions + replays
         self._run_end_candidates: Optional[int] = None
 
     def observe(self, event: TraceEvent) -> None:
@@ -963,7 +897,6 @@ class RecoveryAccountingChecker(InvariantChecker):
             if lease in self._lease_state:
                 self._violate(f"lease {lease} granted twice")
             self._lease_state[lease] = "active"
-            self._lease_split[lease] = bool(data.get("split"))
             self._lease_proc[lease] = event.proc
         elif kind is EventKind.LSE_RENEWED:
             self.renewals += 1
@@ -976,7 +909,6 @@ class RecoveryAccountingChecker(InvariantChecker):
         elif kind is EventKind.LSE_COMPLETED:
             self.completions += 1
             lease = data.get("lease")
-            task = data.get("task")
             if self._lease_state.get(lease) != "active":
                 self._violate(
                     f"lease {lease} completed while "
@@ -984,21 +916,11 @@ class RecoveryAccountingChecker(InvariantChecker):
                 )
             self._lease_state[lease] = "completed"
             if not data.get("split"):
-                if task in self._completed_tasks:
-                    self._violate(
-                        f"task {task} completed twice (rows committed "
-                        f"twice) — exactly-once violated"
-                    )
-                if task in self._replayed_tasks:
-                    self._violate(
-                        f"task {task} completed live after being replayed "
-                        f"from the journal — rows double-counted"
-                    )
-                self._completed_tasks[task] = data.get("rows", 0)
+                self._committed += 1
+                self._ledger_rows += data.get("rows", 0)
         elif kind is EventKind.LSE_EXPIRED:
             self.expirations += 1
             lease = data.get("lease")
-            task = data.get("task")
             if self._lease_state.get(lease) != "active":
                 self._violate(
                     f"lease {lease} expired while "
@@ -1007,48 +929,11 @@ class RecoveryAccountingChecker(InvariantChecker):
             self._lease_state[lease] = "expired"
             proc = self._lease_proc.get(lease, event.proc)
             self._expiries_by_proc[proc] = self._expiries_by_proc.get(proc, 0) + 1
-            if not data.get("split"):
-                self._pending_requeues[task] = (
-                    self._pending_requeues.get(task, 0) + 1
-                )
-        elif kind is EventKind.LSE_REQUEUED:
-            self.requeues += 1
-            task = data.get("task")
-            pending = self._pending_requeues.get(task, 0)
-            if pending <= 0:
-                self._violate(
-                    f"task {task} requeued without an expired primary lease"
-                )
-            else:
-                self._pending_requeues[task] = pending - 1
         elif kind is EventKind.LSE_DUP_DROPPED:
             self.dup_dropped += 1
-            task = data.get("task")
-            if (
-                task not in self._completed_tasks
-                and task not in self._replayed_tasks
-            ):
-                self._violate(
-                    f"duplicate result for task {task} dropped, but no "
-                    f"first copy was ever committed or replayed"
-                )
         elif kind is EventKind.JNL_REPLAYED:
-            task = data.get("task")
-            if task in self._completed_tasks:
-                self._violate(
-                    f"task {task} replayed from the journal after "
-                    f"completing live — rows double-counted"
-                )
-            if task in self._replayed_tasks:
-                self._violate(f"task {task} replayed twice")
-            self._replayed_tasks[task] = data.get("rows", 0)
-        elif kind is EventKind.JNL_APPENDED:
-            self.journal_appends += 1
-        elif kind is EventKind.JNL_SCANNED:
-            self.journal_scans += 1
-            self._scanned_torn_total += data.get("torn", 0)
-        elif kind is EventKind.JNL_TORN_DETECTED:
-            self.torn_detected += 1
+            self.replayed += 1
+            self._ledger_rows += data.get("rows", 0)
         elif kind is EventKind.FLT_INJECT_TASK_KILL:
             self.task_kills += 1
             self._kills_by_proc[event.proc] = (
@@ -1061,23 +946,15 @@ class RecoveryAccountingChecker(InvariantChecker):
                 self._run_end_candidates = data["candidates"]
 
     def at_end(self) -> None:
-        leaked = sorted(
+        for lease in sorted(
             lease
             for lease, state in self._lease_state.items()
             if state == "active"
-        )
-        for lease in leaked[:MAX_STORED_VIOLATIONS]:
+        ):
             self._violate(
                 f"lease {lease} still active at end of stream — never "
                 f"completed nor expired"
             )
-        self.violation_count += max(0, len(leaked) - MAX_STORED_VIOLATIONS)
-        for task, pending in sorted(self._pending_requeues.items()):
-            if pending > 0:
-                self._violate(
-                    f"task {task}: {pending} expired primary lease(s) "
-                    f"never requeued — the orphan is lost"
-                )
         for proc, kills in sorted(self._kills_by_proc.items()):
             expiries = self._expiries_by_proc.get(proc, 0)
             if expiries < kills:
@@ -1085,37 +962,27 @@ class RecoveryAccountingChecker(InvariantChecker):
                     f"P{proc}: {kills} injected task kill(s) but only "
                     f"{expiries} lease expiries — a kill went undetected"
                 )
-        if self.journal_scans and self._scanned_torn_total != self.torn_detected:
-            self._violate(
-                f"journal scans report {self._scanned_torn_total} torn "
-                f"record(s) but {self.torn_detected} were traced"
-            )
-        if self._run_end_candidates is not None and (
-            self._completed_tasks or self._replayed_tasks
+        if (
+            self._run_end_candidates is not None
+            and (self._committed or self.replayed)
+            and self._ledger_rows != self._run_end_candidates
         ):
-            accounted = sum(self._completed_tasks.values()) + sum(
-                self._replayed_tasks.values()
+            self._violate(
+                f"RUN_END reports {self._run_end_candidates} result "
+                f"rows but the lease/journal ledger accounts for "
+                f"{self._ledger_rows} — rows lost or double-counted"
             )
-            if accounted != self._run_end_candidates:
-                self._violate(
-                    f"RUN_END reports {self._run_end_candidates} result "
-                    f"rows but the lease/journal ledger accounts for "
-                    f"{accounted} — rows lost or double-counted"
-                )
 
     def stats(self) -> dict[str, int]:
         return {
             "grants": self.grants,
             "completions": self.completions,
             "expirations": self.expirations,
-            "requeues": self.requeues,
             "renewals": self.renewals,
             "dup_dropped": self.dup_dropped,
-            "replayed": len(self._replayed_tasks),
+            "replayed": self.replayed,
             "task_kills": self.task_kills,
             "torn_injected": self.torn_injected,
-            "torn_detected": self.torn_detected,
-            "journal_appends": self.journal_appends,
         }
 
 
@@ -1133,11 +1000,8 @@ class ShardAccountingChecker(InvariantChecker):
       overlap each other (and the window, if any); a kNN request's
       candidate set is every shard storing the tree, and each candidate
       is either queried or explicitly skipped;
-    * **sub-requests settle exactly once** — every
-      ``SHD_SUBREQUEST_SENT`` is closed by exactly one of
-      ``SHD_SUBREQUEST_DONE`` / ``SHD_FAILOVER`` (which must be followed
-      by another send) / ``SHD_SUBREQUEST_FAILED``, at most one DONE per
-      (request, shard), and nothing is still open at end of stream;
+    * **sends stay inside the routed set** — a ``SHD_SUBREQUEST_SENT``
+      names a shard the request was routed to;
     * **kNN pruning is lawful** — a ``SHD_SHARD_SKIPPED`` must carry
       ``mindist`` strictly above the ``kth`` bound it was pruned
       against (an equal-distance shard could hold a tie that wins by
@@ -1147,6 +1011,9 @@ class ShardAccountingChecker(InvariantChecker):
       makes shard contributions disjoint); window and kNN merges never
       exceed their parts (boundary replicas lawfully collapse).
 
+    That every send settles exactly once (``DONE | FAILOVER | FAILED``
+    per ``(request, shard)``) is the ``shard-settlement`` spec's statement
+    (``protocol:shard-settlement``); settlements are only counted here.
     On a stream without ``SHD_*`` events every rule is vacuous, so the
     checker rides in the default set like the other accounting checkers.
     """
@@ -1158,8 +1025,6 @@ class ShardAccountingChecker(InvariantChecker):
         self._content: dict = {}  # (shard, tree) -> bbox tuple or None
         self._shards_by_tree: dict = {}  # tree -> set of storing shards
         self._routed: dict = {}  # req -> (cls, frozenset of shards)
-        self._sub: dict = {}  # (req, shard) -> [sent, done, failover, failed]
-        self._rows: dict = {}  # req -> rows summed over DONE events
         self._touched: dict = {}  # req -> shards sent or skipped (kNN law)
         self.shards_up = 0
         self.routed = 0
@@ -1251,13 +1116,6 @@ class ShardAccountingChecker(InvariantChecker):
         elif kind is EventKind.SHD_SUBREQUEST_SENT:
             self.subrequests += 1
             req, shard = data.get("req"), data.get("shard")
-            entry = self._sub.setdefault((req, shard), [0, 0, 0, 0])
-            entry[0] += 1
-            if entry[0] - (entry[1] + entry[2] + entry[3]) > 1:
-                self._violate(
-                    f"request {req} shard {shard}: overlapping attempts "
-                    f"(send before the previous attempt settled)"
-                )
             routed = self._routed.get(req)
             if routed is not None and shard not in routed[1]:
                 self._violate(
@@ -1267,29 +1125,10 @@ class ShardAccountingChecker(InvariantChecker):
             self._touched.setdefault(req, set()).add(shard)
         elif kind is EventKind.SHD_SUBREQUEST_DONE:
             self.completions += 1
-            req, shard = data.get("req"), data.get("shard")
-            entry = self._sub.setdefault((req, shard), [0, 0, 0, 0])
-            entry[1] += 1
-            if entry[1] > 1:
-                self._violate(
-                    f"request {req} shard {shard}: sub-request completed "
-                    f"twice — rows would merge twice"
-                )
-            self._rows[req] = self._rows.get(req, 0) + data.get("rows", 0)
         elif kind is EventKind.SHD_FAILOVER:
             self.failovers += 1
-            req, shard = data.get("req"), data.get("shard")
-            entry = self._sub.setdefault((req, shard), [0, 0, 0, 0])
-            entry[2] += 1
         elif kind is EventKind.SHD_SUBREQUEST_FAILED:
             self.failures += 1
-            req, shard = data.get("req"), data.get("shard")
-            entry = self._sub.setdefault((req, shard), [0, 0, 0, 0])
-            entry[3] += 1
-            if entry[1]:
-                self._violate(
-                    f"request {req} shard {shard}: failed after completing"
-                )
         elif kind is EventKind.SHD_SHARD_SKIPPED:
             self.skips += 1
             req, shard = data.get("req"), data.get("shard")
@@ -1334,22 +1173,6 @@ class ShardAccountingChecker(InvariantChecker):
                         f"{sorted(routed[1])} but only {sorted(touched)} "
                         f"were queried or explicitly skipped"
                     )
-
-    # -- final reconciliation -------------------------------------------------
-    def at_end(self) -> None:
-        dangling = sorted(
-            (req, shard)
-            for (req, shard), e in self._sub.items()
-            if e[0] != e[1] + e[2] + e[3]
-        )
-        for req, shard in dangling[:MAX_STORED_VIOLATIONS]:
-            entry = self._sub[(req, shard)]
-            self._violate(
-                f"request {req} shard {shard}: {entry[0]} send(s) vs "
-                f"{entry[1]} done + {entry[2]} failover(s) + {entry[3]} "
-                f"failure(s) — a sub-request never settled"
-            )
-        self.violation_count += max(0, len(dangling) - MAX_STORED_VIOLATIONS)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -1403,8 +1226,9 @@ def recovery_checkers() -> list[InvariantChecker]:
     Task conservation is deliberately absent: under injected kills a dead
     processor lawfully abandons pending pairs and a requeued orphan
     lawfully re-enqueues the same page-id pairs, both of which the
-    exactly-once semantics of :class:`RecoveryAccountingChecker` cover at
-    the task level instead.
+    ``lease`` spec's exactly-once life cycle (``protocol:lease``) and
+    :class:`RecoveryAccountingChecker`'s row sum cover at the task level
+    instead.
     """
     return [
         StealSoundnessChecker(),
@@ -1420,17 +1244,16 @@ def recovery_checkers() -> list[InvariantChecker]:
 def service_checkers() -> list[InvariantChecker]:
     """Fresh checkers for a serving-engine (wall-clock) event stream.
 
-    Covers the sharded tier too: the router speaks the same ``SVC_*``
-    protocol, adds the ``SHD_*`` routing ledger, and settles its
-    failover re-leases through ``LSE_*`` events — all three reconciled
-    here (the latter two vacuously on unsharded streams).
+    Covers the sharded tier too: the ``SVC_*`` request / cache ledger,
+    the ``FLT_*``↔``SUP_*`` fault reconciliation, the ``SHD_*`` routing
+    geometry (vacuous on unsharded streams), and the spec monitors —
+    breaker edges and sub-request settlement among them.
     """
     return [
         ServiceAccountingChecker(),
         ResilienceAccountingChecker(),
         ClockMonotonicityChecker(),
         ShardAccountingChecker(),
-        RecoveryAccountingChecker(),
         *_conformance_checkers(),
     ]
 

@@ -81,7 +81,8 @@ class TestInRunOrphanRecovery:
         assert result.recovery["expired"] > 0
         verdict = assert_lawful(result)
         assert verdict.stats["task_kills"] == 2
-        assert verdict.stats["requeues"] == result.recovery["orphans_requeued"]
+        lease = result.trace.verdict("protocol:lease")
+        assert lease.stats["requeues"] == result.recovery["orphans_requeued"]
 
     def test_probabilistic_kills_never_lose_or_duplicate_rows(self, workload):
         result = run(

@@ -17,6 +17,7 @@ from repro.datagen import build_tree, paper_maps
 from repro.geometry import Rect
 from repro.join import sequential_join
 from repro.rtree.query import nearest_neighbors, window_query
+from repro.service import frontdoor
 from repro.service import (
     Engine,
     EngineConfig,
@@ -27,7 +28,7 @@ from repro.service import (
 )
 from repro.service.workers import WorkerPool
 from repro.shard import ShardConfig, ShardRouter, data_entries
-from repro.trace import ListSink, run_checkers, service_checkers
+from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,55 @@ class TestAdmissionControl(FrontDoorSuite):
         assert all(r.ok for r in responses)
         values = {r.value for r in responses}
         assert len(values) == 1  # identical answers
+        self.assert_lawful(sink)
+
+
+    def test_waiting_room_limit_rejects(
+        self, workload, monkeypatch
+    ):
+        """One join holds the only slot, whoever queues behind it fills a
+        waiting room of one, and the next join is turned away at the
+        door — before admission, as ``reason="queue"``."""
+        trees, _ = workload
+        config = EngineConfig(
+            workers=0, join_limit=1, cache_capacity=0, default_timeout_s=60.0
+        )
+        monkeypatch.setattr(frontdoor, "QUEUE_LIMIT", 1)
+        run, sink = WorkerPool.run, ListSink()
+
+        async def main():
+            gate = asyncio.Event()
+
+            async def gated_run(pool, kind, *args, timeout_s=None):
+                await gate.wait()
+                return await run(pool, kind, *args, timeout_s=timeout_s)
+
+            monkeypatch.setattr(WorkerPool, "run", gated_run)
+            async with self.make_target(trees, config, [sink]) as engine:
+                join = JoinRequest("map1", "map2")
+                parked = [
+                    asyncio.ensure_future(engine.submit(join)) for _ in range(2)
+                ]
+                for _ in range(50):  # both reach the gate or the slot queue
+                    await asyncio.sleep(0)
+                refused = await engine.submit(join)
+                gate.set()
+                return refused, await asyncio.gather(*parked), engine
+
+        refused, parked, engine = asyncio.run(main())
+        assert refused.status is Status.REJECTED
+        assert "waiting-room limit 1 " in refused.detail
+        assert parked[0].ok
+        # The router's first join already queues its second shard's
+        # sub-request, so there the second join is refused as well.
+        assert {r.status for r in parked} <= {Status.OK, Status.REJECTED}
+        rejections = [
+            e for e in sink.events if e.kind is EventKind.SVC_REQUEST_REJECTED
+        ]
+        assert rejections and all(
+            e.data["reason"] == "queue" for e in rejections
+        )
+        assert engine.metrics.rejected == len(rejections)
         self.assert_lawful(sink)
 
 

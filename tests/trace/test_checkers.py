@@ -150,66 +150,53 @@ class TestStealSoundness:
         assert any("never arrived" in v for v in verdict.violations)
 
 
+# The buffer and resilience streams are named builders: the unit tests
+# below pin what *their class* says about each, and the planted-bug table
+# (``test_invariant_homes``) replays the same streams through every
+# monitor concerned to pin which verdicts fail at all.
+def lawful_buffer_traffic():
+    s = Stream()
+    s.emit(EventKind.BUFFER_INSERT, proc=0, page=5)
+    s.emit(EventKind.BUFFER_HIT, proc=0, page=5, source="lru")
+    s.emit(EventKind.PAGE_REGISTERED, proc=0, page=5)
+    s.emit(EventKind.REMOTE_FETCH, proc=1, page=5, owner=0)
+    s.emit(EventKind.PAGE_DEREGISTERED, proc=0, page=5)
+    s.emit(EventKind.BUFFER_EVICT, proc=0, page=5)
+    return s
+
+
+def phantom_lru_hit():
+    return Stream().emit(EventKind.BUFFER_HIT, proc=0, page=9, source="lru")
+
+
+def path_buffer_hit():
+    # Path-buffer hits live outside the LRU; no residency obligation.
+    return Stream().emit(EventKind.BUFFER_HIT, proc=0, page=9, source="path")
+
+
+def phantom_evict():
+    return Stream().emit(EventKind.BUFFER_EVICT, proc=0, page=9)
+
+
 class TestBufferCoherence:
     def test_lawful_traffic_passes(self):
-        s = Stream()
-        s.emit(EventKind.BUFFER_INSERT, proc=0, page=5)
-        s.emit(EventKind.BUFFER_HIT, proc=0, page=5, source="lru")
-        s.emit(EventKind.PAGE_REGISTERED, proc=0, page=5)
-        s.emit(EventKind.REMOTE_FETCH, proc=1, page=5, owner=0)
-        s.emit(EventKind.PAGE_DEREGISTERED, proc=0, page=5)
-        s.emit(EventKind.BUFFER_EVICT, proc=0, page=5)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
+        verdict = verdict_of(
+            BufferCoherenceChecker(), lawful_buffer_traffic().events
+        )
         assert verdict.ok
         assert verdict.stats["lru_hits"] == 1
         assert verdict.stats["remote_fetches"] == 1
-        assert verdict.stats["registered_at_end"] == 0
 
     def test_phantom_lru_hit_detected(self):
-        s = Stream()
-        s.emit(EventKind.BUFFER_HIT, proc=0, page=9, source="lru")
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
+        verdict = verdict_of(BufferCoherenceChecker(), phantom_lru_hit().events)
         assert any("not resident" in v for v in verdict.violations)
 
     def test_path_hits_not_residency_checked(self):
-        # Path-buffer hits live outside the LRU; no residency obligation.
-        s = Stream()
-        s.emit(EventKind.BUFFER_HIT, proc=0, page=9, source="path")
-        assert verdict_of(BufferCoherenceChecker(), s.events).ok
+        assert verdict_of(BufferCoherenceChecker(), path_buffer_hit().events).ok
 
     def test_phantom_evict_detected(self):
-        s = Stream()
-        s.emit(EventKind.BUFFER_EVICT, proc=0, page=9)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
+        verdict = verdict_of(BufferCoherenceChecker(), phantom_evict().events)
         assert any("never held" in v for v in verdict.violations)
-
-    def test_remote_fetch_from_wrong_owner_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAGE_REGISTERED, proc=0, page=4)
-        s.emit(EventKind.REMOTE_FETCH, proc=2, page=4, owner=1)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
-        assert any("directory registers P0" in v for v in verdict.violations)
-
-    def test_remote_fetch_from_self_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAGE_REGISTERED, proc=1, page=4)
-        s.emit(EventKind.REMOTE_FETCH, proc=1, page=4, owner=1)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
-        assert any("from itself" in v for v in verdict.violations)
-
-    def test_conflicting_registration_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAGE_REGISTERED, proc=0, page=4)
-        s.emit(EventKind.PAGE_REGISTERED, proc=1, page=4)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
-        assert any("still registered to P0" in v for v in verdict.violations)
-
-    def test_foreign_deregistration_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAGE_REGISTERED, proc=0, page=4)
-        s.emit(EventKind.PAGE_DEREGISTERED, proc=1, page=4)
-        verdict = verdict_of(BufferCoherenceChecker(), s.events)
-        assert any("does not own" in v for v in verdict.violations)
 
 
 class TestDiskAccounting:
@@ -336,175 +323,236 @@ class TestCheckerPlumbing:
         assert "violation" in verdict.summary()
 
 
+def healthy_run():
+    s = Stream()
+    s.emit(EventKind.RUN_START, disks=1, reassign_level="none", task_level=0)
+    s.emit(EventKind.RUN_END)
+    return s
+
+
+def fault_closed_by_ok():
+    s = Stream()
+    s.emit(EventKind.FLT_INJECT_SLOW_IO, call=3, sleep_s=0.01)
+    s.emit(EventKind.SUP_CALL_OK, call=3)
+    return s
+
+
+def unclosed_fault():
+    return Stream().emit(EventKind.FLT_INJECT_CRASH, call=5)
+
+
+def failed_then_retried():
+    s = Stream()
+    s.emit(EventKind.FLT_INJECT_CRASH, call=1)
+    s.emit(EventKind.SUP_CALL_FAILED, call=1, op="knn", error="deadline")
+    s.emit(EventKind.SUP_CALL_RETRY, call=1, attempt=1, delay_s=0.02,
+           remaining_s=1.5)
+    s.emit(EventKind.SUP_CALL_OK, call=2)
+    return s
+
+
+def unanswered_failure():
+    return Stream().emit(
+        EventKind.SUP_CALL_FAILED, call=4, op="knn", error="deadline"
+    )
+
+
+def retry_without_open_failure():
+    return Stream().emit(
+        EventKind.SUP_CALL_RETRY, call=9, attempt=1, delay_s=0.02
+    )
+
+
+def retry_past_deadline_budget():
+    s = Stream()
+    s.emit(EventKind.SUP_CALL_FAILED, call=2, op="windows", error="x")
+    s.emit(EventKind.SUP_CALL_RETRY, call=2, attempt=1, delay_s=0.02,
+           remaining_s=-0.5)
+    return s
+
+
+def giveup(*surfaced):
+    """A failure given up on, then the *surfaced* request outcomes."""
+    s = Stream()
+    s.emit(EventKind.SUP_CALL_FAILED, call=2, op="knn", error="deadline")
+    s.emit(EventKind.SUP_CALL_GIVEUP, call=2, attempts=3, error="deadline")
+    for kind in surfaced:
+        s.emit(kind, cls="knn")
+    return s
+
+
+def giveup_vanished():
+    # No SVC_REQUEST_ERROR/TIMEOUT/CANCELLED: the give-up vanished.
+    return giveup()
+
+
+def giveup_surfaced_as_error():
+    return giveup(EventKind.SVC_REQUEST_ERROR)
+
+
+def corruption(*answer):
+    """Page 12 corrupted, then ``(kind, page)`` detections / repairs."""
+    s = Stream()
+    s.emit(EventKind.FLT_INJECT_CORRUPT, proc=0, page=12, bit=5)
+    for kind, page in answer:
+        s.emit(kind, proc=0, page=page)
+    return s
+
+
+def corruption_undetected():
+    return corruption()
+
+
+def corruption_repaired():
+    return corruption(
+        (EventKind.SUP_PAGE_CORRUPT_DETECTED, 12),
+        (EventKind.SUP_PAGE_REPAIRED, 12),
+    )
+
+
+def repair_of_the_wrong_page():
+    return corruption(
+        (EventKind.SUP_PAGE_CORRUPT_DETECTED, 12),
+        (EventKind.SUP_PAGE_REPAIRED, 99),
+    )
+
+
+def lawful_breaker_cycle():
+    s = Stream()
+    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
+    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
+    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
+    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
+    s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")
+    return s
+
+
+def crash_stream(*closing):
+    """A crash that names call 7 as its victim, then *closing*."""
+    s = Stream()
+    s.emit(EventKind.FLT_INJECT_CRASH, call=7)
+    s.emit(EventKind.SUP_WORKER_CRASH_DETECTED, pid=41, pool="",
+           exitcode=86, call=7)
+    s.emit(EventKind.SUP_WORKER_RESPAWNED, pid=42, pool="")
+    for kind, data in closing:
+        s.emit(kind, call=7, **data)
+    return s
+
+
+def crash_victim_worker_died():
+    return crash_stream(
+        (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "worker-died"}),
+        (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
+    )
+
+
+def crash_victim_abandoned():
+    # The awaiter may vanish in the same instant: also lawful.
+    return crash_stream((EventKind.SUP_CALL_ABANDONED, {}))
+
+
+def crash_victim_closed_under_another_cause():
+    """Planted bug: the pool learnt of the death, named the call, and
+    still let it run into its deadline (what every crash did before
+    deaths were events)."""
+    return crash_stream(
+        (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "deadline"}),
+        (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
+    )
+
+
+def crash_victim_never_closed():
+    return crash_stream()
+
+
+def disk_seam_slow_io():
+    # Page-keyed SLOW_IO (no "call" field) needs no SUP_CALL closure.
+    return Stream().emit(
+        EventKind.FLT_INJECT_SLOW_IO, proc=1, page=7, factor=4.0
+    )
+
+
 class TestResilienceAccounting:
     """The FLT_*/SUP_* two-ledger reconciliation on handcrafted streams."""
 
-    def make(self):
+    def verdict(self, stream):
         from repro.trace import ResilienceAccountingChecker
 
-        return ResilienceAccountingChecker()
+        return verdict_of(ResilienceAccountingChecker(), stream.events)
 
     def test_healthy_stream_is_vacuously_ok(self):
-        s = Stream()
-        s.emit(EventKind.RUN_START, disks=1, reassign_level="none", task_level=0)
-        s.emit(EventKind.RUN_END)
-        assert verdict_of(self.make(), s.events).ok
+        assert self.verdict(healthy_run()).ok
 
     def test_fault_closed_by_ok_reconciles(self):
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_SLOW_IO, call=3, sleep_s=0.01)
-        s.emit(EventKind.SUP_CALL_OK, call=3)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(fault_closed_by_ok())
         assert verdict.ok
         assert verdict.stats["injected_calls"] == 1
         assert verdict.stats["calls_ok"] == 1
 
     def test_unclosed_fault_is_a_silent_loss(self):
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_CRASH, call=5)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(unclosed_fault())
         assert not verdict.ok
         assert any("silently lost" in v for v in verdict.violations)
 
     def test_failed_then_retried_reconciles(self):
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_CRASH, call=1)
-        s.emit(EventKind.SUP_CALL_FAILED, call=1, op="knn", error="deadline")
-        s.emit(EventKind.SUP_CALL_RETRY, call=1, attempt=1, delay_s=0.02,
-               remaining_s=1.5)
-        s.emit(EventKind.SUP_CALL_OK, call=2)
-        assert verdict_of(self.make(), s.events).ok
+        assert self.verdict(failed_then_retried()).ok
 
     def test_unanswered_failure_violates(self):
-        s = Stream()
-        s.emit(EventKind.SUP_CALL_FAILED, call=4, op="knn", error="deadline")
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(unanswered_failure())
         assert not verdict.ok
         assert any("never answered" in v for v in verdict.violations)
 
     def test_retry_without_open_failure_violates(self):
-        s = Stream()
-        s.emit(EventKind.SUP_CALL_RETRY, call=9, attempt=1, delay_s=0.02)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(retry_without_open_failure())
         assert not verdict.ok
         assert any("without an open" in v for v in verdict.violations)
 
     def test_retry_past_deadline_budget_violates(self):
-        s = Stream()
-        s.emit(EventKind.SUP_CALL_FAILED, call=2, op="windows", error="x")
-        s.emit(EventKind.SUP_CALL_RETRY, call=2, attempt=1, delay_s=0.02,
-               remaining_s=-0.5)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(retry_past_deadline_budget())
         assert not verdict.ok
         assert any("deadline budget" in v for v in verdict.violations)
 
     def test_giveup_must_surface(self):
-        s = Stream()
-        s.emit(EventKind.SUP_CALL_FAILED, call=2, op="knn", error="deadline")
-        s.emit(EventKind.SUP_CALL_GIVEUP, call=2, attempts=3, error="deadline")
-        # No SVC_REQUEST_ERROR/TIMEOUT/CANCELLED: the give-up vanished.
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(giveup_vanished())
         assert not verdict.ok
         assert any("give-up" in v.lower() for v in verdict.violations)
 
     def test_giveup_surfaced_as_error_reconciles(self):
-        s = Stream()
-        s.emit(EventKind.SUP_CALL_FAILED, call=2, op="knn", error="deadline")
-        s.emit(EventKind.SUP_CALL_GIVEUP, call=2, attempts=3, error="deadline")
-        s.emit(EventKind.SVC_REQUEST_ERROR, cls="knn")
-        assert verdict_of(self.make(), s.events).ok
+        assert self.verdict(giveup_surfaced_as_error()).ok
 
     def test_corruption_must_be_detected_and_repaired(self):
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_CORRUPT, proc=0, page=12, bit=5)
-        verdict = verdict_of(self.make(), s.events)
-        assert not verdict.ok
-        repaired = Stream()
-        repaired.emit(EventKind.FLT_INJECT_CORRUPT, proc=0, page=12, bit=5)
-        repaired.emit(EventKind.SUP_PAGE_CORRUPT_DETECTED, proc=0, page=12)
-        repaired.emit(EventKind.SUP_PAGE_REPAIRED, proc=0, page=12)
-        assert verdict_of(self.make(), repaired.events).ok
+        assert not self.verdict(corruption_undetected()).ok
+        assert self.verdict(corruption_repaired()).ok
 
     def test_repair_of_the_wrong_page_violates(self):
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_CORRUPT, proc=0, page=12, bit=5)
-        s.emit(EventKind.SUP_PAGE_CORRUPT_DETECTED, proc=0, page=12)
-        s.emit(EventKind.SUP_PAGE_REPAIRED, proc=0, page=99)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(repair_of_the_wrong_page())
         assert not verdict.ok
         assert any("page 12" in v for v in verdict.violations)
 
     def test_lawful_breaker_cycle_passes(self):
-        s = Stream()
-        s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-        s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
-        s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-        s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
-        s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(lawful_breaker_cycle())
         assert verdict.ok
         assert verdict.stats["breaker_transitions"] == 5
 
-    def test_unlawful_breaker_edge_violates(self):
-        s = Stream()
-        s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")  # closed->closed?
-        s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="knn")  # closed->half-open
-        verdict = verdict_of(self.make(), s.events)
-        assert not verdict.ok
-        assert any("lawful" in v for v in verdict.violations)
-
-    def test_breaker_classes_tracked_independently(self):
-        s = Stream()
-        s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-        s.emit(EventKind.SUP_BREAKER_OPEN, cls="knn")
-        assert verdict_of(self.make(), s.events).ok
-
-    def crash_stream(self, *closing):
-        """A crash that names call 7 as its victim, then *closing*."""
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_CRASH, call=7)
-        s.emit(EventKind.SUP_WORKER_CRASH_DETECTED, pid=41, pool="",
-               exitcode=86, call=7)
-        s.emit(EventKind.SUP_WORKER_RESPAWNED, pid=42, pool="")
-        for kind, data in closing:
-            s.emit(kind, call=7, **data)
-        return s
-
     def test_crash_victim_closed_as_worker_died_reconciles(self):
-        s = self.crash_stream(
-            (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "worker-died"}),
-            (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
-        )
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(crash_victim_worker_died())
         assert verdict.ok, verdict.violations
         assert verdict.stats["worker_crashes"] == 1
         assert verdict.stats["worker_respawns"] == 1
-        # The awaiter may vanish in the same instant: also lawful.
-        gone = self.crash_stream((EventKind.SUP_CALL_ABANDONED, {}))
-        assert verdict_of(self.make(), gone.events).ok
+        assert self.verdict(crash_victim_abandoned()).ok
 
     def test_crash_victim_closed_under_another_cause_violates(self):
-        """Planted bug: the pool learnt of the death, named the call, and
-        still let it run into its deadline (what every crash did before
-        deaths were events)."""
-        s = self.crash_stream(
-            (EventKind.SUP_CALL_FAILED, {"op": "knn", "error": "deadline"}),
-            (EventKind.SUP_CALL_RETRY, {"attempt": 1, "delay_s": 0.0}),
-        )
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(crash_victim_closed_under_another_cause())
         assert not verdict.ok
         assert any("not as worker-died" in v for v in verdict.violations)
 
     def test_crash_victim_never_closed_violates(self):
-        verdict = verdict_of(self.make(), self.crash_stream().events)
+        verdict = self.verdict(crash_victim_never_closed())
         assert not verdict.ok
         assert any("never closed as worker-died" in v
                    for v in verdict.violations)
 
     def test_disk_seam_slow_io_is_not_call_keyed(self):
-        # Page-keyed SLOW_IO (no "call" field) needs no SUP_CALL closure.
-        s = Stream()
-        s.emit(EventKind.FLT_INJECT_SLOW_IO, proc=1, page=7, factor=4.0)
-        verdict = verdict_of(self.make(), s.events)
+        verdict = self.verdict(disk_seam_slow_io())
         assert verdict.ok
         assert verdict.stats["injected_calls"] == 0

@@ -1,0 +1,226 @@
+"""One home per protocol invariant: the planted-bug table.
+
+Each row is *(stream, the set of verdict names that must fail)* over the
+nine monitors that could claim the five protocols — the four accounting
+classes of ``repro.trace.checkers`` and the five spec monitors of
+``repro.analysis.protocol``.  A violation whose statement is a spec fails
+exactly ``{"protocol:<spec>"}``; one whose rule stays hand-written
+(geometry, row sums, cross-stream reconciliation, per-lease-id rules)
+fails exactly its class; a lawful stream fails nothing.  A second name
+in a row means an invariant has grown a second home.
+
+The streams are the ones the three checker unit-test modules build;
+those whose hand-written copy is deleted live here only.
+"""
+
+import pytest
+
+from repro.analysis.protocol import conformance_checkers
+from repro.trace import (
+    BufferCoherenceChecker,
+    EventKind,
+    RecoveryAccountingChecker,
+    ResilienceAccountingChecker,
+    ShardAccountingChecker,
+    run_checkers,
+)
+from tests.trace import test_checkers as tc
+from tests.trace import test_recovery_checker as rc
+from tests.trace import test_shard_checker as sc
+
+BREAKER = {"protocol:circuit-breaker"}
+LEASE = {"protocol:lease"}
+JOURNAL = {"protocol:journal"}
+SETTLEMENT = {"protocol:shard-settlement"}
+DIRECTORY = {"protocol:buffer-directory"}
+BUFFER = {"buffer-coherence"}
+RESILIENCE = {"resilience-accounting"}
+RECOVERY = {"recovery-accounting"}
+SHARD = {"shard-accounting"}
+LAWFUL: set = set()
+
+
+# -- buffer directory: owner / self / foreign -----------------------------------
+def registered(owner):
+    return tc.Stream().emit(EventKind.PAGE_REGISTERED, proc=owner, page=4)
+
+
+def remote_fetch_from_wrong_owner():
+    return registered(0).emit(EventKind.REMOTE_FETCH, proc=2, page=4, owner=1)
+
+
+def remote_fetch_from_self():
+    return registered(1).emit(EventKind.REMOTE_FETCH, proc=1, page=4, owner=1)
+
+
+def conflicting_registration():
+    return registered(0).emit(EventKind.PAGE_REGISTERED, proc=1, page=4)
+
+
+def foreign_deregistration():
+    return registered(0).emit(EventKind.PAGE_DEREGISTERED, proc=1, page=4)
+
+
+# -- circuit breaker: the edge table ------------------------------------------
+def unlawful_breaker_edges():
+    s = tc.Stream()
+    s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")  # closed->closed?
+    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="knn")  # closed->half-open
+    return s
+
+
+def breaker_classes_independent():
+    s = tc.Stream()
+    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
+    s.emit(EventKind.SUP_BREAKER_OPEN, cls="knn")
+    return s
+
+
+# -- lease: the per-task life cycle -------------------------------------------
+def double_completion_of_one_task():
+    s = rc.Stream()
+    for lease in (0, 1):
+        s.emit(EventKind.LSE_GRANTED, proc=lease, task=1, lease=lease, split=0)
+        s.emit(
+            EventKind.LSE_COMPLETED, proc=lease, task=1, lease=lease, split=0, rows=1
+        )
+    return s
+
+
+def unrequeued_orphan():
+    s = rc.Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="x")
+    return s
+
+
+def requeue_without_expiry():
+    return rc.Stream().emit(EventKind.LSE_REQUEUED, proc=0, task=1)
+
+
+def replay_after_live_completion():
+    s = rc.Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
+    s.emit(EventKind.JNL_REPLAYED, task=1, rows=1)
+    return s
+
+
+def dup_drop_without_first_copy():
+    return rc.Stream().emit(EventKind.LSE_DUP_DROPPED, proc=0, task=4)
+
+
+# -- journal: the scan / torn-line ledger -------------------------------------
+def torn_counts_disagree():
+    s = rc.Stream()
+    s.emit(EventKind.JNL_SCANNED, records=0, torn=2, path="j")
+    s.emit(EventKind.JNL_TORN_DETECTED, bytes=10)
+    return s
+
+
+# -- shard settlement: (request, shard) settles exactly once ------------------
+def sent_and_done():
+    return sc.settle(sc.routed_window(sc.topology(sc.Stream())), 1, 0, rows=2)
+
+
+def double_done():
+    return sent_and_done().emit(
+        EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0, attempt=0, rows=2
+    )
+
+
+def unsettled_subrequest():
+    return sc.routed_window(sc.topology(sc.Stream())).emit(
+        EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0, attempt=0,
+        op="windows",
+    )
+
+
+def failed_after_done():
+    return sent_and_done().emit(
+        EventKind.SHD_SUBREQUEST_FAILED, req=1, shard=0, attempts=1, error="late"
+    )
+
+
+ROWS = [
+    # The 14 streams whose hand-written copy is deleted: the spec alone.
+    (remote_fetch_from_wrong_owner, DIRECTORY),
+    (remote_fetch_from_self, DIRECTORY),
+    (conflicting_registration, DIRECTORY),
+    (foreign_deregistration, DIRECTORY),
+    (unlawful_breaker_edges, BREAKER),
+    (double_completion_of_one_task, LEASE),
+    (unrequeued_orphan, LEASE),
+    (requeue_without_expiry, LEASE),
+    (replay_after_live_completion, LEASE),
+    (dup_drop_without_first_copy, LEASE),
+    (torn_counts_disagree, JOURNAL),
+    (double_done, SETTLEMENT),
+    (unsettled_subrequest, SETTLEMENT),
+    (failed_after_done, SETTLEMENT),
+    # The one sanctioned overlap: a leaked primary lease is a lease id
+    # never closed (the rule split leases need) and a task wedged in
+    # ``leased``.
+    (rc.leaked_lease, RECOVERY | LEASE),
+    # Rules an automaton cannot say: exactly their class.
+    (rc.renew_of_expired_lease, RECOVERY),
+    (rc.undetected_kill, RECOVERY),
+    (rc.run_end_row_mismatch, RECOVERY),
+    (sc.fanout_narrower_than_geometry, SHARD),
+    (sc.fanout_wider_than_geometry, SHARD),
+    (sc.send_outside_routed_set, SHARD),
+    (sc.equal_distance_skip, SHARD),
+    (sc.knn_candidate_neither_queried_nor_skipped, SHARD),
+    (sc.join_with_duplicates, SHARD),
+    (sc.join_rows_not_conserved, SHARD),
+    (sc.window_merge_inventing_rows, SHARD),
+    (tc.phantom_lru_hit, BUFFER),
+    (tc.phantom_evict, BUFFER),
+    (tc.unclosed_fault, RESILIENCE),
+    (tc.unanswered_failure, RESILIENCE),
+    (tc.retry_without_open_failure, RESILIENCE),
+    (tc.retry_past_deadline_budget, RESILIENCE),
+    (tc.giveup_vanished, RESILIENCE),
+    (tc.corruption_undetected, RESILIENCE),
+    (tc.repair_of_the_wrong_page, RESILIENCE),
+    (tc.crash_victim_closed_under_another_cause, RESILIENCE),
+    (tc.crash_victim_never_closed, RESILIENCE),
+    # Lawful streams of the five protocols: nothing.
+    (tc.lawful_buffer_traffic, LAWFUL),
+    (tc.path_buffer_hit, LAWFUL),
+    (tc.healthy_run, LAWFUL),
+    (tc.fault_closed_by_ok, LAWFUL),
+    (tc.failed_then_retried, LAWFUL),
+    (tc.giveup_surfaced_as_error, LAWFUL),
+    (tc.corruption_repaired, LAWFUL),
+    (tc.lawful_breaker_cycle, LAWFUL),
+    (breaker_classes_independent, LAWFUL),
+    (tc.crash_victim_worker_died, LAWFUL),
+    (tc.crash_victim_abandoned, LAWFUL),
+    (tc.disk_seam_slow_io, LAWFUL),
+    (rc.lawful_stream, LAWFUL),
+    (rc.split_lease_without_requeue, LAWFUL),
+    (rc.dup_drop_after_commit, LAWFUL),
+    (sc.window_fanout_settles, LAWFUL),
+    (sc.knn_with_lawful_skip, LAWFUL),
+    (sc.failover_then_success, LAWFUL),
+    (sc.join_disjoint_merge, LAWFUL),
+]
+
+
+@pytest.mark.parametrize(
+    "build, fails", ROWS, ids=[build.__name__ for build, _ in ROWS]
+)
+def test_one_home(build, fails):
+    verdicts = run_checkers(
+        build().events,
+        [
+            BufferCoherenceChecker(),
+            ResilienceAccountingChecker(),
+            RecoveryAccountingChecker(),
+            ShardAccountingChecker(),
+            *conformance_checkers(),
+        ],
+    )
+    failed = {v.checker: v.violations for v in verdicts if not v.ok}
+    assert set(failed) == fails, failed

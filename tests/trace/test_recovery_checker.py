@@ -1,5 +1,11 @@
-"""RecoveryAccountingChecker on handcrafted lease/journal event streams."""
+"""RecoveryAccountingChecker on handcrafted lease/journal event streams.
 
+The streams are named builders so that the planted-bug table
+(``test_invariant_homes``) can replay them too; the per-*task* life-cycle
+violations live there only — their one statement is the ``lease`` spec.
+"""
+
+from repro.analysis.protocol import ProtocolConformanceChecker, get_spec
 from repro.trace import EventKind, RecoveryAccountingChecker, TraceEvent
 
 
@@ -13,8 +19,8 @@ class Stream:
         return self
 
 
-def verdict_of(events):
-    checker = RecoveryAccountingChecker()
+def verdict_of(events, checker=None):
+    checker = checker or RecoveryAccountingChecker()
     for event in events:
         checker.handle(event)
     return checker.finish()
@@ -36,111 +42,91 @@ def lawful_stream():
     return s
 
 
+def split_lease_without_requeue():
+    s = Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1, split=1)
+    s.emit(EventKind.LSE_EXPIRED, proc=1, task=1, lease=1, split=1, reason="attempt")
+    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=0)
+    return s
+
+
+def dup_drop_after_commit():
+    s = lawful_stream()
+    # Insert before RUN_END so ordering stays realistic.
+    s.events.insert(
+        -1,
+        TraceEvent(len(s.events), 0.0, EventKind.LSE_DUP_DROPPED, 0, {"task": 1}),
+    )
+    return s
+
+
+def leaked_lease():
+    return Stream().emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+
+
+def renew_of_expired_lease():
+    s = Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="x")
+    s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
+    s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
+    return s
+
+
+def undetected_kill():
+    s = Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.FLT_INJECT_TASK_KILL, proc=0, task=1)
+    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
+    return s
+
+
+def run_end_row_mismatch():
+    s = lawful_stream()
+    s.events[-1] = TraceEvent(
+        len(s.events), 0.0, EventKind.RUN_END, -1, {"candidates": 99}
+    )
+    return s
+
+
 class TestLawfulStreams:
     def test_kill_expire_requeue_complete_passes(self):
         verdict = verdict_of(lawful_stream().events)
         assert verdict.ok, verdict.violations
         assert verdict.stats["grants"] == 2
-        assert verdict.stats["requeues"] == 1
         assert verdict.stats["replayed"] == 1
         assert verdict.stats["task_kills"] == 1
+        lease = verdict_of(
+            lawful_stream().events, ProtocolConformanceChecker(get_spec("lease"))
+        )
+        assert lease.ok, lease.violations
+        assert lease.stats["requeues"] == 1
 
     def test_empty_stream_is_vacuous(self):
         assert verdict_of([]).ok
 
     def test_split_lease_needs_no_requeue(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1, split=1)
-        s.emit(EventKind.LSE_EXPIRED, proc=1, task=1, lease=1, split=1, reason="attempt")
-        s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=0)
-        assert verdict_of(s.events).ok
+        assert verdict_of(split_lease_without_requeue().events).ok
 
     def test_dup_drop_after_commit_is_lawful(self):
-        s = lawful_stream()
-        # Insert before RUN_END so ordering stays realistic.
-        s.events.insert(
-            -1,
-            TraceEvent(
-                len(s.events), 0.0, EventKind.LSE_DUP_DROPPED, 0, {"task": 1}
-            ),
-        )
-        assert verdict_of(s.events).ok
+        assert verdict_of(dup_drop_after_commit().events).ok
 
 
 class TestViolations:
     def test_leaked_lease_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(leaked_lease().events)
         assert not verdict.ok
         assert any("still active" in v for v in verdict.violations)
 
     def test_renew_of_expired_lease_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="x")
-        s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
-        s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(renew_of_expired_lease().events)
         assert any("renewed while expired" in v for v in verdict.violations)
 
-    def test_double_completion_of_one_task_detected(self):
-        s = Stream()
-        for lease in (0, 1):
-            s.emit(EventKind.LSE_GRANTED, proc=lease, task=1, lease=lease, split=0)
-            s.emit(
-                EventKind.LSE_COMPLETED, proc=lease, task=1, lease=lease, split=0, rows=1
-            )
-        verdict = verdict_of(s.events)
-        assert any("exactly-once" in v for v in verdict.violations)
-
-    def test_unrequeued_orphan_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="x")
-        verdict = verdict_of(s.events)
-        assert any("never requeued" in v for v in verdict.violations)
-
-    def test_requeue_without_expiry_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
-        verdict = verdict_of(s.events)
-        assert any("without an expired" in v for v in verdict.violations)
-
-    def test_replay_after_live_completion_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
-        s.emit(EventKind.JNL_REPLAYED, task=1, rows=1)
-        verdict = verdict_of(s.events)
-        assert any("double-counted" in v for v in verdict.violations)
-
-    def test_dup_drop_without_first_copy_detected(self):
-        s = Stream()
-        s.emit(EventKind.LSE_DUP_DROPPED, proc=0, task=4)
-        verdict = verdict_of(s.events)
-        assert any("no first copy" in v for v in verdict.violations)
-
     def test_undetected_kill_flagged(self):
-        s = Stream()
-        s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-        s.emit(EventKind.FLT_INJECT_TASK_KILL, proc=0, task=1)
-        s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(undetected_kill().events)
         assert any("undetected" in v for v in verdict.violations)
 
-    def test_torn_counts_must_reconcile(self):
-        s = Stream()
-        s.emit(EventKind.JNL_SCANNED, records=0, torn=2, path="j")
-        s.emit(EventKind.JNL_TORN_DETECTED, bytes=10)
-        verdict = verdict_of(s.events)
-        assert any("torn" in v for v in verdict.violations)
-
     def test_run_end_row_mismatch_detected(self):
-        s = lawful_stream()
-        s.events[-1] = TraceEvent(
-            len(s.events), 0.0, EventKind.RUN_END, -1, {"candidates": 99}
-        )
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(run_end_row_mismatch().events)
         assert any("rows lost or double-counted" in v for v in verdict.violations)

@@ -1,4 +1,10 @@
-"""ShardAccountingChecker on handcrafted SHD_* event streams."""
+"""ShardAccountingChecker on handcrafted SHD_* event streams.
+
+The streams are named builders so that the planted-bug table
+(``test_invariant_homes``) can replay them too; the ``(request, shard)``
+settlement violations live there only — their one statement is the
+``shard-settlement`` spec.
+"""
 
 from repro.trace import (
     EventKind,
@@ -47,70 +53,152 @@ def topology_join(s):
     return s
 
 
+def routed_window(s, req=1, shards="0"):
+    """A small window inside shard 0, routed to *shards*."""
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=req, cls="window",
+           fanout=len(shards.split(",")), shards=shards, tree="a",
+           xl=1.0, yl=1.0, xu=2.0, yu=2.0)
+    return s
+
+
+def settle(s, req, shard, rows, op="windows", replica=0, attempt=0):
+    """One sub-request sent and done."""
+    s.emit(EventKind.SHD_SUBREQUEST_SENT, req=req, shard=shard,
+           replica=replica, attempt=attempt, op=op)
+    s.emit(EventKind.SHD_SUBREQUEST_DONE, req=req, shard=shard,
+           replica=replica, attempt=attempt, rows=rows)
+    return s
+
+
+# -- lawful streams -----------------------------------------------------------
+def window_fanout_settles():
+    s = topology(Stream())
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=2,
+           shards="0,1", tree="a", xl=40.0, yl=10.0, xu=60.0, yu=20.0)
+    for shard in (0, 1):
+        settle(s, 1, shard, rows=3)
+    s.emit(EventKind.SHD_MERGED, req=1, cls="window", rows=5, parts=6,
+           duplicates=1)
+    return s
+
+
+def knn_with_lawful_skip():
+    s = topology(Stream())
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=2, cls="knn", fanout=2,
+           shards="0,1", tree="a", x=10.0, y=50.0, k=2)
+    settle(s, 2, 0, rows=2, op="knn")
+    s.emit(EventKind.SHD_SHARD_SKIPPED, req=2, shard=1, mindist=40.0,
+           kth=5.0)
+    s.emit(EventKind.SHD_MERGED, req=2, cls="knn", rows=2, parts=2,
+           duplicates=0)
+    return s
+
+
+def failover_then_success():
+    s = routed_window(topology(Stream()), req=3)
+    s.emit(EventKind.SHD_SUBREQUEST_SENT, req=3, shard=0, replica=0,
+           attempt=0, op="windows")
+    s.emit(EventKind.SHD_FAILOVER, req=3, shard=0, replica=0,
+           next_replica=1, attempt=0, error="WorkerCrash")
+    settle(s, 3, 0, rows=1, replica=1, attempt=1)
+    s.emit(EventKind.SHD_MERGED, req=3, cls="window", rows=1, parts=1,
+           duplicates=0)
+    return s
+
+
+def routed_join(req, each, **merged):
+    """A join over both shards, *each* answering rows, merged as *merged*."""
+    s = topology_join(Stream())
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=req, cls="join", fanout=2,
+           shards="0,1", tree_r="a", tree_s="b")
+    for shard in (0, 1):
+        settle(s, req, shard, rows=each, op="shard_join")
+    s.emit(EventKind.SHD_MERGED, req=req, cls="join", **merged)
+    return s
+
+
+def join_disjoint_merge():
+    return routed_join(4, 4, rows=8, parts=8, duplicates=0)
+
+
+# -- violations of a rule that stays hand-written -----------------------------
+def fanout_narrower_than_geometry():
+    # window spans both content boxes but only shard 0 is routed
+    s = topology(Stream())
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
+           shards="0", tree="a", xl=40.0, yl=10.0, xu=60.0, yu=20.0)
+    return settle(s, 1, 0, rows=1)
+
+
+def fanout_wider_than_geometry():
+    # window sits entirely inside shard 0 yet shard 1 is routed too
+    s = routed_window(topology(Stream()), shards="0,1")
+    for shard in (0, 1):
+        settle(s, 1, shard, rows=0)
+    return s
+
+
+def send_outside_routed_set():
+    return settle(routed_window(topology(Stream())), 1, 1, rows=0)
+
+
+def knn_one_of_two(skipped):
+    """A 1-NN over two candidate shards: shard 0 answers, shard 1 is
+    *skipped* (the SKIPPED payload) or silently ignored (``None``)."""
+    s = topology(Stream())
+    s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="knn", fanout=2,
+           shards="0,1", tree="a", x=10.0, y=50.0, k=1)
+    settle(s, 1, 0, rows=1, op="knn")
+    if skipped is not None:
+        s.emit(EventKind.SHD_SHARD_SKIPPED, req=1, shard=1, **skipped)
+    s.emit(EventKind.SHD_MERGED, req=1, cls="knn", rows=1, parts=1,
+           duplicates=0)
+    return s
+
+
+def equal_distance_skip():
+    return knn_one_of_two({"mindist": 5.0, "kth": 5.0})  # tie — must be queried
+
+
+def knn_candidate_neither_queried_nor_skipped():
+    return knn_one_of_two(None)
+
+
+def join_with_duplicates():
+    return routed_join(1, 3, rows=5, parts=6, duplicates=1)
+
+
+def join_rows_not_conserved():
+    return routed_join(1, 3, rows=5, parts=6, duplicates=0)
+
+
+def window_merge_inventing_rows():
+    s = settle(routed_window(topology(Stream())), 1, 0, rows=2)
+    s.emit(EventKind.SHD_MERGED, req=1, cls="window", rows=3, parts=2,
+           duplicates=0)
+    return s
+
+
 class TestCleanStreams:
     def test_window_fanout_settles(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=2,
-               shards="0,1", tree="a", xl=40.0, yl=10.0, xu=60.0, yu=20.0)
-        for shard in (0, 1):
-            s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=shard,
-                   replica=0, attempt=0, op="windows")
-            s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=shard,
-                   replica=0, attempt=0, rows=3)
-        s.emit(EventKind.SHD_MERGED, req=1, cls="window", rows=5, parts=6,
-               duplicates=1)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(window_fanout_settles().events)
         assert verdict.ok, verdict.violations
         assert verdict.stats["requests_routed"] == 1
         assert verdict.stats["subrequests"] == 2
         assert verdict.stats["completions"] == 2
 
     def test_knn_with_lawful_skip(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=2, cls="knn", fanout=2,
-               shards="0,1", tree="a", x=10.0, y=50.0, k=2)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=2, shard=0, replica=0,
-               attempt=0, op="knn")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=2, shard=0, replica=0,
-               attempt=0, rows=2)
-        s.emit(EventKind.SHD_SHARD_SKIPPED, req=2, shard=1, mindist=40.0,
-               kth=5.0)
-        s.emit(EventKind.SHD_MERGED, req=2, cls="knn", rows=2, parts=2,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(knn_with_lawful_skip().events)
         assert verdict.ok, verdict.violations
         assert verdict.stats["knn_skips"] == 1
 
     def test_failover_then_success(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=3, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=3, shard=0, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_FAILOVER, req=3, shard=0, replica=0,
-               next_replica=1, attempt=0, error="WorkerCrash")
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=3, shard=0, replica=1,
-               attempt=1, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=3, shard=0, replica=1,
-               attempt=1, rows=1)
-        s.emit(EventKind.SHD_MERGED, req=3, cls="window", rows=1, parts=1,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(failover_then_success().events)
         assert verdict.ok, verdict.violations
         assert verdict.stats["failovers"] == 1
 
     def test_join_disjoint_merge(self):
-        s = topology_join(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=4, cls="join", fanout=2,
-               shards="0,1", tree_r="a", tree_s="b")
-        for shard in (0, 1):
-            s.emit(EventKind.SHD_SUBREQUEST_SENT, req=4, shard=shard,
-                   replica=0, attempt=0, op="shard_join")
-            s.emit(EventKind.SHD_SUBREQUEST_DONE, req=4, shard=shard,
-                   replica=0, attempt=0, rows=4)
-        s.emit(EventKind.SHD_MERGED, req=4, cls="join", rows=8, parts=8,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(join_disjoint_merge().events)
         assert verdict.ok, verdict.violations
 
     def test_no_shard_events_is_vacuous(self):
@@ -121,154 +209,40 @@ class TestCleanStreams:
 
 class TestViolations:
     def test_fanout_narrower_than_geometry(self):
-        # window spans both content boxes but only shard 0 is routed
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=40.0, yl=10.0, xu=60.0, yu=20.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=1)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(fanout_narrower_than_geometry().events)
         assert not verdict.ok
         assert "geometry overlaps" in verdict.violations[0]
 
     def test_fanout_wider_than_geometry(self):
-        # window sits entirely inside shard 0 yet shard 1 is routed too
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=2,
-               shards="0,1", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        for shard in (0, 1):
-            s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=shard,
-                   replica=0, attempt=0, op="windows")
-            s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=shard,
-                   replica=0, attempt=0, rows=0)
-        verdict = verdict_of(s.events)
-        assert not verdict.ok
+        assert not verdict_of(fanout_wider_than_geometry().events).ok
 
     def test_send_outside_routed_set(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=1, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=1, replica=0,
-               attempt=0, rows=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(send_outside_routed_set().events)
         assert not verdict.ok
         assert any("outside its routed set" in v for v in verdict.violations)
 
-    def test_double_done_merges_rows_twice(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=2)
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=2)
-        verdict = verdict_of(s.events)
-        assert not verdict.ok
-        assert any("completed twice" in v for v in verdict.violations)
-
-    def test_unsettled_subrequest_at_end(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="windows")
-        verdict = verdict_of(s.events)
-        assert not verdict.ok
-        assert any("never settled" in v for v in verdict.violations)
-
     def test_equal_distance_skip_is_unlawful(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="knn", fanout=2,
-               shards="0,1", tree="a", x=10.0, y=50.0, k=1)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="knn")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=1)
-        s.emit(EventKind.SHD_SHARD_SKIPPED, req=1, shard=1, mindist=5.0,
-               kth=5.0)  # tie — must have been queried
-        s.emit(EventKind.SHD_MERGED, req=1, cls="knn", rows=1, parts=1,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(equal_distance_skip().events)
         assert not verdict.ok
         assert any("strictly above" in v for v in verdict.violations)
 
     def test_join_with_duplicates(self):
-        s = topology_join(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="join", fanout=2,
-               shards="0,1", tree_r="a", tree_s="b")
-        for shard in (0, 1):
-            s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=shard,
-                   replica=0, attempt=0, op="shard_join")
-            s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=shard,
-                   replica=0, attempt=0, rows=3)
-        s.emit(EventKind.SHD_MERGED, req=1, cls="join", rows=5, parts=6,
-               duplicates=1)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(join_with_duplicates().events)
         assert not verdict.ok
         assert any("reference-point" in v for v in verdict.violations)
 
     def test_join_rows_not_conserved(self):
-        s = topology_join(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="join", fanout=2,
-               shards="0,1", tree_r="a", tree_s="b")
-        for shard in (0, 1):
-            s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=shard,
-                   replica=0, attempt=0, op="shard_join")
-            s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=shard,
-                   replica=0, attempt=0, rows=3)
-        s.emit(EventKind.SHD_MERGED, req=1, cls="join", rows=5, parts=6,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(join_rows_not_conserved().events)
         assert not verdict.ok
         assert any("rows lost or invented" in v for v in verdict.violations)
 
     def test_knn_candidate_neither_queried_nor_skipped(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="knn", fanout=2,
-               shards="0,1", tree="a", x=10.0, y=50.0, k=1)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="knn")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=1)
-        # shard 1 silently ignored: no SENT, no SKIPPED
-        s.emit(EventKind.SHD_MERGED, req=1, cls="knn", rows=1, parts=1,
-               duplicates=0)
-        verdict = verdict_of(s.events)
+        verdict = verdict_of(knn_candidate_neither_queried_nor_skipped().events)
         assert not verdict.ok
         assert any("explicitly skipped" in v for v in verdict.violations)
 
     def test_window_merge_inventing_rows(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=2)
-        s.emit(EventKind.SHD_MERGED, req=1, cls="window", rows=3, parts=2,
-               duplicates=0)
-        verdict = verdict_of(s.events)
-        assert not verdict.ok
-
-    def test_failed_after_done(self):
-        s = topology(Stream())
-        s.emit(EventKind.SHD_REQUEST_ROUTED, req=1, cls="window", fanout=1,
-               shards="0", tree="a", xl=1.0, yl=1.0, xu=2.0, yu=2.0)
-        s.emit(EventKind.SHD_SUBREQUEST_SENT, req=1, shard=0, replica=0,
-               attempt=0, op="windows")
-        s.emit(EventKind.SHD_SUBREQUEST_DONE, req=1, shard=0, replica=0,
-               attempt=0, rows=1)
-        s.emit(EventKind.SHD_SUBREQUEST_FAILED, req=1, shard=0, attempts=1,
-               error="late")
-        verdict = verdict_of(s.events)
-        assert not verdict.ok
-        assert any("failed after completing" in v for v in verdict.violations)
+        assert not verdict_of(window_merge_inventing_rows().events).ok
 
 
 class TestWiring:
