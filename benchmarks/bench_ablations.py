@@ -8,8 +8,6 @@
    intersection tests of the sequential filter step.
 """
 
-import time
-
 from repro.bench import (
     ablation_task_order,
     ablation_tuning_techniques,
@@ -17,31 +15,18 @@ from repro.bench import (
     heading,
     render_table,
     report,
-    report_json,
 )
 
 
 def bench_ablation_task_order(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(
         ablation_task_order, args=(workload,), rounds=1, iterations=1
     )
-    wall = time.perf_counter() - started
     report(
         "ablation_task_order",
         heading(f"Ablation — task order (scale={active_scale()})")
         + "\n"
         + render_table(rows, ["variant", "task order", "disk accesses", "response (s)"]),
-    )
-    report_json(
-        "ablation_task_order",
-        {
-            "bench": "ablation_task_order",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"orders": ["plane-sweep order", "shuffled"]},
-            "rows": rows,
-        },
     )
     by_key = {(r["variant"], r["task order"]): r for r in rows}
     # Destroying the plane-sweep order must not *reduce* lsr disk accesses.
@@ -52,11 +37,9 @@ def bench_ablation_task_order(benchmark, workload):
 
 
 def bench_ablation_tuning(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(
         ablation_tuning_techniques, args=(workload,), rounds=1, iterations=1
     )
-    wall = time.perf_counter() - started
     report(
         "ablation_tuning",
         heading(f"Ablation — BKS93 tuning techniques (scale={active_scale()})")
@@ -64,16 +47,6 @@ def bench_ablation_tuning(benchmark, workload):
         + render_table(
             rows, ["restriction", "plane sweep", "intersection tests", "candidates"]
         ),
-    )
-    report_json(
-        "ablation_tuning",
-        {
-            "bench": "ablation_tuning",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"techniques": ["restriction", "plane sweep"]},
-            "rows": rows,
-        },
     )
     tests = {
         (r["restriction"], r["plane sweep"]): r["intersection tests"] for r in rows

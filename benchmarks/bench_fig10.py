@@ -8,8 +8,6 @@ d = 1, and *decreasing* disk accesses as n grows (the total global buffer
 grows with n).
 """
 
-import time
-
 from repro.bench import (
     active_scale,
     ascii_chart,
@@ -17,15 +15,12 @@ from repro.bench import (
     render_series,
     render_table,
     report,
-    report_json,
 )
 from bench_fig9 import fig9_rows
 
 
 def bench_figure10(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(fig9_rows, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     text = [
         heading(f"Figure 10 — speed-up and disk accesses (scale={active_scale()})"),
         render_table(
@@ -48,16 +43,6 @@ def bench_figure10(benchmark, workload):
         ascii_chart(chart_series, x_label="processors", y_label="speed-up")
     )
     report("figure10", "\n".join(text))
-    report_json(
-        "figure10",
-        {
-            "bench": "figure10",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"variant": "gd + reassign-all", "disk_series": ["d=1", "d=8", "d=n"]},
-            "rows": rows,
-        },
-    )
 
     d_n = {r["processors"]: r for r in rows if r["series"] == "d=n"}
     d_1 = {r["processors"]: r for r in rows if r["series"] == "d=1"}

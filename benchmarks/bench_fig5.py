@@ -11,30 +11,16 @@ root level.  Expected shape (the paper's findings):
   buffers).
 """
 
-import time
-
-from repro.bench import active_scale, figure5, heading, render_table, report, report_json
+from repro.bench import active_scale, figure5, heading, render_table, report
 
 
 def bench_figure5(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(figure5, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "figure5",
         heading(f"Figure 5 — disk accesses vs buffer size (scale={active_scale()})")
         + "\n"
         + render_table(rows, ["processors", "buffer (paper pages)", "lsr", "gsrr", "gd"]),
-    )
-    report_json(
-        "figure5",
-        {
-            "bench": "figure5",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"processors": [8, 24], "variants": ["lsr", "gsrr", "gd"]},
-            "rows": rows,
-        },
     )
 
     by_n = {8: [], 24: []}

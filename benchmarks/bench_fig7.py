@@ -10,15 +10,11 @@ changes nothing (the dynamic queue already hands out root pairs one by
 one) and all-levels helps a little; disk accesses barely move for gd.
 """
 
-import time
-
-from repro.bench import active_scale, figure7, heading, render_table, report, report_json
+from repro.bench import active_scale, figure7, heading, render_table, report
 
 
 def bench_figure7(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(figure7, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "figure7",
         heading(f"Figure 7 — task reassignment (scale={active_scale()})")
@@ -35,16 +31,6 @@ def bench_figure7(benchmark, workload):
                 "reassignments",
             ],
         ),
-    )
-    report_json(
-        "figure7",
-        {
-            "bench": "figure7",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"processors": 8, "disks": 8, "buffer_paper_pages": 800},
-            "rows": rows,
-        },
     )
     by_key = {(r["variant"], r["reassignment"]): r for r in rows}
     for variant in ("lsr", "gsrr"):

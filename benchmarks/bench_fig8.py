@@ -8,30 +8,16 @@ Expected shape: a small increase in disk accesses for local buffers with
 the arbitrary choice; no meaningful difference for the global buffer.
 """
 
-import time
-
-from repro.bench import active_scale, figure8, heading, render_table, report, report_json
+from repro.bench import active_scale, figure8, heading, render_table, report
 
 
 def bench_figure8(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(figure8, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "figure8",
         heading(f"Figure 8 — victim selection a/b (scale={active_scale()})")
         + "\n"
         + render_table(rows, ["variant", "a: max load", "b: arbitrary"]),
-    )
-    report_json(
-        "figure8",
-        {
-            "bench": "figure8",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"processors": 8, "reassignment": "all levels"},
-            "rows": rows,
-        },
     )
     by_variant = {r["variant"]: r for r in rows}
     # Global-buffer variants: the two strategies stay close.

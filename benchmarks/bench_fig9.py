@@ -8,8 +8,6 @@ processors (the disk is the bottleneck); with d = 8 the curve drops until
 about 8-10 processors; with d = n it keeps dropping to n = 24.
 """
 
-import time
-
 from repro.bench import (
     active_scale,
     figure9_and_10,
@@ -17,7 +15,6 @@ from repro.bench import (
     render_series,
     render_table,
     report,
-    report_json,
 )
 
 _CACHE: dict[int, list] = {}
@@ -32,9 +29,7 @@ def fig9_rows(workload):
 
 
 def bench_figure9(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(fig9_rows, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     text = [
         heading(f"Figure 9 — response time vs processors (scale={active_scale()})"),
         render_table(rows, ["series", "processors", "response (s)"]),
@@ -43,16 +38,6 @@ def bench_figure9(benchmark, workload):
         points = [(r["processors"], round(r["response (s)"], 1)) for r in rows if r["series"] == series]
         text.append(render_series(series, points))
     report("figure9", "\n".join(text))
-    report_json(
-        "figure9",
-        {
-            "bench": "figure9",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"variant": "gd + reassign-all", "disk_series": ["d=1", "d=8", "d=n"]},
-            "rows": rows,
-        },
-    )
 
     by_series = {
         s: {r["processors"]: r["response (s)"] for r in rows if r["series"] == s}

@@ -9,9 +9,7 @@ This bench generates its own (smaller) workload because it needs exact
 geometry attached to every object.
 """
 
-import time
-
-from repro.bench import heading, render_table, report, report_json
+from repro.bench import heading, render_table, report
 from repro.datagen import build_tree, paper_maps
 from repro.join import RefinementModel, multi_step_join
 
@@ -52,11 +50,9 @@ def run_pipeline():
 
 
 def bench_multistep(benchmark):
-    started = time.perf_counter()
     rows, two_step, three_step = benchmark.pedantic(
         run_pipeline, rounds=1, iterations=1
     )
-    wall = time.perf_counter() - started
     report(
         "multistep",
         heading(f"Second filter step [BKS 94] (scale={SCALE})")
@@ -66,16 +62,6 @@ def bench_multistep(benchmark):
             ["pipeline", "MBR candidates", "hull survivors", "exact tests",
              "answers", "est. refinement cost (s)"],
         ),
-    )
-    report_json(
-        "multistep",
-        {
-            "bench": "multistep",
-            "scale": SCALE,
-            "wall_time_s": wall,
-            "config": {"exact_test_cost_s": 10e-3, "hull_test_cost_s": 1e-3},
-            "rows": rows,
-        },
     )
     assert set(three_step.answers) == set(two_step.answers)
     assert three_step.exact_tests < two_step.exact_tests

@@ -7,9 +7,7 @@ the processor count grows (d = n, global buffer), and the page savings of
 the shared kNN pruning bound.
 """
 
-import time
-
-from repro.bench import active_scale, heading, render_table, report, report_json, scaled_pages
+from repro.bench import active_scale, heading, render_table, report, scaled_pages
 from repro.geometry import Rect
 from repro.query import ParallelQueryConfig, parallel_knn, parallel_window_query, prepare_tree
 
@@ -71,9 +69,7 @@ def run_queries(workload):
 
 
 def bench_parallel_queries(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(run_queries, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "queries",
         heading(f"Parallel window / kNN queries (scale={active_scale()})")
@@ -83,16 +79,6 @@ def bench_parallel_queries(benchmark, workload):
             ["query", "processors", "response (s)", "speedup",
              "disk accesses", "results"],
         ),
-    )
-    report_json(
-        "queries",
-        {
-            "bench": "queries",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"processors": [1, 2, 4, 8, 16], "knn_k": 10},
-            "rows": rows,
-        },
     )
     window_rows = [r for r in rows if r["query"].startswith("window")]
     by_n = {r["processors"]: r for r in window_rows}

@@ -9,15 +9,12 @@ assignment keeps accesses local (fewest remote fetches), spatially blind
 placement turns most accesses into network traffic.
 """
 
-import time
-
 from repro.bench import (
     active_scale,
     get_workload,
     heading,
     render_table,
     report,
-    report_json,
     scaled_pages,
 )
 from repro.join import GD, ParallelJoinConfig, ReassignLevel, ReassignmentPolicy, parallel_spatial_join
@@ -80,9 +77,7 @@ def run_grid(workload):
 
 
 def bench_shared_nothing(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(run_grid, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "shared_nothing",
         heading(f"Shared-nothing join (scale={active_scale()}, n=8)")
@@ -92,16 +87,6 @@ def bench_shared_nothing(benchmark, workload):
             ["architecture", "assignment", "response (s)", "disk accesses",
              "remote fetches"],
         ),
-    )
-    report_json(
-        "shared_nothing",
-        {
-            "bench": "shared_nothing",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"nodes": 8, "buffer_paper_pages_per_node": 100},
-            "rows": rows,
-        },
     )
     by_key = {(r["architecture"], r["assignment"]): r for r in rows}
     spatial_range = by_key[("SN spatial", "range")]

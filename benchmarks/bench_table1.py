@@ -6,9 +6,7 @@ values.  The benchmark measures the tree construction (STR packing of the
 full map), the operation Table 1 characterises.
 """
 
-import time
-
-from repro.bench import active_scale, heading, render_table, report, report_json, table1_rows
+from repro.bench import active_scale, heading, render_table, report, table1_rows
 from repro.datagen import build_tree
 
 
@@ -20,9 +18,7 @@ def bench_build_tree1(benchmark, workload):
 
 
 def bench_table1_report(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(table1_rows, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "table1",
         heading(f"Table 1 — R*-tree parameters (scale={active_scale()})")
@@ -30,16 +26,6 @@ def bench_table1_report(benchmark, workload):
         + render_table(
             rows, ["parameter", "tree1", "tree2", "paper tree1", "paper tree2"]
         ),
-    )
-    report_json(
-        "table1",
-        {
-            "bench": "table1",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"maps": ["map1", "map2"]},
-            "rows": rows,
-        },
     )
     heights = [row for row in rows if row["parameter"] == "height"]
     assert heights[0]["tree1"] in (2, 3, 4)

@@ -6,9 +6,7 @@ simulated remote-vs-local access gap the paper quotes as "a factor of
 about 10".
 """
 
-import time
-
-from repro.bench import heading, render_table, report, report_json, table2_rows
+from repro.bench import heading, render_table, report, table2_rows
 from repro.sim import Environment, KSR1_CONFIG, Machine
 
 
@@ -30,9 +28,7 @@ def bench_remote_copy_simulation(benchmark):
 
 
 def bench_table2_report(benchmark):
-    started = time.perf_counter()
     rows = benchmark.pedantic(table2_rows, rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     ratio = (
         KSR1_CONFIG.remote_memory.latency_us / KSR1_CONFIG.main_memory.latency_us
     )
@@ -53,15 +49,5 @@ def bench_table2_report(benchmark):
         )
         + f"\n\nper-unit latency ratio (remote/local): {ratio:.1f} "
         + "(paper: 'a factor of about 10')",
-    )
-    report_json(
-        "table2",
-        {
-            "bench": "table2",
-            "scale": None,  # the KSR1 memory model is scale-independent
-            "wall_time_s": wall,
-            "config": {"remote_local_latency_ratio": ratio},
-            "rows": rows,
-        },
     )
     assert ratio > 5

@@ -9,7 +9,7 @@ counts (z-decomposition replicates objects), duplicates and z-false hits
 
 import time
 
-from repro.bench import active_scale, heading, render_table, report, report_json
+from repro.bench import active_scale, heading, render_table, report
 from repro.join import sequential_join
 from repro.zorder import zorder_join
 
@@ -56,9 +56,7 @@ def run_comparison(workload):
 
 
 def bench_zorder_vs_rtree(benchmark, workload):
-    started = time.perf_counter()
     rows = benchmark.pedantic(run_comparison, args=(workload,), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
     report(
         "zorder",
         heading(f"R*-tree vs z-order filter (scale={active_scale()})")
@@ -68,16 +66,6 @@ def bench_zorder_vs_rtree(benchmark, workload):
             ["filter", "index entries", "tests", "duplicates",
              "false matches", "candidates", "wall (s)"],
         ),
-    )
-    report_json(
-        "zorder",
-        {
-            "bench": "zorder",
-            "scale": active_scale(),
-            "wall_time_s": wall,
-            "config": {"bits": 14, "max_regions": [1, 4]},
-            "rows": rows,
-        },
     )
     # Identical candidate sets were asserted inside; all rows agree.
     assert len({row["candidates"] for row in rows}) == 1

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional
 from .findings import Severity
 from .lint import LintContext, ProjectIndex
 
-__all__ = ["Rule", "ProjectRule", "file_rules", "project_rules", "all_rule_ids"]
+__all__ = ["Rule", "ProjectRule", "file_rules", "project_rules"]
 
 #: Path components whose modules must stay deterministic (``datagen``: the
 #: seeded draw stream is the data set every pinned number depends on).
@@ -99,10 +99,6 @@ def file_rules() -> list[Rule]:
 
 def project_rules() -> list[ProjectRule]:
     return list(_PROJECT_RULES)
-
-
-def all_rule_ids() -> list[str]:
-    return [r.id for r in _FILE_RULES] + [r.id for r in _PROJECT_RULES]
 
 
 # -- shared AST helpers --------------------------------------------------------

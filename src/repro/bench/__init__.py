@@ -24,7 +24,6 @@ from .render import (
     render_series,
     render_table,
     report,
-    report_json,
 )
 from .tables import PAPER_TABLE1, table1_rows, table2_rows
 
@@ -50,6 +49,5 @@ __all__ = [
     "render_series",
     "heading",
     "report",
-    "report_json",
     "ascii_chart",
 ]

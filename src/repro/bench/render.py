@@ -1,9 +1,12 @@
-"""Plain-text and machine-readable rendering of experiment results."""
+"""Plain-text rendering of experiment results.
+
+The committed record of a paper bench is its rendered table under
+``benchmarks/results/`` (:func:`report`); wall-clock numbers and their
+trajectory are ``perf``'s (``perf/history.jsonl``).
+"""
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -12,7 +15,6 @@ __all__ = [
     "render_series",
     "heading",
     "report",
-    "report_json",
     "ascii_chart",
 ]
 
@@ -33,45 +35,6 @@ def report(name: str, text: str) -> str:
     except OSError:
         pass  # read-only checkout: printing alone still serves -s runs
     return text
-
-
-def report_json(name: str, payload: Mapping[str, object]) -> str:
-    """Persist *payload* as ``BENCH_<name>.json`` at the repo root.
-
-    The machine-readable twin of :func:`report`: every bench emits one
-    JSON document (config, scale, wall time, simulated times) so the perf
-    trajectory can be tracked across commits without parsing tables.  The
-    directory is overridable via ``REPRO_BENCH_JSON_DIR``; non-finite
-    floats become ``null`` so the output is strict JSON.  Returns the
-    target path (written or not).
-    """
-    directory = os.environ.get("REPRO_BENCH_JSON_DIR", ".")
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    try:
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # read-only checkout: the printed report still serves
-    return path
-
-
-def _jsonable(value):
-    """Recursively coerce *value* into strict-JSON-serialisable data."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    return repr(value)
 
 
 def heading(title: str) -> str:

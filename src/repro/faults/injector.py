@@ -95,7 +95,6 @@ class FaultInjector:
         self._page_rng = plan.rng_for("page")
         self._task_rng = plan.rng_for("task")
         self._journal_rng = plan.rng_for("journal")
-        self._next_call = 0
         # task-kill bookkeeping: each task id rolls at most once, each
         # targeted kill fires at most once — re-executions of a requeued
         # orphan are never re-killed, so recovery always makes progress.
@@ -114,12 +113,6 @@ class FaultInjector:
         self.torn_appends = 0
 
     # -- worker-call seam ------------------------------------------------------
-    def next_call_id(self) -> int:
-        """A fresh id for one worker call (faulted or not)."""
-        call_id = self._next_call
-        self._next_call += 1
-        return call_id
-
     def worker_directive(self, call_id: int) -> Optional[FaultDirective]:
         """Decide the fate of worker call *call_id* (None = healthy).
 

@@ -25,8 +25,9 @@ inject:
 
 All randomness is derived from ``seed`` through stable per-site streams
 (:meth:`rng_for`), so one plan replayed over the same call sequence
-injects the identical faults — chaos tests are reproducible and the
-``BENCH_chaos.json`` methodology can name its exact seeds.
+injects the identical faults — chaos tests are reproducible and a
+methodology (``tests/chaos``, ``perf``'s ``serve-chaos``, the load
+generator's ``--chaos-seed``) can name its exact seeds.
 """
 
 from __future__ import annotations

@@ -229,9 +229,6 @@ class LeaseTable:
     def active_leases(self) -> List[Lease]:
         return [lease for lease in self._leases.values() if lease.active]
 
-    def leases_for(self, task: Hashable) -> List[Lease]:
-        return [l for l in self._leases.values() if l.task == task]
-
     def stats(self) -> dict:
         return {
             "granted": self.granted,

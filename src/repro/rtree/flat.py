@@ -175,10 +175,6 @@ class FlatRTree:
         """Height in node-tree terms (a root-only tree has height 1)."""
         return max(1, self.num_levels - 1)
 
-    def level_count(self, level: int) -> int:
-        """Number of boxes at *level* (level 0 = data boxes)."""
-        return self._counts[level]
-
     def child_range(self, level: int, index: int) -> tuple[int, int]:
         """``[start, stop)`` of node ``(level, index)``'s children within
         level ``level - 1``."""

@@ -350,9 +350,6 @@ class RStarTree:
                     next_frontier.extend(node.children())
             frontier = next_frontier
 
-    def nodes_at_level(self, level: int) -> list[Node]:
-        return [node for node in self.nodes() if node.level == level]
-
     def data_entries(self) -> Iterator[Entry]:
         for node in self.nodes():
             if node.is_leaf:

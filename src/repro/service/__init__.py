@@ -18,10 +18,11 @@ virtual memory of :mod:`repro.join.mp`), with
 * a **metrics layer** fed purely by ``SVC_*`` events on the
   :mod:`repro.trace` bus (:mod:`repro.service.metrics`), so the existing
   sinks, timelines and checkers apply to serving runs;
-* a **load generator** — ``python -m repro.service.loadgen`` — with
-  closed- and open-loop arrival models that prints a latency/throughput
-  report and emits ``BENCH_service.json`` (``--chaos`` adds a seeded
-  fault-injection run and ``BENCH_chaos.json``);
+* a **load generator** — ``python -m repro.service.loadgen`` — that
+  drives this engine or the sharded tier once with a closed- or
+  open-loop arrival model, prints a latency/throughput report and keeps
+  nothing (a run under a seeded fault plan is replayed through the
+  invariant checkers and exits 1 on a red verdict);
 * a **resilience layer** (:mod:`repro.service.resilience`,
   :mod:`repro.service.workers`): supervised worker calls with typed
   :class:`WorkerError` outcomes, capped-backoff retries inside the

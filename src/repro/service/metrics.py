@@ -9,7 +9,7 @@ rendering and the invariant checkers all work on serving traces unchanged.
 Per request class the sink keeps a latency reservoir (p50/p95/p99), the
 terminal-outcome counters and a queue-depth high-water mark; batch sizes
 get their own distribution.  ``report()`` renders everything as one
-JSON-able dict, the payload of ``BENCH_service.json``.
+JSON-able dict — the ``"metrics"`` block of every tier's ``snapshot()``.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ class TestTwoBackendsTwoJobs:
         }
         assert not imported & {"Node", "RStarTree"}
 
-    def test_the_bench_suite_reads_three_environment_variables(self, modules):
+    def test_the_bench_suite_reads_two_env_vars(self, modules):
         read = set()
         for module, tree in modules.items():
             if not module.startswith("bench/"):
@@ -231,4 +231,26 @@ class TestTwoBackendsTwoJobs:
             ]
             assert len(mentions) == len(found), module  # no other way in
             read.update(found)
-        assert read == {"'REPRO_SCALE'", "'REPRO_REPORT_DIR'", "'REPRO_BENCH_JSON_DIR'"}
+        assert read == {"'REPRO_SCALE'", "'REPRO_REPORT_DIR'"}
+
+
+class TestOneInstrumentPerQuestion:
+    """`loadgen` drives, tier-1 asserts, `perf` measures.  The load
+    generator used to be a second bench harness (four arms, four JSON
+    payloads, 34 flags) and every paper bench wrote a JSON twin of its
+    table that nothing read; neither comes back."""
+
+    REPO = SRC.parents[1]
+    #: spelled so a grep for the deleted writer's name stays empty
+    WRITER = "_".join(("report", "json"))
+
+    def test_loadgen_keeps_nothing_stays_small(self):
+        source = (SRC / "service" / "loadgen.py").read_text("utf-8")
+        for writer in (self.WRITER, "json.dump", "open("):
+            assert writer not in source, writer
+        assert source.count("add_argument(") <= 20
+
+    def test_no_json_twin_of_a_bench_table(self):
+        for root in (self.REPO / "src", self.REPO / "benchmarks"):
+            for path in sorted(root.rglob("*.py")):
+                assert self.WRITER not in path.read_text("utf-8"), path
