@@ -3,12 +3,14 @@
 
 The simulation reproduces the paper's *measurements*; this example shows
 the algorithm also parallelises for real on today's hardware.  CPython's
-GIL rules out thread-level speed-up, so the paper's task creation + static
-range assignment run over a fork-based process pool
-(:func:`repro.multiprocessing_join`): workers inherit the trees and the
-exact geometry through fork — the OS-process analogue of shared virtual
-memory — and each worker refines the candidates it finds, exactly the
-paper's distribution principle.
+GIL rules out thread-level speed-up, so the paper's task creation runs
+once and its winning scheme — dynamic assignment: an idle processor takes
+the next chunk of tasks off one shared queue — runs over forked worker
+processes (:func:`repro.multiprocessing_join`): workers inherit the trees
+and the exact geometry through fork — the OS-process analogue of shared
+virtual memory — each worker refines the candidates it finds, exactly the
+paper's distribution principle, and hands back only its answers, as two
+oid columns.
 
 The workload is two layers of detailed river-like polylines (dozens of
 vertices each), so the exact intersection tests dominate — like the

@@ -11,12 +11,15 @@ from .planesweep import SweepResult, restrict_to_window, sweep_pairs, x_sorted
 from .polygon import Polygon
 from .polyline import Polyline
 from .rect import Rect
+from .rows import PairTable, RowSet
 from .segment import Segment
 from .table import BoxTable
 
 __all__ = [
     "Rect",
     "BoxTable",
+    "RowSet",
+    "PairTable",
     "Segment",
     "Polyline",
     "Polygon",

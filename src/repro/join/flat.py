@@ -21,17 +21,17 @@ journalled resume for free.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Optional
 
 import numpy as np
 
+from ..geometry.rows import PairTable
 from ..rtree.flat import FlatRTree, is_flat
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 
 __all__ = [
     "flat_join",
-    "flat_join_pairs",
     "create_flat_tasks",
     "packed_pair",
 ]
@@ -72,30 +72,20 @@ def flat_join(
     ``node_pairs_visited`` the frontier pairs expanded.
     """
     result = SequentialJoinResult(pairs=[])
-    if tree_r.size == 0 or tree_s.size == 0:
-        return result
-    top_r = tree_r.num_levels - 1
-    top_s = tree_s.num_levels - 1
-    pairs = _frontier_join(
+    # An empty side starts from an empty frontier: a typed empty table.
+    roots = np.zeros(min(1, tree_r.size, tree_s.size), dtype=np.int64)
+    result.pairs = _frontier_join(
         tree_r,
         tree_s,
-        top_r,
-        top_s,
-        np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
+        tree_r.num_levels - 1,
+        tree_s.num_levels - 1,
+        roots,
+        roots,
         result,
     )
     if refinement is not None:
-        pairs = refinement.filter_answers(pairs)
-    result.pairs.extend(pairs)
+        result.pairs = PairTable.from_pairs(refinement.filter_answers(result.pairs))
     return result
-
-
-def flat_join_pairs(
-    tree_r: FlatRTree, tree_s: FlatRTree
-) -> list[tuple[Hashable, Hashable]]:
-    """Just the candidate pairs (no counters) — the kernel entry point."""
-    return flat_join(tree_r, tree_s).pairs
 
 
 def _frontier_join(
@@ -107,7 +97,7 @@ def _frontier_join(
     nodes_s: np.ndarray,
     result: Optional[SequentialJoinResult],
     beat=None,
-) -> list[tuple[Hashable, Hashable]]:
+) -> PairTable:
     """Descend a frontier of qualifying node pairs to the data level.
 
     ``nodes_r``/``nodes_s`` are positionally-aligned index arrays into
@@ -120,9 +110,8 @@ def _frontier_join(
     """
     while len(nodes_r) and (level_r > 0 or level_s > 0):
         if len(nodes_r) > _BLOCK:
-            pairs: list[tuple[Hashable, Hashable]] = []
-            for lo in range(0, len(nodes_r), _BLOCK):
-                pairs += _frontier_join(
+            return PairTable.concat(
+                _frontier_join(
                     tree_r,
                     tree_s,
                     level_r,
@@ -132,7 +121,8 @@ def _frontier_join(
                     result,
                     beat,
                 )
-            return pairs
+                for lo in range(0, len(nodes_r), _BLOCK)
+            )
         if beat is not None:
             beat()
         if result is not None and level_r >= 1 and level_s >= 1:
@@ -176,21 +166,13 @@ def _frontier_join(
         counts_r = np.bincount(pos_r, minlength=len(nodes_r))
         counts_s = np.bincount(pos_s, minlength=len(nodes_s))
         a, b = _cross_ragged(ch_r, counts_r, ch_s, counts_s)
-        if len(a) == 0:
-            return []
         keep = _intersects(tree_r, level_r - 1, a, tree_s, level_s - 1, b)
         if result is not None:
             result.intersection_tests += len(a)
         nodes_r, nodes_s = a[keep], b[keep]
         level_r -= 1
         level_s -= 1
-    if len(nodes_r) == 0:
-        return []
-    oids_r, oids_s = tree_r.oids, tree_s.oids
-    return [
-        (oids_r[a], oids_s[b])
-        for a, b in zip(nodes_r.tolist(), nodes_s.tolist())
-    ]
+    return PairTable(tree_r.oids[nodes_r], tree_s.oids[nodes_s])
 
 
 def _restricted_children(tree_a, level_a, nodes_a, tree_b, level_b, nodes_b):
@@ -314,7 +296,7 @@ class _FlatJoinPlan:
             f":{self.nodes_r[-1]}-{self.nodes_s[-1]}"
         )
 
-    def run(self, start: int, stop: int, beat=None) -> list:
+    def run(self, start: int, stop: int, beat=None) -> PairTable:
         """Candidate pairs of frontier slice ``[start, stop)``.  A
         vectorized slice has no per-task loop: *beat* (the heartbeat) is
         called once per round of the descent (none for an empty slice)."""

@@ -21,15 +21,17 @@ Workers are forked with the plan — the in-memory R*-trees or the packed
 arrays — as their start argument, so they inherit it from the parent
 without any serialisation: the process-level analogue of the paper's
 shared virtual memory.  Only chunk bounds travel to the workers and only
-``(oid, oid)`` pairs travel back.
+the two oid columns of a chunk's :class:`~repro.geometry.rows.PairTable`
+travel back — raw buffers on the pipe, concatenated once by the ledger;
+no row is pickled, unpickled or re-listed on the way.
 
 **Fault tolerance** (:mod:`repro.recovery`) is not a mode but how the
 driver works: one lease per chunk, granted when the chunk is handed to a
 worker (a queued chunk has no clock to run out), and kept alive by
 heartbeats on a fork-inherited lock-free progress counter — a running
-chunk beats at every node pair, frontier round and result piece, so a
-healthy join may outlast ``lease_s`` by any factor without losing a
-lease.  A worker death is an event, not a timeout: the substrate reports
+chunk beats at every node pair, frontier round, refined piece and shipped
+table, so a healthy join may outlast ``lease_s`` by any factor without
+losing a lease.  A worker death is an event, not a timeout: the substrate reports
 it at once, naming the chunk the worker held; that lease expires
 (``reason="died"``) and the chunk is requeued, so a death loses at most
 one chunk's partial work.  A *silent* worker is expired by its lease and
@@ -46,12 +48,12 @@ import dataclasses
 import math
 import multiprocessing
 import os
-import pickle
 import warnings
 from collections import deque
-from typing import Hashable, Optional
+from typing import Optional
 
 from ..faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
+from ..geometry.rows import PairTable
 from ..recovery.config import RecoveryConfig, wall_clock
 from ..recovery.journal import JoinJournal
 from ..recovery.ledger import ResultLedger
@@ -73,11 +75,11 @@ __all__ = [
     "plan_join",
 ]
 
-#: Rows a worker refines or pickles between two heartbeats.
+#: Rows a worker refines between two heartbeats.
 _PIECE_ROWS = 1 << 12
 
 
-def join_subtrees(node_r: Node, node_s: Node) -> list[tuple[Hashable, Hashable]]:
+def join_subtrees(node_r: Node, node_s: Node) -> list[tuple]:
     """Sequential join of one pair of subtrees (one task's work)."""
     return _join_subtrees(node_r, node_s, None)
 
@@ -108,14 +110,15 @@ class _NodeJoinPlan:
     def signature(self) -> str:
         return task_signature(self.tasks)
 
-    def run(self, start: int, stop: int, beat=None) -> list:
-        """Candidate pairs of tasks ``[start, stop)``; *beat* (the
-        heartbeat) is called after every node pair, so a lease survives a
-        task that runs longer than ``lease_s``."""
-        pairs: list[tuple[Hashable, Hashable]] = []
+    def run(self, start: int, stop: int, beat=None) -> PairTable:
+        """Candidate pairs of tasks ``[start, stop)``, made a table here —
+        in the worker, ahead of the pipe; *beat* (the heartbeat) is called
+        after every node pair, so a lease survives a task that runs longer
+        than ``lease_s``."""
+        pairs: list = []
         for task in self.tasks[start:stop]:
             pairs.extend(_join_subtrees(task.node_r, task.node_s, beat))
-        return pairs
+        return PairTable.from_pairs(pairs)
 
 
 def plan_join(tree_r, tree_s, min_tasks: int):
@@ -129,32 +132,25 @@ def plan_join(tree_r, tree_s, min_tasks: int):
     return _NodeJoinPlan(tree_r, tree_s, min_tasks)
 
 
-def _chunk_pairs(work: tuple, start: int, stop: int, beat=None) -> list:
+def _chunk_pairs(work: tuple, start: int, stop: int, beat=None) -> PairTable:
     """Result rows of plan slice ``[start, stop)``: the filter step, then
     the exact refinement when geometry was given — the paper's
     distribution principle, the processor that finds a candidate refines
-    it."""
+    it — with a heartbeat every ``_PIECE_ROWS`` candidates."""
     plan, geometry_r, geometry_s = work
     pairs = plan.run(start, stop, beat)
     if geometry_r is None:
         return pairs
     refinement = ExactRefinement(geometry_r, geometry_s)
     answers: list = []
-    for piece in _pieces(pairs):
-        answers += refinement.filter_answers(piece)
+    for lo in range(0, len(pairs), _PIECE_ROWS):
+        answers += refinement.filter_answers(pairs[lo : lo + _PIECE_ROWS])
         if beat is not None:
             beat()
-    return answers
+    return PairTable.from_pairs(answers)
 
 
-def _pieces(rows: list):
-    """*rows* in slices of ``_PIECE_ROWS`` — the unit of work between two
-    heartbeats wherever a chunk loops over its rows."""
-    for lo in range(0, len(rows), _PIECE_ROWS):
-        yield rows[lo : lo + _PIECE_ROWS]
-
-
-def _run_chunk(work: tuple, progress, spec: tuple) -> tuple[int, list]:
+def _run_chunk(work: tuple, progress, spec: tuple) -> tuple[int, PairTable]:
     """Worker body: one chunk of the plan.
 
     *work* is ``(plan, geometry_r, geometry_s)`` and *progress* the
@@ -167,7 +163,8 @@ def _run_chunk(work: tuple, progress, spec: tuple) -> tuple[int, list]:
     ledger lives in the parent's injector, so a redispatched chunk is
     never re-killed at the same task.  The doomed execution still runs
     (and heartbeats) the tasks before the offset, then calls ``os._exit``.
-    Returns the chunk id and the result rows as pickled pieces.
+    Returns the chunk id and the chunk's table; the pipe moves its two
+    column buffers, so shipping is no long silent stretch to beat through.
     """
     chunk_id, start, stop, kill_at = spec
 
@@ -179,14 +176,8 @@ def _run_chunk(work: tuple, progress, spec: tuple) -> tuple[int, list]:
         work[0].run(start, start + kill_at, beat)
         os._exit(CRASH_EXIT_CODE)
     rows = _chunk_pairs(work, start, stop, beat)
-    # Serialising a large result would be the one long silent stretch of
-    # a healthy chunk, so it is done here, piecewise, with a beat per
-    # piece; the pipe then only moves bytes.
-    blobs = []
-    for piece in _pieces(rows):
-        blobs.append(pickle.dumps(piece, pickle.HIGHEST_PROTOCOL))
-        beat()
-    return chunk_id, blobs
+    beat()  # one per shipped table
+    return chunk_id, rows
 
 
 def multiprocessing_join(
@@ -201,11 +192,11 @@ def multiprocessing_join(
     journal_path: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
-) -> list[tuple[Hashable, Hashable]]:
+) -> PairTable:
     """Spatial join using *processes* OS processes.
 
     Without geometry, returns the candidate pairs of the filter step
-    (identical, as a set, to
+    (one :class:`~repro.geometry.rows.PairTable`; identical, as a set, to
     :func:`repro.join.sequential.sequential_join`).  With ``geometry_r``
     and ``geometry_s`` (oid → point-tuple mappings), every worker also
     runs the exact refinement on the candidates it produced.  Both
@@ -335,8 +326,7 @@ class _Engine:
                 f"{self.chunk_tasks} with {sig!r}"
             )
         for cid, record in sorted(scan.completions().items()):
-            rows = [tuple(row) for row in record.get("rows", ())]
-            self.ledger.replay(cid, rows)
+            self.ledger.replay(cid, record.get("rows", ()))
 
     # -- chunk execution -------------------------------------------------------
     def _kill_directive(self, cid: int) -> Optional[int]:
@@ -351,7 +341,7 @@ class _Engine:
                 return offset
         return None
 
-    def _commit(self, cid: int, lease_id: int, rows: list) -> None:
+    def _commit(self, cid: int, lease_id: int, rows: PairTable) -> None:
         if not self.ledger.commit(cid, rows, lease=lease_id, proc=cid):
             return
         self.commits += 1
@@ -465,7 +455,7 @@ class _Engine:
             self._orphan(cid, "error")
             return
         lease_id = self.inflight.pop(cid)
-        rows = [row for blob in value[1] for row in pickle.loads(blob)]
+        rows = value[1]
         self.lease_table.complete(lease_id, rows=len(rows))
         self._commit(cid, lease_id, rows)
 
@@ -515,7 +505,7 @@ class _Engine:
             out["fault_counts"] = self.injector.counts()
         return out
 
-    def finish(self) -> tuple[list, dict]:
+    def finish(self) -> tuple[PairTable, dict]:
         pairs = self.ledger.all_rows()
         if self.tracer.enabled:
             self.tracer.emit(
@@ -543,12 +533,12 @@ def fault_tolerant_join(
     journal_path: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
-) -> tuple[list[tuple[Hashable, Hashable]], dict]:
+) -> tuple[PairTable, dict]:
     """The chunked lease-monitored join; returns ``(pairs, stats)``.
 
-    ``pairs`` is the exactly-once result multiset, grouped by ascending
-    chunk id (deterministic given the task list).  ``stats`` reports
-    chunking, lease and ledger counters, redispatches and replays.
+    ``pairs`` is the exactly-once result multiset as one table, grouped by
+    ascending chunk id (deterministic given the task list).  ``stats``
+    reports chunking, lease and ledger counters, redispatches and replays.
 
     ``timeout_s`` bounds the whole join: when the deadline fires the
     workers are abandoned and only the *missing* chunks are finished

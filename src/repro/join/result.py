@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
+from ..geometry.rows import PairTable
 from ..sim.metrics import Metrics, ProcessorTimes
 from ..trace import TraceHandle
 
@@ -16,10 +17,12 @@ class SequentialJoinResult:
     """Outcome of the in-memory sequential filter step ([BKS 93]).
 
     ``pairs`` holds ``(oid_r, oid_s)`` candidates in the order they were
-    produced — the local plane-sweep order when the sweep is enabled.
+    produced — the local plane-sweep order when the sweep is enabled — as
+    a :class:`~repro.geometry.rows.PairTable` (a plain list only while a
+    node traversal is still appending to it).
     """
 
-    pairs: list[tuple[Hashable, Hashable]]
+    pairs: PairTable
     node_pairs_visited: int = 0
     intersection_tests: int = 0
 
@@ -71,6 +74,12 @@ class ParallelJoinResult:
         return sum(len(pairs) for pairs in self.pairs_by_processor) + len(
             self.replayed_pairs
         )
+
+    @property
+    def pairs(self) -> PairTable:
+        """Every candidate as one table, processor by processor and the
+        replayed rows last — built when asked for, kept nowhere."""
+        return PairTable.concat([*self.pairs_by_processor, self.replayed_pairs])
 
     def pair_set(self) -> set[tuple[Hashable, Hashable]]:
         out: set[tuple[Hashable, Hashable]] = set()

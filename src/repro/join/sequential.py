@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from ..geometry.planesweep import restrict_to_window, sweep_pairs
+from ..geometry.rows import PairTable
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 from .flat import flat_join, packed_pair
@@ -54,9 +55,9 @@ def sequential_join(
             )
         return flat_join(tree_r, tree_s, refinement=refinement)
     result = SequentialJoinResult(pairs=[])
-    if tree_r.size == 0 or tree_s.size == 0:
-        return result
-    stack: list[tuple[Node, Node]] = [(tree_r.root, tree_s.root)]
+    stack: list[tuple[Node, Node]] = (
+        [(tree_r.root, tree_s.root)] if tree_r.size and tree_s.size else []
+    )
     while stack:
         node_r, node_s = stack.pop()
         result.node_pairs_visited += 1
@@ -77,6 +78,7 @@ def sequential_join(
         # Reversed push: children are processed in plane-sweep order
         # before the next sibling pair (depth-first).
         stack.extend(reversed(children))
+    result.pairs = PairTable.from_pairs(result.pairs)  # the node driver's edge
     return result
 
 

@@ -21,10 +21,10 @@ from ..rtree.query import require_window
 __all__ = ["multi_window_query"]
 
 
-def multi_window_query(tree, windows: Sequence) -> list[list[Entry]]:
+def multi_window_query(tree, windows: Sequence) -> list[Sequence[Entry]]:
     """Answer all *windows* against *tree* in a single traversal.
 
-    Returns one entry list per window, positionally aligned with the
+    Returns one entry sequence per window, positionally aligned with the
     input.  Each list equals what :func:`repro.rtree.query.window_query`
     returns for that window alone (as a set of entries; the visit order
     may differ because the traversal is driven by the union of windows).

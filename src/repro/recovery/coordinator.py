@@ -16,7 +16,7 @@ without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional, Sequence
 
 from ..trace import NULL_TRACER, Tracer
 from .config import RecoveryConfig
@@ -34,8 +34,9 @@ class JoinInterrupted(RuntimeError):
 class ResumeReport:
     """What a resumed join did."""
 
-    #: The exactly-once result multiset (replayed + re-run rows).
-    pairs: List[tuple]
+    #: The exactly-once result multiset (replayed + re-run rows), one
+    #: :class:`~repro.geometry.rows.PairTable`.
+    pairs: Sequence[tuple]
     #: Chunks whose result batches were adopted from the journal.
     replayed_chunks: int
     #: Chunks (re-)executed by this run.

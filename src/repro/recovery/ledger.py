@@ -13,19 +13,25 @@ never re-runs or double-counts it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, Sequence
 
+from ..geometry.rows import PairTable
 from ..trace import NULL_TRACER, EventKind, Tracer
 
 __all__ = ["ResultLedger"]
 
 
 class ResultLedger:
-    """First-completion-wins row accounting, keyed by task/chunk id."""
+    """First-completion-wins row accounting, keyed by task/chunk id.
+
+    A batch is kept as it arrived — a worker's
+    :class:`~repro.geometry.rows.PairTable`, a journal's JSON row lists, a
+    simulated processor's tuple list — and never copied or re-listed.
+    """
 
     def __init__(self, tracer: Tracer = NULL_TRACER):
         self.tracer = tracer
-        self._rows: Dict[Hashable, List[Tuple]] = {}
+        self._rows: Dict[Hashable, Sequence] = {}
         self.committed = 0
         self.replayed = 0
         self.duplicates_dropped = 0
@@ -37,7 +43,7 @@ class ResultLedger:
         return len(self._rows)
 
     def commit(
-        self, task: Hashable, rows: List[Tuple], lease: int = -1, proc: int = -1
+        self, task: Hashable, rows: Sequence, lease: int = -1, proc: int = -1
     ) -> bool:
         """Commit *rows* as the result of *task*; False on a duplicate."""
         if task in self._rows:
@@ -51,16 +57,16 @@ class ResultLedger:
                     rows=len(rows),
                 )
             return False
-        self._rows[task] = list(rows)
+        self._rows[task] = rows
         self.committed += 1
         return True
 
-    def replay(self, task: Hashable, rows: List[Tuple]) -> bool:
+    def replay(self, task: Hashable, rows: Sequence) -> bool:
         """Adopt a journal's completed batch for *task*; False on dup."""
         if task in self._rows:
             self.duplicates_dropped += 1
             return False
-        self._rows[task] = list(rows)
+        self._rows[task] = rows
         self.replayed += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -68,15 +74,14 @@ class ResultLedger:
             )
         return True
 
-    def rows_for(self, task: Hashable) -> List[Tuple]:
+    def rows_for(self, task: Hashable) -> Sequence:
         return self._rows[task]
 
-    def all_rows(self) -> List[Tuple]:
-        """Every committed row, grouped by ascending task id."""
-        out: List[Tuple] = []
-        for task in sorted(self._rows, key=lambda t: (str(type(t)), t)):
-            out.extend(self._rows[task])
-        return out
+    def all_rows(self) -> PairTable:
+        """Every committed row as one table, grouped by ascending task id:
+        one concatenation of the batches' columns."""
+        order = sorted(self._rows, key=lambda t: (str(type(t)), t))
+        return PairTable.concat(self._rows[task] for task in order)
 
     def stats(self) -> dict:
         return {

@@ -13,7 +13,7 @@ sources* of it.
   ``Process(args=...)``, so fork inherits it copy-on-write with nothing
   pickled and nothing parked in a module global.
 * The parent keeps the one FIFO and hands **one task to one idle
-  worker** — a worker says *ready*, warmed up, before it is given work — so the
+  worker** — a worker says *ready* before it is given work — so the
   parent can always name who holds what, and the owner's attempt / lease
   clock starts at hand-off (``sink.handoff``), never while queued.
 * The parent listens on every result pipe **and** every
@@ -48,17 +48,15 @@ from multiprocessing.connection import wait as wait_for_any
 __all__ = ["PipedWorkers"]
 
 
-def _serve(conn, inherited, work, state, warm) -> None:
-    """Worker body: warm up, say ready, then answer one task at a time
-    until the parent's end of the pipe closes."""
+def _serve(conn, inherited, work, state) -> None:
+    """Worker body: say ready, then answer one task at a time until the
+    parent's end of the pipe closes."""
     for parent_end in inherited:
         # Fork copied the parent's ends of every pipe (this worker's own
         # included); holding them would keep a sibling from ever seeing
         # EOF when the parent goes away.
         parent_end.close()
     try:
-        if warm is not None:
-            warm(*state)
         conn.send(None)  # ready
         while True:
             task = conn.recv()
@@ -84,21 +82,18 @@ class _Worker:
 class PipedWorkers:
     """*processes* forked workers running ``work(*state, payload)``.
 
-    ``warm(*state)``, if given, runs in every fresh worker before it says
-    ready: whatever a worker builds lazily on first use belongs there,
-    not in the first task it is handed — that task's clock runs from
-    hand-off, a cold start under load reads as a hang, and a worker
-    killed for it is replaced by one just as cold.
+    A fresh worker is ready the moment it is forked, so *state* must
+    hold nothing that is built on first use: a task's clock runs from
+    hand-off, and a cold start under load reads as a hang.
     """
 
-    def __init__(self, processes: int, work, state: tuple, sink, warm=None):
+    def __init__(self, processes: int, work, state: tuple, sink):
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self._context = multiprocessing.get_context("fork")
         self._processes = processes
         self._work = work
         self._state = state
-        self._warm = warm
         self._sink = sink
         self._workers: list[_Worker] = []
         self._idle: deque[_Worker] = deque()
@@ -115,7 +110,7 @@ class PipedWorkers:
         inherited = [w.conn for w in self._workers] + [parent_end]
         process = self._context.Process(
             target=_serve,
-            args=(child_end, inherited, self._work, self._state, self._warm),
+            args=(child_end, inherited, self._work, self._state),
             daemon=True,
         )
         process.start()

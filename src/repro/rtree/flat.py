@@ -40,12 +40,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..geometry.rect import Rect
+from ..geometry.rows import ColumnRows, RowSet, oid_column
 from ..geometry.table import BoxTable
 from ..zorder.curve import Quantizer, interleave_array
 from .entry import Entry
 from .query import QueryStats, oid_order_key
 
-__all__ = ["FlatRTree", "build_flat_tree", "is_flat", "require_node_trees"]
+__all__ = [
+    "FlatRTree",
+    "EntryRows",
+    "build_flat_tree",
+    "is_flat",
+    "require_node_trees",
+    "window_rows",
+    "knn_rows",
+]
 
 #: Default fan-out.  Wider nodes amortise numpy's per-call overhead but
 #: make each node's MBR looser, which inflates the candidate crosses of
@@ -92,20 +101,21 @@ class FlatRTree:
         "ymax",
         "level_offsets",
         "_counts",
-        "_entries",
     )
 
     def __init__(self):
         self.node_size = DEFAULT_NODE_SIZE
         self.size = 0
-        self.oids: list = []
+        #: The oids in Z-order as one column
+        #: (:func:`~repro.geometry.rows.oid_column`): every answer gathers
+        #: its rows from it.
+        self.oids = oid_column(())
         self.xmin = np.empty(0, dtype=np.float64)
         self.ymin = np.empty(0, dtype=np.float64)
         self.xmax = np.empty(0, dtype=np.float64)
         self.ymax = np.empty(0, dtype=np.float64)
         self.level_offsets = np.zeros(1, dtype=np.int64)
         self._counts: list[int] = []
-        self._entries: Optional[list[Entry]] = None
 
     # ------------------------------------------------------------- build
     @classmethod
@@ -141,7 +151,7 @@ class FlatRTree:
         level_yl = [table.yl[order]]
         level_xu = [table.xu[order]]
         level_yu = [table.yu[order]]
-        tree.oids = [table.oids[i] for i in order.tolist()]
+        tree.oids = oid_column(table.oids)[order]
         counts = [n]
         while counts[-1] > 1 or len(counts) == 1:
             starts = np.arange(0, counts[-1], node_size)
@@ -190,29 +200,6 @@ class FlatRTree:
             self.xmin[root], self.ymin[root], self.xmax[root], self.ymax[root]
         )
 
-    def entry(self, index: int) -> Entry:
-        """Data entry *index* (Z-order position) as an
-        :class:`~repro.rtree.entry.Entry` — the node backend's result
-        currency, so callers never see which backend answered."""
-        return self._entry_cache()[index]
-
-    def _entry_cache(self) -> list[Entry]:
-        """The data-level :class:`Entry` objects, built once and reused —
-        the flat twin of the node tree *owning* its entries, so answering
-        a query never re-materialises result objects."""
-        if self._entries is None:
-            count = self._counts[0] if self._counts else 0
-            xl = self.xmin[:count].tolist()
-            yl = self.ymin[:count].tolist()
-            xu = self.xmax[:count].tolist()
-            yu = self.ymax[:count].tolist()
-            oids = self.oids
-            self._entries = [
-                Entry(xl[i], yl[i], xu[i], yu[i], oid=oids[i])
-                for i in range(count)
-            ]
-        return self._entries
-
     # ----------------------------------------------------- window query
     def window_indices(
         self, window, stats: Optional[QueryStats] = None
@@ -250,19 +237,8 @@ class FlatRTree:
                 return empty
         return frontier
 
-    def window_entries(
-        self, window, stats: Optional[QueryStats] = None
-    ) -> list[Entry]:
-        """All data entries intersecting *window* (ascending Z-order)."""
-        return self._entries_at(self.window_indices(window, stats))
-
-    def _entries_at(self, indices: np.ndarray) -> list[Entry]:
-        """The cached data entries at *indices*, gathered in one pass."""
-        cache = self._entry_cache()
-        return [cache[i] for i in indices.tolist()]
-
-    def multi_window(self, windows: Sequence) -> list[list[Entry]]:
-        """One entry list per window (the batched-query backend hook).
+    def multi_window(self, windows: Sequence) -> list["EntryRows"]:
+        """One answer per window (the batched-query backend hook).
 
         All windows descend the tree *together*: the frontier is a set of
         ``(window, node)`` pairs and every level is narrowed with a single
@@ -274,14 +250,14 @@ class FlatRTree:
         if m == 0:
             return []
         if self.size == 0:
-            return [[] for _ in windows]
+            return [EntryRows(self, np.empty(0, dtype=np.int64)) for _ in windows]
         wxl = np.fromiter((w.xl for w in windows), np.float64, count=m)
         wyl = np.fromiter((w.yl for w in windows), np.float64, count=m)
         wxu = np.fromiter((w.xu for w in windows), np.float64, count=m)
         wyu = np.fromiter((w.yu for w in windows), np.float64, count=m)
         # Frontier: one (query, node) pair per surviving branch.  Queries
         # stay grouped and in order, so each window's hits come out in
-        # ascending Z-order exactly like :meth:`window_entries`.
+        # ascending Z-order exactly like :meth:`window_indices`.
         qid = np.arange(m, dtype=np.int64)
         nodes = np.zeros(m, dtype=np.int64)
         for level in range(self.num_levels - 1, 0, -1):
@@ -296,14 +272,8 @@ class FlatRTree:
             )
             qid = cq[mask]
             nodes = children[mask]
-        counts = np.bincount(qid, minlength=m).tolist()
-        hits = self._entries_at(nodes)
-        out = []
-        pos = 0
-        for count in counts:
-            out.append(hits[pos:pos + count])
-            pos += count
-        return out
+        bounds = np.cumsum(np.bincount(qid, minlength=m))[:-1]
+        return [EntryRows(self, rows) for rows in np.split(nodes, bounds)]
 
     def children_of(
         self, level: int, nodes: np.ndarray
@@ -324,8 +294,8 @@ class FlatRTree:
         return starts[parent_pos] + offsets, parent_pos
 
     # ---------------------------------------------------------------- kNN
-    def nearest(self, x: float, y: float, k: int = 1) -> list[tuple[float, Entry]]:
-        """The *k* data entries nearest to ``(x, y)``.
+    def nearest(self, x: float, y: float, k: int = 1) -> "EntryRows":
+        """The *k* data entries nearest to ``(x, y)``, with distances.
 
         Best-first search with vectorized per-node ``mindist``; result
         order is the backend-independent ``(distance, oid key)`` order of
@@ -337,25 +307,25 @@ class FlatRTree:
 
         if k < 1:
             raise ValueError("k must be at least 1")
-        if self.size == 0:
-            return []
         seq = itertools.count()
         # (distance, kind, tie, seq, level, index); nodes (kind 0) sort
         # before data entries (kind 1) at equal distance so a node that
         # may still contain a better-tied entry is always expanded first.
         top = self.num_levels - 1
-        heap: list[tuple] = [(0.0, 0, 0, next(seq), top, 0)]
-        results: list[tuple[float, Entry]] = []
+        heap: list[tuple] = [(0.0, 0, 0, next(seq), top, 0)] if self.size else []
+        rows: list[int] = []
+        found: list[float] = []
         # Prune bound: the k-th smallest data-entry distance seen so far
         # (a size-k max-heap of negated distances).  Anything strictly
         # farther can never reach the result list, so it is never pushed;
         # equal distances stay in (ties resolve by oid key).
         worst: list[float] = []
         bound = float("inf")
-        while heap and len(results) < k:
+        while heap and len(rows) < k:
             distance, kind, _tie, _seq, level, index = heapq.heappop(heap)
             if kind == 1:
-                results.append((distance, self.entry(index)))
+                rows.append(index)
+                found.append(distance)
                 continue
             lo, hi = self.child_range(level, index)
             base = self.level_offsets[level - 1]
@@ -373,21 +343,12 @@ class FlatRTree:
             # loop free of numpy scalar boxing.
             dists = np.sqrt(dx * dx + dy * dy).tolist()
             if level == 1:
+                oids = self.oids[lo:hi].tolist()  # builtin oids, like dists
                 for offset, dist in enumerate(dists):
                     if dist > bound:
                         continue
-                    child = lo + offset
-                    heapq.heappush(
-                        heap,
-                        (
-                            dist,
-                            1,
-                            oid_order_key(self.oids[child]),
-                            next(seq),
-                            0,
-                            child,
-                        ),
-                    )
+                    tie = oid_order_key(oids[offset])
+                    heapq.heappush(heap, (dist, 1, tie, next(seq), 0, lo + offset))
                     if len(worst) < k:
                         heapq.heappush(worst, -dist)
                         if len(worst) == k:
@@ -403,7 +364,11 @@ class FlatRTree:
                     heapq.heappush(
                         heap, (dist, 0, child, next(seq), level - 1, child)
                     )
-        return results
+        return EntryRows(
+            self,
+            np.array(rows, dtype=np.int64),
+            np.array(found, dtype=np.float64),
+        )
 
     # -------------------------------------------------------- validation
     def validate(self) -> None:
@@ -436,6 +401,62 @@ class FlatRTree:
             f"<FlatRTree size={self.size} levels={self.num_levels} "
             f"node_size={self.node_size}>"
         )
+
+
+class EntryRows(ColumnRows):
+    """The data entries of a packed tree at *rows* (Z-order positions),
+    with their distances for a kNN answer: what the public query
+    functions return on this backend.  One :class:`Entry` — the node
+    backend's result currency — is made per row when a caller iterates or
+    indexes, and kept nowhere; ``oids`` / ``distances`` read the columns
+    and make none."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: FlatRTree, rows, distances=None):
+        super().__init__(*((rows,) if distances is None else (rows, distances)))
+        self.tree = tree
+
+    def _like(self, *columns) -> "EntryRows":
+        return EntryRows(self.tree, *columns)
+
+    @property
+    def oids(self) -> np.ndarray:
+        return self.tree.oids[self._columns[0]]
+
+    @property
+    def distances(self):
+        return self._columns[1] if len(self._columns) > 1 else None
+
+    def _rows(self) -> list:
+        tree, rows = self.tree, self._columns[0]
+        boxes = (tree.xmin, tree.ymin, tree.xmax, tree.ymax)  # level 0 first
+        columns = (column[rows].tolist() for column in boxes)
+        entries = [
+            Entry(xl, yl, xu, yu, oid=oid)
+            for xl, yl, xu, yu, oid in zip(*columns, self.oids.tolist())
+        ]
+        if self.distances is None:
+            return entries
+        return list(zip(self.distances.tolist(), entries))
+
+    def __reduce__(self):
+        return list, (self._rows(),)  # entries travel; the tree never does
+
+
+def window_rows(found) -> RowSet:
+    """A window answer of either backend as its oid column; a packed
+    tree's answer makes no :class:`Entry` on the way."""
+    if isinstance(found, EntryRows):
+        return RowSet(found.oids)
+    return RowSet.from_oids([entry.oid for entry in found])
+
+
+def knn_rows(found) -> RowSet:
+    """A kNN answer of either backend as ``(distance, oid)`` columns."""
+    if isinstance(found, EntryRows):
+        return RowSet(found.oids, found.distances)
+    return RowSet.from_knn((distance, entry.oid) for distance, entry in found)
 
 
 def build_flat_tree(map_data, *, node_size: int = DEFAULT_NODE_SIZE) -> FlatRTree:

@@ -25,7 +25,7 @@ import heapq
 import itertools
 import math
 from numbers import Real
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 from ..geometry.rect import Rect
 from .entry import Entry
@@ -96,18 +96,20 @@ def oid_order_key(oid: Hashable) -> tuple:
 
 def window_query(
     tree, window: Rect, stats: Optional[QueryStats] = None
-) -> list[Entry]:
+) -> Sequence[Entry]:
     """All data entries intersecting *window*, with node-visit accounting.
 
     The entry *set* is backend-independent; the order is the traversal
     order of the chosen backend (depth-first here, ascending packed order
-    on the flat backend).
+    on the flat backend).  A node tree hands back its own entries in a
+    list; a packed tree an :class:`~repro.rtree.flat.EntryRows`, which
+    makes an entry per row only when iterated.
     """
-    from .flat import is_flat
+    from .flat import EntryRows, is_flat
 
     require_window(window)
     if is_flat(tree):
-        return tree.window_entries(window, stats=stats)
+        return EntryRows(tree, tree.window_indices(window, stats))
     result: list[Entry] = []
     stack = [tree.root]
     while stack:
@@ -130,7 +132,7 @@ def window_query(
 
 def nearest_neighbors(
     tree, x: float, y: float, k: int = 1
-) -> list[tuple[float, Entry]]:
+) -> Sequence[tuple[float, Entry]]:
     """The *k* data entries whose MBRs are nearest to point ``(x, y)``.
 
     Classic best-first search: a priority queue ordered by minimum MBR

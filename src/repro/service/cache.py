@@ -1,7 +1,7 @@
 """LRU + TTL result cache of the serving engine.
 
 Keys are the canonicalised query identities of :mod:`repro.service.model`
-(``Request.cache_key()``); values are the canonical result tuples, so a
+(``Request.cache_key()``); values are the canonical result tables, so a
 hit is indistinguishable from a fresh execution by construction — the
 differential test in ``tests/service`` asserts exactly that.
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..faults import FaultPlan
+from ..geometry.rows import PairTable
 from ..trace import EventKind
 from .batcher import MicroBatcher, PendingWindow
 from .frontdoor import FrontDoor, pool_totals
@@ -207,7 +208,7 @@ class Engine(FrontDoor):
         tree_s: str,
         window,
         deadline: Optional[float],
-    ) -> tuple:
+    ) -> PairTable:
         """Resumable join: ``join_chunks`` independent worker calls.
 
         Each chunk runs under its own retry/breaker budget, so a worker
@@ -228,10 +229,7 @@ class Engine(FrontDoor):
                 for index in range(n)
             )
         )
-        merged: list = []
-        for part in parts:
-            merged.extend(part)
-        return tuple(sorted(merged))
+        return PairTable.concat(parts).sorted()
 
     def _guarded(
         self, cls: RequestClass, kind: str, *args,

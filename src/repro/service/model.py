@@ -9,16 +9,19 @@ against; each produces a :class:`Response` carrying a terminal
 the metrics layer and the tests consume.
 
 Result values are canonical so that cached and uncached executions are
-*comparable by equality*: window results are sorted oid tuples, kNN
-results are ``(distance, oid)`` tuples in ascending order and join results
-are sorted oid-pair tuples.
+*comparable by equality*: a window result is a sequence equal to the
+sorted oid tuple, a kNN result one equal to the ``(distance, oid)`` tuples
+in ascending order, a join result one equal to the sorted oid-pair tuples —
+each held as columns (:class:`~repro.geometry.rows.RowSet` /
+:class:`~repro.geometry.rows.PairTable`: read-only, unhashable, builtin
+objects made only when iterated) from the kernel to ``Response.value``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from ..geometry.rect import Rect
 
@@ -147,7 +150,7 @@ class Response:
 
     status: Status
     request_class: RequestClass
-    value: Optional[tuple] = None
+    value: Optional[Sequence] = None
     latency_s: float = 0.0
     cached: bool = False
     #: The value came from a TTL-expired cache entry served in a

@@ -8,7 +8,9 @@ replacement forked after a death — inherits the in-memory R*-trees
 through copy-on-write, the process-level analogue of the paper's shared
 virtual memory, and two live pools cannot see each other's trees.  Only
 primitive arguments (tree names, rect tuples, coordinates) travel to the
-workers and only oid tuples travel back; no tree is ever pickled.
+workers and only the answers' columns (:mod:`repro.geometry.rows`) travel
+back; no tree is ever pickled, and a packed tree's answer is gathered from
+its columns without one ``Entry`` being made.
 
 On platforms without ``fork`` (or with ``processes=0``) the pool degrades
 to a thread executor over the very same execution functions — correct,
@@ -25,10 +27,8 @@ as ``SUP_WORKER_CRASH_DETECTED`` / ``SUP_WORKER_RESPAWNED`` with its
 victim; a call's deadline runs from hand-off to a worker (time spent
 queued behind other calls is not the worker's fault), and when it fires
 the holder is killed and replaced — a hung worker never keeps its slot.
-A fresh worker answers one throwaway query per tree before it reports
-ready (:func:`_warm`), so that clock never charges a call for a cold
-start: killing a worker that was only warming up would buy a replacement
-just as cold.
+A fresh worker has nothing to build before its first answer, so that
+clock never charges a call for a cold start.
 Fault directives from a :class:`~repro.faults.injector.FaultInjector`
 ride along to the worker, and the pool emits the ``SUP_CALL_*`` side of
 the resilience ledger.
@@ -44,16 +44,20 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..faults import FaultDirective, FaultInjector, apply_directive
 from ..geometry.rect import Rect
+from ..geometry.rows import PairTable, RowSet
 from ..join.sequential import sequential_join
 from ..query.batch import multi_window_query
 from ..recovery.procs import PipedWorkers
+from ..rtree.flat import knn_rows, window_rows
 from ..rtree.query import nearest_neighbors, window_query
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .resilience import WorkerError
 
-__all__ = ["WorkerPool", "fork_available"]
+__all__ = ["WorkerPool", "fork_available", "window_filtered"]
 
 
 def fork_available() -> bool:
@@ -61,26 +65,22 @@ def fork_available() -> bool:
 
 
 # -- execution functions (run inside a worker process or thread) --------------
-def _windows_on(trees, name: str, rects: Sequence[tuple]) -> list[tuple]:
+def _windows_on(trees, name: str, rects: Sequence[tuple]) -> list[RowSet]:
     """One shared traversal answering a batch of window rects."""
-    tree = trees[name]
-    windows = [Rect(*r) for r in rects]
-    answers = multi_window_query(tree, windows)
-    return [tuple(sorted(e.oid for e in entries)) for entries in answers]
+    answers = multi_window_query(trees[name], [Rect(*r) for r in rects])
+    return [window_rows(found).sorted() for found in answers]
 
 
-def _knn_on(trees, name: str, x: float, y: float, k: int) -> tuple:
-    tree = trees[name]
-    found = nearest_neighbors(tree, x, y, k=k) if tree.size else []
-    return tuple((float(d), e.oid) for d, e in found)
+def _knn_on(trees, name: str, x: float, y: float, k: int) -> RowSet:
+    return knn_rows(nearest_neighbors(trees[name], x, y, k=k))
 
 
 def _join_on(
     trees, name_r: str, name_s: str, window: Optional[tuple]
-) -> tuple:
+) -> PairTable:
     tree_r, tree_s = trees[name_r], trees[name_s]
     pairs = sequential_join(tree_r, tree_s).pairs
-    return _window_filtered(tree_r, tree_s, pairs, window)
+    return window_filtered(tree_r, tree_s, pairs, window)
 
 
 def _join_chunk_on(
@@ -90,7 +90,7 @@ def _join_chunk_on(
     window: Optional[tuple],
     index: int,
     n_chunks: int,
-) -> tuple:
+) -> PairTable:
     """One chunk of a join split for resumable execution.
 
     The join plan (phase 1 of the parallel join) is deterministic given
@@ -110,22 +110,25 @@ def _join_chunk_on(
         plan = None
     if not plan:
         if index > 0:
-            return ()
+            return PairTable.from_pairs(())
         return _join_on(trees, name_r, name_s, window)
     base, extra = divmod(len(plan), n_chunks)
     start = index * base + min(index, extra)
     stop = start + base + (1 if index < extra else 0)
-    pairs = plan.run(start, stop)
-    return _window_filtered(tree_r, tree_s, pairs, window)
+    return window_filtered(tree_r, tree_s, plan.run(start, stop), window)
 
 
-def _window_filtered(tree_r, tree_s, pairs, window: Optional[tuple]) -> tuple:
+def window_filtered(
+    tree_r, tree_s, pairs: PairTable, window: Optional[tuple]
+) -> PairTable:
+    """*pairs* in canonical (sorted) order, restricted — when a window is
+    given — to the pairs whose two objects both intersect it."""
     if window is not None:
         rect = Rect(*window)
-        keep_r = {e.oid for e in window_query(tree_r, rect)}
-        keep_s = {e.oid for e in window_query(tree_s, rect)}
-        pairs = [(r, s) for r, s in pairs if r in keep_r and s in keep_s]
-    return tuple(sorted(pairs))
+        keep_r = window_rows(window_query(tree_r, rect)).oids
+        keep_s = window_rows(window_query(tree_s, rect)).oids
+        pairs = pairs[np.isin(pairs.left, keep_r) & np.isin(pairs.right, keep_s)]
+    return pairs.sorted()
 
 
 def _shard_join_on(
@@ -135,7 +138,7 @@ def _shard_join_on(
     window: Optional[tuple],
     pmap,
     shard: int,
-) -> tuple:
+) -> PairTable:
     """One shard's join contribution (sharded tier): the local filter
     pairs whose reference point *shard* owns under *pmap*.  The
     :class:`~repro.shard.partition.PartitionMap` is a small frozen value
@@ -167,16 +170,6 @@ def _fork_call(trees, call: tuple):
     if directive is not None:
         apply_directive(directive, hard_crash=True)
     return _EXEC_FNS[kind](trees, *args)
-
-
-def _warm(trees) -> None:
-    """Runs in a fresh worker before it says ready: one throwaway query
-    per tree, so whatever a backend builds on first use (the packed
-    tree's result entries: 0.1–0.2 s per full-scale map) is not charged
-    to the first call's deadline."""
-    for tree in trees.values():
-        if tree.size:
-            nearest_neighbors(tree, 0.0, 0.0, k=1)
 
 
 def _inline_call(
@@ -285,9 +278,7 @@ class WorkerPool:
             )
             processes = 0
         if processes > 0:
-            self._workers = PipedWorkers(
-                processes, _fork_call, (self.trees,), self, warm=_warm
-            )
+            self._workers = PipedWorkers(processes, _fork_call, (self.trees,), self)
             self._workers.start()
             self.forked = True
         else:
@@ -473,22 +464,8 @@ class WorkerPool:
     async def windows(
         self, name: str, rects: Sequence[tuple],
         timeout_s: Optional[float] = None,
-    ) -> list[tuple]:
+    ) -> list[RowSet]:
         return await self.run("windows", name, list(rects), timeout_s=timeout_s)
-
-    async def knn(
-        self, name: str, x: float, y: float, k: int,
-        timeout_s: Optional[float] = None,
-    ) -> tuple:
-        return await self.run("knn", name, x, y, k, timeout_s=timeout_s)
-
-    async def join(
-        self, name_r: str, name_s: str, window: Optional[tuple],
-        timeout_s: Optional[float] = None,
-    ) -> tuple:
-        return await self.run(
-            "join", name_r, name_s, window, timeout_s=timeout_s
-        )
 
     def __repr__(self) -> str:
         mode = (

@@ -11,11 +11,9 @@ duplicate elimination for joins).
 """
 
 from .ops import (
-    data_entries,
     knn_shard_order,
     merge_knn,
     mindist,
-    reference_point,
     shard_join_pairs,
     sharded_join,
     sharded_knn,
@@ -40,11 +38,9 @@ __all__ = [
     "partition_rows",
     "ShardConfig",
     "ShardRouter",
-    "data_entries",
     "knn_shard_order",
     "merge_knn",
     "mindist",
-    "reference_point",
     "shard_join_pairs",
     "sharded_join",
     "sharded_knn",

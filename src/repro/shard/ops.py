@@ -8,30 +8,35 @@ which exercise the whole K × mode × backend grid against the unsharded
 oracles without touching asyncio.
 
 Result values use the canonical formats of :mod:`repro.service.model`,
-so a merged sharded answer is *equal* to the single-tree answer:
+so a merged sharded answer is *equal* to the single-tree answer, and the
+merges are array operations over the answers' columns:
 
-* window — sorted oid tuple (set union across shards deduplicates the
-  boundary replicas);
-* kNN — ``((distance, oid), ...)`` ascending by ``(distance,
+* window — sorted oids (concatenate + unique across shards deduplicates
+  the boundary replicas);
+* kNN — ``(distance, oid)`` rows ascending by ``(distance,
   oid_order_key)``, the exact single-tree tie order;
-* join — sorted oid-pair tuple; the reference-point rule makes the
-  per-shard lists disjoint, so concatenation needs no dedup (and the
-  checker asserts it got none).
+* join — sorted oid pairs; the reference-point rule — a mask over the
+  two trees' lower-left corner columns — makes the per-shard tables
+  disjoint, so concatenation needs no dedup (and the checker asserts it
+  got none).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..geometry.rect import Rect
+from ..geometry.rows import PairTable, RowSet, oid_column
 from ..join.sequential import sequential_join
-from ..rtree.flat import is_flat
+from ..rtree.flat import is_flat, knn_rows, window_rows
 from ..rtree.query import nearest_neighbors, oid_order_key, window_query
-from .partition import PartitionMap, ShardedDataset
+from ..service.workers import window_filtered
+from .partition import PartitionMap, ShardedDataset, _cells_of_points
 
 __all__ = [
-    "data_entries",
     "mindist",
     "shard_join_pairs",
     "sharded_window",
@@ -40,11 +45,18 @@ __all__ = [
 ]
 
 
-def data_entries(tree):
-    """All data-level entries of either backend."""
+def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(oids, xl, yl)`` of the data boxes of either backend, ascending
+    by oid, so ``np.searchsorted`` finds an oid's row."""
     if is_flat(tree):
-        return [tree.entry(i) for i in range(len(tree))]
-    return list(tree.data_entries())
+        oids, xl, yl = tree.oids, tree.xmin[: tree.size], tree.ymin[: tree.size]
+    else:
+        entries = list(tree.data_entries())
+        oids = oid_column([e.oid for e in entries])
+        xl = np.fromiter((e.xl for e in entries), np.float64, count=len(entries))
+        yl = np.fromiter((e.yl for e in entries), np.float64, count=len(entries))
+    order = np.argsort(oids, kind="stable")
+    return oids[order], xl[order], yl[order]
 
 
 def mindist(rect: Rect, x: float, y: float) -> float:
@@ -61,52 +73,42 @@ def mindist(rect: Rect, x: float, y: float) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def reference_point(r, s) -> tuple[float, float]:
-    """The lower-left corner of two MBRs' intersection — the PBSM
-    duplicate-elimination reference point.  Both objects overlap it, so
-    both are replicated into the shard owning it: exactly one shard can
-    (and does) report the pair."""
-    return (max(r.xl, s.xl), max(r.yl, s.yl))
-
-
 def shard_join_pairs(
     tree_r,
     tree_s,
     pmap: PartitionMap,
     shard: int,
     window: Optional[tuple] = None,
-) -> tuple:
+) -> PairTable:
     """Shard *shard*'s contribution to the join: the local filter-step
     pairs whose reference point this shard owns, window-filtered like the
-    unsharded join kernel.  Runs inside a worker (or inline in tests)."""
-    if getattr(tree_r, "size", 0) == 0 or getattr(tree_s, "size", 0) == 0:
-        return ()
+    unsharded join kernel.  Runs inside a worker (or inline in tests).
+
+    The reference point is the lower-left corner of the two MBRs'
+    intersection (PBSM duplicate elimination).  Both objects overlap it,
+    so both are replicated into the shard owning it: exactly one shard
+    can (and does) report the pair."""
     pairs = sequential_join(tree_r, tree_s).pairs
-    if not pairs:
-        return ()
-    rects_r = {e.oid: e for e in data_entries(tree_r)}
-    rects_s = {e.oid: e for e in data_entries(tree_s)}
-    kept = []
-    for oid_r, oid_s in pairs:
-        px, py = reference_point(rects_r[oid_r], rects_s[oid_s])
-        if pmap.owner_of_point(px, py) == shard:
-            kept.append((oid_r, oid_s))
-    if window is not None:
-        rect = Rect(*window)
-        keep_r = {e.oid for e in window_query(tree_r, rect)}
-        keep_s = {e.oid for e in window_query(tree_s, rect)}
-        kept = [(r, s) for r, s in kept if r in keep_r and s in keep_s]
-    return tuple(sorted(kept))
+    oids_r, xl_r, yl_r = _lower_left(tree_r)
+    oids_s, xl_s, yl_s = _lower_left(tree_s)
+    rows_r = np.searchsorted(oids_r, pairs.left)
+    rows_s = np.searchsorted(oids_s, pairs.right)
+    cells = _cells_of_points(
+        pmap,
+        np.maximum(xl_r[rows_r], xl_s[rows_s]),
+        np.maximum(yl_r[rows_r], yl_s[rows_s]),
+    )
+    owned = np.asarray(pmap.owner, dtype=np.int64)[cells] == shard
+    return window_filtered(tree_r, tree_s, pairs[owned], window)
 
 
 # -- whole-dataset reference implementations ----------------------------------
-def sharded_window(sharded: ShardedDataset, name: str, window: Rect) -> tuple:
+def sharded_window(sharded: ShardedDataset, name: str, window: Rect) -> RowSet:
     """Route + union merge, synchronously (the router's window semantics)."""
-    merged: set = set()
-    for shard in sharded.routed_shards(name, window):
-        tree = sharded.trees[shard][name]
-        merged.update(e.oid for e in window_query(tree, window))
-    return tuple(sorted(merged))
+    return RowSet.union(
+        window_rows(window_query(sharded.trees[shard][name], window))
+        for shard in sharded.routed_shards(name, window)
+    )
 
 
 def knn_shard_order(
@@ -148,7 +150,7 @@ def sharded_knn(
     y: float,
     k: int,
     skipped: Optional[list] = None,
-) -> tuple:
+) -> RowSet:
     """Best-first pruning kNN across shards (the router's merge,
     synchronous).  A shard is queried only while its mindist can still
     beat the current k-th best; the non-strict boundary (query when
@@ -162,10 +164,9 @@ def sharded_knn(
             if skipped is not None:
                 skipped.append((shard, bound, best[-1][0]))
             continue
-        tree = sharded.trees[shard][name]
-        found = nearest_neighbors(tree, x, y, k=k) if tree.size else []
-        merge_knn(best, [(float(d), e.oid) for d, e in found], k)
-    return tuple((d, oid) for d, _, oid in best)
+        found = nearest_neighbors(sharded.trees[shard][name], x, y, k=k)
+        merge_knn(best, knn_rows(found), k)
+    return RowSet.from_knn((d, oid) for d, _, oid in best)
 
 
 def sharded_join(
@@ -173,18 +174,16 @@ def sharded_join(
     name_r: str,
     name_s: str,
     window: Optional[Rect] = None,
-) -> tuple:
+) -> PairTable:
     """Route + reference-point merge, synchronously."""
     window_t = window.as_tuple() if window is not None else None
-    merged: list = []
-    for shard in sharded.join_shards(name_r, name_s, window):
-        merged.extend(
-            shard_join_pairs(
-                sharded.trees[shard][name_r],
-                sharded.trees[shard][name_s],
-                sharded.pmap,
-                shard,
-                window_t,
-            )
+    return PairTable.concat(
+        shard_join_pairs(
+            sharded.trees[shard][name_r],
+            sharded.trees[shard][name_s],
+            sharded.pmap,
+            shard,
+            window_t,
         )
-    return tuple(sorted(merged))
+        for shard in sharded.join_shards(name_r, name_s, window)
+    ).sorted()

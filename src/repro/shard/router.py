@@ -17,10 +17,11 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
   architecture the paper's closing section names as the step beyond its
   shared-virtual-memory model;
 * a request **fans out only to the shards its geometry overlaps** —
-  set-union merge for windows, a best-first pruning merge for kNN (a
-  shard is queried only while its content box's mindist can still beat
-  the current k-th best), and reference-point duplicate elimination for
-  joins — every decision emitted as an ``SHD_*`` event the
+  concatenate + unique over the shards' oid columns for windows, a
+  best-first pruning merge for kNN (a shard is queried only while its
+  content box's mindist can still beat the current k-th best), and
+  reference-point duplicate elimination for joins — every decision
+  emitted as an ``SHD_*`` event the
   :class:`~repro.trace.checkers.ShardAccountingChecker` re-derives from
   the announced shard geometry;
 * each shard runs **R replica pools** with round-robin read routing: a
@@ -48,8 +49,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..faults import FaultPlan
 from ..geometry.rect import Rect
+from ..geometry.rows import PairTable, RowSet
 from ..service.frontdoor import FrontDoor, pool_totals
 from ..service.model import (
     JoinRequest,
@@ -62,7 +66,7 @@ from ..service.model import (
 from ..service.resilience import WorkerError
 from ..service.workers import WorkerPool
 from ..trace import EventKind
-from .ops import merge_knn, mindist
+from .ops import knn_shard_order, merge_knn
 from .partition import ShardedDataset, build_sharded
 
 __all__ = ["ShardRouter", "ShardConfig"]
@@ -228,7 +232,7 @@ class ShardRouter(FrontDoor):
 
     async def _route_window(
         self, rid: int, request: WindowRequest, deadline
-    ) -> tuple:
+    ) -> RowSet:
         canon = canonical_rect(request.window)
         rect = Rect(*canon)
         route = self.sharded.routed_shards(request.tree, rect)
@@ -246,12 +250,8 @@ class ShardRouter(FrontDoor):
             ],
             deadline,
         )
-        merged: set = set()
-        total = 0
-        for values in parts:
-            total += len(values[0])
-            merged.update(values[0])
-        value = tuple(sorted(merged))
+        value = RowSet.union(values[0] for values in parts)
+        total = sum(len(values[0]) for values in parts)
         self._emit(
             EventKind.SHD_MERGED, req=rid, cls="window",
             rows=len(value), parts=total, duplicates=total - len(value),
@@ -260,14 +260,9 @@ class ShardRouter(FrontDoor):
 
     async def _route_knn(
         self, rid: int, request: KNNRequest, deadline
-    ) -> tuple:
+    ) -> RowSet:
         x, y, k = float(request.x), float(request.y), int(request.k)
-        order = []
-        for shard in range(self.config.shards):
-            mbr = self.sharded.content_mbrs[shard].get(request.tree)
-            if mbr is not None:
-                order.append((mindist(mbr, x, y), shard))
-        order.sort()
+        order = knn_shard_order(self.sharded, request.tree, x, y)
         self._emit_routed(
             rid, "knn", [shard for _, shard in order],
             tree=request.tree, x=x, y=y, k=k,
@@ -290,7 +285,7 @@ class ShardRouter(FrontDoor):
             )
             total += len(found)
             merge_knn(best, found, k)
-        value = tuple((d, oid) for d, _, oid in best)
+        value = RowSet.from_knn((d, oid) for d, _, oid in best)
         self._emit(
             EventKind.SHD_MERGED, req=rid, cls="knn",
             rows=len(value), parts=total, duplicates=total - len(value),
@@ -299,7 +294,7 @@ class ShardRouter(FrontDoor):
 
     async def _route_join(
         self, rid: int, request: JoinRequest, deadline
-    ) -> tuple:
+    ) -> PairTable:
         window = (
             canonical_rect(request.window)
             if request.window is not None
@@ -332,14 +327,17 @@ class ShardRouter(FrontDoor):
             ],
             deadline,
         )
-        merged: list = []
-        for pairs in parts:
-            merged.extend(pairs)
-        value = tuple(sorted(merged))
-        duplicates = len(merged) - len(set(merged))
+        value = PairTable.concat(parts).sorted()
+        # Sorted, so a pair two shards reported sits next to its twin.
+        duplicates = int(
+            np.count_nonzero(
+                (value.left[1:] == value.left[:-1])
+                & (value.right[1:] == value.right[:-1])
+            )
+        )
         self._emit(
             EventKind.SHD_MERGED, req=rid, cls="join",
-            rows=len(value), parts=len(merged), duplicates=duplicates,
+            rows=len(value), parts=len(value), duplicates=duplicates,
         )
         if duplicates:
             raise RuntimeError(

@@ -14,6 +14,7 @@ z-regions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..geometry.rect import Rect
@@ -88,27 +89,35 @@ class Quantizer:
         self.bounds = bounds
         self.bits = bits
         self.cells = 1 << bits
-        width = bounds.xu - bounds.xl
-        height = bounds.yu - bounds.yl
-        self._sx = self.cells / width if width > 0 else 0.0
-        self._sy = self.cells / height if height > 0 else 0.0
+        self._sx = self._scale(bounds.xu - bounds.xl)
+        self._sy = self._scale(bounds.yu - bounds.yl)
+
+    def _scale(self, extent: float) -> float:
+        """Cells per world unit: finite, or 0.0 (everything in cell 0) for
+        an extent of zero or so small — subnormal — that the quotient
+        overflows: ``0 * inf`` would be a NaN cell."""
+        scale = self.cells / extent if extent > 0 else 0.0
+        return scale if math.isfinite(scale) else 0.0
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        ix = int((x - self.bounds.xl) * self._sx)
-        iy = int((y - self.bounds.yl) * self._sy)
+        # Clamped while still a float (like cells_of): a point far outside
+        # the bounds may scale to infinity, which no int can hold.
         limit = self.cells - 1
-        return (min(max(ix, 0), limit), min(max(iy, 0), limit))
+        ix = min(max((x - self.bounds.xl) * self._sx, 0.0), limit)
+        iy = min(max((y - self.bounds.yl) * self._sy, 0.0), limit)
+        return (int(ix), int(iy))
 
     def cells_of(self, xs, ys):
         """Vectorized :meth:`cell_of` over numpy coordinate arrays."""
         import numpy as np  # deferred: the scalar curve stays numpy-free
 
         limit = self.cells - 1
-        ix = ((np.asarray(xs, dtype=np.float64) - self.bounds.xl) * self._sx)
-        iy = ((np.asarray(ys, dtype=np.float64) - self.bounds.yl) * self._sy)
+        with np.errstate(over="ignore"):  # far outside the bounds: inf, clamped
+            ix = (np.asarray(xs, dtype=np.float64) - self.bounds.xl) * self._sx
+            iy = (np.asarray(ys, dtype=np.float64) - self.bounds.yl) * self._sy
         return (
-            np.clip(ix.astype(np.int64), 0, limit),
-            np.clip(iy.astype(np.int64), 0, limit),
+            np.clip(ix, 0, limit).astype(np.int64),
+            np.clip(iy, 0, limit).astype(np.int64),
         )
 
     def grid_rect(self, rect: Rect) -> tuple[int, int, int, int]:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.join import multiprocessing_join, sequential_join
 from repro.join import flat as flat_module
-from repro.join.flat import flat_join, flat_join_pairs
+from repro.join.flat import flat_join
 from repro.join.mp import plan_join
 from repro.join.refinement import ExactRefinement
 
@@ -62,7 +62,7 @@ class TestSequentialParity:
 
     def test_self_join(self, workload):
         items_r, _, _, _, flat_r, _, _ = workload
-        assert_join_parity(items_r, items_r, flat_join_pairs(flat_r, flat_r))
+        assert_join_parity(items_r, items_r, flat_join(flat_r, flat_r).pairs)
 
     def test_unequal_heights(self):
         big = dataset("uniform", n=900, seed=31)
@@ -70,16 +70,16 @@ class TestSequentialParity:
         _, flat_big = build_both(big)
         _, flat_small = build_both(small)
         assert flat_big.num_levels != flat_small.num_levels
-        assert_join_parity(big, small, flat_join_pairs(flat_big, flat_small))
-        assert_join_parity(small, big, flat_join_pairs(flat_small, flat_big))
+        assert_join_parity(big, small, flat_join(flat_big, flat_small).pairs)
+        assert_join_parity(small, big, flat_join(flat_small, flat_big).pairs)
 
     def test_empty_inputs(self):
         items = dataset("uniform", n=40, seed=33)
         _, flat = build_both(items)
         _, empty = build_both([])
-        assert flat_join_pairs(flat, empty) == []
-        assert flat_join_pairs(empty, flat) == []
-        assert flat_join_pairs(empty, empty) == []
+        assert flat_join(flat, empty).pairs == []
+        assert flat_join(empty, flat).pairs == []
+        assert flat_join(empty, empty).pairs == []
 
     def test_refinement_filters_candidates(self, workload):
         items_r, items_s, _, _, flat_r, flat_s, _ = workload
@@ -93,7 +93,7 @@ class TestSequentialParity:
 
         refinement = ExactRefinement(corners(items_r), corners(items_s))
         refined = flat_join(flat_r, flat_s, refinement=refinement).pairs
-        unrefined = flat_join_pairs(flat_r, flat_s)
+        unrefined = flat_join(flat_r, flat_s).pairs
         assert set(refined) <= set(unrefined)
 
 

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from repro.datagen import build_tree, paper_maps
+from repro.geometry import PairTable
 from repro.join import multiprocessing_join, sequential_join
 from repro.join import mp as mp_module
 from repro.join.mp import join_subtrees
@@ -73,14 +74,21 @@ class TestJoinPlan:
         assert len(beats) > 10 * len(plan)
         assert plan.run(2, 2, lambda: pytest.fail("beat on an empty slice")) == []
 
-    def test_chunks_are_delivered_in_pieces(self, trees, monkeypatch):
-        """A chunk result crosses the pool pre-pickled in pieces (a beat
-        per piece); reassembly keeps the serial row order."""
+    def test_chunks_are_delivered_as_tables(self, trees):
+        """A chunk result is made a table in the worker and crosses the
+        pipe as its two columns (one beat per shipped table); the ledger's
+        one concatenation keeps the serial row order."""
         tree_r, tree_s = trees
         serial = multiprocessing_join(tree_r, tree_s, processes=1)
-        monkeypatch.setattr(mp_module, "_PIECE_ROWS", 7)
-        assert multiprocessing_join(tree_r, tree_s, processes=2) == serial
-        assert len(serial) > 7
+        forked = multiprocessing_join(tree_r, tree_s, processes=2)
+        assert type(forked) is type(serial) is PairTable
+        assert forked == serial and len(serial) > 7
+        progress = [0]
+        chunk = mp_module._run_chunk(
+            (mp_module.plan_join(tree_r, tree_s, 4), None, None),
+            progress, (0, 0, 1, None),
+        )
+        assert type(chunk[1]) is PairTable and progress[0] >= 2
 
 
 def assert_nothing_left_behind():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.flat import FlatRTree
-from repro.rtree.query import oid_order_key
+from repro.rtree.query import oid_order_key, window_query
 
 from tests.flat_oracle import brute_join, brute_knn, brute_window
 
@@ -50,8 +50,7 @@ class TestStructuralInvariants:
             assert all(a < b for a, b in zip(offsets, offsets[1:]))
             # Child MBR containment, top-down from the single root.
             root = tree.mbr()
-            for i in range(tree.size):
-                entry = tree.entry(i)
+            for entry in window_query(tree, root):
                 assert root.xl <= entry.xl and entry.xu <= root.xu
                 assert root.yl <= entry.yl and entry.yu <= root.yu
 
@@ -60,7 +59,7 @@ class TestStructuralInvariants:
     def test_every_box_reachable_by_its_own_rect(self, rects, node_size):
         tree = build(rects, node_size)
         for oid, rect in enumerate(rects):
-            found = {e.oid for e in tree.window_entries(rect)}
+            found = {e.oid for e in window_query(tree, rect)}
             assert oid in found
 
     @given(rect_lists, node_sizes)
@@ -76,7 +75,7 @@ class TestDifferentialKernels:
     def test_window_kernel_equals_brute_force(self, rects, window, node_size):
         tree = build(rects, node_size)
         items = list(enumerate(rects))
-        got = {e.oid for e in tree.window_entries(window)}
+        got = {e.oid for e in window_query(tree, window)}
         assert got == brute_window(items, window)
 
     @given(rect_lists, coords, coords, st.integers(min_value=1, max_value=200), node_sizes)
@@ -94,11 +93,11 @@ class TestDifferentialKernels:
     @given(rect_lists, rect_lists, node_sizes)
     @settings(max_examples=40, deadline=None)
     def test_join_kernel_equals_brute_force(self, rects_r, rects_s, node_size):
-        from repro.join.flat import flat_join_pairs
+        from repro.join.flat import flat_join
 
         tree_r = build(rects_r, node_size)
         tree_s = build(rects_s, node_size)
-        pairs = flat_join_pairs(tree_r, tree_s)
+        pairs = flat_join(tree_r, tree_s).pairs
         expected = brute_join(list(enumerate(rects_r)), list(enumerate(rects_s)))
         assert set(pairs) == expected
         assert len(pairs) == len(expected)
@@ -108,7 +107,7 @@ class TestDifferentialKernels:
     def test_empty_tree_answers_empty(self, x, y, k):
         tree = FlatRTree.build([])
         assert tree.nearest(x, y, k) == []
-        assert tree.window_entries(Rect(x, y, x + 1, y + 1)) == []
+        assert window_query(tree, Rect(x, y, x + 1, y + 1)) == []
 
     @given(st.lists(st.one_of(st.integers(), st.text(), st.floats(allow_nan=False)), max_size=30))
     @settings(max_examples=30, deadline=None)

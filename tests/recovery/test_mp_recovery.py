@@ -13,6 +13,7 @@ import pytest
 
 from repro.datagen import build_tree, paper_maps
 from repro.faults import FaultPlan
+from repro.geometry import PairTable
 from repro.join import sequential_join
 from repro.join import mp as mp_module
 from repro.join.mp import fault_tolerant_join, plan_join
@@ -20,6 +21,7 @@ from repro.join.parallel import prepare_trees
 from repro.recovery import (
     JoinInterrupted,
     RecoveryConfig,
+    ResultLedger,
     ResumeReport,
     resume_join,
     run_recoverable_join,
@@ -213,6 +215,34 @@ class TestInterruptAndResume(Backend):
         assert report.replayed_chunks >= 3
         assert report.rerun_chunks >= 1
         assert report.complete
+
+    @needs_fork
+    def test_replayed_json_rows_and_fresh_tables_meet_in_one_ledger(
+        self, trees, tmp_path, monkeypatch
+    ):
+        """A resumed run's ledger holds the journal's JSON row lists next
+        to the re-run chunks' tables; ``all_rows`` is one table of both,
+        equal to the sequential join as a multiset."""
+        journal = str(tmp_path / "mp.jnl")
+        stopping = RecoveryConfig(
+            lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05,
+            journal_path=journal, stop_after_commits=3,
+        )
+        with pytest.raises(JoinInterrupted):
+            fault_tolerant_join(*trees, 2, recovery=stopping)
+        batches = []
+        all_rows = ResultLedger.all_rows
+
+        def spying(ledger):
+            batches.extend(type(rows) for rows in ledger._rows.values())
+            return all_rows(ledger)
+
+        monkeypatch.setattr(ResultLedger, "all_rows", spying)
+        report = resume_join(journal, *trees, processes=2, recovery=FAST)
+        assert batches.count(list) == report.replayed_chunks >= 3
+        assert batches.count(PairTable) == report.rerun_chunks >= 1
+        assert type(report.pairs) is PairTable
+        assert sorted(report.pairs) == sorted(sequential_join(*trees).pairs)
 
     def test_run_recoverable_join_is_resume_with_an_empty_journal(
         self, trees, expected, tmp_path

@@ -197,36 +197,6 @@ def test_dropped_while_held_costs_the_holder_its_life(pool):
 
 
 @needs_fork
-def test_a_worker_warms_up_before_it_says_ready(tmp_path):
-    """``warm`` runs in every fresh worker — replacements included — before
-    it can be handed anything, so no task's clock pays for a cold start."""
-
-    def warm(where):
-        time.sleep(0.05)
-        (where / str(os.getpid())).touch()
-
-    def was_warm(where, payload):
-        return (where / str(os.getpid())).exists()
-
-    sink = Sink()
-    workers = PipedWorkers(2, was_warm, (tmp_path,), sink, warm=warm)
-    workers.start()
-    try:
-        for task in range(4):
-            workers.submit(task)
-        pump(workers, lambda: len(sink.results) == 4)
-        os.kill(sink.handed[0], signal.SIGKILL)
-        pump(workers, lambda: sink.deaths and len(workers._idle) == 2)
-        for task in range(4, 12):
-            workers.submit(task)
-        pump(workers, lambda: len(sink.results) == 12)
-    finally:
-        workers.close()
-    assert sink.deaths[0][4] in set(sink.handed.values())  # it served
-    assert all(value == (True, True) for value in sink.results.values())
-
-
-@needs_fork
 def test_close_with_a_task_in_flight_returns():
     sink = Sink()
     workers = PipedWorkers(2, work, ("hello",), sink)

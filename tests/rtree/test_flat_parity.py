@@ -10,6 +10,7 @@ ground truth for both.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.geometry.rect import Rect
@@ -149,7 +150,7 @@ class TestEdgeShapes:
         items = dataset("uniform", n=300, seed=7)
         a = FlatRTree.build(items, node_size=8)
         b = FlatRTree.build(items, node_size=8)
-        assert a.oids == b.oids
+        assert np.array_equal(a.oids, b.oids)
         assert (a.xmin == b.xmin).all() and (a.ymax == b.ymax).all()
         assert (a.level_offsets == b.level_offsets).all()
 

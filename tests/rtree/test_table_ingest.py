@@ -70,7 +70,7 @@ class TestSameTrees:
                     assert np.array_equal(
                         getattr(tree, column), getattr(from_items, column)
                     ), column
-                assert tree.oids == from_items.oids
+                assert np.array_equal(tree.oids, from_items.oids)
                 tree.validate()
 
     def test_str_bulk_load_table_keeps_the_leaf_sequence(self, maps):

@@ -191,7 +191,7 @@ class TestBuildSharded:
             for name in datasets:
                 ours = from_tables.trees[shard][name]
                 theirs = from_items.trees[shard][name]
-                assert ours.oids == theirs.oids
+                assert np.array_equal(ours.oids, theirs.oids)
                 assert np.array_equal(ours.xmin, theirs.xmin)
 
     @pytest.mark.parametrize("mode", ["grid", "zrange"])

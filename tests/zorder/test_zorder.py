@@ -70,6 +70,27 @@ class TestQuantizer:
         q = Quantizer(Rect(1, 1, 1, 1), bits=4)
         assert q.cell_of(1, 1) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "bounds", [Rect(0, 0, 5e-324, 1), Rect(0, 0, 1e-300, 1), Rect(-3, 2, 7, 2)]
+    )
+    def test_tiny_extent_gives_no_nan_and_both_paths_agree(self, bounds):
+        """A subnormal extent used to scale by ``inf`` (``0 * inf`` = NaN:
+        a ValueError here, a cast warning in ``cells_of``); a point far
+        outside a tiny extent scales to ``inf``, which is clamped."""
+        import warnings
+
+        import numpy as np
+
+        q = Quantizer(bounds, bits=16)
+        xs = [bounds.xl, bounds.xu, (bounds.xl + bounds.xu) / 2, -1e10, 1e10]
+        ys = [bounds.yl, bounds.yu, (bounds.yl + bounds.yu) / 2, 1e10, -1e10]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ix, iy = q.cells_of(np.array(xs), np.array(ys))
+            scalar = [q.cell_of(x, y) for x, y in zip(xs, ys)]
+        assert list(zip(ix.tolist(), iy.tolist())) == scalar
+        assert all(0 <= c < q.cells for cell in scalar for c in cell)
+
 
 class TestDecompose:
     def cells_of(self, regions):
