@@ -17,17 +17,20 @@ street clusters — the workload property that makes some join tasks far more
 expensive than others.
 
 Like the street generator it writes columns, never per-feature objects,
-and its ``random.Random`` draw order is pinned by a digest in the tests.
+its loops spell the :class:`Region` rules inline, and its
+``random.Random`` draw order is pinned by a digest in the tests.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from numbers import Real
 from typing import Optional
 
 from ..geometry.table import BoxTable
-from .region import BoxColumns, Chain, Region
+from .region import BoxColumns, Chain, Region, check_count
 
 __all__ = ["generate_boundaries"]
 
@@ -45,8 +48,15 @@ def generate_boundaries(
     """Generate *count* map-2 features — boundaries, then rivers, then
     railways — as one table plus, under *include_geometry* only, their
     point chains in row order."""
-    if abs(sum(mix) - 1.0) > 1e-9:
-        raise ValueError("feature mix must sum to 1")
+    check_count(count)
+    if not (
+        len(mix) == 3
+        and all(isinstance(share, Real) and 0.0 <= share <= 1.0 for share in mix)
+        and abs(sum(mix) - 1.0) <= 1e-9
+    ):
+        raise ValueError(
+            f"mix must be three shares in [0, 1] that sum to 1, not {mix!r}"
+        )
     rng = random.Random(seed)
     boundaries = min(count, round(count * mix[0]))
     rivers = min(count, boundaries + round(count * mix[1]))
@@ -62,16 +72,51 @@ def _ring_edges(
 ) -> None:
     """Edges of rectangular rings around settlement points, appended until
     *columns* holds *until* rows."""
-    while len(columns) < until:
-        cx, cy = region.sample_settlement_point(rng, rural_fraction=0.25)
-        w = rng.uniform(0.0006, 0.002)
-        h = rng.uniform(0.0006, 0.002)
-        x0, y0 = region.clamp(cx - w / 2.0, cy - h / 2.0)
-        x1, y1 = region.clamp(cx + w / 2.0, cy + h / 2.0)
-        xs, ys = (x0, x1, x1, x0, x0), (y0, y0, y1, y1, y0)
-        # Each ring edge is one boundary object (TIGER stores edges).
-        for edge in range(min(4, until - len(columns))):
-            columns.add_chain(xs[edge : edge + 2], ys[edge : edge + 2])
+    random_, uniform, gauss = rng.random, rng.uniform, rng.gauss
+    add_xl, add_yl = columns.xl.append, columns.yl.append
+    add_xu, add_yu = columns.xu.append, columns.yu.append
+    chains = columns.chains
+    side = region.side
+    cities, sigmas, cumulative = region.cities, region.city_sigmas, region.cumulative
+    last_city = len(cities) - 1
+    made = len(columns)
+    while made < until:
+        # Region.sample_settlement_point(rng, rural_fraction=0.25) and the
+        # two Region.clamp calls, spelled inline: same draws, same floats
+        if random_() < 0.25:
+            cx = uniform(0, side)
+            cy = uniform(0, side)
+        else:
+            index = bisect_left(cumulative, random_(), 0, last_city)
+            cx, cy = cities[index]
+            sigma = sigmas[index]
+            cx = gauss(cx, sigma)
+            cy = gauss(cy, sigma)
+            cx = 0.0 if cx < 0.0 else side if cx > side else cx
+            cy = 0.0 if cy < 0.0 else side if cy > side else cy
+        w = uniform(0.0006, 0.002)
+        h = uniform(0.0006, 0.002)
+        x0, y0 = cx - w / 2.0, cy - h / 2.0
+        x1, y1 = cx + w / 2.0, cy + h / 2.0
+        x0 = 0.0 if x0 < 0.0 else side if x0 > side else x0
+        y0 = 0.0 if y0 < 0.0 else side if y0 > side else y0
+        x1 = 0.0 if x1 < 0.0 else side if x1 > side else x1
+        y1 = 0.0 if y1 < 0.0 else side if y1 > side else y1
+        # Each ring edge is one boundary object (TIGER stores edges):
+        # bottom, right, top, left; x0 <= x1 and y0 <= y1 (clamp is monotone).
+        edges = (
+            (x0, y0, x1, y0), (x1, y0, x1, y1), (x0, y1, x1, y1), (x0, y0, x0, y1)
+        )[: until - made]
+        for xl, yl, xu, yu in edges:
+            add_xl(xl)
+            add_yl(yl)
+            add_xu(xu)
+            add_yu(yu)
+        if chains is not None:
+            xs, ys = (x0, x1, x1, x0, x0), (y0, y0, y1, y1, y0)
+            for edge in range(len(edges)):
+                chains.append(tuple(zip(xs[edge : edge + 2], ys[edge : edge + 2])))
+        made += len(edges)
 
 
 def _walk_pieces(
@@ -86,12 +131,21 @@ def _walk_pieces(
     appended until *columns* holds *until* rows."""
     side = region.side
     cos, sin, gauss, randint = math.cos, math.sin, rng.gauss, rng.randint
+    add_xl, add_yl = columns.xl.append, columns.yl.append
+    add_xu, add_yu = columns.xu.append, columns.yu.append
+    chains = columns.chains
     segments_per_walk = max(8, round(40 * math.sqrt(region.scale)))
-    while len(columns) < until:
+    made = len(columns)
+    while made < until:
         x, y = rng.uniform(0, side), rng.uniform(0, side)
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        for _ in range(min(segments_per_walk, until - len(columns))):
-            xs, ys = [x], [y]
+        pieces = min(segments_per_walk, until - made)
+        for _ in range(pieces):
+            # the piece's MBR, kept as it grows: Rect.from_points' floats
+            xl = xu = x
+            yl = yu = y
+            if chains is not None:
+                points = [(x, y)]
             for _ in range(randint(2, 4)):
                 angle += gauss(0.0, curviness)
                 # Region.clamp, spelled without the calls (same floats)
@@ -99,6 +153,20 @@ def _walk_pieces(
                 y += step * sin(angle)
                 x = 0.0 if x < 0.0 else side if x > side else x
                 y = 0.0 if y < 0.0 else side if y > side else y
-                xs.append(x)
-                ys.append(y)
-            columns.add_chain(xs, ys)
+                if x < xl:
+                    xl = x
+                elif x > xu:
+                    xu = x
+                if y < yl:
+                    yl = y
+                elif y > yu:
+                    yu = y
+                if chains is not None:
+                    points.append((x, y))
+            add_xl(xl)
+            add_yl(yl)
+            add_xu(xu)
+            add_yu(yu)
+            if chains is not None:
+                chains.append(tuple(points))
+        made += pieces

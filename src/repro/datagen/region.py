@@ -23,12 +23,15 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from numbers import Integral, Real
+from typing import Optional
+
+import numpy as np
 
 from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
 
-__all__ = ["Region", "SpatialObject", "BoxColumns"]
+__all__ = ["Region", "SpatialObject", "BoxColumns", "check_count"]
 
 Chain = tuple[tuple[float, float], ...]
 
@@ -48,9 +51,18 @@ class SpatialObject:
     points: Optional[Chain] = field(default=None, compare=False)
 
 
+def check_count(count) -> None:
+    """A generator's *count* argument: an integer, zero or more."""
+    if not (isinstance(count, Integral) and count >= 0):
+        raise ValueError(f"count must be an integer >= 0, not {count!r}")
+
+
 class BoxColumns:
     """What a generator writes: one box a point chain, as four raw-double
-    columns, and the chains themselves only when exact geometry is kept."""
+    columns, and the chains themselves only when exact geometry is kept.
+    A generator's loop appends to the columns itself — a row is the MBR of
+    its chain, the floats :meth:`Rect.from_points` would pick (the first
+    of equal extremes)."""
 
     def __init__(self, include_geometry: bool):
         self.xl, self.yl, self.xu, self.yu = (array("d") for _ in range(4))
@@ -59,19 +71,10 @@ class BoxColumns:
     def __len__(self) -> int:
         return len(self.xl)
 
-    def add_chain(self, xs: Sequence[float], ys: Sequence[float]) -> None:
-        """Append the MBR of the chain ``zip(xs, ys)`` — the floats
-        :meth:`Rect.from_points` would pick (the first of equal extremes)."""
-        self.xl.append(min(xs))
-        self.yl.append(min(ys))
-        self.xu.append(max(xs))
-        self.yu.append(max(ys))
-        if self.chains is not None:
-            self.chains.append(tuple(zip(xs, ys)))
-
     def finish(self) -> tuple[BoxTable, Optional[list[Chain]]]:
-        """The table over the columns (oids are the row numbers), the chains."""
-        rows = range(len(self))
+        """The table over the columns — no copy: the arrays stay its
+        storage — with the row numbers as oids, and the chains."""
+        rows = np.arange(len(self))
         return BoxTable(rows, self.xl, self.yl, self.xu, self.yu), self.chains
 
 
@@ -79,8 +82,8 @@ class Region:
     """A square study area with weighted city centers."""
 
     def __init__(self, scale: float = 1.0, seed: int = 42, cities_per_unit: int = 36):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (isinstance(scale, Real) and 0 < scale < math.inf):
+            raise ValueError(f"scale must be a finite positive number, not {scale!r}")
         self.scale = scale
         self.seed = seed
         self.side = math.sqrt(scale)
@@ -98,11 +101,12 @@ class Region:
             weights.append(rng.paretovariate(1.2))
         total = sum(weights)
         self.city_weights = [w / total for w in weights]
-        self._cumulative = list(accumulate(self.city_weights))
+        #: Running sums of ``city_weights``: what :meth:`pick_city` bisects.
+        self.cumulative = list(accumulate(self.city_weights))
 
     def pick_city(self, rng: random.Random) -> int:
         """Sample a city index proportional to population weight."""
-        return bisect_left(self._cumulative, rng.random(), 0, len(self.cities) - 1)
+        return bisect_left(self.cumulative, rng.random(), 0, len(self.cities) - 1)
 
     def sample_settlement_point(
         self, rng: random.Random, rural_fraction: float = 0.15

@@ -28,7 +28,12 @@ __all__ = ["oid_column", "ColumnRows", "RowSet", "PairTable"]
 
 def oid_column(oids: Iterable) -> np.ndarray:
     """*oids* as one column: ``int64`` when every one is a builtin int
-    that fits, ``object`` dtype (the oids themselves) otherwise."""
+    that fits, ``object`` dtype (the oids themselves) otherwise.  An
+    array that already is such a column is returned as it is."""
+    if isinstance(oids, np.ndarray):
+        if oids.dtype in (np.int64, object):
+            return oids
+        oids = oids.tolist()  # builtin objects, not numpy scalars
     oids = oids if isinstance(oids, (list, tuple)) else list(oids)
     if set(map(type, oids)) <= {int}:
         try:

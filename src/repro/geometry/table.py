@@ -1,16 +1,20 @@
 """Columnar boxes: the ingest currency of the builders and the partitioner.
 
-A :class:`BoxTable` holds one dataset as a list of object identifiers
-plus four ``float64`` columns ``xl / yl / xu / yu`` — row *i* is the box
-of ``oids[i]``.  Everything that reads a whole dataset (the flat and STR
-tree builders, :class:`~repro.shard.partition.Partitioner`,
+A :class:`BoxTable` holds one dataset as five columns: the object
+identifiers (:func:`~repro.geometry.rows.oid_column` — ``int64`` for
+builtin ints, ``object`` dtype otherwise) and four ``float64`` columns
+``xl / yl / xu / yu`` — row *i* is the box of ``oids[i]``.  Everything
+that reads a whole dataset (the flat and STR tree builders,
+:class:`~repro.shard.partition.Partitioner`,
 :func:`~repro.shard.partition.partition_rows`) reads it in this shape, so
 set-up never walks per-object ``(oid, Rect)`` tuples; :class:`Rect`
-objects are made only at the API edge (:meth:`BoxTable.items`,
-:meth:`BoxTable.bbox`).
+objects and builtin oids are made only at the API edge
+(:meth:`BoxTable.items`, :meth:`BoxTable.bbox`).
 
 The constructor is the input boundary: it rejects non-finite coordinates
 and inverted boxes once, so the array kernels below it never see a NaN.
+A table pickles as its five raw column buffers and comes back through
+that same constructor.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .rect import Rect
+from .rows import oid_column
 
 __all__ = ["BoxTable"]
 
@@ -27,19 +32,20 @@ COLUMNS = ("xl", "yl", "xu", "yu")
 
 
 class BoxTable:
-    """``oids`` plus the four coordinate columns of their boxes."""
+    """The oid column plus the four coordinate columns of the boxes."""
 
     __slots__ = ("oids", *COLUMNS)
 
     def __init__(self, oids: Sequence[Hashable], xl, yl, xu, yu):
-        self.oids = list(oids)
         # Read-only views: one table is shared by every builder, and the
         # caller's own arrays stay writable.
+        self.oids = oid_column(oids).view()
         columns = [np.asarray(c, dtype=np.float64).view() for c in (xl, yl, xu, yu)]
-        if any(column.shape != (len(self.oids),) for column in columns):
+        shape = (len(self.oids),)
+        if any(column.shape != shape for column in (self.oids, *columns)):
             raise ValueError("oids and the four columns must have one length")
         self.xl, self.yl, self.xu, self.yu = columns
-        for column in columns:
+        for column in (self.oids, *columns):
             column.setflags(write=False)
         # NaN fails both comparisons; the infinities need their own test.
         valid = (self.xl <= self.xu) & (self.yl <= self.yu)
@@ -47,8 +53,9 @@ class BoxTable:
             valid &= np.isfinite(column)
         if not valid.all():
             row = int(np.argmin(valid))
+            oid = self.oids[row : row + 1].tolist()[0]  # the builtin object
             raise ValueError(
-                f"object {self.oids[row]!r} has a non-finite or inverted box "
+                f"object {oid!r} has a non-finite or inverted box "
                 f"({self.xl[row]}, {self.yl[row]}, {self.xu[row]}, {self.yu[row]})"
             )
 
@@ -79,28 +86,22 @@ class BoxTable:
         """The rows of every table, in order."""
         tables = list(tables)
         return cls(
-            [oid for table in tables for oid in table.oids],
             *(
                 np.concatenate([getattr(table, name) for table in tables])
-                for name in COLUMNS
-            ),
+                for name in ("oids", *COLUMNS)
+            )
         )
 
     def take(self, rows) -> "BoxTable":
         """The table of *rows* (any integer index sequence), in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        oids = self.oids
         return BoxTable(
-            [oids[row] for row in rows.tolist()],
-            self.xl[rows],
-            self.yl[rows],
-            self.xu[rows],
-            self.yu[rows],
+            self.oids[rows], self.xl[rows], self.yl[rows], self.xu[rows], self.yu[rows]
         )
 
     def bbox(self) -> Rect:
         """The MBR of every box; an empty table has none."""
-        if not self.oids:
+        if not len(self):
             raise ValueError("an empty table has no bounding box")
         return Rect(self.xl.min(), self.yl.min(), self.xu.max(), self.yu.max())
 
@@ -113,7 +114,10 @@ class BoxTable:
         boxes = zip(
             self.xl.tolist(), self.yl.tolist(), self.xu.tolist(), self.yu.tolist()
         )
-        return [(oid, Rect(*box)) for oid, box in zip(self.oids, boxes)]
+        return [(oid, Rect(*box)) for oid, box in zip(self.oids.tolist(), boxes)]
+
+    def __reduce__(self):
+        return BoxTable, (self.oids, self.xl, self.yl, self.xu, self.yu)
 
     def __len__(self) -> int:
         return len(self.oids)

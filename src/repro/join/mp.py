@@ -58,7 +58,7 @@ from ..recovery.config import RecoveryConfig, wall_clock
 from ..recovery.journal import JoinJournal
 from ..recovery.ledger import ResultLedger
 from ..recovery.lease import LeaseTable
-from ..recovery.procs import PipedWorkers
+from ..recovery.procs import PipedWorkers, fork_available
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
@@ -576,8 +576,7 @@ def fault_tolerant_join(
     try:
         if not engine.pending:
             return engine.finish()
-        fork_supported = "fork" in multiprocessing.get_all_start_methods()
-        if processes <= 1 or not fork_supported:
+        if processes <= 1 or not fork_available():
             if processes > 1:
                 warnings.warn(
                     "the 'fork' start method is unavailable on this "

@@ -45,7 +45,12 @@ import signal
 from collections import deque
 from multiprocessing.connection import wait as wait_for_any
 
-__all__ = ["PipedWorkers"]
+__all__ = ["PipedWorkers", "fork_available"]
+
+
+def fork_available() -> bool:
+    """Whether this platform has the ``fork`` start method the workers need."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _serve(conn, inherited, work, state) -> None:

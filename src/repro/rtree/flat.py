@@ -151,7 +151,7 @@ class FlatRTree:
         level_yl = [table.yl[order]]
         level_xu = [table.xu[order]]
         level_yu = [table.yu[order]]
-        tree.oids = oid_column(table.oids)[order]
+        tree.oids = table.oids[order]
         counts = [n]
         while counts[-1] > 1 or len(counts) == 1:
             starts = np.arange(0, counts[-1], node_size)

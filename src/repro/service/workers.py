@@ -37,7 +37,6 @@ the resilience ledger.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -51,17 +50,13 @@ from ..geometry.rect import Rect
 from ..geometry.rows import PairTable, RowSet
 from ..join.sequential import sequential_join
 from ..query.batch import multi_window_query
-from ..recovery.procs import PipedWorkers
+from ..recovery.procs import PipedWorkers, fork_available
 from ..rtree.flat import knn_rows, window_rows
 from ..rtree.query import nearest_neighbors, window_query
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .resilience import WorkerError
 
 __all__ = ["WorkerPool", "fork_available", "window_filtered"]
-
-
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # -- execution functions (run inside a worker process or thread) --------------

@@ -68,7 +68,7 @@ class TestGenerators:
         region = Region(scale=0.05, seed=1)
         streets, _ = generate_streets(region, 500, seed=2)
         assert len(streets) == 500
-        assert streets.oids == list(range(500))
+        assert streets.oids.tolist() == list(range(500))
 
     def test_streets_inside_region(self):
         region = Region(scale=0.05, seed=1)
@@ -122,7 +122,7 @@ def table_digest(table) -> str:
     digest = hashlib.sha256()
     for name in ("xl", "yl", "xu", "yu"):
         digest.update(getattr(table, name).tobytes())
-    digest.update(repr(table.oids).encode())
+    digest.update(repr(table.oids.tolist()).encode())
     return digest.hexdigest()
 
 

@@ -1,6 +1,7 @@
 """BoxTable: the columnar ingest currency and its input boundary."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ class TestShape:
     def test_from_items_round_trips(self):
         table = BoxTable.from_items(ITEMS)
         assert len(table) == 3
-        assert table.oids == [7, "b", (3, "c")]
+        assert table.oids.tolist() == [7, "b", (3, "c")]
         assert table.xl.dtype == np.float64
         assert table.xu.tolist() == [2.0, -1.0, 6.5]
         assert table.items() == ITEMS
@@ -64,6 +65,63 @@ class TestShape:
         assert len(table) == 0 and table.items() == []
         with pytest.raises(ValueError):
             table.bbox()
+
+
+class TestOidColumn:
+    """``oids`` is one column — ``int64`` for builtin ints, ``object``
+    otherwise — gathered and concatenated by numpy like the other four."""
+
+    def table(self, oids):
+        n = len(oids)
+        return BoxTable(oids, [0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n)
+
+    def test_dtypes(self):
+        assert self.table([3, 1, 2]).oids.dtype == np.int64
+        assert self.table(range(3)).oids.dtype == np.int64
+        assert self.table([]).oids.dtype == np.int64
+        assert self.table([3, "b"]).oids.dtype == object
+        assert self.table([2**70]).oids.tolist() == [2**70]
+
+    def test_an_oid_array_is_taken_as_it_is(self):
+        column = np.arange(5, dtype=np.int64)
+        table = self.table(column)
+        assert np.shares_memory(table.oids, column)
+        assert not table.oids.flags.writeable and column.flags.writeable
+        # any other integer array becomes int64, not an array of scalars
+        assert self.table(np.arange(5, dtype=np.int32)).oids.dtype == np.int64
+        assert self.table(np.array(["a", "b"])).items()[0][0] == "a"
+
+    def test_a_second_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="one length"):
+            BoxTable(np.zeros((2, 2), np.int64), [0.0] * 2, [0.0] * 2, [1.0] * 2, [1.0] * 2)
+
+    def test_take_and_concat_keep_the_column(self):
+        ints, mixed = self.table([5, 6, 7]), BoxTable.from_items(ITEMS)
+        assert ints.take([2, 0]).oids.dtype == np.int64
+        assert mixed.take([2, 0]).oids.tolist() == [(3, "c"), 7]
+        both = BoxTable.concat([ints, mixed])
+        assert both.oids.tolist() == [5, 6, 7, 7, "b", (3, "c")]
+        assert {type(oid) for oid in both.oids.tolist()[:4]} == {int}
+
+    def test_items_hands_out_builtin_oids(self):
+        assert [type(oid) for oid, _ in self.table([5, 6]).items()] == [int, int]
+
+
+class TestPickle:
+    @pytest.mark.parametrize("items", [ITEMS, [(i, r) for i, (_, r) in enumerate(ITEMS)], []])
+    def test_round_trip(self, items):
+        table = BoxTable.from_items(items)
+        back = pickle.loads(pickle.dumps(table))
+        assert back.items() == items and back.oids.dtype == table.oids.dtype
+        for name in ("oids", "xl", "yl", "xu", "yu"):
+            assert not getattr(back, name).flags.writeable
+
+    def test_a_table_comes_back_through_the_validating_constructor(self):
+        rebuild, columns = BoxTable.from_items(ITEMS).__reduce__()
+        columns = [column.copy() for column in columns]
+        columns[3][1] = math.nan
+        with pytest.raises(ValueError, match="object 'b' "):
+            rebuild(*columns)
 
 
 class TestSharing:

@@ -3,7 +3,10 @@ from ``(oid, rect)`` items — same arrays, the same node tree node for
 node — reject bad boxes at the boundary, and make no per-object ``Rect``
 or ``SpatialObject`` anywhere between the generators and the trees."""
 
+import gc
+import hashlib
 import math
+import struct
 import warnings
 import weakref
 
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 from repro.datagen import SpatialObject, build_tree, paper_maps
 from repro.datagen.maps import DIR_FILL, LEAF_FILL
 from repro.geometry import BoxTable, Rect
-from repro.rtree import FlatRTree, build_flat_tree, str_bulk_load
+import repro.rtree.bulk as bulk_module
+from repro.rtree import FlatRTree, build_flat_tree, str_bulk_load, tree_stats
 from repro.shard import ShardConfig, ShardRouter
 
 
@@ -56,7 +60,7 @@ class TestSameTrees:
             assert data.items() is not data.items()  # the object edge: per call
             # ...and the map holds no object list after items() / objects
             first = weakref.ref(data.objects[0])
-            assert [o.oid for o in data.objects] == data.table().oids
+            assert [o.oid for o in data.objects] == data.table().oids.tolist()
             assert first() is None
             assert not any(
                 isinstance(value, (list, tuple, dict)) for value in vars(data).values()
@@ -296,3 +300,94 @@ def test_node_entries_share_the_floats_of_the_pairs_they_came_from():
         for entry in leaf.entries:
             rect = by_oid[entry.oid]
             assert entry.xl is rect.xl and entry.yu is rect.yu
+
+
+def tree_digest(tree) -> str:
+    """sha-256 over every node depth-first: level, entry count, and each
+    entry's four doubles + ``repr(oid)``."""
+    digest = hashlib.sha256()
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        digest.update(struct.pack("<ii", node.level, len(node.entries)))
+        for e in node.entries:
+            digest.update(struct.pack("<4d", e.xl, e.yl, e.xu, e.yu))
+            digest.update(repr(e.oid).encode())
+        if node.level:
+            stack.extend(e.child for e in reversed(node.entries))
+    return digest.hexdigest()
+
+
+#: Recorded at PR 21 — the commit before the leaves' MBRs were reduced from
+#: the sorted columns and ``BoxTable.oids`` became a column — at
+#: ``paper_maps(0.09, 3)``, whose trees have the full-scale shape (height
+#: 3): digest, then Table 1's height / data entries / data pages /
+#: directory pages.
+PINNED_TREES = [
+    ("aef6320a56b7f18795149a4b797d460497e6c604da10bb3e7745cb969c8270d5", 3, 11830, 625, 10),
+    ("8a814a7de1e05afebabd3404ab20fa1da610449e59da8e12228e41e861f1ff69", 3, 11458, 625, 10),
+]
+
+
+def test_the_node_trees_are_the_trees_built_before_pr_23():
+    for data, (digest, *table1) in zip(paper_maps(scale=0.09, seed=3), PINNED_TREES):
+        tree = build_tree(data)
+        tree.validate()
+        stats = tree_stats(tree)
+        assert [
+            stats.height, stats.data_entries, stats.data_pages, stats.directory_pages
+        ] == table1
+        assert tree_digest(tree) == digest
+        assert {type(e.oid) for e in tree.data_entries()} == {int}
+
+
+class TestCollectorPause:
+    """``str_bulk_load`` pauses the cyclic collector and leaves it as it
+    found it — whatever that was, however the build ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.fixture
+    def seen_during_build(self, monkeypatch):
+        """``gc.isenabled()`` at every leaf-order sort of a build."""
+        seen = []
+        even_sizes = bulk_module._even_sizes
+
+        def watching(*args):
+            seen.append(gc.isenabled())
+            return even_sizes(*args)
+
+        monkeypatch.setattr(bulk_module, "_even_sizes", watching)
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("as_table", [True, False])
+    def test_success(self, enabled, as_table, maps, seen_during_build):
+        (gc.enable if enabled else gc.disable)()
+        items = maps[0].table() if as_table else maps[0].items()
+        tree = str_bulk_load(items)
+        assert gc.isenabled() is enabled
+        assert seen_during_build and not any(seen_during_build)
+        assert tree.size == len(maps[0])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_hostile_item(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        # an oid of None passes the table (any hashable is an oid) and is
+        # refused by Entry, inside the paused block
+        items = [(i, Rect(i, i, i + 1, i + 1)) for i in range(50)]
+        items[30] = (None, items[30][1])
+        with pytest.raises(ValueError, match="either a directory entry or a data"):
+            str_bulk_load(items)
+        assert gc.isenabled() is enabled
+
+    def test_empty_input_and_bad_options_touch_nothing(self):
+        gc.enable()
+        assert str_bulk_load([]).size == 0
+        with pytest.raises(ValueError, match="fill"):
+            str_bulk_load([(0, Rect(0, 0, 1, 1))], fill=0.0)
+        assert gc.isenabled()
