@@ -16,9 +16,9 @@ map 1 (settlements) while also containing long features that span many
 street clusters — the workload property that makes some join tasks far more
 expensive than others.
 
-Like the street generator it writes columns, never per-feature objects,
-its loops spell the :class:`Region` rules inline, and its
-``random.Random`` draw order is pinned by a digest in the tests.
+Like the street generator it writes columns, never per-feature objects; its
+loops spell the :class:`Region` rules and ``random.py``'s wrappers inline and
+share one ``gauss`` closure; the order of their draws is pinned by digests.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from numbers import Real
 from typing import Optional
 
 from ..geometry.table import BoxTable
-from .region import BoxColumns, Chain, Region, check_count
+from .region import BoxColumns, Chain, Region, check_count, check_seed, gauss_from
 
 __all__ = ["generate_boundaries"]
 
@@ -57,22 +57,22 @@ def generate_boundaries(
         raise ValueError(
             f"mix must be three shares in [0, 1] that sum to 1, not {mix!r}"
         )
+    check_seed(seed)
     rng = random.Random(seed)
+    draws = (rng.random, rng.getrandbits, gauss_from(rng.random))
     boundaries = min(count, round(count * mix[0]))
     rivers = min(count, boundaries + round(count * mix[1]))
     columns = BoxColumns(include_geometry)
-    _ring_edges(region, rng, columns, boundaries)
-    _walk_pieces(region, rng, columns, rivers, RIVER_STEP, curviness=0.5)
-    _walk_pieces(region, rng, columns, count, RAIL_STEP, curviness=0.08)
+    _ring_edges(region, draws, columns, boundaries)
+    _walk_pieces(region, draws, columns, rivers, RIVER_STEP, curviness=0.5)
+    _walk_pieces(region, draws, columns, count, RAIL_STEP, curviness=0.08)
     return columns.finish()
 
 
-def _ring_edges(
-    region: Region, rng: random.Random, columns: BoxColumns, until: int
-) -> None:
+def _ring_edges(region: Region, draws, columns: BoxColumns, until: int) -> None:
     """Edges of rectangular rings around settlement points, appended until
     *columns* holds *until* rows."""
-    random_, uniform, gauss = rng.random, rng.uniform, rng.gauss
+    random_, _, gauss = draws
     add_xl, add_yl = columns.xl.append, columns.yl.append
     add_xu, add_yu = columns.xu.append, columns.yu.append
     chains = columns.chains
@@ -84,8 +84,8 @@ def _ring_edges(
         # Region.sample_settlement_point(rng, rural_fraction=0.25) and the
         # two Region.clamp calls, spelled inline: same draws, same floats
         if random_() < 0.25:
-            cx = uniform(0, side)
-            cy = uniform(0, side)
+            cx = side * random_()  # uniform(0, side)
+            cy = side * random_()
         else:
             index = bisect_left(cumulative, random_(), 0, last_city)
             cx, cy = cities[index]
@@ -94,8 +94,8 @@ def _ring_edges(
             cy = gauss(cy, sigma)
             cx = 0.0 if cx < 0.0 else side if cx > side else cx
             cy = 0.0 if cy < 0.0 else side if cy > side else cy
-        w = uniform(0.0006, 0.002)
-        h = uniform(0.0006, 0.002)
+        w = 0.0006 + (0.002 - 0.0006) * random_()  # uniform(0.0006, 0.002)
+        h = 0.0006 + (0.002 - 0.0006) * random_()
         x0, y0 = cx - w / 2.0, cy - h / 2.0
         x1, y1 = cx + w / 2.0, cy + h / 2.0
         x0 = 0.0 if x0 < 0.0 else side if x0 > side else x0
@@ -121,7 +121,7 @@ def _ring_edges(
 
 def _walk_pieces(
     region: Region,
-    rng: random.Random,
+    draws,
     columns: BoxColumns,
     until: int,
     step: float,
@@ -130,15 +130,16 @@ def _walk_pieces(
     """Pieces of long random walks (rivers / railways) across the region,
     appended until *columns* holds *until* rows."""
     side = region.side
-    cos, sin, gauss, randint = math.cos, math.sin, rng.gauss, rng.randint
+    random_, getrandbits, gauss = draws
+    cos, sin, two_pi = math.cos, math.sin, 2.0 * math.pi
     add_xl, add_yl = columns.xl.append, columns.yl.append
     add_xu, add_yu = columns.xu.append, columns.yu.append
     chains = columns.chains
     segments_per_walk = max(8, round(40 * math.sqrt(region.scale)))
     made = len(columns)
     while made < until:
-        x, y = rng.uniform(0, side), rng.uniform(0, side)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = side * random_(), side * random_()  # uniform(0, side)
+        angle = two_pi * random_()  # uniform(0.0, 2 pi)
         pieces = min(segments_per_walk, until - made)
         for _ in range(pieces):
             # the piece's MBR, kept as it grows: Rect.from_points' floats
@@ -146,7 +147,9 @@ def _walk_pieces(
             yl = yu = y
             if chains is not None:
                 points = [(x, y)]
-            for _ in range(randint(2, 4)):
+            while (r := getrandbits(2)) >= 3:  # randint(2, 4): 2 + _randbelow(3)
+                pass
+            for _ in range(2 + r):
                 angle += gauss(0.0, curviness)
                 # Region.clamp, spelled without the calls (same floats)
                 x += step * cos(angle)

@@ -31,7 +31,7 @@ import numpy as np
 from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
 
-__all__ = ["Region", "SpatialObject", "BoxColumns", "check_count"]
+__all__ = ["Region", "SpatialObject", "BoxColumns", "check_count", "check_seed", "gauss_from"]
 
 Chain = tuple[tuple[float, float], ...]
 
@@ -55,6 +55,33 @@ def check_count(count) -> None:
     """A generator's *count* argument: an integer, zero or more."""
     if not (isinstance(count, Integral) and count >= 0):
         raise ValueError(f"count must be an integer >= 0, not {count!r}")
+
+
+def check_seed(seed) -> None:
+    """A *seed* argument: an integer (``Random(None)`` is another map a call)."""
+    if not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, not {seed!r}")
+
+
+def gauss_from(random_):
+    """``Random.gauss`` over the bound *random_* as CPython spells it — the
+    Box–Muller pair: cosine now, sine kept as the spare — so a generator's
+    loop enters no frame of ``random.py``.  The spare lives in the closure
+    as it lived in the ``Random``: loops sharing one share the closure."""
+    spare = None
+    cos, sin, sqrt, log, two_pi = math.cos, math.sin, math.sqrt, math.log, 2.0 * math.pi
+
+    def gauss(mu, sigma):
+        nonlocal spare
+        z, spare = spare, None
+        if z is None:
+            x2pi = random_() * two_pi
+            g2rad = sqrt(-2.0 * log(1.0 - random_()))
+            z = cos(x2pi) * g2rad
+            spare = sin(x2pi) * g2rad
+        return mu + z * sigma
+
+    return gauss
 
 
 class BoxColumns:
@@ -84,6 +111,11 @@ class Region:
     def __init__(self, scale: float = 1.0, seed: int = 42, cities_per_unit: int = 36):
         if not (isinstance(scale, Real) and 0 < scale < math.inf):
             raise ValueError(f"scale must be a finite positive number, not {scale!r}")
+        check_seed(seed)
+        if not (isinstance(cities_per_unit, Integral) and cities_per_unit > 0):
+            raise ValueError(
+                f"cities_per_unit must be a positive integer, not {cities_per_unit!r}"
+            )
         self.scale = scale
         self.seed = seed
         self.side = math.sqrt(scale)

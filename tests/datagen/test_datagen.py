@@ -146,12 +146,26 @@ GOLDEN = {
     ),
 }
 
+#: The full-scale data set at the default seed, recorded on the commit before
+#: the loops spelled ``random.py``'s wrappers inline (PR 23): the one every
+#: exact counter of ``perf`` and EXPERIMENTS.md rests on (``join.pairs``
+#: 147,862; ``rtree.{node,flat}.window_nodes`` 36.1 / 54.9).
+FULL_SCALE = (
+    "bf014d8f40a969977d0443f0c9d8ae949895766e0fc4f2240bbe1ead58876533",
+    "2a383582887c9322fc60e338347340fa26e97085ca866d5c50e9bb9d5b689102",
+)
+
 
 class TestDrawStream:
     @pytest.mark.parametrize("scale, seed", sorted(GOLDEN))
     def test_golden_digest(self, scale, seed):
         maps = paper_maps(scale=scale, seed=seed)
         assert tuple(table_digest(m.table()) for m in maps) == GOLDEN[scale, seed]
+
+    def test_the_full_scale_data_set(self):
+        maps = paper_maps(scale=1.0, seed=42)
+        assert [len(m) for m in maps] == [MAP1_COUNT, MAP2_COUNT]
+        assert tuple(table_digest(m.table()) for m in maps) == FULL_SCALE
 
     @pytest.mark.parametrize("scale, seed", sorted(GOLDEN))
     def test_keeping_the_geometry_perturbs_no_draw(self, scale, seed):

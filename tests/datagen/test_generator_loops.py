@@ -2,10 +2,14 @@
 methods stay the statement of the sampling rule.  The references below are
 written from those methods and ``Rect.from_points`` — the loops must
 produce their rows and chains to the bit, on more than the three points the
-golden digests pin."""
+golden digests pin.  The references keep calling ``rng.uniform`` / ``gauss``
+/ ``randint`` / ``choice``: should a future CPython change a wrapper, they
+are the alarm.  The loops themselves call none of them — counted below."""
 
 import math
 import random
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -108,3 +112,33 @@ def test_the_clamp_branches_are_reached():
     table, _ = generate_streets(region, COUNT, 3)
     assert (table.xl == 0.0).any() and (table.xu == region.side).any()
     assert (table.yl == 0.0).any() and (table.yu == region.side).any()
+
+
+@pytest.mark.parametrize("include_geometry", [False, True])
+@pytest.mark.parametrize("generate, seed", [(generate_streets, 12), (generate_boundaries, 13)])
+def test_a_row_costs_no_interpreted_call_but_gauss(generate, seed, include_geometry):
+    """The interpreter-work guard: generating 2,000 rows enters no frame of
+    ``random.py`` once ``Random(seed)`` is built (11.7 a street, 3.1 a map-2
+    feature before the wrappers were spelled inline), and no Python function
+    at all once a row but the package's ``gauss`` closure."""
+    region = Region(scale=0.02, seed=11)
+    entered = Counter()
+
+    def count_calls(frame, event, _arg):
+        if event == "call":
+            entered[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        generate(region, 2000, seed, include_geometry)
+    finally:
+        sys.setprofile(previous)
+    wrappers = {
+        key: calls
+        for key, calls in entered.items()
+        if key[0] == random.__file__ and key[1] not in ("__init__", "seed")
+    }
+    assert wrappers == {}
+    per_row = {key[1] for key, calls in entered.items() if calls >= 100}
+    assert per_row == {"gauss"}
