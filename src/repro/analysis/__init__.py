@@ -1,58 +1,22 @@
-"""Project-aware static analysis and trace-driven race detection.
+"""Project-aware static analysis: one gate, ``python -m repro.analysis``.
 
-The paper's correctness hinges on disciplined sharing — SVM global
-buffers, fork-inherited R*-trees, deterministic task assignment — and
-every bug class fixed by hand in past reviews (leaked circuit-breaker
-probe slots, clobbered fork-global registries, deadline-less worker
-calls) is mechanically detectable.  This package is the tooling that
-scales that detection with the codebase:
+* :mod:`repro.analysis.lint` — an AST lint engine with a rule registry
+  and ``# repro: noqa[RULE]`` suppression.  Its eight rules
+  (:mod:`repro.analysis.rules`) enforce invariants the codebase relies on
+  implicitly: determinism of the simulation paths, trace-event
+  discipline, acquire/release and breaker-admission pairing, fork safety,
+  and no blocking calls inside the async serving engine.
+* :mod:`repro.analysis.protocol` — the five protocol specs, the bounded
+  model checker that proves their safety properties, and the conformance
+  monitors compiled from them that ride in every traced run's checker set.
 
-* :mod:`repro.analysis.lint` — an AST-based lint engine with a rule
-  registry, per-rule severity, and ``# repro: noqa[RULE]`` suppression.
-  The rules (:mod:`repro.analysis.rules`) enforce invariants the
-  codebase already relies on implicitly: determinism of the simulation
-  paths, trace-event discipline, acquire/release and breaker-admission
-  pairing, fork safety, and no blocking calls inside the async serving
-  engine.
-* :mod:`repro.analysis.races` — a dynamic lockset/happens-before race
-  detector over recorded JSONL traces of the SVM simulation: it rebuilds
-  per-processor vector clocks from the event stream and flags
-  unsynchronized concurrent page access and lost-update windows on the
-  global-buffer directory, with an ``--explain`` mode printing the two
-  conflicting access histories.
-* :mod:`repro.analysis.external` — gated wrappers around ``ruff`` and
-  ``mypy`` (skipped with a note when not installed), so the custom pass
-  and the off-the-shelf pass run under one entry point.
-
-Both engines share one findings model (:mod:`repro.analysis.findings`)
-and one report format, and ``python -m repro.analysis [lint|races|all]``
-runs them as a CI gate against a committed baseline file — existing debt
-is ratcheted, never silently ignored.
+Both report through one findings model (:mod:`repro.analysis.findings`);
+every finding gates.
 """
 
 from __future__ import annotations
 
-from .findings import (
-    Finding,
-    Report,
-    Severity,
-    diff_against_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
+from .findings import Finding, Report, Severity
 from .lint import run_lint
-from .races import RaceDetector, detect_races
 
-__all__ = [
-    "Finding",
-    "Report",
-    "Severity",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "diff_against_baseline",
-    "run_lint",
-    "RaceDetector",
-    "detect_races",
-]
+__all__ = ["Finding", "Report", "Severity", "run_lint"]

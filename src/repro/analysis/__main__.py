@@ -1,385 +1,129 @@
-"""``python -m repro.analysis`` — the analysis gate.
+"""``python -m repro.analysis [PATH ...] [--json FILE]`` — the analysis gate.
 
-Subcommands
------------
-``lint``      run the AST rules over source paths
-``races``     run the trace race detector over a recorded JSONL trace
-``external``  run the gated off-the-shelf tools (ruff, mypy)
-``protocol``  model-check the protocol spec registry: prove every declared
-              safety property, validate the checker against the planted
-              spec mutations (each must yield a counterexample), and —
-              with ``--trace`` — replay a recorded JSONL stream through
-              the spec-compiled conformance monitors
-``lockorder`` interprocedural lock-order / await-graph analysis (acquire
-              cycles, blocking while holding a latch)
-``all``       everything under one gate: lint + external + protocol +
-              lockorder + races; when no ``--trace`` is given, a short
-              traced GSRR simulation run is generated on the fly so the
-              race and conformance smoke tests are self-contained
+One command, two passes: the eight lint rules over PATH (default: the
+``repro`` package this module belongs to, wherever the command is run
+from), then the protocol model check — every safety property of every
+spec proved, every planted spec mutation caught.
 
-Exit codes: **0** — gate passes (no unbaselined errors); **1** — new
-errors; **2** — the analysis itself failed.  Warnings never gate.
+Exit codes: **0** — no finding; **1** — findings (every finding gates);
+**2** — the analysis itself failed: a PATH that does not exist, PATHs
+that hold no ``.py`` file, or an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
-from . import external
-from .findings import (
-    Finding,
-    Report,
-    Severity,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
+from .findings import Finding, Report
 from .lint import run_lint
-from .lockorder import analyze_lock_order
-from .races import detect_races
+from .protocol import MUTATIONS, SPECS, check_spec, format_counterexample, get_spec
 
-DEFAULT_PATHS = ["src/repro"]
-DEFAULT_BASELINE = "analysis-baseline.json"
+PACKAGE = Path(__file__).resolve().parents[1]
+_SPECS_PATH = str(PACKAGE / "analysis" / "protocol" / "specs.py")
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-aware static analysis and trace race detection.",
+        description="Project lint rules, then the protocol model check.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--json",
-            metavar="FILE",
-            default=None,
-            help="also write the full JSON report to FILE",
-        )
-
-    lint = sub.add_parser("lint", help="run the AST lint rules")
-    lint.add_argument("paths", nargs="*", default=None)
-    lint.add_argument("--baseline", default=None, metavar="FILE")
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current error findings as the new baseline",
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="files or directories to lint (default: the repro package)",
     )
-    lint.add_argument(
-        "--select", default=None, help="comma-separated rule ids to run"
-    )
-    common(lint)
-
-    races = sub.add_parser("races", help="run the trace race detector")
-    races.add_argument("--trace", required=True, metavar="JSONL")
-    races.add_argument(
-        "--explain",
-        action="store_true",
-        help="attach the conflicting access histories to each race",
-    )
-    common(races)
-
-    ext = sub.add_parser("external", help="run ruff/mypy when installed")
-    ext.add_argument("paths", nargs="*", default=None)
-    common(ext)
-
-    protocol = sub.add_parser(
-        "protocol",
-        help="model-check the protocol specs and validate by mutation",
-    )
-    protocol.add_argument(
-        "--trace",
+    parser.add_argument(
+        "--json",
+        metavar="FILE",
         default=None,
-        metavar="JSONL",
-        help="also replay this trace through the conformance monitors",
+        help="also write the full JSON report to FILE",
     )
-    protocol.add_argument(
-        "--skip-mutations",
-        action="store_true",
-        help="skip the mutation self-validation pass",
-    )
-    common(protocol)
-
-    lockorder = sub.add_parser(
-        "lockorder",
-        help="interprocedural lock-order / await-graph analysis",
-    )
-    lockorder.add_argument("paths", nargs="*", default=None)
-    common(lockorder)
-
-    everything = sub.add_parser("all", help="lint + external + races gate")
-    everything.add_argument("paths", nargs="*", default=None)
-    everything.add_argument("--baseline", default=None, metavar="FILE")
-    everything.add_argument("--write-baseline", action="store_true")
-    everything.add_argument(
-        "--trace",
-        default=None,
-        metavar="JSONL",
-        help="race-check this trace instead of generating a fresh one",
-    )
-    everything.add_argument("--explain", action="store_true")
-    everything.add_argument(
-        "--no-races",
-        action="store_true",
-        help="skip the race smoke test (lint/external only)",
-    )
-    common(everything)
     return parser
 
 
-def _resolve_paths(raw) -> list[str]:
-    if raw:
-        return list(raw)
-    for candidate in DEFAULT_PATHS:
-        if Path(candidate).exists():
-            return [candidate]
-    return ["."]
-
-
-def _resolve_baseline(raw) -> str | None:
-    if raw is not None:
-        return raw
-    return DEFAULT_BASELINE if Path(DEFAULT_BASELINE).exists() else None
-
-
-def _generate_trace(path: Path) -> None:
-    """Run a short traced GSRR join so the race gate has a real trace."""
-    from ..datagen import build_tree, paper_maps
-    from ..join import GSRR, ParallelJoinConfig, parallel_spatial_join, prepare_trees
-    from ..trace import TraceConfig
-
-    map_r, map_s = paper_maps(scale=0.02)
-    tree_r, tree_s = build_tree(map_r), build_tree(map_s)
-    page_store = prepare_trees(tree_r, tree_s)
-    config = ParallelJoinConfig(
-        processors=4,
-        disks=4,
-        total_buffer_pages=96,
-        variant=GSRR,
-        trace=TraceConfig(keep_events=False, checkers=False, jsonl_path=str(path)),
-    )
-    parallel_spatial_join(tree_r, tree_s, config, page_store=page_store)
-
-
-def _run_lint_into(report: Report, paths, select=None) -> None:
-    findings, stats = run_lint(paths, select=select)
+def _run_lint_into(report: Report, paths) -> int:
+    """Lint *paths* into *report*; returns the number of files read."""
+    findings, stats = run_lint(paths)
     report.extend(findings)
     report.tool_status["lint"] = (
         f"ok: {stats['files']} file(s), {stats['rules']} rule(s), "
         f"{len(findings)} finding(s)"
     )
+    return stats["files"]
 
 
-def _run_external_into(report: Report, paths) -> None:
-    for name, runner in (("ruff", external.run_ruff), ("mypy", external.run_mypy)):
-        findings, status = runner(paths)
-        report.extend(findings)
-        report.tool_status[name] = status
+def _protocol_finding(rule: str, message: str, context=()) -> Finding:
+    return Finding("protocol", rule, _SPECS_PATH, 0, message, tuple(context))
 
 
-def _run_races_into(report: Report, trace: str, explain: bool) -> None:
-    findings, stats = detect_races(trace, explain=explain)
-    report.extend(findings)
-    report.tool_status["races"] = (
-        f"ok: {stats['events']} event(s), {stats['mode']} mode, "
-        f"{stats['pages']} page(s), {stats['races']} race finding(s)"
-    )
-
-
-_SPECS_PATH = "src/repro/analysis/protocol/specs.py"
-
-
-def _run_protocol_into(
-    report: Report, trace: str | None = None, skip_mutations: bool = False
-) -> None:
-    from .protocol import (
-        MUTATIONS,
-        SPECS,
-        check_spec,
-        format_counterexample,
-        get_spec,
-    )
-
-    findings = []
-    proved = 0
-    declared = 0
+def _run_protocol_into(report: Report) -> None:
+    proved = declared = caught = 0
     for spec in SPECS:
         result = check_spec(spec)
         declared += len(result.properties)
         proved += sum(result.properties.values())
         if result.truncated:
-            findings.append(
-                Finding(
-                    tool="protocol",
-                    rule="PROT003",
-                    severity=Severity.ERROR,
-                    path=_SPECS_PATH,
-                    line=0,
-                    message=(
-                        f"spec {spec.name!r}: state space exceeded "
-                        f"{result.states_explored} states — add a bound"
-                    ),
+            report.findings.append(
+                _protocol_finding(
+                    "PROT003",
+                    f"spec {spec.name!r}: state space exceeded "
+                    f"{result.states_explored} states — add a bound",
                 )
             )
         for failure in result.failures:
-            text = format_counterexample(spec, failure)
-            print(text)
-            findings.append(
-                Finding(
-                    tool="protocol",
-                    rule="PROT001",
-                    severity=Severity.ERROR,
-                    path=_SPECS_PATH,
-                    line=0,
-                    message=(
-                        f"spec {spec.name!r} violates safety property "
-                        f"{failure.prop!r}: {failure.description}"
-                    ),
-                    context=tuple(text.splitlines()),
+            report.findings.append(
+                _protocol_finding(
+                    "PROT001",
+                    f"spec {spec.name!r} violates safety property "
+                    f"{failure.prop!r}: {failure.description}",
+                    format_counterexample(spec, failure).splitlines(),
                 )
             )
-    mutation_note = "mutations skipped"
-    if not skip_mutations:
-        caught = 0
-        for mutation in MUTATIONS:
-            mutated = mutation.apply(get_spec(mutation.spec_name))
-            result = check_spec(mutated)
-            if result.properties.get(mutation.expect_property, True):
-                findings.append(
-                    Finding(
-                        tool="protocol",
-                        rule="PROT002",
-                        severity=Severity.ERROR,
-                        path=_SPECS_PATH,
-                        line=0,
-                        message=(
-                            f"planted mutation {mutation.name!r} "
-                            f"({mutation.description}) produced no "
-                            f"counterexample for "
-                            f"{mutation.expect_property!r} — the model "
-                            "checker is too weak to trust"
-                        ),
-                    )
+    for mutation in MUTATIONS:
+        result = check_spec(mutation.apply(get_spec(mutation.spec_name)))
+        if result.properties.get(mutation.expect_property, True):
+            report.findings.append(
+                _protocol_finding(
+                    "PROT002",
+                    f"planted mutation {mutation.name!r} "
+                    f"({mutation.description}) produced no counterexample "
+                    f"for {mutation.expect_property!r} — the model checker "
+                    "is too weak to trust",
                 )
-            else:
-                caught += 1
-        mutation_note = f"{caught}/{len(MUTATIONS)} mutations caught"
-    conformance_note = ""
-    if trace is not None:
-        from ..trace import TraceEvent
-        from ..trace.checkers import run_checkers
-        from .protocol import conformance_checkers
-
-        import json
-
-        events = []
-        with open(trace, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    events.append(TraceEvent.from_json_dict(json.loads(line)))
-        verdicts = run_checkers(events, conformance_checkers())
-        for verdict in verdicts:
-            for violation in verdict.violations:
-                findings.append(
-                    Finding(
-                        tool="protocol",
-                        rule="CONF001",
-                        severity=Severity.ERROR,
-                        path=trace,
-                        line=0,
-                        message=f"[{verdict.checker}] {violation}",
-                    )
-                )
-        conformance_note = (
-            f", conformance over {len(events)} event(s): "
-            f"{sum(v.violation_count for v in verdicts)} violation(s)"
-        )
-    report.extend(findings)
+            )
+        else:
+            caught += 1
     report.tool_status["protocol"] = (
         f"ok: {proved}/{declared} properties proved across "
-        f"{len(SPECS)} spec(s), {mutation_note}{conformance_note}"
+        f"{len(SPECS)} spec(s), {caught}/{len(MUTATIONS)} mutations caught"
     )
 
 
-def _run_lockorder_into(report: Report, paths) -> None:
-    findings, stats = analyze_lock_order(paths)
-    report.extend(findings)
-    report.tool_status["lockorder"] = (
-        f"ok: {stats['functions']} function(s), {stats['locks']} lock(s), "
-        f"{stats['order_edges']} order edge(s), "
-        f"{stats['await_edges']} await edge(s), "
-        f"{stats['findings']} finding(s)"
-    )
-
-
-def _finish(report: Report, args) -> int:
-    baseline_path = getattr(args, "baseline", None)
-    if getattr(args, "write_baseline", False):
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(report.findings, target)
-        report.baseline_path = target
-        print(f"baseline written: {target}")
-        print(report.render())
-        return 0
-    resolved = _resolve_baseline(baseline_path) if hasattr(args, "baseline") else None
-    if resolved is not None:
-        baseline = load_baseline(resolved)
-        report.baseline_path = resolved
-        report.new_errors, report.baselined = diff_against_baseline(
-            report.findings, baseline
-        )
-    else:
-        report.new_errors, report.baselined = diff_against_baseline(
-            report.findings, {}
-        )
-    if args.json:
-        report.write_json(args.json)
-    print(report.render())
-    return 0 if report.ok else 1
+def _fail(reason: str) -> int:
+    print(f"analysis failed: {reason}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    paths = args.paths or [str(PACKAGE)]
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        return _fail(f"no such path: {', '.join(missing)}")
     report = Report()
     try:
-        if args.command == "lint":
-            select = args.select.split(",") if args.select else None
-            _run_lint_into(report, _resolve_paths(args.paths), select=select)
-        elif args.command == "races":
-            _run_races_into(report, args.trace, args.explain)
-        elif args.command == "external":
-            _run_external_into(report, _resolve_paths(args.paths))
-        elif args.command == "protocol":
-            _run_protocol_into(
-                report, trace=args.trace, skip_mutations=args.skip_mutations
-            )
-        elif args.command == "lockorder":
-            _run_lockorder_into(report, _resolve_paths(args.paths))
-        elif args.command == "all":
-            paths = _resolve_paths(args.paths)
-            _run_lint_into(report, paths)
-            _run_external_into(report, paths)
-            _run_lockorder_into(report, paths)
-            if args.no_races:
-                _run_protocol_into(report)
-            elif args.trace is not None:
-                _run_protocol_into(report, trace=args.trace)
-                _run_races_into(report, args.trace, args.explain)
-            else:
-                with tempfile.TemporaryDirectory() as tmp:
-                    trace_path = Path(tmp) / "sim-trace.jsonl"
-                    _generate_trace(trace_path)
-                    _run_protocol_into(report, trace=str(trace_path))
-                    _run_races_into(report, str(trace_path), args.explain)
-                    # keep the report path stable across runs
-                    report.tool_status["races"] += " (generated run)"
+        if _run_lint_into(report, paths) == 0:
+            return _fail(f"no .py file under {', '.join(paths)}")
+        _run_protocol_into(report)
     except Exception as exc:  # noqa: BLE001 - the gate must report, not crash
-        print(f"analysis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    return _finish(report, args)
+        return _fail(f"{type(exc).__name__}: {exc}")
+    if args.json:
+        report.write_json(args.json)
+    print(report.render())
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

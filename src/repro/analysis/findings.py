@@ -1,157 +1,98 @@
-"""The findings model every analysis engine shares.
+"""The findings model both analysis passes share.
 
-A :class:`Finding` is one diagnosed problem: which tool produced it,
-which rule fired, where, how severe, and what happened.  Findings are
-plain frozen data so they can be sorted, fingerprinted, serialized to
-the JSON report and diffed against the committed baseline.
-
-The **baseline ratchet**: a committed JSON file maps finding
-fingerprints to allowed counts.  The gate fails only on *new* error
-findings — errors whose fingerprint either is absent from the baseline
-or occurs more often than the baseline allows.  Fixing debt shrinks the
-baseline; adding debt is impossible without editing a committed file in
-review.  Fingerprints deliberately exclude line numbers, so unrelated
-edits that shift a known finding by a few lines do not break the gate.
+A :class:`Finding` is one diagnosed problem: which pass produced it,
+which rule fired, where, and what happened.  Every finding gates: the
+passes report only what must be fixed, so there is one severity and no
+accepted-debt file.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Union
 
-__all__ = [
-    "Severity",
-    "Finding",
-    "Report",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "diff_against_baseline",
-]
+__all__ = ["Severity", "Finding", "Report"]
 
 
 class Severity(str, enum.Enum):
-    """How bad a finding is.  Only errors gate CI."""
+    """The one severity a finding has: it gates."""
 
     ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
 
 
 @dataclass(frozen=True)
 class Finding:
     """One diagnosed problem.
 
-    ``tool``     — which engine produced it (``lint``, ``races``,
-                   ``ruff``, ``mypy``);
-    ``rule``     — the rule identifier (``DET001``, ``race-lost-update``);
-    ``path``     — the analyzed file (source file or trace file);
-    ``line``     — 1-based line, or 0 when the finding has no line (a
-                   whole-trace property);
+    ``tool``     — which pass produced it (``lint``, ``protocol``);
+    ``rule``     — the rule identifier (``DET001``, ``PROT001``);
+    ``path``     — the analyzed file;
+    ``line``     — 1-based line, or 0 when the finding has no line;
     ``message``  — one human sentence;
-    ``context``  — optional extra lines (conflicting access stacks,
-                   tool output) rendered indented under the message.
+    ``context``  — optional extra lines (a counterexample path) rendered
+                   indented under the message.
     """
 
     tool: str
     rule: str
-    severity: Severity
     path: str
     line: int
     message: str
     context: tuple[str, ...] = ()
 
+    severity = Severity.ERROR
+
     def render(self) -> str:
         location = f"{self.path}:{self.line}" if self.line else self.path
-        head = f"{location}: {self.severity.value} [{self.rule}] {self.message}"
-        if not self.context:
-            return head
+        head = f"{location}: [{self.rule}] {self.message}"
         return head + "".join(f"\n    {line}" for line in self.context)
 
     def to_json_dict(self) -> dict:
         return {
             "tool": self.tool,
             "rule": self.rule,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "message": self.message,
             "context": list(self.context),
-            "fingerprint": fingerprint(self),
         }
-
-
-def fingerprint(finding: Finding) -> str:
-    """Stable identity of a finding for the baseline ratchet.
-
-    Excludes the line number on purpose: a known finding that drifts a
-    few lines in an unrelated edit keeps its identity.  Two identical
-    findings in one file share a fingerprint; the baseline stores counts
-    to tell "still one occurrence" from "a second one appeared".
-    """
-    key = "|".join(
-        (finding.tool, finding.rule, finding.path, finding.message)
-    )
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
 class Report:
-    """The combined outcome of one analysis run.
+    """The combined outcome of one gate run.
 
-    ``tool_status`` records per engine whether it ran (``ok``), was
-    skipped (``skipped: ...``) or failed to run (``failed: ...``) — a
-    skipped off-the-shelf tool is visible in the report instead of
-    silently passing.
+    ``tool_status`` records per pass what it covered, so a pass that ran
+    over nothing is visible in the report instead of silently passing.
     """
 
     findings: list[Finding] = field(default_factory=list)
     tool_status: dict[str, str] = field(default_factory=dict)
-    new_errors: list[Finding] = field(default_factory=list)
-    baseline_path: Optional[str] = None
-    baselined: int = 0
 
     def extend(self, findings: Iterable[Finding]) -> None:
         self.findings.extend(findings)
 
     def sorted_findings(self) -> list[Finding]:
-        return sorted(
-            self.findings,
-            key=lambda f: (f.severity.rank, f.path, f.line, f.rule),
-        )
+        return sorted(self.findings, key=lambda f: (f.path, f.line, f.rule))
 
     def counts(self) -> dict[str, int]:
-        counter = Counter(f.severity.value for f in self.findings)
-        return {
-            "error": counter.get("error", 0),
-            "warning": counter.get("warning", 0),
-            "info": counter.get("info", 0),
-        }
+        """Findings per rule id."""
+        return dict(sorted(Counter(f.rule for f in self.findings).items()))
 
     @property
     def ok(self) -> bool:
-        """True when the gate passes (no unbaselined errors)."""
-        return not self.new_errors
+        """True when the gate passes (no finding)."""
+        return not self.findings
 
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
             "counts": self.counts(),
             "tools": dict(self.tool_status),
-            "baseline": {
-                "path": self.baseline_path,
-                "suppressed_errors": self.baselined,
-            },
-            "new_errors": [f.to_json_dict() for f in self.new_errors],
             "findings": [f.to_json_dict() for f in self.sorted_findings()],
         }
 
@@ -162,94 +103,14 @@ class Report:
         )
 
     def render(self, limit: int = 200) -> str:
-        lines = []
-        for status_tool, status in sorted(self.tool_status.items()):
-            lines.append(f"[{status_tool}] {status}")
+        lines = [
+            f"[{tool}] {status}" for tool, status in sorted(self.tool_status.items())
+        ]
         shown = self.sorted_findings()[:limit]
         lines.extend(f.render() for f in shown)
         hidden = len(self.findings) - len(shown)
         if hidden > 0:
             lines.append(f"... and {hidden} more finding(s)")
-        counts = self.counts()
-        summary = (
-            f"{counts['error']} error(s), {counts['warning']} warning(s), "
-            f"{counts['info']} info"
-        )
-        if self.baseline_path is not None:
-            summary += (
-                f"; {self.baselined} baselined error(s) "
-                f"({self.baseline_path})"
-            )
-        lines.append(summary)
-        lines.append(
-            "GATE: " + ("ok" if self.ok else f"{len(self.new_errors)} new error(s)")
-        )
+        gate = "ok" if self.ok else f"{len(self.findings)} error(s)"
+        lines.append(f"GATE: {gate}")
         return "\n".join(lines)
-
-
-# -- baseline ratchet ----------------------------------------------------------
-def load_baseline(path: Union[str, Path]) -> dict[str, int]:
-    """Read a committed baseline: fingerprint -> allowed occurrence count."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = raw.get("findings", {})
-    if not isinstance(entries, dict):
-        raise ValueError(f"malformed baseline {path}: 'findings' not a map")
-    baseline: dict[str, int] = {}
-    for key, value in entries.items():
-        count = value.get("count", 1) if isinstance(value, Mapping) else int(value)
-        baseline[key] = int(count)
-    return baseline
-
-
-def write_baseline(
-    findings: Sequence[Finding], path: Union[str, Path]
-) -> None:
-    """Write the current error findings as the new accepted baseline.
-
-    Each entry keeps a human hint (rule, path, message) next to the
-    count so baseline diffs are reviewable, but only the fingerprint and
-    count are load-bearing.
-    """
-    errors = [f for f in findings if f.severity is Severity.ERROR]
-    entries: dict[str, dict] = {}
-    for finding in sorted(errors, key=lambda f: (f.path, f.rule, f.line)):
-        key = fingerprint(finding)
-        entry = entries.setdefault(
-            key,
-            {
-                "count": 0,
-                "rule": finding.rule,
-                "path": finding.path,
-                "message": finding.message,
-            },
-        )
-        entry["count"] += 1
-    Path(path).write_text(
-        json.dumps({"version": 1, "findings": entries}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-def diff_against_baseline(
-    findings: Sequence[Finding], baseline: Mapping[str, int]
-) -> tuple[list[Finding], int]:
-    """Split error findings into (new, baselined-count).
-
-    A finding is *new* when its fingerprint is absent from the baseline
-    or occurs more times than the baseline allows; the ratchet direction
-    is one-way — the gate never complains about baseline entries that no
-    longer occur.
-    """
-    budget = dict(baseline)
-    new: list[Finding] = []
-    baselined = 0
-    for finding in findings:
-        if finding.severity is not Severity.ERROR:
-            continue
-        key = fingerprint(finding)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            baselined += 1
-        else:
-            new.append(finding)
-    return new, baselined

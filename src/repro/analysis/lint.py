@@ -15,7 +15,7 @@ A finding is suppressed when its line carries::
 
 The bare form silences every rule on that line; the bracketed form only
 the named ones.  Suppressions are per-line, never per-file — a file
-full of debt shows up in the baseline, not behind a blanket pragma.
+full of debt shows up in the report, not behind a blanket pragma.
 
 Project index
 -------------
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .findings import Finding, Severity
+from .findings import Finding
 
 __all__ = ["LintContext", "ProjectIndex", "run_lint", "iter_python_files"]
 
@@ -152,8 +152,9 @@ class LintContext:
         return ""
 
 
-def _suppressed(ctx: LintContext, line: int, rule_id: str) -> bool:
-    match = _NOQA_RE.search(ctx.line_text(line))
+def _suppressed(text: str, rule_id: str) -> bool:
+    """Does the source line *text* carry a ``noqa`` for *rule_id*?"""
+    match = _NOQA_RE.search(text)
     if match is None:
         return False
     rules = match.group("rules")
@@ -216,7 +217,6 @@ def run_lint(
                 Finding(
                     tool="lint",
                     rule="PARSE",
-                    severity=Severity.ERROR,
                     path=rel[path],
                     line=exc.lineno or 0,
                     message=f"file does not parse: {exc.msg}",
@@ -237,13 +237,12 @@ def run_lint(
         )
         for rule in active_file_rules:
             for line, message in rule.check(ctx):
-                if _suppressed(ctx, line, rule.id):
+                if _suppressed(ctx.line_text(line), rule.id):
                     continue
                 findings.append(
                     Finding(
                         tool="lint",
                         rule=rule.id,
-                        severity=rule.severity,
                         path=ctx.rel_path,
                         line=line,
                         message=message,
@@ -258,22 +257,12 @@ def run_lint(
             path = by_rel.get(rel_path)
             if path is not None:
                 text = path.read_text(encoding="utf-8").splitlines()
-                if 1 <= line <= len(text):
-                    match = _NOQA_RE.search(text[line - 1])
-                    if match is not None and (
-                        match.group("rules") is None
-                        or rule.id
-                        in {
-                            r.strip()
-                            for r in match.group("rules").split(",")
-                        }
-                    ):
-                        continue
+                if 1 <= line <= len(text) and _suppressed(text[line - 1], rule.id):
+                    continue
             findings.append(
                 Finding(
                     tool="lint",
                     rule=rule.id,
-                    severity=rule.severity,
                     path=rel_path,
                     line=line,
                     message=message,

@@ -22,7 +22,8 @@ artifact, three uses:
   streams — chaos, shard and recovery runs — against the spec instead
   of ad-hoc arithmetic.
 
-``python -m repro.analysis protocol`` runs all three.
+``python -m repro.analysis`` runs the first two; every traced run
+carries the third.
 """
 
 from .conformance import ProtocolConformanceChecker, conformance_checkers

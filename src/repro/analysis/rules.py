@@ -33,8 +33,8 @@ ASYNC001  no blocking calls (``time.sleep``, ``subprocess``, ``os.system``,
           blocked event loop stalls every in-flight request
 ========  ====================================================================
 
-Rules yield ``(line, message)``; the engine owns severity mapping to
-findings, suppression and the baseline.
+Rules yield ``(line, message)``; the engine turns them into findings
+(every one gates) and applies suppression.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from .findings import Severity
 from .lint import LintContext, ProjectIndex
 
 __all__ = ["Rule", "ProjectRule", "file_rules", "project_rules"]
@@ -61,10 +60,9 @@ _PROJECT_RULES: list["ProjectRule"] = []
 
 
 class Rule:
-    """One per-file rule: id, severity, and a ``check`` generator."""
+    """One per-file rule: an id and a ``check`` generator."""
 
     id = "RULE000"
-    severity = Severity.ERROR
     description = ""
 
     def check(self, ctx: LintContext) -> Iterator[tuple[int, str]]:
@@ -75,7 +73,6 @@ class ProjectRule:
     """A rule that needs the whole-project index; runs after all files."""
 
     id = "RULE000"
-    severity = Severity.ERROR
     description = ""
 
     def finalize(

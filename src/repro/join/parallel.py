@@ -290,6 +290,7 @@ class _JoinRun:
                 disks=config.disks,
                 buffer_pages=config.total_buffer_pages,
                 variant=config.variant.short_name,
+                buffer=config.variant.buffer.value,
                 assignment=config.variant.assignment.value,
                 reassign_level=policy.level.value,
                 victim=policy.victim.value,

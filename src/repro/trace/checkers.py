@@ -13,8 +13,8 @@ four lawfulness properties the paper's measurements silently rely on:
   level respects the configured :class:`~repro.join.reassign.ReassignLevel`;
   with reassignment off, no steal happens at all.
 * :class:`BufferCoherenceChecker` — a local LRU hit names a page that was
-  resident in that processor's buffer, and only a resident page is
-  evicted.
+  resident in that processor's buffer, only a resident page is evicted,
+  and with the global buffer no page is resident in two local buffers.
 * :class:`ClockMonotonicityChecker` — simulated time never runs backwards,
   globally and per processor, and sequence numbers are strictly monotone.
 
@@ -310,7 +310,9 @@ class StealSoundnessChecker(InvariantChecker):
 
 
 class BufferCoherenceChecker(InvariantChecker):
-    """Local LRU hits and evictions name pages resident in that buffer.
+    """Local LRU hits and evictions name pages resident in that buffer,
+    and in a global-buffer run (``RUN_START``'s ``buffer``) a page is
+    resident in at most one local buffer (paper §3.2).
 
     Who *owns* a page in the global directory — and so whom a remote
     fetch may copy from — is the ``buffer-directory`` spec's statement
@@ -321,27 +323,36 @@ class BufferCoherenceChecker(InvariantChecker):
 
     def __init__(self) -> None:
         super().__init__()
-        self._resident: dict[int, set[int]] = {}
+        self._holders: dict[int, set[int]] = {}  # page -> processors
+        self._global = False
         self._lru_hits = 0
         self._remote_fetches = 0
 
     def observe(self, event: TraceEvent) -> None:
         kind = event.kind
         data = event.data
-        if kind is EventKind.BUFFER_INSERT:
-            self._resident.setdefault(event.proc, set()).add(data["page"])
+        if kind is EventKind.RUN_START:
+            self._global = data.get("buffer") == "global"
+        elif kind is EventKind.BUFFER_INSERT:
+            holders = self._holders.setdefault(data["page"], set())
+            if self._global and len(holders) > (event.proc in holders):
+                self._violate(
+                    f"P{event.proc} inserted page {data['page']} while "
+                    f"P{min(holders - {event.proc})} still holds it"
+                )
+            holders.add(event.proc)
         elif kind is EventKind.BUFFER_EVICT:
-            pages = self._resident.get(event.proc, set())
-            if data["page"] not in pages:
+            holders = self._holders.get(data["page"], set())
+            if event.proc not in holders:
                 self._violate(
                     f"P{event.proc} evicted page {data['page']} "
                     f"it never held"
                 )
-            pages.discard(data["page"])
+            holders.discard(event.proc)
         elif kind is EventKind.BUFFER_HIT:
             if data.get("source") == "lru":
                 self._lru_hits += 1
-                if data["page"] not in self._resident.get(event.proc, set()):
+                if event.proc not in self._holders.get(data["page"], ()):
                     self._violate(
                         f"P{event.proc} LRU hit on page {data['page']} "
                         f"that is not resident there"

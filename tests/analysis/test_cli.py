@@ -1,8 +1,8 @@
 """End-to-end tests of the ``python -m repro.analysis`` gate.
 
-These drive the CLI in-process through ``main()`` (fast, no subprocess)
-and assert the documented exit-code contract: 0 = gate passes, 1 = new
-errors, 2 = internal failure.
+These drive the one command in-process through ``main()`` (fast, no
+subprocess) and assert the documented exit-code contract: 0 = gate
+passes, 1 = findings, 2 = the analysis itself failed.
 """
 
 import json
@@ -10,177 +10,93 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.__main__ import main
+from repro.analysis import __main__ as gate
 
 HERE = Path(__file__).parent
-FIXTURES = HERE / "fixtures"
-BAD_REPO = str(FIXTURES / "bad_repo")
-PLANTED_TRACE = str(FIXTURES / "planted_race.jsonl")
-CLEAN_TRACE = str(FIXTURES / "clean_trace.jsonl")
+BAD_REPO = str(HERE / "fixtures" / "bad_repo")
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+def _gate(tmp_path_factory, path):
+    report = tmp_path_factory.mktemp("gate") / "report.json"
+    code = gate.main([path, "--json", str(report)])
+    return code, json.loads(report.read_text())
+
+
+@pytest.fixture(scope="module")
+def tree_report(tmp_path_factory):
+    return _gate(tmp_path_factory, str(REPO_ROOT / "src" / "repro"))
+
+
+@pytest.fixture(scope="module")
+def bad_report(tmp_path_factory):
+    return _gate(tmp_path_factory, BAD_REPO)
+
+
 class TestExitCodes:
-    def test_all_fails_on_planted_repo_and_race(self, tmp_path):
-        # The acceptance criterion: planted unseeded RNG + planted trace
-        # race must make `all` exit non-zero.
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "all",
-                BAD_REPO,
-                "--trace",
-                PLANTED_TRACE,
-                "--json",
-                str(report),
-            ]
-        )
-        assert code == 1
-        payload = json.loads(report.read_text())
-        assert payload["ok"] is False
-        rules = {f["rule"] for f in payload["new_errors"]}
-        assert "DET002" in rules  # the planted unseeded RNG
-        assert "race-write-write" in rules  # the planted trace race
-
-    def test_all_passes_on_committed_baseline_and_clean_trace(self):
-        code = main(
-            [
-                "all",
-                str(REPO_ROOT / "src" / "repro"),
-                "--baseline",
-                str(REPO_ROOT / "analysis-baseline.json"),
-                "--trace",
-                CLEAN_TRACE,
-            ]
-        )
+    def test_passes_on_the_source_tree(self, tree_report):
+        code, payload = tree_report
         assert code == 0
+        assert payload["ok"] is True
+        assert "14/14 properties proved" in payload["tools"]["protocol"]
+        assert "9/9 mutations caught" in payload["tools"]["protocol"]
 
-    def test_internal_failure_exits_two(self):
-        assert main(["races", "--trace", "/nonexistent/trace.jsonl"]) == 2
+    def test_fails_on_the_planted_repo(self, bad_report):
+        code, payload = bad_report
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["counts"]["DET002"] == 2  # the planted unseeded RNG
+
+    def test_internal_failure_exits_two(self, monkeypatch):
+        def crash(paths):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(gate, "run_lint", crash)
+        assert gate.main([BAD_REPO]) == 2
+
+    def test_missing_path_exits_two_and_names_it(self, capsys):
+        assert gate.main(["no/such/dir"]) == 2
+        assert "no/such/dir" in capsys.readouterr().err
+
+    def test_directory_without_python_files_exits_two(self, tmp_path, capsys):
+        assert gate.main([str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_default_path_is_the_package_not_the_cwd(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # no src/repro below the cwd
+        assert gate.main([]) == 0
+        package_files = len(list(gate.PACKAGE.rglob("*.py")))
+        assert package_files > 50
+        assert f"[lint] ok: {package_files} file(s)" in capsys.readouterr().out
 
 
 class TestLintCommand:
-    def test_lint_clean_repo_exits_zero(self):
-        assert main(["lint", str(REPO_ROOT / "src" / "repro")]) == 0
+    """The lint half of the gate, read from the report's ``lint`` status."""
 
-    def test_lint_bad_repo_exits_one(self):
-        assert main(["lint", BAD_REPO]) == 1
-
-    def test_select_narrows_the_gate(self):
-        # Only PAIR001 selected: the DET/TRC/FORK plants don't count.
-        code = main(["lint", BAD_REPO, "--select", "PAIR001"])
-        assert code == 1
-        code = main(
-            ["lint", str(FIXTURES / "bad_repo" / "sim"), "--select", "PAIR001"]
-        )
+    def test_lint_clean_repo_exits_zero(self, tree_report):
+        code, payload = tree_report
         assert code == 0
+        assert payload["tools"]["lint"].endswith("8 rule(s), 0 finding(s)")
 
-
-class TestBaselineRatchet:
-    def test_baselined_debt_passes_then_new_debt_fails(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        # Accept the current debt of the fixture repo...
-        assert (
-            main(["lint", BAD_REPO, "--write-baseline", "--baseline", str(baseline)])
-            == 0
+    def test_lint_bad_repo_exits_one(self, bad_report):
+        code, payload = bad_report
+        assert code == 1
+        # Every finding is a planted lint violation; the protocol pass is clean.
+        assert {f["tool"] for f in payload["findings"]} == {"lint"}
+        assert payload["tools"]["lint"].endswith(
+            f"{len(payload['findings'])} finding(s)"
         )
-        # ...now the same findings are ratcheted, the gate passes...
-        assert main(["lint", BAD_REPO, "--baseline", str(baseline)]) == 0
-        # ...but a repo with MORE debt than the baseline fails.
-        extra = tmp_path / "worse" / "sim"
-        extra.mkdir(parents=True)
-        (extra / "more.py").write_text(
-            "import random\n"
-            "def f():\n"
-            "    return random.random()\n"
-        )
-        assert (
-            main(
-                [
-                    "lint",
-                    BAD_REPO,
-                    str(tmp_path / "worse"),
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 1
-        )
-
-    def test_line_drift_keeps_baseline_identity(self, tmp_path):
-        # Fingerprints exclude line numbers: shifting a known finding a
-        # few lines down must not break the gate.
-        repo_a = tmp_path / "a" / "sim"
-        repo_a.mkdir(parents=True)
-        (repo_a / "mod.py").write_text(
-            "import time\n"
-            "def f():\n"
-            "    return time.time()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path / "a"),
-                    "--write-baseline",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        (repo_a / "mod.py").write_text(
-            "import time\n"
-            "# a comment pushing things down\n"
-            "\n"
-            "def f():\n"
-            "    return time.time()\n"
-        )
-        assert (
-            main(["lint", str(tmp_path / "a"), "--baseline", str(baseline)])
-            == 0
-        )
-
-
-class TestRacesCommand:
-    def test_planted_trace_gates(self):
-        assert main(["races", "--trace", PLANTED_TRACE]) == 1
-
-    def test_clean_trace_passes(self):
-        assert main(["races", "--trace", CLEAN_TRACE]) == 0
-
-    def test_explain_prints_access_histories(self, capsys):
-        main(["races", "--trace", PLANTED_TRACE, "--explain"])
-        out = capsys.readouterr().out
-        assert "access A" in out and "access B" in out
-
-
-class TestExternalCommand:
-    def test_external_never_gates(self):
-        # ruff/mypy findings are warnings; missing tools are skipped notes.
-        assert main(["external", str(REPO_ROOT / "src" / "repro")]) == 0
-
-    def test_report_records_tool_status(self, tmp_path, capsys):
-        main(["external", BAD_REPO])
-        out = capsys.readouterr().out
-        assert "[ruff]" in out and "[mypy]" in out
 
 
 class TestJsonReport:
-    def test_report_shape(self, tmp_path):
-        report = tmp_path / "out.json"
-        main(["lint", BAD_REPO, "--json", str(report)])
-        payload = json.loads(report.read_text())
-        assert set(payload) == {
-            "ok",
-            "counts",
-            "tools",
-            "baseline",
-            "new_errors",
-            "findings",
-        }
-        assert payload["counts"]["error"] == len(payload["findings"])
+    def test_report_shape(self, bad_report):
+        _, payload = bad_report
+        assert set(payload) == {"ok", "counts", "tools", "findings"}
+        assert set(payload["tools"]) == {"lint", "protocol"}
+        assert sum(payload["counts"].values()) == len(payload["findings"])
         for finding in payload["findings"]:
-            assert finding["fingerprint"]
-            assert finding["severity"] == "error"
+            assert set(finding) == {
+                "tool", "rule", "path", "line", "message", "context"
+            }

@@ -199,6 +199,62 @@ class TestBufferCoherence:
         assert any("never held" in v for v in verdict.violations)
 
 
+@pytest.fixture(scope="module")
+def traced_events():
+    """The event lists of one traced GD and one traced LSR run."""
+    from repro.datagen import build_tree, paper_maps
+    from repro.join import GD, LSR, ParallelJoinConfig, parallel_spatial_join
+    from repro.join import prepare_trees
+    from repro.trace import TraceConfig
+
+    map_r, map_s = paper_maps(scale=0.02)
+    tree_r, tree_s = build_tree(map_r), build_tree(map_s)
+    store = prepare_trees(tree_r, tree_s)
+    events = {}
+    for variant in (GD, LSR):
+        config = ParallelJoinConfig(
+            processors=8,
+            disks=8,
+            total_buffer_pages=320,
+            variant=variant,
+            trace=TraceConfig(checkers=False),
+        )
+        result = parallel_spatial_join(tree_r, tree_s, config, page_store=store)
+        events[variant.short_name] = result.trace.events
+    return events
+
+
+def with_second_copy(events):
+    """*events* with another processor inserting the page of the run's
+    last ``BUFFER_INSERT`` right after it (no later insert of that page
+    can trip over the planted holder)."""
+    at = max(
+        i for i, e in enumerate(events) if e.kind is EventKind.BUFFER_INSERT
+    )
+    first = events[at]
+    second = TraceEvent(
+        first.seq, first.time, EventKind.BUFFER_INSERT, (first.proc + 1) % 8,
+        {"page": first.data["page"]},
+    )
+    return events[: at + 1] + [second] + events[at + 1 :]
+
+
+class TestAtMostOnceResidencyOnRealRuns:
+    @pytest.mark.parametrize("variant", ["gd", "lsr"])
+    def test_real_runs_hold_the_invariant(self, traced_events, variant):
+        verdict = verdict_of(BufferCoherenceChecker(), traced_events[variant])
+        assert verdict.ok, verdict.violations
+        assert verdict.stats["lru_hits"] > 0
+
+    @pytest.mark.parametrize("variant, violations", [("gd", 1), ("lsr", 0)])
+    def test_a_spliced_second_copy_is_flagged_only_with_the_global_buffer(
+        self, traced_events, variant, violations
+    ):
+        events = with_second_copy(traced_events[variant])
+        verdict = verdict_of(BufferCoherenceChecker(), events)
+        assert verdict.violation_count == violations, verdict.violations
+
+
 class TestDiskAccounting:
     def test_lawful_requests_pass(self):
         s = Stream()

@@ -61,6 +61,29 @@ def foreign_deregistration():
     return registered(0).emit(EventKind.PAGE_DEREGISTERED, proc=1, page=4)
 
 
+# -- at-most-once residency (paper §3.2) ----------------------------------------
+# The planted trace of the deleted race detector, stream by stream: its
+# register-over-live-owner stream (lost update) is `conflicting_registration`
+# above; its two unordered inserts of page 9 (double residency and
+# write/write) and its remote fetch of a page nobody owns are below.
+def inserted_by_two(buffer):
+    s = tc.Stream().emit(EventKind.RUN_START, buffer=buffer)
+    s.emit(EventKind.BUFFER_INSERT, proc=0, page=9)
+    return s.emit(EventKind.BUFFER_INSERT, proc=1, page=9)
+
+
+def second_copy_in_global_buffer():
+    return inserted_by_two("global")
+
+
+def second_copy_in_local_buffers():
+    return inserted_by_two("local")
+
+
+def remote_fetch_of_unowned_page():
+    return tc.Stream().emit(EventKind.REMOTE_FETCH, proc=0, page=1, owner=2)
+
+
 # -- circuit breaker: the edge table ------------------------------------------
 def unlawful_breaker_edges():
     s = tc.Stream()
@@ -143,9 +166,10 @@ def failed_after_done():
 
 
 ROWS = [
-    # The 14 streams whose hand-written copy is deleted: the spec alone.
+    # The streams whose hand-written copy is deleted: the spec alone.
     (remote_fetch_from_wrong_owner, DIRECTORY),
     (remote_fetch_from_self, DIRECTORY),
+    (remote_fetch_of_unowned_page, DIRECTORY),
     (conflicting_registration, DIRECTORY),
     (foreign_deregistration, DIRECTORY),
     (unlawful_breaker_edges, BREAKER),
@@ -176,6 +200,7 @@ ROWS = [
     (sc.window_merge_inventing_rows, SHARD),
     (tc.phantom_lru_hit, BUFFER),
     (tc.phantom_evict, BUFFER),
+    (second_copy_in_global_buffer, BUFFER),
     (tc.unclosed_fault, RESILIENCE),
     (tc.unanswered_failure, RESILIENCE),
     (tc.retry_without_open_failure, RESILIENCE),
@@ -188,6 +213,7 @@ ROWS = [
     # Lawful streams of the five protocols: nothing.
     (tc.lawful_buffer_traffic, LAWFUL),
     (tc.path_buffer_hit, LAWFUL),
+    (second_copy_in_local_buffers, LAWFUL),
     (tc.healthy_run, LAWFUL),
     (tc.fault_closed_by_ok, LAWFUL),
     (tc.failed_then_retried, LAWFUL),
