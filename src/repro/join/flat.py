@@ -14,9 +14,9 @@ There is no fork path here: ``_FlatJoinPlan`` is this backend's *join
 plan* for the one forked driver of :mod:`repro.join.mp` — the qualifying
 frontier of :func:`create_flat_tasks` as the task list, one kernel call
 per leased slice, one heartbeat per frontier round.  Workers inherit the
-plan, and with it the packed arrays, by copy-on-write
-(fork-inherits-*arrays*), so the flat backend gets leases, redispatch and
-journalled resume for free.
+plan, and with it the packed arrays and the maps' tables, by
+copy-on-write (fork-inherits-*arrays*), so the flat backend gets leases,
+redispatch and journalled resume for free.
 """
 
 from __future__ import annotations
@@ -155,76 +155,79 @@ def _frontier_join(
         # tested against the *partner node's* MBR, so the cross products
         # below cover only children inside the pair's overlap window —
         # without this, every leaf pair costs node_size^2 tests.
-        ch_r, pos_r, tested_r = _restricted_children(
+        ch_r, boxes_r, counts_r, tested_r = _restricted_children(
             tree_r, level_r, nodes_r, tree_s, level_s, nodes_s
         )
-        ch_s, pos_s, tested_s = _restricted_children(
+        ch_s, boxes_s, counts_s, tested_s = _restricted_children(
             tree_s, level_s, nodes_s, tree_r, level_r, nodes_r
         )
+        a, b = _cross_ragged(counts_r, counts_s)
+        keep = _overlap(boxes_r, a, boxes_s, b)
         if result is not None:
-            result.intersection_tests += tested_r + tested_s
-        counts_r = np.bincount(pos_r, minlength=len(nodes_r))
-        counts_s = np.bincount(pos_s, minlength=len(nodes_s))
-        a, b = _cross_ragged(ch_r, counts_r, ch_s, counts_s)
-        keep = _intersects(tree_r, level_r - 1, a, tree_s, level_s - 1, b)
-        if result is not None:
-            result.intersection_tests += len(a)
-        nodes_r, nodes_s = a[keep], b[keep]
+            result.intersection_tests += tested_r + tested_s + len(a)
+        nodes_r, nodes_s = ch_r[a[keep]], ch_s[b[keep]]
         level_r -= 1
         level_s -= 1
-    return PairTable(tree_r.oids[nodes_r], tree_s.oids[nodes_s])
+    return PairTable(
+        tree_r.table.oids[tree_r.rows[nodes_r]],
+        tree_s.table.oids[tree_s.rows[nodes_s]],
+    )
 
 
 def _restricted_children(tree_a, level_a, nodes_a, tree_b, level_b, nodes_b):
     """Children of each a-node that intersect its partner b-node's MBR.
 
-    Returns ``(children, parent_pos, tested)``: the surviving child
-    indices (grouped by frontier pair, in pair order), the frontier
-    position of each survivor's parent, and how many children were
-    tested (for the counters).
+    Returns ``(children, boxes, counts, tested)``: the surviving children
+    (grouped by frontier pair, in pair order), their boxes in block-local
+    columns, how many survive per frontier pair, and how many children
+    were tested (for the counters).  Every child's box is read once —
+    through ``rows`` at the leaves — and the survivors' are kept, so the
+    cross test reads them by position and no table row per tested pair.
     """
     children, parent_pos = tree_a.children_of(level_a, nodes_a)
-    keep = _intersects(
-        tree_a, level_a - 1, children, tree_b, level_b, nodes_b[parent_pos]
-    )
-    return children[keep], parent_pos[keep], len(children)
+    boxes = tree_a.boxes(level_a - 1, children)
+    columns, at = tree_b.locate(level_b, nodes_b[parent_pos])
+    kept = np.flatnonzero(_overlap(boxes, slice(None), columns, at))
+    counts = np.bincount(parent_pos[kept], minlength=len(nodes_a))
+    return children[kept], [column[kept] for column in boxes], counts, len(children)
 
 
-def _cross_ragged(a_vals, a_counts, b_vals, b_counts):
+def _cross_ragged(a_counts, b_counts):
     """Cross products of positionally-aligned ragged groups.
 
-    ``a_vals``/``b_vals`` hold each frontier pair's surviving children,
-    concatenated in pair order with per-pair group sizes in
-    ``a_counts``/``b_counts``; emits all ``a_counts[p] * b_counts[p]``
-    index pairs of every pair *p* — pure integer arithmetic, no Python
-    loop.
+    Frontier pair *p* owns the next ``a_counts[p]`` positions of side a
+    and the next ``b_counts[p]`` of side b; emits all ``a_counts[p] *
+    b_counts[p]`` position pairs of every pair, a-major — pure integer
+    arithmetic, no Python loop.  Each a-position becomes one run over its
+    pair's b-group.
     """
-    sizes = a_counts * b_counts
-    total = int(sizes.sum())
+    run = np.repeat(b_counts, a_counts)
+    total = int(run.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    pair_pos = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(first, sizes)
-    a_first = np.concatenate(([0], np.cumsum(a_counts)[:-1]))
-    b_first = np.concatenate(([0], np.cumsum(b_counts)[:-1]))
-    b_count_rep = b_counts[pair_pos]
-    a = a_vals[a_first[pair_pos] + local // b_count_rep]
-    b = b_vals[b_first[pair_pos] + local % b_count_rep]
-    return a, b
+    b_first = np.repeat(np.cumsum(b_counts) - b_counts, a_counts)
+    run_first = np.cumsum(run) - run
+    shift = np.repeat(run_first - b_first, run)
+    return np.repeat(np.arange(len(run)), run), np.arange(total) - shift
+
+
+def _overlap(columns_r, at_r, columns_s, at_s) -> np.ndarray:
+    """Vectorized closed-interval intersection of the boxes at *at_r* and
+    *at_s* of two column sets; each gather is freed at its comparison."""
+    rxl, ryl, rxu, ryu = columns_r
+    sxl, syl, sxu, syu = columns_s
+    return (
+        (rxl[at_r] <= sxu[at_s])
+        & (sxl[at_s] <= rxu[at_r])
+        & (ryl[at_r] <= syu[at_s])
+        & (syl[at_s] <= ryu[at_r])
+    )
 
 
 def _intersects(tree_r, level_r, idx_r, tree_s, level_s, idx_s) -> np.ndarray:
-    """Vectorized closed-interval box intersection between two levels."""
-    ar = tree_r.level_offsets[level_r] + idx_r
-    as_ = tree_s.level_offsets[level_s] + idx_s
-    return (
-        (tree_r.xmin[ar] <= tree_s.xmax[as_])
-        & (tree_s.xmin[as_] <= tree_r.xmax[ar])
-        & (tree_r.ymin[ar] <= tree_s.ymax[as_])
-        & (tree_s.ymin[as_] <= tree_r.ymax[ar])
-    )
+    """:func:`_overlap` of two levels' boxes, read in place."""
+    return _overlap(*tree_r.locate(level_r, idx_r), *tree_s.locate(level_s, idx_s))
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ def window_query(
     """All data entries intersecting *window*, with node-visit accounting.
 
     The entry *set* is backend-independent; the order is the traversal
-    order of the chosen backend (depth-first here, ascending packed order
-    on the flat backend).  A node tree hands back its own entries in a
+    order of the chosen backend (depth-first here, Z-order on the flat
+    backend).  A node tree hands back its own entries in a
     list; a packed tree an :class:`~repro.rtree.flat.EntryRows`, which
     makes an entry per row only when iterated.
     """
@@ -109,7 +109,7 @@ def window_query(
 
     require_window(window)
     if is_flat(tree):
-        return EntryRows(tree, tree.window_indices(window, stats))
+        return EntryRows(tree.table, tree.window_indices(window, stats))
     result: list[Entry] = []
     stack = [tree.root]
     while stack:

@@ -15,14 +15,15 @@ JSON-able dict — the ``"metrics"`` block of every tier's ``snapshot()``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, List, Optional, Sequence
 
 from ..trace import EventKind, TraceEvent
 
 __all__ = ["LatencyReservoir", "ServiceMetrics", "percentile"]
 
 
-def percentile(samples: List[float], q: float) -> float:
+def percentile(samples: Sequence[float], q: float) -> float:
     """The *q*-th percentile (0..100) by linear interpolation.
 
     ``nan`` for an empty sample set — serialised as ``null`` in JSON.
@@ -40,14 +41,15 @@ def percentile(samples: List[float], q: float) -> float:
 
 
 class LatencyReservoir:
-    """Bounded latency sample set (uniform reservoir past the cap)."""
+    """Bounded latency sample set (uniform reservoir past the cap).  The
+    samples are raw doubles: 8 B a request, not a list slot and a float."""
 
     def __init__(self, capacity: int = 65536, seed: int = 1):
         self.capacity = capacity
         self.count = 0
         self.total = 0.0
         self.max = 0.0
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._rng = random.Random(seed)
 
     def add(self, value: float) -> None:

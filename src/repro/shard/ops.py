@@ -49,7 +49,8 @@ def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(oids, xl, yl)`` of the data boxes of either backend, ascending
     by oid, so ``np.searchsorted`` finds an oid's row."""
     if is_flat(tree):
-        oids, xl, yl = tree.oids, tree.xmin[: tree.size], tree.ymin[: tree.size]
+        rows, table = tree.rows, tree.table
+        oids, xl, yl = table.oids[rows], table.xl[rows], table.yl[rows]
     else:
         entries = list(tree.data_entries())
         oids = oid_column([e.oid for e in entries])

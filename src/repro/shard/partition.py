@@ -302,9 +302,14 @@ def partition_items(items, pmap: PartitionMap) -> tuple[list, list]:
     )
 
 
-#: One shard-local tree, by backend; an empty shard gets an empty tree of
-#: the same backend, so a shard never joins a mixed pair.
-_BUILDERS = {"flat": FlatRTree.build, "node": str_bulk_load}
+#: One shard-local tree over a table's *rows*, by backend: a packed tree
+#: indexes the shared table in place, a node tree is built from a copy of
+#: the rows.  An empty shard gets an empty tree of the same backend, so a
+#: shard never joins a mixed pair.
+_BUILDERS = {
+    "flat": lambda table, rows: FlatRTree.build(table, rows=rows),
+    "node": lambda table, rows: str_bulk_load(table.take(rows)),
+}
 
 
 @dataclass(frozen=True)
@@ -393,10 +398,9 @@ def build_sharded(
     for name, table in tables.items():
         _, replicated = partition_rows(table, pmap)
         for shard, rows in enumerate(replicated):
-            local = table.take(rows)
-            trees[shard][name] = _BUILDERS[backend](local)
-            content_mbrs[shard][name] = local.bbox() if len(local) else None
-            counts[shard][name] = len(local)
+            tree = trees[shard][name] = _BUILDERS[backend](table, rows)
+            content_mbrs[shard][name] = tree.mbr() if len(rows) else None
+            counts[shard][name] = len(rows)
     return ShardedDataset(
         pmap=pmap,
         backend=backend,

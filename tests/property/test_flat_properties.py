@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for the flat packed backend.
 
 Two families: **structural** — a packed build satisfies the layout
-invariants (level offsets partition the arrays, parent MBRs exactly
-cover their child slices, every box is reachable from the root) for any
+invariants (level offsets partition the directory arrays, parent MBRs
+exactly cover their children — level 1's read from the table through
+``rows`` — every box is reachable from the root) for any
 item set and fan-out; **differential** — the vectorized window, k-NN and
 join kernels agree with scalar brute force over the raw items, which
 never saw the packing."""
@@ -43,11 +44,23 @@ class TestStructuralInvariants:
     def test_packed_layout_invariants(self, rects, node_size):
         tree = build(rects, node_size)
         tree.validate()  # level counts, offset partition, exact MBR cover
+        assert len(tree.rows) == tree.size == len(rects)
         if rects:
-            # The offsets strictly increase and end at the array length.
+            # Level 0 has no slice of the directory arrays; the directory
+            # levels' offsets strictly increase and end at their length.
             offsets = tree.level_offsets.tolist()
-            assert offsets[0] == 0 and offsets[-1] == len(tree.xmin)
-            assert all(a < b for a, b in zip(offsets, offsets[1:]))
+            assert offsets[:2] == [0, 0] and offsets[-1] == len(tree.xmin)
+            assert all(a < b for a, b in zip(offsets[1:], offsets[2:]))
+            # Each level-1 box is the min/max over its children's table
+            # rows, read through rows.
+            table = tree.table
+            for node in range(offsets[2] - offsets[1]):
+                lo, hi = tree.child_range(1, node)
+                rows = tree.rows[lo:hi]
+                assert tree.boxes(1, node) == [
+                    table.xl[rows].min(), table.yl[rows].min(),
+                    table.xu[rows].max(), table.yu[rows].max(),
+                ]
             # Child MBR containment, top-down from the single root.
             root = tree.mbr()
             for entry in window_query(tree, root):
@@ -66,7 +79,9 @@ class TestStructuralInvariants:
     @settings(max_examples=40, deadline=None)
     def test_oids_are_a_permutation(self, rects, node_size):
         tree = build(rects, node_size)
-        assert sorted(tree.oids) == list(range(len(rects)))
+        # a map build indexes every table row once, oids by reference
+        assert sorted(tree.rows) == list(range(len(rects)))
+        assert sorted(tree.table.oids[tree.rows]) == list(range(len(rects)))
 
 
 class TestDifferentialKernels:

@@ -1,6 +1,7 @@
 """Latency reservoir / percentile math and the metrics trace sink."""
 
 import math
+import random
 
 from repro.service import LatencyReservoir, ServiceMetrics, percentile
 from repro.trace import EventKind, TraceEvent
@@ -48,6 +49,27 @@ class TestLatencyReservoir:
         quantiles = reservoir.quantiles()
         # Reservoir sampling keeps the distribution roughly uniform.
         assert 2_000 < quantiles["p50_s"] < 8_000
+
+    def test_quantiles_equal_a_list_backed_reservoir(self):
+        """The samples are raw doubles now; a seeded stream that runs
+        well past capacity gives the very quantiles the list of floats
+        gave (same draws, same slots, same values)."""
+
+        class ListReservoir(LatencyReservoir):
+            def __init__(self, capacity, seed=1):
+                super().__init__(capacity, seed)
+                self._samples = []
+
+        stream = random.Random(7)
+        values = [stream.lognormvariate(-6.0, 1.5) for _ in range(5_000)]
+        ours, reference = LatencyReservoir(capacity=512), ListReservoir(512)
+        for value in values:
+            ours.add(value)
+            reference.add(value)
+        assert list(ours._samples) == reference._samples
+        got, expected = ours.quantiles(), reference.quantiles()
+        assert got == expected and got["count"] == 5_000
+        assert all(type(got[key]) is float for key in ("p50_s", "p95_s", "p99_s"))
 
 
 class TestServiceMetricsSink:

@@ -222,7 +222,7 @@ def test_string_oids_through_flat_window_join_and_shard_merge(maps, windows):
         f"r{oid:05d}" for oid in MapOracle(maps[0].items()).window(windows[-1])
     )
 
-    assert flat["map1"].oids.dtype == object
+    assert flat["map1"].table.oids.dtype == object
     assert window_rows(window_query(flat["map1"], rect)).sorted() == expected_window
     pairs = sequential_join(flat["map1"], flat["map2"]).pairs
     assert pairs.left.dtype == object and pairs.sorted() == expected_join

@@ -15,6 +15,7 @@ from repro.shard.partition import (
     Partitioner,
     build_sharded,
     partition_items,
+    partition_rows,
 )
 
 
@@ -191,17 +192,25 @@ class TestBuildSharded:
             for name in datasets:
                 ours = from_tables.trees[shard][name]
                 theirs = from_items.trees[shard][name]
-                assert np.array_equal(ours.oids, theirs.oids)
-                assert np.array_equal(ours.xmin, theirs.xmin)
+                assert np.array_equal(ours.rows, theirs.rows)
+                assert np.array_equal(ours.xmin, theirs.xmin)  # directory
+                assert ours.table is tables[name]  # indexed in place
+                assert np.array_equal(
+                    ours.table.oids[ours.rows], theirs.table.oids[theirs.rows]
+                )
 
     @pytest.mark.parametrize("mode", ["grid", "zrange"])
     def test_shard_trees_hold_exactly_the_replicated_rows(self, mode):
         items = make_items(150, 12)
         sharded = build_sharded({"a": items}, 5, mode=mode, backend="flat")
         _, replicated = partition_items(items, sharded.pmap)
+        _, replicated_rows = partition_rows(BoxTable.from_items(items), sharded.pmap)
         for shard, per_shard in enumerate(replicated):
             tree = sharded.trees[shard]["a"]
-            assert sorted(tree.oids) == [oid for oid, _ in per_shard]
+            tree.validate()
+            # the tree indexes exactly the shard's rows of the one table
+            assert sorted(tree.rows) == replicated_rows[shard].tolist()
+            assert sorted(tree.table.oids[tree.rows]) == [oid for oid, _ in per_shard]
             mbr = sharded.content_mbrs[shard]["a"]
             assert mbr == (
                 Rect.union_all(rect for _, rect in per_shard) if per_shard else None
