@@ -9,7 +9,7 @@ that reads a whole dataset (the flat and STR tree builders,
 :func:`~repro.shard.partition.partition_rows`) reads it in this shape, so
 set-up never walks per-object ``(oid, Rect)`` tuples; :class:`Rect`
 objects and builtin oids are made only at the API edge
-(:meth:`BoxTable.items`, :meth:`BoxTable.bbox`).
+(:meth:`BoxTable.items`, :func:`bounding_box`).
 
 The constructor is the input boundary: it rejects non-finite coordinates
 and inverted boxes once, so the array kernels below it never see a NaN.
@@ -26,9 +26,19 @@ import numpy as np
 from .rect import Rect
 from .rows import oid_column
 
-__all__ = ["BoxTable"]
+__all__ = ["BoxTable", "bounding_box", "box_centers"]
 
 COLUMNS = ("xl", "yl", "xu", "yu")
+
+
+def bounding_box(xl, yl, xu, yu) -> Rect:
+    """The MBR of the boxes in four (non-empty) coordinate columns."""
+    return Rect(xl.min(), yl.min(), xu.max(), yu.max())
+
+
+def box_centers(xl, yl, xu, yu) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, y)`` columns of the centers of the boxes in four columns."""
+    return (xl + xu) / 2.0, (yl + yu) / 2.0
 
 
 class BoxTable:
@@ -103,11 +113,11 @@ class BoxTable:
         """The MBR of every box; an empty table has none."""
         if not len(self):
             raise ValueError("an empty table has no bounding box")
-        return Rect(self.xl.min(), self.yl.min(), self.xu.max(), self.yu.max())
+        return bounding_box(self.xl, self.yl, self.xu, self.yu)
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(x, y)`` columns of the box centers."""
-        return (self.xl + self.xu) / 2.0, (self.yl + self.yu) / 2.0
+        return box_centers(self.xl, self.yl, self.xu, self.yu)
 
     def items(self) -> list[tuple[Hashable, Rect]]:
         """The rows as ``(oid, Rect)`` pairs — the object edge."""

@@ -68,7 +68,7 @@ class Backend:
 
 class FlatBackend(Backend):
     build = staticmethod(build_flat)
-    empty_tree = FlatRTree
+    empty_tree = staticmethod(lambda: FlatRTree.build(()))
 
 
 class _SlowPlan:
