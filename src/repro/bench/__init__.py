@@ -1,5 +1,6 @@
-"""Benchmark harness: workload caching, experiment drivers, rendering."""
+"""The paper's experiments: workload caching, drivers, claims, rendering."""
 
+from .claims import CLAIMS, EXPERIMENTS
 from .figures import (
     VARIANTS,
     ablation_task_order,
@@ -11,26 +12,18 @@ from .figures import (
 )
 from .harness import (
     Workload,
-    active_scale,
     get_workload,
     run_join,
     scaled_pages,
     set_tracing,
     trace_reports,
 )
-from .render import (
-    ascii_chart,
-    heading,
-    render_series,
-    render_table,
-    report,
-)
+from .render import heading, render_table
 from .tables import PAPER_TABLE1, table1_rows, table2_rows
 
 __all__ = [
     "Workload",
     "get_workload",
-    "active_scale",
     "run_join",
     "scaled_pages",
     "set_tracing",
@@ -45,9 +38,8 @@ __all__ = [
     "ablation_task_order",
     "ablation_tuning_techniques",
     "VARIANTS",
+    "EXPERIMENTS",
+    "CLAIMS",
     "render_table",
-    "render_series",
     "heading",
-    "report",
-    "ascii_chart",
 ]

@@ -1,78 +1,36 @@
 """Command-line experiment runner: ``python -m repro.bench``.
 
-Regenerates the paper's tables and figures without pytest:
+Regenerates the paper's tables and figures and checks every claim made
+about them (:mod:`repro.bench.claims`):
 
     python -m repro.bench --list
     python -m repro.bench table1 fig5
     python -m repro.bench --scale 1.0 all
     python -m repro.bench --trace fig7            # + invariant checkers
     python -m repro.bench --trace --trace-jsonl /tmp/fig7.jsonl fig7
+
+After the tables it prints one ``pass`` / ``FAIL`` / ``skip`` line per
+claim of the experiments run, and exits 1 on a failed claim or a trace
+invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 from ..trace import TraceConfig
-from . import (
-    ablation_task_order,
-    ablation_tuning_techniques,
-    active_scale,
-    figure5,
-    figure7,
-    figure8,
-    figure9_and_10,
-    get_workload,
-    heading,
-    render_table,
-    set_tracing,
-    table1_rows,
-    table2_rows,
-    trace_reports,
-)
-
-EXPERIMENTS: dict[str, tuple[str, list[str]]] = {
-    "table1": ("Table 1 — R*-tree parameters",
-               ["parameter", "tree1", "tree2", "paper tree1", "paper tree2"]),
-    "table2": ("Table 2 — KSR1 memory parameters",
-               ["memory", "size of address space", "transfer unit (bytes)",
-                "band width (MB/sec)", "latency (usec)", "4KB page copy (usec)"]),
-    "fig5": ("Figure 5 — disk accesses vs buffer size",
-             ["processors", "buffer (paper pages)", "lsr", "gsrr", "gd"]),
-    "fig7": ("Figure 7 — task reassignment",
-             ["variant", "reassignment", "first (s)", "avg (s)", "last (s)",
-              "disk accesses", "reassignments"]),
-    "fig8": ("Figure 8 — victim selection",
-             ["variant", "a: max load", "b: arbitrary"]),
-    "fig9": ("Figures 9/10 — response time, speed-up, disk accesses",
-             ["series", "processors", "response (s)", "speedup",
-              "disk accesses", "total run time (s)"]),
-    "ablation-order": ("Ablation — task order",
-                       ["variant", "task order", "disk accesses", "response (s)"]),
-    "ablation-tuning": ("Ablation — BKS93 tuning techniques",
-                        ["restriction", "plane sweep", "intersection tests",
-                         "candidates"]),
-}
-
-RUNNERS = {
-    "table1": lambda wl: table1_rows(wl),
-    "table2": lambda wl: table2_rows(),
-    "fig5": figure5,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9_and_10,
-    "fig10": figure9_and_10,
-    "ablation-order": ablation_task_order,
-    "ablation-tuning": ablation_tuning_techniques,
-}
+from .claims import ALIASES, CLAIMS, EXPERIMENTS
+from .harness import DEFAULT_SCALE, get_workload, set_tracing, trace_reports
+from .render import heading, render_table
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures and check its claims.",
     )
     parser.add_argument(
         "experiments",
@@ -82,8 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         type=float,
-        default=None,
-        help="workload scale (default: REPRO_SCALE env var or 0.25)",
+        default=DEFAULT_SCALE,
+        help=f"workload scale, a fraction of the paper's maps (default {DEFAULT_SCALE})",
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
@@ -100,18 +58,25 @@ def main(argv: list[str] | None = None) -> int:
         "PATH (a run counter is inserted before the file suffix)",
     )
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be a positive finite number, got {args.scale}")
+    if args.trace_jsonl is not None and not args.trace:
+        parser.error("--trace-jsonl needs --trace")
 
     if args.list or not args.experiments:
         for name, (title, _) in EXPERIMENTS.items():
             print(f"  {name:<16} {title}")
         return 0
 
-    wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    unknown = [e for e in wanted if e not in EXPERIMENTS and e != "fig10"]
+    unknown = [e for e in args.experiments
+               if e != "all" and e not in EXPERIMENTS and e not in ALIASES]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    wanted = list(EXPERIMENTS) if "all" in args.experiments else list(
+        dict.fromkeys(ALIASES.get(e, e) for e in args.experiments)
+    )
 
-    scale = args.scale if args.scale is not None else active_scale()
+    scale = args.scale
     print(f"scale = {scale} "
           f"({'paper size' if scale == 1.0 else 'scaled workload'})")
     workload = get_workload(scale)
@@ -120,11 +85,13 @@ def main(argv: list[str] | None = None) -> int:
         set_tracing(TraceConfig(jsonl_path=args.trace_jsonl))
 
     failures = 0
+    results = {}
     for name in wanted:
-        title, columns = EXPERIMENTS.get(name, EXPERIMENTS["fig9"])
+        title, run = EXPERIMENTS[name]
         started = time.perf_counter()
-        rows = RUNNERS[name](workload)
+        rows = results[name] = run(workload)
         elapsed = time.perf_counter() - started
+        columns = list(dict.fromkeys(key for row in rows for key in row))
         print(heading(f"{title}  [{elapsed:.1f} s]"))
         print(render_table(rows, columns))
         if args.trace and trace_reports:
@@ -136,7 +103,19 @@ def main(argv: list[str] | None = None) -> int:
             trace_reports.clear()
     if args.trace:
         set_tracing(None)
-    return 1 if failures else 0
+
+    print(heading(f"Claims at scale {scale}"))
+    counts = {"pass": 0, "FAIL": 0, "skip": 0}
+    for claim in CLAIMS:
+        if claim.experiment not in results:
+            continue
+        verdict = claim.verdict(results[claim.experiment], scale)
+        counts[verdict] += 1
+        label = f"{claim.experiment}/{claim.name}"
+        note = f"  (checked from scale {claim.min_scale})" if verdict == "skip" else ""
+        print(f"  {verdict:<4}  {label:<40} {claim.sentence}{note}")
+    print(", ".join(f"{n} {v}" for v, n in counts.items()))
+    return 1 if failures or counts["FAIL"] else 0
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
-"""Shared infrastructure of the benchmark suite.
+"""Shared infrastructure of the paper's experiments.
 
-Every table/figure bench pulls its workload from here: the two synthetic
-maps and their R*-trees are built once per scale and cached in-process, so
-a ``pytest benchmarks/`` run pays the generation cost a single time.
+Every experiment pulls its workload from here: the two synthetic maps and
+their R*-trees are built once per scale and cached in-process, so
+``python -m repro.bench all`` pays the generation cost a single time.
 
 Scaling: the paper's experiments use the full 131k/127k-object maps; the
-benches default to a quarter-scale workload so the whole suite finishes in
-minutes.  Buffer sizes scale along with the data (the paper's 200-3,200
-total pages stay proportional to the tree sizes).  Set the environment
-variable ``REPRO_SCALE=1.0`` to run the paper-size experiments.
+runner defaults to a quarter-scale workload so all experiments finish in
+about a minute.  Buffer sizes scale along with the data (the paper's
+200-3,200 total pages stay proportional to the tree sizes).  ``--scale
+1.0`` runs the paper-size experiments.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from ..trace import TraceConfig
 __all__ = [
     "Workload",
     "get_workload",
-    "active_scale",
     "run_join",
     "scaled_pages",
     "set_tracing",
@@ -42,11 +41,6 @@ _CACHE: dict[float, "Workload"] = {}
 
 #: Default experiment scale (fraction of the paper's object counts).
 DEFAULT_SCALE = 0.25
-
-
-def active_scale() -> float:
-    """The active scale: ``REPRO_SCALE`` env var or the 0.25 default."""
-    return float(os.environ.get("REPRO_SCALE", DEFAULT_SCALE))
 
 
 @dataclass
@@ -63,10 +57,8 @@ class Workload:
     page_store: PageStore
 
 
-def get_workload(scale: float | None = None) -> Workload:
+def get_workload(scale: float) -> Workload:
     """Build (or fetch the cached) paper workload at *scale*."""
-    if scale is None:
-        scale = active_scale()
     cached = _CACHE.get(scale)
     if cached is not None:
         return cached
@@ -113,14 +105,9 @@ def run_join(workload: Workload, config: ParallelJoinConfig) -> ParallelJoinResu
     if _FORCED_TRACE is not None and config.trace is None:
         trace = _FORCED_TRACE
         if trace.jsonl_path is not None:
-            # One file per run: insert a counter before the suffix.
-            root, dot, ext = trace.jsonl_path.rpartition(".")
-            numbered = (
-                f"{root}.{_RUN_COUNTER:04d}.{ext}"
-                if dot
-                else f"{trace.jsonl_path}.{_RUN_COUNTER:04d}"
-            )
-            trace = replace(trace, jsonl_path=numbered)
+            # One file per run: insert a counter before the file's suffix.
+            root, ext = os.path.splitext(trace.jsonl_path)
+            trace = replace(trace, jsonl_path=f"{root}.{_RUN_COUNTER:04d}{ext}")
         config = replace(config, trace=trace)
     result = parallel_spatial_join(
         workload.tree1, workload.tree2, config, page_store=workload.page_store

@@ -88,3 +88,17 @@ class TestCLI:
         assert cli_main(["--scale", "0.01", "table1"]) == 0
         out = capsys.readouterr().out
         assert "m (number of tasks)" in out
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_scale_must_be_positive_and_finite(self, scale, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["--scale", scale, "table2"])
+        assert exit_.value.code == 2
+        assert "--scale must be a positive finite number" in capsys.readouterr().err
+
+    def test_trace_jsonl_needs_trace(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["--trace-jsonl", str(tmp_path / "t.jsonl"), "table2"])
+        assert exit_.value.code == 2
+        assert "--trace-jsonl needs --trace" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

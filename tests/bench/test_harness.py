@@ -1,21 +1,20 @@
 """Tests for the benchmark harness and experiment drivers (tiny scale)."""
 
-import pytest
-
 from repro.bench import (
     PAPER_TABLE1,
     Workload,
     ablation_tuning_techniques,
-    active_scale,
     get_workload,
     heading,
-    render_series,
     render_table,
+    run_join,
     scaled_pages,
+    set_tracing,
     table1_rows,
     table2_rows,
 )
-from repro.bench.harness import _CACHE
+from repro.join import ParallelJoinConfig
+from repro.trace import TraceConfig
 
 
 class TestHarness:
@@ -27,16 +26,24 @@ class TestHarness:
         assert len(a.map1) > 0
         assert a.tree1.size == len(a.map1)
 
-    def test_active_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
-        assert active_scale() == 0.5
-        monkeypatch.delenv("REPRO_SCALE")
-        assert active_scale() == 0.25
-
     def test_scaled_pages(self):
         assert scaled_pages(800, 1.0) == 800
         assert scaled_pages(800, 0.25) == 200
         assert scaled_pages(8, 0.1) == 4  # floor of 4 pages
+
+    def test_trace_files_are_numbered_in_the_file_name(self, tmp_path):
+        # A dot in a directory name is not the file's suffix.
+        (tmp_path / "a.d").mkdir()
+        set_tracing(TraceConfig(jsonl_path=str(tmp_path / "a.d" / "trace")))
+        try:
+            config = ParallelJoinConfig(processors=2, disks=2, total_buffer_pages=8)
+            run_join(get_workload(0.005), config)
+            run_join(get_workload(0.005), config)
+        finally:
+            set_tracing(None)
+        assert sorted(p.name for p in (tmp_path / "a.d").iterdir()) == [
+            "trace.0000", "trace.0001"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.d"]
 
 
 class TestTables:
@@ -88,9 +95,6 @@ class TestRendering:
         out = render_table([{"a": 1}], ["a", "b"])
         assert "-" in out
 
-    def test_render_series(self):
-        assert render_series("s", [(1, 2.0), (2, 4.0)]) == "s: 1=2.00  2=4.00"
-
     def test_heading(self):
         out = heading("Title")
         assert "Title" in out and "=====" in out
@@ -99,32 +103,3 @@ class TestRendering:
         out = render_table([{"x": 12345.6}, {"x": 0.00123}, {"x": 0.0}], ["x"])
         assert "12346" in out
         assert "0.0012" in out
-
-
-class TestAsciiChart:
-    def test_basic_shape(self):
-        from repro.bench import ascii_chart
-
-        out = ascii_chart(
-            {"a": [(1, 1.0), (2, 2.0)], "b": [(1, 2.0), (2, 1.0)]},
-            width=20,
-            height=5,
-            x_label="n",
-            y_label="y",
-        )
-        lines = out.splitlines()
-        assert lines[0].startswith("y")
-        assert any("o" in line for line in lines)
-        assert any("x" in line for line in lines)
-        assert "o = a" in lines[-1] and "x = b" in lines[-1]
-
-    def test_empty(self):
-        from repro.bench import ascii_chart
-
-        assert ascii_chart({}) == "(no data)"
-
-    def test_single_point(self):
-        from repro.bench import ascii_chart
-
-        out = ascii_chart({"s": [(5, 5)]}, width=10, height=4)
-        assert "o" in out

@@ -1,21 +1,16 @@
 """Integration tests: the full pipeline from map generation to join results.
 
-These cross-module tests exercise the exact composition the benchmark
-harness uses and pin down the paper's qualitative findings at small scale.
+These cross-module tests exercise the exact composition the experiment
+harness uses; the paper's qualitative findings are the claims of
+``repro.bench.claims``, checked at small scale by ``tests/bench/test_claims.py``.
 """
 
 import pytest
 
 from repro.datagen import build_tree, paper_maps
 from repro.join import (
-    GD,
-    GSRR,
-    LSR,
     ExactRefinement,
     ParallelJoinConfig,
-    ReassignLevel,
-    ReassignmentPolicy,
-    VictimChoice,
     count_root_tasks,
     multiprocessing_join,
     parallel_spatial_join,
@@ -34,17 +29,13 @@ def pipeline():
     return m1, m2, tree_r, tree_s, page_store, expected
 
 
-def join(pipeline, **kwargs):
-    _, _, tree_r, tree_s, page_store, _ = pipeline
-    return parallel_spatial_join(
-        tree_r, tree_s, ParallelJoinConfig(**kwargs), page_store=page_store
-    )
-
-
 class TestPipelineConsistency:
     def test_all_backends_agree(self, pipeline):
         m1, m2, tree_r, tree_s, page_store, expected = pipeline
-        sim = join(pipeline, processors=8, disks=8, total_buffer_pages=400)
+        sim = parallel_spatial_join(
+            tree_r, tree_s, ParallelJoinConfig(processors=8, disks=8, total_buffer_pages=400),
+            page_store=page_store,
+        )
         mp_pairs = multiprocessing_join(tree_r, tree_s, processes=2)
         assert sim.pair_set() == expected
         assert set(mp_pairs) == expected
@@ -61,84 +52,6 @@ class TestPipelineConsistency:
             assert stats.height in (2, 3)
             assert 0.55 <= stats.avg_leaf_fill <= 0.9
         assert count_root_tasks(tree_r, tree_s) > 8
-
-
-class TestPaperFindingsAtSmallScale:
-    """Qualitative results of sections 4.3-4.5, asserted as inequalities."""
-
-    def test_gd_at_most_lsr_disk_accesses_with_large_buffer(self, pipeline):
-        root = ReassignmentPolicy(level=ReassignLevel.ROOT)
-        lsr = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                   variant=LSR, reassignment=root)
-        gd = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                  variant=GD, reassignment=root)
-        assert gd.disk_accesses <= lsr.disk_accesses
-
-    def test_global_buffer_profits_more_from_larger_buffers(self, pipeline):
-        root = ReassignmentPolicy(level=ReassignLevel.ROOT)
-
-        def accesses(variant, pages):
-            return join(
-                pipeline, processors=8, disks=8, total_buffer_pages=pages,
-                variant=variant, reassignment=root,
-            ).disk_accesses
-
-        lsr_gain = accesses(LSR, 100) - accesses(LSR, 800)
-        gd_gain = accesses(GD, 100) - accesses(GD, 800)
-        assert gd_gain >= lsr_gain * 0.8  # at least comparable, usually more
-
-    def test_reassignment_improves_lsr_response_time(self, pipeline):
-        none = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                    variant=LSR,
-                    reassignment=ReassignmentPolicy(level=ReassignLevel.NONE))
-        all_levels = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                          variant=LSR,
-                          reassignment=ReassignmentPolicy(level=ReassignLevel.ALL))
-        assert all_levels.response_time < none.response_time
-
-    def test_speedup_with_d_equals_n(self, pipeline):
-        policy = ReassignmentPolicy(level=ReassignLevel.ALL)
-        single = join(pipeline, processors=1, disks=1, total_buffer_pages=50,
-                      variant=GD, reassignment=policy)
-        eight = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                     variant=GD, reassignment=policy)
-        speedup = eight.speedup_against(single)
-        assert speedup > 5.0
-
-    def test_one_disk_saturates(self, pipeline):
-        policy = ReassignmentPolicy(level=ReassignLevel.ALL)
-        single = join(pipeline, processors=1, disks=1, total_buffer_pages=50,
-                      variant=GD, reassignment=policy)
-        n8_d1 = join(pipeline, processors=8, disks=1, total_buffer_pages=400,
-                     variant=GD, reassignment=policy)
-        n8_d8 = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                     variant=GD, reassignment=policy)
-        # One disk helps far less than eight disks.
-        assert n8_d8.response_time < n8_d1.response_time
-        assert n8_d1.speedup_against(single) < 6.0
-
-    def test_victim_choice_matters_little_for_global_buffer(self, pipeline):
-        max_load = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                        variant=GD,
-                        reassignment=ReassignmentPolicy(level=ReassignLevel.ALL))
-        arbitrary = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                         variant=GD,
-                         reassignment=ReassignmentPolicy(
-                             level=ReassignLevel.ALL,
-                             victim=VictimChoice.ARBITRARY))
-        # Section 4.4: "there is no difference" for the global buffer —
-        # allow a modest tolerance for schedule noise.
-        ratio = arbitrary.disk_accesses / max(1, max_load.disk_accesses)
-        assert 0.85 <= ratio <= 1.15
-
-    def test_total_work_stable_across_processor_counts(self, pipeline):
-        # Section 4.5: total run time of all tasks barely grows with n.
-        policy = ReassignmentPolicy(level=ReassignLevel.ALL)
-        single = join(pipeline, processors=1, disks=1, total_buffer_pages=50,
-                      variant=GD, reassignment=policy)
-        many = join(pipeline, processors=8, disks=8, total_buffer_pages=400,
-                    variant=GD, reassignment=policy)
-        assert many.times.total_run_time < single.times.total_run_time * 1.5
 
 
 class TestExactRefinementPipeline:
