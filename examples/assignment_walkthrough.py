@@ -13,7 +13,8 @@ from repro.join.parallel import prepare_trees
 
 
 def label(task) -> str:
-    xl = task.sweep_position
+    # Where the sweep line stops for the pair: the smaller left MBR edge.
+    xl = min(task.node_r.mbr_tuple()[0], task.node_s.mbr_tuple()[0])
     return f"(pair@x={xl:.1f})"
 
 

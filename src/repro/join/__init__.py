@@ -18,14 +18,14 @@ from .parallel import ParallelJoinConfig, parallel_spatial_join, prepare_trees
 from .reassign import ReassignLevel, ReassignmentPolicy, VictimChoice, Workload
 from .refinement import ExactRefinement, RefinementModel, overlap_degree
 from .result import ParallelJoinResult, SequentialJoinResult
-from .sequential import sequential_join
+from .sequential import PairWindow, sequential_join
 from .shared_nothing import (
     NetworkParams,
     Placement,
     SharedNothingConfig,
     shared_nothing_join,
 )
-from .tasks import PairWindow, Task, count_root_tasks, create_tasks, expand_node_pair
+from .tasks import Task, count_root_tasks, create_tasks, expand_node_pair
 
 __all__ = [
     "sequential_join",

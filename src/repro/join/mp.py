@@ -13,8 +13,9 @@ the next chunk off one FIFO.
 A plan hides the task *format* from the driver: ``len(plan)`` tasks,
 ``plan.signature()`` for the journal, ``plan.run(start, stop, beat)``
 for the pairs of one slice.  The node plan is the
-:func:`~repro.join.tasks.create_tasks` list (one :func:`join_subtrees`
-per task); the flat plan (:mod:`repro.join.flat`) is the packed
+:func:`~repro.join.tasks.create_tasks` list (one
+:func:`~repro.join.sequential.depth_first_join` per task, the walk of
+``sequential_join``); the flat plan (:mod:`repro.join.flat`) is the packed
 backend's frontier (one vectorized kernel call per slice).
 
 Workers are forked with the plan — the in-memory R*-trees or the packed
@@ -59,42 +60,22 @@ from ..recovery.journal import JoinJournal
 from ..recovery.ledger import ResultLedger
 from ..recovery.lease import LeaseTable
 from ..recovery.procs import PipedWorkers, fork_available
-from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .flat import _FlatJoinPlan, packed_pair
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
-from .sequential import join_node_pair
+from .sequential import depth_first_join
 from .tasks import create_tasks, task_signature
 
 __all__ = [
     "multiprocessing_join",
     "fault_tolerant_join",
-    "join_subtrees",
     "plan_join",
 ]
 
 #: Rows a worker refines between two heartbeats.
 _PIECE_ROWS = 1 << 12
-
-
-def join_subtrees(node_r: Node, node_s: Node) -> list[tuple]:
-    """Sequential join of one pair of subtrees (one task's work)."""
-    return _join_subtrees(node_r, node_s, None)
-
-
-def _join_subtrees(node_r: Node, node_s: Node, beat) -> list:
-    """:func:`join_subtrees`, calling *beat* after every node pair."""
-    result = SequentialJoinResult(pairs=[])
-    stack = [(node_r, node_s)]
-    while stack:
-        a, b = stack.pop()
-        children = join_node_pair(a, b, result)
-        stack.extend(reversed(children))
-        if beat is not None:
-            beat()
-    return result.pairs
 
 
 class _NodeJoinPlan:
@@ -113,12 +94,12 @@ class _NodeJoinPlan:
     def run(self, start: int, stop: int, beat=None) -> PairTable:
         """Candidate pairs of tasks ``[start, stop)``, made a table here —
         in the worker, ahead of the pipe; *beat* (the heartbeat) is called
-        after every node pair, so a lease survives a task that runs longer
+        at every node pair, so a lease survives a task that runs longer
         than ``lease_s``."""
-        pairs: list = []
+        result = SequentialJoinResult(pairs=[])
         for task in self.tasks[start:stop]:
-            pairs.extend(_join_subtrees(task.node_r, task.node_s, beat))
-        return PairTable.from_pairs(pairs)
+            depth_first_join(task.node_r, task.node_s, result, beat=beat)
+        return PairTable.from_pairs(result.pairs)
 
 
 def plan_join(tree_r, tree_s, min_tasks: int):

@@ -10,7 +10,7 @@ algorithm for a given configuration:
 3. **parallel task execution** — every simulated processor runs the real
    BKS93 depth-first join on its pairs of subtrees, with page accesses
    going through its path buffers and local LRU buffer, optionally the SVM
-   global buffer, and the shared disk array;
+   global buffer, and the shared disk array (:class:`_SharedMemory`);
 
 plus the **task reassignment** of section 3.4: idle processors steal the
 highest-level pending pairs from a victim chosen by policy, buddying up
@@ -19,6 +19,11 @@ with it for subsequent steals.
 Everything the paper measures falls out: exact disk-access counts,
 per-processor finish times (response time = the last one), total busy
 time, reassignment counts.
+
+The page access and the charge for a dynamic-queue fetch are the only
+parts of a run that belong to the machine: :class:`_JoinRun` takes them
+from a *pages* policy built for the run, so the shared-nothing cluster of
+:mod:`repro.join.shared_nothing` is this simulator with another policy.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from typing import Generator, Optional
 from ..buffer.global_buffer import GlobalDirectory
 from ..buffer.local import ProcessorBufferManager
 from ..faults import FaultInjector, FaultPlan
-from ..geometry.planesweep import restrict_to_window, sweep_pairs
 from ..recovery.config import RecoveryConfig
 from ..recovery.journal import JoinJournal
 from ..recovery.lease import LeaseTable
@@ -67,7 +71,8 @@ from .assignment import (
 from .reassign import ReassignmentPolicy, VictimChoice, Workload
 from .refinement import RefinementModel
 from .result import ParallelJoinResult
-from .tasks import PairWindow, create_tasks, task_signature
+from .sequential import join_node_pair
+from .tasks import create_tasks, task_signature
 
 __all__ = ["ParallelJoinConfig", "parallel_spatial_join", "prepare_trees"]
 
@@ -167,12 +172,71 @@ def parallel_spatial_join(
     buffers always start cold regardless).
     """
     require_node_trees("parallel_spatial_join", tree_r, tree_s)
-    run = _JoinRun(tree_r, tree_s, config, page_store)
-    return run.execute()
+    return _JoinRun(tree_r, tree_s, config, page_store, _SharedMemory).execute()
+
+
+class _SharedMemory:
+    """Page access on the SVM machine: each processor's path buffers and
+    local LRU, the global buffer directory for the ``g*`` variants and the
+    shared disk array (sections 3.2, 4.2); a queue fetch is one critical
+    section."""
+
+    def __init__(self, run: "_JoinRun"):
+        config = run.config
+        tracer = run.tracer
+        disks = DiskArray(
+            run.env, config.disks, config.disk_params, run.metrics,
+            tracer=tracer, injector=run.injector,
+        )
+        integrity = None
+        if run.injector is not None and config.faults.page_flip_p > 0:
+            from ..storage.page import PageIntegrityStore
+
+            integrity = PageIntegrityStore(run.store, tracer=tracer)
+        directory = (
+            GlobalDirectory(run.machine, tracer=tracer)
+            if config.variant.buffer is BufferMode.GLOBAL
+            else None
+        )
+        n = config.processors
+        heights = run.store.tree_heights()
+        self.managers = [
+            ProcessorBufferManager(
+                proc_id=p,
+                machine=run.machine,
+                disk_array=disks,
+                lru_capacity=max(1, config.total_buffer_pages // n),
+                tree_heights=heights,
+                directory=directory,
+                tracer=tracer,
+                integrity=integrity,
+                injector=run.injector,
+            )
+            for p in range(n)
+        ]
+        self.store = run.store
+        self.env = run.env
+        self.sync_time = config.machine.sync_time
+
+    def access(self, p: int, tree_id: int, node) -> Generator:
+        store = self.store
+        return self.managers[p].access(
+            tree_id, store.depth(tree_id, node), node.page_id, store.kind(node.page_id)
+        )
+
+    def fetch(self, p: int) -> Generator:
+        yield self.env.timeout(self.sync_time)
 
 
 class _JoinRun:
-    """State of one simulation run (one processor process per CPU)."""
+    """State of one simulation run (one processor process per CPU).
+
+    *pages* builds the run's page-access policy from the half-built run
+    (its ``config``, ``env``, ``machine``, ``metrics``, ``tracer``,
+    ``injector`` and ``store``): ``access(p, tree_id, node)`` reads one
+    page for processor *p* and ``fetch(p)`` charges *p*'s next fetch from
+    the dynamic queue — both process fragments.
+    """
 
     def __init__(
         self,
@@ -180,6 +244,7 @@ class _JoinRun:
         tree_s: RStarTree,
         config: ParallelJoinConfig,
         page_store: Optional[PageStore],
+        pages,
     ):
         if config.processors < 1:
             raise ValueError("need at least one processor")
@@ -194,38 +259,9 @@ class _JoinRun:
             if config.faults is not None and config.faults.active
             else None
         )
-        self.disks = DiskArray(
-            self.env, config.disks, config.disk_params, self.metrics,
-            tracer=tracer, injector=self.injector,
-        )
         self.store = page_store or prepare_trees(tree_r, tree_s)
-        self.integrity = None
-        if self.injector is not None and config.faults.page_flip_p > 0:
-            from ..storage.page import PageIntegrityStore
-
-            self.integrity = PageIntegrityStore(self.store, tracer=tracer)
+        self.pages = pages(self)
         n = config.processors
-        directory = (
-            GlobalDirectory(self.machine, tracer=tracer)
-            if config.variant.buffer is BufferMode.GLOBAL
-            else None
-        )
-        per_processor_pages = max(1, config.total_buffer_pages // n)
-        heights = self.store.tree_heights()
-        self.managers = [
-            ProcessorBufferManager(
-                proc_id=p,
-                machine=self.machine,
-                disk_array=self.disks,
-                lru_capacity=per_processor_pages,
-                tree_heights=heights,
-                directory=directory,
-                tracer=tracer,
-                integrity=self.integrity,
-                injector=self.injector,
-            )
-            for p in range(n)
-        ]
 
         # Phase 1: task creation (sequential; CPU share negligible per
         # section 4.5, and the root pages it touches are re-read through
@@ -501,23 +537,13 @@ class _JoinRun:
         self.finished[p] = True
 
     def _process_pair(self, p: int, node_r, node_s, aid=None) -> Generator:
-        """Execute the sequential join step for one qualifying node pair."""
+        """Processor *p* reads both pages and runs the node-pair step on
+        them: candidates out at the leaves, child pairs onto its workload
+        above them."""
         config = self.config
-        manager = self.managers[p]
-        store = self.store
-        yield from manager.access(
-            0, store.depth(0, node_r), node_r.page_id, store.kind(node_r.page_id)
-        )
-        yield from manager.access(
-            1, store.depth(1, node_s), node_s.page_id, store.kind(node_s.page_id)
-        )
-        window = PairWindow(node_r, node_s)
-        if window.empty:
-            return
-        entries_r = restrict_to_window(node_r.entries, window)
-        entries_s = restrict_to_window(node_s.entries, window)
-        sweep = sweep_pairs(entries_r, entries_s)
-        tests = sweep.tests + len(node_r.entries) + len(node_s.entries)
+        yield from self.pages.access(p, 0, node_r)
+        yield from self.pages.access(p, 1, node_s)
+        matched, tests = join_node_pair(node_r, node_s)
         self.metrics.add("intersection_tests", tests)
         cpu_time = tests * config.machine.cpu_rect_test_time
         if cpu_time > 0:
@@ -531,12 +557,12 @@ class _JoinRun:
             else:
                 my_pairs = self.pairs_by_processor[p]
             refine_time = 0.0
-            for er, es in sweep.pairs:
+            for er, es in matched:
                 if my_pairs is not None:
                     my_pairs.append((er.oid, es.oid))
                 if config.refinement is not None:
                     refine_time += config.refinement.cost(er, es)
-            self.metrics.add("candidates", len(sweep.pairs))
+            self.metrics.add("candidates", len(matched))
             if refine_time > 0:
                 # The same processor that found the candidates refines
                 # them (section 3's distribution principle); the exact
@@ -556,7 +582,7 @@ class _JoinRun:
         else:
             workload = self.workloads[p]
             child_level = node_r.level - 1
-            for er, es in sweep.pairs:
+            for er, es in matched:
                 if aid is not None and not self._register_child(
                     aid, er.child, es.child
                 ):
@@ -598,7 +624,7 @@ class _JoinRun:
             if self.queue is not None and not (
                 self.queue.closed and len(self.queue) == 0
             ):
-                yield self.env.timeout(config.machine.sync_time)
+                yield from self.pages.fetch(p)
                 item = yield self.queue.get()
                 if item is not None:
                     tid, task = item

@@ -19,7 +19,12 @@ special interest."  This module builds that system:
   at-most-once invariant;
 * tasks are assigned statically (range or round-robin) or dynamically
   through a **coordinator** at processor 0, each fetch paying a message
-  round trip.
+  round trip; there is no task reassignment.
+
+The cluster is a page-access policy of the one join simulator
+(:class:`repro.join.parallel._JoinRun`): task creation, assignment, the
+processors' depth-first loop and the [BKS 93] node-pair step are the SVM
+join's, only page reads and queue fetches cost what they cost here.
 
 The interesting trade-off — measurable with the bench — is placement ×
 assignment: spatial placement with the range assignment keeps accesses
@@ -31,29 +36,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, Optional
 
 from ..buffer.lru import LRUBuffer
 from ..buffer.path_buffer import PathBuffer
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
-from ..sim.engine import Environment
-from ..sim.machine import KSR1_CONFIG, Machine, MachineConfig
-from ..sim.metrics import ProcessorTimes
-from ..sim.resources import Resource, Store
+from ..sim.machine import KSR1_CONFIG, MachineConfig
+from ..sim.resources import Resource
 from ..storage.disk import DEFAULT_DISK, DiskParams
 from ..storage.page import PageKind
-from .assignment import (
-    AssignmentMode,
-    static_range_assignment,
-    static_round_robin_assignment,
-)
-from .parallel import prepare_trees
+from .assignment import AssignmentMode, BufferMode, JoinVariant
+from .parallel import ParallelJoinConfig, _JoinRun
+from .reassign import ReassignLevel, ReassignmentPolicy
 from .refinement import RefinementModel
 from .result import ParallelJoinResult
-from .tasks import PairWindow, create_tasks
-from ..geometry.planesweep import restrict_to_window, sweep_pairs
-from ..sim.metrics import Metrics
 
 __all__ = [
     "Placement",
@@ -118,25 +116,29 @@ def shared_nothing_join(
     page_store: Optional[PageStore] = None,
 ) -> ParallelJoinResult:
     """Run the spatial join on the shared-nothing cluster model."""
-    run = _SharedNothingRun(tree_r, tree_s, config, page_store)
-    return run.execute()
+    svm_config = ParallelJoinConfig(
+        processors=config.processors,
+        variant=JoinVariant(BufferMode.LOCAL, config.assignment),
+        reassignment=ReassignmentPolicy(level=ReassignLevel.NONE),
+        machine=config.machine,
+        disk_params=config.disk_params,
+        refinement=config.refinement,
+        min_tasks_factor=config.min_tasks_factor,
+    )
+    cluster = partial(_Cluster, config, tree_r, tree_s)
+    return _JoinRun(tree_r, tree_s, svm_config, page_store, cluster).execute()
 
 
-class _SharedNothingRun:
-    def __init__(
-        self,
-        tree_r: RStarTree,
-        tree_s: RStarTree,
-        config: SharedNothingConfig,
-        page_store: Optional[PageStore],
-    ):
-        if config.processors < 1:
-            raise ValueError("need at least one processor")
+class _Cluster:
+    """Page access on the cluster: path buffers, own LRU, then the own
+    disk or the owner's node; a queue fetch off processor 0 is a control
+    round trip to the coordinator."""
+
+    def __init__(self, config: SharedNothingConfig, tree_r, tree_s, run: _JoinRun):
         self.config = config
-        self.env = Environment()
-        self.machine = Machine(self.env, config.machine)
-        self.metrics: Metrics = self.machine.metrics
-        self.store = page_store or prepare_trees(tree_r, tree_s)
+        self.env = run.env
+        self.metrics = run.metrics
+        self.store = run.store
         n = config.processors
 
         # One private disk per node; one shared interconnect.
@@ -153,30 +155,6 @@ class _SharedNothingRun:
 
         # Data placement.
         self.owner = self._place_pages(tree_r, tree_s, n)
-
-        # Tasks & assignment.
-        tasks = create_tasks(tree_r, tree_s, min_tasks=max(1, n * config.min_tasks_factor))
-        self.tasks_created = len(tasks)
-        self.task_level = tasks[0].level if tasks else 0
-        self.local_tasks: list[list] = [[] for _ in range(n)]
-        self.queue: Optional[Store] = None
-        if config.assignment is AssignmentMode.DYNAMIC:
-            self.queue = Store(self.env, name="coordinator-queue")
-            for task in tasks:
-                self.queue.put(task)
-            self.queue.close()
-            self.tasks_by_processor = [0] * n
-        else:
-            if config.assignment is AssignmentMode.STATIC_RANGE:
-                split = static_range_assignment(tasks, n)
-            else:
-                split = static_round_robin_assignment(tasks, n)
-            for p, chunk in enumerate(split):
-                self.local_tasks[p] = list(chunk)
-            self.tasks_by_processor = [len(c) for c in self.local_tasks]
-
-        self.times = ProcessorTimes(n)
-        self.pairs_by_processor: list[list] = [[] for _ in range(n)]
 
     def _place_pages(self, tree_r, tree_s, n: int) -> dict[int, int]:
         """page id → owning node, per the configured placement."""
@@ -250,74 +228,7 @@ class _SharedNothingRun:
             network.release()
         self.metrics.add("remote_fetches")
 
-    # -------------------------------------------------------------- execute
-    def execute(self) -> ParallelJoinResult:
-        for p in range(self.config.processors):
-            self.env.process(self._processor(p), name=f"SN{p}")
-        self.env.run()
-        return ParallelJoinResult(
-            pairs_by_processor=self.pairs_by_processor,
-            metrics=self.metrics,
-            times=self.times,
-            tasks_created=self.tasks_created,
-            task_level=self.task_level,
-            tasks_by_processor=self.tasks_by_processor,
-        )
-
-    def _processor(self, p: int) -> Generator:
-        stack: list = []
-        while True:
-            if not stack:
-                task = yield from self._next_task(p)
-                if task is None:
-                    break
-                stack.append((task.node_r, task.node_s))
-            started = self.env.now
-            while stack:
-                node_r, node_s = stack.pop()
-                children = yield from self._process_pair(p, node_r, node_s)
-                stack.extend(reversed(children))
-            self.times.busy[p] += self.env.now - started
-            self.times.finish[p] = self.env.now
-
-    def _next_task(self, p: int):
-        if self.queue is None:
-            if self.local_tasks[p]:
-                return self.local_tasks[p].pop(0)
-            return None
-        # Dynamic: ask the coordinator (processor 0) for the next task.
+    def fetch(self, p: int) -> Generator:
+        """Ask the coordinator (processor 0) for the next task."""
         if p != 0:
             yield self.env.timeout(self.config.network.control_round_trip)
-        task = yield self.queue.get()
-        if task is not None:
-            self.tasks_by_processor[p] += 1
-            self.metrics.add("queue_fetches")
-        return task
-
-    def _process_pair(self, p: int, node_r, node_s) -> Generator:
-        config = self.config
-        yield from self.access(p, 0, node_r)
-        yield from self.access(p, 1, node_s)
-        window = PairWindow(node_r, node_s)
-        if window.empty:
-            return []
-        entries_r = restrict_to_window(node_r.entries, window)
-        entries_s = restrict_to_window(node_s.entries, window)
-        sweep = sweep_pairs(entries_r, entries_s)
-        tests = sweep.tests + len(node_r.entries) + len(node_s.entries)
-        self.metrics.add("intersection_tests", tests)
-        cpu = tests * config.machine.cpu_rect_test_time
-        if cpu > 0:
-            yield self.env.timeout(cpu)
-        if node_r.is_leaf:
-            pairs = self.pairs_by_processor[p]
-            refine_time = 0.0
-            for er, es in sweep.pairs:
-                pairs.append((er.oid, es.oid))
-                if config.refinement is not None:
-                    refine_time += config.refinement.cost(er, es)
-            self.metrics.add("candidates", len(sweep.pairs))
-            if refine_time > 0:
-                yield self.env.timeout(refine_time)
-            return []
-        return [(er.child, es.child) for er, es in sweep.pairs]

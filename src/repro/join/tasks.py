@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..geometry.planesweep import restrict_to_window, sweep_pairs
 from ..rtree.flat import require_node_trees
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
+from .sequential import PairWindow, join_node_pair
 
 __all__ = [
     "Task",
-    "PairWindow",
     "create_tasks",
     "count_root_tasks",
     "expand_node_pair",
@@ -43,48 +42,11 @@ class Task:
         """Tree level of the subtree roots (0 = leaves)."""
         return self.node_r.level
 
-    @property
-    def sweep_position(self) -> float:
-        """Where the sweep line stops for this pair (for global ordering)."""
-        xl_r = min(e.xl for e in self.node_r.entries)
-        xl_s = min(e.xl for e in self.node_s.entries)
-        return min(xl_r, xl_s)
-
-
-class PairWindow:
-    """MBR intersection of a node pair — the search-space restriction
-    window of [BKS 93] (tuning technique (i))."""
-
-    __slots__ = ("xl", "yl", "xu", "yu", "empty")
-
-    def __init__(self, a: Node, b: Node):
-        a_xl, a_yl, a_xu, a_yu = a.mbr_tuple()
-        b_xl, b_yl, b_xu, b_yu = b.mbr_tuple()
-        self.xl = max(a_xl, b_xl)
-        self.yl = max(a_yl, b_yl)
-        self.xu = min(a_xu, b_xu)
-        self.yu = min(a_yu, b_yu)
-        self.empty = self.xu < self.xl or self.yu < self.yl
-
 
 def expand_node_pair(node_r: Node, node_s: Node) -> list[tuple[Node, Node]]:
-    """Child node pairs of a qualifying directory pair, in plane-sweep
-    order, with search-space restriction applied.
-
-    Entries are re-sorted locally, so the function is correct whether or
-    not the trees were prepared with pre-sorted nodes.
-    """
-    window = PairWindow(node_r, node_s)
-    if window.empty:
-        return []
-    entries_r = sorted(restrict_to_window(node_r.entries, window), key=_entry_xl)
-    entries_s = sorted(restrict_to_window(node_s.entries, window), key=_entry_xl)
-    result = sweep_pairs(entries_r, entries_s)
-    return [(er.child, es.child) for er, es in result.pairs]
-
-
-def _entry_xl(entry) -> float:
-    return entry.xl
+    """Child node pairs of a qualifying directory pair: the node-pair
+    step's matches, in plane-sweep order."""
+    return [(er.child, es.child) for er, es in join_node_pair(node_r, node_s)[0]]
 
 
 def create_tasks(
@@ -94,8 +56,8 @@ def create_tasks(
 
     Starts from the pairs of intersecting root entries; descends one level
     at a time while there are fewer than *min_tasks* tasks and the nodes
-    are not yet leaves.  Nodes must be kept with entries sorted by ``xl``
-    (see :func:`repro.join.parallel.prepare_trees`).
+    are not yet leaves.  The order is the same whether or not the trees
+    were prepared (:func:`repro.join.parallel.prepare_trees`).
     """
     require_node_trees("create_tasks", tree_r, tree_s)
     if tree_r.size == 0 or tree_s.size == 0:
@@ -116,9 +78,8 @@ def create_tasks(
         descended: list[tuple[Node, Node]] = []
         for node_r, node_s in pairs:
             descended.extend(expand_node_pair(node_r, node_s))
-        # Re-establish one global plane-sweep order over all pairs: sort by
-        # the sweep-stop position (the smaller of the two xl coordinates).
-        descended.sort(key=_pair_sweep_position)
+        # Re-establish one global plane-sweep order over all pairs.
+        descended.sort(key=_sweep_stop)
         pairs = descended
     return [Task(node_r, node_s) for node_r, node_s in pairs]
 
@@ -154,7 +115,8 @@ def count_root_tasks(tree_r: RStarTree, tree_s: RStarTree) -> int:
     return len(expand_node_pair(tree_r.root, tree_s.root))
 
 
-def _pair_sweep_position(pair: tuple[Node, Node]) -> float:
+def _sweep_stop(pair: tuple[Node, Node]) -> float:
+    """Where the sweep line stops for a pair: the minimum ``xl`` over both
+    nodes' entries, the smaller left edge of their MBRs."""
     node_r, node_s = pair
-    # Entries are xl-sorted, so the first entry carries the minimum.
-    return min(node_r.entries[0].xl, node_s.entries[0].xl)
+    return min(node_r.mbr_tuple()[0], node_s.mbr_tuple()[0])

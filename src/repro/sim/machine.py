@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .engine import Environment
 from .metrics import Metrics
@@ -86,18 +87,18 @@ class MachineConfig:
     #: about a millisecond.
     reassign_overhead: float = 1e-3
 
-    # -- derived durations ---------------------------------------------------
-    @property
+    # -- derived durations (computed once per config: read per page) --------
+    @cached_property
     def local_page_access_time(self) -> float:
         """Serving one page from the processor's own buffer."""
         return self.main_memory.page_copy_time(self.page_size)
 
-    @property
+    @cached_property
     def remote_page_access_time(self) -> float:
         """Serving one page out of another processor's buffer via the SVM."""
         return self.remote_memory.page_copy_time(self.page_size)
 
-    @property
+    @cached_property
     def bus_transfer_time(self) -> float:
         """How long a remote page copy occupies the interconnect."""
         return self.page_size / (self.remote_memory.bandwidth_mb_per_s * MB)

@@ -10,7 +10,7 @@ from repro.datagen import build_tree, paper_maps
 from repro.geometry import PairTable
 from repro.join import multiprocessing_join, sequential_join
 from repro.join import mp as mp_module
-from repro.join.mp import join_subtrees
+from repro.join.mp import plan_join
 from repro.join.parallel import prepare_trees
 from repro.rtree import RStarTree
 
@@ -25,9 +25,12 @@ def trees():
 
 class TestJoinSubtrees:
     def test_whole_tree_pair_equals_sequential(self, trees):
+        # The node plan walks each task with sequential_join's own walk:
+        # all tasks in one slice give its pairs, in its order.
         tree_r, tree_s = trees
-        pairs = join_subtrees(tree_r.root, tree_s.root)
-        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
+        plan = plan_join(tree_r, tree_s, min_tasks=1)
+        pairs = plan.run(0, len(plan))
+        assert list(pairs) == list(sequential_join(tree_r, tree_s).pairs)
 
 
 class TestMultiprocessingJoin:

@@ -21,7 +21,7 @@ from repro.join.parallel import prepare_trees
 from repro.rtree import str_bulk_load
 
 
-def make_trees(n_r=400, n_s=400, seed=0, caps=10):
+def make_trees(n_r=400, n_s=400, seed=0, caps=10, prepare=True):
     rng = random.Random(seed)
 
     def items(n, offset):
@@ -33,8 +33,14 @@ def make_trees(n_r=400, n_s=400, seed=0, caps=10):
 
     tree_r = str_bulk_load(items(n_r, 0), dir_capacity=caps, data_capacity=caps)
     tree_s = str_bulk_load(items(n_s, 0), dir_capacity=caps, data_capacity=caps)
-    prepare_trees(tree_r, tree_s)
+    if prepare:
+        prepare_trees(tree_r, tree_s)
     return tree_r, tree_s
+
+
+def sweep_stop(task) -> float:
+    """Where the sweep line stops for a task: the smaller left MBR edge."""
+    return min(task.node_r.mbr_tuple()[0], task.node_s.mbr_tuple()[0])
 
 
 class TestCreateTasks:
@@ -55,7 +61,7 @@ class TestCreateTasks:
     def test_plane_sweep_order(self):
         tree_r, tree_s = make_trees()
         tasks = create_tasks(tree_r, tree_s)
-        positions = [t.sweep_position for t in tasks]
+        positions = [sweep_stop(t) for t in tasks]
         assert positions == sorted(positions)
 
     def test_descends_when_too_few(self):
@@ -66,7 +72,20 @@ class TestCreateTasks:
         # One level deeper than the root-entry level.
         root_task_level = tree_r.root.level - 1
         assert all(t.level == root_task_level - 1 for t in tasks)
-        positions = [t.sweep_position for t in tasks]
+        positions = [sweep_stop(t) for t in tasks]
+        assert positions == sorted(positions)
+
+    def test_order_does_not_need_prepared_trees(self):
+        # Entries kept in bulk-load order, then xl-sorted in place: the same
+        # nodes come out in the same sweep-stop order either way.
+        tree_r, tree_s = make_trees(prepare=False)
+        before = create_tasks(tree_r, tree_s, min_tasks=10**6)
+        prepare_trees(tree_r, tree_s)
+        after = create_tasks(tree_r, tree_s, min_tasks=10**6)
+        assert [(t.node_r, t.node_s) for t in before] == [
+            (t.node_r, t.node_s) for t in after
+        ]
+        positions = [sweep_stop(t) for t in before]
         assert positions == sorted(positions)
 
     def test_descends_at_most_to_leaves(self):

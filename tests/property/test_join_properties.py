@@ -13,7 +13,6 @@ from repro.join import (
     ParallelJoinConfig,
     ReassignLevel,
     ReassignmentPolicy,
-    create_tasks,
     parallel_spatial_join,
     prepare_trees,
     sequential_join,
@@ -64,16 +63,14 @@ class TestSequentialJoinProperties:
     def test_tasks_cover_join_exactly(self, rects_r, rects_s):
         # The union of per-task joins equals the full join, without
         # duplicates (each node pair has a unique ancestor task).
-        from repro.join.mp import join_subtrees
+        from repro.join.mp import plan_join
 
         tree_r, tree_s = build_pair(rects_r, rects_s)
         if tree_r.height != tree_s.height:
             return  # parallel task creation requires equal heights
         prepare_trees(tree_r, tree_s)
-        tasks = create_tasks(tree_r, tree_s)
-        pairs = []
-        for task in tasks:
-            pairs.extend(join_subtrees(task.node_r, task.node_s))
+        plan = plan_join(tree_r, tree_s, min_tasks=1)
+        pairs = [pair for tid in range(len(plan)) for pair in plan.run(tid, tid + 1)]
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
 
