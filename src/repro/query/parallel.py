@@ -22,7 +22,9 @@ are free — the SVM advantage the paper's architecture discussion is about.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -32,6 +34,7 @@ from ..geometry.rect import Rect
 from ..rtree.entry import Entry
 from ..rtree.node import Node
 from ..rtree.pagestore import PageStore
+from ..rtree.query import _min_distance, oid_order_key
 from ..sim.engine import Environment
 from ..sim.machine import KSR1_CONFIG, Machine, MachineConfig
 from ..sim.metrics import ProcessorTimes
@@ -240,36 +243,33 @@ def parallel_knn(
             run.queue.put(root)
         else:
             children = sorted(
-                root.entries, key=lambda e: _distance(e, x, y)
+                root.entries, key=lambda e: _min_distance(e, x, y)
             )
             for entry in children:
                 run.queue.put(entry.child)
     run.queue.close()
 
-    # Shared pruning state: the k best (distance, sequence, entry) found
-    # anywhere, plus the latch guarding updates.
-    best: list[tuple[float, int, Entry]] = []  # max-heap via negated dist
+    # Shared pruning state: the k best (distance, oid key, sequence, entry)
+    # found anywhere, in ascending order, plus the latch guarding updates.
+    # Ties at equal distance go to the smaller oid key, as sequentially.
+    best: list[tuple] = []
     latch = Lock(run.env, name="knn-bound")
-    counter = [0]
+    counter = itertools.count()
     cpu_test = run.config.machine.cpu_rect_test_time
     sync = run.config.machine.sync_time
 
     def bound() -> float:
-        if len(best) < k:
-            return float("inf")
-        return -best[0][0]
+        return best[-1][0] if len(best) == k else float("inf")
 
     def offer(entry: Entry, distance: float) -> Generator:
         """Insert a candidate into the shared top-k under the latch."""
         yield latch.acquire()
         try:
             yield run.env.timeout(sync)
-            if len(best) < k:
-                heapq.heappush(best, (-distance, counter[0], entry))
-                counter[0] += 1
-            elif distance < -best[0][0]:
-                heapq.heapreplace(best, (-distance, counter[0], entry))
-                counter[0] += 1
+            item = (distance, oid_order_key(entry.oid), next(counter), entry)
+            if len(best) < k or item < best[-1]:
+                bisect.insort(best, item)
+                del best[k:]
         finally:
             latch.release()
 
@@ -291,12 +291,12 @@ def parallel_knn(
                 yield run.env.timeout(len(node.entries) * cpu_test)
                 if node.is_leaf:
                     for entry in node.entries:
-                        distance = _distance(entry, x, y)
+                        distance = _min_distance(entry, x, y)
                         if distance <= bound():
                             yield from offer(entry, distance)
                 else:
                     for entry in node.entries:
-                        distance = _distance(entry, x, y)
+                        distance = _min_distance(entry, x, y)
                         if distance <= bound():
                             heapq.heappush(heap, (distance, tiebreak, entry.child))
                             tiebreak += 1
@@ -305,13 +305,5 @@ def parallel_knn(
         return None
 
     result = run.run(processor)
-    # Deterministic global top-k: ascending distance, insertion order ties.
-    ordered = sorted(best, key=lambda item: (-item[0], item[1]))
-    result.entries_by_processor = [[entry for _, _, entry in ordered]]
+    result.entries_by_processor = [[item[-1] for item in best]]
     return result
-
-
-def _distance(item, x: float, y: float) -> float:
-    dx = max(item.xl - x, x - item.xu, 0.0)
-    dy = max(item.yl - y, y - item.yu, 0.0)
-    return (dx * dx + dy * dy) ** 0.5

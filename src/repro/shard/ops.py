@@ -23,7 +23,6 @@ merges are array operations over the answers' columns:
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,12 @@ from ..geometry.rect import Rect
 from ..geometry.rows import PairTable, RowSet, oid_column
 from ..join.sequential import sequential_join
 from ..rtree.flat import is_flat, knn_rows, window_rows
-from ..rtree.query import nearest_neighbors, oid_order_key, window_query
+from ..rtree.query import (
+    _min_distance,
+    nearest_neighbors,
+    oid_order_key,
+    window_query,
+)
 from ..service.workers import window_filtered
 from .partition import PartitionMap, ShardedDataset, _cells_of_points
 
@@ -61,17 +65,11 @@ def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def mindist(rect: Rect, x: float, y: float) -> float:
-    """Minimum distance from a point to a rectangle.
-
-    Must be bit-identical to the query kernels' ``_min_distance``
-    (``math.sqrt`` of the squared clamped deltas, NOT ``math.hypot``):
-    the kNN pruning bound is compared against entry distances, and an
-    off-by-one-ulp bound on a shard whose content box IS the candidate
-    entry's box could prune an exact tie.
-    """
-    dx = max(rect.xl - x, x - rect.xu, 0.0)
-    dy = max(rect.yl - y, y - rect.yu, 0.0)
-    return math.sqrt(dx * dx + dy * dy)
+    """Minimum distance from a point to a rectangle: the query kernels' own
+    ``_min_distance``, so the kNN pruning bound is bit-identical to entry
+    distances (an ulp off on a shard whose content box IS the candidate
+    entry's box could prune an exact tie)."""
+    return _min_distance(rect, x, y)
 
 
 def shard_join_pairs(

@@ -12,6 +12,7 @@ from repro.query import (
     prepare_tree,
 )
 from repro.rtree import RStarTree, nearest_neighbors, str_bulk_load
+from repro.rtree.query import _min_distance
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,23 @@ def tree():
     built = str_bulk_load(items, dir_capacity=16, data_capacity=16)
     prepare_tree(built)
     return built, items
+
+
+def ring_tree():
+    """160 unit boxes around (0.5, 0.5), every one exactly 1.0 away, with
+    oids in no particular order: a kNN answer here is all ties."""
+    rng = random.Random(5)
+    boxes = []
+    for i in range(40):
+        t = -0.5 + i / 40
+        boxes += [Rect(t, 1.5, t + 1, 2.5), Rect(t, -1.5, t + 1, -0.5),
+                  Rect(-1.5, t, -0.5, t + 1), Rect(1.5, t, 2.5, t + 1)]
+    items = list(zip(rng.sample(range(1000), len(boxes)), boxes))
+    return str_bulk_load(items, dir_capacity=8, data_capacity=8)
+
+
+def answer(result, x, y):
+    return [(_min_distance(e, x, y), e.oid) for e in result.entries]
 
 
 @pytest.fixture(scope="module")
@@ -120,16 +138,19 @@ class TestParallelKnn:
             page_store=page_store,
         )
         want = nearest_neighbors(built, 50.0, 50.0, k=k)
-        got_oids = [e.oid for e in result.entries]
-        assert len(got_oids) == k
-        # Same distances (oids may differ on exact ties).
-        got_distances = sorted(
-            ((max(e.xl - 50, 50 - e.xu, 0) ** 2
-              + max(e.yl - 50, 50 - e.yu, 0) ** 2) ** 0.5)
-            for e in result.entries
+        assert answer(result, 50.0, 50.0) == [(d, e.oid) for d, e in want]
+
+    @pytest.mark.parametrize("processors", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ties_resolve_like_sequential_knn(self, processors, k):
+        built = ring_tree()
+        result = parallel_knn(
+            built, 0.5, 0.5, k,
+            ParallelQueryConfig(processors=processors, disks=processors,
+                                total_buffer_pages=8 * processors),
         )
-        want_distances = [d for d, _ in want]
-        assert got_distances == pytest.approx(want_distances)
+        want = nearest_neighbors(built, 0.5, 0.5, k=k)
+        assert answer(result, 0.5, 0.5) == [(d, e.oid) for d, e in want]
 
     def test_k_larger_than_tree(self):
         items = [(i, Rect(i, 0, i + 0.5, 1)) for i in range(5)]
