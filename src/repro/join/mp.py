@@ -76,6 +76,15 @@ __all__ = [
 
 #: Rows a worker refines between two heartbeats.
 _PIECE_ROWS = 1 << 12
+#: Expired leases one chunk may take before the parent runs it inline
+#: instead of redispatching — progress even with a wedged pool.
+MAX_REDISPATCH = 5
+
+
+def _chunk_tasks(n_tasks: int, processes: int) -> int:
+    """Tasks per lease-sized chunk: a quarter of one worker's share, so a
+    worker death loses that much instead of its whole range."""
+    return max(1, math.ceil(n_tasks / (4 * max(1, processes))))
 
 
 class _NodeJoinPlan:
@@ -213,7 +222,7 @@ class _Engine:
     The parent is the coordinator and the substrate's *sink*: it grants
     one lease per chunk at hand-off, reads the fork-inherited progress
     counters as heartbeats, requeues the chunk of a worker that died or
-    went silent (inline in the parent after ``max_redispatch`` strikes —
+    went silent (inline in the parent after :data:`MAX_REDISPATCH` strikes —
     guaranteed progress whatever the workers do).  Results commit through
     the exactly-once ledger;
     with a journal every grant/completion is durable and a later
@@ -244,10 +253,7 @@ class _Engine:
             if faults is not None and faults.active
             else None
         )
-        chunk = recovery.chunk_tasks or max(
-            1, math.ceil(n_tasks / (4 * max(1, processes)))
-        )
-        self.chunk_tasks = chunk
+        self.chunk_tasks = chunk = _chunk_tasks(n_tasks, processes)
         self.n_chunks = math.ceil(n_tasks / chunk)
         self.bounds = [
             (cid * chunk, min(n_tasks, (cid + 1) * chunk))
@@ -393,7 +399,7 @@ class _Engine:
         while len(self.ledger) < self.n_chunks:
             if self.pending:
                 cid = self.pending.popleft()
-                if self.redispatches[cid] > self.recovery.max_redispatch:
+                if self.redispatches[cid] > MAX_REDISPATCH:
                     # Too many strikes: stop trusting the workers with
                     # this chunk and finish it in the parent.
                     self._run_inline(cid)
@@ -526,7 +532,7 @@ def fault_tolerant_join(
     inline in the parent, with a :class:`RuntimeWarning` — the caller
     always gets the answer.  Without a deadline a dead worker's chunk is
     requeued the moment it dies, and a hung worker is killed when its
-    chunk's lease expires (inline after ``recovery.max_redispatch``
+    chunk's lease expires (inline after :data:`MAX_REDISPATCH`
     strikes).  ``faults`` injects worker
     kills; ``journal_path`` (or ``recovery.journal_path``) makes
     completions durable.  A ``recovery.stop_after_commits`` abort raises

@@ -44,10 +44,10 @@ from ..rtree.flat import require_node_trees
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
 from ..sim.engine import Environment
-from ..sim.machine import KSR1_CONFIG, Machine, MachineConfig
+from ..sim.machine import KSR1_CONFIG, Machine
 from ..sim.metrics import ProcessorTimes
 from ..sim.resources import Store
-from ..storage.disk import DEFAULT_DISK, DiskParams
+from ..storage.disk import DEFAULT_DISK
 from ..storage.diskarray import DiskArray
 from ..trace import (
     NULL_TRACER,
@@ -76,6 +76,10 @@ from .tasks import create_tasks, task_signature
 
 __all__ = ["ParallelJoinConfig", "parallel_spatial_join", "prepare_trees"]
 
+#: How long an idle processor waits before re-checking for stealable work
+#: (only while others are still busy), in simulated seconds.
+IDLE_RETRY_S = 5e-3
+
 
 @dataclass(frozen=True)
 class ParallelJoinConfig:
@@ -87,24 +91,14 @@ class ParallelJoinConfig:
     #: (the paper's Figure 5 x-axis).
     total_buffer_pages: int = 800
     variant: JoinVariant = GD
+    #: Its ``seed`` seeds the run's one random choice (an arbitrary victim).
     reassignment: ReassignmentPolicy = field(default_factory=ReassignmentPolicy)
-    machine: MachineConfig = KSR1_CONFIG
-    disk_params: DiskParams = DEFAULT_DISK
     #: None disables the simulated refinement step (pure filter timing).
     refinement: Optional[RefinementModel] = field(default_factory=RefinementModel)
-    #: Task creation descends a level while tasks < min_tasks_factor * n.
-    min_tasks_factor: int = 1
-    #: How long an idle processor waits before re-checking for stealable
-    #: work (only relevant while others are still busy).
-    idle_retry: float = 5e-3
     #: Ablation hook: when set, the plane-sweep task order of phase 1 is
     #: destroyed by shuffling with this seed — quantifies how much the
     #: paper's spatial-locality-preserving order is worth.
     shuffle_tasks_seed: Optional[int] = None
-    #: Run-level seed for every stochastic choice of the simulation
-    #: (currently only ``VictimChoice.ARBITRARY``).  When set it overrides
-    #: ``reassignment.seed``, so one knob makes a whole run reproducible.
-    seed: Optional[int] = None
     #: Structured event tracing + invariant checking; ``None`` (the
     #: default) keeps the simulator on the null tracer — near-zero cost.
     trace: Optional[TraceConfig] = None
@@ -124,18 +118,6 @@ class ParallelJoinConfig:
     #: a durable journal makes the run resumable across process deaths.
     #: ``None`` (the default) keeps the join exactly as before.
     recovery: Optional[RecoveryConfig] = None
-
-    def make_reassign_rng(self) -> random.Random:
-        """The seeded RNG used for arbitrary victim selection.
-
-        Never the module-global :mod:`random`: every run owns a private
-        ``random.Random`` seeded from ``seed`` (when given) or the
-        policy's own ``seed``, so identical configurations replay the
-        identical schedule.
-        """
-        if self.seed is not None:
-            return random.Random(self.seed)
-        return self.reassignment.make_rng()
 
 
 def prepare_trees(tree_r: RStarTree, tree_s: RStarTree) -> PageStore:
@@ -185,7 +167,7 @@ class _SharedMemory:
         config = run.config
         tracer = run.tracer
         disks = DiskArray(
-            run.env, config.disks, config.disk_params, run.metrics,
+            run.env, config.disks, DEFAULT_DISK, run.metrics,
             tracer=tracer, injector=run.injector,
         )
         integrity = None
@@ -216,7 +198,6 @@ class _SharedMemory:
         ]
         self.store = run.store
         self.env = run.env
-        self.sync_time = config.machine.sync_time
 
     def access(self, p: int, tree_id: int, node) -> Generator:
         store = self.store
@@ -225,7 +206,7 @@ class _SharedMemory:
         )
 
     def fetch(self, p: int) -> Generator:
-        yield self.env.timeout(self.sync_time)
+        yield self.env.timeout(KSR1_CONFIG.sync_time)
 
 
 class _JoinRun:
@@ -252,7 +233,7 @@ class _JoinRun:
         self.env = Environment()
         self._init_tracing(config.trace)
         tracer = self.tracer
-        self.machine = Machine(self.env, config.machine)
+        self.machine = Machine(self.env, KSR1_CONFIG)
         self.metrics = self.machine.metrics
         self.injector = (
             FaultInjector(config.faults, tracer=tracer)
@@ -266,9 +247,7 @@ class _JoinRun:
         # Phase 1: task creation (sequential; CPU share negligible per
         # section 4.5, and the root pages it touches are re-read through
         # the buffers during execution).
-        tasks = create_tasks(
-            tree_r, tree_s, min_tasks=max(1, n * config.min_tasks_factor)
-        )
+        tasks = create_tasks(tree_r, tree_s, min_tasks=n)
         if config.shuffle_tasks_seed is not None:
             random.Random(config.shuffle_tasks_seed).shuffle(tasks)
         self.tasks_created = len(tasks)
@@ -385,7 +364,7 @@ class _JoinRun:
         self.idle = [False] * n
         self.finished = [False] * n
         self.buddies: list[Optional[int]] = [None] * n
-        self.rng = config.make_reassign_rng()
+        self.rng = config.reassignment.make_rng()
         self.pairs_by_processor: list[list] = [[] for _ in range(n)]
         self.reassignments = 0
 
@@ -545,7 +524,7 @@ class _JoinRun:
         yield from self.pages.access(p, 1, node_s)
         matched, tests = join_node_pair(node_r, node_s)
         self.metrics.add("intersection_tests", tests)
-        cpu_time = tests * config.machine.cpu_rect_test_time
+        cpu_time = tests * KSR1_CONFIG.cpu_rect_test_time
         if cpu_time > 0:
             yield self.env.timeout(cpu_time)
         if node_r.is_leaf:
@@ -596,8 +575,7 @@ class _JoinRun:
         Returns True when new work landed in the processor's workload,
         False when the join is globally complete.
         """
-        config = self.config
-        policy = config.reassignment
+        policy = self.config.reassignment
         tracer = self.tracer
         while True:
             if self.lease_table is not None:
@@ -660,7 +638,7 @@ class _JoinRun:
                                 level=level,
                                 count=len(stolen),
                             )
-                        yield self.env.timeout(config.machine.reassign_overhead)
+                        yield self.env.timeout(KSR1_CONFIG.reassign_overhead)
                         for node_r, node_s in stolen:
                             self.workloads[p].push_pair(level, node_r, node_s)
                         if self.lease_table is not None:
@@ -683,13 +661,13 @@ class _JoinRun:
                 # and their tasks re-appear on the orphan queue.
                 if self._recovery_done():
                     return False
-                yield self.env.timeout(config.idle_retry)
+                yield self.env.timeout(IDLE_RETRY_S)
                 continue
             if policy.enabled and not self._join_finished():
                 # Others are still busy and may produce stealable
                 # pairs; check again shortly (the "waiting periods"
                 # the paper observes in the final phase).
-                yield self.env.timeout(config.idle_retry)
+                yield self.env.timeout(IDLE_RETRY_S)
                 continue
             return False
 

@@ -43,9 +43,9 @@ from ..buffer.lru import LRUBuffer
 from ..buffer.path_buffer import PathBuffer
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
-from ..sim.machine import KSR1_CONFIG, MachineConfig
+from ..sim.machine import KSR1_CONFIG
 from ..sim.resources import Resource
-from ..storage.disk import DEFAULT_DISK, DiskParams
+from ..storage.disk import DEFAULT_DISK
 from ..storage.page import PageKind
 from .assignment import AssignmentMode, BufferMode, JoinVariant
 from .parallel import ParallelJoinConfig, _JoinRun
@@ -93,6 +93,10 @@ class NetworkParams:
         return 2 * self.latency
 
 
+#: The cluster's interconnect.
+NETWORK = NetworkParams()
+
+
 @dataclass(frozen=True)
 class SharedNothingConfig:
     """One shared-nothing experiment run."""
@@ -102,11 +106,7 @@ class SharedNothingConfig:
     buffer_pages_per_processor: int = 100
     placement: Placement = Placement.SPATIAL
     assignment: AssignmentMode = AssignmentMode.STATIC_RANGE
-    machine: MachineConfig = KSR1_CONFIG
-    disk_params: DiskParams = DEFAULT_DISK
-    network: NetworkParams = field(default_factory=NetworkParams)
     refinement: Optional[RefinementModel] = field(default_factory=RefinementModel)
-    min_tasks_factor: int = 1
 
 
 def shared_nothing_join(
@@ -120,10 +120,7 @@ def shared_nothing_join(
         processors=config.processors,
         variant=JoinVariant(BufferMode.LOCAL, config.assignment),
         reassignment=ReassignmentPolicy(level=ReassignLevel.NONE),
-        machine=config.machine,
-        disk_params=config.disk_params,
         refinement=config.refinement,
-        min_tasks_factor=config.min_tasks_factor,
     )
     cluster = partial(_Cluster, config, tree_r, tree_s)
     return _JoinRun(tree_r, tree_s, svm_config, page_store, cluster).execute()
@@ -182,7 +179,7 @@ class _Cluster:
         level = self.store.depth(tree_id, node)
         if self.lru[p].touch(page_id):
             self.metrics.add("lru_hits")
-            yield self.env.timeout(self.config.machine.local_page_access_time)
+            yield self.env.timeout(KSR1_CONFIG.local_page_access_time)
             path_buffer.record(level, page_id)
             return
         owner = self.owner[page_id]
@@ -198,7 +195,7 @@ class _Cluster:
         disk = self.disks[p]
         yield disk.acquire()
         try:
-            yield self.env.timeout(self.config.disk_params.service_time(kind))
+            yield self.env.timeout(DEFAULT_DISK.service_time(kind))
         finally:
             disk.release()
         self.metrics.record_disk_read(p)
@@ -206,24 +203,23 @@ class _Cluster:
     def _fetch_remote(self, p: int, owner: int, page_id: int, kind: PageKind) -> Generator:
         """Message to *owner*; owner serves from its buffer or its disk."""
         network = self.network
-        params = self.config.network
         # Request message.
         yield network.acquire()
         try:
-            yield self.env.timeout(params.latency)
+            yield self.env.timeout(NETWORK.latency)
         finally:
             network.release()
         # Owner side: buffer hit or disk read at the owner's disk.
         if self.lru[owner].touch(page_id):
             self.metrics.add("owner_buffer_hits")
-            yield self.env.timeout(self.config.machine.local_page_access_time)
+            yield self.env.timeout(KSR1_CONFIG.local_page_access_time)
         else:
             yield from self._read_own_disk(owner, page_id, kind)
             self.lru[owner].insert(page_id)
         # Reply carrying the page.
         yield network.acquire()
         try:
-            yield self.env.timeout(params.latency + params.page_transfer_time)
+            yield self.env.timeout(NETWORK.latency + NETWORK.page_transfer_time)
         finally:
             network.release()
         self.metrics.add("remote_fetches")
@@ -231,4 +227,4 @@ class _Cluster:
     def fetch(self, p: int) -> Generator:
         """Ask the coordinator (processor 0) for the next task."""
         if p != 0:
-            yield self.env.timeout(self.config.network.control_round_trip)
+            yield self.env.timeout(NETWORK.control_round_trip)

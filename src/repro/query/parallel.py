@@ -11,8 +11,8 @@ machinery as the parallel join:
   minimum distance (nearest-neighbour queries);
 * **dynamic task assignment** — a shared FCFS queue, the join's winner;
 * **task execution** — each simulated processor traverses its subtrees
-  through its path buffer, LRU buffer, optionally the SVM global buffer,
-  and the shared disk array.
+  through its path buffer, LRU buffer, the SVM global buffer and the
+  shared disk array.
 
 For k-nearest-neighbour queries the processors share a *pruning bound*
 (the distance of the k-th best candidate so far) through shared virtual
@@ -36,10 +36,10 @@ from ..rtree.node import Node
 from ..rtree.pagestore import PageStore
 from ..rtree.query import _min_distance, oid_order_key
 from ..sim.engine import Environment
-from ..sim.machine import KSR1_CONFIG, Machine, MachineConfig
+from ..sim.machine import KSR1_CONFIG, Machine
 from ..sim.metrics import ProcessorTimes
 from ..sim.resources import Lock, Store
-from ..storage.disk import DEFAULT_DISK, DiskParams
+from ..storage.disk import DEFAULT_DISK
 from ..storage.diskarray import DiskArray
 
 __all__ = [
@@ -58,9 +58,6 @@ class ParallelQueryConfig:
     processors: int = 8
     disks: int = 8
     total_buffer_pages: int = 800
-    use_global_buffer: bool = True
-    machine: MachineConfig = KSR1_CONFIG
-    disk_params: DiskParams = DEFAULT_DISK
 
 
 @dataclass
@@ -105,13 +102,11 @@ class _QueryRun:
         self.tree = tree
         self.config = config
         self.env = Environment()
-        self.machine = Machine(self.env, config.machine)
+        self.machine = Machine(self.env, KSR1_CONFIG)
         self.metrics = self.machine.metrics
-        self.disks = DiskArray(self.env, config.disks, config.disk_params, self.metrics)
+        self.disks = DiskArray(self.env, config.disks, DEFAULT_DISK, self.metrics)
         self.store = page_store or prepare_tree(tree)
-        directory = (
-            GlobalDirectory(self.machine) if config.use_global_buffer else None
-        )
+        directory = GlobalDirectory(self.machine)
         per_processor = max(1, config.total_buffer_pages // config.processors)
         self.managers = [
             ProcessorBufferManager(
@@ -183,7 +178,7 @@ def parallel_window_query(
         for task in tasks:
             run.queue.put(task)
     run.queue.close()
-    cpu_test = run.config.machine.cpu_rect_test_time
+    cpu_test = KSR1_CONFIG.cpu_rect_test_time
 
     def processor(p: int) -> Generator:
         # The root page itself is inspected by every processor (it holds
@@ -255,8 +250,8 @@ def parallel_knn(
     best: list[tuple] = []
     latch = Lock(run.env, name="knn-bound")
     counter = itertools.count()
-    cpu_test = run.config.machine.cpu_rect_test_time
-    sync = run.config.machine.sync_time
+    cpu_test = KSR1_CONFIG.cpu_rect_test_time
+    sync = KSR1_CONFIG.sync_time
 
     def bound() -> float:
         return best[-1][0] if len(best) == k else float("inf")

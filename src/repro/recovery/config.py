@@ -1,4 +1,4 @@
-"""Recovery knobs: lease timing, journal placement, redispatch bounds.
+"""Recovery knobs: lease timing and journal placement.
 
 One :class:`RecoveryConfig` parametrises both recovery paths:
 
@@ -57,14 +57,6 @@ class RecoveryConfig:
     #: fsync the journal after every append (durable against power loss,
     #: slower); CRC framing tolerates torn tails either way.
     fsync: bool = False
-    #: Fork path: tasks per lease-sized chunk.  ``None`` derives
-    #: ``ceil(tasks / (4 * processes))`` so one worker death loses about
-    #: a quarter of one worker's share instead of its whole range.
-    chunk_tasks: Optional[int] = None
-    #: Fork path: after this many expired leases for one chunk, the
-    #: parent executes the chunk inline instead of redispatching —
-    #: guaranteed progress even with a wedged pool.
-    max_redispatch: int = 5
     #: Test/bench hook: abort the fork coordinator (raising
     #: :class:`~repro.recovery.coordinator.JoinInterrupted`) once this
     #: many chunks committed — emulates the parent process dying mid-join
@@ -79,9 +71,5 @@ class RecoveryConfig:
                 "heartbeat_s must not exceed lease_s (renewals could "
                 "never keep a healthy lease alive)"
             )
-        if self.chunk_tasks is not None and self.chunk_tasks < 1:
-            raise ValueError("chunk_tasks must be >= 1 (or None)")
-        if self.max_redispatch < 0:
-            raise ValueError("max_redispatch must be >= 0")
         if self.stop_after_commits is not None and self.stop_after_commits < 0:
             raise ValueError("stop_after_commits must be >= 0 (or None)")

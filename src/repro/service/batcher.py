@@ -1,7 +1,7 @@
 """Micro-batching of compatible window queries.
 
-Window queries arriving within a short coalescing window (default 2 ms)
-are grouped — per target tree — and answered by **one** shared traversal
+Window queries arriving within a short coalescing window (2 ms) are
+grouped — per target tree — and answered by **one** shared traversal
 (:func:`repro.query.batch.multi_window_query`) instead of one traversal
 each: the dynamic-batching shape of serving stacks, applied to R-tree
 search.  Batching trades a bounded amount of added latency (at most the
@@ -22,6 +22,10 @@ from typing import Awaitable, Callable, Optional
 from .model import WindowRequest
 
 __all__ = ["MicroBatcher", "PendingWindow"]
+
+#: Coalescing window opened by a batch's first arrival, and the batch cap.
+WINDOW_S = 0.002
+MAX_BATCH = 16
 
 
 class PendingWindow:
@@ -50,22 +54,14 @@ Runner = Callable[[str, list], Awaitable[None]]
 
 
 class MicroBatcher:
-    """Collects window queries into batches of at most *max_batch*.
+    """Collects window queries into batches of at most :data:`MAX_BATCH`.
 
-    The first arrival opens a batch; it closes after *window_s* seconds or
-    when full, whichever comes first.  ``max_batch=1`` (or ``window_s=0``)
-    degenerates to pass-through, the batch-size-1 baseline of the
-    load-test comparison.
+    The first arrival opens a batch; it closes after :data:`WINDOW_S`
+    seconds or when full, whichever comes first.
     """
 
-    def __init__(self, runner: Runner, *, window_s: float = 0.002, max_batch: int = 16):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
+    def __init__(self, runner: Runner):
         self._runner = runner
-        self.window_s = window_s
-        self.max_batch = max_batch
         self._queue: Optional[asyncio.Queue] = None
         self._task: Optional[asyncio.Task] = None
         self._group_tasks: set[asyncio.Task] = set()
@@ -100,22 +96,19 @@ class MicroBatcher:
             if item is None:
                 return
             batch = [item]
-            if self.max_batch > 1 and self.window_s > 0:
-                deadline = loop.time() + self.window_s
-                while len(batch) < self.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        extra = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                    if extra is None:
-                        self._dispatch(batch)
-                        return
-                    batch.append(extra)
+            deadline = loop.time() + WINDOW_S
+            while len(batch) < MAX_BATCH:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                try:
+                    extra = await asyncio.wait_for(self._queue.get(), remaining)
+                except asyncio.TimeoutError:
+                    break
+                if extra is None:
+                    self._dispatch(batch)
+                    return
+                batch.append(extra)
             self._dispatch(batch)
 
     def _dispatch(self, batch: list) -> None:
@@ -130,6 +123,6 @@ class MicroBatcher:
 
     def __repr__(self) -> str:
         return (
-            f"<MicroBatcher window={self.window_s * 1e3:.1f}ms "
-            f"max={self.max_batch} dispatched={self.batches_dispatched}>"
+            f"<MicroBatcher window={WINDOW_S * 1e3:.1f}ms "
+            f"max={MAX_BATCH} dispatched={self.batches_dispatched}>"
         )

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..faults import FaultPlan
-from ..geometry.rows import PairTable
 from ..trace import EventKind
 from .batcher import MicroBatcher, PendingWindow
 from .frontdoor import FrontDoor, pool_totals
@@ -58,56 +57,42 @@ from .workers import WorkerPool
 
 __all__ = ["Engine", "EngineConfig"]
 
+#: Concurrent join executions; each is one whole join on one worker.
+JOIN_LIMIT = 2
+#: Backoff for a failed worker call, always inside the request's budget.
+RETRY = RetryPolicy()
+
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs of the serving engine.
+    """Knobs of the serving engine (what no caller varies is a module
+    constant: here, in :mod:`~repro.service.frontdoor` and in
+    :mod:`~repro.service.batcher`).
 
     ``workers``          — forked worker processes (0 = thread fallback);
     ``max_inflight``     — global bound on admitted-but-unfinished requests;
-    ``join_limit``       — concurrent join executions (the window / kNN
-                           slots and the waiting-room bound are constants
-                           of :mod:`~repro.service.frontdoor`);
-    ``default_timeout_s``— per-request timeout unless overridden at submit;
-    ``batching`` / ``batch_window_s`` / ``max_batch``
-                         — micro-batcher switch, coalescing window, cap;
-    ``cache_capacity`` / ``cache_ttl_s``
-                         — result cache size (0 disables) and TTL;
-    ``retry`` / ``attempt_timeout_s``
-                         — backoff policy for failed worker calls and the
-                           per-attempt execution deadline, from hand-off
-                           to a worker (always clipped to the request's
-                           remaining budget);
+    ``batching``         — micro-batcher switch;
+    ``cache_capacity``   — result cache size (0 disables);
+    ``attempt_timeout_s``— per-attempt execution deadline of a worker call,
+                           from hand-off to a worker (always clipped to
+                           the request's remaining budget);
     ``breaker_reset_s``  — how long a class's opened circuit stays open;
     ``serve_stale``      — degrade open-circuit cacheable requests to
                            TTL-expired cache entries instead of shedding;
     ``faults``           — seeded fault plan injected at the pool seam
                            (None = healthy);
-    ``seed``             — seeds retry jitter (None = nondeterministic);
-    ``join_chunks``      — split joins into resumable chunks (see field).
+    ``seed``             — seeds retry jitter (None = nondeterministic).
     """
 
     workers: int = 0
     max_inflight: int = 128
-    join_limit: int = 2
-    default_timeout_s: Optional[float] = 10.0
     batching: bool = True
-    batch_window_s: float = 0.002
-    max_batch: int = 16
     cache_capacity: int = 1024
-    cache_ttl_s: Optional[float] = 60.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     attempt_timeout_s: Optional[float] = 2.0
     breaker_reset_s: float = 0.5
     serve_stale: bool = True
     faults: Optional[FaultPlan] = None
     seed: Optional[int] = None
-    #: Split every join into this many worker calls (0/1 = one call).
-    #: Completed chunks are held by the engine while the rest retry, so
-    #: a worker crash re-runs only the missing chunk —
-    #: the serving-layer analogue of :mod:`repro.recovery`'s orphan
-    #: recovery.  The merged result is identical to the unchunked join.
-    join_chunks: int = 0
 
 
 class Engine(FrontDoor):
@@ -124,6 +109,7 @@ class Engine(FrontDoor):
             raise ValueError("the engine needs at least one tree")
         config = config or EngineConfig()
         super().__init__(config, sinks=sinks, keep_stale=config.serve_stale)
+        self.join_limit = JOIN_LIMIT
         self.trees = dict(trees)
         self.pool = WorkerPool(
             self.trees,
@@ -131,11 +117,7 @@ class Engine(FrontDoor):
             injector=self.injector,
             tracer=self.tracer,
         )
-        self.batcher = MicroBatcher(
-            self._run_window_group,
-            window_s=self.config.batch_window_s,
-            max_batch=self.config.max_batch,
-        )
+        self.batcher = MicroBatcher(self._run_window_group)
         self._retry_rng = random.Random(self.config.seed)
         self.breakers: dict[RequestClass, CircuitBreaker] = {
             cls: CircuitBreaker(
@@ -190,46 +172,11 @@ class Engine(FrontDoor):
             if request.window is not None
             else None
         )
-        if self.config.join_chunks > 1:
-            value = await self._chunked_join(
-                cls, request.tree_r, request.tree_s, window, deadline
-            )
-        else:
-            value = await self._guarded(
-                cls, "join", request.tree_r, request.tree_s, window,
-                deadline=deadline,
-            )
-        return value, 0
-
-    async def _chunked_join(
-        self,
-        cls: RequestClass,
-        tree_r: str,
-        tree_s: str,
-        window,
-        deadline: Optional[float],
-    ) -> PairTable:
-        """Resumable join: ``join_chunks`` independent worker calls.
-
-        Each chunk runs under its own retry/breaker budget, so a worker
-        crash mid-join costs one chunk's re-execution, not the whole
-        join: the chunks that already returned are held here while the
-        failed one retries (on the replacement if the crash took the
-        worker down).  Chunk boundaries are computed in the workers
-        from the deterministic task list, so every retry — on any
-        worker — re-runs exactly the same slice.
-        """
-        n = self.config.join_chunks
-        parts = await asyncio.gather(
-            *(
-                self._guarded(
-                    cls, "join_chunk", tree_r, tree_s, window, index, n,
-                    deadline=deadline,
-                )
-                for index in range(n)
-            )
+        value = await self._guarded(
+            cls, "join", request.tree_r, request.tree_s, window,
+            deadline=deadline,
         )
-        return PairTable.concat(parts).sorted()
+        return value, 0
 
     def _guarded(
         self, cls: RequestClass, kind: str, *args,
@@ -246,7 +193,6 @@ class Engine(FrontDoor):
         deadline: Optional[float],
     ):
         breaker = self.breakers[cls]
-        retry = self.config.retry
         attempt = 0
         while True:
             # Budget check BEFORE consulting the breaker: once allow()
@@ -292,7 +238,7 @@ class Engine(FrontDoor):
                     breaker.release()
             attempt += 1
             budget = None if deadline is None else deadline - self._now()
-            delay = retry.next_delay(attempt, self._retry_rng, budget)
+            delay = RETRY.next_delay(attempt, self._retry_rng, budget)
             if delay is None:
                 self._emit(
                     EventKind.SUP_CALL_GIVEUP,

@@ -68,10 +68,35 @@ _UNSET = object()
 
 #: Per-class bound on requests waiting for an execution slot, and the
 #: slots of the two cheap classes (a batch counts once; joins differ per
-#: tier: ``join_limit`` is a config field).
+#: tier: ``join_limit``).
 QUEUE_LIMIT = 1024
 WINDOW_LIMIT = 32
 KNN_LIMIT = 16
+#: A request's whole budget unless ``submit`` is given a timeout, and how
+#: long a cached answer stays fresh.
+DEFAULT_TIMEOUT_S = 10.0
+CACHE_TTL_S = 60.0
+
+#: Each numeric setting's least value under which a tier still serves a
+#: request, and whether the setting must lie strictly above it.  A field
+#: the tier's config lacks, or a ``None``, is not checked.
+_FLOORS = {
+    "workers": (0, False), "max_inflight": (1, False),
+    "cache_capacity": (0, False), "shards": (1, False),
+    "replicas": (1, False), "attempt_timeout_s": (0, True),
+    "breaker_reset_s": (0, True),
+}
+
+
+def _check_settings(config) -> None:
+    """One ``ValueError`` naming the field and the value of the first
+    setting under which the tier could serve no request."""
+    for name, (floor, strict) in _FLOORS.items():
+        value = getattr(config, name, None)
+        if value is None or value > floor or (value == floor and not strict):
+            continue
+        relation = ">" if strict else ">="
+        raise ValueError(f"{name} must be {relation} {floor}, got {value!r}")
 
 
 def pool_totals(pools) -> dict:
@@ -100,9 +125,9 @@ def pool_totals(pools) -> dict:
 class FrontDoor:
     """Admission, deadline, cache and life cycle of one serving tier.
 
-    *config* carries the fields both tiers' configs share
-    (``max_inflight``, ``join_limit``, ``default_timeout_s``,
-    ``cache_capacity``, ``cache_ttl_s``, ``workers``, ``faults``).
+    *config* carries the fields both tiers' configs share (``max_inflight``,
+    ``cache_capacity``, ``workers``, ``faults``), checked here for both; a
+    tier sets ``join_limit``, its concurrent join executions.
     """
 
     def __init__(
@@ -113,6 +138,7 @@ class FrontDoor:
         clock: Callable[[], float] = time.monotonic,
         keep_stale: bool = False,
     ):
+        _check_settings(config)
         self.config = config
         self.metrics = ServiceMetrics()
         # The serving tier owns real time; tests inject a fake clock and
@@ -123,7 +149,7 @@ class FrontDoor:
         self.tracer = Tracer(clock=self._now, sinks=[self.metrics, *sinks])
         self.cache = ResultCache(
             config.cache_capacity,
-            config.cache_ttl_s,
+            CACHE_TTL_S,
             keep_stale=keep_stale,
             clock=self._now,
             tracer=self.tracer,
@@ -160,7 +186,7 @@ class FrontDoor:
         self._sems = {
             RequestClass.WINDOW: asyncio.Semaphore(WINDOW_LIMIT),
             RequestClass.KNN: asyncio.Semaphore(KNN_LIMIT),
-            RequestClass.JOIN: asyncio.Semaphore(self.config.join_limit),
+            RequestClass.JOIN: asyncio.Semaphore(self.join_limit),
         }
         self._idle = asyncio.Event()
         self._idle.set()
@@ -238,7 +264,7 @@ class FrontDoor:
             inflight=self._inflight,
         )
         if timeout is _UNSET:
-            timeout = self.config.default_timeout_s
+            timeout = DEFAULT_TIMEOUT_S
         # The admission timeout is the request's whole fault budget:
         # every retry backoff and execution attempt fits inside it.
         deadline = None if timeout is None else t0 + timeout

@@ -12,10 +12,10 @@ model of the serving literature, prints the report and keeps nothing:
   independent of response times (latency-bound, measures behaviour under
   a fixed offered load, including admission-control rejections).
 
-The request mix is mostly window queries (a configurable share of kNN,
-optional joins); a configurable *hot fraction* of requests is drawn from
-a small set of popular windows so the result cache has something to do,
-and ``--skew hotspot`` lands the anchors on one shard neighbourhood.  The
+The request mix is mostly window queries (10 % kNN, ``--join-share``
+joins); a quarter of the windows is drawn from a small set of popular
+ones so the result cache has something to do, and ``--skew hotspot``
+lands the anchors on one shard neighbourhood.  The
 report is the per-class latency table and the throughput line; a sharded
 run adds the per-shard sub-request / failover line, a faulted run the
 faults-injected / failed-calls / worker-deaths line.
@@ -93,6 +93,9 @@ class RequestFactory:
     * ``hotspot`` — anchors drawn from a Gaussian around a fixed point
       (``hotspot_sigma`` of the region side), so one shard neighbourhood
       absorbs most of the load.
+
+    A share or ``hot_fraction`` outside [0, 1], or kNN and join shares
+    summing past 1, is a ``ValueError`` naming the argument.
     """
 
     def __init__(
@@ -111,6 +114,17 @@ class RequestFactory:
     ):
         if skew not in ("uniform", "hotspot"):
             raise ValueError(f"unknown skew {skew!r} (expected uniform|hotspot)")
+        shares = dict(
+            knn_share=knn_share, join_share=join_share, hot_fraction=hot_fraction
+        )
+        for name, share in shares.items():
+            if not 0.0 <= share <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {share!r}")
+        if knn_share + join_share > 1.0:
+            raise ValueError(
+                f"knn_share + join_share must be <= 1, got "
+                f"{knn_share!r} + {join_share!r}"
+            )
         self.side = region.side
         self.knn_share = knn_share
         self.join_share = join_share
@@ -330,7 +344,6 @@ def _build_target(args, faults: Optional[FaultPlan]):
     datasets = {"map1": map1.table(), "map2": map2.table()}
     shard_config = ShardConfig(
         shards=args.shards,
-        mode=args.shard_mode,
         replicas=args.replicas,
         backend=args.backend,
         **common,
@@ -361,9 +374,7 @@ def main(argv=None) -> int:
                         help="index backend served (flat = packed numpy)")
     parser.add_argument("--workers", type=int, default=2,
                         help="forked worker processes per pool (0 = threads)")
-    parser.add_argument("--knn-share", type=float, default=0.1)
     parser.add_argument("--join-share", type=float, default=0.0)
-    parser.add_argument("--hot-fraction", type=float, default=0.25)
     parser.add_argument("--skew", choices=("uniform", "hotspot"),
                         default="uniform",
                         help="spatial skew of the request anchors")
@@ -384,8 +395,6 @@ def main(argv=None) -> int:
     shard.add_argument("--shards", type=int, default=0, metavar="K",
                        help="serve through a K-shard ShardRouter instead of "
                        "the engine")
-    shard.add_argument("--shard-mode", choices=("grid", "zrange"),
-                       default="grid", help="spatial partitioning mode")
     shard.add_argument("--replicas", type=int, default=1,
                        help="replica pools per shard")
     args = parser.parse_args(argv)
@@ -410,12 +419,7 @@ def main(argv=None) -> int:
         ), flush=True)
         make_target, region = _build_target(args, faults)
         factory = RequestFactory(
-            region,
-            args.seed,
-            knn_share=args.knn_share,
-            join_share=args.join_share,
-            hot_fraction=args.hot_fraction,
-            skew=args.skew,
+            region, args.seed, join_share=args.join_share, skew=args.skew
         )
         summary = asyncio.run(
             run_load(

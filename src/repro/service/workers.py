@@ -78,41 +78,6 @@ def _join_on(
     return window_filtered(tree_r, tree_s, pairs, window)
 
 
-def _join_chunk_on(
-    trees,
-    name_r: str,
-    name_s: str,
-    window: Optional[tuple],
-    index: int,
-    n_chunks: int,
-) -> PairTable:
-    """One chunk of a join split for resumable execution.
-
-    The join plan (phase 1 of the parallel join) is deterministic given
-    the trees, so every worker — including one forked after a crash —
-    computes identical chunk boundaries; the engine gathers the chunks
-    and retries only the missing ones after a worker death.  Chunk 0
-    falls back to the whole join when the trees cannot be task-split
-    (node trees of unequal heights), the other chunks then return
-    nothing.
-    """
-    from ..join.mp import plan_join
-
-    tree_r, tree_s = trees[name_r], trees[name_s]
-    try:
-        plan = plan_join(tree_r, tree_s, n_chunks)
-    except ValueError:
-        plan = None
-    if not plan:
-        if index > 0:
-            return PairTable.from_pairs(())
-        return _join_on(trees, name_r, name_s, window)
-    base, extra = divmod(len(plan), n_chunks)
-    start = index * base + min(index, extra)
-    stop = start + base + (1 if index < extra else 0)
-    return window_filtered(tree_r, tree_s, plan.run(start, stop), window)
-
-
 def window_filtered(
     tree_r, tree_s, pairs: PairTable, window: Optional[tuple]
 ) -> PairTable:
@@ -150,7 +115,6 @@ _EXEC_FNS = {
     "windows": _windows_on,
     "knn": _knn_on,
     "join": _join_on,
-    "join_chunk": _join_chunk_on,
     "shard_join": _shard_join_on,
 }
 

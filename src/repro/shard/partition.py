@@ -67,9 +67,9 @@ __all__ = [
     "partition_rows",
 ]
 
-#: Default cell-grid side for ``zrange`` mode (power of two: Morton
-#: codes interleave whole bits).  256 cells balance 8 shards finely.
-DEFAULT_ZRANGE_CELLS = 16
+#: Least cell-grid side of ``zrange`` mode (a power of two: Morton codes
+#: interleave whole bits), doubled until there are four cells a shard.
+ZRANGE_CELLS = 16
 
 
 def _near_square_factors(k: int) -> Tuple[int, int]:
@@ -165,29 +165,13 @@ class Partitioner:
     balances the per-shard counts when cutting the Morton order.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        mode: str = "grid",
-        *,
-        cells_per_side: Optional[int] = None,
-    ):
+    def __init__(self, shards: int, mode: str = "grid"):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if mode not in ("grid", "zrange"):
             raise ValueError(f"unknown partition mode {mode!r}")
         self.shards = shards
         self.mode = mode
-        if cells_per_side is None:
-            cells_per_side = DEFAULT_ZRANGE_CELLS
-            while cells_per_side * cells_per_side < 4 * shards:
-                cells_per_side *= 2
-        if mode == "zrange":
-            if cells_per_side & (cells_per_side - 1):
-                raise ValueError("cells_per_side must be a power of two")
-            if cells_per_side * cells_per_side < shards:
-                raise ValueError("fewer cells than shards")
-        self.cells_per_side = cells_per_side
 
     def fit(self, items) -> PartitionMap:
         """Fit to ``(oid, rect)`` pairs or a :class:`BoxTable`."""
@@ -205,7 +189,10 @@ class Partitioner:
                 gx, gy = gy, gx
             owner = tuple(range(self.shards))
         else:
-            gx = gy = self.cells_per_side
+            gx = ZRANGE_CELLS
+            while gx * gx < 4 * self.shards:
+                gx *= 2
+            gy = gx
             owner = (0,) * (gx * gy)  # every cell unowned until the cut
         grid = PartitionMap(
             mode=self.mode,
@@ -222,7 +209,7 @@ class Partitioner:
 
     def _fit_zrange(self, table: BoxTable, grid: PartitionMap) -> PartitionMap:
         """*grid* with its cells dealt to the shards along the Morton order."""
-        side = self.cells_per_side
+        side = grid.gx
         bits = side.bit_length() - 1
         counts = np.bincount(
             _cells_of_points(grid, *table.centers()), minlength=side * side
@@ -373,7 +360,6 @@ def build_sharded(
     *,
     mode: str = "grid",
     backend: str = "node",
-    cells_per_side: Optional[int] = None,
 ) -> ShardedDataset:
     """Partition every named dataset (``(oid, rect)`` pairs or a
     :class:`BoxTable`) with ONE shared map and build the per-shard trees.
@@ -389,7 +375,7 @@ def build_sharded(
     tables = {
         name: BoxTable.from_items(items) for name, items in datasets.items()
     }
-    pmap = Partitioner(shards, mode, cells_per_side=cells_per_side).fit(
+    pmap = Partitioner(shards, mode).fit(
         BoxTable.concat(tables.values())
     )
     trees = [{} for _ in range(shards)]

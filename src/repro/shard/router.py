@@ -75,22 +75,26 @@ __all__ = ["ShardRouter", "ShardConfig"]
 #: ``FLT_INJECT_* .call`` / ``SUP_CALL_*`` ledgers of many pools sharing
 #: one tracer reconcile per call, never across pools.
 _CALL_ID_STRIDE = 1_000_000
+#: Concurrent join executions; each fans out to the shards it overlaps.
+JOIN_LIMIT = 4
+#: Attempts per sub-request across replicas before the request errors.
+MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
 class ShardConfig:
     """Knobs of the sharded tier.
 
-    ``shards`` / ``mode`` / ``cells_per_side`` — the partitioner
+    ``shards`` / ``mode`` — the partitioner
     (:class:`~repro.shard.partition.Partitioner`);
     ``replicas``         — replica pools per shard (round-robin reads,
-                           failover target on a crashed attempt);
+                           failover target on a crashed attempt, up to
+                           :data:`MAX_ATTEMPTS` attempts);
     ``backend``          — per-shard tree backend (``node`` | ``flat``);
     ``workers``          — forked processes per replica pool (0 = threads);
-    ``max_attempts``     — attempts per sub-request across replicas
-                           before the request errors;
     the remaining knobs mirror
-    :class:`~repro.service.engine.EngineConfig` and behave identically.
+    :class:`~repro.service.engine.EngineConfig` and behave identically
+    (the join slots are :data:`JOIN_LIMIT`).
     """
 
     shards: int = 4
@@ -98,14 +102,9 @@ class ShardConfig:
     replicas: int = 1
     backend: str = "node"
     workers: int = 0
-    cells_per_side: Optional[int] = None
     max_inflight: int = 128
-    join_limit: int = 4
-    default_timeout_s: Optional[float] = 10.0
     attempt_timeout_s: Optional[float] = 2.0
-    max_attempts: int = 3
     cache_capacity: int = 1024
-    cache_ttl_s: Optional[float] = 60.0
     faults: Optional[FaultPlan] = None
 
 
@@ -121,16 +120,12 @@ class ShardRouter(FrontDoor):
         clock: Callable[[], float] = time.monotonic,
     ):
         super().__init__(config or ShardConfig(), sinks=sinks, clock=clock)
-        if self.config.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.config.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.join_limit = JOIN_LIMIT
         self.sharded: ShardedDataset = build_sharded(
             datasets,
             self.config.shards,
             mode=self.config.mode,
             backend=self.config.backend,
-            cells_per_side=self.config.cells_per_side,
         )
         self.pools: list[list[WorkerPool]] = []
         for shard in range(self.config.shards):
@@ -409,7 +404,7 @@ class ShardRouter(FrontDoor):
         self._rr[shard] = (start + 1) % replicas
         pending_sent = False  # the current attempt's SENT is unsettled
         try:
-            for attempt in range(self.config.max_attempts):
+            for attempt in range(MAX_ATTEMPTS):
                 replica = (start + attempt) % replicas
                 pool = self.pools[shard][replica]
                 timeout_s = self.config.attempt_timeout_s
@@ -454,7 +449,7 @@ class ShardRouter(FrontDoor):
                     out_of_budget = (
                         deadline is not None and deadline - self._now() <= 0
                     )
-                    if attempt + 1 >= self.config.max_attempts or out_of_budget:
+                    if attempt + 1 >= MAX_ATTEMPTS or out_of_budget:
                         pending_sent = False
                         raise self._give_up(
                             rid, shard, cls, attempt + 1, exc.cause_type, exc

@@ -23,6 +23,7 @@ from repro.service import (
     WindowRequest,
     fork_available,
 )
+from repro.service import engine as service_engine
 from repro.trace import ListSink, run_checkers, service_checkers
 
 from tests.service.test_engine import random_window
@@ -51,8 +52,6 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
         faults=plan,
         seed=7,
         attempt_timeout_s=0.5,
-        retry=RetryPolicy(max_attempts=4),
-        default_timeout_s=timeout,
     )
     sink = ListSink()
     rng = random.Random(7)
@@ -65,12 +64,14 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
     async def main():
         async with Engine(trees, config, sinks=[sink]) as engine:
             responses = await asyncio.gather(
-                *(engine.submit(r) for r in reqs)
+                *(engine.submit(r, timeout) for r in reqs)
             )
             snapshot = engine.snapshot()
             return responses, snapshot
 
-    responses, snapshot = asyncio.run(main())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(service_engine, "RETRY", RetryPolicy(max_attempts=4))
+        responses, snapshot = asyncio.run(main())
     return reqs, responses, snapshot, sink
 
 
@@ -170,16 +171,14 @@ class TestChaosInvariantThreads:
             (v.name, v.violations) for v in verdicts if not v.ok
         ]
 
-    def test_determinism_same_seed_same_faults(self, workload):
+    def test_determinism_same_seed_same_faults(self, workload, monkeypatch):
         """Serial submission pins the call order, so one seed replays
         the exact same fault sequence run after run."""
         trees, side = workload
         plan = FaultPlan(seed=21, worker_crash_p=0.2, worker_hang_p=0.1,
                          hang_s=0.01)
-        config = EngineConfig(
-            workers=0, cache_capacity=0, faults=plan, seed=7,
-            retry=RetryPolicy(max_attempts=4), default_timeout_s=5.0,
-        )
+        config = EngineConfig(workers=0, cache_capacity=0, faults=plan, seed=7)
+        monkeypatch.setattr(service_engine, "RETRY", RetryPolicy(max_attempts=4))
         rng = random.Random(3)
         windows = [random_window(rng, side) for _ in range(30)]
 
@@ -188,7 +187,7 @@ class TestChaosInvariantThreads:
                 statuses = []
                 for window in windows:
                     response = await engine.submit(
-                        WindowRequest("map1", window, cacheable=False)
+                        WindowRequest("map1", window, cacheable=False), 5.0
                     )
                     statuses.append(response.status)
                 return statuses, engine.snapshot()["faults_injected"]

@@ -123,12 +123,11 @@ def test_a_mixed_pair_is_refused_naming_both_backends(call):
         assert "FlatRTree" in str(refused.value)
 
 
-@pytest.mark.parametrize("join_chunks", [1, 4])
-def test_a_mixed_pair_behind_an_engine_is_an_error_response(join_chunks):
+def test_a_mixed_pair_behind_an_engine_is_an_error_response():
     """Not a hang and not a silent conversion: the worker's refusal comes
-    back as the response, chunked or not."""
+    back as the response."""
     trees = {"r": build_node(ITEMS), "s": build_flat(ITEMS)}
-    config = EngineConfig(workers=0, batching=False, join_chunks=join_chunks)
+    config = EngineConfig(workers=0, batching=False)
 
     async def main():
         async with Engine(trees, config) as engine:

@@ -157,12 +157,13 @@ class TestDeadline:
         self, trees, monkeypatch
     ):
         """No ``timeout_s`` either: silent chunks lose their lease, and
-        after ``max_redispatch`` strikes the parent finishes them inline
+        after ``MAX_REDISPATCH`` strikes the parent finishes them inline
         — the static ``pool.map`` path blocked forever here."""
         from repro.recovery import RecoveryConfig
 
         tree_r, tree_s = trees
         monkeypatch.setattr(mp_module, "_run_chunk", _hang_forever)
+        monkeypatch.setattr(mp_module, "MAX_REDISPATCH", 1)
         started = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -171,7 +172,7 @@ class TestDeadline:
                 tree_s,
                 processes=2,
                 recovery=RecoveryConfig(
-                    lease_s=0.1, heartbeat_s=0.05, sweep_s=0.02, max_redispatch=1
+                    lease_s=0.1, heartbeat_s=0.05, sweep_s=0.02
                 ),
             )
         assert time.perf_counter() - started < 30
@@ -269,7 +270,9 @@ class TestWorkerDeathRegression:
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
         reason="requires the fork start method",
     )
-    def test_killed_worker_loses_one_chunk_not_its_range(self, trees):
+    def test_killed_worker_loses_one_chunk_not_its_range(
+        self, trees, monkeypatch
+    ):
         from repro.faults import FaultPlan
         from repro.join.mp import fault_tolerant_join
         from repro.recovery import RecoveryConfig
@@ -278,9 +281,8 @@ class TestWorkerDeathRegression:
 
         tree_r, tree_s = trees
         expected = sequential_join(tree_r, tree_s).pair_set()
-        recovery = RecoveryConfig(
-            lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05, chunk_tasks=2
-        )
+        recovery = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
+        monkeypatch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: 2)
         sink = ListSink()
         # Kill whichever worker starts task 4 — mid-chunk, mid-range.
         pairs, stats = fault_tolerant_join(

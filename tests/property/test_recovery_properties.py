@@ -31,6 +31,7 @@ from repro.join import (
     prepare_trees,
     sequential_join,
 )
+from repro.join import mp as mp_module
 from repro.join.mp import fault_tolerant_join
 from repro.recovery import JoinInterrupted, RecoveryConfig
 from repro.rtree import build_flat_tree
@@ -174,26 +175,28 @@ def fork_workload(backend):
 
 
 def fork_run(backend, journal, chunk_tasks, faults=None, stop_after=None):
-    """One traced attempt; returns ``(pairs or None if interrupted, stats)``
-    after replaying the trace through the recovery checkers."""
+    """One traced attempt, *chunk_tasks* tasks a chunk; returns ``(pairs
+    or None if interrupted, stats)`` after replaying the trace through the
+    recovery checkers."""
     sink = ListSink()
-    try:
-        outcome = fault_tolerant_join(
-            *fork_workload(backend),
-            2,
-            recovery=RecoveryConfig(
-                lease_s=0.5,
-                heartbeat_s=0.1,
-                sweep_s=0.02,
-                journal_path=journal,
-                chunk_tasks=chunk_tasks,
-                stop_after_commits=stop_after,
-            ),
-            faults=faults,
-            tracer=Tracer(sinks=[sink]),
-        )
-    except JoinInterrupted:
-        outcome = (None, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: chunk_tasks)
+        try:
+            outcome = fault_tolerant_join(
+                *fork_workload(backend),
+                2,
+                recovery=RecoveryConfig(
+                    lease_s=0.5,
+                    heartbeat_s=0.1,
+                    sweep_s=0.02,
+                    journal_path=journal,
+                    stop_after_commits=stop_after,
+                ),
+                faults=faults,
+                tracer=Tracer(sinks=[sink]),
+            )
+        except JoinInterrupted:
+            outcome = (None, None)
     for verdict in run_checkers(sink.events, recovery_checkers()):
         assert verdict.ok, (verdict.checker, verdict.violations)
     return outcome

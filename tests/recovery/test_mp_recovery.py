@@ -293,17 +293,18 @@ class TestHealthyRunsFlat(FlatBackend, TestHealthyRuns):
 
 class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
     @needs_fork
-    def test_kill_costs_one_chunk_and_never_materialises_a_node_tree(self):
+    def test_kill_costs_one_chunk_and_never_materialises_a_node_tree(
+        self, monkeypatch
+    ):
         """A vectorised slice has no per-task loop, yet a parent-computed
         kill offset still costs exactly one chunk redispatch."""
         trees = self.build(*paper_maps(scale=0.01))
         sink = ListSink()
+        monkeypatch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: 2)
         pairs, stats = fault_tolerant_join(
             *trees,
             2,
-            recovery=RecoveryConfig(
-                lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05, chunk_tasks=2
-            ),
+            recovery=RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05),
             faults=FaultPlan(seed=0, kill_at_task=(3,)),
             tracer=Tracer(sinks=[sink]),
         )

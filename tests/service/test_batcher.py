@@ -6,7 +6,7 @@ import random
 from repro.geometry import Rect
 from repro.query import multi_window_query
 from repro.rtree import RStarTree, str_bulk_load, window_query
-from repro.service import Engine, EngineConfig, WindowRequest
+from repro.service import Engine, EngineConfig, WindowRequest, batcher
 
 
 def build_random_tree(seed, count=800):
@@ -56,15 +56,11 @@ class TestMultiWindowQuery:
 
 
 class TestMicroBatching:
-    def test_concurrent_windows_coalesce(self):
+    def test_concurrent_windows_coalesce(self, monkeypatch):
         tree, items = build_random_tree(7)
-        config = EngineConfig(
-            workers=0,
-            batching=True,
-            batch_window_s=0.05,
-            max_batch=64,
-            cache_capacity=0,
-        )
+        monkeypatch.setattr(batcher, "WINDOW_S", 0.05)
+        monkeypatch.setattr(batcher, "MAX_BATCH", 64)
+        config = EngineConfig(workers=0, batching=True, cache_capacity=0)
 
         async def main():
             async with Engine({"t": tree}, config) as engine:

@@ -17,7 +17,8 @@ from repro.datagen import build_tree, paper_maps
 from repro.geometry import Rect
 from repro.join import sequential_join
 from repro.rtree.query import nearest_neighbors, window_query
-from repro.service import frontdoor
+from repro.service import batcher, frontdoor
+from repro.service import engine as service_engine
 from repro.service import (
     Engine,
     EngineConfig,
@@ -28,6 +29,7 @@ from repro.service import (
 )
 from repro.service.workers import WorkerPool
 from repro.shard import ShardConfig, ShardRouter
+from repro.shard import router as shard_router
 from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 
 
@@ -40,6 +42,18 @@ def workload():
 
 def make_engine(trees, config=None, sinks=()):
     return Engine(trees, config, sinks=sinks)
+
+
+def batch_for(monkeypatch, window_s, max_batch):
+    monkeypatch.setattr(batcher, "WINDOW_S", window_s)
+    monkeypatch.setattr(batcher, "MAX_BATCH", max_batch)
+
+
+def one_join_slot(monkeypatch):
+    """One join slot on either tier, and a patient default timeout."""
+    monkeypatch.setattr(service_engine, "JOIN_LIMIT", 1)
+    monkeypatch.setattr(shard_router, "JOIN_LIMIT", 1)
+    monkeypatch.setattr(frontdoor, "DEFAULT_TIMEOUT_S", 60.0)
 
 
 def make_router(trees, config=None, sinks=()):
@@ -81,13 +95,12 @@ def window_oracle(tree, window):
 
 
 class TestDifferentialCorrectness:
-    def test_cached_results_equal_uncached_execution(self, workload):
+    def test_cached_results_equal_uncached_execution(self, workload, monkeypatch):
         """Every response of a cache-enabled engine — hit or miss, batched
         or not — equals a direct uncached execution of the same query."""
         trees, side = workload
-        config = EngineConfig(
-            workers=0, cache_capacity=256, batch_window_s=0.01, max_batch=8
-        )
+        batch_for(monkeypatch, 0.01, 8)
+        config = EngineConfig(workers=0, cache_capacity=256)
         rng = random.Random(21)
         windows = [random_window(rng, side) for _ in range(12)]
         wave = [WindowRequest("map1", w) for w in windows]
@@ -156,12 +169,10 @@ class TestDifferentialCorrectness:
 
 
 class TestAdmissionControl(FrontDoorSuite):
-    def test_inflight_limit_rejects_and_recovers(self, workload):
+    def test_inflight_limit_rejects_and_recovers(self, workload, monkeypatch):
         trees, side = workload
-        config = EngineConfig(
-            workers=0, max_inflight=16, cache_capacity=0,
-            batch_window_s=0.005, max_batch=4,
-        )
+        batch_for(monkeypatch, 0.005, 4)
+        config = EngineConfig(workers=0, max_inflight=16, cache_capacity=0)
         sink = ListSink()
 
         async def main():
@@ -187,14 +198,12 @@ class TestAdmissionControl(FrontDoorSuite):
         assert engine.metrics.rejected == len(rejected)
         self.assert_lawful(sink)
 
-    def test_sustains_64_concurrent_inflight(self, workload):
+    def test_sustains_64_concurrent_inflight(self, workload, monkeypatch):
         """≥ 64 window queries genuinely in flight at once, admission
         control engaged (rejections counted), no deadlock, clean stop."""
         trees, side = workload
-        config = EngineConfig(
-            workers=0, max_inflight=96, cache_capacity=0,
-            batch_window_s=0.002, max_batch=16, default_timeout_s=30.0,
-        )
+        monkeypatch.setattr(frontdoor, "DEFAULT_TIMEOUT_S", 30.0)
+        config = EngineConfig(workers=0, max_inflight=96, cache_capacity=0)
         sink = ListSink()
 
         async def main():
@@ -228,10 +237,8 @@ class TestAdmissionControl(FrontDoorSuite):
         # in the batcher, far past its 10 ms budget → deterministic timeout.
         # A tier with no batcher reaches the pool, which never answers.
         trees, side = workload
-        config = EngineConfig(
-            workers=0, cache_capacity=0,
-            batch_window_s=0.2, max_batch=64,
-        )
+        batch_for(monkeypatch, 0.2, 64)
+        config = EngineConfig(workers=0, cache_capacity=0)
         sink = ListSink()
 
         async def hanging_run(pool, kind, *args, timeout_s=None):
@@ -251,12 +258,10 @@ class TestAdmissionControl(FrontDoorSuite):
         assert "timed out" in response.detail
         self.assert_lawful(sink)
 
-    def test_per_class_limits_serialize_joins(self, workload):
+    def test_per_class_limits_serialize_joins(self, workload, monkeypatch):
         trees, _ = workload
-        config = EngineConfig(
-            workers=0, join_limit=1, cache_capacity=0,
-            default_timeout_s=60.0,
-        )
+        one_join_slot(monkeypatch)
+        config = EngineConfig(workers=0, cache_capacity=0)
         sink = ListSink()
 
         async def main():
@@ -279,9 +284,8 @@ class TestAdmissionControl(FrontDoorSuite):
         waiting room of one, and the next join is turned away at the
         door — before admission, as ``reason="queue"``."""
         trees, _ = workload
-        config = EngineConfig(
-            workers=0, join_limit=1, cache_capacity=0, default_timeout_s=60.0
-        )
+        one_join_slot(monkeypatch)
+        config = EngineConfig(workers=0, cache_capacity=0)
         monkeypatch.setattr(frontdoor, "QUEUE_LIMIT", 1)
         run, sink = WorkerPool.run, ListSink()
 
@@ -368,11 +372,10 @@ class TestErrorsAndShutdown(FrontDoorSuite):
         assert "not accepting" in response.detail
         self.assert_lawful(sink)
 
-    def test_stop_drains_inflight_work(self, workload):
+    def test_stop_drains_inflight_work(self, workload, monkeypatch):
         trees, side = workload
-        config = EngineConfig(
-            workers=0, cache_capacity=0, batch_window_s=0.01, max_batch=32
-        )
+        batch_for(monkeypatch, 0.01, 32)
+        config = EngineConfig(workers=0, cache_capacity=0)
         sink = ListSink()
 
         async def main():

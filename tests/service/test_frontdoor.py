@@ -4,6 +4,7 @@ snapshot shape, and the shared code exists exactly once in the source."""
 import ast
 import asyncio
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -30,13 +31,13 @@ NAN, INF = math.nan, math.inf
 DATASETS = {"a": make_items(100, 1), "b": make_items(80, 2)}
 
 
-def make_engine(sinks=()):
+def make_engine(sinks=(), **settings):
     trees = {name: str_bulk_load(items) for name, items in DATASETS.items()}
-    return Engine(trees, EngineConfig(workers=0), sinks=sinks)
+    return Engine(trees, EngineConfig(**{"workers": 0, **settings}), sinks=sinks)
 
 
-def make_router(sinks=()):
-    config = ShardConfig(shards=2, workers=0)
+def make_router(sinks=(), **settings):
+    config = ShardConfig(**{"shards": 2, "workers": 0, **settings})
     return ShardRouter(DATASETS, config, sinks=sinks)
 
 
@@ -99,6 +100,34 @@ class TestHostileRequests:
         ]
         assert responses[2].cached and responses[2].value == responses[0].value
         assert (tier.cache.inserts, tier.cache.hits) == (1, 1)
+
+
+#: Settings under which a tier would serve nothing (every request
+#: rejected, or failed before it reaches a worker), per tier.
+SHARED_BAD = [
+    ("max_inflight", 0), ("max_inflight", -3), ("workers", -1),
+    ("cache_capacity", -1), ("attempt_timeout_s", 0.0),
+    ("attempt_timeout_s", -1.0), ("attempt_timeout_s", NAN),
+]
+BAD_SETTINGS = [
+    pytest.param(make, name, value, id=f"{tier}-{name}-{value}")
+    for tier, make, extra in (
+        ("engine", make_engine, [("breaker_reset_s", 0.0)]),
+        ("router", make_router, [("shards", 0), ("replicas", 0)]),
+    )
+    for name, value in SHARED_BAD + extra
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("make, name, value", BAD_SETTINGS)
+    def test_a_setting_that_serves_nothing_is_refused_by_name(
+        self, make, name, value
+    ):
+        with pytest.raises(ValueError) as refused:
+            make(**{name: value})
+        expected = rf"{name} must be >=? \S+, got {re.escape(repr(value))}"
+        assert re.fullmatch(expected, str(refused.value)), refused.value
 
 
 #: Each tier's top-level ``snapshot()`` keys, as ``perf/`` and ``loadgen``

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from repro.service import Engine, EngineConfig, fork_available
+from repro.service import Engine, EngineConfig, batcher, fork_available, frontdoor
 from repro.service import loadgen
 from repro.service.loadgen import RequestFactory, build_trees, main, run_load
 from repro.trace import InvariantChecker
@@ -127,6 +127,27 @@ class TestRequestFactory:
             if type(request).__name__ == "WindowRequest":
                 assert 0 <= request.window.xl <= request.window.xu <= region.side
 
+    @pytest.mark.parametrize(
+        "shares, message",
+        [
+            (dict(join_share=1.5), "join_share must be in [0, 1], got 1.5"),
+            (dict(join_share=-1.0), "join_share must be in [0, 1], got -1.0"),
+            (dict(knn_share=float("nan")), "knn_share must be in [0, 1]"),
+            (dict(hot_fraction=1.25), "hot_fraction must be in [0, 1]"),
+            (
+                dict(knn_share=0.7, join_share=0.6),
+                "knn_share + join_share must be <= 1, got 0.7 + 0.6",
+            ),
+        ],
+        ids=["join-1.5", "join-negative", "knn-nan", "hot-1.25", "sum-1.3"],
+    )
+    def test_an_impossible_mix_is_refused_by_name(
+        self, small_world, shares, message
+    ):
+        _, region = small_world
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RequestFactory(region, 1, **shares)
+
 
 #: a quarter-second thread-mode engine run: what every non-slow CLI row uses
 QUICK = ["--duration", "0.25", "--scale", "0.005", "--clients", "4",
@@ -176,8 +197,13 @@ class TestCli:
             (["--duration", "0"], "duration must be > 0"),
             (["--crash-p", "1.5"], "worker_crash_p must be in"),
             (["--shards", "2", "--replicas", "0"], "replicas must be >= 1"),
+            (["--join-share", "1.5"], "join_share must be in [0, 1]"),
+            (["--join-share", "0.95"], "knn_share + join_share must be <= 1"),
         ],
-        ids=["rate-0", "clients-0", "duration-0", "crash-p-1.5", "replicas-0"],
+        ids=[
+            "rate-0", "clients-0", "duration-0", "crash-p-1.5", "replicas-0",
+            "join-share-1.5", "join-share-0.95",
+        ],
     )
     def test_hostile_flags_are_a_usage_error(self, capsys, flags, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -205,7 +231,7 @@ class TestCli:
 
 @pytest.mark.slow
 class TestLoadAcceptance:
-    def test_batching_beats_batch_size_one(self, small_world):
+    def test_batching_beats_batch_size_one(self, small_world, monkeypatch):
         """Same closed-loop workload, cache off, windows only: with
         micro-batching every pool call is one shared traversal answering
         several requests; without it every request pays its own.  The
@@ -217,6 +243,9 @@ class TestLoadAcceptance:
             region, seed=13, knn_share=0.0, hot_fraction=0.0,
             min_side=0.15, max_side=0.4,
         )
+        monkeypatch.setattr(batcher, "WINDOW_S", 0.005)
+        monkeypatch.setattr(batcher, "MAX_BATCH", 32)
+        monkeypatch.setattr(frontdoor, "DEFAULT_TIMEOUT_S", 30.0)
 
         def run(batching):
             return asyncio.run(
@@ -224,10 +253,7 @@ class TestLoadAcceptance:
                     engine_target(
                         trees,
                         batching=batching,
-                        batch_window_s=0.005,
-                        max_batch=32,
                         cache_capacity=0,
-                        default_timeout_s=30.0,
                         max_inflight=256,
                     ),
                     factory,

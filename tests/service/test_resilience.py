@@ -18,6 +18,7 @@ from repro.service import (
     Status,
     WindowRequest,
     WorkerError,
+    frontdoor,
 )
 from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 
@@ -248,13 +249,13 @@ def _trip_all_breakers(engine):
 
 
 class TestDegradedModes:
-    def test_open_circuit_serves_stale_cache(self, workload):
+    def test_open_circuit_serves_stale_cache(self, workload, monkeypatch):
         """A cacheable request whose circuit is open is answered from the
         TTL-expired cache entry, flagged stale — not silently fresh."""
         trees, side = workload
+        monkeypatch.setattr(frontdoor, "CACHE_TTL_S", 0.05)
         config = EngineConfig(
-            workers=0, cache_capacity=64, cache_ttl_s=0.05,
-            serve_stale=True, breaker_reset_s=60.0,
+            workers=0, cache_capacity=64, serve_stale=True, breaker_reset_s=60.0,
         )
         sink = ListSink()
         window = Rect(0, 0, side / 4, side / 4)
@@ -312,11 +313,11 @@ class TestDegradedModes:
         ]
         assert engine.metrics.report()["shed"] == 1
 
-    def test_serve_stale_disabled_always_sheds(self, workload):
+    def test_serve_stale_disabled_always_sheds(self, workload, monkeypatch):
         trees, side = workload
+        monkeypatch.setattr(frontdoor, "CACHE_TTL_S", 0.05)
         config = EngineConfig(
-            workers=0, cache_capacity=64, cache_ttl_s=0.05,
-            serve_stale=False, breaker_reset_s=60.0,
+            workers=0, cache_capacity=64, serve_stale=False, breaker_reset_s=60.0,
         )
         window = Rect(0, 0, side / 4, side / 4)
 

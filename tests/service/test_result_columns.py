@@ -24,6 +24,7 @@ from repro.datagen import build_tree, paper_maps
 from repro.geometry import BoxTable, PairTable, Rect, RowSet
 from repro.join import multiprocessing_join, sequential_join
 from repro.query.batch import multi_window_query
+from repro.recovery import RecoveryConfig
 from repro.rtree import FlatRTree, build_flat_tree
 from repro.rtree.entry import Entry
 from repro.rtree.flat import EntryRows, knn_rows, window_rows
@@ -132,6 +133,41 @@ class TestInstrumentContract:
             answers.append(parallel_spatial_join(*trees, config))
         for answer in answers:
             assert np.array_equal(pair_keys(answer), expected)
+
+    def test_config_calls(self, maps, trees):
+        """The configs ``perf/`` builds: ``serving.engine_config`` (workers,
+        max_inflight, seed) with every override the workloads and probes
+        pass, the shard-mix ``ShardConfig``, ``join_full.sim_config(8)`` /
+        ``(1)`` and the ``recovery.ft_join`` probe's ``RecoveryConfig()``."""
+        from perf import join_full, serving
+        from perf.spec import PROCESSES
+
+        expected = pair_keys(sequential_join(*trees).pair_set())
+        ft_join = multiprocessing_join(*trees, PROCESSES, recovery=RecoveryConfig())
+        assert np.array_equal(pair_keys(ft_join), expected)
+        if not isinstance(trees[0], FlatRTree):  # the simulator's trees
+            for processors in (8, 1):
+                config = join_full.sim_config(processors)
+                answer = parallel_spatial_join(*trees, config)
+                assert np.array_equal(pair_keys(answer), expected)
+            return
+        # the serving workloads' trees: constructing the tiers checks them
+        named = {"map1": trees[0], "map2": trees[1]}
+        for overrides in (
+            {},
+            {"faults": serving.CHAOS_PLAN, "attempt_timeout_s": 0.5},
+            {"cache_capacity": 0},
+            {"batching": False},
+            {"workers": 0},
+        ):
+            Engine(named, serving.engine_config(42, **overrides))
+        ShardRouter.from_maps(
+            {"map1": maps[0], "map2": maps[1]},
+            ShardConfig(
+                shards=PROCESSES, replicas=1, backend="flat", workers=1,
+                max_inflight=1024,
+            ),
+        )
 
     def test_pickled_join_answer(self, trees):
         """``probes``: ``pickle.dumps(multiprocessing_join(*flat, 1))``."""

@@ -23,6 +23,7 @@ from repro.service.model import (
 from repro.service.resilience import WorkerError
 from repro.service.workers import WorkerPool
 from repro.shard import ShardConfig, ShardRouter
+from repro.shard import router as shard_router
 from repro.trace import (
     EventKind,
     ListSink,
@@ -150,16 +151,16 @@ class TestCacheAndAdmission:
 
 
 class TestFailover:
-    def test_crashes_fail_over_to_replicas_zero_lost(self):
+    def test_crashes_fail_over_to_replicas_zero_lost(self, monkeypatch):
         sink = ListSink()
         plan = FaultPlan(seed=11, worker_crash_p=0.3)
+        monkeypatch.setattr(shard_router, "MAX_ATTEMPTS", 4)
 
         async def main():
             statuses = []
             async with ShardRouter(
                 DATASETS,
-                config(replicas=2, workers=2, faults=plan,
-                       max_attempts=4, attempt_timeout_s=2.0),
+                config(replicas=2, workers=2, faults=plan, attempt_timeout_s=2.0),
                 sinks=[sink],
             ) as router:
                 rng = random.Random(3)
@@ -195,7 +196,7 @@ class TestFailover:
         async def main():
             async with ShardRouter(
                 DATASETS,
-                config(replicas=1, workers=0, faults=plan, max_attempts=3),
+                config(replicas=1, workers=0, faults=plan),
                 sinks=[sink],
             ) as router:
                 rng = random.Random(1)
@@ -284,11 +285,12 @@ class TestSettlementDiscipline:
             )
 
         monkeypatch.setattr(WorkerPool, "run", dying_run)
+        monkeypatch.setattr(shard_router, "MAX_ATTEMPTS", 4)
 
         async def main():
             async with ShardRouter(
                 DATASETS,
-                config(replicas=2, max_attempts=4),
+                config(replicas=2),
                 sinks=[sink],
                 clock=clock,
             ) as router:
@@ -358,7 +360,7 @@ class TestSettlementDiscipline:
         async def main():
             async with ShardRouter(
                 DATASETS,
-                config(replicas=1, max_attempts=3),
+                config(replicas=1),
                 sinks=[sink],
             ) as router:
                 # A window deep inside one grid cell: a single-shard
