@@ -52,9 +52,9 @@ class ProtocolConformanceChecker(InvariantChecker):
         self.spec = spec
         self.name = f"protocol:{spec.name}"
         self._by_name = spec.transitions_by_name()
-        self._bindings: dict[EventKind, list[EventBinding]] = {}
-        for binding in spec.bindings:
-            self._bindings.setdefault(binding.kind, []).append(binding)
+        self._binding: dict[EventKind, EventBinding] = {
+            binding.kind: binding for binding in spec.bindings
+        }
         self._counter_bindings: dict[EventKind, list[CounterBinding]] = {}
         self.counters: dict[str, int] = {}
         for cb in spec.counters:
@@ -65,14 +65,12 @@ class ProtocolConformanceChecker(InvariantChecker):
     # -- sink ------------------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
         for cb in self._counter_bindings.get(event.kind, ()):
-            if cb.applies(event.data):
-                self.counters[cb.counter] += cb.delta(event.data)
+            self.counters[cb.counter] += cb.delta(event.data)
         if not self.spec.monitor_states:
             return
-        for binding in self._bindings.get(event.kind, ()):
-            if binding.applies(event.data):
-                self._advance(binding, event)
-                break
+        binding = self._binding.get(event.kind)
+        if binding is not None:
+            self._advance(binding, event)
 
     def _advance(self, binding: EventBinding, event: TraceEvent) -> None:
         key = self.spec.key(event) if self.spec.key else None

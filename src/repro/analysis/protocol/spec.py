@@ -106,16 +106,11 @@ class EventBinding:
 
     At replay, the first listed transition whose source matches the
     instance's current state and whose guard passes is fired; no match is
-    a conformance violation.  ``when`` filters which events the binding
-    applies to at all (e.g. only primary leases, ``split == 0``).
+    a conformance violation.
     """
 
     kind: EventKind
     transitions: tuple[str, ...]
-    when: Optional[Callable[[Mapping[str, Any]], bool]] = None
-
-    def applies(self, data: Mapping[str, Any]) -> bool:
-        return self.when is None or bool(self.when(data))
 
 
 @dataclass(frozen=True)
@@ -124,12 +119,8 @@ class CounterBinding:
 
     counter: str
     kind: EventKind
-    when: Optional[Callable[[Mapping[str, Any]], bool]] = None
     #: Increment amount from the payload (default 1 per event).
     amount: Optional[Callable[[Mapping[str, Any]], int]] = None
-
-    def applies(self, data: Mapping[str, Any]) -> bool:
-        return self.when is None or bool(self.when(data))
 
     def delta(self, data: Mapping[str, Any]) -> int:
         return 1 if self.amount is None else int(self.amount(data))

@@ -6,7 +6,8 @@ trace-event bindings:
 * ``circuit-breaker`` — CLOSED/OPEN/HALF_OPEN with bounded probe slots
   (:class:`repro.service.resilience.CircuitBreaker`);
 * ``lease`` — per-task grant -> heartbeat -> {complete, expire ->
-  requeue} (:class:`repro.recovery.lease.LeaseTable` + result ledger);
+  requeue}, each edge naming the task's current lease id
+  (:class:`repro.recovery.lease.LeaseTable` + result ledger);
 * ``journal`` — CRC-framed append/heal/scan/replay
   (:class:`repro.recovery.journal.JoinJournal`);
 * ``shard-settlement`` — per ``(request, shard)`` settle-exactly-once
@@ -42,10 +43,6 @@ def _inc(counter: str, amount: int = 1):
         vars[counter] = vars.get(counter, 0) + amount
 
     return effect
-
-
-def _primary(data) -> bool:
-    return int(data.get("split", 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +175,33 @@ _BREAKER = ProtocolSpec(
 # ---------------------------------------------------------------------------
 # lease: queued -> leased -> {done, orphaned -> queued}; journal replay
 # ---------------------------------------------------------------------------
+# A task holds at most one lease at a time, so the per-task automaton also
+# states the per-lease-id law: a grant records the id, and a renewal,
+# completion or expiry must name it (a closed lease id has no edge left).
+# In the model ``data`` is empty and the id check always holds.
+def _grant(v, a, d):
+    v["grants"] += 1
+    v["lease"] = int(d.get("lease", -1))
+
+
+def _current_lease(v, a, d):
+    return int(d.get("lease", v["lease"])) == v["lease"]
+
+
 _LEASE = ProtocolSpec(
     name="lease",
     description=(
         "Per-task lease lifecycle: grant -> heartbeat -> {complete, "
-        "expire -> requeue}, with journal replay standing in for a "
-        "committed prior run; grants reconcile with completions + "
-        "expirations"
+        "expire -> requeue}, every edge naming the task's current lease "
+        "id, with journal replay standing in for a committed prior run; "
+        "grants reconcile with completions + expirations"
     ),
     states=("queued", "leased", "orphaned", "done", "replayed"),
     initial="queued",
-    vars={"grants": 0, "completions": 0, "expirations": 0, "requeues": 0},
+    vars={
+        "grants": 0, "completions": 0, "expirations": 0, "requeues": 0,
+        "lease": -1,
+    },
     actors=2,
     transitions=(
         Transition(
@@ -196,10 +209,23 @@ _LEASE = ProtocolSpec(
             "queued",
             "leased",
             bound=lambda v, a, d: v["grants"] < 3,
-            effect=_inc("grants"),
+            effect=_grant,
         ),
-        Transition("complete", "leased", "done", effect=_inc("completions")),
-        Transition("expire", "leased", "orphaned", effect=_inc("expirations")),
+        Transition("renew", "leased", "leased", guard=_current_lease),
+        Transition(
+            "complete",
+            "leased",
+            "done",
+            guard=_current_lease,
+            effect=_inc("completions"),
+        ),
+        Transition(
+            "expire",
+            "leased",
+            "orphaned",
+            guard=_current_lease,
+            effect=_inc("expirations"),
+        ),
         Transition("requeue", "orphaned", "queued", effect=_inc("requeues")),
         # Journal replay commits the task without a live execution; it
         # only happens at resume, before any grant of this run.
@@ -217,7 +243,7 @@ _LEASE = ProtocolSpec(
     properties=(
         SafetyProperty(
             "at_most_one_completion",
-            "a task commits at most one primary completion",
+            "a task commits at most one completion",
             lambda shared, vars, actors: vars["completions"] <= 1,
         ),
         SafetyProperty(
@@ -238,9 +264,10 @@ _LEASE = ProtocolSpec(
     ),
     key=lambda event: event.data.get("task"),
     bindings=(
-        EventBinding(EventKind.LSE_GRANTED, ("grant",), when=_primary),
-        EventBinding(EventKind.LSE_COMPLETED, ("complete",), when=_primary),
-        EventBinding(EventKind.LSE_EXPIRED, ("expire",), when=_primary),
+        EventBinding(EventKind.LSE_GRANTED, ("grant",)),
+        EventBinding(EventKind.LSE_RENEWED, ("renew",)),
+        EventBinding(EventKind.LSE_COMPLETED, ("complete",)),
+        EventBinding(EventKind.LSE_EXPIRED, ("expire",)),
         EventBinding(EventKind.LSE_REQUEUED, ("requeue",)),
         EventBinding(EventKind.JNL_REPLAYED, ("replay",)),
         EventBinding(
@@ -248,20 +275,20 @@ _LEASE = ProtocolSpec(
         ),
     ),
     counters=(
-        CounterBinding("grants", EventKind.LSE_GRANTED, when=_primary),
-        CounterBinding("completions", EventKind.LSE_COMPLETED, when=_primary),
-        CounterBinding("expirations", EventKind.LSE_EXPIRED, when=_primary),
+        CounterBinding("grants", EventKind.LSE_GRANTED),
+        CounterBinding("completions", EventKind.LSE_COMPLETED),
+        CounterBinding("expirations", EventKind.LSE_EXPIRED),
         CounterBinding("requeues", EventKind.LSE_REQUEUED),
     ),
     end_invariants=(
         EndInvariant(
             "grants_settled",
-            "primary grants = completions + expirations",
+            "grants = completions + expirations",
             lambda c: c["grants"] == c["completions"] + c["expirations"],
         ),
         EndInvariant(
             "expiry_requeues",
-            "every primary expiry requeued its task",
+            "every expiry requeued its task",
             lambda c: c["expirations"] == c["requeues"],
         ),
     ),

@@ -64,8 +64,6 @@ class ProcessorBufferManager:
         tree_heights: dict[int, int],
         directory: Optional[GlobalDirectory] = None,
         tracer: Tracer = NULL_TRACER,
-        integrity=None,
-        injector=None,
     ):
         self.proc_id = proc_id
         self.machine = machine
@@ -77,13 +75,6 @@ class ProcessorBufferManager:
         }
         self.directory = directory
         self.tracer = tracer
-        #: Optional :class:`~repro.storage.page.PageIntegrityStore` +
-        #: :class:`~repro.faults.injector.FaultInjector`: buffered page
-        #: *copies* (LRU hits, remote SVM fetches) are checksum-verified
-        #: on read, and a corrupted copy is healed from the authoritative
-        #: store at the cost of one extra disk read.
-        self.integrity = integrity
-        self.injector = injector
 
     def access(
         self, tree_id: int, level: int, page_id: int, kind: PageKind
@@ -119,7 +110,6 @@ class ProcessorBufferManager:
                     source="lru",
                 )
             yield self.env.timeout(self.machine.config.local_page_access_time)
-            yield from self._verify_copy(page_id, kind)
             path_buffer.record(level, page_id)
             return AccessSource.LRU
 
@@ -141,7 +131,6 @@ class ProcessorBufferManager:
                         )
                     yield from self.machine.remote_copy()
                     metrics.add("remote_hits")
-                    yield from self._verify_copy(page_id, kind)
                     path_buffer.record(level, page_id)
                     return AccessSource.REMOTE
                 if outcome == "wait":
@@ -170,22 +159,6 @@ class ProcessorBufferManager:
             yield from self.directory.finish_load(page_id, self.proc_id)
         path_buffer.record(level, page_id)
         return AccessSource.DISK
-
-    def _verify_copy(self, page_id: int, kind: PageKind) -> Generator:
-        """Checksum-verify a buffered page copy; repair costs a disk read.
-
-        Path-buffer hits skip this on purpose: the active path is pinned
-        in registers/cache, not served as a fresh buffer copy.  With no
-        integrity store configured this is free.
-        """
-        if self.integrity is None:
-            return
-        _, repaired = self.integrity.read_copy(
-            page_id, proc=self.proc_id, injector=self.injector
-        )
-        if repaired:
-            self.machine.metrics.add("page_repairs")
-            yield from self.disk_array.read(page_id, kind, proc=self.proc_id)
 
     def reset_paths(self) -> None:
         """Forget the current paths (a new task starts from the roots)."""

@@ -2,19 +2,20 @@
 
 The paper's central claim is that the parallel join degrades gracefully
 when a processor falls behind (task reassignment, section 3.4); this
-package extends that discipline from *skew* to *faults*: a
-:class:`FaultPlan` describes worker crashes, hangs, slowed I/O and page
-bit-flips, and a :class:`FaultInjector` deterministically injects them at
-three seams — the serving worker pool (:mod:`repro.service.workers`),
-the real multiprocessing join (:mod:`repro.join.mp`) and the simulated
-disk/buffer stack (:mod:`repro.storage`, :mod:`repro.buffer`).
+package extends that discipline from *skew* to *faults* on real
+processes: a :class:`FaultPlan` describes worker crashes, hangs, slowed
+I/O, task kills and torn journal appends, and a :class:`FaultInjector`
+deterministically injects them at two seams — the serving worker pool
+(:mod:`repro.service.workers`) and the forked join (:mod:`repro.join.mp`,
+with its journal).  The simulated machine has none: the paper measures
+a fault-free one.
 
 Every injection is emitted as an ``FLT_*`` event on the
 :mod:`repro.trace` bus; the resilience layer's recovery actions are
 ``SUP_*`` events, and the
 :class:`~repro.trace.checkers.ResilienceAccountingChecker` reconciles
-the two ledgers: every injected fault must be retried to success,
-repaired, or surfaced as an explicit error — never silently lost.
+the two ledgers: every injected fault must be retried to success or
+surfaced as an explicit error — never silently lost.
 """
 
 from .injector import (

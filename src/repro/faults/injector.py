@@ -7,9 +7,9 @@ exactly which calls it sabotaged and emits one ``FLT_INJECT_*`` event per
 injection, keyed by a monotonically increasing id.  That parent-side
 ledger is what lets the
 :class:`~repro.trace.checkers.ResilienceAccountingChecker` prove that
-every injected fault was retried to success, repaired, or surfaced as an
-explicit error: a fault that a child process swallowed silently would
-leave its id unreconciled.
+every injected fault was retried to success or surfaced as an explicit
+error: a fault that a child process swallowed silently would leave its id
+unreconciled.
 
 Worker faults travel to the executing worker as a small picklable
 :class:`FaultDirective`; :func:`apply_directive` executes it inside the
@@ -81,8 +81,8 @@ def apply_directive(
 class FaultInjector:
     """Draws fault decisions from a plan and emits the injection ledger.
 
-    One injector instance belongs to one run (one engine, one simulated
-    join, one ``multiprocessing_join`` call); its per-site RNG streams
+    One injector instance belongs to one run (one engine, one
+    ``multiprocessing_join`` call); its per-site RNG streams
     make the decision sequence a pure function of ``plan.seed`` and the
     order of opportunities.
     """
@@ -91,8 +91,6 @@ class FaultInjector:
         self.plan = plan
         self.tracer = tracer
         self._worker_rng = plan.rng_for("worker")
-        self._io_rng = plan.rng_for("io")
-        self._page_rng = plan.rng_for("page")
         self._task_rng = plan.rng_for("task")
         self._journal_rng = plan.rng_for("journal")
         # task-kill bookkeeping: each task id rolls at most once, each
@@ -100,15 +98,10 @@ class FaultInjector:
         # orphan are never re-killed, so recovery always makes progress.
         self._task_rolled: set = set()
         self._targets_fired: set = set()
-        self._task_starts: dict = {}
-        self._proc_targets = {
-            (proc, nth) for proc, nth in plan.kill_processor_at_event
-        }
         # injection counters, by fault class
         self.crashes = 0
         self.hangs = 0
         self.slow_ios = 0
-        self.corruptions = 0
         self.task_kills = 0
         self.torn_appends = 0
 
@@ -149,27 +142,20 @@ class FaultInjector:
 
     # -- task seam (repro.recovery) --------------------------------------------
     def should_kill_at_task(self, task_id: int, proc: int = -1) -> bool:
-        """Whether the processor starting *task_id* dies there.
+        """Whether the worker starting *task_id* dies there.
 
-        Consulted once per task start by both recovery paths (the sim's
-        processor loop and the fork coordinator at chunk dispatch).  A
-        kill fires for a targeted task id (``kill_at_task``), a targeted
-        processor event (``kill_processor_at_event``: *proc*'s n-th task
-        start) or a ``task_kill_p`` roll — each task id rolls at most
-        once, each target fires at most once.  Emits
+        Consulted once per task start by the fork coordinator at chunk
+        dispatch (*proc* names the chunk).  A kill fires for a targeted
+        task id (``kill_at_task``) or a ``task_kill_p`` roll — each task
+        id rolls at most once, each target fires at most once.  Emits
         ``FLT_INJECT_TASK_KILL`` on strike.
         """
-        starts = self._task_starts.get(proc, 0) + 1
-        self._task_starts[proc] = starts
         kill = False
         if (
             task_id in self.plan.kill_at_task
-            and ("task", task_id) not in self._targets_fired
+            and task_id not in self._targets_fired
         ):
-            self._targets_fired.add(("task", task_id))
-            kill = True
-        if (proc, starts) in self._proc_targets:
-            self._proc_targets.discard((proc, starts))
+            self._targets_fired.add(task_id)
             kill = True
         if task_id not in self._task_rolled:
             self._task_rolled.add(task_id)
@@ -179,10 +165,7 @@ class FaultInjector:
             self.task_kills += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.FLT_INJECT_TASK_KILL,
-                    proc=proc,
-                    task=task_id,
-                    start=starts,
+                    EventKind.FLT_INJECT_TASK_KILL, proc=proc, task=task_id
                 )
         return kill
 
@@ -205,50 +188,12 @@ class FaultInjector:
             )
         return cut
 
-    # -- disk seam -------------------------------------------------------------
-    def io_multiplier(self, page_id: int, proc: int = -1) -> float:
-        """Service-time stretch for one simulated disk access (1.0 = none)."""
-        if self._io_rng.random() < self.plan.slow_io_p:
-            self.slow_ios += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.FLT_INJECT_SLOW_IO,
-                    proc=proc,
-                    page=page_id,
-                    factor=self.plan.slow_io_factor,
-                )
-            return self.plan.slow_io_factor
-        return 1.0
-
-    # -- page seam -------------------------------------------------------------
-    def corrupt_copy(self, page_id: int, payload: bytes, proc: int = -1
-                     ) -> bytes:
-        """Possibly flip one bit of a buffered page copy.
-
-        Returns the (possibly corrupted) payload; emits
-        ``FLT_INJECT_CORRUPT`` when it strikes.  The flipped bit position
-        is drawn from the same seeded stream, so the corruption itself is
-        reproducible.
-        """
-        if not payload or self._page_rng.random() >= self.plan.page_flip_p:
-            return payload
-        bit = self._page_rng.randrange(len(payload) * 8)
-        corrupted = bytearray(payload)
-        corrupted[bit // 8] ^= 1 << (bit % 8)
-        self.corruptions += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.FLT_INJECT_CORRUPT, proc=proc, page=page_id, bit=bit
-            )
-        return bytes(corrupted)
-
     # -- reporting -------------------------------------------------------------
     def counts(self) -> dict:
         return {
             "crashes": self.crashes,
             "hangs": self.hangs,
             "slow_ios": self.slow_ios,
-            "corruptions": self.corruptions,
             "task_kills": self.task_kills,
             "torn_appends": self.torn_appends,
         }

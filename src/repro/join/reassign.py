@@ -137,29 +137,6 @@ class Workload:
             )
         return (level, node_r, node_s)
 
-    def purge_keys(self, keys) -> int:
-        """Remove every pending pair whose ``(r_page, s_page)`` key is in
-        *keys* — the recovery layer's expiry path: when a lease expires,
-        the orphaned attempt's pairs are withdrawn from every workload
-        (including thieves') before the task is requeued, so no processor
-        wastes time on an execution whose results can no longer commit.
-        Returns the number of pairs removed.
-        """
-        removed = 0
-        for level, queue in self._pending.items():
-            if not queue:
-                continue
-            kept = [
-                pair
-                for pair in queue
-                if (pair[0].page_id, pair[1].page_id) not in keys
-            ]
-            removed += len(queue) - len(kept)
-            if len(kept) != len(queue):
-                self._pending[level] = deque(kept)
-        self._count -= removed
-        return removed
-
     # -- what other processors see -------------------------------------------
     def highest_pending(self) -> Optional[tuple[int, int]]:
         """``(hl, ns)``: the highest level with pending pairs and their

@@ -60,32 +60,21 @@ class ParallelJoinResult:
     #: Event record + invariant-checker verdicts of a traced run
     #: (``ParallelJoinConfig.trace``); None when tracing was off.
     trace: Optional[TraceHandle] = None
-    #: Rows adopted from a durable journal on resume (recovery runs);
-    #: they count toward ``candidates``/``pair_set`` but belong to no
-    #: processor of *this* run.
-    replayed_pairs: list[tuple[Hashable, Hashable]] = field(default_factory=list)
-    #: Recovery summary of a lease-enabled run (grants, expiries, orphans
-    #: requeued, tasks committed/replayed, ``complete`` flag); None when
-    #: ``ParallelJoinConfig.recovery`` was off.
-    recovery: Optional[dict] = None
 
     @property
     def candidates(self) -> int:
-        return sum(len(pairs) for pairs in self.pairs_by_processor) + len(
-            self.replayed_pairs
-        )
+        return sum(len(pairs) for pairs in self.pairs_by_processor)
 
     @property
     def pairs(self) -> PairTable:
-        """Every candidate as one table, processor by processor and the
-        replayed rows last — built when asked for, kept nowhere."""
-        return PairTable.concat([*self.pairs_by_processor, self.replayed_pairs])
+        """Every candidate as one table, processor by processor — built
+        when asked for, kept nowhere."""
+        return PairTable.concat(self.pairs_by_processor)
 
     def pair_set(self) -> set[tuple[Hashable, Hashable]]:
         out: set[tuple[Hashable, Hashable]] = set()
         for pairs in self.pairs_by_processor:
             out.update(pairs)
-        out.update(self.replayed_pairs)
         return out
 
     @property

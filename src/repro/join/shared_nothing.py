@@ -35,7 +35,7 @@ turns most accesses into network traffic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Generator, Optional
 
@@ -50,7 +50,6 @@ from ..storage.page import PageKind
 from .assignment import AssignmentMode, BufferMode, JoinVariant
 from .parallel import ParallelJoinConfig, _JoinRun
 from .reassign import ReassignLevel, ReassignmentPolicy
-from .refinement import RefinementModel
 from .result import ParallelJoinResult
 
 __all__ = [
@@ -106,7 +105,6 @@ class SharedNothingConfig:
     buffer_pages_per_processor: int = 100
     placement: Placement = Placement.SPATIAL
     assignment: AssignmentMode = AssignmentMode.STATIC_RANGE
-    refinement: Optional[RefinementModel] = field(default_factory=RefinementModel)
 
 
 def shared_nothing_join(
@@ -120,7 +118,6 @@ def shared_nothing_join(
         processors=config.processors,
         variant=JoinVariant(BufferMode.LOCAL, config.assignment),
         reassignment=ReassignmentPolicy(level=ReassignLevel.NONE),
-        refinement=config.refinement,
     )
     cluster = partial(_Cluster, config, tree_r, tree_s)
     return _JoinRun(tree_r, tree_s, svm_config, page_store, cluster).execute()

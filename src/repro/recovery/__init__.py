@@ -1,7 +1,8 @@
-"""Fault-tolerant parallel join: leases, orphan recovery, durable resume.
+"""Fault-tolerant forked join: leases, orphan recovery, durable resume.
 
-The paper's machine never loses a processor; this layer makes the
-reproduction survive losing any of them — or the whole process:
+The paper's machine never loses a processor, and neither does the
+simulator; this layer makes the real-process join survive losing any
+worker — or the whole parent process:
 
 * :mod:`~repro.recovery.lease` — lease-based task ownership with
   heartbeat renewal; a holder that stops renewing is declared dead and
@@ -17,11 +18,10 @@ reproduction survive losing any of them — or the whole process:
   event that names the task it cost.  The forked join and the serving
   pools are task sources of it.
 
-Both execution paths use the same pieces: the simulated join
-(``ParallelJoinConfig.recovery``) with the simulation clock, and the
-fork-based ``multiprocessing_join`` with the wall clock.  The event
-stream (``LSE_*``/``JNL_*``) is checked by the ``lease`` / ``journal``
-spec monitors (:mod:`repro.analysis.protocol.specs`) and, beyond them, by
+One implementation, used by the fork-based ``multiprocessing_join`` with
+the wall clock.  The event stream (``LSE_*``/``JNL_*``) is checked by the
+``lease`` / ``journal`` spec monitors
+(:mod:`repro.analysis.protocol.specs`) and, beyond them, by
 :class:`repro.trace.checkers.RecoveryAccountingChecker`.
 """
 

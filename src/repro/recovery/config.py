@@ -1,13 +1,11 @@
-"""Recovery knobs: lease timing and journal placement.
+"""Recovery knobs of the forked join: lease timing and journal placement.
 
-One :class:`RecoveryConfig` parametrises both recovery paths:
-
-* the **simulated** path (:func:`repro.join.parallel.parallel_spatial_join`
-  with ``ParallelJoinConfig.recovery`` set), where every duration is in
-  simulated seconds and the lease clock is the simulation clock;
-* the **fork** path (:func:`repro.join.mp.multiprocessing_join` /
-  :func:`repro.recovery.coordinator.run_recoverable_join`), where the
-  durations are wall seconds and the clock is :func:`wall_clock`.
+One :class:`RecoveryConfig` parametrises
+:func:`repro.join.mp.multiprocessing_join` (and
+:func:`repro.recovery.coordinator.run_recoverable_join`): every duration
+is in wall seconds and the lease clock is :func:`wall_clock`.  The
+simulated join has no recovery — its machine, like the paper's, never
+fails.
 
 The deterministic components (``sim``/``join``/…, see DET001) never read
 the wall clock themselves — they take an injected clock callable, and the
@@ -17,6 +15,7 @@ own real time.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,14 +36,15 @@ def wall_clock() -> Callable[[], float]:
 class RecoveryConfig:
     """Lease timing and journal parameters of one recoverable join.
 
-    ``lease_s`` is the ownership deadline: a task (sim) or chunk (fork)
-    whose lease goes that long without a heartbeat renewal is declared
-    orphaned and returned to the queue.  ``heartbeat_s`` throttles
-    renewals (a holder renews at natural progress points — pair
-    boundaries in-sim, per-chunk progress counters under fork — but emits
-    at most one renewal per interval).  ``sweep_s`` is how often the
-    sweeper looks for expired leases (under fork: the longest the parent
-    blocks waiting for a result or a death before it looks).
+    ``lease_s`` is the ownership deadline: a chunk whose lease goes that
+    long without a heartbeat renewal is declared orphaned and returned to
+    the queue.  ``heartbeat_s`` is the renewal interval a healthy holder
+    keeps; a worker beats on a per-chunk progress counter, and the parent
+    renews a lease whenever that counter moved.  ``sweep_s`` is the
+    longest the parent blocks waiting for a result or a death before it
+    reads the counters and sweeps for expired leases.  Each duration must
+    be finite and positive: an infinite lease never expires, so a hung
+    worker would never be detected.
     """
 
     lease_s: float = 2.0
@@ -64,12 +64,15 @@ class RecoveryConfig:
     stop_after_commits: Optional[int] = None
 
     def __post_init__(self):
-        if self.lease_s <= 0 or self.heartbeat_s <= 0 or self.sweep_s <= 0:
-            raise ValueError("lease_s, heartbeat_s and sweep_s must be > 0")
+        for name in ("lease_s", "heartbeat_s", "sweep_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.heartbeat_s > self.lease_s:
             raise ValueError(
-                "heartbeat_s must not exceed lease_s (renewals could "
-                "never keep a healthy lease alive)"
+                f"heartbeat_s must not exceed lease_s (renewals could never "
+                f"keep a healthy lease alive), got {self.heartbeat_s!r} > "
+                f"{self.lease_s!r}"
             )
         if self.stop_after_commits is not None and self.stop_after_commits < 0:
             raise ValueError("stop_after_commits must be >= 0 (or None)")

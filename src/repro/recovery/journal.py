@@ -11,8 +11,8 @@ Every record is framed as::
 
     <crc32 hex, 8 chars> <compact json>\\n
 
-with the checksum (the same CRC-32 as the page-integrity layer,
-:func:`repro.storage.page.page_checksum`) computed over the JSON bytes.
+with the checksum (:func:`repro.storage.page.page_checksum`, a CRC-32)
+computed over the JSON bytes.
 A write torn by a crash — or by the fault injector's
 ``FLT_INJECT_TORN_APPEND`` — leaves a partial last line that fails the
 frame check and is skipped (counted and traced as ``JNL_TORN_DETECTED``),

@@ -1,24 +1,18 @@
 """Lease-based task ownership with heartbeat renewal.
 
-Every unit of recoverable work — a task in the simulated join, a chunk of
-the task range under ``multiprocessing_join`` — is executed under a
-:class:`Lease`: a deadline-bound ownership claim granted by the
+Every chunk of the task range under ``multiprocessing_join`` is executed
+under a :class:`Lease`: a deadline-bound ownership claim granted by the
 coordinator and kept alive by heartbeat renewals from the holder.  A
 holder that crashes or wedges stops renewing; the next
 :meth:`LeaseTable.sweep` expires the lease, and the coordinator returns
-the task to the queue for at-least-once re-execution (the exactly-once
+the chunk to the queue for at-least-once re-execution (the exactly-once
 output is restored downstream by the
 :class:`~repro.recovery.ledger.ResultLedger`).
 
-Buddy splits (work stealing, section 3.4) carry leases too: the thief of
-a reassigned pair set is granted a *split* lease on the same task, so a
-dead thief is detected exactly like a dead primary holder.
-
-The clock is injected: the simulation passes ``lambda: env.now``, the
-fork coordinator passes :func:`repro.recovery.config.wall_clock`.  Lease
-events (``LSE_*``) are checked per task by the ``lease`` spec's monitor
-(:mod:`repro.analysis.protocol.specs`) and per lease id, splits included,
-by :class:`~repro.trace.checkers.RecoveryAccountingChecker`.
+The clock is injected: the fork coordinator passes
+:func:`repro.recovery.config.wall_clock`, tests a fake.  Lease events
+(``LSE_*``) are checked per task and per lease id by the ``lease`` spec's
+monitor (:mod:`repro.analysis.protocol.specs`).
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ class Lease:
     holder: int
     granted_at: float
     deadline: float
-    split: bool = False
     renewals: int = 0
     state: LeaseState = field(default=LeaseState.ACTIVE)
 
@@ -64,9 +57,8 @@ class LeaseTable:
     """All leases of one run, with sweep-based expiry detection.
 
     ``clock`` is any monotone float-returning callable; ``lease_s`` is the
-    renewal deadline; ``heartbeat_s`` throttles :meth:`renew_holder` so a
-    processor renewing at every pair boundary emits at most one
-    ``LSE_RENEWED`` burst per interval.
+    renewal deadline and ``heartbeat_s`` the renewal interval a healthy
+    holder keeps (a quarter lease when not given).
     """
 
     def __init__(
@@ -84,14 +76,13 @@ class LeaseTable:
         self.tracer = tracer
         self._leases: Dict[int, Lease] = {}
         self._next_id = 0
-        self._last_heartbeat: Dict[int, float] = {}
         self.granted = 0
         self.completed = 0
         self.expired = 0
         self.renewals = 0
 
     # -- grants ----------------------------------------------------------------
-    def grant(self, task: Hashable, holder: int, split: bool = False) -> Lease:
+    def grant(self, task: Hashable, holder: int) -> Lease:
         """Grant a fresh lease on *task* to *holder*."""
         now = self.clock()
         lease = Lease(
@@ -100,7 +91,6 @@ class LeaseTable:
             holder=holder,
             granted_at=now,
             deadline=now + self.lease_s,
-            split=split,
         )
         self._next_id += 1
         self._leases[lease.id] = lease
@@ -111,55 +101,17 @@ class LeaseTable:
                 proc=holder,
                 task=task,
                 lease=lease.id,
-                split=int(split),
                 deadline=lease.deadline,
             )
         return lease
 
-    def find_active(self, task: Hashable, holder: int) -> Optional[Lease]:
-        """The holder's active lease on *task*, if any (split or primary)."""
-        for lease in self._leases.values():
-            if lease.active and lease.task == task and lease.holder == holder:
-                return lease
-        return None
-
-    def get(self, lease_id: int) -> Lease:
-        return self._leases[lease_id]
-
-    def is_active(self, lease_id: int) -> bool:
-        lease = self._leases.get(lease_id)
-        return lease is not None and lease.active
-
     # -- heartbeats ------------------------------------------------------------
     def renew(self, lease_id: int) -> None:
-        """Explicit renewal of one lease (the fork coordinator's path)."""
+        """Push one active lease's deadline ``lease_s`` past now."""
         lease = self._leases.get(lease_id)
         if lease is None or not lease.active:
             raise LeaseError(f"renew of non-active lease {lease_id}")
-        self._renew(lease, self.clock())
-
-    def renew_holder(self, holder: int) -> int:
-        """Renew every active lease held by *holder* (the sim's path).
-
-        Called at every pair boundary; throttled to one renewal burst per
-        ``heartbeat_s`` so the event stream stays proportional to the
-        number of heartbeats, not pairs.  Returns the number of leases
-        renewed.
-        """
-        now = self.clock()
-        last = self._last_heartbeat.get(holder)
-        if last is not None and now - last < self.heartbeat_s:
-            return 0
-        self._last_heartbeat[holder] = now
-        count = 0
-        for lease in self._leases.values():
-            if lease.active and lease.holder == holder:
-                self._renew(lease, now)
-                count += 1
-        return count
-
-    def _renew(self, lease: Lease, now: float) -> None:
-        lease.deadline = now + self.lease_s
+        lease.deadline = self.clock() + self.lease_s
         lease.renewals += 1
         self.renewals += 1
         if self.tracer.enabled:
@@ -174,8 +126,7 @@ class LeaseTable:
     # -- closure ---------------------------------------------------------------
     def complete(self, lease_id: int, rows: int = 0) -> Lease:
         """Close a lease successfully; *rows* is the result-row count the
-        holder produced (0 for split leases, which contribute rows through
-        the primary's attempt)."""
+        holder produced."""
         lease = self._leases.get(lease_id)
         if lease is None or not lease.active:
             raise LeaseError(f"complete of non-active lease {lease_id}")
@@ -187,13 +138,12 @@ class LeaseTable:
                 proc=lease.holder,
                 task=lease.task,
                 lease=lease.id,
-                split=int(lease.split),
                 rows=rows,
             )
         return lease
 
     def expire(self, lease_id: int, reason: str = "forced") -> Lease:
-        """Force-expire an active lease (e.g. a sibling split died)."""
+        """Force-expire an active lease (its holder died or raised)."""
         lease = self._leases.get(lease_id)
         if lease is None or not lease.active:
             raise LeaseError(f"expire of non-active lease {lease_id}")
@@ -221,21 +171,17 @@ class LeaseTable:
                 proc=lease.holder,
                 task=lease.task,
                 lease=lease.id,
-                split=int(lease.split),
                 reason=reason,
             )
 
     # -- introspection ---------------------------------------------------------
-    def active_leases(self) -> List[Lease]:
-        return [lease for lease in self._leases.values() if lease.active]
-
     def stats(self) -> dict:
         return {
             "granted": self.granted,
             "completed": self.completed,
             "expired": self.expired,
             "renewals": self.renewals,
-            "active": len(self.active_leases()),
+            "active": sum(lease.active for lease in self._leases.values()),
         }
 
     def __repr__(self) -> str:

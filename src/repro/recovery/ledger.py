@@ -25,8 +25,8 @@ class ResultLedger:
     """First-completion-wins row accounting, keyed by task/chunk id.
 
     A batch is kept as it arrived — a worker's
-    :class:`~repro.geometry.rows.PairTable`, a journal's JSON row lists, a
-    simulated processor's tuple list — and never copied or re-listed.
+    :class:`~repro.geometry.rows.PairTable` or a journal's JSON row lists —
+    and never copied or re-listed.
     """
 
     def __init__(self, tracer: Tracer = NULL_TRACER):

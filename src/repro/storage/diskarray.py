@@ -32,7 +32,6 @@ class DiskArray:
         params: DiskParams | None = None,
         metrics: Metrics | None = None,
         tracer: Tracer = NULL_TRACER,
-        injector=None,
     ):
         if num_disks < 1:
             raise ValueError("a disk array needs at least one disk")
@@ -41,10 +40,6 @@ class DiskArray:
         self.params = params or DEFAULT_DISK
         self.metrics = metrics or Metrics()
         self.tracer = tracer
-        #: Optional :class:`~repro.faults.injector.FaultInjector`; when
-        #: set, individual reads may be stretched by the plan's slow-I/O
-        #: multiplier (a degrading disk, not a dead one).
-        self.injector = injector
         self._disks = [
             Resource(env, capacity=1, name=f"disk{d}") for d in range(num_disks)
         ]
@@ -70,11 +65,8 @@ class DiskArray:
             )
         yield disk.acquire()
         service_start = self.env.now
-        service_time = self.params.service_time(kind)
-        if self.injector is not None:
-            service_time *= self.injector.io_multiplier(page_id, proc=proc)
         try:
-            yield self.env.timeout(service_time)
+            yield self.env.timeout(self.params.service_time(kind))
         finally:
             disk.release()
         self.metrics.record_disk_read(disk_id)

@@ -1,39 +1,24 @@
-"""Page layout constants of the paper's R*-trees (section 4.1), plus
-checksummed page images for corruption detection and read-repair.
+"""Page layout constants of the paper's R*-trees (section 4.1), plus the
+CRC-32 checksum the join journal frames its records with.
 
 The trees use a page size of 4 KB; a directory entry occupies 40 bytes
 (MBR plus child pointer) and a data entry 156 bytes (MBR plus a pointer to
 the exact object representation).  That yields capacities of 102 directory
 entries and 26 data entries per page — the fan-outs that give the paper's
 Table 1 tree shapes.
-
-The integrity layer (:class:`PageImage`, :class:`PageIntegrityStore`)
-gives every paginated node a deterministic byte payload guarded by a
-CRC-32 checksum.  Buffered *copies* of a page (a local LRU hit, a remote
-SVM fetch) are verified on read; a mismatch — e.g. a bit flip injected by
-a :class:`~repro.faults.injector.FaultInjector` — triggers **read
-repair**: the copy is replaced from the authoritative store, the repair
-is traced (``SUP_PAGE_CORRUPT_DETECTED`` / ``SUP_PAGE_REPAIRED``), and
-the reader never observes corrupted bytes.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 import zlib
 from dataclasses import dataclass
-
-from ..trace import NULL_TRACER, EventKind, Tracer
 
 __all__ = [
     "PageKind",
     "StorageParams",
     "DEFAULT_STORAGE",
     "page_checksum",
-    "PageImage",
-    "PageIntegrityError",
-    "PageIntegrityStore",
 ]
 
 
@@ -67,132 +52,7 @@ class StorageParams:
 DEFAULT_STORAGE = StorageParams()
 
 
-# -- page integrity ------------------------------------------------------------
 def page_checksum(payload: bytes) -> int:
-    """CRC-32 of one page payload (the on-page checksum word)."""
+    """CRC-32 of one payload: the frame check of the join journal's lines
+    (:mod:`repro.recovery.journal`)."""
     return zlib.crc32(payload) & 0xFFFFFFFF
-
-
-class PageIntegrityError(Exception):
-    """A page copy failed checksum verification and could not be repaired."""
-
-
-@dataclass(frozen=True)
-class PageImage:
-    """One page's byte payload plus its stored checksum."""
-
-    page_id: int
-    payload: bytes
-    checksum: int
-
-    @classmethod
-    def build(cls, page_id: int, payload: bytes) -> "PageImage":
-        return cls(page_id, payload, page_checksum(payload))
-
-    def verify(self) -> bool:
-        """Does the payload still match the stored checksum?"""
-        return page_checksum(self.payload) == self.checksum
-
-    def __repr__(self) -> str:
-        state = "ok" if self.verify() else "CORRUPT"
-        return f"<PageImage {self.page_id} {len(self.payload)}B {state}>"
-
-
-def _encode_node(node) -> bytes:
-    """Deterministic byte serialisation of one R*-tree node.
-
-    Entry order is the node's on-page order (the plane-sweep order the
-    paper maintains); each entry contributes its MBR as four doubles plus
-    its pointer — the oid's repr for data entries, the child's page id
-    for directory entries.  Stable across processes, so the authoritative
-    image can be rebuilt from the in-memory tree at any time (the basis
-    of read repair).
-    """
-    parts = [struct.pack("<hH", node.level, len(node.entries))]
-    for entry in node.entries:
-        parts.append(struct.pack("<dddd", entry.xl, entry.yl, entry.xu, entry.yu))
-        if entry.oid is not None:
-            parts.append(b"D" + repr(entry.oid).encode())
-        else:
-            parts.append(struct.pack("<Bq", 0, entry.child.page_id))
-    return b"".join(parts)
-
-
-class PageIntegrityStore:
-    """Checksummed page images with verify-on-read and read repair.
-
-    The *authoritative* side is rebuilt on demand from the paginated
-    nodes of a :class:`~repro.rtree.pagestore.PageStore` (any object with
-    ``pages()`` and ``node(page_id)`` works).  :meth:`read_copy` models
-    the global buffer handing a *copy* of a page to a reader: the copy is
-    verified against the stored checksum, and a corrupted copy — e.g.
-    after an injected bit flip — is silently healed from the
-    authoritative store, with the detection and the repair traced.
-    """
-
-    def __init__(self, page_store, tracer: Tracer = NULL_TRACER):
-        self._page_store = page_store
-        self.tracer = tracer
-        self._images: dict[int, PageImage] = {}
-        self.reads = 0
-        self.corruptions_detected = 0
-        self.repairs = 0
-
-    def authoritative(self, page_id: int) -> PageImage:
-        """The checksummed master image of *page_id* (built lazily)."""
-        image = self._images.get(page_id)
-        if image is None:
-            payload = _encode_node(self._page_store.node(page_id))
-            image = PageImage.build(page_id, payload)
-            self._images[page_id] = image
-        return image
-
-    def read_copy(
-        self, page_id: int, proc: int = -1, injector=None
-    ) -> tuple[bytes, bool]:
-        """One verified page-copy read; returns ``(payload, repaired)``.
-
-        *injector* (a :class:`~repro.faults.injector.FaultInjector`) may
-        corrupt the copy in transit; verification catches it and repair
-        re-fetches the authoritative payload.  If even the repaired copy
-        fails verification the store raises :class:`PageIntegrityError` —
-        the authoritative side itself is damaged, which no retry fixes.
-        """
-        self.reads += 1
-        image = self.authoritative(page_id)
-        payload = image.payload
-        if injector is not None:
-            payload = injector.corrupt_copy(page_id, payload, proc=proc)
-        if page_checksum(payload) == image.checksum:
-            return payload, False
-        self.corruptions_detected += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.SUP_PAGE_CORRUPT_DETECTED, proc=proc, page=page_id
-            )
-        repaired = self.authoritative(page_id).payload
-        if page_checksum(repaired) != image.checksum:
-            raise PageIntegrityError(
-                f"page {page_id} unrecoverable: authoritative copy fails "
-                f"its own checksum"
-            )
-        self.repairs += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.SUP_PAGE_REPAIRED, proc=proc, page=page_id
-            )
-        return repaired, True
-
-    def stats(self) -> dict:
-        return {
-            "pages_imaged": len(self._images),
-            "reads": self.reads,
-            "corruptions_detected": self.corruptions_detected,
-            "repairs": self.repairs,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<PageIntegrityStore {len(self._images)} images, "
-            f"{self.corruptions_detected} corruptions, {self.repairs} repairs>"
-        )

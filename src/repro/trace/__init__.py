@@ -28,7 +28,6 @@ from .checkers import (
     TaskConservationChecker,
     Verdict,
     default_checkers,
-    recovery_checkers,
     run_checkers,
     service_checkers,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "RecoveryAccountingChecker",
     "ShardAccountingChecker",
     "default_checkers",
-    "recovery_checkers",
     "service_checkers",
     "run_checkers",
     "render_timeline",

@@ -25,7 +25,7 @@ time).
 
 This module holds only what a per-key automaton or an end-of-stream
 count equation cannot say — geometry, time intervals, cross-stream
-reconciliation, row sums, per-lease-id rules.  The five protocols that
+reconciliation, row sums.  The five protocols that
 *are* such automatons (circuit breaker, lease life cycle, journal, shard
 settlement, buffer directory) are stated once, in
 :mod:`repro.analysis.protocol.specs`, and ride in every checker set as
@@ -629,8 +629,8 @@ class ResilienceAccountingChecker(InvariantChecker):
     supervision layer emits the ``SUP_*`` recovery ledger.  The two must
     reconcile:
 
-    * every faulted worker call (``FLT_INJECT_CRASH``/``HANG``/call-keyed
-      ``SLOW_IO``) is **closed**: it either completed anyway
+    * every faulted worker call (``FLT_INJECT_CRASH``/``HANG``/``SLOW_IO``)
+      is **closed**: it either completed anyway
       (``SUP_CALL_OK``), failed explicitly (``SUP_CALL_FAILED``) or was
       abandoned by a cancelled awaiter (``SUP_CALL_ABANDONED``);
     * every explicit failure of a call is **answered**: the retry layer
@@ -643,9 +643,6 @@ class ResilienceAccountingChecker(InvariantChecker):
     * give-ups surface: the stream cannot contain more give-ups than
       error/timeout/cancellation outcomes (one batch give-up may surface
       as several request errors, never zero);
-    * every injected page corruption is detected and repaired
-      (``FLT_INJECT_CORRUPT`` == ``SUP_PAGE_CORRUPT_DETECTED`` ==
-      ``SUP_PAGE_REPAIRED``, also per page id);
     * worker supervision is lawful: a pid reported crashed
       (``SUP_WORKER_CRASH_DETECTED``) cannot crash again unless the pid
       re-entered the pool via ``SUP_WORKER_RESPAWNED``, and a crash that
@@ -690,12 +687,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         self.calls_abandoned = 0
         self.retries = 0
         self.giveups = 0
-        self.corruptions = 0
-        self.detections = 0
-        self.repairs = 0
-        self._corrupt_pages: dict = {}
-        self._detected_pages: dict = {}
-        self._repaired_pages: dict = {}
         self.breaker_transitions = 0
         self.surfaced = 0  # error + timeout + cancellation outcomes
         self.worker_crashes = 0
@@ -707,10 +698,8 @@ class ResilienceAccountingChecker(InvariantChecker):
         kind = event.kind
         data = event.data
         if kind in self._CALL_FAULTS:
-            call = data.get("call")
-            if call is not None:  # disk-seam SLOW_IO is page-, not call-keyed
-                self.injected_calls += 1
-                self._faulted.add(call)
+            self.injected_calls += 1
+            self._faulted.add(data.get("call"))
         elif kind in self._CALL_CLOSERS:
             call = data.get("call")
             self._closed.add(call)
@@ -743,18 +732,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         elif kind is EventKind.SUP_CALL_GIVEUP:
             self.giveups += 1
             self._answer(data.get("call"))
-        elif kind is EventKind.FLT_INJECT_CORRUPT:
-            self.corruptions += 1
-            page = data.get("page")
-            self._corrupt_pages[page] = self._corrupt_pages.get(page, 0) + 1
-        elif kind is EventKind.SUP_PAGE_CORRUPT_DETECTED:
-            self.detections += 1
-            page = data.get("page")
-            self._detected_pages[page] = self._detected_pages.get(page, 0) + 1
-        elif kind is EventKind.SUP_PAGE_REPAIRED:
-            self.repairs += 1
-            page = data.get("page")
-            self._repaired_pages[page] = self._repaired_pages.get(page, 0) + 1
         elif kind in self._BREAKER_MOVES:
             self.breaker_transitions += 1
         elif kind is EventKind.SUP_WORKER_CRASH_DETECTED:
@@ -817,21 +794,6 @@ class ResilienceAccountingChecker(InvariantChecker):
                 f"error/timeout/cancellation outcomes ({self.surfaced}) — "
                 f"a give-up vanished"
             )
-        if self.detections != self.corruptions:
-            self._violate(
-                f"injected corruptions ({self.corruptions}) != detections "
-                f"({self.detections})"
-            )
-        if self.repairs != self.detections:
-            self._violate(
-                f"detections ({self.detections}) != repairs ({self.repairs})"
-            )
-        for page, count in self._corrupt_pages.items():
-            if self._repaired_pages.get(page, 0) != count:
-                self._violate(
-                    f"page {page}: {count} corruption(s) injected but "
-                    f"{self._repaired_pages.get(page, 0)} repair(s)"
-                )
 
     def stats(self) -> dict[str, int]:
         return {
@@ -841,8 +803,6 @@ class ResilienceAccountingChecker(InvariantChecker):
             "calls_abandoned": self.calls_abandoned,
             "retries": self.retries,
             "giveups": self.giveups,
-            "corruptions": self.corruptions,
-            "repairs": self.repairs,
             "breaker_transitions": self.breaker_transitions,
             "worker_crashes": self.worker_crashes,
             "worker_respawns": self.worker_respawns,
@@ -850,27 +810,20 @@ class ResilienceAccountingChecker(InvariantChecker):
 
 
 class RecoveryAccountingChecker(InvariantChecker):
-    """Per-lease-id accounting, kill detection, and no result row lost or
-    double-counted.
+    """No result row lost or double-counted, and every kill detected.
 
-    The recovery layer (:mod:`repro.recovery`) emits one ``LSE_*`` event
-    per lease transition and ``JNL_*`` events for the durable journal;
-    the fault injector emits the task-kill / torn-append sabotage ledger.
-    The per-*task* life cycle (grant → {complete, expire → requeue},
-    replay, duplicate drops) is the ``lease`` spec's statement and the
-    scan / torn-line ledger the ``journal`` spec's (``protocol:lease``,
-    ``protocol:journal``).  What they cannot say is checked here:
+    The forked join (:mod:`repro.join.mp`) emits one ``LSE_*`` event per
+    lease transition and ``JNL_*`` events for the durable journal; the
+    fault injector emits the task-kill / torn-append sabotage ledger.  The
+    lease life cycle — per task and per lease id — is the ``lease`` spec's
+    statement and the scan / torn-line ledger the ``journal`` spec's
+    (``protocol:lease``, ``protocol:journal``).  What they cannot say is
+    checked here:
 
-    * every lease *id* — primary or split (a buddy-steal claim on the
-      same task) — is **granted once** and **closed exactly once**,
-      completed (``LSE_COMPLETED``) or expired (``LSE_EXPIRED``); a lease
-      still active when the stream ends leaked ownership;
-    * renewals (``LSE_RENEWED``) only touch active leases;
     * the final result size carried by ``RUN_END`` (``candidates``)
-      equals committed rows + replayed rows — no row lost, none counted
-      twice;
+      equals completed + replayed rows — no row lost, none counted twice;
     * every injected task kill (``FLT_INJECT_TASK_KILL``) is *detected*:
-      the killed processor's leases expire (at least as many expiries on
+      the killed holder's leases expire (at least as many expiries on
       that proc as kills).
 
     Torn injections (``FLT_INJECT_TORN_APPEND``) are counted as a stat —
@@ -883,20 +836,17 @@ class RecoveryAccountingChecker(InvariantChecker):
 
     def __init__(self) -> None:
         super().__init__()
-        self._lease_state: dict = {}  # lease id -> "active"|"completed"|"expired"
         self._lease_proc: dict = {}
         self._kills_by_proc: dict = {}
         self._expiries_by_proc: dict = {}
         self.grants = 0
-        self.renewals = 0
         self.completions = 0
         self.expirations = 0
         self.dup_dropped = 0
         self.task_kills = 0
         self.torn_injected = 0
         self.replayed = 0
-        self._committed = 0  # primary completions
-        self._ledger_rows = 0  # rows of primary completions + replays
+        self._ledger_rows = 0  # rows of completions + replays
         self._run_end_candidates: Optional[int] = None
 
     def observe(self, event: TraceEvent) -> None:
@@ -904,41 +854,13 @@ class RecoveryAccountingChecker(InvariantChecker):
         data = event.data
         if kind is EventKind.LSE_GRANTED:
             self.grants += 1
-            lease = data.get("lease")
-            if lease in self._lease_state:
-                self._violate(f"lease {lease} granted twice")
-            self._lease_state[lease] = "active"
-            self._lease_proc[lease] = event.proc
-        elif kind is EventKind.LSE_RENEWED:
-            self.renewals += 1
-            lease = data.get("lease")
-            if self._lease_state.get(lease) != "active":
-                self._violate(
-                    f"lease {lease} renewed while "
-                    f"{self._lease_state.get(lease, 'never granted')}"
-                )
+            self._lease_proc[data.get("lease")] = event.proc
         elif kind is EventKind.LSE_COMPLETED:
             self.completions += 1
-            lease = data.get("lease")
-            if self._lease_state.get(lease) != "active":
-                self._violate(
-                    f"lease {lease} completed while "
-                    f"{self._lease_state.get(lease, 'never granted')}"
-                )
-            self._lease_state[lease] = "completed"
-            if not data.get("split"):
-                self._committed += 1
-                self._ledger_rows += data.get("rows", 0)
+            self._ledger_rows += data.get("rows", 0)
         elif kind is EventKind.LSE_EXPIRED:
             self.expirations += 1
-            lease = data.get("lease")
-            if self._lease_state.get(lease) != "active":
-                self._violate(
-                    f"lease {lease} expired while "
-                    f"{self._lease_state.get(lease, 'never granted')}"
-                )
-            self._lease_state[lease] = "expired"
-            proc = self._lease_proc.get(lease, event.proc)
+            proc = self._lease_proc.get(data.get("lease"), event.proc)
             self._expiries_by_proc[proc] = self._expiries_by_proc.get(proc, 0) + 1
         elif kind is EventKind.LSE_DUP_DROPPED:
             self.dup_dropped += 1
@@ -957,15 +879,6 @@ class RecoveryAccountingChecker(InvariantChecker):
                 self._run_end_candidates = data["candidates"]
 
     def at_end(self) -> None:
-        for lease in sorted(
-            lease
-            for lease, state in self._lease_state.items()
-            if state == "active"
-        ):
-            self._violate(
-                f"lease {lease} still active at end of stream — never "
-                f"completed nor expired"
-            )
         for proc, kills in sorted(self._kills_by_proc.items()):
             expiries = self._expiries_by_proc.get(proc, 0)
             if expiries < kills:
@@ -975,7 +888,7 @@ class RecoveryAccountingChecker(InvariantChecker):
                 )
         if (
             self._run_end_candidates is not None
-            and (self._committed or self.replayed)
+            and (self.completions or self.replayed)
             and self._ledger_rows != self._run_end_candidates
         ):
             self._violate(
@@ -989,7 +902,6 @@ class RecoveryAccountingChecker(InvariantChecker):
             "grants": self.grants,
             "completions": self.completions,
             "expirations": self.expirations,
-            "renewals": self.renewals,
             "dup_dropped": self.dup_dropped,
             "replayed": self.replayed,
             "task_kills": self.task_kills,
@@ -1227,27 +1139,6 @@ def default_checkers() -> list[InvariantChecker]:
         RecoveryAccountingChecker(),
         # And vacuous without SHD_* sharded-routing events.
         ShardAccountingChecker(),
-        *_conformance_checkers(),
-    ]
-
-
-def recovery_checkers() -> list[InvariantChecker]:
-    """Fresh checkers for a recovery-enabled (lease/journal) join run.
-
-    Task conservation is deliberately absent: under injected kills a dead
-    processor lawfully abandons pending pairs and a requeued orphan
-    lawfully re-enqueues the same page-id pairs, both of which the
-    ``lease`` spec's exactly-once life cycle (``protocol:lease``) and
-    :class:`RecoveryAccountingChecker`'s row sum cover at the task level
-    instead.
-    """
-    return [
-        StealSoundnessChecker(),
-        BufferCoherenceChecker(),
-        DiskAccountingChecker(),
-        ClockMonotonicityChecker(),
-        ResilienceAccountingChecker(),
-        RecoveryAccountingChecker(),
         *_conformance_checkers(),
     ]
 

@@ -108,9 +108,8 @@ class EventKind(str, enum.Enum):
     FLT_INJECT_CRASH = "flt_inject_crash"
     FLT_INJECT_HANG = "flt_inject_hang"
     FLT_INJECT_SLOW_IO = "flt_inject_slow_io"
-    FLT_INJECT_CORRUPT = "flt_inject_corrupt"
 
-    # fault injection (repro.recovery seams)
+    # fault injection (the forked join's seams, repro.recovery)
     FLT_INJECT_TASK_KILL = "flt_inject_task_kill"    # processor dies at a task
     FLT_INJECT_TORN_APPEND = "flt_inject_torn_append"  # journal write torn
 
@@ -143,8 +142,6 @@ class EventKind(str, enum.Enum):
     SUP_BREAKER_OPEN = "sup_breaker_open"
     SUP_BREAKER_HALF_OPEN = "sup_breaker_half_open"
     SUP_BREAKER_CLOSED = "sup_breaker_closed"
-    SUP_PAGE_CORRUPT_DETECTED = "sup_page_corrupt_detected"
-    SUP_PAGE_REPAIRED = "sup_page_repaired"
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,8 @@
 protocol violations are flagged, and the monitors ride in the standard
 checker sets."""
 
+import multiprocessing
+
 import pytest
 
 from repro.analysis.protocol import (
@@ -123,15 +125,6 @@ class TestLease:
         joined = "\n".join(verdict.violations)
         assert "'orphaned'" in joined and "non-terminal" in joined
 
-    def test_secondary_splits_do_not_advance_the_automaton(self):
-        # split > 0 events are filtered by the `when` clause: a lone
-        # secondary completion neither advances state nor counts.
-        verdict = replay("lease", [
-            ev(0, EventKind.LSE_COMPLETED, 0, task=7, lease=1, split=1),
-        ])
-        assert verdict.ok
-        assert verdict.stats["completions"] == 0
-
 
 class TestBreaker:
     def test_clean_trip_probe_recover_passes(self):
@@ -252,3 +245,60 @@ class TestRealSimulation:
             v for v in verdicts if v.checker == "protocol:buffer-directory"
         )
         assert directory.stats["instances"] > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="requires the fork start method",
+    )
+    def test_traced_fork_kill_and_resume_conform(self, tmp_path):
+        """The lease and journal specs replay real runs of the one
+        recovery implementation: a forked join whose worker dies at task
+        1, journalled, then a resume from that journal."""
+        from repro.datagen import build_tree, paper_maps
+        from repro.faults import FaultPlan
+        from repro.join import prepare_trees
+        from repro.join.mp import fault_tolerant_join
+        from repro.recovery import RecoveryConfig, resume_join
+        from repro.trace import ListSink, Tracer
+
+        map_r, map_s = paper_maps(scale=0.01)
+        trees = build_tree(map_r), build_tree(map_s)
+        prepare_trees(*trees)
+        journal = str(tmp_path / "join.jnl")
+        recovery = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
+        killed, resumed = ListSink(), ListSink()
+        fault_tolerant_join(
+            *trees,
+            2,
+            recovery=recovery,
+            journal_path=journal,
+            faults=FaultPlan(seed=0, kill_at_task=(1,)),
+            tracer=Tracer(sinks=[killed]),
+        )
+        resume_join(
+            journal, *trees, processes=2, recovery=recovery,
+            tracer=Tracer(sinks=[resumed]),
+        )
+        runs = []
+        for sink in (killed, resumed):
+            verdicts = {
+                v.checker: v
+                for v in run_checkers(sink.events, conformance_checkers())
+            }
+            lease, journal_spec = (
+                verdicts["protocol:lease"], verdicts["protocol:journal"]
+            )
+            assert lease.ok, lease.violations
+            assert journal_spec.ok, journal_spec.violations
+            assert lease.stats["instances"] > 0
+            runs.append((lease.stats, journal_spec.stats))
+        (killed_lease, appended), (replayed_lease, scanned) = runs
+        # The kill cost one expiry and one requeue; the resume replayed
+        # every chunk the first run committed and granted nothing.
+        assert killed_lease["expirations"] == killed_lease["requeues"] == 1
+        assert replayed_lease["grants"] == 0
+        # The journal spec keeps no per-key instances (its states are not
+        # observable per event); its counters are the evidence.
+        assert appended["appends"] > 0
+        assert scanned["scans"] == 1
+        assert scanned["replays"] == replayed_lease["instances"]

@@ -1,5 +1,8 @@
 """Units for the fault-injection framework itself: plan validation,
-seeded determinism, directives, and checksummed page corruption."""
+seeded determinism, directives, task kills, torn appends and the
+checksum the journal frames its records with."""
+
+import math
 
 import pytest
 
@@ -11,7 +14,8 @@ from repro.faults import (
     NO_FAULTS,
     apply_directive,
 )
-from repro.storage.page import PageImage, page_checksum
+from repro.recovery import RecoveryConfig
+from repro.storage.page import page_checksum
 from repro.trace import EventKind, ListSink, Tracer
 
 
@@ -23,7 +27,9 @@ class TestFaultPlan:
         assert FaultPlan(worker_crash_p=0.1).active
         assert FaultPlan(worker_hang_p=0.1).active
         assert FaultPlan(slow_io_p=0.1).active
-        assert FaultPlan(page_flip_p=0.1).active
+        assert FaultPlan(task_kill_p=0.1).active
+        assert FaultPlan(torn_append_p=0.1).active
+        assert FaultPlan(kill_at_task=(3,)).active
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -90,12 +96,24 @@ class TestInjectorDeterminism:
         assert event.kind is EventKind.FLT_INJECT_CRASH
         assert event.data["call"] == 17
 
-    def test_io_multiplier(self):
-        plan = FaultPlan(seed=5, slow_io_p=1.0, slow_io_factor=4.0)
-        injector = FaultInjector(plan)
-        assert injector.io_multiplier(12) == 4.0
-        healthy = FaultInjector(FaultPlan(seed=5))
-        assert healthy.io_multiplier(12) == 1.0
+    def test_targeted_kill_fires_once_per_task(self):
+        sink = ListSink()
+        injector = FaultInjector(
+            FaultPlan(kill_at_task=(4,)), tracer=Tracer(sinks=[sink])
+        )
+        assert [injector.should_kill_at_task(t, proc=9) for t in (3, 4, 4)] == [
+            False, True, False,
+        ]
+        [event] = sink.events
+        assert event.kind is EventKind.FLT_INJECT_TASK_KILL
+        assert (event.proc, event.data["task"]) == (9, 4)
+
+    def test_torn_append_cuts_strictly_inside_the_record(self):
+        injector = FaultInjector(FaultPlan(seed=2, torn_append_p=1.0))
+        cuts = [injector.torn_append(40) for _ in range(20)]
+        assert all(0 < cut < 40 for cut in cuts)
+        assert injector.torn_appends == 20
+        assert FaultInjector(NO_FAULTS).torn_append(40) is None
 
 
 class TestDirectives:
@@ -127,31 +145,30 @@ class TestPageChecksums:
             corrupted[bit // 8] ^= 1 << (bit % 8)
             assert page_checksum(bytes(corrupted)) != reference
 
-    def test_page_image_verify(self):
-        image = PageImage.build(3, b"spatial join")
-        assert image.verify()
-        broken = PageImage(3, b"spatial joiN", image.checksum)
-        assert not broken.verify()
 
-    def test_corrupt_copy_flips_exactly_one_bit(self):
-        plan = FaultPlan(seed=11, page_flip_p=1.0)
-        injector = FaultInjector(plan)
-        payload = bytes(100)
-        corrupted = injector.corrupt_copy(7, payload)
-        assert corrupted != payload
-        diff = [
-            bin(a ^ b).count("1") for a, b in zip(payload, corrupted)
-        ]
-        assert sum(diff) == 1
-        assert injector.corruptions == 1
 
-    def test_corrupt_copy_deterministic(self):
-        plan = FaultPlan(seed=11, page_flip_p=0.5)
-        payload = bytes(range(200))
-        one = [
-            FaultInjector(plan).corrupt_copy(i, payload) for i in range(32)
-        ]
-        two = [
-            FaultInjector(plan).corrupt_copy(i, payload) for i in range(32)
-        ]
-        assert one == two
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "setting, field, value",
+    [
+        (RecoveryConfig, "lease_s", NAN),
+        (RecoveryConfig, "lease_s", INF),
+        (RecoveryConfig, "heartbeat_s", NAN),
+        (RecoveryConfig, "sweep_s", INF),
+        (FaultPlan, "hang_s", NAN),
+        (FaultPlan, "hang_s", INF),
+        (FaultPlan, "slow_io_factor", NAN),
+        (FaultPlan, "slow_io_base_s", INF),
+        (FaultPlan, "kill_at_task", (True,)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_non_finite_settings_are_refused(setting, field, value):
+    """One ``ValueError`` naming the field and the value: an infinite
+    lease never expires, so a hung worker would never be detected, and a
+    bool is no task id."""
+    shown = repr(value[0] if isinstance(value, tuple) else value)
+    with pytest.raises(ValueError, match=rf"^{field}\b.*{shown}$"):
+        setting(**{field: value})

@@ -9,12 +9,14 @@ from repro.join import (
     LSR,
     ParallelJoinConfig,
     ReassignLevel,
+    RefinementModel,
     ReassignmentPolicy,
     VictimChoice,
     parallel_spatial_join,
     prepare_trees,
     sequential_join,
 )
+from repro.join import parallel as parallel_module
 
 SCALE = 0.02
 
@@ -124,11 +126,12 @@ class TestTimingSanity:
         more = run(workload, processors=16, disks=1, total_buffer_pages=400)
         assert more.response_time > one.response_time * 0.7  # no big win
 
-    def test_refinement_disabled_is_faster(self, workload):
+    def test_refinement_disabled_is_faster(self, workload, monkeypatch):
         with_r = run(workload, processors=4, disks=4, total_buffer_pages=160)
-        without = run(
-            workload, processors=4, disks=4, total_buffer_pages=160, refinement=None
+        monkeypatch.setattr(
+            parallel_module, "REFINEMENT", RefinementModel(t_min=0.0, t_max=0.0)
         )
+        without = run(workload, processors=4, disks=4, total_buffer_pages=160)
         assert without.response_time < with_r.response_time
         assert without.pair_set() == workload[3]
 

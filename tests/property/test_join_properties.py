@@ -128,7 +128,6 @@ class TestParallelJoinProperty:
                 total_buffer_pages=pages,
                 variant=variant,
                 reassignment=ReassignmentPolicy(level=level),
-                refinement=None,
             ),
             page_store=page_store,
         )

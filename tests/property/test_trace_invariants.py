@@ -75,7 +75,6 @@ class TestTraceInvariantProperties:
                 total_buffer_pages=pages,
                 variant=variant,
                 reassignment=ReassignmentPolicy(level=level, victim=victim),
-                refinement=None,
                 trace=TraceConfig(),
             ),
             page_store=page_store,
@@ -110,7 +109,6 @@ class TestTraceInvariantProperties:
                 disks=2,
                 total_buffer_pages=24,
                 variant=variant,
-                refinement=None,
                 trace=TraceConfig(),
             ),
             page_store=page_store,

@@ -35,14 +35,13 @@ class TestGrantAndClose:
         assert lease.active
         assert lease.task == 7 and lease.holder == 1
         assert lease.deadline == pytest.approx(clock.now + 2.0)
-        assert table.is_active(lease.id)
-        assert table.find_active(7, 1) is lease
+        assert table.stats()["active"] == 1
 
     def test_complete_closes_once(self, table):
         lease = table.grant(task=0, holder=0)
         table.complete(lease.id, rows=3)
         assert lease.state is LeaseState.COMPLETED
-        assert not table.is_active(lease.id)
+        assert not lease.active
         with pytest.raises(LeaseError):
             table.complete(lease.id)
         with pytest.raises(LeaseError):
@@ -70,8 +69,8 @@ class TestSweep:
         clock.advance(1.0)  # early is 2.5s old, late only 1.0s
         overdue = table.sweep()
         assert [l.id for l in overdue] == [early.id]
-        assert not table.is_active(early.id)
-        assert table.is_active(late.id)
+        assert not early.active
+        assert late.active
 
     def test_renewal_defers_expiry(self, table, clock):
         lease = table.grant(task=0, holder=0)
@@ -79,32 +78,13 @@ class TestSweep:
         table.renew(lease.id)
         clock.advance(1.5)  # 3.0s after grant, 1.5s after renewal
         assert table.sweep() == []
-        assert table.is_active(lease.id)
+        assert lease.active
 
     def test_sweep_on_time_is_idempotent(self, table, clock):
         table.grant(task=0, holder=0)
         clock.advance(5.0)
         assert len(table.sweep()) == 1
         assert table.sweep() == []
-
-
-class TestHolderHeartbeat:
-    def test_renew_holder_touches_all_held_leases(self, table, clock):
-        a = table.grant(task=0, holder=2)
-        b = table.grant(task=1, holder=2, split=True)
-        other = table.grant(task=2, holder=3)
-        clock.advance(1.0)
-        assert table.renew_holder(2) == 2
-        assert a.deadline == b.deadline == pytest.approx(clock.now + 2.0)
-        assert other.deadline == pytest.approx(2.0)
-
-    def test_renew_holder_throttled_by_heartbeat(self, table, clock):
-        table.grant(task=0, holder=0)
-        assert table.renew_holder(0) == 1
-        clock.advance(0.1)  # within heartbeat_s=0.5
-        assert table.renew_holder(0) == 0
-        clock.advance(0.5)
-        assert table.renew_holder(0) == 1
 
 
 class TestTracingAndStats:

@@ -27,13 +27,7 @@ from repro.recovery import (
     run_recoverable_join,
 )
 from repro.rtree import FlatRTree, RStarTree, build_flat_tree
-from repro.trace import (
-    EventKind,
-    ListSink,
-    Tracer,
-    recovery_checkers,
-    run_checkers,
-)
+from repro.trace import EventKind, ListSink, Tracer, run_checkers
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK, reason="requires the fork start method")
@@ -92,7 +86,7 @@ class _SlowPlan:
 
 
 def assert_lawful(sink):
-    for verdict in run_checkers(sink.events, recovery_checkers()):
+    for verdict in run_checkers(sink.events):
         assert verdict.ok, (verdict.checker, verdict.violations)
 
 
@@ -215,6 +209,38 @@ class TestInterruptAndResume(Backend):
         assert report.replayed_chunks >= 3
         assert report.rerun_chunks >= 1
         assert report.complete
+
+    @needs_fork
+    def test_interrupted_and_resumed_traces_are_lawful(
+        self, trees, expected, tmp_path
+    ):
+        """A parent stopped after three commits leaves a lawful trace (its
+        held chunks expire as ``interrupted`` and are requeued), and the
+        resume replays exactly the chunks the journal committed — one
+        ``JNL_REPLAYED`` each — under every checker."""
+        journal = str(tmp_path / "mp.jnl")
+        stopped, resumed = ListSink(), ListSink()
+        with pytest.raises(JoinInterrupted):
+            fault_tolerant_join(
+                *trees,
+                2,
+                recovery=RecoveryConfig(
+                    lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05,
+                    journal_path=journal, stop_after_commits=3,
+                ),
+                tracer=Tracer(sinks=[stopped]),
+            )
+        assert_lawful(stopped)
+        report = resume_join(
+            journal, *trees, processes=2, recovery=FAST,
+            tracer=Tracer(sinks=[resumed]),
+        )
+        assert set(report.pairs) == expected
+        assert_lawful(resumed)
+        replays = [
+            e for e in resumed.events if e.kind is EventKind.JNL_REPLAYED
+        ]
+        assert len(replays) == report.replayed_chunks >= 3
 
     @needs_fork
     def test_replayed_json_rows_and_fresh_tables_meet_in_one_ledger(

@@ -446,33 +446,6 @@ def giveup_surfaced_as_error():
     return giveup(EventKind.SVC_REQUEST_ERROR)
 
 
-def corruption(*answer):
-    """Page 12 corrupted, then ``(kind, page)`` detections / repairs."""
-    s = Stream()
-    s.emit(EventKind.FLT_INJECT_CORRUPT, proc=0, page=12, bit=5)
-    for kind, page in answer:
-        s.emit(kind, proc=0, page=page)
-    return s
-
-
-def corruption_undetected():
-    return corruption()
-
-
-def corruption_repaired():
-    return corruption(
-        (EventKind.SUP_PAGE_CORRUPT_DETECTED, 12),
-        (EventKind.SUP_PAGE_REPAIRED, 12),
-    )
-
-
-def repair_of_the_wrong_page():
-    return corruption(
-        (EventKind.SUP_PAGE_CORRUPT_DETECTED, 12),
-        (EventKind.SUP_PAGE_REPAIRED, 99),
-    )
-
-
 def lawful_breaker_cycle():
     s = Stream()
     s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
@@ -519,13 +492,6 @@ def crash_victim_closed_under_another_cause():
 
 def crash_victim_never_closed():
     return crash_stream()
-
-
-def disk_seam_slow_io():
-    # Page-keyed SLOW_IO (no "call" field) needs no SUP_CALL closure.
-    return Stream().emit(
-        EventKind.FLT_INJECT_SLOW_IO, proc=1, page=7, factor=4.0
-    )
 
 
 class TestResilienceAccounting:
@@ -576,15 +542,6 @@ class TestResilienceAccounting:
     def test_giveup_surfaced_as_error_reconciles(self):
         assert self.verdict(giveup_surfaced_as_error()).ok
 
-    def test_corruption_must_be_detected_and_repaired(self):
-        assert not self.verdict(corruption_undetected()).ok
-        assert self.verdict(corruption_repaired()).ok
-
-    def test_repair_of_the_wrong_page_violates(self):
-        verdict = self.verdict(repair_of_the_wrong_page())
-        assert not verdict.ok
-        assert any("page 12" in v for v in verdict.violations)
-
     def test_lawful_breaker_cycle_passes(self):
         verdict = self.verdict(lawful_breaker_cycle())
         assert verdict.ok
@@ -607,8 +564,3 @@ class TestResilienceAccounting:
         assert not verdict.ok
         assert any("never closed as worker-died" in v
                    for v in verdict.violations)
-
-    def test_disk_seam_slow_io_is_not_call_keyed(self):
-        verdict = self.verdict(disk_seam_slow_io())
-        assert verdict.ok
-        assert verdict.stats["injected_calls"] == 0

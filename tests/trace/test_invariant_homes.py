@@ -5,8 +5,8 @@ nine monitors that could claim the five protocols — the four accounting
 classes of ``repro.trace.checkers`` and the five spec monitors of
 ``repro.analysis.protocol``.  A violation whose statement is a spec fails
 exactly ``{"protocol:<spec>"}``; one whose rule stays hand-written
-(geometry, row sums, cross-stream reconciliation, per-lease-id rules)
-fails exactly its class; a lawful stream fails nothing.  A second name
+(geometry, row sums, cross-stream reconciliation) fails exactly its
+class; a lawful stream fails nothing.  A second name
 in a row means an invariant has grown a second home.
 
 The streams are the ones the three checker unit-test modules build;
@@ -110,6 +110,19 @@ def double_completion_of_one_task():
     return s
 
 
+def one_lease_completed_twice():
+    s = rc.Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
+    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, rows=1)
+    return s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, rows=1)
+
+
+def completion_naming_another_lease():
+    s = rc.Stream()
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
+    return s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=5, rows=1)
+
+
 def unrequeued_orphan():
     s = rc.Stream()
     s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
@@ -174,6 +187,8 @@ ROWS = [
     (foreign_deregistration, DIRECTORY),
     (unlawful_breaker_edges, BREAKER),
     (double_completion_of_one_task, LEASE),
+    (one_lease_completed_twice, LEASE),
+    (completion_naming_another_lease, LEASE),
     (unrequeued_orphan, LEASE),
     (requeue_without_expiry, LEASE),
     (replay_after_live_completion, LEASE),
@@ -182,12 +197,9 @@ ROWS = [
     (double_done, SETTLEMENT),
     (unsettled_subrequest, SETTLEMENT),
     (failed_after_done, SETTLEMENT),
-    # The one sanctioned overlap: a leaked primary lease is a lease id
-    # never closed (the rule split leases need) and a task wedged in
-    # ``leased``.
-    (rc.leaked_lease, RECOVERY | LEASE),
+    (rc.leaked_lease, LEASE),
+    (rc.renew_of_expired_lease, LEASE),
     # Rules an automaton cannot say: exactly their class.
-    (rc.renew_of_expired_lease, RECOVERY),
     (rc.undetected_kill, RECOVERY),
     (rc.run_end_row_mismatch, RECOVERY),
     (sc.fanout_narrower_than_geometry, SHARD),
@@ -206,8 +218,6 @@ ROWS = [
     (tc.retry_without_open_failure, RESILIENCE),
     (tc.retry_past_deadline_budget, RESILIENCE),
     (tc.giveup_vanished, RESILIENCE),
-    (tc.corruption_undetected, RESILIENCE),
-    (tc.repair_of_the_wrong_page, RESILIENCE),
     (tc.crash_victim_closed_under_another_cause, RESILIENCE),
     (tc.crash_victim_never_closed, RESILIENCE),
     # Lawful streams of the five protocols: nothing.
@@ -218,14 +228,11 @@ ROWS = [
     (tc.fault_closed_by_ok, LAWFUL),
     (tc.failed_then_retried, LAWFUL),
     (tc.giveup_surfaced_as_error, LAWFUL),
-    (tc.corruption_repaired, LAWFUL),
     (tc.lawful_breaker_cycle, LAWFUL),
     (breaker_classes_independent, LAWFUL),
     (tc.crash_victim_worker_died, LAWFUL),
     (tc.crash_victim_abandoned, LAWFUL),
-    (tc.disk_seam_slow_io, LAWFUL),
     (rc.lawful_stream, LAWFUL),
-    (rc.split_lease_without_requeue, LAWFUL),
     (rc.dup_drop_after_commit, LAWFUL),
     (sc.window_fanout_settles, LAWFUL),
     (sc.knn_with_lawful_skip, LAWFUL),

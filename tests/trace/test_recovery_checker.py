@@ -1,8 +1,9 @@
 """RecoveryAccountingChecker on handcrafted lease/journal event streams.
 
 The streams are named builders so that the planted-bug table
-(``test_invariant_homes``) can replay them too; the per-*task* life-cycle
-violations live there only — their one statement is the ``lease`` spec.
+(``test_invariant_homes``) can replay them too.  The lease life cycle,
+per task and per lease id, is the ``lease`` spec's one statement: its
+violations are replayed through the spec monitor here.
 """
 
 from repro.analysis.protocol import ProtocolConformanceChecker, get_spec
@@ -19,6 +20,10 @@ class Stream:
         return self
 
 
+def lease_verdict(events):
+    return verdict_of(events, ProtocolConformanceChecker(get_spec("lease")))
+
+
 def verdict_of(events, checker=None):
     checker = checker or RecoveryAccountingChecker()
     for event in events:
@@ -31,23 +36,14 @@ def lawful_stream():
     s = Stream()
     s.emit(EventKind.JNL_SCANNED, records=1, torn=0, path="j")
     s.emit(EventKind.JNL_REPLAYED, task=9, rows=2)
-    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
     s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
     s.emit(EventKind.FLT_INJECT_TASK_KILL, proc=0, task=1)
-    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="deadline")
+    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, reason="deadline")
     s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
-    s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1, split=0)
-    s.emit(EventKind.LSE_COMPLETED, proc=1, task=1, lease=1, split=0, rows=3)
+    s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1)
+    s.emit(EventKind.LSE_COMPLETED, proc=1, task=1, lease=1, rows=3)
     s.emit(EventKind.RUN_END, candidates=5)
-    return s
-
-
-def split_lease_without_requeue():
-    s = Stream()
-    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-    s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1, split=1)
-    s.emit(EventKind.LSE_EXPIRED, proc=1, task=1, lease=1, split=1, reason="attempt")
-    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=0)
     return s
 
 
@@ -62,13 +58,13 @@ def dup_drop_after_commit():
 
 
 def leaked_lease():
-    return Stream().emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    return Stream().emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
 
 
 def renew_of_expired_lease():
     s = Stream()
-    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, split=0, reason="x")
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
+    s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, reason="x")
     s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
     s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
     return s
@@ -76,9 +72,9 @@ def renew_of_expired_lease():
 
 def undetected_kill():
     s = Stream()
-    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
+    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
     s.emit(EventKind.FLT_INJECT_TASK_KILL, proc=0, task=1)
-    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
+    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, rows=1)
     return s
 
 
@@ -97,17 +93,12 @@ class TestLawfulStreams:
         assert verdict.stats["grants"] == 2
         assert verdict.stats["replayed"] == 1
         assert verdict.stats["task_kills"] == 1
-        lease = verdict_of(
-            lawful_stream().events, ProtocolConformanceChecker(get_spec("lease"))
-        )
+        lease = lease_verdict(lawful_stream().events)
         assert lease.ok, lease.violations
         assert lease.stats["requeues"] == 1
 
     def test_empty_stream_is_vacuous(self):
         assert verdict_of([]).ok
-
-    def test_split_lease_needs_no_requeue(self):
-        assert verdict_of(split_lease_without_requeue().events).ok
 
     def test_dup_drop_after_commit_is_lawful(self):
         assert verdict_of(dup_drop_after_commit().events).ok
@@ -115,13 +106,15 @@ class TestLawfulStreams:
 
 class TestViolations:
     def test_leaked_lease_detected(self):
-        verdict = verdict_of(leaked_lease().events)
+        verdict = lease_verdict(leaked_lease().events)
         assert not verdict.ok
-        assert any("still active" in v for v in verdict.violations)
+        assert any("non-terminal state 'leased'" in v for v in verdict.violations)
 
     def test_renew_of_expired_lease_detected(self):
-        verdict = verdict_of(renew_of_expired_lease().events)
-        assert any("renewed while expired" in v for v in verdict.violations)
+        verdict = lease_verdict(renew_of_expired_lease().events)
+        assert any(
+            "lse_renewed in state 'queued'" in v for v in verdict.violations
+        )
 
     def test_undetected_kill_flagged(self):
         verdict = verdict_of(undetected_kill().events)
