@@ -26,10 +26,11 @@ from ..join import (
     SharedNothingConfig,
     VictimChoice,
     multi_step_join,
+    prepare_trees,
     sequential_join,
     shared_nothing_join,
 )
-from ..query import ParallelQueryConfig, parallel_knn, parallel_window_query, prepare_tree
+from ..query import ParallelQueryConfig, parallel_knn, parallel_window_query
 from ..zorder import zorder_join
 from .harness import Workload, get_workload, run_join, scaled_pages
 
@@ -273,7 +274,8 @@ def parallel_queries(workload: Workload) -> list[dict[str, object]]:
     """The paper's other future-work operations: a window over half the
     region as the processor count grows (d = n, global buffer), then a
     parallel 10-NN search with the SVM-shared pruning bound."""
-    tree, page_store = workload.tree1, prepare_tree(workload.tree1)
+    tree = workload.tree1
+    page_store = prepare_trees(tree, tree)
     side = workload.map1.region.side
     window = Rect(0.1 * side, 0.1 * side, 0.6 * side, 0.6 * side)
     rows = []

@@ -262,7 +262,6 @@ class _Engine:
         self.lease_table = LeaseTable(
             clock=self.clock,
             lease_s=recovery.lease_s,
-            heartbeat_s=recovery.heartbeat_s,
             tracer=tracer,
         )
         self.ledger = ResultLedger(tracer=tracer)

@@ -10,7 +10,7 @@ algorithm for a given configuration:
 3. **parallel task execution** — every simulated processor runs the real
    BKS93 depth-first join on its pairs of subtrees, with page accesses
    going through its path buffers and local LRU buffer, optionally the SVM
-   global buffer, and the shared disk array (:class:`_SharedMemory`);
+   global buffer, and the shared disk array (:class:`SharedMemory`);
 
 plus the **task reassignment** of section 3.4: idle processors steal the
 highest-level pending pairs from a victim chosen by policy, buddying up
@@ -22,15 +22,18 @@ time, reassignment counts.  Like the paper's, the machine never fails:
 crash recovery belongs to the forked join (:mod:`repro.join.mp`).
 
 The page access and the charge for a dynamic-queue fetch are the only
-parts of a run that belong to the machine: :class:`_JoinRun` takes them
-from a *pages* policy built for the run, so the shared-nothing cluster of
-:mod:`repro.join.shared_nothing` is this simulator with another policy.
+parts of a run that belong to the machine: a :class:`MachineRun` takes
+them from a *pages* policy built for the run, so the shared-nothing
+cluster of :mod:`repro.join.shared_nothing` is this simulator with
+another policy, and the parallel window and kNN queries of
+:mod:`repro.query.parallel` are another workload on the same machine.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Generator, Optional
 
 from ..buffer.global_buffer import GlobalDirectory
@@ -134,25 +137,90 @@ def parallel_spatial_join(
     buffers always start cold regardless).
     """
     require_node_trees("parallel_spatial_join", tree_r, tree_s)
-    return _JoinRun(tree_r, tree_s, config, page_store, _SharedMemory).execute()
+    return _JoinRun(tree_r, tree_s, config, page_store, SharedMemory).execute()
 
 
-class _SharedMemory:
+class MachineRun:
+    """The set-up every workload on the simulated machine shares: the
+    checked machine settings (one ``ValueError`` naming the field and the
+    value), the event loop (and tracing, for a *trace*), the KSR1 machine
+    and its metrics, the paginated trees and the run's page-access policy.
+
+    *pages* builds that policy from the half-built run (its ``config``,
+    ``env``, ``machine``, ``metrics``, ``tracer``, ``store`` and
+    ``global_buffer``): ``access(p, tree_id, node)`` reads one page for
+    processor *p* and ``fetch(p)`` charges *p*'s next fetch from the
+    dynamic queue — both process fragments.
+    """
+
+    def __init__(
+        self,
+        config,
+        tree_r: RStarTree,
+        tree_s: RStarTree,
+        page_store: Optional[PageStore],
+        pages,
+        *,
+        global_buffer: bool,
+        trace: Optional[TraceConfig] = None,
+    ):
+        for name in ("processors", "disks", "total_buffer_pages"):
+            value = getattr(config, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        self.config = config
+        self.global_buffer = global_buffer
+        self.env = Environment()
+        self._init_tracing(trace)
+        self.machine = Machine(self.env, KSR1_CONFIG)
+        self.metrics = self.machine.metrics
+        self.store = page_store or prepare_trees(tree_r, tree_s)
+        self.pages = pages(self)
+        self.times = ProcessorTimes(config.processors)
+
+    def _init_tracing(self, trace_config: Optional[TraceConfig]) -> None:
+        """Wire the event bus: recording/JSONL sinks plus online checkers."""
+        self._record_sink: Optional[ListSink] = None
+        self._jsonl_sink: Optional[JSONLSink] = None
+        self._checkers = []
+        if trace_config is None:
+            self.tracer = NULL_TRACER
+            return
+        sinks: list = []
+        if trace_config.keep_events:
+            self._record_sink = ListSink()
+            sinks.append(self._record_sink)
+        if trace_config.jsonl_path is not None:
+            self._jsonl_sink = JSONLSink(trace_config.jsonl_path)
+            sinks.append(self._jsonl_sink)
+        if trace_config.checkers:
+            self._checkers = default_checkers()
+            sinks.extend(self._checkers)
+        env = self.env
+        self.tracer = Tracer(clock=lambda: env.now, sinks=sinks)
+        env.tracer = self.tracer
+
+    def run_processors(self, body) -> None:
+        """Run ``body(p)`` as one simulated process per processor."""
+        for p in range(self.config.processors):
+            self.env.process(body(p), name=f"P{p}")
+        self.env.run()
+
+
+class SharedMemory:
     """Page access on the SVM machine: each processor's path buffers and
-    local LRU, the global buffer directory for the ``g*`` variants and the
-    shared disk array (sections 3.2, 4.2); a queue fetch is one critical
-    section."""
+    local LRU, the global buffer directory when the run's
+    ``global_buffer`` is set, and the shared disk array (sections 3.2,
+    4.2); a queue fetch is one critical section."""
 
-    def __init__(self, run: "_JoinRun"):
+    def __init__(self, run: MachineRun):
         config = run.config
         tracer = run.tracer
         disks = DiskArray(
             run.env, config.disks, DEFAULT_DISK, run.metrics, tracer=tracer
         )
         directory = (
-            GlobalDirectory(run.machine, tracer=tracer)
-            if config.variant.buffer is BufferMode.GLOBAL
-            else None
+            GlobalDirectory(run.machine, tracer=tracer) if run.global_buffer else None
         )
         n = config.processors
         heights = run.store.tree_heights()
@@ -181,15 +249,9 @@ class _SharedMemory:
         yield self.env.timeout(KSR1_CONFIG.sync_time)
 
 
-class _JoinRun:
-    """State of one simulation run (one processor process per CPU).
-
-    *pages* builds the run's page-access policy from the half-built run
-    (its ``config``, ``env``, ``machine``, ``metrics``, ``tracer`` and
-    ``store``): ``access(p, tree_id, node)`` reads one page for processor
-    *p* and ``fetch(p)`` charges *p*'s next fetch from the dynamic queue —
-    both process fragments.
-    """
+class _JoinRun(MachineRun):
+    """State of one join run on the machine (one processor process per
+    CPU); *pages* is its page-access policy (see :class:`MachineRun`)."""
 
     def __init__(
         self,
@@ -199,16 +261,12 @@ class _JoinRun:
         page_store: Optional[PageStore],
         pages,
     ):
-        if config.processors < 1:
-            raise ValueError("need at least one processor")
-        self.config = config
-        self.env = Environment()
-        self._init_tracing(config.trace)
+        super().__init__(
+            config, tree_r, tree_s, page_store, pages,
+            global_buffer=config.variant.buffer is BufferMode.GLOBAL,
+            trace=config.trace,
+        )
         tracer = self.tracer
-        self.machine = Machine(self.env, KSR1_CONFIG)
-        self.metrics = self.machine.metrics
-        self.store = page_store or prepare_trees(tree_r, tree_s)
-        self.pages = pages(self)
         n = config.processors
 
         # Phase 1: task creation (sequential; CPU share negligible per
@@ -277,7 +335,6 @@ class _JoinRun:
                     self.workloads[p].push_task(task.node_r, task.node_s)
 
         # Shared run state.
-        self.times = ProcessorTimes(n)
         self.idle = [False] * n
         self.finished = [False] * n
         self.buddies: list[Optional[int]] = [None] * n
@@ -285,33 +342,9 @@ class _JoinRun:
         self.pairs_by_processor: list[list] = [[] for _ in range(n)]
         self.reassignments = 0
 
-    def _init_tracing(self, trace_config: Optional[TraceConfig]) -> None:
-        """Wire the event bus: recording/JSONL sinks plus online checkers."""
-        self._record_sink: Optional[ListSink] = None
-        self._jsonl_sink: Optional[JSONLSink] = None
-        self._checkers = []
-        if trace_config is None:
-            self.tracer = NULL_TRACER
-            return
-        sinks: list = []
-        if trace_config.keep_events:
-            self._record_sink = ListSink()
-            sinks.append(self._record_sink)
-        if trace_config.jsonl_path is not None:
-            self._jsonl_sink = JSONLSink(trace_config.jsonl_path)
-            sinks.append(self._jsonl_sink)
-        if trace_config.checkers:
-            self._checkers = default_checkers()
-            sinks.extend(self._checkers)
-        env = self.env
-        self.tracer = Tracer(clock=lambda: env.now, sinks=sinks)
-        env.tracer = self.tracer
-
     # ------------------------------------------------------------------ run
     def execute(self) -> ParallelJoinResult:
-        for p in range(self.config.processors):
-            self.env.process(self._processor(p), name=f"P{p}")
-        self.env.run()
+        self.run_processors(self._processor)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.RUN_END,

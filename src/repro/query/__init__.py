@@ -6,7 +6,6 @@ from .parallel import (
     ParallelQueryResult,
     parallel_knn,
     parallel_window_query,
-    prepare_tree,
 )
 
 __all__ = [
@@ -14,6 +13,5 @@ __all__ = [
     "ParallelQueryResult",
     "parallel_window_query",
     "parallel_knn",
-    "prepare_tree",
     "multi_window_query",
 ]

@@ -3,8 +3,10 @@
 The paper closes with: "we want to integrate the spatial join in a larger
 framework for parallel spatial query processing where also other
 operations such as neighbor and window queries are efficiently supported"
-(section 5).  This module builds that framework piece with the same
-machinery as the parallel join:
+(section 5).  This module builds that framework piece as another
+workload on the parallel join's machine
+(:class:`~repro.join.parallel.MachineRun` with the
+:class:`~repro.join.parallel.SharedMemory` page policy, global buffer on):
 
 * **task creation** — the subtrees under root entries qualifying for the
   query, ordered by the local plane-sweep order (window queries) or by
@@ -25,29 +27,30 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from dataclasses import dataclass
+from typing import Callable, Generator, Optional
 
-from ..buffer.global_buffer import GlobalDirectory
-from ..buffer.local import ProcessorBufferManager
 from ..geometry.rect import Rect
+from ..join.parallel import MachineRun, SharedMemory
 from ..rtree.entry import Entry
 from ..rtree.node import Node
 from ..rtree.pagestore import PageStore
-from ..rtree.query import _min_distance, oid_order_key
-from ..sim.engine import Environment
-from ..sim.machine import KSR1_CONFIG, Machine
+from ..rtree.query import (
+    _min_distance,
+    coordinate_error,
+    oid_order_key,
+    require_k,
+    require_window,
+)
+from ..sim.machine import KSR1_CONFIG
 from ..sim.metrics import ProcessorTimes
 from ..sim.resources import Lock, Store
-from ..storage.disk import DEFAULT_DISK
-from ..storage.diskarray import DiskArray
 
 __all__ = [
     "ParallelQueryConfig",
     "ParallelQueryResult",
     "parallel_window_query",
     "parallel_knn",
-    "prepare_tree",
 ]
 
 
@@ -84,61 +87,38 @@ class ParallelQueryResult:
         return self.times.response_time
 
 
-def prepare_tree(tree) -> PageStore:
-    """Sort node entries and paginate a single tree (tree id 0)."""
-    page_store = PageStore()
-    for node in tree.nodes():
-        node.sort_entries_by_xl()
-    page_store.add_tree(0, tree)
-    return page_store
+def _machine(tree, config: ParallelQueryConfig, page_store) -> MachineRun:
+    """The join simulator's machine with the global buffer on; the tree is
+    both inputs of a self-join store, paginated once as tree 0."""
+    return MachineRun(config, tree, tree, page_store, SharedMemory, global_buffer=True)
 
 
-class _QueryRun:
-    """Shared plumbing of window and kNN runs."""
+def _run_tasks(
+    run: MachineRun, tree, tasks: list[Node], search: Callable[[int, Node], Generator]
+) -> None:
+    """Feed *tasks* to the processors through a shared FCFS queue; each
+    runs ``search(p, subtree)`` on the subtrees it fetches."""
+    queue = Store(run.env, name="query-tasks")
+    for task in tasks:
+        queue.put(task)
+    queue.close()
 
-    def __init__(self, tree, config: ParallelQueryConfig, page_store: Optional[PageStore]):
-        if config.processors < 1:
-            raise ValueError("need at least one processor")
-        self.tree = tree
-        self.config = config
-        self.env = Environment()
-        self.machine = Machine(self.env, KSR1_CONFIG)
-        self.metrics = self.machine.metrics
-        self.disks = DiskArray(self.env, config.disks, DEFAULT_DISK, self.metrics)
-        self.store = page_store or prepare_tree(tree)
-        directory = GlobalDirectory(self.machine)
-        per_processor = max(1, config.total_buffer_pages // config.processors)
-        self.managers = [
-            ProcessorBufferManager(
-                proc_id=p,
-                machine=self.machine,
-                disk_array=self.disks,
-                lru_capacity=per_processor,
-                tree_heights=self.store.tree_heights(),
-                directory=directory,
-            )
-            for p in range(config.processors)
-        ]
-        self.queue = Store(self.env, name="query-tasks")
-        self.times = ProcessorTimes(config.processors)
-        self.entries_by_processor: list[list[Entry]] = [
-            [] for _ in range(config.processors)
-        ]
+    def processor(p: int) -> Generator:
+        # The root page itself is inspected by every processor (it holds
+        # the task entries); charge one access each, like the join does
+        # implicitly via task creation on processor 0.
+        if tree.size > 0 and not tree.root.is_leaf:
+            yield from run.pages.access(p, 0, tree.root)
+        while True:
+            subtree = yield queue.get()
+            if subtree is None:
+                break
+            started = run.env.now
+            yield from search(p, subtree)
+            run.times.busy[p] += run.env.now - started
+            run.times.finish[p] = run.env.now
 
-    def access(self, p: int, node: Node) -> Generator:
-        yield from self.managers[p].access(
-            0, self.store.depth(0, node), node.page_id, self.store.kind(node.page_id)
-        )
-
-    def run(self, processor_body) -> ParallelQueryResult:
-        for p in range(self.config.processors):
-            self.env.process(processor_body(p), name=f"Q{p}")
-        self.env.run()
-        return ParallelQueryResult(
-            entries_by_processor=self.entries_by_processor,
-            metrics=self.metrics,
-            times=self.times,
-        )
+    run.run_processors(processor)
 
 
 # ------------------------------------------------------------- window query
@@ -153,7 +133,9 @@ def parallel_window_query(
     Subtrees under qualifying root entries are the tasks; a shared dynamic
     queue feeds them to the processors in plane-sweep order.
     """
-    run = _QueryRun(tree, config, page_store)
+    require_window(window)
+    run = _machine(tree, config, page_store)
+    tasks: list[Node] = []
     if tree.size > 0:
         root = tree.root
         if root.is_leaf:
@@ -175,41 +157,26 @@ def parallel_window_query(
                     for entry in node.entries
                     if entry.intersects(window)
                 ]
-        for task in tasks:
-            run.queue.put(task)
-    run.queue.close()
+    found: list[list[Entry]] = [[] for _ in range(config.processors)]
     cpu_test = KSR1_CONFIG.cpu_rect_test_time
 
-    def processor(p: int) -> Generator:
-        # The root page itself is inspected by every processor (it holds
-        # the task entries); charge one access each, like the join does
-        # implicitly via task creation on processor 0.
-        if tree.size > 0 and not tree.root.is_leaf:
-            yield from run.access(p, tree.root)
-        while True:
-            subtree = yield run.queue.get()
-            if subtree is None:
-                break
-            started = run.env.now
-            stack = [subtree]
-            while stack:
-                node = stack.pop()
-                yield from run.access(p, node)
-                tests = len(node.entries)
-                yield run.env.timeout(tests * cpu_test)
-                if node.is_leaf:
-                    for entry in node.entries:
-                        if entry.intersects(window):
-                            run.entries_by_processor[p].append(entry)
-                else:
-                    for entry in reversed(node.entries):
-                        if entry.intersects(window):
-                            stack.append(entry.child)
-            run.times.busy[p] += run.env.now - started
-            run.times.finish[p] = run.env.now
-        return None
+    def search(p: int, subtree: Node) -> Generator:
+        stack = [subtree]
+        while stack:
+            node = stack.pop()
+            yield from run.pages.access(p, 0, node)
+            yield run.env.timeout(len(node.entries) * cpu_test)
+            if node.is_leaf:
+                for entry in node.entries:
+                    if entry.intersects(window):
+                        found[p].append(entry)
+            else:
+                for entry in reversed(node.entries):
+                    if entry.intersects(window):
+                        stack.append(entry.child)
 
-    return run.run(processor)
+    _run_tasks(run, tree, tasks, search)
+    return ParallelQueryResult(found, run.metrics, run.times)
 
 
 # ---------------------------------------------------------------------- kNN
@@ -229,20 +196,21 @@ def parallel_knn(
     final merge keeps the global k best, so the result equals the
     sequential :func:`repro.rtree.query.nearest_neighbors`.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    run = _QueryRun(tree, config, page_store)
+    require_k(k)
+    reason = coordinate_error((("x", x), ("y", y)))
+    if reason is not None:
+        raise ValueError(reason)
+    run = _machine(tree, config, page_store)
+    tasks: list[Node] = []
     if tree.size > 0:
         root = tree.root
         if root.is_leaf:
-            run.queue.put(root)
+            tasks = [root]
         else:
             children = sorted(
                 root.entries, key=lambda e: _min_distance(e, x, y)
             )
-            for entry in children:
-                run.queue.put(entry.child)
-    run.queue.close()
+            tasks = [entry.child for entry in children]
 
     # Shared pruning state: the k best (distance, oid key, sequence, entry)
     # found anywhere, in ascending order, plus the latch guarding updates.
@@ -268,37 +236,26 @@ def parallel_knn(
         finally:
             latch.release()
 
-    def processor(p: int) -> Generator:
-        if tree.size > 0 and not tree.root.is_leaf:
-            yield from run.access(p, tree.root)
-        while True:
-            subtree = yield run.queue.get()
-            if subtree is None:
-                break
-            started = run.env.now
-            heap: list[tuple[float, int, Node]] = [(0.0, 0, subtree)]
-            tiebreak = 1
-            while heap:
-                node_distance, _, node = heapq.heappop(heap)
-                if node_distance > bound():
-                    continue  # pruned by the shared bound (free SVM read)
-                yield from run.access(p, node)
-                yield run.env.timeout(len(node.entries) * cpu_test)
-                if node.is_leaf:
-                    for entry in node.entries:
-                        distance = _min_distance(entry, x, y)
-                        if distance <= bound():
-                            yield from offer(entry, distance)
-                else:
-                    for entry in node.entries:
-                        distance = _min_distance(entry, x, y)
-                        if distance <= bound():
-                            heapq.heappush(heap, (distance, tiebreak, entry.child))
-                            tiebreak += 1
-            run.times.busy[p] += run.env.now - started
-            run.times.finish[p] = run.env.now
-        return None
+    def search(p: int, subtree: Node) -> Generator:
+        heap: list[tuple[float, int, Node]] = [(0.0, 0, subtree)]
+        tiebreak = 1
+        while heap:
+            node_distance, _, node = heapq.heappop(heap)
+            if node_distance > bound():
+                continue  # pruned by the shared bound (free SVM read)
+            yield from run.pages.access(p, 0, node)
+            yield run.env.timeout(len(node.entries) * cpu_test)
+            if node.is_leaf:
+                for entry in node.entries:
+                    distance = _min_distance(entry, x, y)
+                    if distance <= bound():
+                        yield from offer(entry, distance)
+            else:
+                for entry in node.entries:
+                    distance = _min_distance(entry, x, y)
+                    if distance <= bound():
+                        heapq.heappush(heap, (distance, tiebreak, entry.child))
+                        tiebreak += 1
 
-    result = run.run(processor)
-    result.entries_by_processor = [[item[-1] for item in best]]
-    return result
+    _run_tasks(run, tree, tasks, search)
+    return ParallelQueryResult([[item[-1] for item in best]], run.metrics, run.times)

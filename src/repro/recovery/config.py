@@ -38,9 +38,8 @@ class RecoveryConfig:
 
     ``lease_s`` is the ownership deadline: a chunk whose lease goes that
     long without a heartbeat renewal is declared orphaned and returned to
-    the queue.  ``heartbeat_s`` is the renewal interval a healthy holder
-    keeps; a worker beats on a per-chunk progress counter, and the parent
-    renews a lease whenever that counter moved.  ``sweep_s`` is the
+    the queue.  A worker beats on a per-chunk progress counter, and the
+    parent renews a lease whenever that counter moved.  ``sweep_s`` is the
     longest the parent blocks waiting for a result or a death before it
     reads the counters and sweeps for expired leases.  Each duration must
     be finite and positive: an infinite lease never expires, so a hung
@@ -48,7 +47,6 @@ class RecoveryConfig:
     """
 
     lease_s: float = 2.0
-    heartbeat_s: float = 0.5
     sweep_s: float = 0.25
     #: Append-only JSONL journal; ``None`` keeps the join memory-only
     #: (leases and orphan recovery still work, but a dead parent cannot
@@ -64,15 +62,9 @@ class RecoveryConfig:
     stop_after_commits: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("lease_s", "heartbeat_s", "sweep_s"):
+        for name in ("lease_s", "sweep_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.heartbeat_s > self.lease_s:
-            raise ValueError(
-                f"heartbeat_s must not exceed lease_s (renewals could never "
-                f"keep a healthy lease alive), got {self.heartbeat_s!r} > "
-                f"{self.lease_s!r}"
-            )
         if self.stop_after_commits is not None and self.stop_after_commits < 0:
             raise ValueError("stop_after_commits must be >= 0 (or None)")

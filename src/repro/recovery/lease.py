@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List
 
 from ..trace import NULL_TRACER, EventKind, Tracer
 
@@ -57,22 +57,19 @@ class LeaseTable:
     """All leases of one run, with sweep-based expiry detection.
 
     ``clock`` is any monotone float-returning callable; ``lease_s`` is the
-    renewal deadline and ``heartbeat_s`` the renewal interval a healthy
-    holder keeps (a quarter lease when not given).
+    renewal deadline.
     """
 
     def __init__(
         self,
         clock: Callable[[], float],
         lease_s: float,
-        heartbeat_s: Optional[float] = None,
         tracer: Tracer = NULL_TRACER,
     ):
         if lease_s <= 0:
             raise ValueError("lease_s must be > 0")
         self.clock = clock
         self.lease_s = lease_s
-        self.heartbeat_s = heartbeat_s if heartbeat_s is not None else lease_s / 4
         self.tracer = tracer
         self._leases: Dict[int, Lease] = {}
         self._next_id = 0

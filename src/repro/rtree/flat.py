@@ -49,7 +49,7 @@ from ..geometry.rows import ColumnRows, RowSet
 from ..geometry.table import BoxTable, bounding_box, box_centers
 from ..zorder.curve import Quantizer, interleave_array
 from .entry import Entry
-from .query import QueryStats, oid_order_key
+from .query import QueryStats, oid_order_key, require_k
 
 __all__ = [
     "FlatRTree",
@@ -331,8 +331,7 @@ class FlatRTree:
         import heapq
         import itertools
 
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        require_k(k)
         seq = itertools.count()
         # (distance, kind, tie, seq, level, index); nodes (kind 0) sort
         # before data entries (kind 1) at equal distance so a node that

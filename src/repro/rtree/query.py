@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import Hashable, Iterable, Optional, Sequence
 
 from ..geometry.rect import Rect
@@ -58,6 +58,13 @@ def require_window(window) -> None:
     reason = coordinate_error(zip(WINDOW_FIELDS, corners), infinite_ok=True)
     if reason is not None:
         raise ValueError(reason)
+
+
+def require_k(k) -> None:
+    """Raise ``ValueError`` unless *k* is an integer >= 1, in the serving
+    front door's wording: a fractional *k* is no count of neighbours."""
+    if not isinstance(k, Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
 class QueryStats:
@@ -149,8 +156,7 @@ def nearest_neighbors(
     """
     from .flat import is_flat
 
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_k(k)
     reason = coordinate_error((("x", x), ("y", y)))
     if reason is not None:
         raise ValueError(reason)

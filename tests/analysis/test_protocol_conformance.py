@@ -265,7 +265,7 @@ class TestRealSimulation:
         trees = build_tree(map_r), build_tree(map_s)
         prepare_trees(*trees)
         journal = str(tmp_path / "join.jnl")
-        recovery = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
+        recovery = RecoveryConfig(lease_s=5.0, sweep_s=0.05)
         killed, resumed = ListSink(), ListSink()
         fault_tolerant_join(
             *trees,

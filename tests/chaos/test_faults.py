@@ -155,7 +155,6 @@ NAN, INF = math.nan, math.inf
     [
         (RecoveryConfig, "lease_s", NAN),
         (RecoveryConfig, "lease_s", INF),
-        (RecoveryConfig, "heartbeat_s", NAN),
         (RecoveryConfig, "sweep_s", INF),
         (FaultPlan, "hang_s", NAN),
         (FaultPlan, "hang_s", INF),

@@ -172,7 +172,7 @@ class TestDeadline:
                 tree_s,
                 processes=2,
                 recovery=RecoveryConfig(
-                    lease_s=0.1, heartbeat_s=0.05, sweep_s=0.02
+                    lease_s=0.1, sweep_s=0.02
                 ),
             )
         assert time.perf_counter() - started < 30
@@ -206,7 +206,7 @@ class TestDeadline:
                 tree_s,
                 2,
                 recovery=RecoveryConfig(
-                    lease_s=0.2, heartbeat_s=0.1, sweep_s=0.05
+                    lease_s=0.2, sweep_s=0.05
                 ),
             )
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
@@ -281,7 +281,7 @@ class TestWorkerDeathRegression:
 
         tree_r, tree_s = trees
         expected = sequential_join(tree_r, tree_s).pair_set()
-        recovery = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
+        recovery = RecoveryConfig(lease_s=5.0, sweep_s=0.05)
         monkeypatch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: 2)
         sink = ListSink()
         # Kill whichever worker starts task 4 — mid-chunk, mid-range.

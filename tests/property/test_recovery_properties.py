@@ -70,7 +70,6 @@ def fork_run(backend, journal, chunk_tasks, faults=None, stop_after=None):
                 2,
                 recovery=RecoveryConfig(
                     lease_s=0.5,
-                    heartbeat_s=0.1,
                     sweep_s=0.02,
                     journal_path=journal,
                     stop_after_commits=stop_after,

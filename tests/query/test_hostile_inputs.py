@@ -1,6 +1,7 @@
 """Hostile inputs at the library edge: the ``window_query`` /
-``nearest_neighbors`` / ``multi_window_query`` dispatchers, called
-directly (no serving front door above them), on both backends.
+``nearest_neighbors`` / ``multi_window_query`` dispatchers and the
+``parallel_window_query`` / ``parallel_knn`` simulators, called directly
+(no serving front door above them), on both backends.
 
 A NaN compares false with everything: unchecked, a NaN kNN point came back
 as *k* arbitrary objects at distance ``nan`` — different ones per backend
@@ -13,7 +14,12 @@ import pytest
 
 from repro.datagen import build_tree, paper_maps
 from repro.geometry import Rect
-from repro.query import multi_window_query
+from repro.query import (
+    ParallelQueryConfig,
+    multi_window_query,
+    parallel_knn,
+    parallel_window_query,
+)
 from repro.rtree import (
     FlatRTree,
     build_flat_tree,
@@ -25,6 +31,7 @@ from repro.rtree import (
 NAN, INF = math.nan, math.inf
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 EVERYTHING = Rect(-INF, -INF, INF, INF)
+SVM = ParallelQueryConfig(processors=2, disks=2, total_buffer_pages=8)
 
 BACKENDS = {
     "node": (build_tree, str_bulk_load),
@@ -51,7 +58,8 @@ REJECTED = [
     (lambda t: nearest_neighbors(t, INF, 0.0, 3), "x must be a finite number, got inf"),
     (lambda t: nearest_neighbors(t, 0.0, -INF, 3), "y must be a finite number, got -inf"),
     (lambda t: nearest_neighbors(t, "0", 0.0, 3), "x must be a finite number, got '0'"),
-    (lambda t: nearest_neighbors(t, 0.0, 0.0, 0), "k must be at least 1"),
+    (lambda t: nearest_neighbors(t, 0.0, 0.0, 0), "k must be an integer >= 1, got 0"),
+    (lambda t: nearest_neighbors(t, 0.0, 0.0, 2.5), "k must be an integer >= 1, got 2.5"),
     (lambda t: window_query(t, Rect(NAN, 0, 1, 1)), "window.xl must be a finite"),
     (lambda t: window_query(t, Rect(0, NAN, 1, 1)), "window.yl must be a finite"),
     (lambda t: window_query(t, Rect(0, 0, NAN, 1)), "window.xu must be a finite"),
@@ -59,6 +67,14 @@ REJECTED = [
     (
         lambda t: multi_window_query(t, [UNIT, Rect(0, 0, 1, NAN), UNIT]),
         "window.yu must be a finite number, got nan",
+    ),
+    (lambda t: parallel_knn(t, NAN, 0.0, 3, SVM), "x must be a finite number, got nan"),
+    (lambda t: parallel_knn(t, 0.0, INF, 3, SVM), "y must be a finite number, got inf"),
+    (lambda t: parallel_knn(t, 0.0, 0.0, 0, SVM), "k must be an integer >= 1, got 0"),
+    (lambda t: parallel_knn(t, 0.0, 0.0, 2.5, SVM), "k must be an integer >= 1, got 2.5"),
+    (
+        lambda t: parallel_window_query(t, Rect(0, 0, NAN, 1), SVM),
+        "window.xu must be a finite number, got nan",
     ),
 ]
 

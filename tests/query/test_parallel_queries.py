@@ -5,12 +5,8 @@ import random
 import pytest
 
 from repro.geometry import Rect
-from repro.query import (
-    ParallelQueryConfig,
-    parallel_knn,
-    parallel_window_query,
-    prepare_tree,
-)
+from repro.join import prepare_trees
+from repro.query import ParallelQueryConfig, parallel_knn, parallel_window_query
 from repro.rtree import RStarTree, nearest_neighbors, str_bulk_load
 from repro.rtree.query import _min_distance
 
@@ -23,7 +19,7 @@ def tree():
         x, y = rng.uniform(0, 100), rng.uniform(0, 100)
         items.append((i, Rect(x, y, x + rng.uniform(0, 2), y + rng.uniform(0, 2))))
     built = str_bulk_load(items, dir_capacity=16, data_capacity=16)
-    prepare_tree(built)
+    prepare_trees(built, built)
     return built, items
 
 
@@ -47,7 +43,7 @@ def answer(result, x, y):
 @pytest.fixture(scope="module")
 def page_store(tree):
     built, _ = tree
-    return prepare_tree(built)
+    return prepare_trees(built, built)
 
 
 class TestParallelWindowQuery:

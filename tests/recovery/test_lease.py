@@ -26,7 +26,7 @@ def clock():
 
 @pytest.fixture()
 def table(clock):
-    return LeaseTable(clock=clock, lease_s=2.0, heartbeat_s=0.5)
+    return LeaseTable(clock=clock, lease_s=2.0)
 
 
 class TestGrantAndClose:

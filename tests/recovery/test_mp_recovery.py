@@ -32,7 +32,7 @@ from repro.trace import EventKind, ListSink, Tracer, run_checkers
 FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK, reason="requires the fork start method")
 
-FAST = RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05)
+FAST = RecoveryConfig(lease_s=5.0, sweep_s=0.05)
 
 
 def build_node(m1, m2):
@@ -129,7 +129,7 @@ class TestHealthyRuns(Backend):
             *trees,
             2,
             recovery=RecoveryConfig(
-                lease_s=1.5 * _SlowPlan.IDLE_S, heartbeat_s=0.05, sweep_s=0.02
+                lease_s=1.5 * _SlowPlan.IDLE_S, sweep_s=0.02
             ),
         )
         assert set(pairs) == expected
@@ -194,7 +194,6 @@ class TestInterruptAndResume(Backend):
         journal = str(tmp_path / "mp.jnl")
         stopping = RecoveryConfig(
             lease_s=5.0,
-            heartbeat_s=0.5,
             sweep_s=0.05,
             journal_path=journal,
             stop_after_commits=3,
@@ -225,7 +224,7 @@ class TestInterruptAndResume(Backend):
                 *trees,
                 2,
                 recovery=RecoveryConfig(
-                    lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05,
+                    lease_s=5.0, sweep_s=0.05,
                     journal_path=journal, stop_after_commits=3,
                 ),
                 tracer=Tracer(sinks=[stopped]),
@@ -251,7 +250,7 @@ class TestInterruptAndResume(Backend):
         equal to the sequential join as a multiset."""
         journal = str(tmp_path / "mp.jnl")
         stopping = RecoveryConfig(
-            lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05,
+            lease_s=5.0, sweep_s=0.05,
             journal_path=journal, stop_after_commits=3,
         )
         with pytest.raises(JoinInterrupted):
@@ -330,7 +329,7 @@ class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
         pairs, stats = fault_tolerant_join(
             *trees,
             2,
-            recovery=RecoveryConfig(lease_s=5.0, heartbeat_s=0.5, sweep_s=0.05),
+            recovery=RecoveryConfig(lease_s=5.0, sweep_s=0.05),
             faults=FaultPlan(seed=0, kill_at_task=(3,)),
             tracer=Tracer(sinks=[sink]),
         )
