@@ -15,7 +15,9 @@ order drives task creation and task assignment of the parallel join
 (sections 3.1 and 3.3).
 
 Any object carrying the attributes ``xl, yl, xu, yu`` participates —
-:class:`~repro.geometry.rect.Rect` as well as R*-tree entries.
+:class:`~repro.geometry.rect.Rect` as well as R*-tree entries;
+:func:`sweep_rows` is the same sweep over tuples that start with those
+four values, the rows a node tree's data page is read as.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from typing import Sequence, TypeVar
 __all__ = [
     "x_sorted",
     "sweep_pairs",
+    "sweep_rows",
     "SweepResult",
     "restrict_to_window",
+    "restrict_rows",
 ]
 
 T = TypeVar("T")
@@ -113,6 +117,55 @@ def sweep_pairs(rs: Sequence[T], ss: Sequence[U]) -> SweepResult:
                 k += 1
             j += 1
     return SweepResult(pairs, tests)
+
+
+def sweep_rows(rs: Sequence[tuple], ss: Sequence[tuple]) -> tuple[list, int]:
+    """:func:`sweep_pairs` over box rows — tuples that start ``xl, yl,
+    xu, yu`` (a node tree's leaf rows) — returning ``(pairs, tests)``:
+    the same pairs in the same order for the same count of tests."""
+    pairs: list[tuple] = []
+    tests = 0
+    i = j = 0
+    n = len(rs)
+    m = len(ss)
+    append = pairs.append
+    while i < n and j < m:
+        r = rs[i]
+        s = ss[j]
+        if r[0] <= s[0]:
+            t_yl, t_xu, t_yu = r[1], r[2], r[3]
+            k = j
+            while k < m:
+                c = ss[k]
+                if c[0] > t_xu:
+                    break
+                if t_yl <= c[3] and c[1] <= t_yu:
+                    append((r, c))
+                k += 1
+            tests += k - j
+            i += 1
+        else:
+            t_yl, t_xu, t_yu = s[1], s[2], s[3]
+            k = i
+            while k < n:
+                c = rs[k]
+                if c[0] > t_xu:
+                    break
+                if t_yl <= c[3] and c[1] <= t_yu:
+                    append((c, s))
+                k += 1
+            tests += k - i
+            j += 1
+    return pairs, tests
+
+
+def restrict_rows(rows: Sequence[tuple], xl, yl, xu, yu) -> list[tuple]:
+    """:func:`restrict_to_window` over box rows (tuples that start ``xl,
+    yl, xu, yu``), the window given by its four coordinates."""
+    return [
+        row for row in rows
+        if row[0] <= xu and xl <= row[2] and row[1] <= yu and yl <= row[3]
+    ]
 
 
 def restrict_to_window(items: Sequence[T], window) -> list[T]:

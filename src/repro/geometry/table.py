@@ -26,9 +26,35 @@ import numpy as np
 from .rect import Rect
 from .rows import oid_column
 
-__all__ = ["BoxTable", "bounding_box", "box_centers"]
+__all__ = ["BoxTable", "bounding_box", "box_centers", "require_box"]
 
 COLUMNS = ("xl", "yl", "xu", "yu")
+
+
+def require_boxes(oids: np.ndarray, xl, yl, xu, yu) -> None:
+    """Raise ``ValueError`` naming the first row of the four ``float64``
+    columns whose box is non-finite or inverted — the one input rule for
+    boxes, of a table and of a tree update alike."""
+    # NaN fails both comparisons; the infinities need their own test.
+    valid = (xl <= xu) & (yl <= yu)
+    for column in (xl, yl, xu, yu):
+        valid &= np.isfinite(column)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        oid = oids[row : row + 1].tolist()[0]  # the builtin object
+        raise ValueError(
+            f"object {oid!r} has a non-finite or inverted box "
+            f"({xl[row]}, {yl[row]}, {xu[row]}, {yu[row]})"
+        )
+
+
+def require_box(oid: Hashable, box) -> None:
+    """:func:`require_boxes` for one object and its box (anything with
+    ``xl, yl, xu, yu``)."""
+    oids = np.empty(1, dtype=object)
+    oids[0] = oid
+    corners = (box.xl, box.yl, box.xu, box.yu)
+    require_boxes(oids, *(np.array([c], dtype=np.float64) for c in corners))
 
 
 def bounding_box(xl, yl, xu, yu) -> Rect:
@@ -57,17 +83,7 @@ class BoxTable:
         self.xl, self.yl, self.xu, self.yu = columns
         for column in (self.oids, *columns):
             column.setflags(write=False)
-        # NaN fails both comparisons; the infinities need their own test.
-        valid = (self.xl <= self.xu) & (self.yl <= self.yu)
-        for column in columns:
-            valid &= np.isfinite(column)
-        if not valid.all():
-            row = int(np.argmin(valid))
-            oid = self.oids[row : row + 1].tolist()[0]  # the builtin object
-            raise ValueError(
-                f"object {oid!r} has a non-finite or inverted box "
-                f"({self.xl[row]}, {self.yl[row]}, {self.xu[row]}, {self.yu[row]})"
-            )
+        require_boxes(self.oids, *columns)
 
     @classmethod
     def from_rects(cls, oids: Sequence[Hashable], rects: Sequence) -> "BoxTable":

@@ -39,6 +39,7 @@ from typing import Generator, Optional
 from ..buffer.global_buffer import GlobalDirectory
 from ..buffer.local import ProcessorBufferManager
 from ..rtree.flat import require_node_trees
+from ..rtree.node import LeafRows
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
 from ..sim.engine import Environment
@@ -281,6 +282,8 @@ class _JoinRun(MachineRun):
             Workload(self.task_level, owner=p, tracer=tracer) for p in range(n)
         ]
         self.tasks_by_processor = [0] * n
+        #: Each processor reads its leaves' rows through its own memo.
+        self.leaf_rows = [LeafRows() for _ in range(n)]
         self.queue: Optional[Store] = None
 
         if tracer.enabled:
@@ -422,7 +425,7 @@ class _JoinRun(MachineRun):
         above them."""
         yield from self.pages.access(p, 0, node_r)
         yield from self.pages.access(p, 1, node_s)
-        matched, tests = join_node_pair(node_r, node_s)
+        matched, tests = join_node_pair(node_r, node_s, rows=self.leaf_rows[p])
         self.metrics.add("intersection_tests", tests)
         cpu_time = tests * KSR1_CONFIG.cpu_rect_test_time
         if cpu_time > 0:
@@ -430,9 +433,9 @@ class _JoinRun(MachineRun):
         if node_r.is_leaf:
             my_pairs = self.pairs_by_processor[p]
             refine_time = 0.0
-            for er, es in matched:
-                my_pairs.append((er.oid, es.oid))
-                refine_time += REFINEMENT.cost(er, es)
+            for er, es in matched:  # leaf rows: (xl, yl, xu, yu, oid)
+                my_pairs.append((er[4], es[4]))
+                refine_time += REFINEMENT.row_cost(er, es)
             self.metrics.add("candidates", len(matched))
             if refine_time > 0:
                 # The same processor that found the candidates refines

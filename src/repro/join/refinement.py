@@ -36,8 +36,14 @@ def overlap_degree(a, b) -> float:
     (zero extent on either side) count as fully covered.  Returns 0 for
     disjoint MBRs.
     """
+    return box_overlap_degree((a.xl, a.yl, a.xu, a.yu), (b.xl, b.yl, b.xu, b.yu))
+
+
+def box_overlap_degree(a, b) -> float:
+    """:func:`overlap_degree` of two boxes given as sequences that start
+    ``xl, yl, xu, yu`` — a node tree's leaf rows."""
     degree = 1.0
-    for al, au, bl, bu in ((a.xl, a.xu, b.xl, b.xu), (a.yl, a.yu, b.yl, b.yu)):
+    for al, au, bl, bu in ((a[0], a[2], b[0], b[2]), (a[1], a[3], b[1], b[3])):
         w = (au if au < bu else bu) - (al if al > bl else bl)
         if w < 0.0:
             return 0.0
@@ -64,8 +70,13 @@ class RefinementModel:
 
     def cost(self, a, b) -> float:
         """Duration of testing one candidate pair of MBRs."""
+        return self.row_cost((a.xl, a.yl, a.xu, a.yu), (b.xl, b.yl, b.xu, b.yu))
+
+    def row_cost(self, a, b) -> float:
+        """:meth:`cost` of two boxes given as :func:`box_overlap_degree`
+        takes them."""
         return self.t_min + (self.t_max - self.t_min) * (
-            overlap_degree(a, b) ** self.exponent
+            box_overlap_degree(a, b) ** self.exponent
         )
 
 

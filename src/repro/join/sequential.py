@@ -17,12 +17,17 @@ ground truth every parallel variant is validated against.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
-from ..geometry.planesweep import restrict_to_window, sweep_pairs
+from ..geometry.planesweep import (
+    restrict_rows,
+    restrict_to_window,
+    sweep_pairs,
+    sweep_rows,
+)
 from ..geometry.rows import PairTable
-from ..rtree.node import Node
+from ..rtree.node import LeafRows, Node
 from ..rtree.rstar import RStarTree
 from .flat import flat_join, packed_pair
 from .refinement import ExactRefinement
@@ -31,6 +36,7 @@ from .result import SequentialJoinResult
 __all__ = ["sequential_join", "depth_first_join", "join_node_pair", "PairWindow"]
 
 _xl = attrgetter("xl")
+_row_xl = itemgetter(0)
 
 
 class PairWindow:
@@ -106,6 +112,7 @@ def depth_first_join(
     forked worker's heartbeat) is called at every node pair.
     """
     pairs = result.pairs
+    rows = LeafRows()
     stack: list[tuple[Node, Node]] = [(node_r, node_s)]
     while stack:
         node_r, node_s = stack.pop()
@@ -119,7 +126,11 @@ def depth_first_join(
             _descend_one_side(node_s, node_r, stack, result, left=False)
             continue
         matched, tests = join_node_pair(
-            node_r, node_s, use_restriction=use_restriction, use_sweep=use_sweep
+            node_r,
+            node_s,
+            use_restriction=use_restriction,
+            use_sweep=use_sweep,
+            rows=rows,
         )
         result.intersection_tests += tests
         if not node_r.is_leaf:
@@ -127,11 +138,11 @@ def depth_first_join(
             # before the next sibling pair (depth-first).
             stack.extend([(er.child, es.child) for er, es in reversed(matched)])
         elif refinement is None:
-            pairs.extend([(er.oid, es.oid) for er, es in matched])
+            pairs.extend([(er[4], es[4]) for er, es in matched])
         else:
             pairs.extend(
-                (er.oid, es.oid) for er, es in matched
-                if refinement.is_answer(er.oid, es.oid)
+                (er[4], es[4]) for er, es in matched
+                if refinement.is_answer(er[4], es[4])
             )
 
 
@@ -141,16 +152,28 @@ def join_node_pair(
     *,
     use_restriction: bool = True,
     use_sweep: bool = True,
+    rows: Callable[[Node], list] = Node.rows,
 ) -> tuple[list, int]:
     """The [BKS 93] step for one pair of same-level nodes: the pair's MBR
     intersection window, the entries restricted to it, both sides in
     ``xl`` order, the plane sweep.
 
-    Returns the intersecting entry pairs (in local plane-sweep order when
-    the sweep is on) and the rectangle tests spent, the restriction's
+    Returns the intersecting pairs (in local plane-sweep order when the
+    sweep is on) and the rectangle tests spent, the restriction's
     included; a pair with an empty window costs nothing.  Entries are
-    sorted here, so the nodes need not be kept in ``xl`` order.
+    sorted here, so the nodes need not be kept in ``xl`` order.  Above
+    the leaves a pair is two directory entries; at the leaves
+    (:func:`_join_leaf_pair`) two ``(xl, yl, xu, yu, oid)`` rows, read
+    through *rows* (a traversal passes its :class:`LeafRows`).
     """
+    if node_r.is_leaf:
+        return _join_leaf_pair(
+            node_r,
+            node_s,
+            use_restriction=use_restriction,
+            use_sweep=use_sweep,
+            rows=rows,
+        )
     window = PairWindow(node_r, node_s)
     if window.empty:
         return [], 0
@@ -166,6 +189,44 @@ def join_node_pair(
         return sweep.pairs, tests + sweep.tests
     matched = [(er, es) for er in entries_r for es in entries_s if er.intersects(es)]
     return matched, tests + len(entries_r) * len(entries_s)
+
+
+def _join_leaf_pair(
+    leaf_r: Node,
+    leaf_s: Node,
+    *,
+    use_restriction: bool = True,
+    use_sweep: bool = True,
+    rows: Callable[[Node], list] = Node.rows,
+) -> tuple[list, int]:
+    """:func:`join_node_pair` for two data pages: the window from the
+    leaves' MBRs, then the restriction, stable ``xl`` sort and sweep of
+    the directory step done on the blocks' rows — the same pairs in the
+    same order for the same test count."""
+    # PairWindow over the two leaves' MBRs
+    a_xl, a_yl, a_xu, a_yu = leaf_r.mbr
+    b_xl, b_yl, b_xu, b_yu = leaf_s.mbr
+    w_xl = a_xl if a_xl > b_xl else b_xl
+    w_yl = a_yl if a_yl > b_yl else b_yl
+    w_xu = a_xu if a_xu < b_xu else b_xu
+    w_yu = a_yu if a_yu < b_yu else b_yu
+    if w_xu < w_xl or w_yu < w_yl:
+        return [], 0
+    rows_r = rows(leaf_r)
+    rows_s = rows(leaf_s)
+    tests = 0
+    if use_restriction:
+        tests = len(rows_r) + len(rows_s)
+        rows_r = restrict_rows(rows_r, w_xl, w_yl, w_xu, w_yu)
+        rows_s = restrict_rows(rows_s, w_xl, w_yl, w_xu, w_yu)
+    if use_sweep:
+        pairs, swept = sweep_rows(sorted(rows_r, key=_row_xl), sorted(rows_s, key=_row_xl))
+        return pairs, tests + swept
+    matched = [
+        (r, s) for r in rows_r for s in rows_s
+        if r[0] <= s[2] and s[0] <= r[2] and r[1] <= s[3] and s[1] <= r[3]
+    ]
+    return matched, tests + len(rows_r) * len(rows_s)
 
 
 def _descend_one_side(

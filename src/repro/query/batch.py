@@ -43,10 +43,8 @@ def multi_window_query(tree, windows: Sequence) -> list[Sequence[Entry]]:
     while stack:
         node, active = stack.pop()
         if node.is_leaf:
-            for entry in node.entries:
-                for index in active:
-                    if entry.intersects(windows[index]):
-                        results[index].append(entry)
+            for index in active:
+                results[index].extend(node.data_entries(windows[index]))
         else:
             for entry in node.entries:
                 surviving = [

@@ -165,11 +165,9 @@ def parallel_window_query(
         while stack:
             node = stack.pop()
             yield from run.pages.access(p, 0, node)
-            yield run.env.timeout(len(node.entries) * cpu_test)
+            yield run.env.timeout(len(node) * cpu_test)
             if node.is_leaf:
-                for entry in node.entries:
-                    if entry.intersects(window):
-                        found[p].append(entry)
+                found[p].extend(node.data_entries(window))
             else:
                 for entry in reversed(node.entries):
                     if entry.intersects(window):
@@ -244,9 +242,9 @@ def parallel_knn(
             if node_distance > bound():
                 continue  # pruned by the shared bound (free SVM read)
             yield from run.pages.access(p, 0, node)
-            yield run.env.timeout(len(node.entries) * cpu_test)
+            yield run.env.timeout(len(node) * cpu_test)
             if node.is_leaf:
-                for entry in node.entries:
+                for entry in node.data_entries():
                     distance = _min_distance(entry, x, y)
                     if distance <= bound():
                         yield from offer(entry, distance)

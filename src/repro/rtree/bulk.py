@@ -8,25 +8,19 @@ entries into leaves, then repeat one level up until a single root remains.
 The ``fill`` knob reproduces dynamic-build occupancy (0.70 gives page
 counts close to the paper's Table 1).
 
-A :class:`~repro.geometry.table.BoxTable` has its leaf level — nearly all
-of the work — ordered by numpy sorts over the columns
-(:func:`_pack_leaves`), its data entries are created once, already in
-leaf order, and the leaves' MBRs are reduced from the sorted columns;
-``(oid, rect)`` pairs and the few directory entries above the leaves tile
-as entry lists (:func:`_pack_level`).  Both give the same tree.
-
-A build allocates one entry an object and frees none, which the cyclic
-collector answers with full passes over objects that cannot form a cycle
-(an entry points down the tree, nothing points up): 40 % of a full-scale
-build.  The collector is paused for the duration (:func:`_collector_paused`).
+The input is read as a :class:`~repro.geometry.table.BoxTable` (``(oid,
+rect)`` pairs are turned into one first).  Its leaf level — nearly all of
+the work — is ordered by numpy sorts over the columns
+(:func:`_pack_leaves`) and cut into one packed block a leaf, whose MBR is
+reduced from the sorted columns; the few directory entries above the
+leaves tile as entry lists (:func:`_pack_level`).  A build makes a few
+objects a leaf, none a data entry.
 """
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,8 +43,8 @@ def str_bulk_load(
     data_capacity: Optional[int] = None,
     min_fill: float = 0.4,
 ) -> RStarTree:
-    """Build an R*-tree over a sequence of ``(oid, rect)`` pairs — or a
-    :class:`~repro.geometry.table.BoxTable` — by STR packing.
+    """Build an R*-tree over a :class:`~repro.geometry.table.BoxTable` —
+    or a sequence of ``(oid, rect)`` pairs, read as one — by STR packing.
 
     ``fill`` is the target leaf occupancy as a fraction of capacity;
     ``dir_fill`` (defaulting to ``fill``) controls directory levels
@@ -79,38 +73,20 @@ def str_bulk_load(
 
     per_leaf = max(tree.min_data, int(tree.data_capacity * fill))
     per_dir = max(tree.min_dir, int(tree.dir_capacity * dir_fill))
-    with _collector_paused():
-        # *cover*: one directory entry a node of the level below
-        if items is table:
-            cover = _pack_leaves(table, per_node=per_leaf, min_count=tree.min_data)
-        else:  # the entries share the float objects of the pairs' rectangles
-            entries = [Entry.for_object(rect, oid) for oid, rect in items]
-            cover = _cover(_pack_level(entries, 0, per_leaf, tree.min_data))
-        height = 1
-        while len(cover) > 1:
-            if len(cover) <= tree.dir_capacity:
-                cover = _cover([Node(height, cover)])
-            else:
-                cover = _cover(_pack_level(cover, height, per_dir, tree.min_dir))
-            height += 1
+    # *cover*: one directory entry a node of the level below
+    cover = _pack_leaves(table, per_node=per_leaf, min_count=tree.min_data)
+    height = 1
+    while len(cover) > 1:
+        if len(cover) <= tree.dir_capacity:
+            cover = _cover([Node(height, cover)])
+        else:
+            cover = _cover(_pack_level(cover, height, per_dir, tree.min_dir))
+        height += 1
 
     tree.root = cover[0].child
     tree.height = height
     tree.size = len(table)
     return tree
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Run the block with the cyclic collector off, then leave the
-    collector as it was found."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _cover(nodes: list[Node]) -> list[Entry]:
@@ -145,9 +121,14 @@ def _pack_level(
 def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Entry]:
     """The leaf level of :func:`_pack_level` over the rows of *table*, as
     the directory entries that cover it: the same two stable sorts, done
-    on the center columns, then one data entry a row created in leaf
-    order — no ``Rect``, no pair, no re-sorted list — and each leaf's MBR
-    reduced from the sorted columns (the floats ``Node.mbr_tuple`` finds)."""
+    on the center columns, then the sorted columns cut into one packed
+    block a leaf — each leaf's boxes and oids are views of one ``(4, n)``
+    array and one oid column — and each leaf's MBR reduced from them (the
+    floats ``Node.mbr_tuple`` finds)."""
+    if table.oids.dtype == object:
+        for row, oid in enumerate(table.oids.tolist()):
+            if oid is None:  # None marks a directory entry
+                raise ValueError(f"row {row} has oid None: a data entry needs an oid")
     total = len(table)
     if total <= per_node:
         order, sizes = np.arange(total), [total]
@@ -163,23 +144,17 @@ def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Entry]:
             for slab in slabs
             for size in _even_sizes(slab, _node_count(slab, per_node, min_count))
         ]
-    columns = [column[order] for column in (table.xl, table.yl, table.xu, table.yu)]
-    entries = [
-        Entry(xl, yl, xu, yu, None, oid)
-        for xl, yl, xu, yu, oid in zip(
-            *(column.tolist() for column in columns), table.oids[order].tolist()
-        )
-    ]
+    boxes = np.stack([column[order] for column in (table.xl, table.yl, table.xu, table.yu)])
+    oids = table.oids[order]
     starts = np.cumsum([0, *sizes[:-1]])
     bounds = (
         reduce.reduceat(column, starts).tolist()
-        for reduce, column in zip(
-            (np.minimum, np.minimum, np.maximum, np.maximum), columns
-        )
+        for reduce, column in zip((np.minimum, np.minimum, np.maximum, np.maximum), boxes)
     )
+    stops = (starts + sizes).tolist()
     return [
-        Entry(xl, yl, xu, yu, Node(0, run))
-        for xl, yl, xu, yu, run in zip(*bounds, _chunks(entries, sizes))
+        Entry(*mbr, Node.leaf(boxes[:, start:stop], oids[start:stop], mbr))
+        for mbr, start, stop in zip(zip(*bounds), starts.tolist(), stops)
     ]
 
 

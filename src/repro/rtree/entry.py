@@ -5,6 +5,12 @@ bytes on disk in the paper's layout) or a child node (directory entry, 40
 bytes).  The MBR coordinates are stored flat as ``xl, yl, xu, yu`` so that
 entries participate directly in the plane-sweep algorithms of
 :mod:`repro.geometry.planesweep` without any wrapping.
+
+Directory nodes hold their entries as these objects.  A data page holds
+its data entries as a packed block (:mod:`repro.rtree.node`), so a data
+entry object exists only where a caller asks for one — a node tree's
+query answers, :meth:`RStarTree.data_entries` — or while an insert,
+split or delete is changing its leaf.
 """
 
 from __future__ import annotations

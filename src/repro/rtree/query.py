@@ -108,9 +108,10 @@ def window_query(
 
     The entry *set* is backend-independent; the order is the traversal
     order of the chosen backend (depth-first here, Z-order on the flat
-    backend).  A node tree hands back its own entries in a
-    list; a packed tree an :class:`~repro.rtree.flat.EntryRows`, which
-    makes an entry per row only when iterated.
+    backend).  A node tree hands back a list of entries made from its
+    leaves' blocks for the hits; a packed tree an
+    :class:`~repro.rtree.flat.EntryRows`, which makes an entry per row
+    only when iterated.
     """
     from .flat import EntryRows, is_flat
 
@@ -127,9 +128,7 @@ def window_query(
             else:
                 stats.directory_nodes += 1
         if node.is_leaf:
-            for entry in node.entries:
-                if entry.intersects(window):
-                    result.append(entry)
+            result.extend(node.data_entries(window))
         else:
             for entry in node.entries:
                 if entry.intersects(window):
@@ -172,16 +171,16 @@ def nearest_neighbors(
         if kind == 1:
             results.append((distance, item))
             continue
-        for entry in item.entries:
-            d = _min_distance(entry, x, y)
-            if item.is_leaf:
+        if item.is_leaf:
+            for entry in item.data_entries():
+                d = _min_distance(entry, x, y)
                 heapq.heappush(
                     heap, (d, 1, oid_order_key(entry.oid), next(counter), entry)
                 )
-            else:
-                heapq.heappush(
-                    heap, (d, 0, next(counter), next(counter), entry.child)
-                )
+            continue
+        for entry in item.entries:
+            d = _min_distance(entry, x, y)
+            heapq.heappush(heap, (d, 0, next(counter), next(counter), entry.child))
     return results
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator, Optional
 
+import numpy as np
+
 from ..geometry.rect import Rect
+from ..geometry.table import require_box
 from ..storage.page import DEFAULT_STORAGE, StorageParams
 from .entry import Entry
 from .node import Node
@@ -86,7 +89,10 @@ class RStarTree:
 
     # ----------------------------------------------------------------- insert
     def insert(self, oid: Hashable, rect: Rect) -> None:
-        """Insert an object identified by *oid* with MBR *rect*."""
+        """Insert an object identified by *oid* with MBR *rect*; a
+        non-finite or inverted box is refused as :class:`BoxTable` refuses
+        it."""
+        require_box(oid, rect)
         entry = Entry.for_object(rect, oid)
         self._reinserting_levels = set()
         self._insert_entry(entry, 0)
@@ -103,11 +109,14 @@ class RStarTree:
             parent_entry.extend(entry)
             path.append((node, index))
             node = parent_entry.child
-        node.entries.append(entry)
+        if level:
+            node.entries.append(entry)
+        else:
+            node.set_entries(node.data_entries() + [entry])
         self._handle_overflow(node, path)
 
     def _handle_overflow(self, node: Node, path: list[tuple[Node, int]]) -> None:
-        while len(node.entries) > self.capacity_of(node):
+        while len(node) > self.capacity_of(node):
             if path and node.level not in self._reinserting_levels:
                 self._reinserting_levels.add(node.level)
                 self._forced_reinsert(node, path)
@@ -201,9 +210,9 @@ class RStarTree:
             dy = ey - cy
             return dx * dx + dy * dy
 
-        ordered = sorted(node.entries, key=distance)
+        ordered = sorted(_slots(node), key=distance)
         count = max(1, round(self.reinsert_fraction * self.capacity_of(node)))
-        node.entries = ordered[:-count]
+        node.set_entries(ordered[:-count])
         removed = ordered[-count:]
         self._tighten_path(node, path)
         # Close reinsert: nearest entries first.
@@ -221,7 +230,7 @@ class RStarTree:
     # ------------------------------------------------------------------ split
     def _split(self, node: Node) -> Node:
         """Split an overfull node in place; returns the new sibling."""
-        entries = node.entries
+        entries = _slots(node)
         m = self.min_fill_of(node)
         # -- choose split axis: minimum total margin over all distributions.
         best_axis_candidates = None
@@ -252,7 +261,7 @@ class RStarTree:
                 best_key = key
                 best = (ordered, k)
         ordered, k = best
-        node.entries = ordered[:k]
+        node.set_entries(ordered[:k])
         return Node(node.level, ordered[k:])
 
     # ----------------------------------------------------------------- delete
@@ -260,13 +269,16 @@ class RStarTree:
         """Remove the data entry with the given oid and MBR.
 
         Returns True when found.  Underfull nodes along the deletion path
-        are dissolved and their entries reinserted (tree condensation).
+        are dissolved and their entries reinserted (tree condensation).  A
+        box no insert can have stored is refused, not searched for.
         """
+        require_box(oid, rect)
         found = self._find_leaf(self.root, oid, rect, [])
         if found is None:
             return False
         path, leaf, entry_index = found
-        del leaf.entries[entry_index]
+        keep = np.arange(len(leaf)) != entry_index
+        leaf.set_block(leaf.boxes[:, keep], leaf.oids[keep])
         self.size -= 1
         self._condense(leaf, path)
         return True
@@ -279,13 +291,13 @@ class RStarTree:
         path: list[tuple[Node, int]],
     ) -> Optional[tuple[list[tuple[Node, int]], Node, int]]:
         if node.is_leaf:
-            for index, entry in enumerate(node.entries):
+            for index, (xl, yl, xu, yu, row_oid) in enumerate(node.rows()):
                 if (
-                    entry.oid == oid
-                    and entry.xl == rect.xl
-                    and entry.yl == rect.yl
-                    and entry.xu == rect.xu
-                    and entry.yu == rect.yu
+                    row_oid == oid
+                    and xl == rect.xl
+                    and yl == rect.yl
+                    and xu == rect.xu
+                    and yu == rect.yu
                 ):
                     return (list(path), node, index)
             return None
@@ -302,9 +314,9 @@ class RStarTree:
         orphans: list[tuple[Entry, int]] = []
         while path:
             parent, index = path.pop()
-            if len(node.entries) < self.min_fill_of(node):
+            if len(node) < self.min_fill_of(node):
                 del parent.entries[index]
-                orphans.extend((entry, node.level) for entry in node.entries)
+                orphans.extend((entry, node.level) for entry in _slots(node))
             else:
                 xl, yl, xu, yu = node.mbr_tuple()
                 parent.entries[index].set_mbr(xl, yl, xu, yu)
@@ -330,9 +342,7 @@ class RStarTree:
 
     def _search(self, node: Node, window: Rect, result: list[Entry]) -> None:
         if node.is_leaf:
-            for entry in node.entries:
-                if entry.intersects(window):
-                    result.append(entry)
+            result.extend(node.data_entries(window))
             return
         for entry in node.entries:
             if entry.intersects(window):
@@ -351,9 +361,10 @@ class RStarTree:
             frontier = next_frontier
 
     def data_entries(self) -> Iterator[Entry]:
+        """Every data entry, leaf by leaf, as a fresh :class:`Entry`."""
         for node in self.nodes():
             if node.is_leaf:
-                yield from node.entries
+                yield from node.data_entries()
 
     def mbr(self) -> Rect:
         xl, yl, xu, yu = self.root.mbr_tuple()
@@ -376,16 +387,21 @@ class RStarTree:
     def _validate_node(self, node: Node, expected_level: int, is_root: bool) -> int:
         assert node.level == expected_level, "level mismatch on edge"
         capacity = self.capacity_of(node)
-        assert len(node.entries) <= capacity, "node over capacity"
+        assert len(node) <= capacity, "node over capacity"
         if is_root:
             if not node.is_leaf:
-                assert len(node.entries) >= 2, "directory root needs >= 2 entries"
+                assert len(node) >= 2, "directory root needs >= 2 entries"
         else:
-            assert len(node.entries) >= self.min_fill_of(node), "node underfull"
+            assert len(node) >= self.min_fill_of(node), "node underfull"
         if node.is_leaf:
-            for entry in node.entries:
-                assert entry.is_data, "non-data entry in leaf"
-            return len(node.entries)
+            assert node.boxes.shape == (4, len(node)), "box block shape"
+            assert node.boxes.dtype == np.float64, "box block dtype"
+            assert node.oids.dtype in (np.int64, object), "oid column dtype"
+            assert all(oid is not None for oid in node.oids.tolist()), "no oid"
+            if len(node):
+                xl, yl, xu, yu = node.boxes.tolist()
+                assert node.mbr == (min(xl), min(yl), max(xu), max(yu)), "leaf MBR"
+            return len(node)
         count = 0
         for entry in node.entries:
             assert not entry.is_data, "data entry in directory node"
@@ -402,6 +418,12 @@ class RStarTree:
             f"<RStarTree size={self.size} height={self.height} "
             f"caps=({self.dir_capacity},{self.data_capacity})>"
         )
+
+
+def _slots(node: Node) -> list[Entry]:
+    """*node*'s entries as a list: a directory node's own, a leaf's made
+    for the one update that is changing it."""
+    return node.entries if node.level else node.data_entries()
 
 
 # -- split helpers -----------------------------------------------------------

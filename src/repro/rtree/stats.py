@@ -51,11 +51,11 @@ def tree_stats(tree: RStarTree) -> TreeStats:
         per_level[node.level] = per_level.get(node.level, 0) + 1
         if node.is_leaf:
             data_pages += 1
-            data_entries += len(node.entries)
-            leaf_entry_total += len(node.entries)
+            data_entries += len(node)
+            leaf_entry_total += len(node)
         else:
             dir_pages += 1
-            dir_entry_total += len(node.entries)
+            dir_entry_total += len(node)
     avg_leaf_fill = (
         leaf_entry_total / (data_pages * tree.data_capacity) if data_pages else 0.0
     )

@@ -56,10 +56,11 @@ def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows, table = tree.rows, tree.table
         oids, xl, yl = table.oids[rows], table.xl[rows], table.yl[rows]
     else:
-        entries = list(tree.data_entries())
-        oids = oid_column([e.oid for e in entries])
-        xl = np.fromiter((e.xl for e in entries), np.float64, count=len(entries))
-        yl = np.fromiter((e.yl for e in entries), np.float64, count=len(entries))
+        leaves = [node for node in tree.nodes() if node.is_leaf]
+        oids = oid_column(
+            [oid for leaf in leaves for oid in leaf.oids.tolist()]
+        )
+        xl, yl = np.concatenate([leaf.boxes[:2] for leaf in leaves], axis=1)
     order = np.argsort(oids, kind="stable")
     return oids[order], xl[order], yl[order]
 

@@ -6,14 +6,19 @@
 A NaN compares false with everything: unchecked, a NaN kNN point came back
 as *k* arbitrary objects at distance ``nan`` — different ones per backend
 — and a NaN window as a silent ``[]``.  The dispatchers reject both with
-the front door's wording, from the front door's own check."""
+the front door's wording, from the front door's own check.
+
+A node tree's ``insert`` and ``delete`` refuse the boxes ``BoxTable``
+refuses, in its words: unchecked, a NaN box was stored where no window
+finds it and no delete removes it, while ``size`` counted it."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.datagen import build_tree, paper_maps
-from repro.geometry import Rect
+from repro.geometry import BoxTable, Rect
 from repro.query import (
     ParallelQueryConfig,
     multi_window_query,
@@ -104,3 +109,32 @@ def test_what_already_behaved_stays_pinned(trees, map1):
     assert window_query(empty, UNIT) == []
     assert multi_window_query(empty, [UNIT, EVERYTHING]) == [[], []]
     assert multi_window_query(tree, []) == []
+
+
+#: (update of a 50-entry node tree, the box it names) — every one is
+#: refused as the bulk builders' BoxTable refuses the same box
+REFUSED_UPDATES = [
+    (lambda t: t.insert(99, Rect(NAN, 0, 1, 1)), (99, Rect(NAN, 0, 1, 1))),
+    (lambda t: t.insert(99, Rect(0, 0, 1, INF)), (99, Rect(0, 0, 1, INF))),
+    (lambda t: t.insert(99, Rect(-INF, 0, 1, 1)), (99, Rect(-INF, 0, 1, 1))),
+    (
+        lambda t: t.insert("x", SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
+        ("x", SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
+    ),
+    (lambda t: t.delete(99, Rect(NAN, 0, 1, 1)), (99, Rect(NAN, 0, 1, 1))),
+    (lambda t: t.delete(3, Rect(3, 3, 4, INF)), (3, Rect(3, 3, 4, INF))),
+]
+
+
+@pytest.mark.parametrize("update, row", REFUSED_UPDATES)
+def test_node_tree_updates_refuse_what_the_table_refuses(update, row):
+    oid, box = row
+    with pytest.raises(ValueError) as by_table:
+        BoxTable.from_rects([oid], [box])
+    tree = str_bulk_load([(i, Rect(i, i, i + 1.0, i + 1.0)) for i in range(50)])
+    with pytest.raises(ValueError) as by_tree:
+        update(tree)
+    assert str(by_tree.value) == str(by_table.value)
+    assert f"object {oid!r} has a non-finite or inverted box" in str(by_tree.value)
+    tree.validate()
+    assert tree.size == 50 == len(window_query(tree, EVERYTHING))

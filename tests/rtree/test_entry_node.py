@@ -105,7 +105,8 @@ class TestNode:
             ],
         )
         node.sort_entries_by_xl()
-        assert [e.oid for e in node.entries] == [2, 3, 1]
+        assert node.oids.tolist() == [2, 3, 1]
+        assert node.boxes[0].tolist() == [0.0, 3.0, 5.0]
 
     def test_len(self):
         assert len(Node(0, [Entry.for_object(Rect(0, 0, 1, 1), oid=1)])) == 1
