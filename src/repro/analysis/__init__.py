@@ -6,7 +6,7 @@
   implicitly: determinism of the simulation paths, trace-event
   discipline, acquire/release and breaker-admission pairing, fork safety,
   and no blocking calls inside the async serving engine.
-* :mod:`repro.analysis.protocol` — the five protocol specs, the bounded
+* :mod:`repro.analysis.protocol` — the four protocol specs, the bounded
   model checker that proves their safety properties, and the conformance
   monitors compiled from them that ride in every traced run's checker set.
 

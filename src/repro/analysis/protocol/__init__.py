@@ -2,11 +2,10 @@
 conformance monitoring.
 
 The repo's concurrent protocols — the latched global-buffer directory
-(paper §3.2), the circuit breaker, the lease lifecycle, the durable join
-journal, and the sharded sub-request settlement — are written down here
-as explicit automatons (:mod:`repro.analysis.protocol.specs`): states,
-guarded transitions, trace-event labels, and safety properties.  One
-artifact, three uses:
+(paper §3.2), the circuit breaker, the lease lifecycle and the sharded
+sub-request settlement — are written down here as explicit automatons
+(:mod:`repro.analysis.protocol.specs`): states, guarded transitions,
+trace-event labels, and safety properties.  One artifact, three uses:
 
 * the **bounded model checker** (:mod:`repro.analysis.protocol.model`)
   exhaustively explores interleavings of K concurrent actors over each

@@ -65,9 +65,7 @@ class ProtocolConformanceChecker(InvariantChecker):
     # -- sink ------------------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
         for cb in self._counter_bindings.get(event.kind, ()):
-            self.counters[cb.counter] += cb.delta(event.data)
-        if not self.spec.monitor_states:
-            return
+            self.counters[cb.counter] += 1
         binding = self._binding.get(event.kind)
         if binding is not None:
             self._advance(binding, event)
@@ -101,7 +99,7 @@ class ProtocolConformanceChecker(InvariantChecker):
 
     # -- verdict ---------------------------------------------------------------
     def at_end(self) -> None:
-        if self.spec.monitor_states and self.spec.terminal_states is not None:
+        if self.spec.terminal_states is not None:
             for key, inst in self._instances.items():
                 if inst.state not in self.spec.terminal_states:
                     self._violate(

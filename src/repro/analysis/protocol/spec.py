@@ -115,15 +115,10 @@ class EventBinding:
 
 @dataclass(frozen=True)
 class CounterBinding:
-    """A global (cross-instance) ledger counter fed by one event kind."""
+    """A global (cross-instance) ledger counter: one per event of a kind."""
 
     counter: str
     kind: EventKind
-    #: Increment amount from the payload (default 1 per event).
-    amount: Optional[Callable[[Mapping[str, Any]], int]] = None
-
-    def delta(self, data: Mapping[str, Any]) -> int:
-        return 1 if self.amount is None else int(self.amount(data))
 
 
 @dataclass(frozen=True)
@@ -159,10 +154,6 @@ class ProtocolSpec:
     end_invariants: tuple[EndInvariant, ...] = ()
     #: States an instance may lawfully end the stream in (``None`` = any).
     terminal_states: Optional[frozenset[str]] = None
-    #: ``False`` — the per-instance automaton is not replayed (only
-    #: counters/end-invariants run) because the protocol state is not
-    #: observable per-event; see the journal spec for the rationale.
-    monitor_states: bool = True
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.transitions]

@@ -1,6 +1,6 @@
 """The shipped protocol specs and their planted mutations.
 
-Five protocols, each an explicit automaton with safety properties and
+Four protocols, each an explicit automaton with safety properties and
 trace-event bindings:
 
 * ``circuit-breaker`` — CLOSED/OPEN/HALF_OPEN with bounded probe slots
@@ -8,8 +8,6 @@ trace-event bindings:
 * ``lease`` — per-task grant -> heartbeat -> {complete, expire ->
   requeue}, each edge naming the task's current lease id
   (:class:`repro.recovery.lease.LeaseTable` + result ledger);
-* ``journal`` — CRC-framed append/heal/scan/replay
-  (:class:`repro.recovery.journal.JoinJournal`);
 * ``shard-settlement`` — per ``(request, shard)`` settle-exactly-once
   with replica failover (:class:`repro.shard.router.ShardRouter`);
 * ``buffer-directory`` — per-page register/deregister/remote-fetch
@@ -173,7 +171,7 @@ _BREAKER = ProtocolSpec(
 
 
 # ---------------------------------------------------------------------------
-# lease: queued -> leased -> {done, orphaned -> queued}; journal replay
+# lease: queued -> leased -> {done, orphaned -> queued}
 # ---------------------------------------------------------------------------
 # A task holds at most one lease at a time, so the per-task automaton also
 # states the per-lease-id law: a grant records the id, and a renewal,
@@ -193,10 +191,9 @@ _LEASE = ProtocolSpec(
     description=(
         "Per-task lease lifecycle: grant -> heartbeat -> {complete, "
         "expire -> requeue}, every edge naming the task's current lease "
-        "id, with journal replay standing in for a committed prior run; "
-        "grants reconcile with completions + expirations"
+        "id; grants reconcile with completions + expirations"
     ),
-    states=("queued", "leased", "orphaned", "done", "replayed"),
+    states=("queued", "leased", "orphaned", "done"),
     initial="queued",
     vars={
         "grants": 0, "completions": 0, "expirations": 0, "requeues": 0,
@@ -227,18 +224,9 @@ _LEASE = ProtocolSpec(
             effect=_inc("expirations"),
         ),
         Transition("requeue", "orphaned", "queued", effect=_inc("requeues")),
-        # Journal replay commits the task without a live execution; it
-        # only happens at resume, before any grant of this run.
-        Transition(
-            "replay",
-            "queued",
-            "replayed",
-            guard=lambda v, a, d: v["grants"] == 0,
-        ),
         # Late duplicates of an already-committed task are dropped by
         # the exactly-once ledger: lawful echoes, not explored edges.
         Transition("dup_done", "done", "done", model=False),
-        Transition("dup_replayed", "replayed", "replayed", model=False),
     ),
     properties=(
         SafetyProperty(
@@ -269,10 +257,7 @@ _LEASE = ProtocolSpec(
         EventBinding(EventKind.LSE_COMPLETED, ("complete",)),
         EventBinding(EventKind.LSE_EXPIRED, ("expire",)),
         EventBinding(EventKind.LSE_REQUEUED, ("requeue",)),
-        EventBinding(EventKind.JNL_REPLAYED, ("replay",)),
-        EventBinding(
-            EventKind.LSE_DUP_DROPPED, ("dup_done", "dup_replayed")
-        ),
+        EventBinding(EventKind.LSE_DUP_DROPPED, ("dup_done",)),
     ),
     counters=(
         CounterBinding("grants", EventKind.LSE_GRANTED),
@@ -292,116 +277,7 @@ _LEASE = ProtocolSpec(
             lambda c: c["expirations"] == c["requeues"],
         ),
     ),
-    terminal_states=frozenset({"queued", "done", "replayed"}),
-)
-
-
-# ---------------------------------------------------------------------------
-# journal: CRC-framed append / torn tail / heal / scan / replay
-# ---------------------------------------------------------------------------
-_JOURNAL = ProtocolSpec(
-    name="journal",
-    description=(
-        "Durable join journal: CRC-framed appends; a torn tail is "
-        "healed (newline first) before the next record so no committed "
-        "record is ever corrupted; scans detect exactly the torn lines; "
-        "replay returns every committed record"
-    ),
-    states=("clean", "torn"),
-    initial="clean",
-    vars={"committed": 0, "torn_lines": 0, "lost": 0, "replayed": 0,
-          "detected": 0},
-    actors=1,
-    transitions=(
-        Transition(
-            "append_ok",
-            "clean",
-            "clean",
-            bound=lambda v, a, d: v["committed"] < 3,
-            effect=_inc("committed"),
-        ),
-        # A crash or injected tear truncates the record mid-line: it is
-        # not committed, and the tail is left without a newline.
-        Transition(
-            "append_torn",
-            "clean",
-            "torn",
-            bound=lambda v, a, d: v["torn_lines"] < 2,
-            effect=_inc("torn_lines"),
-        ),
-        # The writer notices the missing trailing newline and writes the
-        # healing newline before its record: the torn garbage stays its
-        # own (unparseable) line and the new record commits intact.
-        Transition(
-            "heal_append",
-            "torn",
-            "clean",
-            bound=lambda v, a, d: v["committed"] < 3,
-            effect=_inc("committed"),
-        ),
-        # A scan parses every line: it reports exactly the torn ones.
-        Transition(
-            "scan",
-            None,
-            None,
-            effect=lambda v, a, d: v.__setitem__(
-                "detected", v["torn_lines"]
-            ),
-        ),
-        Transition(
-            "replay",
-            None,
-            None,
-            effect=lambda v, a, d: v.__setitem__("replayed", v["committed"]),
-        ),
-    ),
-    properties=(
-        SafetyProperty(
-            "no_lost_commit",
-            "appending over a torn tail never corrupts a committed "
-            "record",
-            lambda shared, vars, actors: vars["lost"] == 0,
-        ),
-        SafetyProperty(
-            "replay_bounded",
-            "replay returns only committed records",
-            lambda shared, vars, actors: vars["replayed"] <= vars["committed"],
-        ),
-        SafetyProperty(
-            "torn_accounted",
-            "a scan never reports more torn lines than were torn",
-            lambda shared, vars, actors: vars["detected"] <= vars["torn_lines"],
-        ),
-    ),
-    # The tail state is not observable per-event: healed torn lines stay
-    # in the file (every later scan re-detects them) and an in-run torn
-    # append emits no JNL_TORN_DETECTED, so per-event state replay would
-    # flag lawful traces.  Conformance checks the scan/heal ledger only.
-    monitor_states=False,
-    key=lambda event: "journal",
-    counters=(
-        CounterBinding("appends", EventKind.JNL_APPENDED),
-        CounterBinding(
-            "appends_torn",
-            EventKind.JNL_APPENDED,
-            amount=lambda d: int(d.get("torn", 0)),
-        ),
-        CounterBinding("scans", EventKind.JNL_SCANNED),
-        CounterBinding(
-            "scanned_torn",
-            EventKind.JNL_SCANNED,
-            amount=lambda d: int(d.get("torn", 0)),
-        ),
-        CounterBinding("torn_detected", EventKind.JNL_TORN_DETECTED),
-        CounterBinding("replays", EventKind.JNL_REPLAYED),
-    ),
-    end_invariants=(
-        EndInvariant(
-            "scan_torn_ledger",
-            "scan summaries agree with per-line torn detections",
-            lambda c: c["scans"] == 0 or c["scanned_torn"] == c["torn_detected"],
-        ),
-    ),
+    terminal_states=frozenset({"queued", "done"}),
 )
 
 
@@ -583,7 +459,6 @@ _DIRECTORY = ProtocolSpec(
 SPECS: tuple[ProtocolSpec, ...] = (
     _BREAKER,
     _LEASE,
-    _JOURNAL,
     _SETTLEMENT,
     _DIRECTORY,
 )
@@ -638,18 +513,6 @@ def _mut_double_grant(spec: ProtocolSpec) -> ProtocolSpec:
 
 def _mut_drop_requeue(spec: ProtocolSpec) -> ProtocolSpec:
     return spec.replace_transitions(drop=("requeue",))
-
-
-def _mut_blind_append(spec: ProtocolSpec) -> ProtocolSpec:
-    # The writer no longer checks for a missing trailing newline: its
-    # record lands on the torn line and both become one garbage line.
-    def blind(v, a, d):
-        v["lost"] = v.get("lost", 0) + 1
-
-    return spec.replace_transitions(
-        drop=("heal_append",),
-        add=(Transition("heal_append", "torn", "clean", effect=blind),),
-    )
 
 
 def _mut_fail_unsent(spec: ProtocolSpec) -> ProtocolSpec:
@@ -741,13 +604,6 @@ MUTATIONS: tuple[Mutation, ...] = (
         "lease",
         "orphan_requeued",
         _mut_drop_requeue,
-    ),
-    Mutation(
-        "journal-blind-append",
-        "appends no longer heal a torn tail before writing",
-        "journal",
-        "no_lost_commit",
-        _mut_blind_append,
     ),
     Mutation(
         "settlement-fail-unsent",

@@ -13,7 +13,7 @@ DET002    no unseeded randomness in deterministic modules: every RNG is a
           :mod:`random`
 TRC001    every ``emit(...)`` names a declared ``EventKind`` member —
           undeclared or string event names silently bypass every checker
-TRC002    every emitted ``FLT_*``/``SUP_*``/``LSE_*``/``JNL_*``/``SHD_*``
+TRC002    every emitted ``FLT_*``/``SUP_*``/``LSE_*``/``SHD_*``
           ledger event is read by one of the invariants' two homes — an
           accounting checker (resilience, recovery, shard) or a protocol
           spec — an unreferenced ledger event is a fault class that can be
@@ -320,7 +320,7 @@ class LedgerCounterpartRule(ProjectRule):
         refs = project.checker_event_refs
         if refs is None:
             return
-        prefixes = ("FLT_", "SUP_", "LSE_", "JNL_", "SHD_")
+        prefixes = ("FLT_", "SUP_", "LSE_", "SHD_")
         for path, line, member in project.emit_sites:
             if not member.startswith(prefixes):
                 continue

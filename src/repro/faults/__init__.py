@@ -4,11 +4,11 @@ The paper's central claim is that the parallel join degrades gracefully
 when a processor falls behind (task reassignment, section 3.4); this
 package extends that discipline from *skew* to *faults* on real
 processes: a :class:`FaultPlan` describes worker crashes, hangs, slowed
-I/O, task kills and torn journal appends, and a :class:`FaultInjector`
-deterministically injects them at two seams — the serving worker pool
-(:mod:`repro.service.workers`) and the forked join (:mod:`repro.join.mp`,
-with its journal).  The simulated machine has none: the paper measures
-a fault-free one.
+I/O and task kills, and a :class:`FaultInjector` deterministically
+injects them at two seams — the serving worker pool
+(:mod:`repro.service.workers`) and the forked join's workers
+(:mod:`repro.join.mp`).  The simulated machine has none: the paper
+measures a fault-free one.
 
 Every injection is emitted as an ``FLT_*`` event on the
 :mod:`repro.trace` bus; the resilience layer's recovery actions are

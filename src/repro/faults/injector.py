@@ -92,7 +92,6 @@ class FaultInjector:
         self.tracer = tracer
         self._worker_rng = plan.rng_for("worker")
         self._task_rng = plan.rng_for("task")
-        self._journal_rng = plan.rng_for("journal")
         # task-kill bookkeeping: each task id rolls at most once, each
         # targeted kill fires at most once — re-executions of a requeued
         # orphan are never re-killed, so recovery always makes progress.
@@ -103,7 +102,6 @@ class FaultInjector:
         self.hangs = 0
         self.slow_ios = 0
         self.task_kills = 0
-        self.torn_appends = 0
 
     # -- worker-call seam ------------------------------------------------------
     def worker_directive(self, call_id: int) -> Optional[FaultDirective]:
@@ -169,25 +167,6 @@ class FaultInjector:
                 )
         return kill
 
-    # -- journal seam (repro.recovery) -----------------------------------------
-    def torn_append(self, size: int) -> Optional[int]:
-        """Byte offset to tear one journal append at, or None (intact).
-
-        The cut point is drawn from the same seeded stream and always
-        strictly inside the record, so a torn append is guaranteed to
-        fail the CRC frame check on the next scan.  Emits
-        ``FLT_INJECT_TORN_APPEND`` on strike.
-        """
-        if size < 2 or self._journal_rng.random() >= self.plan.torn_append_p:
-            return None
-        cut = self._journal_rng.randrange(1, size)
-        self.torn_appends += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.FLT_INJECT_TORN_APPEND, bytes=size, cut=cut
-            )
-        return cut
-
     # -- reporting -------------------------------------------------------------
     def counts(self) -> dict:
         return {
@@ -195,7 +174,6 @@ class FaultInjector:
             "hangs": self.hangs,
             "slow_ios": self.slow_ios,
             "task_kills": self.task_kills,
-            "torn_appends": self.torn_appends,
         }
 
     def __repr__(self) -> str:

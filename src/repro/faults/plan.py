@@ -15,9 +15,7 @@ inject, all of them on real processes:
 * **task kill** — the forked join's worker starting a task dies right
   there, probabilistically (``task_kill_p``) or targeted
   (``kill_at_task``), exercising lease expiry and chunk requeue in
-  :mod:`repro.recovery`;
-* **torn journal append** — one append to the durable join journal is
-  cut short mid-record, exercising the CRC frame check on resume.
+  :mod:`repro.recovery`.
 
 The simulated join has no faults, as the paper's machine has none.  All
 randomness is derived from ``seed`` through stable per-site streams
@@ -41,7 +39,7 @@ class FaultPlan:
     """Probabilities and magnitudes of every injectable fault.
 
     All probabilities are per *opportunity*: per worker call for
-    crash/hang/slow, per task for a kill, per append for a tear.  A plan
+    crash/hang/slow, per task for a kill.  A plan
     with every probability at 0 and no targeted kill is inert (see
     :data:`NO_FAULTS`).  Every setting is checked on construction: one
     ``ValueError`` names the first bad field and its value.
@@ -65,14 +63,10 @@ class FaultPlan:
     #: Deterministic task-targeted kills: whichever worker starts one of
     #: these task ids dies there (fires once per id).
     kill_at_task: tuple = field(default_factory=tuple)
-    #: P(one journal append is torn mid-write) — emulates a crash between
-    #: write() and the newline hitting the disk.
-    torn_append_p: float = 0.0
 
     def __post_init__(self):
         for name in (
             "worker_crash_p", "worker_hang_p", "slow_io_p", "task_kill_p",
-            "torn_append_p",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -99,7 +93,6 @@ class FaultPlan:
             or self.worker_hang_p > 0
             or self.slow_io_p > 0
             or self.task_kill_p > 0
-            or self.torn_append_p > 0
             or bool(self.kill_at_task)
         )
 
@@ -126,8 +119,6 @@ class FaultPlan:
             knobs.append(f"slow={self.slow_io_p}x{self.slow_io_factor}")
         if self.task_kill_p or self.kill_at_task:
             knobs.append(f"kill={self.task_kill_p}+{len(self.kill_at_task)}t")
-        if self.torn_append_p:
-            knobs.append(f"torn={self.torn_append_p}")
         inner = " ".join(knobs) if knobs else "inert"
         return f"<FaultPlan seed={self.seed} {inner}>"
 

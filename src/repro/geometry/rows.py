@@ -156,7 +156,7 @@ class PairTable(ColumnRows):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "PairTable":
-        """From 2-item rows (tuples, or a journal's JSON lists)."""
+        """From 2-item rows (tuples or lists)."""
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
         # Two flat lists, no per-row container: ``zip(*pairs)`` makes one
         # iterator a row, enough allocations to set off full collections.

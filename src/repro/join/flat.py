@@ -15,8 +15,8 @@ plan* for the one forked driver of :mod:`repro.join.mp` — the qualifying
 frontier of :func:`create_flat_tasks` as the task list, one kernel call
 per leased slice, one heartbeat per frontier round.  Workers inherit the
 plan, and with it the packed arrays and the maps' tables, by
-copy-on-write (fork-inherits-*arrays*), so the flat backend gets leases,
-redispatch and journalled resume for free.
+copy-on-write (fork-inherits-*arrays*), so the flat backend gets leases
+and redispatch for free.
 """
 
 from __future__ import annotations
@@ -287,17 +287,6 @@ class _FlatJoinPlan:
 
     def __len__(self) -> int:
         return len(self.nodes_r)
-
-    def signature(self) -> str:
-        """Journal fingerprint; the ``flat:`` prefix makes a journal
-        written by the node plan unreadable here and vice versa."""
-        head = f"flat:{len(self)}:{self.level_r}:{self.level_s}"
-        if not len(self):
-            return head
-        return (
-            f"{head}:{self.nodes_r[0]}-{self.nodes_s[0]}"
-            f":{self.nodes_r[-1]}-{self.nodes_s[-1]}"
-        )
 
     def run(self, start: int, stop: int, beat=None) -> PairTable:
         """Candidate pairs of frontier slice ``[start, stop)``.  A

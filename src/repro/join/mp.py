@@ -10,10 +10,9 @@ shared queue beats static ranges: phase 1 produces a backend-neutral
 (:class:`~repro.recovery.procs.PipedWorkers`): an idle worker is handed
 the next chunk off one FIFO.
 
-A plan hides the task *format* from the driver: ``len(plan)`` tasks,
-``plan.signature()`` for the journal, ``plan.run(start, stop, beat)``
-for the pairs of one slice.  The node plan is the
-:func:`~repro.join.tasks.create_tasks` list (one
+A plan hides the task *format* from the driver: ``len(plan)`` tasks and
+``plan.run(start, stop, beat)`` for the pairs of one slice.  The node
+plan is the :func:`~repro.join.tasks.create_tasks` list (one
 :func:`~repro.join.sequential.depth_first_join` per task, the walk of
 ``sequential_join``); the flat plan (:mod:`repro.join.flat`) is the packed
 backend's frontier (one vectorized kernel call per slice).
@@ -36,27 +35,26 @@ losing a lease.  A worker death is an event, not a timeout: the substrate report
 it at once, naming the chunk the worker held; that lease expires
 (``reason="died"``) and the chunk is requeued, so a death loses at most
 one chunk's partial work.  A *silent* worker is expired by its lease and
-killed — it never keeps its slot — and its chunk requeued.  Completed chunks
-may be journalled durably; :func:`repro.recovery.coordinator.resume_join`
-replays them and re-runs only the orphans.  The result multiset is
-exactly-once either way: the :class:`~repro.recovery.ledger.ResultLedger`
-commits the first completion per chunk and drops duplicates.
+killed — it never keeps its slot — and its chunk requeued.  The result
+multiset is exactly-once: the :class:`~repro.recovery.ledger.ResultLedger`
+commits the first completion per chunk and drops duplicates.  A dead
+*parent* loses the join; it is rerun from scratch, which costs no more
+than any resume could save.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import multiprocessing
 import os
 import warnings
 from collections import deque
+from numbers import Integral
 from typing import Optional
 
 from ..faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
 from ..geometry.rows import PairTable
 from ..recovery.config import RecoveryConfig, wall_clock
-from ..recovery.journal import JoinJournal
 from ..recovery.ledger import ResultLedger
 from ..recovery.lease import LeaseTable
 from ..recovery.procs import PipedWorkers, fork_available
@@ -66,7 +64,7 @@ from .flat import _FlatJoinPlan, packed_pair
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 from .sequential import depth_first_join
-from .tasks import create_tasks, task_signature
+from .tasks import create_tasks
 
 __all__ = [
     "multiprocessing_join",
@@ -84,7 +82,7 @@ MAX_REDISPATCH = 5
 def _chunk_tasks(n_tasks: int, processes: int) -> int:
     """Tasks per lease-sized chunk: a quarter of one worker's share, so a
     worker death loses that much instead of its whole range."""
-    return max(1, math.ceil(n_tasks / (4 * max(1, processes))))
+    return max(1, math.ceil(n_tasks / (4 * processes)))
 
 
 class _NodeJoinPlan:
@@ -96,9 +94,6 @@ class _NodeJoinPlan:
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-    def signature(self) -> str:
-        return task_signature(self.tasks)
 
     def run(self, start: int, stop: int, beat=None) -> PairTable:
         """Candidate pairs of tasks ``[start, stop)``, made a table here —
@@ -179,7 +174,6 @@ def multiprocessing_join(
     geometry_s=None,
     timeout_s: Optional[float] = None,
     recovery: Optional[RecoveryConfig] = None,
-    journal_path: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> PairTable:
@@ -192,7 +186,7 @@ def multiprocessing_join(
     runs the exact refinement on the candidates it produced.  Both
     backends run the same chunked, lease-monitored driver — this is
     :func:`fault_tolerant_join` without the statistics; see there for
-    ``timeout_s``, ``recovery``, ``journal_path`` and ``faults``.  Runs
+    ``processes``, ``timeout_s``, ``recovery`` and ``faults``.  Runs
     the chunks inline in the parent when ``processes`` is 1 or fork is
     unavailable.
     """
@@ -204,7 +198,6 @@ def multiprocessing_join(
         geometry_s=geometry_s,
         timeout_s=timeout_s,
         recovery=recovery,
-        journal_path=journal_path,
         faults=faults,
         tracer=tracer,
     )
@@ -217,17 +210,14 @@ def multiprocessing_join(
 
 
 class _Engine:
-    """One forked join: chunking, leases, journal, redispatch.
+    """One forked join: chunking, leases, redispatch.
 
     The parent is the coordinator and the substrate's *sink*: it grants
     one lease per chunk at hand-off, reads the fork-inherited progress
     counters as heartbeats, requeues the chunk of a worker that died or
     went silent (inline in the parent after :data:`MAX_REDISPATCH` strikes —
     guaranteed progress whatever the workers do).  Results commit through
-    the exactly-once ledger;
-    with a journal every grant/completion is durable and a later
-    :func:`~repro.recovery.coordinator.resume_join` replays the committed
-    chunks.
+    the exactly-once ledger.
     """
 
     def __init__(
@@ -265,54 +255,12 @@ class _Engine:
             tracer=tracer,
         )
         self.ledger = ResultLedger(tracer=tracer)
-        self.journal: Optional[JoinJournal] = None
-        if recovery.journal_path is not None:
-            self.journal = JoinJournal(
-                recovery.journal_path,
-                tracer=tracer,
-                injector=self.injector,
-                fsync=recovery.fsync,
-            )
-            self._load_journal()
-        self.replayed_chunks = len(self.ledger)
-        self.pending: deque = deque(
-            cid for cid in range(self.n_chunks) if cid not in self.ledger
-        )
+        self.pending: deque = deque(range(self.n_chunks))
         self.redispatches = {cid: 0 for cid in range(self.n_chunks)}
         self.inline_runs = 0
-        self.commits = 0
         self._last_progress = [0] * self.n_chunks
         self._progress = None  # the heartbeat RawArray of a forked run
         self.inflight: dict[int, int] = {}  # chunk a worker holds -> lease id
-
-    # -- journal ---------------------------------------------------------------
-    def _load_journal(self) -> None:
-        scan = self.journal.existing
-        sig = self.work[0].signature()
-        meta = scan.meta
-        if meta is None:
-            self.journal.append(
-                "meta",
-                mode="mp",
-                tasks=self.n_tasks,
-                chunk=self.chunk_tasks,
-                signature=sig,
-            )
-        elif (
-            meta.get("signature") != sig
-            or meta.get("tasks") != self.n_tasks
-            or meta.get("chunk") != self.chunk_tasks
-        ):
-            raise ValueError(
-                "journal does not match this join: it records "
-                f"{meta.get('tasks')} tasks in chunks of "
-                f"{meta.get('chunk')} with signature "
-                f"{meta.get('signature')!r}; this run has "
-                f"{self.n_tasks} tasks in chunks of "
-                f"{self.chunk_tasks} with {sig!r}"
-            )
-        for cid, record in sorted(scan.completions().items()):
-            self.ledger.replay(cid, record.get("rows", ()))
 
     # -- chunk execution -------------------------------------------------------
     def _kill_directive(self, cid: int) -> Optional[int]:
@@ -327,37 +275,14 @@ class _Engine:
                 return offset
         return None
 
-    def _commit(self, cid: int, lease_id: int, rows: PairTable) -> None:
-        if not self.ledger.commit(cid, rows, lease=lease_id, proc=cid):
-            return
-        self.commits += 1
-        if self.journal is not None:
-            self.journal.append(
-                "complete",
-                task=cid,
-                lease=lease_id,
-                proc=cid,
-                rows=[list(row) for row in rows],
-            )
-        stop_after = self.recovery.stop_after_commits
-        if stop_after is not None and self.commits >= stop_after:
-            from ..recovery.coordinator import JoinInterrupted
-
-            raise JoinInterrupted(
-                f"stopped after {self.commits} commits "
-                f"({len(self.ledger)}/{self.n_chunks} chunks done)"
-            )
-
     def _run_inline(self, cid: int) -> None:
         """Execute one chunk in the parent (serial path / last resort)."""
         start, stop = self.bounds[cid]
         lease = self.lease_table.grant(cid, holder=cid)
-        if self.journal is not None:
-            self.journal.append("grant", task=cid, lease=lease.id, proc=cid)
         pairs = _chunk_pairs(self.work, start, stop)
         self.inline_runs += 1
         self.lease_table.complete(lease.id, rows=len(pairs))
-        self._commit(cid, lease.id, pairs)
+        self.ledger.commit(cid, pairs, lease=lease.id, proc=cid)
 
     def _requeue(self, lease_id: int, cid: int) -> None:
         if self.tracer.enabled:
@@ -376,21 +301,12 @@ class _Engine:
         deadline = (
             self.clock() + self.timeout_s if self.timeout_s is not None else None
         )
-        from ..recovery.coordinator import JoinInterrupted
-
         workers = PipedWorkers(
             self.processes, _run_chunk, (self.work, self._progress), self
         )
         workers.start()
         try:
             self._coordinate(workers, deadline)
-        except JoinInterrupted:
-            # The abort hook emulates a dying parent, but the trace must
-            # still reconcile: the abandoned chunks' leases expire here (a
-            # real death leaves them to the next run's sweep — same
-            # outcome, observable now).
-            self._abandon("interrupted")
-            raise
         finally:
             workers.close()
 
@@ -430,8 +346,6 @@ class _Engine:
         """An idle worker takes chunk *cid*: its lease clock starts now."""
         kill_at = self._kill_directive(cid)
         lease = self.lease_table.grant(cid, holder=cid)
-        if self.journal is not None:
-            self.journal.append("grant", task=cid, lease=lease.id, proc=cid)
         self._last_progress[cid] = self._progress[cid]
         self.inflight[cid] = lease.id
         return (cid, *self.bounds[cid], kill_at)
@@ -443,7 +357,7 @@ class _Engine:
         lease_id = self.inflight.pop(cid)
         rows = value[1]
         self.lease_table.complete(lease_id, rows=len(rows))
-        self._commit(cid, lease_id, rows)
+        self.ledger.commit(cid, rows, lease=lease_id, proc=cid)
 
     def died(self, cid, pid, exitcode, killed, replacement_pid) -> None:
         if cid is not None:  # None: idle, or killed by the sweep above
@@ -455,11 +369,6 @@ class _Engine:
         self.lease_table.expire(lease_id, reason)
         self._requeue(lease_id, cid)
 
-    def _abandon(self, reason: str) -> None:
-        """Orphan every chunk a worker still holds."""
-        for cid in list(self.inflight):
-            self._orphan(cid, reason)
-
     def _rescue_timeout(self) -> None:
         """Deadline fired: abandon the workers, finish missing chunks inline."""
         warnings.warn(
@@ -469,7 +378,8 @@ class _Engine:
             RuntimeWarning,
             stacklevel=4,
         )
-        self._abandon("timeout")
+        for cid in list(self.inflight):
+            self._orphan(cid, "timeout")
         self.pending.clear()
         for cid in range(self.n_chunks):
             if cid not in self.ledger:
@@ -481,7 +391,6 @@ class _Engine:
             "tasks": self.n_tasks,
             "chunks": self.n_chunks,
             "chunk_tasks": self.chunk_tasks,
-            "replayed_chunks": self.replayed_chunks,
             "inline_runs": self.inline_runs,
             "redispatches": sum(self.redispatches.values()),
             **self.ledger.stats(),
@@ -502,10 +411,6 @@ class _Engine:
             )
         return pairs, self.stats()
 
-    def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
-
 
 def fault_tolerant_join(
     tree_r: RStarTree,
@@ -516,7 +421,6 @@ def fault_tolerant_join(
     geometry_s=None,
     timeout_s: Optional[float] = None,
     recovery: Optional[RecoveryConfig] = None,
-    journal_path: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> tuple[PairTable, dict]:
@@ -524,7 +428,7 @@ def fault_tolerant_join(
 
     ``pairs`` is the exactly-once result multiset as one table, grouped by
     ascending chunk id (deterministic given the task list).  ``stats``
-    reports chunking, lease and ledger counters, redispatches and replays.
+    reports chunking, lease and ledger counters and redispatches.
 
     ``timeout_s`` bounds the whole join: when the deadline fires the
     workers are abandoned and only the *missing* chunks are finished
@@ -532,48 +436,47 @@ def fault_tolerant_join(
     always gets the answer.  Without a deadline a dead worker's chunk is
     requeued the moment it dies, and a hung worker is killed when its
     chunk's lease expires (inline after :data:`MAX_REDISPATCH`
-    strikes).  ``faults`` injects worker
-    kills; ``journal_path`` (or ``recovery.journal_path``) makes
-    completions durable.  A ``recovery.stop_after_commits`` abort raises
-    :class:`~repro.recovery.coordinator.JoinInterrupted`, leaving the
-    journal behind for :func:`~repro.recovery.coordinator.resume_join`.
+    strikes).  ``faults`` injects worker kills.  ``processes`` must be
+    an integer >= 1 (default: the CPU count, at most 8) and ``timeout_s``
+    finite and > 0, or None.
     """
     if (geometry_r is None) != (geometry_s is None):
         raise ValueError("pass geometry for both relations or for neither")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive (or None)")
+    if timeout_s is not None and not (
+        math.isfinite(timeout_s) and timeout_s > 0
+    ):
+        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
     if processes is None:
         processes = min(8, os.cpu_count() or 1)
-    if recovery is None:
-        recovery = RecoveryConfig(journal_path=journal_path)
-    elif journal_path is not None and recovery.journal_path is None:
-        recovery = dataclasses.replace(recovery, journal_path=journal_path)
-    plan = plan_join(tree_r, tree_s, max(1, processes) * 4)
+    elif (
+        isinstance(processes, bool)
+        or not isinstance(processes, Integral)
+        or processes < 1
+    ):
+        raise ValueError(f"processes must be an integer >= 1, got {processes!r}")
+    plan = plan_join(tree_r, tree_s, processes * 4)
     engine = _Engine(
         plan,
         geometry_r,
         geometry_s,
         processes,
-        recovery,
+        recovery or RecoveryConfig(),
         faults,
         tracer,
         timeout_s,
     )
-    try:
-        if not engine.pending:
-            return engine.finish()
-        if processes <= 1 or not fork_available():
-            if processes > 1:
-                warnings.warn(
-                    "the 'fork' start method is unavailable on this "
-                    "platform (spawn-only); fault_tolerant_join runs "
-                    "chunks inline in the parent",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            engine.run_serial()
-        else:
-            engine.run_parallel()
+    if not engine.pending:
         return engine.finish()
-    finally:
-        engine.close()
+    if processes == 1 or not fork_available():
+        if processes > 1:
+            warnings.warn(
+                "the 'fork' start method is unavailable on this "
+                "platform (spawn-only); fault_tolerant_join runs "
+                "chunks inline in the parent",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        engine.run_serial()
+    else:
+        engine.run_parallel()
+    return engine.finish()

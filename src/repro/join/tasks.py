@@ -26,7 +26,6 @@ __all__ = [
     "create_tasks",
     "count_root_tasks",
     "expand_node_pair",
-    "task_signature",
 ]
 
 
@@ -82,26 +81,6 @@ def create_tasks(
         descended.sort(key=_sweep_stop)
         pairs = descended
     return [Task(node_r, node_s) for node_r, node_s in pairs]
-
-
-def task_signature(tasks: list[Task]) -> str:
-    """A cheap fingerprint of one task list, for journal-resume sanity.
-
-    Task creation is deterministic given the prepared trees, so a resumed
-    join recomputes the identical list; the durable journal stores this
-    signature in its ``meta`` record and :mod:`repro.recovery` refuses to
-    replay a journal against trees that produce a different one (which
-    would silently mis-map completed task ids onto different subtrees).
-    """
-    if not tasks:
-        return "0:empty"
-    head = tasks[0]
-    tail = tasks[-1]
-    return (
-        f"{len(tasks)}:{head.level}:"
-        f"{head.node_r.page_id}-{head.node_s.page_id}:"
-        f"{tail.node_r.page_id}-{tail.node_s.page_id}"
-    )
 
 
 def count_root_tasks(tree_r: RStarTree, tree_s: RStarTree) -> int:

@@ -1,5 +1,4 @@
-"""Page layout constants of the paper's R*-trees (section 4.1), plus the
-CRC-32 checksum the join journal frames its records with.
+"""Page layout constants of the paper's R*-trees (section 4.1).
 
 The trees use a page size of 4 KB; a directory entry occupies 40 bytes
 (MBR plus child pointer) and a data entry 156 bytes (MBR plus a pointer to
@@ -11,14 +10,12 @@ Table 1 tree shapes.
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass
 
 __all__ = [
     "PageKind",
     "StorageParams",
     "DEFAULT_STORAGE",
-    "page_checksum",
 ]
 
 
@@ -50,9 +47,3 @@ class StorageParams:
 
 #: The parameters of the paper's evaluation (section 4.1).
 DEFAULT_STORAGE = StorageParams()
-
-
-def page_checksum(payload: bytes) -> int:
-    """CRC-32 of one payload: the frame check of the join journal's lines
-    (:mod:`repro.recovery.journal`)."""
-    return zlib.crc32(payload) & 0xFFFFFFFF

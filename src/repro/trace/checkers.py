@@ -25,8 +25,8 @@ time).
 
 This module holds only what a per-key automaton or an end-of-stream
 count equation cannot say — geometry, time intervals, cross-stream
-reconciliation, row sums.  The five protocols that
-*are* such automatons (circuit breaker, lease life cycle, journal, shard
+reconciliation, row sums.  The four protocols that
+*are* such automatons (circuit breaker, lease life cycle, shard
 settlement, buffer directory) are stated once, in
 :mod:`repro.analysis.protocol.specs`, and ride in every checker set as
 ``protocol:<spec>`` monitors (DESIGN.md §5: invariant → its one home).
@@ -813,22 +813,18 @@ class RecoveryAccountingChecker(InvariantChecker):
     """No result row lost or double-counted, and every kill detected.
 
     The forked join (:mod:`repro.join.mp`) emits one ``LSE_*`` event per
-    lease transition and ``JNL_*`` events for the durable journal; the
-    fault injector emits the task-kill / torn-append sabotage ledger.  The
-    lease life cycle — per task and per lease id — is the ``lease`` spec's
-    statement and the scan / torn-line ledger the ``journal`` spec's
-    (``protocol:lease``, ``protocol:journal``).  What they cannot say is
-    checked here:
+    lease transition; the fault injector emits the task-kill sabotage
+    ledger.  The lease life cycle — per task and per lease id — is the
+    ``lease`` spec's statement (``protocol:lease``).  What it cannot say
+    is checked here:
 
     * the final result size carried by ``RUN_END`` (``candidates``)
-      equals completed + replayed rows — no row lost, none counted twice;
+      equals the completed rows — no row lost, none counted twice;
     * every injected task kill (``FLT_INJECT_TASK_KILL``) is *detected*:
       the killed holder's leases expire (at least as many expiries on
       that proc as kills).
 
-    Torn injections (``FLT_INJECT_TORN_APPEND``) are counted as a stat —
-    they only become *detectable* once some later run scans the file.  On
-    a stream without recovery events every rule is vacuous, so the
+    On a stream without recovery events every rule is vacuous, so the
     checker rides in the default set.
     """
 
@@ -844,9 +840,7 @@ class RecoveryAccountingChecker(InvariantChecker):
         self.expirations = 0
         self.dup_dropped = 0
         self.task_kills = 0
-        self.torn_injected = 0
-        self.replayed = 0
-        self._ledger_rows = 0  # rows of completions + replays
+        self._completed_rows = 0
         self._run_end_candidates: Optional[int] = None
 
     def observe(self, event: TraceEvent) -> None:
@@ -857,23 +851,18 @@ class RecoveryAccountingChecker(InvariantChecker):
             self._lease_proc[data.get("lease")] = event.proc
         elif kind is EventKind.LSE_COMPLETED:
             self.completions += 1
-            self._ledger_rows += data.get("rows", 0)
+            self._completed_rows += data.get("rows", 0)
         elif kind is EventKind.LSE_EXPIRED:
             self.expirations += 1
             proc = self._lease_proc.get(data.get("lease"), event.proc)
             self._expiries_by_proc[proc] = self._expiries_by_proc.get(proc, 0) + 1
         elif kind is EventKind.LSE_DUP_DROPPED:
             self.dup_dropped += 1
-        elif kind is EventKind.JNL_REPLAYED:
-            self.replayed += 1
-            self._ledger_rows += data.get("rows", 0)
         elif kind is EventKind.FLT_INJECT_TASK_KILL:
             self.task_kills += 1
             self._kills_by_proc[event.proc] = (
                 self._kills_by_proc.get(event.proc, 0) + 1
             )
-        elif kind is EventKind.FLT_INJECT_TORN_APPEND:
-            self.torn_injected += 1
         elif kind is EventKind.RUN_END:
             if "candidates" in data:
                 self._run_end_candidates = data["candidates"]
@@ -888,13 +877,13 @@ class RecoveryAccountingChecker(InvariantChecker):
                 )
         if (
             self._run_end_candidates is not None
-            and (self.completions or self.replayed)
-            and self._ledger_rows != self._run_end_candidates
+            and self.completions
+            and self._completed_rows != self._run_end_candidates
         ):
             self._violate(
                 f"RUN_END reports {self._run_end_candidates} result "
-                f"rows but the lease/journal ledger accounts for "
-                f"{self._ledger_rows} — rows lost or double-counted"
+                f"rows but the lease completions account for "
+                f"{self._completed_rows} — rows lost or double-counted"
             )
 
     def stats(self) -> dict[str, int]:
@@ -903,9 +892,7 @@ class RecoveryAccountingChecker(InvariantChecker):
             "completions": self.completions,
             "expirations": self.expirations,
             "dup_dropped": self.dup_dropped,
-            "replayed": self.replayed,
             "task_kills": self.task_kills,
-            "torn_injected": self.torn_injected,
         }
 
 
@@ -1135,7 +1122,7 @@ def default_checkers() -> list[InvariantChecker]:
         # Vacuous without FLT_*/SUP_* events, so it rides on every run and
         # bites only when fault injection is active.
         ResilienceAccountingChecker(),
-        # Likewise vacuous without LSE_*/JNL_* recovery events.
+        # Likewise vacuous without LSE_* recovery events.
         RecoveryAccountingChecker(),
         # And vacuous without SHD_* sharded-routing events.
         ShardAccountingChecker(),

@@ -109,9 +109,8 @@ class EventKind(str, enum.Enum):
     FLT_INJECT_HANG = "flt_inject_hang"
     FLT_INJECT_SLOW_IO = "flt_inject_slow_io"
 
-    # fault injection (the forked join's seams, repro.recovery)
+    # fault injection (the forked join's seam, repro.recovery)
     FLT_INJECT_TASK_KILL = "flt_inject_task_kill"    # processor dies at a task
-    FLT_INJECT_TORN_APPEND = "flt_inject_torn_append"  # journal write torn
 
     # task leases (repro.recovery) — grants must reconcile with
     # completions + expirations; every expiry requeues its task.
@@ -124,12 +123,6 @@ class EventKind(str, enum.Enum):
     #: expired and the task was re-run) discarded by the exactly-once
     #: result ledger.
     LSE_DUP_DROPPED = "lse_dup_dropped"
-
-    # durable join journal (repro.recovery.journal)
-    JNL_APPENDED = "jnl_appended"
-    JNL_SCANNED = "jnl_scanned"
-    JNL_TORN_DETECTED = "jnl_torn_detected"
-    JNL_REPLAYED = "jnl_replayed"
 
     # resilience / supervision — the recovery ledger
     SUP_CALL_OK = "sup_call_ok"            # a faulted call completed anyway

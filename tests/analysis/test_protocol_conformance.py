@@ -33,7 +33,6 @@ class TestRegistry:
         assert names == {
             "protocol:circuit-breaker",
             "protocol:lease",
-            "protocol:journal",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
         }
@@ -45,7 +44,7 @@ class TestRegistry:
 
     def test_vacuous_on_foreign_streams(self):
         # A stream with none of the spec's events yields a clean verdict
-        # (this is what lets all five ride on every run).
+        # (this is what lets all four ride on every run).
         verdict = replay(
             "lease", [ev(0, EventKind.BUFFER_INSERT, 0, page=1)]
         )
@@ -180,27 +179,6 @@ class TestDirectory:
         assert not verdict.ok
 
 
-class TestJournal:
-    def test_scan_ledger_agreement_passes(self):
-        verdict = replay("journal", [
-            ev(0, EventKind.JNL_APPENDED, task=1),
-            ev(1, EventKind.JNL_TORN_DETECTED, line=2),
-            ev(2, EventKind.JNL_SCANNED, records=1, torn=1),
-            ev(3, EventKind.JNL_REPLAYED, task=1),
-        ])
-        assert verdict.ok, verdict.violations
-
-    def test_scan_ledger_disagreement_is_flagged(self):
-        # The scan summary claims two torn lines but only one per-line
-        # detection was emitted: the end invariant catches the skew.
-        verdict = replay("journal", [
-            ev(0, EventKind.JNL_TORN_DETECTED, line=2),
-            ev(1, EventKind.JNL_SCANNED, records=1, torn=2),
-        ])
-        assert not verdict.ok
-        assert "scan_torn_ledger" in verdict.violations[0]
-
-
 class TestRealSimulation:
     @pytest.mark.slow
     def test_traced_gsrr_run_conforms(self, tmp_path):
@@ -250,55 +228,33 @@ class TestRealSimulation:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="requires the fork start method",
     )
-    def test_traced_fork_kill_and_resume_conform(self, tmp_path):
-        """The lease and journal specs replay real runs of the one
-        recovery implementation: a forked join whose worker dies at task
-        1, journalled, then a resume from that journal."""
+    def test_traced_fork_kill_conforms(self):
+        """The lease spec replays a real run of the one recovery
+        implementation: a forked join whose worker dies at task 1."""
         from repro.datagen import build_tree, paper_maps
         from repro.faults import FaultPlan
         from repro.join import prepare_trees
         from repro.join.mp import fault_tolerant_join
-        from repro.recovery import RecoveryConfig, resume_join
+        from repro.recovery import RecoveryConfig
         from repro.trace import ListSink, Tracer
 
         map_r, map_s = paper_maps(scale=0.01)
         trees = build_tree(map_r), build_tree(map_s)
         prepare_trees(*trees)
-        journal = str(tmp_path / "join.jnl")
-        recovery = RecoveryConfig(lease_s=5.0, sweep_s=0.05)
-        killed, resumed = ListSink(), ListSink()
+        killed = ListSink()
         fault_tolerant_join(
             *trees,
             2,
-            recovery=recovery,
-            journal_path=journal,
+            recovery=RecoveryConfig(lease_s=5.0, sweep_s=0.05),
             faults=FaultPlan(seed=0, kill_at_task=(1,)),
             tracer=Tracer(sinks=[killed]),
         )
-        resume_join(
-            journal, *trees, processes=2, recovery=recovery,
-            tracer=Tracer(sinks=[resumed]),
-        )
-        runs = []
-        for sink in (killed, resumed):
-            verdicts = {
-                v.checker: v
-                for v in run_checkers(sink.events, conformance_checkers())
-            }
-            lease, journal_spec = (
-                verdicts["protocol:lease"], verdicts["protocol:journal"]
-            )
-            assert lease.ok, lease.violations
-            assert journal_spec.ok, journal_spec.violations
-            assert lease.stats["instances"] > 0
-            runs.append((lease.stats, journal_spec.stats))
-        (killed_lease, appended), (replayed_lease, scanned) = runs
-        # The kill cost one expiry and one requeue; the resume replayed
-        # every chunk the first run committed and granted nothing.
-        assert killed_lease["expirations"] == killed_lease["requeues"] == 1
-        assert replayed_lease["grants"] == 0
-        # The journal spec keeps no per-key instances (its states are not
-        # observable per event); its counters are the evidence.
-        assert appended["appends"] > 0
-        assert scanned["scans"] == 1
-        assert scanned["replays"] == replayed_lease["instances"]
+        verdicts = {
+            v.checker: v
+            for v in run_checkers(killed.events, conformance_checkers())
+        }
+        lease = verdicts["protocol:lease"]
+        assert lease.ok, lease.violations
+        assert lease.stats["instances"] > 0
+        # The kill cost one expiry and one requeue.
+        assert lease.stats["expirations"] == lease.stats["requeues"] == 1

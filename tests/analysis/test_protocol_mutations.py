@@ -56,12 +56,11 @@ class TestMutations:
         assert len(names) == len(set(names))
 
     def test_every_spec_has_at_least_one_mutation(self):
-        # The breaker, lease, journal, settlement and directory specs are
-        # each exercised by the self-test.
+        # The breaker, lease, settlement and directory specs are each
+        # exercised by the self-test.
         assert {m.spec_name for m in MUTATIONS} == {
             "circuit-breaker",
             "lease",
-            "journal",
             "shard-settlement",
             "buffer-directory",
         }

@@ -1,6 +1,5 @@
 """Units for the fault-injection framework itself: plan validation,
-seeded determinism, directives, task kills, torn appends and the
-checksum the journal frames its records with."""
+seeded determinism, directives and task kills."""
 
 import math
 
@@ -15,7 +14,6 @@ from repro.faults import (
     apply_directive,
 )
 from repro.recovery import RecoveryConfig
-from repro.storage.page import page_checksum
 from repro.trace import EventKind, ListSink, Tracer
 
 
@@ -28,7 +26,6 @@ class TestFaultPlan:
         assert FaultPlan(worker_hang_p=0.1).active
         assert FaultPlan(slow_io_p=0.1).active
         assert FaultPlan(task_kill_p=0.1).active
-        assert FaultPlan(torn_append_p=0.1).active
         assert FaultPlan(kill_at_task=(3,)).active
 
     @pytest.mark.parametrize(
@@ -108,13 +105,6 @@ class TestInjectorDeterminism:
         assert event.kind is EventKind.FLT_INJECT_TASK_KILL
         assert (event.proc, event.data["task"]) == (9, 4)
 
-    def test_torn_append_cuts_strictly_inside_the_record(self):
-        injector = FaultInjector(FaultPlan(seed=2, torn_append_p=1.0))
-        cuts = [injector.torn_append(40) for _ in range(20)]
-        assert all(0 < cut < 40 for cut in cuts)
-        assert injector.torn_appends == 20
-        assert FaultInjector(NO_FAULTS).torn_append(40) is None
-
 
 class TestDirectives:
     def test_apply_none_is_noop(self):
@@ -134,17 +124,6 @@ class TestDirectives:
 
         directive = FaultDirective("hang", sleep_s=0.5)
         assert pickle.loads(pickle.dumps(directive)) == directive
-
-
-class TestPageChecksums:
-    def test_checksum_detects_any_single_bit_flip(self):
-        payload = bytes(range(64))
-        reference = page_checksum(payload)
-        for bit in range(0, len(payload) * 8, 37):
-            corrupted = bytearray(payload)
-            corrupted[bit // 8] ^= 1 << (bit % 8)
-            assert page_checksum(bytes(corrupted)) != reference
-
 
 
 NAN, INF = math.nan, math.inf

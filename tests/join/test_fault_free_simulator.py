@@ -4,7 +4,7 @@ Crash recovery has one implementation, the forked join's
 (:mod:`repro.join.mp` on :mod:`repro.recovery`).  The simulators and the
 simulated storage below them import nothing from the recovery or fault
 layers and name none of their classes, and the page module holds the
-paper's page layout plus the one checksum the journal frames with.
+paper's page layout only.
 """
 
 import ast
@@ -48,7 +48,7 @@ def test_the_guard_sees_the_modules_and_resolves_relative_imports():
     names = {path.relative_to(SRC).as_posix() for path in fault_free_modules()}
     assert {"join/parallel.py", "storage/page.py", "buffer/local.py"} <= names
     # The forked join is where recovery lives: the resolver must see it.
-    assert "repro.recovery.journal" in set(
+    assert "repro.recovery.lease" in set(
         imported_modules(SRC / "join" / "mp.py")
     )
 
@@ -72,7 +72,7 @@ def test_simulators_name_no_recovery_class():
     assert offenders == {}
 
 
-def test_page_module_is_the_layout_and_the_checksum():
+def test_page_module_is_the_layout():
     tree = ast.parse((SRC / "storage" / "page.py").read_text(encoding="utf-8"))
     defined = set()
     for node in tree.body:
@@ -81,7 +81,7 @@ def test_page_module_is_the_layout_and_the_checksum():
         elif isinstance(node, ast.Assign):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
     assert defined - {"__all__"} == {
-        "PageKind", "StorageParams", "DEFAULT_STORAGE", "page_checksum",
+        "PageKind", "StorageParams", "DEFAULT_STORAGE",
     }
     from repro.storage import page
 

@@ -129,19 +129,14 @@ class TestMultiprocessingParity:
         assert len(beats) - rounds > rounds
         assert plan.run(3, 3, lambda: pytest.fail("beat on an empty slice")) == []
 
-    def test_recovery_stays_on_packed_arrays(self, tmp_path):
-        """A journalled (recoverable) flat+flat join runs the flat plan:
-        exact answer."""
+    def test_recovery_stays_on_packed_arrays(self):
+        """A recoverable (leased, forked) flat+flat join runs the flat
+        plan: exact answer."""
         items_r = dataset("uniform", n=300, seed=41)
         items_s = dataset("clustered", n=300, seed=42)
         _, flat_r = build_both(items_r)
         _, flat_s = build_both(items_s)
-        pairs = multiprocessing_join(
-            flat_r,
-            flat_s,
-            2,
-            journal_path=str(tmp_path / "join.jnl"),
-        )
+        pairs = multiprocessing_join(flat_r, flat_s, 2)
         assert_join_parity(items_r, items_s, pairs)
 
     def test_unequal_heights_fork_path(self):

@@ -1,6 +1,7 @@
 """Tests for the real multiprocessing filter-step backend."""
 
 import multiprocessing
+import re
 import time
 import warnings
 
@@ -224,10 +225,35 @@ class TestDeadline:
             )
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
 
-    def test_timeout_must_be_positive(self, trees):
+    REFUSED = [
+        ("timeout_s", 0.0),
+        ("timeout_s", float("nan")),
+        ("timeout_s", float("inf")),
+        ("processes", 0),
+        ("processes", -2),
+        ("processes", True),
+        ("processes", 2.5),
+        ("processes", "2"),
+    ]
+
+    @pytest.mark.parametrize(
+        "setting, value", REFUSED, ids=[f"{k}={v!r}" for k, v in REFUSED]
+    )
+    def test_bad_deadline_or_process_count_is_refused(
+        self, trees, setting, value
+    ):
+        """Refused at the edge, before any fork: a NaN deadline never
+        fires, and a process count below 1 used to run serially while a
+        float or a string failed deep in the substrate."""
         tree_r, tree_s = trees
-        with pytest.raises(ValueError):
-            multiprocessing_join(tree_r, tree_s, processes=2, timeout_s=0.0)
+        message = {
+            "timeout_s": "timeout_s must be finite and > 0, got ",
+            "processes": "processes must be an integer >= 1, got ",
+        }[setting]
+        with pytest.raises(ValueError, match=message + re.escape(repr(value))):
+            multiprocessing_join(
+                tree_r, tree_s, **{"processes": 2, setting: value}
+            )
 
 
 class TestMultiprocessingRefinement:

@@ -1,15 +1,19 @@
-"""Property-based crash/resume testing of the recoverable join.
+"""Property-based worker-death testing of the recoverable join.
 
-Hypothesis draws a kill schedule, a chunk size and an optional dying
-parent against the forked driver (:func:`repro.join.mp.fault_tolerant_join`)
-on both index backends; the property is the recovery layer's whole
-contract: every attempt's trace is lawful, and the killed-then-resumed
-result is the sequential oracle's multiset — every pair exactly once, no
-matter where the kills landed.
+Hypothesis draws a kill schedule, a set of chunks that hang once, a chunk
+size and an optional short deadline against the forked driver
+(:func:`repro.join.mp.fault_tolerant_join`) on both index backends; the
+property is the recovery layer's whole contract: the trace is lawful,
+every chunk commits exactly once, and the result is the sequential
+oracle's multiset — no matter where the kills, hangs, lease expiries and
+the deadline landed.
 """
 
 import multiprocessing
 import tempfile
+import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ from repro.faults import FaultPlan
 from repro.join import prepare_trees, sequential_join
 from repro.join import mp as mp_module
 from repro.join.mp import fault_tolerant_join
-from repro.recovery import JoinInterrupted, RecoveryConfig
+from repro.recovery import RecoveryConfig
 from repro.rtree import build_flat_tree
 from repro.trace import ListSink, Tracer, run_checkers
 
@@ -57,28 +61,40 @@ def fork_workload(backend):
     return _FORK_WORKLOADS[backend]
 
 
-def fork_run(backend, journal, chunk_tasks, faults=None, stop_after=None):
-    """One traced attempt, *chunk_tasks* tasks a chunk; returns ``(pairs
-    or None if interrupted, stats)`` after replaying the trace through the
-    recovery checkers."""
+def hang_once(chunks, marks: Path):
+    """A ``_run_chunk`` whose first execution of each chunk in *chunks*
+    goes silent (its lease expires and the holder is killed); the marker
+    files under *marks* make "first" hold across forked workers."""
+    run_chunk = mp_module._run_chunk
+
+    def run(work, progress, spec):
+        mark = marks / f"hung-{spec[0]}"
+        if spec[0] in chunks and not mark.exists():
+            mark.touch()
+            time.sleep(600)
+        return run_chunk(work, progress, spec)
+
+    return run
+
+
+def fork_run(backend, chunk_tasks, faults, hangs, timeout_s):
+    """One traced join, *chunk_tasks* tasks a chunk; returns ``(pairs,
+    stats)`` after replaying the trace through every checker."""
     sink = ListSink()
-    with pytest.MonkeyPatch.context() as patch:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: chunk_tasks)
-        try:
+        patch.setattr(mp_module, "_run_chunk", hang_once(hangs, Path(tmp)))
+        with warnings.catch_warnings():
+            # A deadline that fires warns before finishing inline.
+            warnings.simplefilter("ignore", RuntimeWarning)
             outcome = fault_tolerant_join(
                 *fork_workload(backend),
                 2,
-                recovery=RecoveryConfig(
-                    lease_s=0.5,
-                    sweep_s=0.02,
-                    journal_path=journal,
-                    stop_after_commits=stop_after,
-                ),
+                timeout_s=timeout_s,
+                recovery=RecoveryConfig(lease_s=0.3, sweep_s=0.02),
                 faults=faults,
                 tracer=Tracer(sinks=[sink]),
             )
-        except JoinInterrupted:
-            outcome = (None, None)
     for verdict in run_checkers(sink.events):
         assert verdict.ok, (verdict.checker, verdict.violations)
     return outcome
@@ -89,33 +105,30 @@ def fork_run(backend, journal, chunk_tasks, faults=None, stop_after=None):
     reason="requires the fork start method",
 )
 @pytest.mark.parametrize("backend", ["node", "flat"])
-class TestForkCrashResumeProperty:
+class TestForkRecoveryProperty:
     @given(
         kills=st.lists(
             st.integers(min_value=0, max_value=30), max_size=3, unique=True
         ),
+        hangs=st.frozensets(st.integers(min_value=0, max_value=7), max_size=2),
         chunk_tasks=st.integers(min_value=1, max_value=4),
-        stop_after=st.none() | st.integers(min_value=1, max_value=3),
+        timeout_s=st.none() | st.floats(min_value=0.05, max_value=0.5),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=6, deadline=None)
-    def test_killed_interrupted_then_resumed_is_exactly_once(
-        self, backend, kills, chunk_tasks, stop_after, seed
+    def test_killed_hung_or_timed_out_is_exactly_once(
+        self, backend, kills, hangs, chunk_tasks, timeout_s, seed
     ):
-        """Task kills cost chunk redispatches, a dying parent costs a
-        resume — either way the journalled result is the oracle multiset,
-        on the pointer plan and on the packed plan alike."""
-        expected = workload()[2]
-        faults = FaultPlan(seed=seed, kill_at_task=tuple(kills))
-        with tempfile.TemporaryDirectory() as tmp:
-            journal = f"{tmp}/join.jnl"
-            pairs, stats = fork_run(
-                backend, journal, chunk_tasks, faults, stop_after
-            )
-            if pairs is None:
-                pairs, stats = fork_run(backend, journal, chunk_tasks)
-                assert stats["replayed_chunks"] >= stop_after
-            assert stats["tasks_committed"] + stats["tasks_replayed"] == (
-                stats["chunks"]
-            )
-            assert sorted(pairs) == expected
+        """Task kills and hung chunks cost lease expiries and redispatches,
+        a deadline costs an inline finish — either way every chunk commits
+        once and the result is the oracle multiset, on the pointer plan and
+        on the packed plan alike."""
+        pairs, stats = fork_run(
+            backend,
+            chunk_tasks,
+            FaultPlan(seed=seed, kill_at_task=tuple(kills)),
+            hangs,
+            timeout_s,
+        )
+        assert stats["tasks_committed"] == stats["chunks"]
+        assert sorted(pairs) == workload()[2]

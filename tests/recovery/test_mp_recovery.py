@@ -1,5 +1,5 @@
-"""The fork-path fault-tolerant join: chunked leases, redispatch after
-worker death, interrupt-then-resume through the durable journal.
+"""The fork-path fault-tolerant join: chunked leases and redispatch after
+worker death.
 
 Every class runs twice: as written over the pointer backend, and again
 over the packed backend through its ``...Flat`` subclass, which only
@@ -13,19 +13,11 @@ import pytest
 
 from repro.datagen import build_tree, paper_maps
 from repro.faults import FaultPlan
-from repro.geometry import PairTable
 from repro.join import sequential_join
 from repro.join import mp as mp_module
 from repro.join.mp import fault_tolerant_join, plan_join
 from repro.join.parallel import prepare_trees
-from repro.recovery import (
-    JoinInterrupted,
-    RecoveryConfig,
-    ResultLedger,
-    ResumeReport,
-    resume_join,
-    run_recoverable_join,
-)
+from repro.recovery import RecoveryConfig
 from repro.rtree import FlatRTree, RStarTree, build_flat_tree
 from repro.trace import EventKind, ListSink, Tracer, run_checkers
 
@@ -73,7 +65,6 @@ class _SlowPlan:
 
     def __init__(self, plan):
         self.plan = plan
-        self.signature = plan.signature
 
     def __len__(self):
         return len(self.plan)
@@ -186,132 +177,6 @@ class TestKilledWorkers(Backend):
         assert_lawful(sink)
 
 
-class TestInterruptAndResume(Backend):
-    @needs_fork
-    def test_stop_after_commits_raises_and_resume_finishes(
-        self, trees, expected, tmp_path
-    ):
-        journal = str(tmp_path / "mp.jnl")
-        stopping = RecoveryConfig(
-            lease_s=5.0,
-            sweep_s=0.05,
-            journal_path=journal,
-            stop_after_commits=3,
-        )
-        with pytest.raises(JoinInterrupted):
-            fault_tolerant_join(*trees, 2, recovery=stopping)
-
-        report = resume_join(journal, *trees, processes=2, recovery=FAST)
-        assert isinstance(report, ResumeReport)
-        assert set(report.pairs) == expected
-        assert len(report.pairs) == len(set(report.pairs))
-        assert report.replayed_chunks >= 3
-        assert report.rerun_chunks >= 1
-        assert report.complete
-
-    @needs_fork
-    def test_interrupted_and_resumed_traces_are_lawful(
-        self, trees, expected, tmp_path
-    ):
-        """A parent stopped after three commits leaves a lawful trace (its
-        held chunks expire as ``interrupted`` and are requeued), and the
-        resume replays exactly the chunks the journal committed — one
-        ``JNL_REPLAYED`` each — under every checker."""
-        journal = str(tmp_path / "mp.jnl")
-        stopped, resumed = ListSink(), ListSink()
-        with pytest.raises(JoinInterrupted):
-            fault_tolerant_join(
-                *trees,
-                2,
-                recovery=RecoveryConfig(
-                    lease_s=5.0, sweep_s=0.05,
-                    journal_path=journal, stop_after_commits=3,
-                ),
-                tracer=Tracer(sinks=[stopped]),
-            )
-        assert_lawful(stopped)
-        report = resume_join(
-            journal, *trees, processes=2, recovery=FAST,
-            tracer=Tracer(sinks=[resumed]),
-        )
-        assert set(report.pairs) == expected
-        assert_lawful(resumed)
-        replays = [
-            e for e in resumed.events if e.kind is EventKind.JNL_REPLAYED
-        ]
-        assert len(replays) == report.replayed_chunks >= 3
-
-    @needs_fork
-    def test_replayed_json_rows_and_fresh_tables_meet_in_one_ledger(
-        self, trees, tmp_path, monkeypatch
-    ):
-        """A resumed run's ledger holds the journal's JSON row lists next
-        to the re-run chunks' tables; ``all_rows`` is one table of both,
-        equal to the sequential join as a multiset."""
-        journal = str(tmp_path / "mp.jnl")
-        stopping = RecoveryConfig(
-            lease_s=5.0, sweep_s=0.05,
-            journal_path=journal, stop_after_commits=3,
-        )
-        with pytest.raises(JoinInterrupted):
-            fault_tolerant_join(*trees, 2, recovery=stopping)
-        batches = []
-        all_rows = ResultLedger.all_rows
-
-        def spying(ledger):
-            batches.extend(type(rows) for rows in ledger._rows.values())
-            return all_rows(ledger)
-
-        monkeypatch.setattr(ResultLedger, "all_rows", spying)
-        report = resume_join(journal, *trees, processes=2, recovery=FAST)
-        assert batches.count(list) == report.replayed_chunks >= 3
-        assert batches.count(PairTable) == report.rerun_chunks >= 1
-        assert type(report.pairs) is PairTable
-        assert sorted(report.pairs) == sorted(sequential_join(*trees).pairs)
-
-    def test_run_recoverable_join_is_resume_with_an_empty_journal(
-        self, trees, expected, tmp_path
-    ):
-        journal = str(tmp_path / "mp.jnl")
-        report = run_recoverable_join(
-            *trees, journal_path=journal, processes=1, recovery=FAST
-        )
-        assert set(report.pairs) == expected
-        assert report.replayed_chunks == 0
-        assert report.complete
-
-        # Resuming a finished join re-runs nothing.
-        again = resume_join(journal, *trees, processes=1, recovery=FAST)
-        assert set(again.pairs) == expected
-        assert again.rerun_chunks == 0
-        assert again.replayed_chunks == report.rerun_chunks
-
-    def test_resume_against_other_trees_is_rejected(self, trees, tmp_path):
-        journal = str(tmp_path / "mp.jnl")
-        run_recoverable_join(
-            *trees, journal_path=journal, processes=1, recovery=FAST
-        )
-        other_r, other_s = self.build(*paper_maps(scale=0.02))
-        with pytest.raises(ValueError, match="journal"):
-            resume_join(journal, other_r, other_s, processes=1, recovery=FAST)
-
-    def test_resume_on_the_other_backend_is_rejected(self, trees, tmp_path):
-        """The plan signature names its backend: chunk ids of a node
-        journal mean nothing to the flat plan, and vice versa."""
-        journal = str(tmp_path / "mp.jnl")
-        run_recoverable_join(
-            *trees, journal_path=journal, processes=1, recovery=FAST
-        )
-        other = build_flat if self.build is build_node else build_node
-        with pytest.raises(ValueError, match="journal"):
-            resume_join(
-                journal,
-                *other(*paper_maps(scale=0.01)),
-                processes=1,
-                recovery=FAST,
-            )
-
-
 class TestHealthyRunsFlat(FlatBackend, TestHealthyRuns):
     pass
 
@@ -339,6 +204,3 @@ class TestKilledWorkersFlat(FlatBackend, TestKilledWorkers):
         assert_every_kill_was_an_event(sink, stats)
         assert_lawful(sink)
 
-
-class TestInterruptAndResumeFlat(FlatBackend, TestInterruptAndResume):
-    pass

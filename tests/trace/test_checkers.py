@@ -346,7 +346,6 @@ class TestCheckerPlumbing:
             "shard-accounting",
             "protocol:circuit-breaker",
             "protocol:lease",
-            "protocol:journal",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
         ]
@@ -356,7 +355,7 @@ class TestCheckerPlumbing:
         s.emit(EventKind.RUN_START, disks=2, reassign_level="all", task_level=1)
         s.emit(EventKind.RUN_END)
         verdicts = run_checkers(s.events)
-        assert len(verdicts) == 13
+        assert len(verdicts) == 12
         assert all(v.ok for v in verdicts)
 
     def test_violation_storage_is_capped(self):

@@ -1,8 +1,8 @@
 """One home per protocol invariant: the planted-bug table.
 
 Each row is *(stream, the set of verdict names that must fail)* over the
-nine monitors that could claim the five protocols — the four accounting
-classes of ``repro.trace.checkers`` and the five spec monitors of
+eight monitors that could claim the four protocols — the four accounting
+classes of ``repro.trace.checkers`` and the four spec monitors of
 ``repro.analysis.protocol``.  A violation whose statement is a spec fails
 exactly ``{"protocol:<spec>"}``; one whose rule stays hand-written
 (geometry, row sums, cross-stream reconciliation) fails exactly its
@@ -30,7 +30,6 @@ from tests.trace import test_shard_checker as sc
 
 BREAKER = {"protocol:circuit-breaker"}
 LEASE = {"protocol:lease"}
-JOURNAL = {"protocol:journal"}
 SETTLEMENT = {"protocol:shard-settlement"}
 DIRECTORY = {"protocol:buffer-directory"}
 BUFFER = {"buffer-coherence"}
@@ -134,24 +133,8 @@ def requeue_without_expiry():
     return rc.Stream().emit(EventKind.LSE_REQUEUED, proc=0, task=1)
 
 
-def replay_after_live_completion():
-    s = rc.Stream()
-    s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0, split=0)
-    s.emit(EventKind.LSE_COMPLETED, proc=0, task=1, lease=0, split=0, rows=1)
-    s.emit(EventKind.JNL_REPLAYED, task=1, rows=1)
-    return s
-
-
 def dup_drop_without_first_copy():
     return rc.Stream().emit(EventKind.LSE_DUP_DROPPED, proc=0, task=4)
-
-
-# -- journal: the scan / torn-line ledger -------------------------------------
-def torn_counts_disagree():
-    s = rc.Stream()
-    s.emit(EventKind.JNL_SCANNED, records=0, torn=2, path="j")
-    s.emit(EventKind.JNL_TORN_DETECTED, bytes=10)
-    return s
 
 
 # -- shard settlement: (request, shard) settles exactly once ------------------
@@ -191,9 +174,7 @@ ROWS = [
     (completion_naming_another_lease, LEASE),
     (unrequeued_orphan, LEASE),
     (requeue_without_expiry, LEASE),
-    (replay_after_live_completion, LEASE),
     (dup_drop_without_first_copy, LEASE),
-    (torn_counts_disagree, JOURNAL),
     (double_done, SETTLEMENT),
     (unsettled_subrequest, SETTLEMENT),
     (failed_after_done, SETTLEMENT),
@@ -220,7 +201,7 @@ ROWS = [
     (tc.giveup_vanished, RESILIENCE),
     (tc.crash_victim_closed_under_another_cause, RESILIENCE),
     (tc.crash_victim_never_closed, RESILIENCE),
-    # Lawful streams of the five protocols: nothing.
+    # Lawful streams of the four protocols: nothing.
     (tc.lawful_buffer_traffic, LAWFUL),
     (tc.path_buffer_hit, LAWFUL),
     (second_copy_in_local_buffers, LAWFUL),

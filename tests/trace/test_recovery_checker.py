@@ -1,4 +1,4 @@
-"""RecoveryAccountingChecker on handcrafted lease/journal event streams.
+"""RecoveryAccountingChecker on handcrafted lease event streams.
 
 The streams are named builders so that the planted-bug table
 (``test_invariant_homes``) can replay them too.  The lease life cycle,
@@ -32,10 +32,8 @@ def verdict_of(events, checker=None):
 
 
 def lawful_stream():
-    """Grant → kill → expire+requeue → regrant → complete, plus a replay."""
+    """Grant → kill → expire+requeue → regrant → complete."""
     s = Stream()
-    s.emit(EventKind.JNL_SCANNED, records=1, torn=0, path="j")
-    s.emit(EventKind.JNL_REPLAYED, task=9, rows=2)
     s.emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
     s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
     s.emit(EventKind.FLT_INJECT_TASK_KILL, proc=0, task=1)
@@ -43,7 +41,7 @@ def lawful_stream():
     s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
     s.emit(EventKind.LSE_GRANTED, proc=1, task=1, lease=1)
     s.emit(EventKind.LSE_COMPLETED, proc=1, task=1, lease=1, rows=3)
-    s.emit(EventKind.RUN_END, candidates=5)
+    s.emit(EventKind.RUN_END, candidates=3)
     return s
 
 
@@ -91,7 +89,6 @@ class TestLawfulStreams:
         verdict = verdict_of(lawful_stream().events)
         assert verdict.ok, verdict.violations
         assert verdict.stats["grants"] == 2
-        assert verdict.stats["replayed"] == 1
         assert verdict.stats["task_kills"] == 1
         lease = lease_verdict(lawful_stream().events)
         assert lease.ok, lease.violations
