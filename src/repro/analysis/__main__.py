@@ -1,6 +1,6 @@
 """``python -m repro.analysis [PATH ...] [--json FILE]`` — the analysis gate.
 
-One command, two passes: the eight lint rules over PATH (default: the
+One command, two passes: the seven lint rules over PATH (default: the
 ``repro`` package this module belongs to, wherever the command is run
 from), then the protocol model check — every safety property of every
 spec proved, every planted spec mutation caught.

@@ -10,7 +10,7 @@ Suppression
 A finding is suppressed when its line carries::
 
     ...  # repro: noqa[DET002]
-    ...  # repro: noqa[DET002, PAIR001]
+    ...  # repro: noqa[DET002, PAIR002]
     ...  # repro: noqa
 
 The bare form silences every rule on that line; the bracketed form only

@@ -2,8 +2,8 @@
 conformance monitoring.
 
 The repo's concurrent protocols — the latched global-buffer directory
-(paper §3.2), the circuit breaker, the lease lifecycle and the sharded
-sub-request settlement — are written down here as explicit automatons
+(paper §3.2), the lease lifecycle and the sharded sub-request
+settlement — are written down here as explicit automatons
 (:mod:`repro.analysis.protocol.specs`): states, guarded transitions,
 trace-event labels, and safety properties.  One artifact, three uses:
 
@@ -13,7 +13,7 @@ trace-event labels, and safety properties.  One artifact, three uses:
   a counterexample path on violation;
 * **planted mutations** (:data:`~repro.analysis.protocol.specs.MUTATIONS`)
   validate the checker itself: each deliberately broken spec (a dropped
-  release edge, an allowed double-grant) must produce a counterexample,
+  requeue edge, an allowed double-grant) must produce a counterexample,
   or the gate flags the checker as too weak to trust;
 * the **conformance monitor**
   (:mod:`repro.analysis.protocol.conformance`) compiles the same

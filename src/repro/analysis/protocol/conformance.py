@@ -3,8 +3,7 @@
 One generic :class:`ProtocolConformanceChecker` is parameterized by a
 :class:`~.spec.ProtocolSpec` and plugs into the standard checker
 machinery (:mod:`repro.trace.checkers`): it keeps one automaton instance
-per protocol key (breaker class, task id, ``(request, shard)`` pair,
-page id), advances it on every bound event — firing the first candidate
+per protocol key (task id, ``(request, shard)`` pair, page id), advances it on every bound event — firing the first candidate
 transition whose source state matches and whose guard passes, with the
 event's ``proc`` as the actor and its payload as ``data`` — and flags:
 
@@ -78,7 +77,7 @@ class ProtocolConformanceChecker(InvariantChecker):
         inst.events += 1
         for tname in binding.transitions:
             t = self._by_name[tname]
-            if not t.matches_source(inst.state):
+            if t.source != inst.state:
                 continue
             if t.guard is not None and not t.guard(
                 inst.vars, event.proc, event.data
@@ -86,8 +85,7 @@ class ProtocolConformanceChecker(InvariantChecker):
                 continue
             if t.effect is not None:
                 t.effect(inst.vars, event.proc, event.data)
-            if t.target is not None:
-                inst.state = t.target
+            inst.state = t.target
             return
         self._violate(
             f"{self.spec.name}[{key!r}]: no transition enabled for "

@@ -1,8 +1,8 @@
 """Bounded model checker: exhaustive BFS over K-actor interleavings.
 
-A model state is the triple ``(shared, vars, actor_states)``; from each
-state every actor may fire every enabled transition (source matches,
-``bound`` and ``guard`` pass with ``data={}``).  BFS with a fingerprint
+A model state is the pair ``(shared, vars)``; from each state every
+actor may fire every enabled transition (source matches, ``bound`` and
+``guard`` pass with ``data={}``).  BFS with a fingerprint
 visited-set explores the reachable joint space exactly once per state;
 ``always`` properties are checked at every reachable state and
 ``deadlock`` properties at quiescent states (no transition enabled for
@@ -37,7 +37,7 @@ __all__ = [
 #: ``bound`` on some counter, which is a spec bug, not a scale problem.
 MAX_STATES = 200_000
 
-State = tuple[str, tuple[tuple[str, int], ...], tuple[str, ...]]
+State = tuple[str, tuple[tuple[str, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,12 @@ class Step:
     transition: str
     shared: str
     vars: tuple[tuple[str, int], ...]
-    actors: tuple[str, ...]
 
     def render(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self.vars)
         return (
             f"actor {self.actor} fires {self.transition:<18} "
-            f"-> state={self.shared} actors={'/'.join(self.actors)}"
-            + (f" [{inner}]" if inner else "")
+            f"-> state={self.shared}" + (f" [{inner}]" if inner else "")
         )
 
 
@@ -96,25 +94,19 @@ class CheckResult:
 
 
 def _initial_state(spec: ProtocolSpec) -> State:
-    return (
-        spec.initial,
-        tuple(sorted((k, int(v)) for k, v in spec.vars.items())),
-        tuple(spec.actor_initial for _ in range(spec.actors)),
-    )
+    return spec.initial, tuple(sorted((k, int(v)) for k, v in spec.vars.items()))
 
 
 def _enabled(
     spec: ProtocolSpec, state: State
 ) -> list[tuple[int, Transition]]:
-    shared, var_items, actors = state
+    shared, var_items = state
     vars_view = dict(var_items)
     moves: list[tuple[int, Transition]] = []
     for t in spec.transitions:
-        if not t.model or not t.matches_source(shared):
+        if not t.model or t.source != shared:
             continue
         for actor in range(spec.actors):
-            if t.actor_source is not None and actors[actor] != t.actor_source:
-                continue
             if t.bound is not None and not t.bound(vars_view, actor, {}):
                 continue
             if t.guard is not None and not t.guard(vars_view, actor, {}):
@@ -124,21 +116,10 @@ def _enabled(
 
 
 def _fire(state: State, actor: int, t: Transition) -> State:
-    shared, var_items, actors = state
-    vars_dict = dict(var_items)
+    vars_dict = dict(state[1])
     if t.effect is not None:
         t.effect(vars_dict, actor, {})
-    new_shared = shared if t.target is None else t.target
-    new_actors = actors
-    if t.actor_target is not None and actors[actor] != t.actor_target:
-        lst = list(actors)
-        lst[actor] = t.actor_target
-        new_actors = tuple(lst)
-    return (
-        new_shared,
-        tuple(sorted((k, int(v)) for k, v in vars_dict.items())),
-        new_actors,
-    )
+    return t.target, tuple(sorted((k, int(v)) for k, v in vars_dict.items()))
 
 
 def _path_to(
@@ -152,7 +133,7 @@ def _path_to(
         if link is None:
             break
         prev, actor, tname = link
-        steps.append(Step(actor, tname, cursor[0], cursor[1], cursor[2]))
+        steps.append(Step(actor, tname, *cursor))
         cursor = prev
     steps.reverse()
     return tuple(steps)
@@ -168,14 +149,14 @@ def check_spec(
     failed: set[str] = set()
 
     def check(state: State, deadlock: bool) -> None:
-        shared, var_items, actors = state
+        shared, var_items = state
         vars_view = dict(var_items)
         for prop in spec.properties:
             if prop.name in failed:
                 continue
             if (prop.on == "deadlock") != deadlock:
                 continue
-            if not prop.predicate(shared, vars_view, actors):
+            if not prop.predicate(shared, vars_view):
                 failed.add(prop.name)
                 result.properties[prop.name] = False
                 result.failures.append(
@@ -211,12 +192,12 @@ def check_spec(
 
 def format_counterexample(spec: ProtocolSpec, failure: PropertyFailure) -> str:
     """Render one property failure as a human-readable trace."""
-    shared, var_items, actors = failure.state
+    shared, var_items = failure.state
     inner = " ".join(f"{k}={v}" for k, v in var_items)
     lines = [
         f"counterexample for {spec.name}::{failure.prop}",
         f"  property: {failure.description}",
-        f"  violated at: state={shared} actors={'/'.join(actors)}"
+        f"  violated at: state={shared}"
         + (f" [{inner}]" if inner else "")
         + (" (quiescent: no transition enabled)" if failure.deadlock else ""),
         f"  path ({len(failure.path)} steps from initial "

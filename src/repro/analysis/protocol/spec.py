@@ -45,39 +45,18 @@ Effect = Callable[[dict, int, Mapping[str, Any]], None]
 
 @dataclass(frozen=True)
 class Transition:
-    """One guarded edge of the automaton.
-
-    ``source``/``target`` are shared protocol states; ``source`` may be a
-    tuple (edge enabled from several states) or ``None`` (any state), and
-    ``target=None`` leaves the shared state unchanged.  ``actor_source``/
-    ``actor_target`` do the same for the firing actor's local state
-    (``None`` = any / unchanged) — actor-local state is what lets the
-    model express "the caller that was cancelled is the only one who can
-    release the slot".
-    """
+    """One guarded edge of the automaton from protocol state ``source``
+    to ``target``; which actor fires it is the guard's business."""
 
     name: str
-    source: Optional[str | tuple[str, ...]]
-    target: Optional[str]
-    actor_source: Optional[str] = None
-    actor_target: Optional[str] = None
+    source: str
+    target: str
     guard: Optional[Guard] = None
     #: Model-only state-space cap (never evaluated during conformance).
     bound: Optional[Guard] = None
     effect: Optional[Effect] = None
     #: Explored by the model checker; ``False`` = conformance-only edge.
     model: bool = True
-
-    def sources(self) -> Optional[tuple[str, ...]]:
-        if self.source is None:
-            return None
-        if isinstance(self.source, tuple):
-            return self.source
-        return (self.source,)
-
-    def matches_source(self, shared: str) -> bool:
-        sources = self.sources()
-        return sources is None or shared in sources
 
 
 @dataclass(frozen=True)
@@ -86,13 +65,14 @@ class SafetyProperty:
 
     ``on="always"`` is checked at every reachable state; ``on="deadlock"``
     only at quiescent states (no model transition enabled) — the shape of
-    liveness-flavoured properties like "the protocol never wedges in
-    HALF_OPEN" in a bounded, untimed model.
+    liveness-flavoured properties like "an expired task never wedges
+    unrequeued" in a bounded, untimed model.  The predicate reads the
+    protocol state and the shared variables.
     """
 
     name: str
     description: str
-    predicate: Callable[[str, Mapping[str, int], tuple[str, ...]], bool]
+    predicate: Callable[[str, Mapping[str, int]], bool]
     on: str = "always"  # "always" | "deadlock"
 
     def __post_init__(self) -> None:
@@ -144,8 +124,6 @@ class ProtocolSpec:
     vars: Mapping[str, int] = field(default_factory=dict)
     #: Number of concurrent abstract actors the model checker interleaves.
     actors: int = 2
-    actor_states: tuple[str, ...] = ("idle",)
-    actor_initial: str = "idle"
     # -- conformance ----------------------------------------------------------
     #: Instance key extracted from a bound event (``None`` = skip event).
     key: Optional[Callable[[TraceEvent], Any]] = None
@@ -161,20 +139,12 @@ class ProtocolSpec:
             raise ValueError(f"{self.name}: duplicate transition names")
         if self.initial not in self.states:
             raise ValueError(f"{self.name}: initial state not in states")
-        if self.actor_initial not in self.actor_states:
-            raise ValueError(f"{self.name}: actor_initial not in actor_states")
         valid = set(self.states)
         for t in self.transitions:
-            for s in t.sources() or ():
-                if s not in valid:
-                    raise ValueError(f"{self.name}.{t.name}: bad source {s!r}")
-            if t.target is not None and t.target not in valid:
+            if t.source not in valid:
+                raise ValueError(f"{self.name}.{t.name}: bad source {t.source!r}")
+            if t.target not in valid:
                 raise ValueError(f"{self.name}.{t.name}: bad target {t.target!r}")
-            for s in (t.actor_source, t.actor_target):
-                if s is not None and s not in self.actor_states:
-                    raise ValueError(
-                        f"{self.name}.{t.name}: bad actor state {s!r}"
-                    )
         by_name = self.transitions_by_name()
         for binding in self.bindings:
             for tname in binding.transitions:

@@ -1,10 +1,8 @@
 """The shipped protocol specs and their planted mutations.
 
-Four protocols, each an explicit automaton with safety properties and
+Three protocols, each an explicit automaton with safety properties and
 trace-event bindings:
 
-* ``circuit-breaker`` — CLOSED/OPEN/HALF_OPEN with bounded probe slots
-  (:class:`repro.service.resilience.CircuitBreaker`);
 * ``lease`` — per-task grant -> heartbeat -> {complete, expire ->
   requeue}, each edge naming the task's current lease id
   (:class:`repro.recovery.lease.LeaseTable` + result ledger);
@@ -14,7 +12,7 @@ trace-event bindings:
   ownership (:class:`repro.buffer.global_buffer.GlobalDirectory`).
 
 Each mutation in :data:`MUTATIONS` plants one realistic implementation
-bug into a spec (drop the release edge, allow a double grant, fail a
+bug into a spec (drop the requeue edge, allow a double grant, fail a
 sub-request that was never sent...).  The model checker must produce a
 counterexample for every one of them — that is the evidence the checker
 is strong enough for the unmutated proofs to mean something.
@@ -41,133 +39,6 @@ def _inc(counter: str, amount: int = 1):
         vars[counter] = vars.get(counter, 0) + amount
 
     return effect
-
-
-# ---------------------------------------------------------------------------
-# circuit-breaker: closed -> open -> half_open -> {open, closed}
-# ---------------------------------------------------------------------------
-# Actor-local state models the callers: a half-open admission moves the
-# caller to "probing"; a cancelled caller ("cancelled") holds a probe slot
-# it can only give back via release().  The wedge property is exactly the
-# hazard the release() path exists to prevent: with the release edge
-# dropped, K cancelled callers exhaust the slots and HALF_OPEN quiesces
-# with no way out.
-_HALF_OPEN_MAX = 2
-
-_BREAKER = ProtocolSpec(
-    name="circuit-breaker",
-    description=(
-        "Per-request-class circuit breaker: consecutive failures trip "
-        "CLOSED->OPEN, a reset timeout half-opens, bounded probe slots "
-        "settle HALF_OPEN->{CLOSED,OPEN}; cancelled probes must release "
-        "their slot"
-    ),
-    states=("closed", "open", "half_open"),
-    initial="closed",
-    vars={"probes": 0},
-    actors=3,
-    actor_states=("idle", "probing", "cancelled"),
-    transitions=(
-        # The failure-threshold counter is abstracted: from CLOSED the
-        # breaker may trip at any point (threshold reached).
-        Transition("trip", "closed", "open"),
-        Transition(
-            "reopen",
-            "open",
-            "half_open",
-            effect=lambda v, a, d: v.__setitem__("probes", 0),
-        ),
-        Transition(
-            "probe_admit",
-            "half_open",
-            "half_open",
-            actor_source="idle",
-            actor_target="probing",
-            guard=lambda v, a, d: v["probes"] < _HALF_OPEN_MAX,
-            effect=_inc("probes"),
-        ),
-        Transition(
-            "probe_ok",
-            "half_open",
-            "closed",
-            actor_source="probing",
-            actor_target="idle",
-            effect=lambda v, a, d: v.__setitem__(
-                "probes", max(0, v["probes"] - 1)
-            ),
-        ),
-        Transition(
-            "probe_fail",
-            "half_open",
-            "open",
-            actor_source="probing",
-            actor_target="idle",
-            effect=lambda v, a, d: v.__setitem__(
-                "probes", max(0, v["probes"] - 1)
-            ),
-        ),
-        # The awaiting attempt is torn down before any outcome: the
-        # caller keeps the slot until it releases it.
-        Transition(
-            "probe_cancel",
-            None,
-            None,
-            actor_source="probing",
-            actor_target="cancelled",
-        ),
-        Transition(
-            "probe_release",
-            "half_open",
-            "half_open",
-            actor_source="cancelled",
-            actor_target="idle",
-            effect=lambda v, a, d: v.__setitem__(
-                "probes", max(0, v["probes"] - 1)
-            ),
-        ),
-        # A probe whose breaker already left HALF_OPEN (another probe
-        # settled first) records its outcome without touching slots.
-        Transition(
-            "late_outcome",
-            ("closed", "open"),
-            None,
-            actor_source="probing",
-            actor_target="idle",
-        ),
-        Transition(
-            "late_release",
-            ("closed", "open"),
-            None,
-            actor_source="cancelled",
-            actor_target="idle",
-        ),
-    ),
-    properties=(
-        SafetyProperty(
-            "no_wedged_half_open",
-            "the breaker never quiesces in HALF_OPEN: some probe can "
-            "always be admitted, settled, or released",
-            lambda shared, vars, actors: shared != "half_open",
-            on="deadlock",
-        ),
-        SafetyProperty(
-            "probe_slots_bounded",
-            f"in-flight half-open probes stay within 0..{_HALF_OPEN_MAX}",
-            lambda shared, vars, actors: 0
-            <= vars["probes"]
-            <= _HALF_OPEN_MAX,
-        ),
-    ),
-    key=lambda event: event.data.get("cls", "?"),
-    bindings=(
-        # The observable trace carries only the state transitions; the
-        # candidate lists reproduce the lawful edge set (trip from
-        # CLOSED or a failed probe from HALF_OPEN both announce OPEN).
-        EventBinding(EventKind.SUP_BREAKER_OPEN, ("trip", "probe_fail")),
-        EventBinding(EventKind.SUP_BREAKER_HALF_OPEN, ("reopen",)),
-        EventBinding(EventKind.SUP_BREAKER_CLOSED, ("probe_ok",)),
-    ),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +103,13 @@ _LEASE = ProtocolSpec(
         SafetyProperty(
             "at_most_one_completion",
             "a task commits at most one completion",
-            lambda shared, vars, actors: vars["completions"] <= 1,
+            lambda shared, vars: vars["completions"] <= 1,
         ),
         SafetyProperty(
             "ledger_balance",
             "at quiescence every grant was settled: grants = "
             "completions + expirations",
-            lambda shared, vars, actors: vars["grants"]
+            lambda shared, vars: vars["grants"]
             == vars["completions"] + vars["expirations"],
             on="deadlock",
         ),
@@ -246,7 +117,7 @@ _LEASE = ProtocolSpec(
             "orphan_requeued",
             "an expired task never wedges: every expiry is followed by "
             "a requeue",
-            lambda shared, vars, actors: shared != "orphaned",
+            lambda shared, vars: shared != "orphaned",
             on="deadlock",
         ),
     ),
@@ -320,20 +191,20 @@ _SETTLEMENT = ProtocolSpec(
         SafetyProperty(
             "at_most_one_done",
             "a (request, shard) sub-request completes at most once",
-            lambda shared, vars, actors: vars["completed"] <= 1,
+            lambda shared, vars: vars["completed"] <= 1,
         ),
         SafetyProperty(
             "settled_balance",
             "at quiescence every send was settled: sent = done + "
             "failovers + failed",
-            lambda shared, vars, actors: vars["sent"]
+            lambda shared, vars: vars["sent"]
             == vars["completed"] + vars["failovers"] + vars["failures"],
             on="deadlock",
         ),
         SafetyProperty(
             "failover_resent",
             "a failover never wedges: the next replica's send follows",
-            lambda shared, vars, actors: shared != "retry_pending",
+            lambda shared, vars: shared != "retry_pending",
             on="deadlock",
         ),
     ),
@@ -431,18 +302,18 @@ _DIRECTORY = ProtocolSpec(
             "single_owner",
             "a resident page has exactly one owner; an absent page has "
             "none",
-            lambda shared, vars, actors: (shared == "resident")
+            lambda shared, vars: (shared == "resident")
             == (vars["owner"] != -1),
         ),
         SafetyProperty(
             "no_foreign_register",
             "no processor overwrites another owner's registration",
-            lambda shared, vars, actors: vars["foreign_registers"] == 0,
+            lambda shared, vars: vars["foreign_registers"] == 0,
         ),
         SafetyProperty(
             "no_stale_deregister",
             "a stale eviction never drops a newer registration",
-            lambda shared, vars, actors: vars["stale_deregisters"] == 0,
+            lambda shared, vars: vars["stale_deregisters"] == 0,
         ),
     ),
     key=lambda event: event.data.get("page"),
@@ -457,7 +328,6 @@ _DIRECTORY = ProtocolSpec(
 
 
 SPECS: tuple[ProtocolSpec, ...] = (
-    _BREAKER,
     _LEASE,
     _SETTLEMENT,
     _DIRECTORY,
@@ -474,29 +344,6 @@ def get_spec(name: str) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 # Planted mutations: each must yield a counterexample
 # ---------------------------------------------------------------------------
-def _mut_drop_release(spec: ProtocolSpec) -> ProtocolSpec:
-    return spec.replace_transitions(drop=("probe_release", "late_release"))
-
-
-def _mut_unbounded_probes(spec: ProtocolSpec) -> ProtocolSpec:
-    by_name = spec.transitions_by_name()
-    admit = by_name["probe_admit"]
-    return spec.replace_transitions(
-        drop=("probe_admit",),
-        add=(
-            Transition(
-                "probe_admit",
-                admit.source,
-                admit.target,
-                actor_source=admit.actor_source,
-                actor_target=admit.actor_target,
-                guard=None,  # the half_open_max check removed
-                effect=admit.effect,
-            ),
-        ),
-    )
-
-
 def _mut_double_grant(spec: ProtocolSpec) -> ProtocolSpec:
     return spec.replace_transitions(
         add=(
@@ -577,20 +424,6 @@ def _mut_stale_deregister(spec: ProtocolSpec) -> ProtocolSpec:
 
 
 MUTATIONS: tuple[Mutation, ...] = (
-    Mutation(
-        "breaker-drop-release",
-        "cancelled probes never release their slot (release() removed)",
-        "circuit-breaker",
-        "no_wedged_half_open",
-        _mut_drop_release,
-    ),
-    Mutation(
-        "breaker-unbounded-probes",
-        "allow() stops checking half_open_max before admitting a probe",
-        "circuit-breaker",
-        "probe_slots_bounded",
-        _mut_unbounded_probes,
-    ),
     Mutation(
         "lease-double-grant",
         "a second lease is granted on an already-leased task",

@@ -18,9 +18,6 @@ TRC002    every emitted ``FLT_*``/``SUP_*``/``LSE_*``/``SHD_*``
           accounting checker (resilience, recovery, shard) or a protocol
           spec — an unreferenced ledger event is a fault class that can be
           silently lost
-PAIR001   every ``CircuitBreaker.allow()`` admission is settled in a
-          ``try/finally`` via ``record_success``/``record_failure``/
-          ``release`` — a leaked half-open probe slot wedges the breaker
 PAIR002   every ``.acquire()`` has a ``try/finally`` releasing it — a
           leaked latch deadlocks the simulated machine
 FORK001   no writes to fork-inherited module globals outside registered
@@ -335,29 +332,6 @@ class LedgerCounterpartRule(ProjectRule):
 
 
 # -- pairing -------------------------------------------------------------------
-@_register
-class BreakerSettleRule(Rule):
-    id = "PAIR001"
-    description = "breaker admission not settled in try/finally"
-
-    _SETTLERS = frozenset({"release", "record_success", "record_failure"})
-
-    def check(self, ctx: LintContext) -> Iterator[tuple[int, str]]:
-        for function in _functions(ctx.tree):
-            allows = list(_calls_with_attr(function, "allow"))
-            if not allows:
-                continue
-            if _try_finalbody_references(function, self._SETTLERS):
-                continue
-            for call in allows:
-                yield (
-                    call.lineno,
-                    "CircuitBreaker.allow() admission is never settled in "
-                    "a try/finally (record_success/record_failure/release) "
-                    "— a cancelled attempt leaks a half-open probe slot",
-                )
-
-
 @_register
 class AcquireReleaseRule(Rule):
     id = "PAIR002"

@@ -26,8 +26,7 @@ virtual memory of :mod:`repro.join.mp`), with
 * a **resilience layer** (:mod:`repro.service.resilience`,
   :mod:`repro.service.workers`): supervised worker calls with typed
   :class:`WorkerError` outcomes, capped-backoff retries inside the
-  request's deadline budget, per-class circuit breakers with
-  serve-stale/shed degraded modes, and a worker pool that is told of a
+  request's deadline budget, and a worker pool that is told of a
   worker's death as it happens, fails exactly the call that worker held
   and forks its replacement.
 """
@@ -37,12 +36,7 @@ from .cache import MISS, ResultCache
 from .engine import Engine, EngineConfig
 from .frontdoor import FrontDoor
 from .metrics import LatencyReservoir, ServiceMetrics, percentile
-from .resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryPolicy,
-    WorkerError,
-)
+from .resilience import RetryPolicy, WorkerError
 from .model import (
     JoinRequest,
     KNNRequest,
@@ -76,7 +70,5 @@ __all__ = [
     "WorkerPool",
     "fork_available",
     "RetryPolicy",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "WorkerError",
 ]

@@ -18,16 +18,12 @@ Around the execution backend sits the **resilience layer**:
 * every worker-pool call is supervised (typed :class:`WorkerError`
   outcomes, per-attempt deadlines) and failed calls are **retried** with
   capped exponential backoff — always inside the request's original
-  admission-timeout budget, never beyond it.  The pool is told of a
-  worker's death the moment it happens and fails exactly the call that
-  worker held (``worker-died``), forks a replacement, and kills a worker
-  whose call outlives its attempt deadline, so nothing is polled and the
-  breaker is not the crash detector;
-* a per-request-class **circuit breaker** (closed → open → half-open)
-  cuts a failing class off; while open, the front door degrades
-  cacheable requests to **stale cache serves** (flagged on the response
-  and in the metrics) and sheds everything else with an explicit
-  503-style :data:`~repro.service.model.Status.SHED`;
+  admission-timeout budget, never beyond it; when the budget or the
+  attempts run out, the typed failure becomes the request's ``error``
+  response.  The pool is told of a worker's death the moment it happens
+  and fails exactly the call that worker held (``worker-died``), forks a
+  replacement, and kills a worker whose call outlives its attempt
+  deadline, so nothing is polled;
 * a seeded :class:`~repro.faults.plan.FaultPlan` can inject worker
   crashes, hangs and slow I/O at the pool seam for chaos testing — the
   ``FLT_*``/``SUP_*`` ledgers reconcile via the
@@ -52,7 +48,7 @@ from .model import (
     WindowRequest,
     canonical_rect,
 )
-from .resilience import CircuitBreaker, CircuitOpenError, RetryPolicy, WorkerError
+from .resilience import RetryPolicy, WorkerError
 from .workers import WorkerPool
 
 __all__ = ["Engine", "EngineConfig"]
@@ -76,9 +72,6 @@ class EngineConfig:
     ``attempt_timeout_s``— per-attempt execution deadline of a worker call,
                            from hand-off to a worker (always clipped to
                            the request's remaining budget);
-    ``breaker_reset_s``  — how long a class's opened circuit stays open;
-    ``serve_stale``      — degrade open-circuit cacheable requests to
-                           TTL-expired cache entries instead of shedding;
     ``faults``           — seeded fault plan injected at the pool seam
                            (None = healthy);
     ``seed``             — seeds retry jitter (None = nondeterministic).
@@ -89,8 +82,6 @@ class EngineConfig:
     batching: bool = True
     cache_capacity: int = 1024
     attempt_timeout_s: Optional[float] = 2.0
-    breaker_reset_s: float = 0.5
-    serve_stale: bool = True
     faults: Optional[FaultPlan] = None
     seed: Optional[int] = None
 
@@ -108,7 +99,7 @@ class Engine(FrontDoor):
         if not trees:
             raise ValueError("the engine needs at least one tree")
         config = config or EngineConfig()
-        super().__init__(config, sinks=sinks, keep_stale=config.serve_stale)
+        super().__init__(config, sinks=sinks)
         self.join_limit = JOIN_LIMIT
         self.trees = dict(trees)
         self.pool = WorkerPool(
@@ -119,15 +110,6 @@ class Engine(FrontDoor):
         )
         self.batcher = MicroBatcher(self._run_window_group)
         self._retry_rng = random.Random(self.config.seed)
-        self.breakers: dict[RequestClass, CircuitBreaker] = {
-            cls: CircuitBreaker(
-                cls.value,
-                reset_timeout_s=self.config.breaker_reset_s,
-                clock=self._now,
-                tracer=self.tracer,
-            )
-            for cls in RequestClass
-        }
 
     # -- the execution plan ---------------------------------------------------
     def _tree_names(self):
@@ -183,7 +165,7 @@ class Engine(FrontDoor):
         deadline: Optional[float] = None,
     ):
         """One worker-pool execution under the class concurrency limit,
-        with retries under the circuit breaker and the deadline budget."""
+        with retries inside the deadline budget."""
         return self._in_slot(
             cls, self._execute_with_retry, cls, kind, args, deadline
         )
@@ -192,12 +174,8 @@ class Engine(FrontDoor):
         self, cls: RequestClass, kind: str, args: tuple,
         deadline: Optional[float],
     ):
-        breaker = self.breakers[cls]
         attempt = 0
         while True:
-            # Budget check BEFORE consulting the breaker: once allow()
-            # returns True it may hold a half-open probe slot, and an
-            # exit between admission and outcome would leak it.
             timeout_s = self.config.attempt_timeout_s
             if deadline is not None:
                 remaining = deadline - self._now()
@@ -212,30 +190,10 @@ class Engine(FrontDoor):
                     remaining if timeout_s is None
                     else min(timeout_s, remaining)
                 )
-            if not breaker.allow():
-                raise CircuitOpenError(cls.value)
-            # The breaker now holds one admission; exactly one of
-            # record_success / record_failure / release must settle it.
-            # release() covers outcome-less exits — the submit-level
-            # wait_for cancelling us while awaiting the pool.
-            failure = None
-            settled = False
             try:
-                try:
-                    value = await self.pool.run(
-                        kind, *args, timeout_s=timeout_s
-                    )
-                except WorkerError as exc:
-                    breaker.record_failure()
-                    settled = True
-                    failure = exc
-                else:
-                    breaker.record_success()
-                    settled = True
-                    return value
-            finally:
-                if not settled:
-                    breaker.release()
+                return await self.pool.run(kind, *args, timeout_s=timeout_s)
+            except WorkerError as exc:
+                failure = exc
             attempt += 1
             budget = None if deadline is None else deadline - self._now()
             delay = RETRY.next_delay(attempt, self._retry_rng, budget)
@@ -287,10 +245,8 @@ class Engine(FrontDoor):
         """Metrics + cache + resilience counters, JSON-able."""
         return {
             **super().snapshot(),
-            "breakers": {
-                cls.value: breaker.snapshot()
-                for cls, breaker in self.breakers.items()
-            },
+            # The engine has no breaker; read by perf's service.breaker.opens.
+            "breakers": {},
             **pool_totals([self.pool]),
             # Per-shard metrics live under this key on the sharded tier;
             # the single-pool engine serves one implicit shard, reported

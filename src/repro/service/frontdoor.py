@@ -3,15 +3,13 @@
 :class:`FrontDoor` is everything a request meets around its execution:
 
 1. **validation** — unknown tree, ``k`` not an integer >= 1, a non-finite
-   window corner or kNN point are one ``Status.ERROR`` naming the field,
-   decided before a cache key is formed;
+   window corner or kNN point, a NaN timeout are one ``Status.ERROR``
+   naming the field, decided before a cache key is formed;
 2. **admission control** — a global in-flight bound, a per-class
    waiting-room bound and per-class execution slots; a request over a
    bound is rejected immediately rather than queued unboundedly;
 3. the **result cache** (LRU + TTL, canonical query keys) around the
-   execution, and the degraded modes of a tier that refuses to execute
-   (:class:`~repro.service.resilience.CircuitOpenError`): a stale cache
-   serve, else an explicit 503-style ``Status.SHED``;
+   execution;
 4. the per-request **deadline** — the admission timeout is the request's
    whole fault budget, handed to the execution plan — and caller
    cancellation;
@@ -33,7 +31,7 @@ A tier supplies only its execution plan, through three hooks:
   down;
 * ``_tree_names()`` — the served tree names (any container).
 
-:class:`~repro.service.engine.Engine` (batcher + breakers + one pool) and
+:class:`~repro.service.engine.Engine` (batcher + one pool) and
 :class:`~repro.shard.router.ShardRouter` (routing + replica failover)
 are the two tiers.  Nothing here knows which one it serves.
 """
@@ -46,7 +44,7 @@ from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 from ..faults import FaultInjector
-from ..rtree.query import WINDOW_FIELDS, coordinate_error
+from ..rtree.query import WINDOW_FIELDS, coordinate_error, require_k
 from ..trace import EventKind, Tracer
 from .cache import MISS, ResultCache
 from .metrics import ServiceMetrics
@@ -60,7 +58,6 @@ from .model import (
     WindowRequest,
     canonical_rect,
 )
-from .resilience import CircuitOpenError
 
 __all__ = ["FrontDoor", "pool_totals"]
 
@@ -77,26 +74,32 @@ KNN_LIMIT = 16
 DEFAULT_TIMEOUT_S = 10.0
 CACHE_TTL_S = 60.0
 
-#: Each numeric setting's least value under which a tier still serves a
-#: request, and whether the setting must lie strictly above it.  A field
-#: the tier's config lacks, or a ``None``, is not checked.
-_FLOORS = {
-    "workers": (0, False), "max_inflight": (1, False),
-    "cache_capacity": (0, False), "shards": (1, False),
-    "replicas": (1, False), "attempt_timeout_s": (0, True),
-    "breaker_reset_s": (0, True),
+#: Each count setting's least value under which a tier still serves a
+#: request.  A field the tier's config lacks is not checked.
+_COUNT_FLOORS = {
+    "workers": 0, "max_inflight": 1, "cache_capacity": 0, "shards": 1,
+    "replicas": 1,
 }
 
 
 def _check_settings(config) -> None:
     """One ``ValueError`` naming the field and the value of the first
-    setting under which the tier could serve no request."""
-    for name, (floor, strict) in _FLOORS.items():
-        value = getattr(config, name, None)
-        if value is None or value > floor or (value == floor and not strict):
-            continue
-        relation = ">" if strict else ">="
-        raise ValueError(f"{name} must be {relation} {floor}, got {value!r}")
+    setting under which the tier could serve no request: a count that is
+    no integer (a bool is none) or under its floor, or an attempt
+    timeout that is not above 0 (``None`` is no timeout)."""
+    for name, floor in _COUNT_FLOORS.items():
+        value = getattr(config, name, floor)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, Integral)
+            or value < floor
+        ):
+            raise ValueError(
+                f"{name} must be an integer >= {floor}, got {value!r}"
+            )
+    value = config.attempt_timeout_s
+    if value is not None and not value > 0:
+        raise ValueError(f"attempt_timeout_s must be > 0, got {value!r}")
 
 
 def pool_totals(pools) -> dict:
@@ -136,21 +139,19 @@ class FrontDoor:
         *,
         sinks: Sequence = (),
         clock: Callable[[], float] = time.monotonic,
-        keep_stale: bool = False,
     ):
         _check_settings(config)
         self.config = config
         self.metrics = ServiceMetrics()
         # The serving tier owns real time; tests inject a fake clock and
-        # everything downstream (tracer, deadlines, cache, leases,
-        # breakers) follows it.
+        # everything downstream (tracer, deadlines, cache, leases)
+        # follows it.
         self._clock = clock
         self._t0 = clock()
         self.tracer = Tracer(clock=self._now, sinks=[self.metrics, *sinks])
         self.cache = ResultCache(
             config.cache_capacity,
             CACHE_TTL_S,
-            keep_stale=keep_stale,
             clock=self._now,
             tracer=self.tracer,
         )
@@ -246,10 +247,12 @@ class FrontDoor:
                 f"waiting-room limit {QUEUE_LIMIT} reached for "
                 f"class {cls.value}",
             )
+        if timeout is _UNSET:
+            timeout = DEFAULT_TIMEOUT_S
         # An invalid request is admitted (the ledger is submitted =
         # admitted + rejected) but never cacheable: it fails before a
         # cache key is formed, so a NaN can neither look up nor insert.
-        invalid = self._invalid(request)
+        invalid = self._invalid(request, timeout)
         use_cache = (
             invalid is None
             and self.config.cache_capacity > 0
@@ -263,8 +266,6 @@ class FrontDoor:
             cache=int(use_cache),
             inflight=self._inflight,
         )
-        if timeout is _UNSET:
-            timeout = DEFAULT_TIMEOUT_S
         # The admission timeout is the request's whole fault budget:
         # every retry backoff and execution attempt fits inside it.
         deadline = None if timeout is None else t0 + timeout
@@ -298,15 +299,11 @@ class FrontDoor:
                     latency_s=self._now() - t0,
                     detail=f"{type(exc).__name__}: {exc}",
                 )
-            if response.status is Status.SHED:
-                # _degraded already emitted SVC_REQUEST_SHED.
-                return response
             self._emit(
                 EventKind.SVC_REQUEST_COMPLETED,
                 cls,
                 latency_s=response.latency_s,
                 cached=int(response.cached),
-                stale=int(response.stale),
                 batch=response.batch_size,
             )
             return response
@@ -315,8 +312,14 @@ class FrontDoor:
             if self._inflight == 0:
                 self._idle.set()
 
-    def _invalid(self, request: Request) -> Optional[str]:
-        """Why *request* cannot be served, naming the field — or None."""
+    def _invalid(self, request: Request, timeout) -> Optional[str]:
+        """Why *request* cannot be served within *timeout*, naming the
+        field — or None."""
+        if timeout is not None and timeout != timeout:
+            return (
+                f"timeout must be None or a number of seconds, got "
+                f"{timeout!r}"
+            )
         if isinstance(request, JoinRequest):
             trees = (request.tree_r, request.tree_s)
         elif isinstance(request, (WindowRequest, KNNRequest)):
@@ -328,8 +331,10 @@ class FrontDoor:
             if name not in known:
                 return f"unknown tree {name!r}; have {sorted(known)}"
         if isinstance(request, KNNRequest):
-            if not isinstance(request.k, Integral) or request.k < 1:
-                return f"k must be an integer >= 1, got {request.k!r}"
+            try:
+                require_k(request.k)
+            except ValueError as exc:
+                return str(exc)
             fields = (("x", request.x), ("y", request.y))
         elif request.window is None:
             return None
@@ -354,31 +359,12 @@ class FrontDoor:
                     Status.OK, cls, value=value,
                     latency_s=self._now() - t0, cached=True,
                 )
-        try:
-            value, batch_size = await self._execute(request, deadline)
-        except CircuitOpenError:
-            return self._degraded(cls, key, t0)
+        value, batch_size = await self._execute(request, deadline)
         if use_cache:
             self.cache.put(key, value)
         return Response(
             Status.OK, cls, value=value,
             latency_s=self._now() - t0, batch_size=batch_size,
-        )
-
-    def _degraded(self, cls: RequestClass, key, t0: float) -> Response:
-        """The tier refused to execute: stale cache serve, else shed."""
-        if key is not None and self.cache.keep_stale:
-            stale = self.cache.get_stale(key)
-            if stale is not MISS:
-                return Response(
-                    Status.OK, cls, value=stale,
-                    latency_s=self._now() - t0, cached=True, stale=True,
-                    detail="stale cache entry served while circuit open",
-                )
-        self._emit(EventKind.SVC_REQUEST_SHED, cls)
-        return Response(
-            Status.SHED, cls, latency_s=self._now() - t0,
-            detail=f"circuit open for class {cls.value}; request shed",
         )
 
     async def _in_slot(self, cls: RequestClass, work, *args):
@@ -420,7 +406,7 @@ class FrontDoor:
 
     def snapshot(self) -> dict:
         """The keys every tier reports, JSON-able; each tier adds its
-        backend's (``breakers``, ``supervisor``, ``pool``, ``shards``)."""
+        backend's (``supervisor``, ``pool``, ``shards``)."""
         return {
             "metrics": self.metrics.report(),
             "cache": self.cache.stats(),

@@ -88,9 +88,7 @@ class _ClassStats:
         "timeouts",
         "cancelled",
         "errors",
-        "shed",
         "cache_hits",
-        "stale_served",
         "retries",
         "giveups",
         "latency",
@@ -104,9 +102,7 @@ class _ClassStats:
         self.timeouts = 0
         self.cancelled = 0
         self.errors = 0
-        self.shed = 0
         self.cache_hits = 0
-        self.stale_served = 0
         self.retries = 0
         self.giveups = 0
         self.latency = LatencyReservoir()
@@ -120,9 +116,7 @@ class _ClassStats:
             "timeouts": self.timeouts,
             "cancelled": self.cancelled,
             "errors": self.errors,
-            "shed": self.shed,
             "cache_hits": self.cache_hits,
-            "stale_served": self.stale_served,
             "retries": self.retries,
             "giveups": self.giveups,
         }
@@ -170,16 +164,12 @@ class ServiceMetrics:
             self.overall.add(latency)
             if event.data.get("cached"):
                 stats.cache_hits += 1
-            if event.data.get("stale"):
-                stats.stale_served += 1
         elif kind == EventKind.SVC_REQUEST_TIMEOUT:
             self._cls(event).timeouts += 1
         elif kind == EventKind.SVC_REQUEST_CANCELLED:
             self._cls(event).cancelled += 1
         elif kind == EventKind.SVC_REQUEST_ERROR:
             self._cls(event).errors += 1
-        elif kind == EventKind.SVC_REQUEST_SHED:
-            self._cls(event).shed += 1
         elif kind == EventKind.SUP_CALL_RETRY:
             self._cls(event).retries += 1
         elif kind == EventKind.SUP_CALL_GIVEUP:
@@ -206,14 +196,6 @@ class ServiceMetrics:
     @property
     def timeouts(self) -> int:
         return sum(s.timeouts for s in self.per_class.values())
-
-    @property
-    def shed(self) -> int:
-        return sum(s.shed for s in self.per_class.values())
-
-    @property
-    def stale_served(self) -> int:
-        return sum(s.stale_served for s in self.per_class.values())
 
     @property
     def retries(self) -> int:
@@ -247,8 +229,8 @@ class ServiceMetrics:
             "completed": self.completed,
             "rejected": self.rejected,
             "timeouts": self.timeouts,
-            "shed": self.shed,
-            "stale_served": self.stale_served,
+            # No tier sheds; read by perf's service.engine.shed probe.
+            "shed": 0,
             "retries": self.retries,
             "throughput_rps": self.throughput(duration_s),
             "queue_depth_max": self.queue_depth_max,

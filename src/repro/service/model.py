@@ -59,9 +59,6 @@ class Status(str, enum.Enum):
     TIMEOUT = "timeout"
     CANCELLED = "cancelled"
     ERROR = "error"
-    #: Admitted but deliberately dropped by a degraded mode (circuit
-    #: open, no stale cache entry to fall back on) — a 503, not a 500.
-    SHED = "shed"
 
 
 def canonical_rect(rect) -> Tuple[float, float, float, float]:
@@ -153,9 +150,6 @@ class Response:
     value: Optional[Sequence] = None
     latency_s: float = 0.0
     cached: bool = False
-    #: The value came from a TTL-expired cache entry served in a
-    #: degraded mode (circuit open); always paired with ``cached=True``.
-    stale: bool = False
     batch_size: int = 0
     detail: str = ""
     stats: dict = field(default_factory=dict)
@@ -166,9 +160,7 @@ class Response:
 
     def __repr__(self) -> str:
         size = len(self.value) if self.value is not None else "-"
-        flags = (" cached" if self.cached else "") + (
-            " stale" if self.stale else ""
-        )
+        flags = " cached" if self.cached else ""
         return (
             f"<Response {self.request_class.value} {self.status.value} "
             f"n={size} {self.latency_s * 1e3:.2f}ms{flags}>"

@@ -36,9 +36,8 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
   ``shard-settlement`` spec) with no further bookkeeping; the router
   keeps nothing per sub-request.
 
-The router deliberately has no micro-batcher and no circuit breakers:
-batching belongs to the single-tree engine it can wrap per shard later,
-and replica failover subsumes the breaker's fail-fast role here.
+The router deliberately has no micro-batcher: batching belongs to the
+single-tree engine it can wrap per shard later.
 """
 
 from __future__ import annotations
@@ -553,6 +552,7 @@ class ShardRouter(FrontDoor):
             }
         return {
             **super().snapshot(),
+            # The engine's key, kept for one snapshot shape (perf reads it).
             "breakers": None,
             **pool_totals([p for replicas in self.pools for p in replicas]),
             "partition": {

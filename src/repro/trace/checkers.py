@@ -25,9 +25,9 @@ time).
 
 This module holds only what a per-key automaton or an end-of-stream
 count equation cannot say — geometry, time intervals, cross-stream
-reconciliation, row sums.  The four protocols that
-*are* such automatons (circuit breaker, lease life cycle, shard
-settlement, buffer directory) are stated once, in
+reconciliation, row sums.  The three protocols that
+*are* such automatons (lease life cycle, shard settlement, buffer
+directory) are stated once, in
 :mod:`repro.analysis.protocol.specs`, and ride in every checker set as
 ``protocol:<spec>`` monitors (DESIGN.md §5: invariant → its one home).
 """
@@ -472,7 +472,7 @@ class ServiceAccountingChecker(InvariantChecker):
 
     * **requests** — every submitted request is either admitted or
       rejected; every admitted request reaches exactly one terminal state
-      (completed, timeout, cancelled, error, shed); nothing is still in
+      (completed, timeout, cancelled, error); nothing is still in
       flight when the engine stops.
     * **cache** — every lookup is a hit or a miss (``hits + misses ==
       lookups``); inserts only follow misses; evictions and expirations
@@ -488,7 +488,6 @@ class ServiceAccountingChecker(InvariantChecker):
         EventKind.SVC_REQUEST_TIMEOUT,
         EventKind.SVC_REQUEST_CANCELLED,
         EventKind.SVC_REQUEST_ERROR,
-        EventKind.SVC_REQUEST_SHED,
     }
 
     def __init__(self) -> None:
@@ -501,11 +500,8 @@ class ServiceAccountingChecker(InvariantChecker):
         self.timeouts = 0
         self.cancelled = 0
         self.errors = 0
-        self.shed = 0
-        self.stale_served = 0
         self.hits = 0
         self.misses = 0
-        self.stale_hits = 0
         self.inserts = 0
         self.evictions = 0
         self.expirations = 0
@@ -526,22 +522,16 @@ class ServiceAccountingChecker(InvariantChecker):
             self.rejected += 1
         elif kind == EventKind.SVC_REQUEST_COMPLETED:
             self.completed += 1
-            if event.data.get("stale"):
-                self.stale_served += 1
         elif kind == EventKind.SVC_REQUEST_TIMEOUT:
             self.timeouts += 1
         elif kind == EventKind.SVC_REQUEST_CANCELLED:
             self.cancelled += 1
         elif kind == EventKind.SVC_REQUEST_ERROR:
             self.errors += 1
-        elif kind == EventKind.SVC_REQUEST_SHED:
-            self.shed += 1
         elif kind == EventKind.SVC_CACHE_HIT:
             self.hits += 1
         elif kind == EventKind.SVC_CACHE_MISS:
             self.misses += 1
-        elif kind == EventKind.SVC_CACHE_STALE_HIT:
-            self.stale_hits += 1
         elif kind == EventKind.SVC_CACHE_INSERT:
             self.inserts += 1
             if self.inserts > self.misses:
@@ -569,19 +559,11 @@ class ServiceAccountingChecker(InvariantChecker):
                 f"submitted ({self.submitted}) != admitted ({self.admitted}) "
                 f"+ rejected ({self.rejected})"
             )
-        terminal = (
-            self.completed + self.timeouts + self.cancelled + self.errors
-            + self.shed
-        )
+        terminal = self.completed + self.timeouts + self.cancelled + self.errors
         if self.stopped and terminal != self.admitted:
             self._violate(
                 f"admitted ({self.admitted}) != terminal outcomes ({terminal}) "
                 "after engine stop — requests lost or double-counted"
-            )
-        if self.stale_served > self.stale_hits:
-            self._violate(
-                f"stale responses served ({self.stale_served}) exceed stale "
-                f"cache reads ({self.stale_hits})"
             )
         if self.evictions + self.expirations > self.inserts:
             self._violate(
@@ -609,11 +591,8 @@ class ServiceAccountingChecker(InvariantChecker):
             "timeouts": self.timeouts,
             "cancelled": self.cancelled,
             "errors": self.errors,
-            "shed": self.shed,
-            "stale_served": self.stale_served,
             "cache_hits": self.hits,
             "cache_misses": self.misses,
-            "cache_stale_hits": self.stale_hits,
             "cache_inserts": self.inserts,
             "cache_evictions": self.evictions,
             "cache_expirations": self.expirations,
@@ -651,11 +630,8 @@ class ResilienceAccountingChecker(InvariantChecker):
       when its awaiter went away in the same instant), never as a
       success, never under another cause, never not at all.
 
-    Which circuit-breaker edges are lawful is the ``circuit-breaker``
-    spec's statement (``protocol:circuit-breaker``); transitions are only
-    counted here.  On a healthy stream (no ``FLT_*``/``SUP_*`` events at
-    all) every rule is vacuously satisfied, so the checker can ride on
-    any service run.
+    On a healthy stream (no ``FLT_*``/``SUP_*`` events at all) every rule
+    is vacuously satisfied, so the checker can ride on any service run.
     """
 
     name = "resilience-accounting"
@@ -670,11 +646,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         EventKind.SUP_CALL_FAILED,
         EventKind.SUP_CALL_ABANDONED,
     }
-    _BREAKER_MOVES = {
-        EventKind.SUP_BREAKER_OPEN,
-        EventKind.SUP_BREAKER_HALF_OPEN,
-        EventKind.SUP_BREAKER_CLOSED,
-    }
 
     def __init__(self) -> None:
         super().__init__()
@@ -687,7 +658,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         self.calls_abandoned = 0
         self.retries = 0
         self.giveups = 0
-        self.breaker_transitions = 0
         self.surfaced = 0  # error + timeout + cancellation outcomes
         self.worker_crashes = 0
         self.worker_respawns = 0
@@ -732,8 +702,6 @@ class ResilienceAccountingChecker(InvariantChecker):
         elif kind is EventKind.SUP_CALL_GIVEUP:
             self.giveups += 1
             self._answer(data.get("call"))
-        elif kind in self._BREAKER_MOVES:
-            self.breaker_transitions += 1
         elif kind is EventKind.SUP_WORKER_CRASH_DETECTED:
             self.worker_crashes += 1
             pid = data.get("pid")
@@ -803,7 +771,6 @@ class ResilienceAccountingChecker(InvariantChecker):
             "calls_abandoned": self.calls_abandoned,
             "retries": self.retries,
             "giveups": self.giveups,
-            "breaker_transitions": self.breaker_transitions,
             "worker_crashes": self.worker_crashes,
             "worker_respawns": self.worker_respawns,
         }
@@ -1136,7 +1103,7 @@ def service_checkers() -> list[InvariantChecker]:
     Covers the sharded tier too: the ``SVC_*`` request / cache ledger,
     the ``FLT_*``↔``SUP_*`` fault reconciliation, the ``SHD_*`` routing
     geometry (vacuous on unsharded streams), and the spec monitors —
-    breaker edges and sub-request settlement among them.
+    sub-request settlement among them.
     """
     return [
         ServiceAccountingChecker(),

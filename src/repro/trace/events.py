@@ -82,10 +82,6 @@ class EventKind(str, enum.Enum):
     SVC_CACHE_INSERT = "svc_cache_insert"
     SVC_CACHE_EVICT = "svc_cache_evict"
     SVC_CACHE_EXPIRE = "svc_cache_expire"
-    SVC_CACHE_STALE_HIT = "svc_cache_stale_hit"
-    #: Admitted but deliberately dropped in a degraded mode (open circuit
-    #: with no stale cache entry) — the 503 of the engine.
-    SVC_REQUEST_SHED = "svc_request_shed"
 
     # sharded serving tier (repro.shard) — routing / fan-out ledger
     #: One per (shard, tree) at router start: the shard's stored-content
@@ -132,9 +128,6 @@ class EventKind(str, enum.Enum):
     SUP_CALL_GIVEUP = "sup_call_giveup"    # retries exhausted; error surfaces
     SUP_WORKER_CRASH_DETECTED = "sup_worker_crash_detected"
     SUP_WORKER_RESPAWNED = "sup_worker_respawned"
-    SUP_BREAKER_OPEN = "sup_breaker_open"
-    SUP_BREAKER_HALF_OPEN = "sup_breaker_half_open"
-    SUP_BREAKER_CLOSED = "sup_breaker_closed"
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,25 +5,8 @@ import time
 
 
 class Pool:
-    def __init__(self, breaker, lock):
-        self.breaker = breaker
+    def __init__(self, lock):
         self.lock = lock
-
-    def call_bad(self):
-        if not self.breaker.allow():  # planted PAIR001
-            return None
-        return self.breaker.record_success()
-
-    def call_ok(self):
-        if not self.breaker.allow():  # negative: settled in finally
-            return None
-        try:
-            return 1
-        finally:
-            self.breaker.release()
-
-    def call_suppressed(self):
-        return self.breaker.allow()  # repro: noqa[PAIR001]
 
     def latch_bad(self):
         self.lock.acquire()  # planted PAIR002

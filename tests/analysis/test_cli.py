@@ -38,8 +38,8 @@ class TestExitCodes:
         code, payload = tree_report
         assert code == 0
         assert payload["ok"] is True
-        assert "11/11 properties proved" in payload["tools"]["protocol"]
-        assert "8/8 mutations caught" in payload["tools"]["protocol"]
+        assert "9/9 properties proved" in payload["tools"]["protocol"]
+        assert "6/6 mutations caught" in payload["tools"]["protocol"]
 
     def test_fails_on_the_planted_repo(self, bad_report):
         code, payload = bad_report
@@ -78,7 +78,7 @@ class TestLintCommand:
     def test_lint_clean_repo_exits_zero(self, tree_report):
         code, payload = tree_report
         assert code == 0
-        assert payload["tools"]["lint"].endswith("8 rule(s), 0 finding(s)")
+        assert payload["tools"]["lint"].endswith("7 rule(s), 0 finding(s)")
 
     def test_lint_bad_repo_exits_one(self, bad_report):
         code, payload = bad_report

@@ -17,7 +17,6 @@ EXPECTED = {
     "DET002": ("sim/clock.py", 2),
     "TRC001": ("sim/emitter.py", 2),
     "TRC002": ("sim/emitter.py", 1),
-    "PAIR001": ("service/handler.py", 1),
     "PAIR002": ("service/handler.py", 1),
     "FORK001": ("join/mpwork.py", 2),
     "ASYNC001": ("service/handler.py", 2),

@@ -31,7 +31,6 @@ class TestRegistry:
         checkers = conformance_checkers()
         names = {c.name for c in checkers}
         assert names == {
-            "protocol:circuit-breaker",
             "protocol:lease",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
@@ -44,7 +43,7 @@ class TestRegistry:
 
     def test_vacuous_on_foreign_streams(self):
         # A stream with none of the spec's events yields a clean verdict
-        # (this is what lets all four ride on every run).
+        # (this is what lets all three ride on every run).
         verdict = replay(
             "lease", [ev(0, EventKind.BUFFER_INSERT, 0, page=1)]
         )
@@ -123,34 +122,6 @@ class TestLease:
         assert not verdict.ok
         joined = "\n".join(verdict.violations)
         assert "'orphaned'" in joined and "non-terminal" in joined
-
-
-class TestBreaker:
-    def test_clean_trip_probe_recover_passes(self):
-        verdict = replay("circuit-breaker", [
-            ev(0, EventKind.SUP_BREAKER_OPEN, cls="window"),
-            ev(1, EventKind.SUP_BREAKER_HALF_OPEN, cls="window"),
-            ev(2, EventKind.SUP_BREAKER_CLOSED, cls="window"),
-        ])
-        assert verdict.ok, verdict.violations
-
-    def test_unlawful_edge_is_flagged(self):
-        # CLOSED is only announced by a successful half-open probe; a
-        # breaker claiming CLOSED from CLOSED took an edge the spec
-        # doesn't have.
-        verdict = replay("circuit-breaker", [
-            ev(0, EventKind.SUP_BREAKER_CLOSED, cls="window"),
-        ])
-        assert not verdict.ok
-        assert "no transition enabled" in verdict.violations[0]
-
-    def test_classes_are_independent_instances(self):
-        verdict = replay("circuit-breaker", [
-            ev(0, EventKind.SUP_BREAKER_OPEN, cls="window"),
-            ev(1, EventKind.SUP_BREAKER_OPEN, cls="join"),
-        ])
-        assert verdict.ok
-        assert verdict.stats["instances"] == 2
 
 
 class TestDirectory:

@@ -41,7 +41,7 @@ def toy_spec(**overrides):
         ),
         properties=(
             SafetyProperty(
-                "bounded", "n stays small", lambda s, v, a: v["n"] <= 3
+                "bounded", "n stays small", lambda s, v: v["n"] <= 3
             ),
         ),
     )
@@ -62,7 +62,7 @@ class TestMachinery:
         spec = toy_spec(
             properties=(
                 SafetyProperty(
-                    "tiny", "n below 2", lambda s, v, a: v["n"] < 2
+                    "tiny", "n below 2", lambda s, v: v["n"] < 2
                 ),
             )
         )
@@ -93,7 +93,7 @@ class TestMachinery:
                 SafetyProperty(
                     "no_wedge_in_b",
                     "never quiesces in b",
-                    lambda s, v, a: s != "b",
+                    lambda s, v: s != "b",
                     on="deadlock",
                 ),
             ),
@@ -109,10 +109,10 @@ class TestMachinery:
         spec = toy_spec(
             properties=(
                 SafetyProperty(
-                    "fails", "n below 1", lambda s, v, a: v["n"] < 1
+                    "fails", "n below 1", lambda s, v: v["n"] < 1
                 ),
                 SafetyProperty(
-                    "holds", "n bounded", lambda s, v, a: v["n"] <= 3
+                    "holds", "n bounded", lambda s, v: v["n"] <= 3
                 ),
             )
         )
@@ -131,51 +131,11 @@ class TestMachinery:
         assert result.truncated
         assert not result.ok
 
-    def test_actor_local_states_gate_transitions(self):
-        # Only an actor in "ready" may fire; with one of two actors ever
-        # readied, at most one fire is reachable.
-        spec = ProtocolSpec(
-            name="actors",
-            description="actor-local gating",
-            states=("s",),
-            initial="s",
-            vars={"fired": 0},
-            actors=2,
-            actor_states=("idle", "ready", "done"),
-            transitions=(
-                Transition(
-                    "ready_up",
-                    "s",
-                    "s",
-                    actor_source="idle",
-                    actor_target="ready",
-                    guard=lambda v, a, d: a == 0,
-                ),
-                Transition(
-                    "fire",
-                    "s",
-                    "s",
-                    actor_source="ready",
-                    actor_target="done",
-                    effect=_inc("fired"),
-                ),
-            ),
-            properties=(
-                SafetyProperty(
-                    "one_fire",
-                    "only the readied actor fires",
-                    lambda s, v, a: v["fired"] <= 1,
-                ),
-            ),
-        )
-        result = check_spec(spec)
-        assert result.ok
-
     def test_format_counterexample_renders_path(self):
         spec = toy_spec(
             properties=(
                 SafetyProperty(
-                    "tiny", "n below 1", lambda s, v, a: v["n"] < 1
+                    "tiny", "n below 1", lambda s, v: v["n"] < 1
                 ),
             )
         )

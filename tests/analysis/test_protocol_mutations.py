@@ -56,10 +56,9 @@ class TestMutations:
         assert len(names) == len(set(names))
 
     def test_every_spec_has_at_least_one_mutation(self):
-        # The breaker, lease, settlement and directory specs are each
-        # exercised by the self-test.
+        # The lease, settlement and directory specs are each exercised
+        # by the self-test.
         assert {m.spec_name for m in MUTATIONS} == {
-            "circuit-breaker",
             "lease",
             "shard-settlement",
             "buffer-directory",

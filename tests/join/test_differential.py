@@ -81,7 +81,7 @@ class TestFullVariantGrid:
         assert trace is not None
         trace.verify()  # raises InvariantViolation on any checker failure
         assert trace.ok
-        assert len(trace.verdicts) == 12
+        assert len(trace.verdicts) == 11
         # The trace agrees with the result's own accounting.
         counts = trace.counts()
         assert counts[EventKind.EXEC_START] == counts[EventKind.EXEC_END]

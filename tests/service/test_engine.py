@@ -58,7 +58,7 @@ def one_join_slot(monkeypatch):
 
 def make_router(trees, config=None, sinks=()):
     """The same objects and the same shared knobs on the sharded tier
-    (the engine-only ones — batching, breakers — have no counterpart)."""
+    (the engine-only one, batching, has no counterpart)."""
     config = config or EngineConfig()
     shared = {
         f.name: getattr(config, f.name)

@@ -59,13 +59,13 @@ HOSTILE = [
 ]
 
 
-def serve(make, requests):
+def serve(make, requests, **submit):
     """Responses, the stopped tier and its event stream."""
     sink = ListSink()
 
     async def main():
         async with make([sink]) as tier:
-            return [await tier.submit(r) for r in requests], tier
+            return [await tier.submit(r, **submit) for r in requests], tier
 
     responses, tier = asyncio.run(main())
     return responses, tier, sink
@@ -101,19 +101,36 @@ class TestHostileRequests:
         assert responses[2].cached and responses[2].value == responses[0].value
         assert (tier.cache.inserts, tier.cache.hits) == (1, 1)
 
+    @pytest.mark.parametrize("make", TIERS)
+    def test_a_nan_timeout_is_an_error_not_a_timeout(self, make):
+        good = WindowRequest("a", (0.0, 0.0, 50.0, 50.0))
+        (response,), tier, sink = serve(make, [good], timeout=NAN)
+        assert response.status is Status.ERROR
+        assert "timeout" in response.detail, response.detail
+        report = tier.metrics.report()
+        assert report["timeouts"] == 0 and tier.cache.lookups == 0
+        verdicts = run_checkers(sink.events, service_checkers())
+        assert all(v.ok for v in verdicts), [v.violations for v in verdicts]
+
 
 #: Settings under which a tier would serve nothing (every request
-#: rejected, or failed before it reaches a worker), per tier.
+#: rejected, or failed before it reaches a worker), per tier; a count
+#: that is no integer (a bool is none) is refused like one under its floor.
 SHARED_BAD = [
     ("max_inflight", 0), ("max_inflight", -3), ("workers", -1),
     ("cache_capacity", -1), ("attempt_timeout_s", 0.0),
     ("attempt_timeout_s", -1.0), ("attempt_timeout_s", NAN),
+    ("workers", 1.5), ("workers", 2.0), ("workers", True),
+    ("max_inflight", 2.5), ("cache_capacity", 2.5),
 ]
 BAD_SETTINGS = [
     pytest.param(make, name, value, id=f"{tier}-{name}-{value}")
     for tier, make, extra in (
-        ("engine", make_engine, [("breaker_reset_s", 0.0)]),
-        ("router", make_router, [("shards", 0), ("replicas", 0)]),
+        ("engine", make_engine, []),
+        ("router", make_router, [
+            ("shards", 0), ("replicas", 0), ("shards", 2.5),
+            ("shards", True), ("replicas", 1.5),
+        ]),
     )
     for name, value in SHARED_BAD + extra
 ]
@@ -126,7 +143,10 @@ class TestSettings:
     ):
         with pytest.raises(ValueError) as refused:
             make(**{name: value})
-        expected = rf"{name} must be >=? \S+, got {re.escape(repr(value))}"
+        expected = (
+            rf"{name} must be (an integer )?>=? \S+, "
+            rf"got {re.escape(repr(value))}"
+        )
         assert re.fullmatch(expected, str(refused.value)), refused.value
 
 

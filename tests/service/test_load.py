@@ -196,7 +196,7 @@ class TestCli:
             (["--clients", "0"], ">= 1 client"),
             (["--duration", "0"], "duration must be > 0"),
             (["--crash-p", "1.5"], "worker_crash_p must be in"),
-            (["--shards", "2", "--replicas", "0"], "replicas must be >= 1"),
+            (["--shards", "2", "--replicas", "0"], "replicas must be an integer >= 1"),
             (["--join-share", "1.5"], "join_share must be in [0, 1]"),
             (["--join-share", "0.95"], "knn_share + join_share must be <= 1"),
         ],

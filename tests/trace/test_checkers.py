@@ -344,7 +344,6 @@ class TestCheckerPlumbing:
             "resilience-accounting",
             "recovery-accounting",
             "shard-accounting",
-            "protocol:circuit-breaker",
             "protocol:lease",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
@@ -355,7 +354,7 @@ class TestCheckerPlumbing:
         s.emit(EventKind.RUN_START, disks=2, reassign_level="all", task_level=1)
         s.emit(EventKind.RUN_END)
         verdicts = run_checkers(s.events)
-        assert len(verdicts) == 12
+        assert len(verdicts) == 11
         assert all(v.ok for v in verdicts)
 
     def test_violation_storage_is_capped(self):
@@ -445,16 +444,6 @@ def giveup_surfaced_as_error():
     return giveup(EventKind.SVC_REQUEST_ERROR)
 
 
-def lawful_breaker_cycle():
-    s = Stream()
-    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
-    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="window")
-    s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")
-    return s
-
-
 def crash_stream(*closing):
     """A crash that names call 7 as its victim, then *closing*."""
     s = Stream()
@@ -540,11 +529,6 @@ class TestResilienceAccounting:
 
     def test_giveup_surfaced_as_error_reconciles(self):
         assert self.verdict(giveup_surfaced_as_error()).ok
-
-    def test_lawful_breaker_cycle_passes(self):
-        verdict = self.verdict(lawful_breaker_cycle())
-        assert verdict.ok
-        assert verdict.stats["breaker_transitions"] == 5
 
     def test_crash_victim_closed_as_worker_died_reconciles(self):
         verdict = self.verdict(crash_victim_worker_died())

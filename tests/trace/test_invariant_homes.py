@@ -1,9 +1,9 @@
 """One home per protocol invariant: the planted-bug table.
 
 Each row is *(stream, the set of verdict names that must fail)* over the
-eight monitors that could claim the four protocols — the four accounting
-classes of ``repro.trace.checkers`` and the four spec monitors of
-``repro.analysis.protocol``.  A violation whose statement is a spec fails
+seven monitors that could claim a protocol invariant — the four
+accounting classes of ``repro.trace.checkers`` and the three spec
+monitors of ``repro.analysis.protocol``.  A violation whose statement is a spec fails
 exactly ``{"protocol:<spec>"}``; one whose rule stays hand-written
 (geometry, row sums, cross-stream reconciliation) fails exactly its
 class; a lawful stream fails nothing.  A second name
@@ -28,7 +28,6 @@ from tests.trace import test_checkers as tc
 from tests.trace import test_recovery_checker as rc
 from tests.trace import test_shard_checker as sc
 
-BREAKER = {"protocol:circuit-breaker"}
 LEASE = {"protocol:lease"}
 SETTLEMENT = {"protocol:shard-settlement"}
 DIRECTORY = {"protocol:buffer-directory"}
@@ -81,21 +80,6 @@ def second_copy_in_local_buffers():
 
 def remote_fetch_of_unowned_page():
     return tc.Stream().emit(EventKind.REMOTE_FETCH, proc=0, page=1, owner=2)
-
-
-# -- circuit breaker: the edge table ------------------------------------------
-def unlawful_breaker_edges():
-    s = tc.Stream()
-    s.emit(EventKind.SUP_BREAKER_CLOSED, cls="window")  # closed->closed?
-    s.emit(EventKind.SUP_BREAKER_HALF_OPEN, cls="knn")  # closed->half-open
-    return s
-
-
-def breaker_classes_independent():
-    s = tc.Stream()
-    s.emit(EventKind.SUP_BREAKER_OPEN, cls="window")
-    s.emit(EventKind.SUP_BREAKER_OPEN, cls="knn")
-    return s
 
 
 # -- lease: the per-task life cycle -------------------------------------------
@@ -168,7 +152,6 @@ ROWS = [
     (remote_fetch_of_unowned_page, DIRECTORY),
     (conflicting_registration, DIRECTORY),
     (foreign_deregistration, DIRECTORY),
-    (unlawful_breaker_edges, BREAKER),
     (double_completion_of_one_task, LEASE),
     (one_lease_completed_twice, LEASE),
     (completion_naming_another_lease, LEASE),
@@ -201,7 +184,7 @@ ROWS = [
     (tc.giveup_vanished, RESILIENCE),
     (tc.crash_victim_closed_under_another_cause, RESILIENCE),
     (tc.crash_victim_never_closed, RESILIENCE),
-    # Lawful streams of the four protocols: nothing.
+    # Lawful streams: nothing.
     (tc.lawful_buffer_traffic, LAWFUL),
     (tc.path_buffer_hit, LAWFUL),
     (second_copy_in_local_buffers, LAWFUL),
@@ -209,8 +192,6 @@ ROWS = [
     (tc.fault_closed_by_ok, LAWFUL),
     (tc.failed_then_retried, LAWFUL),
     (tc.giveup_surfaced_as_error, LAWFUL),
-    (tc.lawful_breaker_cycle, LAWFUL),
-    (breaker_classes_independent, LAWFUL),
     (tc.crash_victim_worker_died, LAWFUL),
     (tc.crash_victim_abandoned, LAWFUL),
     (rc.lawful_stream, LAWFUL),
