@@ -12,18 +12,23 @@ Each is a read-only :class:`~collections.abc.Sequence` that compares
 equal to the tuple or list of rows it stands for, and pickles as its raw
 column buffers.  Builtin ``int`` / ``float`` / tuples are made only when a
 caller iterates or indexes it — nothing between a kernel and the API edge
-does.
+does — and iteration makes them :data:`ITER_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 __all__ = ["oid_column", "ColumnRows", "RowSet", "PairTable"]
+
+#: Rows made per step when a table is iterated: the builtin rows of one
+#: block at a time are alive, never every row at once.
+ITER_BLOCK = 1 << 12
 
 
 def oid_column(oids: Iterable) -> np.ndarray:
@@ -78,7 +83,10 @@ class ColumnRows(Sequence):
         return self[index : index + 1]._rows()[0]
 
     def __iter__(self):
-        return iter(self._rows())
+        n = len(self)
+        return chain.from_iterable(
+            self[lo : lo + ITER_BLOCK]._rows() for lo in range(0, n, ITER_BLOCK)
+        )
 
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
@@ -155,14 +163,19 @@ class PairTable(ColumnRows):
         super().__init__(left, right)
 
     @classmethod
+    def from_oids(cls, left: Iterable, right: Iterable) -> "PairTable":
+        """From the left and the right oid of every row, as two
+        equal-length iterables — how a traversal collects its answer."""
+        return cls(oid_column(left), oid_column(right))
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable) -> "PairTable":
         """From 2-item rows (tuples or lists)."""
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
         # Two flat lists, no per-row container: ``zip(*pairs)`` makes one
         # iterator a row, enough allocations to set off full collections.
-        return cls(
-            oid_column([left for left, _ in pairs]),
-            oid_column([right for _, right in pairs]),
+        return cls.from_oids(
+            [left for left, _ in pairs], [right for _, right in pairs]
         )
 
     @classmethod

@@ -62,7 +62,6 @@ from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .flat import _FlatJoinPlan, packed_pair
 from .refinement import ExactRefinement
-from .result import SequentialJoinResult
 from .sequential import depth_first_join
 from .tasks import create_tasks
 
@@ -100,10 +99,11 @@ class _NodeJoinPlan:
         in the worker, ahead of the pipe; *beat* (the heartbeat) is called
         at every node pair, so a lease survives a task that runs longer
         than ``lease_s``."""
-        result = SequentialJoinResult(pairs=[])
+        left: list = []
+        right: list = []
         for task in self.tasks[start:stop]:
-            depth_first_join(task.node_r, task.node_s, result, beat=beat)
-        return PairTable.from_pairs(result.pairs)
+            depth_first_join(task.node_r, task.node_s, left, right, beat=beat)
+        return PairTable.from_oids(left, right)
 
 
 def plan_join(tree_r, tree_s, min_tasks: int):

@@ -38,6 +38,7 @@ from typing import Generator, Optional
 
 from ..buffer.global_buffer import GlobalDirectory
 from ..buffer.local import ProcessorBufferManager
+from ..geometry.rows import PairTable
 from ..rtree.flat import require_node_trees
 from ..rtree.node import LeafRows
 from ..rtree.pagestore import PageStore
@@ -342,7 +343,8 @@ class _JoinRun(MachineRun):
         self.finished = [False] * n
         self.buddies: list[Optional[int]] = [None] * n
         self.rng = config.reassignment.make_rng()
-        self.pairs_by_processor: list[list] = [[] for _ in range(n)]
+        #: Each processor's answer as two oid columns, left and right.
+        self.oids_by_processor = [([], []) for _ in range(n)]
         self.reassignments = 0
 
     # ------------------------------------------------------------------ run
@@ -353,10 +355,13 @@ class _JoinRun(MachineRun):
                 EventKind.RUN_END,
                 reassignments=self.reassignments,
                 disk_reads=self.metrics.disk_accesses,
-                candidates=sum(len(p) for p in self.pairs_by_processor),
+                candidates=sum(len(left) for left, _ in self.oids_by_processor),
             )
         return ParallelJoinResult(
-            pairs_by_processor=self.pairs_by_processor,
+            pairs_by_processor=[
+                PairTable.from_oids(left, right)
+                for left, right in self.oids_by_processor
+            ],
             metrics=self.metrics,
             times=self.times,
             tasks_created=self.tasks_created,
@@ -431,10 +436,11 @@ class _JoinRun(MachineRun):
         if cpu_time > 0:
             yield self.env.timeout(cpu_time)
         if node_r.is_leaf:
-            my_pairs = self.pairs_by_processor[p]
+            left, right = self.oids_by_processor[p]
             refine_time = 0.0
             for er, es in matched:  # leaf rows: (xl, yl, xu, yu, oid)
-                my_pairs.append((er[4], es[4]))
+                left.append(er[4])
+                right.append(es[4])
                 refine_time += REFINEMENT.row_cost(er, es)
             self.metrics.add("candidates", len(matched))
             if refine_time > 0:

@@ -16,10 +16,10 @@ __all__ = ["SequentialJoinResult", "ParallelJoinResult"]
 class SequentialJoinResult:
     """Outcome of the in-memory sequential filter step ([BKS 93]).
 
-    ``pairs`` holds ``(oid_r, oid_s)`` candidates in the order they were
-    produced — the local plane-sweep order when the sweep is enabled — as
-    a :class:`~repro.geometry.rows.PairTable` (a plain list only while a
-    node traversal is still appending to it).
+    ``pairs`` is a :class:`~repro.geometry.rows.PairTable` of the
+    ``(oid_r, oid_s)`` candidates in the order they were produced — the
+    local plane-sweep order when the sweep is enabled.  Both backends
+    collect it as two oid columns; no tuple a pair is made on the way.
     """
 
     pairs: PairTable
@@ -48,9 +48,12 @@ class ParallelJoinResult:
     The quantities mirror the paper's evaluation: ``metrics.disk_accesses``
     (Figures 5, 8, 10), ``times.response_time`` / per-processor finish
     times (Figures 7, 9), speed-up via :meth:`speedup_against`.
+    ``pairs_by_processor`` holds one
+    :class:`~repro.geometry.rows.PairTable` a processor: its candidates
+    in the order it found them.
     """
 
-    pairs_by_processor: list[list[tuple[Hashable, Hashable]]]
+    pairs_by_processor: list[PairTable]
     metrics: Metrics
     times: ProcessorTimes
     tasks_created: int = 0

@@ -81,69 +81,76 @@ def sequential_join(
                 "the ablation on node trees"
             )
         return flat_join(tree_r, tree_s, refinement=refinement)
-    result = SequentialJoinResult(pairs=[])
+    left: list = []
+    right: list = []
+    node_pairs = tests = 0
     if tree_r.size and tree_s.size:
-        depth_first_join(
+        node_pairs, tests = depth_first_join(
             tree_r.root,
             tree_s.root,
-            result,
+            left,
+            right,
             use_restriction=use_restriction,
             use_sweep=use_sweep,
             refinement=refinement,
         )
-    result.pairs = PairTable.from_pairs(result.pairs)  # the node driver's edge
-    return result
+    return SequentialJoinResult(PairTable.from_oids(left, right), node_pairs, tests)
 
 
 def depth_first_join(
     node_r: Node,
     node_s: Node,
-    result: SequentialJoinResult,
+    left: list,
+    right: list,
     *,
     use_restriction: bool = True,
     use_sweep: bool = True,
     refinement: Optional[ExactRefinement] = None,
     beat: Optional[Callable[[], None]] = None,
-) -> None:
-    """Join the subtrees under *node_r* and *node_s* into *result*.
+) -> tuple[int, int]:
+    """Join the subtrees under *node_r* and *node_s*.
 
-    Appends candidate (or, with *refinement*, answer) object pairs to the
-    list ``result.pairs`` and counts node pairs and tests; *beat* (a
-    forked worker's heartbeat) is called at every node pair.
+    Appends the left and the right oid of every candidate (or, with
+    *refinement*, answer) pair to *left* and *right* — two flat columns,
+    no tuple a pair — and returns the node pairs visited and the
+    rectangle tests spent; *beat* (a forked worker's heartbeat) is
+    called at every node pair.
     """
-    pairs = result.pairs
+    node_pairs = tests = 0
     rows = LeafRows()
     stack: list[tuple[Node, Node]] = [(node_r, node_s)]
     while stack:
         node_r, node_s = stack.pop()
-        result.node_pairs_visited += 1
+        node_pairs += 1
         if beat is not None:
             beat()
         if node_r.level > node_s.level:
-            _descend_one_side(node_r, node_s, stack, result, left=True)
+            tests += _descend_one_side(node_r, node_s, stack, left=True)
             continue
         if node_s.level > node_r.level:
-            _descend_one_side(node_s, node_r, stack, result, left=False)
+            tests += _descend_one_side(node_s, node_r, stack, left=False)
             continue
-        matched, tests = join_node_pair(
+        matched, spent = join_node_pair(
             node_r,
             node_s,
             use_restriction=use_restriction,
             use_sweep=use_sweep,
             rows=rows,
         )
-        result.intersection_tests += tests
+        tests += spent
         if not node_r.is_leaf:
             # Reversed push: children are processed in plane-sweep order
             # before the next sibling pair (depth-first).
             stack.extend([(er.child, es.child) for er, es in reversed(matched)])
-        elif refinement is None:
-            pairs.extend([(er[4], es[4]) for er, es in matched])
+        elif refinement is None:  # leaf rows: (xl, yl, xu, yu, oid)
+            left.extend([er[4] for er, _ in matched])
+            right.extend([es[4] for _, es in matched])
         else:
-            pairs.extend(
-                (er[4], es[4]) for er, es in matched
-                if refinement.is_answer(er[4], es[4])
-            )
+            for er, es in matched:
+                if refinement.is_answer(er[4], es[4]):
+                    left.append(er[4])
+                    right.append(es[4])
+    return node_pairs, tests
 
 
 def join_node_pair(
@@ -233,21 +240,19 @@ def _descend_one_side(
     taller: Node,
     shorter: Node,
     stack: list[tuple[Node, Node]],
-    result: SequentialJoinResult,
     left: bool,
-) -> None:
-    """Unequal heights: only the taller side descends (window query style)."""
+) -> int:
+    """Unequal heights: only the taller side descends (window query
+    style).  Returns the rectangle tests spent, one an entry."""
     s_xl, s_yl, s_xu, s_yu = shorter.mbr_tuple()
-
-    class _ShortMBR:
-        xl, yl, xu, yu = s_xl, s_yl, s_xu, s_yu
-
-    matches = []
-    for entry in taller.entries:
-        result.intersection_tests += 1
-        if entry.intersects(_ShortMBR):
-            matches.append(entry.child)
+    entries = taller.entries
+    matches = [
+        entry.child for entry in entries
+        if entry.xl <= s_xu and s_xl <= entry.xu
+        and entry.yl <= s_yu and s_yl <= entry.yu
+    ]
     if left:
         stack.extend((child, shorter) for child in reversed(matches))
     else:
         stack.extend((shorter, child) for child in reversed(matches))
+    return len(entries)

@@ -11,7 +11,8 @@ per-query worker dispatch.
 The batcher is deliberately dumb about execution: the engine passes in an
 async *runner* that owns admission semaphores, the worker pool and event
 emission.  The batcher only collects, groups and hands
-over.
+over.  It holds the runner from ``start()`` to ``close()`` only, so a
+stopped engine and its batcher refer to each other in neither direction.
 """
 
 from __future__ import annotations
@@ -60,15 +61,16 @@ class MicroBatcher:
     seconds or when full, whichever comes first.
     """
 
-    def __init__(self, runner: Runner):
-        self._runner = runner
+    def __init__(self):
+        self._runner: Optional[Runner] = None
         self._queue: Optional[asyncio.Queue] = None
         self._task: Optional[asyncio.Task] = None
         self._group_tasks: set[asyncio.Task] = set()
         self.batches_dispatched = 0
 
     # -- life cycle -----------------------------------------------------------
-    def start(self) -> None:
+    def start(self, runner: Runner) -> None:
+        self._runner = runner
         self._queue = asyncio.Queue()
         self._task = asyncio.create_task(self._loop(), name="repro-service-batcher")
 
@@ -81,6 +83,7 @@ class MicroBatcher:
         self._task = None
         if self._group_tasks:
             await asyncio.gather(*self._group_tasks, return_exceptions=True)
+        self._runner = None
 
     # -- intake ---------------------------------------------------------------
     async def put(self, item: PendingWindow) -> None:

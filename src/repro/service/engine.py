@@ -108,7 +108,7 @@ class Engine(FrontDoor):
             injector=self.injector,
             tracer=self.tracer,
         )
-        self.batcher = MicroBatcher(self._run_window_group)
+        self.batcher = MicroBatcher()
         self._retry_rng = random.Random(self.config.seed)
 
     # -- the execution plan ---------------------------------------------------
@@ -118,7 +118,7 @@ class Engine(FrontDoor):
     def _start_backend(self) -> dict:
         self.pool.start()
         if self.config.batching:
-            self.batcher.start()
+            self.batcher.start(self._run_window_group)
         return {
             "forked": int(self.pool.forked),
             "batching": int(self.config.batching),

@@ -102,6 +102,12 @@ def _check_settings(config) -> None:
         raise ValueError(f"attempt_timeout_s must be > 0, got {value!r}")
 
 
+def _elapsed(clock: Callable[[], float]) -> Callable[[], float]:
+    """Seconds on *clock* since this call."""
+    t0 = clock()
+    return lambda: clock() - t0
+
+
 def pool_totals(pools) -> dict:
     """The ``supervisor`` and ``pool`` snapshot blocks, summed over
     *pools*: the shape of one pool and of many is the same.  The
@@ -145,14 +151,15 @@ class FrontDoor:
         self.metrics = ServiceMetrics()
         # The serving tier owns real time; tests inject a fake clock and
         # everything downstream (tracer, deadlines, cache, leases)
-        # follows it.
-        self._clock = clock
-        self._t0 = clock()
-        self.tracer = Tracer(clock=self._now, sinks=[self.metrics, *sinks])
+        # follows it.  The parts get a closure, not the bound ``_now``:
+        # no part refers back to the tier, so a dropped tier is freed at
+        # once, not at the next full collection.
+        self._clock = _elapsed(clock)
+        self.tracer = Tracer(clock=self._clock, sinks=[self.metrics, *sinks])
         self.cache = ResultCache(
             config.cache_capacity,
             CACHE_TTL_S,
-            clock=self._now,
+            clock=self._clock,
             tracer=self.tracer,
         )
         self.injector = (
@@ -382,7 +389,7 @@ class FrontDoor:
 
     # -- helpers --------------------------------------------------------------
     def _now(self) -> float:
-        return self._clock() - self._t0
+        return self._clock()
 
     def _emit(self, kind: EventKind, cls: Optional[RequestClass] = None, /, **data):
         """Emit *kind* if anyone listens; a positional *cls* is written

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import PairTable, RowSet
-from repro.geometry.rows import oid_column
+from repro.geometry.rows import ITER_BLOCK, oid_column
 
 WINDOW = RowSet.from_oids([3, 5, 8, 13])
 KNN = RowSet.from_knn([(0.0, 7), (1.5, 2), (2.25, 9)])
@@ -80,6 +80,21 @@ class TestSequence:
         assert {type(x) for x in flat} <= {int, float}
         assert json.loads(json.dumps([list(r) for r in PAIRS])) == [[1, 10], [1, 11], [4, 10]]
         assert json.dumps(list(WINDOW)) == "[3, 5, 8, 13]"
+
+    @pytest.mark.parametrize("extra", [0, 1, ITER_BLOCK - 1])
+    def test_iteration_block_by_block_is_the_rows(self, extra):
+        """Longer than one block, one short, or empty: iteration yields
+        exactly ``_rows()``, in order."""
+        for n in (0, 2 * ITER_BLOCK + extra):
+            oids = list(range(n, 0, -1))
+            pairs = PairTable.from_oids(oids, [o * 7 for o in oids])
+            knn = RowSet.from_knn([(0.5 * o, o) for o in oids])
+            for table in (pairs, knn):
+                rows = table._rows()
+                assert len(rows) == n
+                assert list(table) == rows
+                assert [row for row in table] == rows
+                assert type(iter(table)) is not list  # nothing built up front
 
     def test_a_callers_array_stays_writable(self):
         mine = np.array([2, 1])
