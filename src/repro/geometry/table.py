@@ -15,6 +15,13 @@ The constructor is the input boundary: it rejects non-finite coordinates
 and inverted boxes once, so the array kernels below it never see a NaN.
 A table pickles as its five raw column buffers and comes back through
 that same constructor.
+
+A tree references the table it was built from and copies none of it: a
+:class:`~repro.rtree.flat.FlatRTree` reads it through ``rows``, a node
+R*-tree's data pages through row ranges of one permutation.  The columns
+are read-only views, so no tree writes them; a caller who writes through
+the base arrays of its own table changes the table under every tree
+built from it.
 """
 
 from __future__ import annotations

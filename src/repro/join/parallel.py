@@ -40,7 +40,7 @@ from ..buffer.global_buffer import GlobalDirectory
 from ..buffer.local import ProcessorBufferManager
 from ..geometry.rows import PairTable
 from ..rtree.flat import require_node_trees
-from ..rtree.node import LeafRows
+from ..rtree.node import LeafRows, sort_leaves_by_xl
 from ..rtree.pagestore import PageStore
 from ..rtree.rstar import RStarTree
 from ..sim.engine import Environment
@@ -109,21 +109,32 @@ def prepare_trees(tree_r: RStarTree, tree_s: RStarTree) -> PageStore:
     """Sort all node entries by xl (the paper keeps node entries in
     plane-sweep order) and paginate both trees onto one page space.
 
-    A self-join (``tree_r is tree_s``) paginates the tree once and aliases
-    it as both join inputs, so every page exists — and is charged — once.
+    A leaf's rows are sorted in the tree's own permutation
+    (:func:`~repro.rtree.node.sort_leaves_by_xl`), never in the table the
+    tree was built from.  A self-join (``tree_r is tree_s``) paginates
+    the tree once and aliases it as both join inputs, so every page
+    exists — and is charged — once.
     """
     require_node_trees("prepare_trees", tree_r, tree_s)
     page_store = PageStore()
-    for node in tree_r.nodes():
-        node.sort_entries_by_xl()
+    _sort_by_xl(tree_r)
     page_store.add_tree(0, tree_r)
     if tree_s is tree_r:
         page_store.alias_tree(1, 0)
         return page_store
-    for node in tree_s.nodes():
-        node.sort_entries_by_xl()
+    _sort_by_xl(tree_s)
     page_store.add_tree(1, tree_s)
     return page_store
+
+
+def _sort_by_xl(tree: RStarTree) -> None:
+    leaves = []
+    for node in tree.nodes():
+        if node.level:
+            node.sort_entries_by_xl()
+        else:
+            leaves.append(node)
+    sort_leaves_by_xl(leaves)
 
 
 def parallel_spatial_join(

@@ -208,7 +208,7 @@ def _join_leaf_pair(
 ) -> tuple[list, int]:
     """:func:`join_node_pair` for two data pages: the window from the
     leaves' MBRs, then the restriction, stable ``xl`` sort and sweep of
-    the directory step done on the blocks' rows — the same pairs in the
+    the directory step done on the leaves' rows — the same pairs in the
     same order for the same test count."""
     # PairWindow over the two leaves' MBRs
     a_xl, a_yl, a_xu, a_yu = leaf_r.mbr

@@ -11,10 +11,13 @@ counts close to the paper's Table 1).
 The input is read as a :class:`~repro.geometry.table.BoxTable` (``(oid,
 rect)`` pairs are turned into one first).  Its leaf level — nearly all of
 the work — is ordered by numpy sorts over the columns
-(:func:`_pack_leaves`) and cut into one packed block a leaf, whose MBR is
-reduced from the sorted columns; the few directory entries above the
-leaves tile as entry lists (:func:`_pack_level`).  A build makes a few
-objects a leaf, none a data entry.
+(:func:`_pack_leaves`), and the permutation those sorts compute is kept
+as the tree's leaf order: each leaf is a row range of it over the input
+table itself, whose MBR is reduced from the sorted columns.  No box or
+oid is copied; the tree references the table (:mod:`repro.rtree.node`).
+The few directory entries above the leaves tile as entry lists
+(:func:`_pack_level`).  A build makes a few objects a leaf, none a data
+entry.
 """
 
 from __future__ import annotations
@@ -121,17 +124,17 @@ def _pack_level(
 def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Entry]:
     """The leaf level of :func:`_pack_level` over the rows of *table*, as
     the directory entries that cover it: the same two stable sorts, done
-    on the center columns, then the sorted columns cut into one packed
-    block a leaf — each leaf's boxes and oids are views of one ``(4, n)``
-    array and one oid column — and each leaf's MBR reduced from them (the
-    floats ``Node.mbr_tuple`` finds)."""
+    on the center columns, give one permutation of the table's rows, cut
+    into one row range a leaf — every leaf reads *table* itself through
+    that one ``int64`` permutation — and each leaf's MBR reduced from the
+    sorted columns (the floats ``Node.mbr_tuple`` finds)."""
     if table.oids.dtype == object:
         for row, oid in enumerate(table.oids.tolist()):
             if oid is None:  # None marks a directory entry
                 raise ValueError(f"row {row} has oid None: a data entry needs an oid")
     total = len(table)
     if total <= per_node:
-        order, sizes = np.arange(total), [total]
+        order, sizes = np.arange(total, dtype=np.int64), [total]
     else:
         node_count = _node_count(total, per_node, min_count)
         slabs = _even_sizes(total, math.ceil(math.sqrt(node_count)))
@@ -144,17 +147,18 @@ def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Entry]:
             for slab in slabs
             for size in _even_sizes(slab, _node_count(slab, per_node, min_count))
         ]
-    boxes = np.stack([column[order] for column in (table.xl, table.yl, table.xu, table.yu)])
-    oids = table.oids[order]
-    starts = np.cumsum([0, *sizes[:-1]])
+    edges = np.cumsum([0, *sizes])
     bounds = (
-        reduce.reduceat(column, starts).tolist()
-        for reduce, column in zip((np.minimum, np.minimum, np.maximum, np.maximum), boxes)
+        reduce.reduceat(column[order], edges[:-1]).tolist()
+        for reduce, column in zip(
+            (np.minimum, np.minimum, np.maximum, np.maximum),
+            (table.xl, table.yl, table.xu, table.yu),
+        )
     )
-    stops = (starts + sizes).tolist()
+    edges = edges.tolist()  # a leaf's hi is the next one's lo: one int
     return [
-        Entry(*mbr, Node.leaf(boxes[:, start:stop], oids[start:stop], mbr))
-        for mbr, start, stop in zip(zip(*bounds), starts.tolist(), stops)
+        Entry(*mbr, Node.over(table, order, lo, hi, mbr))
+        for mbr, lo, hi in zip(zip(*bounds), edges, edges[1:])
     ]
 
 

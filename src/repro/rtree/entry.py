@@ -7,10 +7,12 @@ entries participate directly in the plane-sweep algorithms of
 :mod:`repro.geometry.planesweep` without any wrapping.
 
 Directory nodes hold their entries as these objects.  A data page holds
-its data entries as a packed block (:mod:`repro.rtree.node`), so a data
-entry object exists only where a caller asks for one — a node tree's
-query answers, :meth:`RStarTree.data_entries` — or while an insert,
-split or delete is changing its leaf.
+its data entries as a row range of the table the tree was built from
+(:mod:`repro.rtree.node`) — the paper's MBR plus pointer, with the MBR
+read through the pointer — so a data entry object exists only where a
+caller asks for one — a node tree's query answers,
+:meth:`RStarTree.data_entries` — or while an insert, split or delete is
+changing its leaf.
 """
 
 from __future__ import annotations

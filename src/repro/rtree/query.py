@@ -109,7 +109,7 @@ def window_query(
     The entry *set* is backend-independent; the order is the traversal
     order of the chosen backend (depth-first here, Z-order on the flat
     backend).  A node tree hands back a list of entries made from its
-    leaves' blocks for the hits; a packed tree an
+    leaves' rows for the hits; a packed tree an
     :class:`~repro.rtree.flat.EntryRows`, which makes an entry per row
     only when iterated.
     """

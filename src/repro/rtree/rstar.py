@@ -26,7 +26,7 @@ from typing import Hashable, Iterator, Optional
 import numpy as np
 
 from ..geometry.rect import Rect
-from ..geometry.table import require_box
+from ..geometry.table import BoxTable, require_box
 from ..storage.page import DEFAULT_STORAGE, StorageParams
 from .entry import Entry
 from .node import Node
@@ -277,8 +277,8 @@ class RStarTree:
         if found is None:
             return False
         path, leaf, entry_index = found
-        keep = np.arange(len(leaf)) != entry_index
-        leaf.set_block(leaf.boxes[:, keep], leaf.oids[keep])
+        rows = leaf.order[leaf.lo : leaf.hi]
+        leaf.set_table(leaf.table.take(np.delete(rows, entry_index)))
         self.size -= 1
         self._condense(leaf, path)
         return True
@@ -378,11 +378,20 @@ class RStarTree:
         * entry counts are within [min_fill, capacity] (except the root),
         * all leaves are at level 0 and depth is uniform,
         * node levels decrease by exactly one per tree edge,
-        * ``size`` equals the number of data entries.
+        * ``size`` equals the number of data entries,
+        * leaves that share a permutation read disjoint ranges of it.
         """
         counted = self._validate_node(self.root, self.root.level, is_root=True)
         assert counted == self.size, f"size {self.size} but {counted} data entries"
         assert self.height == self.root.level + 1, "height/root level mismatch"
+        ranges: dict[int, list[tuple[int, int]]] = {}
+        for node in self.nodes():
+            if node.is_leaf:
+                ranges.setdefault(id(node.order), []).append((node.lo, node.hi))
+        for spans in ranges.values():
+            spans.sort()
+            for (_, hi), (lo, _) in zip(spans, spans[1:]):
+                assert hi <= lo, "two leaves share rows of one permutation"
 
     def _validate_node(self, node: Node, expected_level: int, is_root: bool) -> int:
         assert node.level == expected_level, "level mismatch on edge"
@@ -394,9 +403,11 @@ class RStarTree:
         else:
             assert len(node) >= self.min_fill_of(node), "node underfull"
         if node.is_leaf:
-            assert node.boxes.shape == (4, len(node)), "box block shape"
-            assert node.boxes.dtype == np.float64, "box block dtype"
-            assert node.oids.dtype in (np.int64, object), "oid column dtype"
+            assert isinstance(node.table, BoxTable), "leaf rows of a BoxTable"
+            assert node.order.dtype == np.int64, "leaf order dtype"
+            assert 0 <= node.lo <= node.hi <= len(node.order), "leaf row range"
+            rows = node.order[node.lo : node.hi]
+            assert ((rows >= 0) & (rows < len(node.table))).all(), "row outside table"
             assert all(oid is not None for oid in node.oids.tolist()), "no oid"
             if len(node):
                 xl, yl, xu, yu = node.boxes.tolist()
