@@ -1,9 +1,10 @@
 """Protocol spec registry, bounded model checker, and spec-compiled
 conformance monitoring.
 
-The repo's concurrent protocols — the latched global-buffer directory
-(paper §3.2), the lease lifecycle and the sharded sub-request
-settlement — are written down here as explicit automatons
+The repo's protocols — the parallel join's pair life cycle (paper
+§3.4), the latched global-buffer directory (§3.2), the lease lifecycle,
+the sharded sub-request settlement and the serving ledger — are written
+down here as explicit automatons
 (:mod:`repro.analysis.protocol.specs`): states, guarded transitions,
 trace-event labels, and safety properties.  One artifact, three uses:
 

@@ -3,7 +3,9 @@
 One generic :class:`ProtocolConformanceChecker` is parameterized by a
 :class:`~.spec.ProtocolSpec` and plugs into the standard checker
 machinery (:mod:`repro.trace.checkers`): it keeps one automaton instance
-per protocol key (task id, ``(request, shard)`` pair, page id), advances it on every bound event — firing the first candidate
+per protocol key (task id, ``(request, shard)`` pair, page id, ``(r, s)``
+node pair; one for the whole stream when the spec has no key), advances
+it on every bound event — firing the first candidate
 transition whose source state matches and whose guard passes, with the
 event's ``proc`` as the actor and its payload as ``data`` — and flags:
 
@@ -64,7 +66,8 @@ class ProtocolConformanceChecker(InvariantChecker):
     # -- sink ------------------------------------------------------------------
     def observe(self, event: TraceEvent) -> None:
         for cb in self._counter_bindings.get(event.kind, ()):
-            self.counters[cb.counter] += 1
+            if cb.flag is None or event.data.get(cb.flag):
+                self.counters[cb.counter] += 1
         binding = self._binding.get(event.kind)
         if binding is not None:
             self._advance(binding, event)

@@ -95,10 +95,12 @@ class EventBinding:
 
 @dataclass(frozen=True)
 class CounterBinding:
-    """A global (cross-instance) ledger counter: one per event of a kind."""
+    """A global (cross-instance) ledger counter: one per event of a kind
+    (with ``flag``, only those whose payload sets that key truthy)."""
 
     counter: str
     kind: EventKind
+    flag: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class ProtocolSpec:
     #: Number of concurrent abstract actors the model checker interleaves.
     actors: int = 2
     # -- conformance ----------------------------------------------------------
-    #: Instance key extracted from a bound event (``None`` = skip event).
+    #: Instance key extracted from a bound event (no key: one instance).
     key: Optional[Callable[[TraceEvent], Any]] = None
     bindings: tuple[EventBinding, ...] = ()
     counters: tuple[CounterBinding, ...] = ()

@@ -7,7 +7,7 @@ differential test in ``tests/service`` asserts exactly that.
 
 The cache keeps hit/miss/insert/eviction/expiration counters and, when
 given a tracer, emits one ``SVC_CACHE_*`` event per transition so the
-:class:`~repro.trace.checkers.ServiceAccountingChecker` can reconcile the
+``service-ledger`` spec (``protocol:service-ledger``) can reconcile the
 counters against the request ledger.
 """
 
@@ -31,8 +31,10 @@ class ResultCache:
     ``capacity`` bounds the entry count (0 disables caching entirely);
     ``ttl_s`` is the time-to-live of an entry in seconds (``None`` means
     entries never expire).  ``clock`` is injectable for tests.  An
-    expired entry is deleted when it is read, so every entry leaves the
-    cache exactly once: as one expiration or as one eviction.
+    expired entry is deleted when it is read and counted as one
+    expiration; an entry pushed out by capacity is one eviction.  An
+    entry still held at :meth:`clear` (a stopped tier's) leaves
+    uncounted, so evictions + expirations never exceed inserts.
     """
 
     def __init__(
@@ -107,6 +109,7 @@ class ResultCache:
                 self.tracer.emit(EventKind.SVC_CACHE_EVICT, key=repr(victim))
 
     def clear(self) -> None:
+        """Drop every entry; the counters keep their values."""
         self._entries.clear()
 
     # -- reporting ------------------------------------------------------------

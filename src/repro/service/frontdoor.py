@@ -15,9 +15,8 @@
    cancellation;
 5. every transition as an ``SVC_*`` event on a wall-clocked
    :class:`~repro.trace.tracer.Tracer` with :class:`ServiceMetrics` as a
-   standing sink, so sinks, timelines and the
-   :class:`~repro.trace.checkers.ServiceAccountingChecker` work on every
-   tier alike;
+   standing sink, so sinks, timelines and the ``service-ledger`` spec's
+   monitor (``protocol:service-ledger``) work on every tier alike;
 6. the **life cycle**: ``start()``, and a ``stop()`` that stops admitting,
    drains every in-flight request, then releases the backend.
 
@@ -210,7 +209,11 @@ class FrontDoor:
         )
 
     async def stop(self) -> None:
-        """Stop admitting, drain in-flight work, release the backend."""
+        """Stop admitting, drain in-flight work, release the backend.
+
+        The cached answers go too (the counters stay): a stopped tier's
+        tracer is closed, so it never serves them again.
+        """
         if not self._running:
             return
         self._draining = True
@@ -224,6 +227,7 @@ class FrontDoor:
             timeouts=self.metrics.timeouts,
         )
         self.tracer.close()
+        self.cache.clear()
 
     async def __aenter__(self):
         await self.start()

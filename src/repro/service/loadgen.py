@@ -25,8 +25,8 @@ non-zero, seeded by ``--chaos-seed``) is a **checked** run: the whole
 ``SVC_*``/``FLT_*``/``SUP_*``/``SHD_*`` event stream is collected and
 replayed through :func:`repro.trace.service_checkers`, and a red verdict
 is exit code 1.  The lost-request rule lives there and nowhere else —
-``ServiceAccountingChecker.at_end``: admitted != terminal outcomes after
-engine stop.  A healthy run carries no sink, so its throughput is clean.
+the ``service-ledger`` spec's end equation ``one_outcome_each``: admitted
+!= terminal outcomes after engine stop.  A healthy run carries no sink, so its throughput is clean.
 
 This is a driver, not an instrument: what a serving number *is* comes
 from ``python -m perf run`` (``serve-mix``, ``serve-chaos``,

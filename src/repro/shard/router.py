@@ -5,9 +5,8 @@
 both subclass :class:`~repro.service.frontdoor.FrontDoor`, which owns
 validation, admission, the cache, the deadline, the ``SVC_*`` ledger,
 ``start``/``stop`` and the common ``snapshot()`` keys — so load
-generators, metrics sinks and the
-:class:`~repro.trace.checkers.ServiceAccountingChecker` work on either
-unchanged.  This module holds only the sharded execution plan behind the
+generators, metrics sinks and the ``service-ledger`` spec's monitor
+(``protocol:service-ledger``) work on either unchanged.  This module holds only the sharded execution plan behind the
 hooks a tier implements (``_execute``, ``_start_backend`` /
 ``_stop_backend``, ``_tree_names``):
 

@@ -4,9 +4,10 @@ The simulated KSR1 (:mod:`repro.sim`), the parallel join driver, the
 buffer layers and the disk array emit typed :class:`TraceEvent` objects
 into a :class:`Tracer`.  Sinks consume the stream: recording
 (:class:`ListSink`), JSONL persistence (:class:`JSONLSink`) and the online
-invariant checkers (:mod:`repro.trace.checkers`) that verify the
-simulation behaved lawfully — tasks conserved, steals sound, buffers
-coherent, disks exact, clocks monotone.
+invariant checkers (:mod:`repro.trace.checkers`, plus the spec monitors
+of :mod:`repro.analysis.protocol`) that verify the simulation behaved
+lawfully — every pair run once, steals sound, buffers coherent, disks
+exact, clocks monotone.
 
 Tracing is **off by default** and adds only an ``if tracer.enabled`` guard
 per site (the :data:`NULL_TRACER`); enable it per run via
@@ -22,10 +23,8 @@ from .checkers import (
     InvariantViolation,
     RecoveryAccountingChecker,
     ResilienceAccountingChecker,
-    ServiceAccountingChecker,
     ShardAccountingChecker,
     StealSoundnessChecker,
-    TaskConservationChecker,
     Verdict,
     default_checkers,
     run_checkers,
@@ -52,12 +51,10 @@ __all__ = [
     "Verdict",
     "InvariantChecker",
     "InvariantViolation",
-    "TaskConservationChecker",
     "StealSoundnessChecker",
     "BufferCoherenceChecker",
     "DiskAccountingChecker",
     "ClockMonotonicityChecker",
-    "ServiceAccountingChecker",
     "ResilienceAccountingChecker",
     "RecoveryAccountingChecker",
     "ShardAccountingChecker",

@@ -1,35 +1,31 @@
 """Invariant checkers over the simulation event stream.
 
 Each checker is an event sink (so it can run online during a simulation)
-that accumulates violations and renders a final :class:`Verdict`.  The
-four lawfulness properties the paper's measurements silently rely on:
+that accumulates violations and renders a final :class:`Verdict`.  This
+module holds only what a per-key automaton or an end-of-stream count
+equation cannot say — geometry, time intervals, run-wide policy,
+cross-stream reconciliation, row sums:
 
-* :class:`TaskConservationChecker` — every pair of subtrees created during
-  the join is executed **exactly once**, by exactly one processor, and the
-  executing processor actually owned the pair at the time; nothing is
-  still pending when the run ends.
-* :class:`StealSoundnessChecker` — stolen pairs leave the victim and
-  arrive at the thief (no duplication, no loss in transit); the stolen
-  level respects the configured :class:`~repro.join.reassign.ReassignLevel`;
-  with reassignment off, no steal happens at all.
+* :class:`StealSoundnessChecker` — every steal respects the run's
+  :class:`~repro.join.reassign.ReassignLevel` (none at all with
+  reassignment off), and each grant reports the pairs its victim gave up;
 * :class:`BufferCoherenceChecker` — a local LRU hit names a page that was
   resident in that processor's buffer, only a resident page is evicted,
-  and with the global buffer no page is resident in two local buffers.
-* :class:`ClockMonotonicityChecker` — simulated time never runs backwards,
-  globally and per processor, and sequence numbers are strictly monotone.
+  and with the global buffer no page is resident in two local buffers;
+* :class:`DiskAccountingChecker` — every disk completion matches an
+  enqueue, pages land on ``page_id % num_disks``, and per-disk service
+  intervals never overlap;
+* :class:`ClockMonotonicityChecker` — simulated time never runs
+  backwards, globally and per processor, and sequence numbers are
+  strictly monotone;
+* the resilience, recovery and shard accounting checkers of the serving,
+  forked and sharded tiers.
 
-Plus :class:`DiskAccountingChecker`: every disk completion matches an
-enqueue, pages land on ``page_id % num_disks``, and per-disk service
-intervals never overlap (each simulated disk serves one request at a
-time).
-
-This module holds only what a per-key automaton or an end-of-stream
-count equation cannot say — geometry, time intervals, cross-stream
-reconciliation, row sums.  The three protocols that
-*are* such automatons (lease life cycle, shard settlement, buffer
-directory) are stated once, in
-:mod:`repro.analysis.protocol.specs`, and ride in every checker set as
-``protocol:<spec>`` monitors (DESIGN.md §5: invariant → its one home).
+The protocols that *are* such automatons (the join's pair life cycle,
+the serving ledger, lease life cycle, shard settlement, buffer
+directory) are stated once, in :mod:`repro.analysis.protocol.specs`, and
+ride in every checker set as ``protocol:<spec>`` monitors (DESIGN.md §5:
+invariant → its one home).
 """
 
 from __future__ import annotations
@@ -43,12 +39,10 @@ __all__ = [
     "Verdict",
     "InvariantViolation",
     "InvariantChecker",
-    "TaskConservationChecker",
     "StealSoundnessChecker",
     "BufferCoherenceChecker",
     "DiskAccountingChecker",
     "ClockMonotonicityChecker",
-    "ServiceAccountingChecker",
     "ResilienceAccountingChecker",
     "ShardAccountingChecker",
     "default_checkers",
@@ -124,114 +118,16 @@ class InvariantChecker:
         return {"events": self.events_seen}
 
 
-def _pair_key(event: TraceEvent) -> tuple[int, int]:
-    return (event.data["r"], event.data["s"])
-
-
-class TaskConservationChecker(InvariantChecker):
-    """Created-exactly-once, executed-exactly-once pair accounting.
-
-    Tracks a small state machine per pair key ``(r_page, s_page)``:
-    ``resident(owner) -> dequeued(owner) -> executing(owner) -> done``
-    with a ``transit(victim -> thief)`` detour while a steal is in flight.
-    """
-
-    name = "task-conservation"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._state: dict[tuple[int, int], tuple[str, int]] = {}
-        self._executions: dict[tuple[int, int], int] = {}
-        self._task_keys: set[tuple[int, int]] = set()
-        self._created = 0
-
-    def observe(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind is EventKind.TASK_CREATED:
-            self._task_keys.add(_pair_key(event))
-            return
-        if kind is EventKind.PAIR_ENQUEUED:
-            self._on_enqueue(event)
-        elif kind is EventKind.STEAL_TAKE:
-            self._on_take(event)
-        elif kind is EventKind.PAIR_DEQUEUED:
-            self._expect(event, "resident", "dequeued")
-        elif kind is EventKind.EXEC_START:
-            key = _pair_key(event)
-            self._executions[key] = self._executions.get(key, 0) + 1
-            if self._executions[key] > 1:
-                self._violate(
-                    f"pair {key} executed {self._executions[key]} times "
-                    f"(second time on P{event.proc} at t={event.time:.6f})"
-                )
-            self._expect(event, "dequeued", "executing")
-        elif kind is EventKind.EXEC_END:
-            self._expect(event, "executing", "done")
-
-    def _on_enqueue(self, event: TraceEvent) -> None:
-        key = _pair_key(event)
-        state = self._state.get(key)
-        if state is None:
-            self._created += 1
-        elif state[0] == "transit":
-            if state[1] != event.proc:
-                self._violate(
-                    f"stolen pair {key} arrived at P{event.proc}, "
-                    f"but was taken for P{state[1]}"
-                )
-        else:
-            self._violate(
-                f"pair {key} enqueued at P{event.proc} while already "
-                f"{state[0]} (owner P{state[1]}) — duplicated work"
-            )
-        self._state[key] = ("resident", event.proc)
-
-    def _on_take(self, event: TraceEvent) -> None:
-        key = _pair_key(event)
-        thief = event.data.get("thief", -1)
-        state = self._state.get(key)
-        if state is None or state[0] != "resident" or state[1] != event.proc:
-            self._violate(
-                f"steal took pair {key} from P{event.proc}, "
-                f"but its state there was {state}"
-            )
-        self._state[key] = ("transit", thief)
-
-    def _expect(self, event: TraceEvent, want: str, then: str) -> None:
-        key = _pair_key(event)
-        state = self._state.get(key)
-        if state is None or state[0] != want or state[1] != event.proc:
-            self._violate(
-                f"{event.kind.value} of pair {key} on P{event.proc} "
-                f"expected state ({want}, P{event.proc}), found {state}"
-            )
-        self._state[key] = (then, event.proc)
-
-    def at_end(self) -> None:
-        for key, state in self._state.items():
-            if state[0] != "done":
-                self._violate(
-                    f"pair {key} never finished (final state {state})"
-                )
-        for key in self._task_keys:
-            if self._executions.get(key, 0) != 1:
-                self._violate(
-                    f"task pair {key} executed "
-                    f"{self._executions.get(key, 0)} times (expected 1)"
-                )
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "pairs_created": self._created,
-            "pairs_executed": sum(
-                1 for s, _ in self._state.values() if s == "done"
-            ),
-            "tasks": len(self._task_keys),
-        }
-
-
 class StealSoundnessChecker(InvariantChecker):
-    """Steals conserve work and respect the reassignment policy."""
+    """Steals obey the run's reassignment policy; grants count truly.
+
+    Both rules are beyond a per-pair automaton: the policy is run-wide
+    (``RUN_START`` names the level every steal is judged against), and a
+    grant's ``count`` is a payload reconciled against the takes since the
+    last grant of its ``(victim, thief, level)``.  That a stolen pair
+    leaves its victim and reaches its thief, once, is the
+    ``pair-lifecycle`` spec's statement (``protocol:pair-lifecycle``).
+    """
 
     name = "steal-soundness"
 
@@ -239,71 +135,40 @@ class StealSoundnessChecker(InvariantChecker):
         super().__init__()
         self._policy_level: Optional[str] = None
         self._task_level: Optional[int] = None
-        self._transit: dict[tuple[int, int], tuple[int, int]] = {}
         self._pending: dict[tuple[int, int, int], int] = {}
         self._steals = 0
         self._pairs_moved = 0
 
     def observe(self, event: TraceEvent) -> None:
         kind = event.kind
+        data = event.data
         if kind is EventKind.RUN_START:
-            self._policy_level = event.data.get("reassign_level")
-            self._task_level = event.data.get("task_level")
+            self._policy_level = data.get("reassign_level")
+            self._task_level = data.get("task_level")
         elif kind is EventKind.STEAL_TAKE:
-            self._on_take(event)
-        elif kind is EventKind.STEAL_GRANTED:
-            self._on_granted(event)
-        elif kind is EventKind.PAIR_ENQUEUED:
-            key = _pair_key(event)
-            expected = self._transit.pop(key, None)
-            if expected is not None and expected[1] != event.proc:
+            self._pairs_moved += 1
+            key, level = (data["r"], data["s"]), data.get("level")
+            if self._policy_level == "none":
                 self._violate(
-                    f"pair {key} stolen for P{expected[1]} "
-                    f"landed on P{event.proc}"
+                    f"steal of pair {key} although reassignment is disabled"
                 )
-
-    def _on_take(self, event: TraceEvent) -> None:
-        key = _pair_key(event)
-        victim, thief = event.proc, event.data.get("thief", -1)
-        level = event.data.get("level")
-        self._pairs_moved += 1
-        if self._policy_level == "none":
-            self._violate(
-                f"steal of pair {key} although reassignment is disabled"
-            )
-        elif self._policy_level == "root" and level != self._task_level:
-            self._violate(
-                f"steal of pair {key} at level {level}, but the policy "
-                f"only allows the task level {self._task_level}"
-            )
-        if victim == thief:
-            self._violate(f"P{thief} stole pair {key} from itself")
-        if key in self._transit:
-            self._violate(f"pair {key} stolen twice without arriving")
-        self._transit[key] = (victim, thief)
-        slot = (victim, thief, level)
-        self._pending[slot] = self._pending.get(slot, 0) + 1
-
-    def _on_granted(self, event: TraceEvent) -> None:
-        self._steals += 1
-        thief = event.proc
-        victim = event.data.get("victim")
-        level = event.data.get("level")
-        count = event.data.get("count")
-        slot = (victim, thief, level)
-        taken = self._pending.pop(slot, 0)
-        if taken != count:
-            self._violate(
-                f"steal grant P{victim}->P{thief} level {level} reports "
-                f"{count} pairs, but {taken} were taken"
-            )
-
-    def at_end(self) -> None:
-        for key, (victim, thief) in self._transit.items():
-            self._violate(
-                f"pair {key} stolen from P{victim} for P{thief} "
-                f"never arrived"
-            )
+            elif self._policy_level == "root" and level != self._task_level:
+                self._violate(
+                    f"steal of pair {key} at level {level}, but the policy "
+                    f"only allows the task level {self._task_level}"
+                )
+            slot = (event.proc, data.get("thief", -1), level)
+            self._pending[slot] = self._pending.get(slot, 0) + 1
+        elif kind is EventKind.STEAL_GRANTED:
+            self._steals += 1
+            victim, level = data.get("victim"), data.get("level")
+            taken = self._pending.pop((victim, event.proc, level), 0)
+            if taken != data.get("count"):
+                self._violate(
+                    f"steal grant P{victim}->P{event.proc} level {level} "
+                    f"reports {data.get('count')} pairs, but {taken} were "
+                    f"taken"
+                )
 
     def stats(self) -> dict[str, int]:
         return {"steals": self._steals, "pairs_moved": self._pairs_moved}
@@ -462,142 +327,6 @@ class ClockMonotonicityChecker(InvariantChecker):
 
     def stats(self) -> dict[str, int]:
         return {"processors_seen": len(self._per_proc)}
-
-
-class ServiceAccountingChecker(InvariantChecker):
-    """Request and cache accounting of the serving engine (repro.service).
-
-    Over a service trace (the ``SVC_*`` event kinds) two ledgers must
-    balance:
-
-    * **requests** — every submitted request is either admitted or
-      rejected; every admitted request reaches exactly one terminal state
-      (completed, timeout, cancelled, error); nothing is still in
-      flight when the engine stops.
-    * **cache** — every lookup is a hit or a miss (``hits + misses ==
-      lookups``); inserts only follow misses; evictions and expirations
-      never exceed inserts; and the number of admitted cacheable requests
-      matches the number of lookups, up to requests that timed out or were
-      cancelled before their (synchronous) lookup ran.
-    """
-
-    name = "service_accounting"
-
-    _TERMINAL = {
-        EventKind.SVC_REQUEST_COMPLETED,
-        EventKind.SVC_REQUEST_TIMEOUT,
-        EventKind.SVC_REQUEST_CANCELLED,
-        EventKind.SVC_REQUEST_ERROR,
-    }
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.submitted = 0
-        self.admitted = 0
-        self.admitted_cacheable = 0
-        self.rejected = 0
-        self.completed = 0
-        self.timeouts = 0
-        self.cancelled = 0
-        self.errors = 0
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.expirations = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.stopped = False
-
-    # -- stream ---------------------------------------------------------------
-    def observe(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == EventKind.SVC_REQUEST_SUBMITTED:
-            self.submitted += 1
-        elif kind == EventKind.SVC_REQUEST_ADMITTED:
-            self.admitted += 1
-            if event.data.get("cache"):
-                self.admitted_cacheable += 1
-        elif kind == EventKind.SVC_REQUEST_REJECTED:
-            self.rejected += 1
-        elif kind == EventKind.SVC_REQUEST_COMPLETED:
-            self.completed += 1
-        elif kind == EventKind.SVC_REQUEST_TIMEOUT:
-            self.timeouts += 1
-        elif kind == EventKind.SVC_REQUEST_CANCELLED:
-            self.cancelled += 1
-        elif kind == EventKind.SVC_REQUEST_ERROR:
-            self.errors += 1
-        elif kind == EventKind.SVC_CACHE_HIT:
-            self.hits += 1
-        elif kind == EventKind.SVC_CACHE_MISS:
-            self.misses += 1
-        elif kind == EventKind.SVC_CACHE_INSERT:
-            self.inserts += 1
-            if self.inserts > self.misses:
-                self._violate(
-                    f"cache insert #{self.inserts} without a preceding miss "
-                    f"(misses so far: {self.misses})"
-                )
-        elif kind == EventKind.SVC_CACHE_EVICT:
-            self.evictions += 1
-        elif kind == EventKind.SVC_CACHE_EXPIRE:
-            self.expirations += 1
-        elif kind == EventKind.SVC_BATCH_EXECUTED:
-            self.batches += 1
-            size = int(event.data.get("size", 0))
-            self.batched_requests += size
-            if size < 1:
-                self._violate(f"batch executed with size {size} < 1")
-        elif kind == EventKind.SVC_ENGINE_STOP:
-            self.stopped = True
-
-    # -- final reconciliation -------------------------------------------------
-    def at_end(self) -> None:
-        if self.submitted != self.admitted + self.rejected:
-            self._violate(
-                f"submitted ({self.submitted}) != admitted ({self.admitted}) "
-                f"+ rejected ({self.rejected})"
-            )
-        terminal = self.completed + self.timeouts + self.cancelled + self.errors
-        if self.stopped and terminal != self.admitted:
-            self._violate(
-                f"admitted ({self.admitted}) != terminal outcomes ({terminal}) "
-                "after engine stop — requests lost or double-counted"
-            )
-        if self.evictions + self.expirations > self.inserts:
-            self._violate(
-                f"evictions ({self.evictions}) + expirations "
-                f"({self.expirations}) exceed inserts ({self.inserts})"
-            )
-        lookups = self.hits + self.misses
-        missing = self.admitted_cacheable - lookups
-        # A request that timed out / was cancelled before its first
-        # (synchronous) step never consulted the cache; anything else must.
-        if missing < 0 or missing > self.timeouts + self.cancelled:
-            self._violate(
-                f"cache lookups ({lookups}) do not reconcile with admitted "
-                f"cacheable requests ({self.admitted_cacheable}); "
-                f"discrepancy {missing} exceeds timeouts ({self.timeouts}) "
-                f"+ cancellations ({self.cancelled})"
-            )
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "errors": self.errors,
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_inserts": self.inserts,
-            "cache_evictions": self.evictions,
-            "cache_expirations": self.expirations,
-            "batches": self.batches,
-        }
 
 
 class ResilienceAccountingChecker(InvariantChecker):
@@ -1081,7 +810,6 @@ def _conformance_checkers() -> list[InvariantChecker]:
 def default_checkers() -> list[InvariantChecker]:
     """One fresh instance of every standard checker."""
     return [
-        TaskConservationChecker(),
         StealSoundnessChecker(),
         BufferCoherenceChecker(),
         DiskAccountingChecker(),
@@ -1100,13 +828,12 @@ def default_checkers() -> list[InvariantChecker]:
 def service_checkers() -> list[InvariantChecker]:
     """Fresh checkers for a serving-engine (wall-clock) event stream.
 
-    Covers the sharded tier too: the ``SVC_*`` request / cache ledger,
-    the ``FLT_*``↔``SUP_*`` fault reconciliation, the ``SHD_*`` routing
-    geometry (vacuous on unsharded streams), and the spec monitors —
-    sub-request settlement among them.
+    Covers the sharded tier too: the ``FLT_*``↔``SUP_*`` fault
+    reconciliation, the ``SHD_*`` routing geometry (vacuous on unsharded
+    streams), and the spec monitors — the ``SVC_*`` request / cache
+    ledger and sub-request settlement among them.
     """
     return [
-        ServiceAccountingChecker(),
         ResilienceAccountingChecker(),
         ClockMonotonicityChecker(),
         ShardAccountingChecker(),

@@ -38,8 +38,8 @@ class TestExitCodes:
         code, payload = tree_report
         assert code == 0
         assert payload["ok"] is True
-        assert "9/9 properties proved" in payload["tools"]["protocol"]
-        assert "6/6 mutations caught" in payload["tools"]["protocol"]
+        assert "12/12 properties proved" in payload["tools"]["protocol"]
+        assert "9/9 mutations caught" in payload["tools"]["protocol"]
 
     def test_fails_on_the_planted_repo(self, bad_report):
         code, payload = bad_report

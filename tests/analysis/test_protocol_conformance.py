@@ -34,6 +34,8 @@ class TestRegistry:
             "protocol:lease",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
+            "protocol:pair-lifecycle",
+            "protocol:service-ledger",
         }
 
     def test_monitors_ride_in_default_checker_set(self):
@@ -43,7 +45,7 @@ class TestRegistry:
 
     def test_vacuous_on_foreign_streams(self):
         # A stream with none of the spec's events yields a clean verdict
-        # (this is what lets all three ride on every run).
+        # (this is what lets every monitor ride on every run).
         verdict = replay(
             "lease", [ev(0, EventKind.BUFFER_INSERT, 0, page=1)]
         )

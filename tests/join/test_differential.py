@@ -4,12 +4,12 @@ BKS93 join, with the trace invariant checkers watching each run.
 The grid covers all three hardware/software variants (LSR with local
 buffers, GSRR and GD with the SVM global buffer) crossed with every
 reassignment level and victim-selection rule.  Each cell must (a) produce
-exactly the sequential result set and (b) satisfy all five invariant
-checkers.
+exactly the sequential result set and (b) satisfy every invariant
+checker and spec monitor of the default set.
 
 A second part deliberately injects a double-execution bug (a steal that
 leaves the stolen pairs behind at the victim) and asserts that the
-task-conservation checker catches it — the suite tests the testers.
+pair-lifecycle monitor catches it — the suite tests the testers.
 """
 
 import pytest
@@ -81,7 +81,10 @@ class TestFullVariantGrid:
         assert trace is not None
         trace.verify()  # raises InvariantViolation on any checker failure
         assert trace.ok
-        assert len(trace.verdicts) == 11
+        assert len(trace.verdicts) == 12
+        # The pair life cycle saw every executed pair.
+        pairs = trace.verdict("protocol:pair-lifecycle").stats["instances"]
+        assert pairs == trace.counts()[EventKind.EXEC_START] > 0
         # The trace agrees with the result's own accounting.
         counts = trace.counts()
         assert counts[EventKind.EXEC_START] == counts[EventKind.EXEC_END]
@@ -155,9 +158,9 @@ class TestCheckersCatchInjectedBugs:
         )
         assert result.reassignments > 0, "bug never triggered: no steals"
         trace = result.trace
-        assert not trace.verdict("task-conservation").ok
+        assert not trace.verdict("protocol:pair-lifecycle").ok
         assert not trace.ok
-        with pytest.raises(InvariantViolation, match="task-conservation"):
+        with pytest.raises(InvariantViolation, match="protocol:pair-lifecycle"):
             trace.verify()
 
     def test_lost_work_is_caught(self, workload, monkeypatch):
@@ -183,6 +186,5 @@ class TestCheckersCatchInjectedBugs:
         trace = result.trace
         assert not trace.ok
         failed = {verdict.checker for verdict in trace.failed}
-        # The dropped pair never finishes (conservation) and never
-        # arrives at the thief (steal soundness).
-        assert "task-conservation" in failed or "steal-soundness" in failed
+        # The dropped pair never arrives at its thief: it ends in transit.
+        assert "protocol:pair-lifecycle" in failed

@@ -82,7 +82,7 @@ class TestTraceInvariantProperties:
         assert result.pair_set() == expected
         trace = result.trace
         # The headline invariants the paper's measurements rely on:
-        assert trace.verdict("task-conservation").ok, trace.summary()
+        assert trace.verdict("protocol:pair-lifecycle").ok, trace.summary()
         assert trace.verdict("steal-soundness").ok, trace.summary()
         # ... and everything else.
         trace.verify()

@@ -160,10 +160,11 @@ class TestDifferentialCorrectness:
         assert cache.hits > 0
         verdicts = run_checkers(sink.events, service_checkers())
         assert all(v.ok for v in verdicts), [v.violations for v in verdicts]
-        accounting = verdicts[0].stats
-        assert accounting["cache_hits"] == cache.hits
-        assert accounting["cache_misses"] == cache.misses
-        assert accounting["cache_evictions"] == cache.evictions
+        ledger = {v.checker: v.stats for v in verdicts}
+        accounting = ledger["protocol:service-ledger"]
+        assert accounting["hits"] == cache.hits
+        assert accounting["misses"] == cache.misses
+        assert accounting["evictions"] == cache.evictions
         assert accounting["admitted"] == len(requests)
         assert cache.lookups == accounting["admitted"]
 

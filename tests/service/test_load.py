@@ -169,7 +169,7 @@ class TestCli:
         assert main(QUICK + ["--slow-p", "0.2"]) == 0
         out = capsys.readouterr().out
         assert re.search(r"faults injected: \{'crashes': 0, .*'slow_ios': [1-9]", out)
-        assert "checked run: all green" in out and "service_accounting" in out
+        assert "checked run: all green" in out and "protocol:service-ledger" in out
 
     def test_a_red_verdict_is_exit_1_and_named(self, monkeypatch, capsys):
         class Planted(InvariantChecker):

@@ -1,4 +1,5 @@
-"""A finished tier or join leaves no cyclic garbage.
+"""A finished tier or join leaves no cyclic garbage, and a stopped tier
+holds no cached answer.
 
 Each case runs with the cyclic collector off, drops everything it made,
 then runs one ``gc.DEBUG_SAVEALL`` collection: whatever that collection
@@ -105,6 +106,39 @@ class TestServingTiers:
             return ShardRouter.from_maps({"map1": map1, "map2": map2}, config)
 
         assert cyclic_garbage(lambda: serve(make, map1.region.side)) == []
+
+
+class TestStoppedTier:
+    """A stopped tier drops its cached answers and keeps the counters."""
+
+    @pytest.mark.parametrize("tier", ["engine", "router"])
+    def test_stop_empties_the_cache(self, maps, tier):
+        map1, map2 = maps
+        side = map1.region.side
+
+        async def session():
+            if tier == "engine":
+                trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
+                target = Engine(trees, EngineConfig(workers=0))
+            else:
+                target = ShardRouter.from_maps(
+                    {"map1": map1, "map2": map2}, ShardConfig(shards=2, workers=0)
+                )
+            await target.start()
+            for i in range(6):
+                window = WindowRequest("map1", Rect(0, 0, side * (i + 1) / 20, side / 3))
+                for _ in range(2):  # a miss and its insert, then a hit
+                    assert (await target.submit(window)).status is Status.OK
+            before = target.snapshot()["cache"]
+            await target.stop()
+            return target, before
+
+        target, before = asyncio.run(session())
+        after = target.snapshot()["cache"]
+        assert before["size"] == 6
+        assert len(target.cache) == after["size"] == 0
+        for counter in ("hits", "misses", "inserts"):
+            assert after[counter] == before[counter] == 6
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.analysis.protocol import ProtocolConformanceChecker, get_spec
 from repro.trace import (
     BufferCoherenceChecker,
     ClockMonotonicityChecker,
     DiskAccountingChecker,
     EventKind,
     StealSoundnessChecker,
-    TaskConservationChecker,
     TraceEvent,
     default_checkers,
     run_checkers,
@@ -33,71 +33,135 @@ def verdict_of(checker, events):
     return checker.finish()
 
 
+# The pair life cycle is the ``pair-lifecycle`` spec's statement.  Its
+# streams are named builders: the unit tests below pin what its monitor
+# reports, and the planted-bug table (``test_invariant_homes``) replays
+# the same streams through every monitor to pin that it alone fails.
+def pair_monitor():
+    return ProtocolConformanceChecker(get_spec("pair-lifecycle"))
+
+
+def run_on(s, proc, r, s_, level=1):
+    for kind in (EventKind.PAIR_DEQUEUED, EventKind.EXEC_START, EventKind.EXEC_END):
+        s.emit(kind, proc=proc, level=level, r=r, s=s_)
+    return s
+
+
+def lawful_pair():
+    s = Stream().emit(EventKind.TASK_CREATED, r=1, s=2)
+    return run_on(s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=2, r=1, s=2), 0, 1, 2, 2)
+
+
+def pair_executed_twice():
+    s = lawful_pair().emit(EventKind.PAIR_ENQUEUED, proc=1, level=2, r=1, s=2)
+    return run_on(s, 1, 1, 2, 2)
+
+
+def unfinished_pair():
+    return Stream().emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=7, s=8)
+
+
+def unexecuted_task():
+    return Stream().emit(EventKind.TASK_CREATED, r=9, s=10)
+
+
+def execution_without_dequeue():
+    s = Stream().emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=1, s=1)
+    return s.emit(EventKind.EXEC_START, proc=0, level=1, r=1, s=1)
+
+
+def steal_stream(policy="all"):
+    """Pair (5, 6) enqueued at P0 under reassignment *policy*."""
+    s = Stream().emit(EventKind.RUN_START, reassign_level=policy, task_level=2)
+    return s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=5, s=6)
+
+
+def take(s, thief=3):
+    return s.emit(EventKind.STEAL_TAKE, proc=0, level=1, r=5, s=6, thief=thief)
+
+
+def grant(s, count=1, thief=3):
+    return s.emit(EventKind.STEAL_GRANTED, proc=thief, victim=0, level=1, count=count)
+
+
+def arrive(s, proc=3):
+    return run_on(s.emit(EventKind.PAIR_ENQUEUED, proc=proc, level=1, r=5, s=6), proc, 5, 6)
+
+
+def lawful_steal(policy="all"):
+    return arrive(grant(take(steal_stream(policy))))
+
+
+def stolen_pair_enqueued_off_its_thief():
+    return arrive(grant(take(steal_stream())), proc=2)
+
+
+def pair_stolen_twice_before_arriving():
+    return arrive(grant(take(take(steal_stream())), count=2))
+
+
+def pair_lost_in_transit():
+    return grant(take(steal_stream()))
+
+
+def self_steal():
+    return arrive(grant(take(steal_stream(), thief=0), thief=0), proc=0)
+
+
+def steal_with_reassignment_off():
+    return lawful_steal("none")
+
+
+def steal_below_the_task_level_under_root():
+    return lawful_steal("root")
+
+
+def grant_overcounting_its_takes():
+    return arrive(grant(take(steal_stream()), count=2))
+
+
 class TestTaskConservation:
-    def lawful(self):
-        s = Stream()
-        s.emit(EventKind.TASK_CREATED, r=1, s=2)
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=2, r=1, s=2)
-        s.emit(EventKind.PAIR_DEQUEUED, proc=0, level=2, r=1, s=2)
-        s.emit(EventKind.EXEC_START, proc=0, level=2, r=1, s=2)
-        s.emit(EventKind.EXEC_END, proc=0, level=2, r=1, s=2)
-        return s
+    """Every pair runs once, by its owner: the ``pair-lifecycle`` monitor."""
 
     def test_lawful_stream_passes(self):
-        verdict = verdict_of(TaskConservationChecker(), self.lawful().events)
-        assert verdict.ok
-        assert verdict.stats["pairs_created"] == 1
-        assert verdict.stats["pairs_executed"] == 1
-        assert verdict.stats["tasks"] == 1
+        verdict = verdict_of(pair_monitor(), lawful_pair().events)
+        assert verdict.ok, verdict.violations
+        assert verdict.stats["instances"] == 1
+        assert verdict.stats["events"] == 5
 
     def test_double_execution_detected(self):
-        s = self.lawful()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=1, level=2, r=1, s=2)
-        s.emit(EventKind.PAIR_DEQUEUED, proc=1, level=2, r=1, s=2)
-        s.emit(EventKind.EXEC_START, proc=1, level=2, r=1, s=2)
-        s.emit(EventKind.EXEC_END, proc=1, level=2, r=1, s=2)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
+        verdict = verdict_of(pair_monitor(), pair_executed_twice().events)
         assert not verdict.ok
-        assert any("executed 2 times" in v for v in verdict.violations)
-        assert any("duplicated work" in v for v in verdict.violations)
+        assert any(
+            "pair_enqueued in state 'done'" in v for v in verdict.violations
+        )
 
     def test_steal_transit_is_lawful(self):
-        s = Stream()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=5, s=6)
-        s.emit(EventKind.STEAL_TAKE, proc=0, level=1, r=5, s=6, thief=3)
-        s.emit(EventKind.PAIR_ENQUEUED, proc=3, level=1, r=5, s=6)
-        s.emit(EventKind.PAIR_DEQUEUED, proc=3, level=1, r=5, s=6)
-        s.emit(EventKind.EXEC_START, proc=3, level=1, r=5, s=6)
-        s.emit(EventKind.EXEC_END, proc=3, level=1, r=5, s=6)
-        assert verdict_of(TaskConservationChecker(), s.events).ok
+        verdict = verdict_of(pair_monitor(), lawful_steal().events)
+        assert verdict.ok, verdict.violations
 
     def test_stolen_pair_arriving_elsewhere_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=5, s=6)
-        s.emit(EventKind.STEAL_TAKE, proc=0, level=1, r=5, s=6, thief=3)
-        s.emit(EventKind.PAIR_ENQUEUED, proc=2, level=1, r=5, s=6)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
-        assert any("taken for P3" in v for v in verdict.violations)
+        events = stolen_pair_enqueued_off_its_thief().events
+        verdict = verdict_of(pair_monitor(), events)
+        assert any(
+            "pair_enqueued in state 'transit'" in v and "proc=2" in v
+            for v in verdict.violations
+        )
 
     def test_unfinished_pair_detected_at_end(self):
-        s = Stream()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=7, s=8)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
+        verdict = verdict_of(pair_monitor(), unfinished_pair().events)
         assert not verdict.ok
-        assert any("never finished" in v for v in verdict.violations)
+        assert any("non-terminal state 'resident'" in v for v in verdict.violations)
 
     def test_unexecuted_task_detected_at_end(self):
-        s = Stream()
-        s.emit(EventKind.TASK_CREATED, r=9, s=10)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
-        assert any("expected 1" in v for v in verdict.violations)
+        verdict = verdict_of(pair_monitor(), unexecuted_task().events)
+        assert any("non-terminal state 'created'" in v for v in verdict.violations)
 
     def test_execute_without_dequeue_detected(self):
-        s = Stream()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=1, s=1)
-        s.emit(EventKind.EXEC_START, proc=0, level=1, r=1, s=1)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
-        assert any("expected state (dequeued" in v for v in verdict.violations)
+        verdict = verdict_of(pair_monitor(), execution_without_dequeue().events)
+        assert any(
+            "exec_start in state 'resident'" in v for v in verdict.violations
+        )
 
 
 class TestStealSoundness:
@@ -130,10 +194,12 @@ class TestStealSoundness:
         assert any("only allows the task level" in v for v in verdict.violations)
 
     def test_self_steal_detected(self):
-        s = self.start()
-        s.emit(EventKind.STEAL_TAKE, proc=2, level=1, r=1, s=1, thief=2)
-        verdict = verdict_of(StealSoundnessChecker(), s.events)
-        assert any("from itself" in v for v in verdict.violations)
+        # A pair's owner cannot steal it: a guard of the pair's life cycle.
+        verdict = verdict_of(pair_monitor(), self_steal().events)
+        assert any(
+            "steal_take in state 'resident'" in v for v in verdict.violations
+        )
+        assert verdict_of(StealSoundnessChecker(), self_steal().events).ok
 
     def test_grant_count_mismatch_detected(self):
         s = self.start()
@@ -143,11 +209,8 @@ class TestStealSoundness:
         assert any("reports 2 pairs, but 1 were taken" in v for v in verdict.violations)
 
     def test_pair_lost_in_transit_detected_at_end(self):
-        s = self.start()
-        s.emit(EventKind.STEAL_TAKE, proc=0, level=1, r=1, s=1, thief=1)
-        s.emit(EventKind.STEAL_GRANTED, proc=1, victim=0, level=1, count=1)
-        verdict = verdict_of(StealSoundnessChecker(), s.events)
-        assert any("never arrived" in v for v in verdict.violations)
+        verdict = verdict_of(pair_monitor(), pair_lost_in_transit().events)
+        assert any("non-terminal state 'transit'" in v for v in verdict.violations)
 
 
 # The buffer and resilience streams are named builders: the unit tests
@@ -336,7 +399,6 @@ class TestCheckerPlumbing:
     def test_default_checkers_are_the_standard_ones(self):
         names = [checker.name for checker in default_checkers()]
         assert names == [
-            "task-conservation",
             "steal-soundness",
             "buffer-coherence",
             "disk-accounting",
@@ -347,6 +409,8 @@ class TestCheckerPlumbing:
             "protocol:lease",
             "protocol:shard-settlement",
             "protocol:buffer-directory",
+            "protocol:pair-lifecycle",
+            "protocol:service-ledger",
         ]
 
     def test_run_checkers_replays_everything(self):
@@ -354,7 +418,7 @@ class TestCheckerPlumbing:
         s.emit(EventKind.RUN_START, disks=2, reassign_level="all", task_level=1)
         s.emit(EventKind.RUN_END)
         verdicts = run_checkers(s.events)
-        assert len(verdicts) == 11
+        assert len(verdicts) == 12
         assert all(v.ok for v in verdicts)
 
     def test_violation_storage_is_capped(self):
@@ -370,9 +434,7 @@ class TestCheckerPlumbing:
         assert len(verdict.violations) == MAX_STORED_VIOLATIONS
 
     def test_verdict_summary_mentions_counts(self):
-        s = Stream()
-        s.emit(EventKind.PAIR_ENQUEUED, proc=0, level=1, r=1, s=1)
-        verdict = verdict_of(TaskConservationChecker(), s.events)
+        verdict = verdict_of(pair_monitor(), unfinished_pair().events)
         assert verdict.checker in verdict.summary()
         assert "violation" in verdict.summary()
 
