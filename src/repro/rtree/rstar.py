@@ -11,8 +11,10 @@ Implements the full dynamic R*-tree:
   and defers splits;
 * **split** — axis chosen by minimum margin sum over all legal
   distributions, split index by minimum overlap (ties: minimum area);
-* deletion with tree condensation and orphan reinsertion;
-* window queries.
+* deletion with tree condensation and orphan reinsertion.
+
+Window and kNN queries are :mod:`repro.rtree.query`'s, one traversal for
+both backends.
 
 Node capacities derive from the paper's page layout (section 4.1): 4 KB
 pages hold up to 102 directory or 26 data entries; the minimum fill is
@@ -332,21 +334,6 @@ class RStarTree:
             # Everything was deleted.
             self.root = Node(0)
             self.height = 1
-
-    # ----------------------------------------------------------------- search
-    def search(self, window: Rect) -> list[Entry]:
-        """All data entries whose MBR intersects *window*."""
-        result: list[Entry] = []
-        self._search(self.root, window, result)
-        return result
-
-    def _search(self, node: Node, window: Rect, result: list[Entry]) -> None:
-        if node.is_leaf:
-            result.extend(node.data_entries(window))
-            return
-        for entry in node.entries:
-            if entry.intersects(window):
-                self._search(entry.child, window, result)
 
     # -------------------------------------------------------------- traversal
     def nodes(self) -> Iterator[Node]:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.rtree import RStarTree, str_bulk_load
+from repro.rtree import RStarTree, str_bulk_load, window_query
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0, max_value=50, allow_nan=False)
@@ -35,7 +35,7 @@ class TestInsertProperties:
         tree = RStarTree(dir_capacity=5, data_capacity=5)
         for i, r in enumerate(rects):
             tree.insert(i, r)
-        got = sorted(e.oid for e in tree.search(window))
+        got = sorted(e.oid for e in window_query(tree, window))
         want = sorted(i for i, r in enumerate(rects) if r.intersects(window))
         assert got == want
 
@@ -46,7 +46,7 @@ class TestInsertProperties:
         for i, r in enumerate(rects):
             tree.insert(i, r)
         for i, r in enumerate(rects):
-            assert i in {e.oid for e in tree.search(r)}
+            assert i in {e.oid for e in window_query(tree, r)}
 
 
 class TestDeleteProperties:
@@ -61,7 +61,7 @@ class TestDeleteProperties:
             assert tree.delete(i, rects[i])
         tree.validate()
         everything = Rect(-2000, -2000, 2000, 2000)
-        remaining = {e.oid for e in tree.search(everything)}
+        remaining = {e.oid for e in window_query(tree, everything)}
         assert remaining == set(range(len(rects))) - doomed
 
 
@@ -74,7 +74,7 @@ class TestBulkLoadProperties:
         )
         tree.validate()
         everything = Rect(-2000, -2000, 2000, 2000)
-        assert {e.oid for e in tree.search(everything)} == set(range(len(rects)))
+        assert {e.oid for e in window_query(tree, everything)} == set(range(len(rects)))
 
     @given(rect_lists, rect_st())
     @settings(max_examples=30, deadline=None)
@@ -83,6 +83,6 @@ class TestBulkLoadProperties:
         dynamic = RStarTree(dir_capacity=5, data_capacity=5)
         for i, r in enumerate(rects):
             dynamic.insert(i, r)
-        assert sorted(e.oid for e in bulk.search(window)) == sorted(
-            e.oid for e in dynamic.search(window)
+        assert sorted(e.oid for e in window_query(bulk, window)) == sorted(
+            e.oid for e in window_query(dynamic, window)
         )

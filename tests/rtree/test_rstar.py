@@ -1,11 +1,11 @@
-"""Unit tests for R*-tree insertion, splitting, deletion and search."""
+"""Unit tests for R*-tree insertion, splitting, deletion and window search."""
 
 import random
 
 import pytest
 
-from repro.geometry import Rect, brute_window_query
-from repro.rtree import RStarTree, tree_stats
+from repro.geometry import Rect
+from repro.rtree import RStarTree, tree_stats, window_query
 
 
 def random_rects(n, seed=0, extent=100.0, max_size=5.0):
@@ -50,7 +50,7 @@ class TestConstruction:
         tree = RStarTree()
         assert len(tree) == 0
         assert tree.height == 1
-        assert tree.search(Rect(0, 0, 100, 100)) == []
+        assert window_query(tree, Rect(0, 0, 100, 100)) == []
 
 
 class TestInsert:
@@ -59,7 +59,7 @@ class TestInsert:
         tree.insert("a", Rect(0, 0, 1, 1))
         assert len(tree) == 1
         assert tree.height == 1
-        [found] = tree.search(Rect(0, 0, 2, 2))
+        [found] = window_query(tree, Rect(0, 0, 2, 2))
         assert found.oid == "a"
         tree.validate()
 
@@ -82,14 +82,14 @@ class TestInsert:
             tree.insert(i, Rect(1, 1, 2, 2))
         assert len(tree) == 20
         tree.validate()
-        assert len(tree.search(Rect(0, 0, 3, 3))) == 20
+        assert len(window_query(tree, Rect(0, 0, 3, 3))) == 20
 
     def test_degenerate_rects(self):
         tree = RStarTree(dir_capacity=4, data_capacity=4)
         for i in range(30):
             tree.insert(i, Rect(i * 0.1, 5, i * 0.1, 5))  # points
         tree.validate()
-        assert len(tree.search(Rect(0, 5, 3, 5))) == 30
+        assert len(window_query(tree, Rect(0, 5, 3, 5))) == 30
 
     def test_clustered_data(self):
         items = random_rects(200, seed=2, extent=5.0)  # heavy overlap
@@ -108,7 +108,7 @@ class TestSearch:
             x = rng.uniform(0, 90)
             y = rng.uniform(0, 90)
             window = Rect(x, y, x + rng.uniform(1, 30), y + rng.uniform(1, 30))
-            got = sorted(e.oid for e in tree.search(window))
+            got = sorted(e.oid for e in window_query(tree, window))
             want = sorted(
                 i for i, (oid, r) in enumerate(items) if r.intersects(window)
             )
@@ -116,7 +116,7 @@ class TestSearch:
 
     def test_search_empty_window_region(self):
         tree = build(random_rects(100, seed=3), dir_capacity=8, data_capacity=8)
-        assert tree.search(Rect(1000, 1000, 1001, 1001)) == []
+        assert window_query(tree, Rect(1000, 1000, 1001, 1001)) == []
 
     def test_mbr_covers_everything(self):
         items = random_rects(100, seed=4)
@@ -133,7 +133,7 @@ class TestDelete:
         oid, rect = items[25]
         assert tree.delete(oid, rect)
         assert len(tree) == 49
-        assert all(e.oid != oid for e in tree.search(rect))
+        assert all(e.oid != oid for e in window_query(tree, rect))
         tree.validate()
 
     def test_delete_missing_returns_false(self):
@@ -148,7 +148,7 @@ class TestDelete:
             assert tree.delete(oid, rect)
         assert len(tree) == 0
         assert tree.height == 1
-        assert tree.search(Rect(-1000, -1000, 1000, 1000)) == []
+        assert window_query(tree, Rect(-1000, -1000, 1000, 1000)) == []
 
     def test_delete_half_keeps_invariants_and_results(self):
         items = random_rects(200, seed=8)
@@ -157,7 +157,7 @@ class TestDelete:
             assert tree.delete(oid, rect)
         tree.validate()
         survivors = {oid for oid, _ in items[1::2]}
-        found = {e.oid for e in tree.search(Rect(-1e6, -1e6, 1e6, 1e6))}
+        found = {e.oid for e in window_query(tree, Rect(-1e6, -1e6, 1e6, 1e6))}
         assert found == survivors
 
     def test_interleaved_insert_delete(self):
