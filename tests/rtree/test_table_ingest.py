@@ -20,7 +20,9 @@ from repro.datagen import SpatialObject, build_tree, paper_maps
 from repro.datagen.maps import DIR_FILL, LEAF_FILL
 from repro.geometry import BoxTable, Rect
 import repro.rtree.bulk as bulk_module
-from repro.rtree import Entry, FlatRTree, build_flat_tree, str_bulk_load, tree_stats
+from repro.rtree import (
+    Entry, FlatRTree, RStarTree, build_flat_tree, str_bulk_load, tree_stats,
+)
 from repro.shard import ShardConfig, ShardRouter
 
 
@@ -355,3 +357,22 @@ def test_the_node_trees_are_the_trees_built_before_pr_23():
         ] == table1
         assert tree_digest(tree) == digest
         assert {type(e.oid) for e in tree.data_entries()} == {int}
+
+
+#: The insertion builds (``RStarTree.insert`` of every object in map
+#: order) of ``paper_maps(0.02, 42)``: ChooseSubtree, forced reinsertion
+#: and split decide every node, so any change to them moves the digest.
+PINNED_INSERTION_TREES = [
+    "5ea5136d60ff29fb7e6463a6a03c18a4bd6b94a21fe80fa35eae07b377f31505",
+    "4cf95e3c7f5bfc12133b099a9ed94105d094f349f9a2fc2cce04d3ddd49cc81a",
+]
+
+
+def test_the_insertion_builds_are_pinned(maps):
+    for data, digest in zip(maps, PINNED_INSERTION_TREES):
+        tree = RStarTree()
+        for oid, rect in data.items():
+            tree.insert(oid, rect)
+        tree.validate()
+        assert len(tree) == len(data)
+        assert tree_digest(tree) == digest
