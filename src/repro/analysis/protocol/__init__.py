@@ -3,7 +3,8 @@ conformance monitoring.
 
 The repo's protocols — the parallel join's pair life cycle (paper
 §3.4), the latched global-buffer directory (§3.2), the lease lifecycle,
-the sharded sub-request settlement and the serving ledger — are written
+the sharded sub-request settlement, the serving ledger and the worker
+pool's call and process life cycles — are written
 down here as explicit automatons
 (:mod:`repro.analysis.protocol.specs`): states, guarded transitions,
 trace-event labels, and safety properties.  One artifact, three uses:

@@ -154,8 +154,8 @@ def check_spec(
         for prop in spec.properties:
             if prop.name in failed:
                 continue
-            if (prop.on == "deadlock") != deadlock:
-                continue
+            if prop.on == "deadlock" and not deadlock:
+                continue  # an "always" property holds at quiescence too
             if not prop.predicate(shared, vars_view):
                 failed.add(prop.name)
                 result.properties[prop.name] = False

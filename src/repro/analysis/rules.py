@@ -13,11 +13,11 @@ DET002    no unseeded randomness in deterministic modules: every RNG is a
           :mod:`random`
 TRC001    every ``emit(...)`` names a declared ``EventKind`` member —
           undeclared or string event names silently bypass every checker
-TRC002    every emitted ``FLT_*``/``SUP_*``/``LSE_*``/``SHD_*``
-          ledger event is read by one of the invariants' two homes — an
-          accounting checker (resilience, recovery, shard) or a protocol
-          spec — an unreferenced ledger event is a fault class that can be
-          silently lost
+TRC002    every emitted ``EventKind`` is read by a reader of the trace — a
+          checker, a protocol spec, the steal timeline or the serving
+          metrics (:data:`repro.analysis.lint.READERS`) — an unread ledger
+          event is a fault class that can be silently lost, and an unread
+          event that repeats a count is kept twice
 PAIR002   every ``.acquire()`` has a ``try/finally`` releasing it — a
           leaked latch deadlocks the simulated machine
 FORK001   no writes to fork-inherited module globals outside registered
@@ -309,7 +309,7 @@ class DeclaredEventRule(Rule):
 @_register
 class LedgerCounterpartRule(ProjectRule):
     id = "TRC002"
-    description = "ledger event read by no accounting checker and no spec"
+    description = "emitted event read by no checker, spec, timeline or metrics"
 
     def finalize(
         self, project: ProjectIndex
@@ -317,17 +317,18 @@ class LedgerCounterpartRule(ProjectRule):
         refs = project.checker_event_refs
         if refs is None:
             return
-        prefixes = ("FLT_", "SUP_", "LSE_", "SHD_")
+        declared = project.declared_events
         for path, line, member in project.emit_sites:
-            if not member.startswith(prefixes):
-                continue
+            if declared is not None and member not in declared:
+                continue  # TRC001's finding
             if member not in refs:
                 yield (
                     path,
                     line,
-                    f"EventKind.{member} is emitted but read by neither "
-                    f"the trace checkers nor a protocol spec — no ledger "
-                    f"can reconcile it and the event can be silently lost",
+                    f"EventKind.{member} is emitted but read by no trace "
+                    f"checker, protocol spec, timeline or service metrics "
+                    f"— no ledger can reconcile it, and a count it repeats "
+                    f"is kept twice",
                 )
 
 

@@ -136,7 +136,7 @@ CLAIMS: tuple[Claim, ...] = (
               n == max(1, round(p * scale)) for n, p in _trees(rows, "number of data entries"))),
     Claim("table1", "height", "identical heights",
           lambda rows, _: all(n == p for n, p in _trees(rows, "height")), min_scale=0.02),
-    Claim("table1", "pages", "data page counts within 1 %",
+    Claim("table1", "pages", "data page counts within 1 % (STR-packed trees)",
           lambda rows, _: all(abs(n - p) <= 0.01 * p
                               for n, p in _trees(rows, "number of data pages")),
           min_scale=1.0),
@@ -213,21 +213,22 @@ CLAIMS: tuple[Claim, ...] = (
           lambda rows, _: (lambda t: max(t.values()) <= 1.25 * t[1])(
               _curve(rows, "d=n", "total run time (s)"))),
     Claim("ablation-order", "shuffle-costs",
-          "destroying the local plane-sweep order by shuffling the task list "
-          "costs every variant disk accesses",
+          "on STR-packed trees, destroying the local plane-sweep order by "
+          "shuffling the task list costs every variant disk accesses",
           lambda rows, _: min(_shuffle_cost(rows, "disk accesses").values()) > 1),
-    Claim("ablation-order", "gd-suffers-most", "gd suffers most",
+    Claim("ablation-order", "gd-suffers-most", "gd suffers most (STR-packed trees)",
           lambda rows, _: (lambda cost: cost["gd"] == max(cost.values()))(
               _shuffle_cost(rows, "response (s)"))),
     Claim("ablation-tuning", "same-candidates", "all four settings find the same candidates",
           lambda rows, _: len({r["candidates"] for r in rows}) == 1),
     Claim("ablation-tuning", "sweep-cuts-tests",
-          "The plane sweep cuts CPU tests more than 5× against the nested loop",
+          "On STR-packed trees the plane sweep cuts CPU tests more than 5× "
+          "against the nested loop",
           lambda rows, _: (lambda t: 5 * max(t["on", "on"], t["off", "on"]) < t["off", "off"])(
               _tests(rows))),
     Claim("ablation-tuning", "restriction-no-gain",
           "With the sweep already on, the restriction's pre-scan does not pay "
-          "for itself on this workload",
+          "for itself on this workload's STR-packed trees",
           lambda rows, _: (lambda t: t["on", "on"] >= t["off", "on"])(_tests(rows))),
     Claim("ablation-tuning", "restriction-nested-loop",
           "its win in [BKS 93] was biggest for the nested-loop formulation",
@@ -244,7 +245,8 @@ CLAIMS: tuple[Claim, ...] = (
           lambda rows, _: min(rows[:-1], key=lambda r: r["response (s)"])["assignment"]
           == "dynamic"),
     Claim("queries", "window-scales",
-          "A window covering half the region gets faster with every processor added",
+          "On STR-packed trees a window covering half the region gets faster "
+          "with every processor added",
           lambda rows, _: _falls(_col(_window(rows), "response (s)"))
           and _col(_window(rows), "speedup", processors=8)[0] > 3),
     Claim("queries", "window-same-answer", "every processor count returns the same answer",

@@ -113,9 +113,6 @@ class ProcessorBufferManager:
             path_buffer.record(level, page_id)
             return AccessSource.LRU
 
-        if tracer.enabled:
-            tracer.emit(EventKind.BUFFER_MISS, proc=self.proc_id, page=page_id)
-
         if self.directory is not None:
             while True:
                 outcome, payload = yield from self.directory.begin_access(
@@ -136,10 +133,6 @@ class ProcessorBufferManager:
                 if outcome == "wait":
                     # Another processor is reading this page from disk;
                     # piggyback on its load instead of duplicating it.
-                    if tracer.enabled:
-                        tracer.emit(
-                            EventKind.LOAD_WAIT, proc=self.proc_id, page=page_id
-                        )
                     yield payload
                     metrics.add("load_waits")
                     continue

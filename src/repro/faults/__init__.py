@@ -12,10 +12,10 @@ measures a fault-free one.
 
 Every injection is emitted as an ``FLT_*`` event on the
 :mod:`repro.trace` bus; the resilience layer's recovery actions are
-``SUP_*`` events, and the
-:class:`~repro.trace.checkers.ResilienceAccountingChecker` reconciles
-the two ledgers: every injected fault must be retried to success or
-surfaced as an explicit error — never silently lost.
+``SUP_*`` events, and the ``worker-call`` protocol spec
+(:mod:`repro.analysis.protocol.specs`) reconciles the two ledgers: every
+injected fault must be retried to success or surfaced as an explicit
+error — never silently lost.
 """
 
 from .injector import (

@@ -49,7 +49,6 @@ import multiprocessing
 import os
 import warnings
 from collections import deque
-from numbers import Integral
 from typing import Optional
 
 from ..faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
@@ -58,6 +57,7 @@ from ..recovery.config import RecoveryConfig, wall_clock
 from ..recovery.ledger import ResultLedger
 from ..recovery.lease import LeaseTable
 from ..recovery.procs import PipedWorkers, fork_available
+from ..rtree.query import require_count
 from ..rtree.rstar import RStarTree
 from ..trace import NULL_TRACER, EventKind, Tracer
 from .flat import _FlatJoinPlan, packed_pair
@@ -448,12 +448,8 @@ def fault_tolerant_join(
         raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
     if processes is None:
         processes = min(8, os.cpu_count() or 1)
-    elif (
-        isinstance(processes, bool)
-        or not isinstance(processes, Integral)
-        or processes < 1
-    ):
-        raise ValueError(f"processes must be an integer >= 1, got {processes!r}")
+    else:
+        require_count("processes", processes)
     plan = plan_join(tree_r, tree_s, processes * 4)
     engine = _Engine(
         plan,

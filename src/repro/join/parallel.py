@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Generator, Optional
 
 from ..buffer.global_buffer import GlobalDirectory
@@ -42,6 +41,7 @@ from ..geometry.rows import PairTable
 from ..rtree.flat import require_node_trees
 from ..rtree.node import LeafRows, sort_leaves_by_xl
 from ..rtree.pagestore import PageStore
+from ..rtree.query import require_count
 from ..rtree.rstar import RStarTree
 from ..sim.engine import Environment
 from ..sim.machine import KSR1_CONFIG, Machine
@@ -178,9 +178,7 @@ class MachineRun:
         trace: Optional[TraceConfig] = None,
     ):
         for name in ("processors", "disks", "total_buffer_pages"):
-            value = getattr(config, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            require_count(name, getattr(config, name))
         self.config = config
         self.global_buffer = global_buffer
         self.env = Environment()
@@ -211,7 +209,6 @@ class MachineRun:
             sinks.extend(self._checkers)
         env = self.env
         self.tracer = Tracer(clock=lambda: env.now, sinks=sinks)
-        env.tracer = self.tracer
 
     def run_processors(self, body) -> None:
         """Run ``body(p)`` as one simulated process per processor."""
@@ -338,15 +335,6 @@ class _JoinRun(MachineRun):
             for p, chunk in enumerate(split):
                 self.tasks_by_processor[p] = len(chunk)
                 for task in chunk:
-                    if tracer.enabled:
-                        tracer.emit(
-                            EventKind.TASK_ASSIGNED,
-                            proc=p,
-                            level=task.level,
-                            r=task.node_r.page_id,
-                            s=task.node_s.page_id,
-                            mode=mode.value,
-                        )
                     self.workloads[p].push_task(task.node_r, task.node_s)
 
         # Shared run state.
@@ -481,15 +469,6 @@ class _JoinRun(MachineRun):
                 yield from self.pages.fetch(p)
                 task = yield self.queue.get()
                 if task is not None:
-                    if tracer.enabled:
-                        tracer.emit(
-                            EventKind.TASK_ASSIGNED,
-                            proc=p,
-                            level=task.level,
-                            r=task.node_r.page_id,
-                            s=task.node_s.page_id,
-                            mode=AssignmentMode.DYNAMIC.value,
-                        )
                     self.workloads[p].push_task(task.node_r, task.node_s)
                     self.tasks_by_processor[p] += 1
                     self.metrics.add("queue_fetches")

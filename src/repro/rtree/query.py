@@ -60,11 +60,16 @@ def require_window(window) -> None:
         raise ValueError(reason)
 
 
+def require_count(name: str, value, floor: int = 1) -> None:
+    """Raise ``ValueError`` naming *name* unless *value* is an integer >=
+    *floor*: a fraction is no count, and neither is a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
 def require_k(k) -> None:
-    """Raise ``ValueError`` unless *k* is an integer >= 1, in the serving
-    front door's wording: a fractional *k* is no count of neighbours."""
-    if not isinstance(k, Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    """Raise ``ValueError`` unless *k* is a count of neighbours (>= 1)."""
+    require_count("k", k)
 
 
 class QueryStats:

@@ -159,46 +159,37 @@ class RStarTree:
     @staticmethod
     def _choose_min_overlap(entries: list[Entry], entry: Entry) -> int:
         """[BKSS 90] leaf-level rule: minimise the growth of the overlap
-        with the sibling entries (ties: area enlargement, then area)."""
-        best_index = 0
-        best_key = (float("inf"), float("inf"), float("inf"))
-        e_xl, e_yl, e_xu, e_yu = entry.xl, entry.yl, entry.xu, entry.yu
-        for index, candidate in enumerate(entries):
-            n_xl = candidate.xl if candidate.xl < e_xl else e_xl
-            n_yl = candidate.yl if candidate.yl < e_yl else e_yl
-            n_xu = candidate.xu if candidate.xu > e_xu else e_xu
-            n_yu = candidate.yu if candidate.yu > e_yu else e_yu
-            overlap_delta = 0.0
-            for j, other in enumerate(entries):
-                if j == index:
-                    continue
-                # overlap of the enlarged candidate with the sibling
-                w = (n_xu if n_xu < other.xu else other.xu) - (
-                    n_xl if n_xl > other.xl else other.xl
-                )
-                if w > 0.0:
-                    h = (n_yu if n_yu < other.yu else other.yu) - (
-                        n_yl if n_yl > other.yl else other.yl
-                    )
-                    if h > 0.0:
-                        overlap_delta += w * h
-                # minus the current overlap
-                w = (candidate.xu if candidate.xu < other.xu else other.xu) - (
-                    candidate.xl if candidate.xl > other.xl else other.xl
-                )
-                if w > 0.0:
-                    h = (candidate.yu if candidate.yu < other.yu else other.yu) - (
-                        candidate.yl if candidate.yl > other.yl else other.yl
-                    )
-                    if h > 0.0:
-                        overlap_delta -= w * h
-            area = candidate.area()
-            enlargement = (n_xu - n_xl) * (n_yu - n_yl) - area
-            key = (overlap_delta, enlargement, area)
-            if key < best_key:
-                best_key = key
-                best_index = index
-        return best_index
+        with the sibling entries (ties: area enlargement, then area).
+
+        One array pass over every (candidate, sibling) pair.  Each
+        candidate's overlap growth is summed sibling by sibling, left to
+        right, as ``+grown - current`` (``np.cumsum`` accumulates in
+        order), so it is the same float as a scalar loop's; the stable
+        ``np.lexsort`` lets the first index win a tie."""
+        box = np.array([(e.xl, e.yl, e.xu, e.yu) for e in entries])
+        xl, yl, xu, yu = box.T
+        nxl = np.minimum(xl, entry.xl)
+        nyl = np.minimum(yl, entry.yl)
+        nxu = np.maximum(xu, entry.xu)
+        nyu = np.maximum(yu, entry.yu)
+
+        def overlaps(cxl, cyl, cxu, cyu):
+            # [i, j]: overlap of candidate box i with sibling j (0 if none)
+            w = np.minimum(cxu[:, None], xu) - np.maximum(cxl[:, None], xl)
+            h = np.minimum(cyu[:, None], yu) - np.maximum(cyl[:, None], yl)
+            area = w * h
+            area[(w <= 0.0) | (h <= 0.0)] = 0.0
+            np.fill_diagonal(area, 0.0)
+            return area
+
+        n = len(entries)
+        terms = np.empty((n, 2 * n))
+        terms[:, 0::2] = overlaps(nxl, nyl, nxu, nyu)
+        terms[:, 1::2] = -overlaps(xl, yl, xu, yu)
+        delta = np.cumsum(terms, axis=1)[:, -1]
+        area = (xu - xl) * (yu - yl)
+        enlargement = (nxu - nxl) * (nyu - nyl) - area
+        return int(np.lexsort((area, enlargement, delta))[0])
 
     # ------------------------------------------------------ forced reinsert
     def _forced_reinsert(self, node: Node, path: list[tuple[Node, int]]) -> None:

@@ -26,8 +26,8 @@ Around the execution backend sits the **resilience layer**:
   deadline, so nothing is polled;
 * a seeded :class:`~repro.faults.plan.FaultPlan` can inject worker
   crashes, hangs and slow I/O at the pool seam for chaos testing — the
-  ``FLT_*``/``SUP_*`` ledgers reconcile via the
-  :class:`~repro.trace.checkers.ResilienceAccountingChecker`.
+  ``FLT_*``/``SUP_*`` ledgers reconcile as the ``worker-call`` and
+  ``worker-process`` protocol specs (:mod:`repro.analysis.protocol`).
 """
 
 from __future__ import annotations

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 from ..faults import FaultInjector
-from ..rtree.query import WINDOW_FIELDS, coordinate_error, require_k
+from ..rtree.query import (
+    WINDOW_FIELDS, coordinate_error, require_count, require_k,
+)
 from ..trace import EventKind, Tracer
 from .cache import MISS, ResultCache
 from .metrics import ServiceMetrics
@@ -87,15 +88,7 @@ def _check_settings(config) -> None:
     no integer (a bool is none) or under its floor, or an attempt
     timeout that is not above 0 (``None`` is no timeout)."""
     for name, floor in _COUNT_FLOORS.items():
-        value = getattr(config, name, floor)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, Integral)
-            or value < floor
-        ):
-            raise ValueError(
-                f"{name} must be an integer >= {floor}, got {value!r}"
-            )
+        require_count(name, getattr(config, name, floor), floor)
     value = config.attempt_timeout_s
     if value is not None and not value > 0:
         raise ValueError(f"attempt_timeout_s must be > 0, got {value!r}")

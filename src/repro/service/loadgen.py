@@ -230,7 +230,7 @@ async def run_load(
 
     With ``check_invariants`` the whole event stream is collected and
     replayed through :func:`repro.trace.service_checkers` (request / cache
-    accounting, the resilience ledger, shard routing, the spec monitors);
+    accounting, shard routing, the spec monitors);
     the :class:`~repro.trace.Verdict` list lands under ``"verdicts"``
     (None on an unchecked run).  ``"snapshot"`` is the stopped tier's own
     ``snapshot()``.

@@ -27,8 +27,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Generator, Iterable, Optional
 
-from ..trace import NULL_TRACER, EventKind, Tracer
-
 __all__ = ["Environment", "Event", "Process", "SimulationError"]
 
 
@@ -118,9 +116,6 @@ class Process(Event):
         try:
             target = self._generator.send(event._value)
         except StopIteration as stop:
-            tracer = self.env.tracer
-            if tracer.enabled:
-                tracer.emit(EventKind.PROC_FINISHED, name=self.name)
             self.succeed(stop.value)
             return
         if not isinstance(target, Event):
@@ -138,18 +133,12 @@ class Process(Event):
 
 
 class Environment:
-    """Simulation clock, event heap and process factory.
+    """Simulation clock, event heap and process factory."""
 
-    ``tracer`` is the event bus the instrumented layers emit into; the
-    default :data:`~repro.trace.NULL_TRACER` makes every emit site a
-    single falsy attribute check.
-    """
-
-    def __init__(self, tracer: Optional[Tracer] = None):
+    def __init__(self):
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
 
     @property
     def now(self) -> float:
@@ -175,10 +164,7 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register *generator* as a process starting now."""
-        process = Process(self, generator, name=name)
-        if self.tracer.enabled:
-            self.tracer.emit(EventKind.PROC_SPAWNED, name=process.name)
-        return process
+        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event firing once every event in *events* has fired.

@@ -22,7 +22,6 @@ from .checkers import (
     InvariantChecker,
     InvariantViolation,
     RecoveryAccountingChecker,
-    ResilienceAccountingChecker,
     ShardAccountingChecker,
     StealSoundnessChecker,
     Verdict,
@@ -55,7 +54,6 @@ __all__ = [
     "BufferCoherenceChecker",
     "DiskAccountingChecker",
     "ClockMonotonicityChecker",
-    "ResilienceAccountingChecker",
     "RecoveryAccountingChecker",
     "ShardAccountingChecker",
     "default_checkers",

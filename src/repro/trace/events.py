@@ -33,7 +33,6 @@ class EventKind(str, enum.Enum):
 
     # task life cycle (phase 1/2)
     TASK_CREATED = "task_created"
-    TASK_ASSIGNED = "task_assigned"
 
     # per-pair work accounting (phase 3)
     PAIR_ENQUEUED = "pair_enqueued"
@@ -50,21 +49,15 @@ class EventKind(str, enum.Enum):
 
     # buffer hierarchy (section 3.2 / 4.2)
     BUFFER_HIT = "buffer_hit"
-    BUFFER_MISS = "buffer_miss"
     BUFFER_INSERT = "buffer_insert"
     BUFFER_EVICT = "buffer_evict"
     REMOTE_FETCH = "remote_fetch"
-    LOAD_WAIT = "load_wait"
     PAGE_REGISTERED = "page_registered"
     PAGE_DEREGISTERED = "page_deregistered"
 
     # disk array (section 4.2)
     DISK_ENQUEUE = "disk_enqueue"
     DISK_COMPLETE = "disk_complete"
-
-    # simulation kernel
-    PROC_SPAWNED = "proc_spawned"
-    PROC_FINISHED = "proc_finished"
 
     # serving engine (repro.service) — wall-clock events, proc is always -1
     SVC_ENGINE_START = "svc_engine_start"

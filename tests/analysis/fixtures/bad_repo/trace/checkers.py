@@ -2,4 +2,4 @@
 
 from .events import EventKind
 
-RECONCILED = {EventKind.SUP_CALL_OK}
+RECONCILED = {EventKind.GOOD_EVENT, EventKind.SUP_CALL_OK}

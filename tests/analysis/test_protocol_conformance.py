@@ -36,6 +36,8 @@ class TestRegistry:
             "protocol:buffer-directory",
             "protocol:pair-lifecycle",
             "protocol:service-ledger",
+            "protocol:worker-call",
+            "protocol:worker-process",
         }
 
     def test_monitors_ride_in_default_checker_set(self):

@@ -104,6 +104,29 @@ class TestMachinery:
         assert failure.deadlock
         assert failure.state[0] == "b"
 
+    def test_always_property_checked_at_quiescence_too(self):
+        # The only state where n == 1 is the quiescent b: an "always"
+        # property must still be checked there.
+        spec = toy_spec(
+            transitions=(
+                Transition(
+                    "step",
+                    "a",
+                    "b",
+                    bound=lambda v, a, d: v["n"] < 1,
+                    effect=_inc("n"),
+                ),
+            ),
+            properties=(
+                SafetyProperty("zero", "n stays 0", lambda s, v: v["n"] == 0),
+            ),
+        )
+        result = check_spec(spec)
+        (failure,) = result.failures
+        assert failure.prop == "zero"
+        assert failure.deadlock
+        assert [s.transition for s in failure.path] == ["step"]
+
     def test_exploration_continues_after_a_failure(self):
         # One property fails early; the other must still be proved.
         spec = toy_spec(

@@ -3,7 +3,7 @@
 Under injected worker crashes (p=0.05), hangs (p=0.02) and 4x slowed
 I/O, a load of mixed requests must lose nothing: every submitted request
 reaches a terminal status, no result is duplicated or wrong, every
-injected fault is reconciled by the resilience ledger, and retries stay
+injected fault is reconciled by the worker-call spec, and retries stay
 inside their deadline budgets.
 """
 
@@ -86,6 +86,20 @@ def assert_deaths_are_exact(snapshot):
     )
 
 
+def assert_all_green(sink):
+    """Every service checker passes on the run's stream, and the
+    worker-call spec saw calls: the real crash, hang and slow-I/O streams
+    replay through it.  The verdicts, by checker name."""
+    verdicts = {
+        v.checker: v for v in run_checkers(sink.events, service_checkers())
+    }
+    assert all(v.ok for v in verdicts.values()), [
+        (v.checker, v.violations) for v in verdicts.values() if not v.ok
+    ]
+    assert verdicts["protocol:worker-call"].stats["instances"] > 0
+    return verdicts
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 class TestChaosInvariantForked:
@@ -128,10 +142,7 @@ class TestChaosInvariantForked:
 
         # Every injected fault reconciled, retries within deadlines —
         # the full checker battery agrees.
-        verdicts = run_checkers(sink.events, service_checkers())
-        assert all(v.ok for v in verdicts), [
-            (v.name, v.violations) for v in verdicts if not v.ok
-        ]
+        assert_all_green(sink)
 
     def test_crashed_workers_are_respawned(self, workload):
         trees, side = workload
@@ -143,10 +154,8 @@ class TestChaosInvariantForked:
         assert_deaths_are_exact(snapshot)
         # Despite the carnage, work still succeeded after retries.
         assert any(r.ok for r in responses)
-        verdicts = run_checkers(sink.events, service_checkers())
-        assert all(v.ok for v in verdicts), [
-            (v.name, v.violations) for v in verdicts if not v.ok
-        ]
+        processes = assert_all_green(sink)["protocol:worker-process"]
+        assert processes.stats["instances"] > 0
 
 
 class TestChaosInvariantThreads:
@@ -165,10 +174,7 @@ class TestChaosInvariantThreads:
         assert snapshot["faults_injected"]["crashes"] > 0
         oks = [r for r in responses if r.ok]
         assert oks, "no request survived injected crashes"
-        verdicts = run_checkers(sink.events, service_checkers())
-        assert all(v.ok for v in verdicts), [
-            (v.name, v.violations) for v in verdicts if not v.ok
-        ]
+        assert_all_green(sink)
 
     def test_determinism_same_seed_same_faults(self, workload, monkeypatch):
         """Serial submission pins the call order, so one seed replays

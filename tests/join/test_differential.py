@@ -81,7 +81,7 @@ class TestFullVariantGrid:
         assert trace is not None
         trace.verify()  # raises InvariantViolation on any checker failure
         assert trace.ok
-        assert len(trace.verdicts) == 12
+        assert len(trace.verdicts) == 13
         # The pair life cycle saw every executed pair.
         pairs = trace.verdict("protocol:pair-lifecycle").stats["instances"]
         assert pairs == trace.counts()[EventKind.EXEC_START] > 0

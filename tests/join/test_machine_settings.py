@@ -40,11 +40,14 @@ BAD = [
     ("processors", -2),
     ("processors", 2.5),
     ("processors", "4"),
+    ("processors", True),
     ("disks", 0),
     ("disks", 1.5),
+    ("disks", True),
     ("total_buffer_pages", 0),
     ("total_buffer_pages", -5),
     ("total_buffer_pages", 40.0),
+    ("total_buffer_pages", True),
 ]
 
 

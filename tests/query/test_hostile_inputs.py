@@ -65,6 +65,7 @@ REJECTED = [
     (lambda t: nearest_neighbors(t, "0", 0.0, 3), "x must be a finite number, got '0'"),
     (lambda t: nearest_neighbors(t, 0.0, 0.0, 0), "k must be an integer >= 1, got 0"),
     (lambda t: nearest_neighbors(t, 0.0, 0.0, 2.5), "k must be an integer >= 1, got 2.5"),
+    (lambda t: nearest_neighbors(t, 0.0, 0.0, True), "k must be an integer >= 1, got True"),
     (lambda t: window_query(t, Rect(NAN, 0, 1, 1)), "window.xl must be a finite"),
     (lambda t: window_query(t, Rect(0, NAN, 1, 1)), "window.yl must be a finite"),
     (lambda t: window_query(t, Rect(0, 0, NAN, 1)), "window.xu must be a finite"),
@@ -77,6 +78,7 @@ REJECTED = [
     (lambda t: parallel_knn(t, 0.0, INF, 3, SVM), "y must be a finite number, got inf"),
     (lambda t: parallel_knn(t, 0.0, 0.0, 0, SVM), "k must be an integer >= 1, got 0"),
     (lambda t: parallel_knn(t, 0.0, 0.0, 2.5, SVM), "k must be an integer >= 1, got 2.5"),
+    (lambda t: parallel_knn(t, 0.0, 0.0, True, SVM), "k must be an integer >= 1, got True"),
     (
         lambda t: parallel_window_query(t, Rect(0, 0, NAN, 1), SVM),
         "window.xu must be a finite number, got nan",

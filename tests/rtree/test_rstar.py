@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree import RStarTree, tree_stats, window_query
+from repro.rtree import Entry, RStarTree, tree_stats, window_query
 
 
 def random_rects(n, seed=0, extent=100.0, max_size=5.0):
@@ -95,6 +95,50 @@ class TestInsert:
         items = random_rects(200, seed=2, extent=5.0)  # heavy overlap
         tree = build(items, dir_capacity=6, data_capacity=6)
         tree.validate()
+
+
+def min_overlap_by_loop(entries, entry):
+    """The leaf-level ChooseSubtree rule as a scalar loop: least overlap
+    growth, then least area enlargement, then least area, first wins."""
+    best_index, best_key = 0, None
+    for i, c in enumerate(entries):
+        grown = (min(c.xl, entry.xl), min(c.yl, entry.yl),
+                 max(c.xu, entry.xu), max(c.yu, entry.yu))
+        delta = 0.0
+        for j, o in enumerate(entries):
+            if j == i:
+                continue
+            for box, sign in ((grown, 1.0), ((c.xl, c.yl, c.xu, c.yu), -1.0)):
+                w = min(box[2], o.xu) - max(box[0], o.xl)
+                h = min(box[3], o.yu) - max(box[1], o.yl)
+                if w > 0.0 and h > 0.0:
+                    delta += sign * (w * h)
+        area = c.area()
+        key = (delta, (grown[2] - grown[0]) * (grown[3] - grown[1]) - area, area)
+        if best_key is None or key < best_key:
+            best_index, best_key = i, key
+    return best_index
+
+
+class TestChooseSubtree:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_min_overlap_matches_the_scalar_rule(self, seed):
+        rng = random.Random(seed)
+        # A coarse grid makes ties in every key component common.
+        coarse = seed % 2 == 0
+
+        def rect():
+            if coarse:
+                x, y = rng.randrange(8), rng.randrange(8)
+                return Rect(x, y, x + rng.randrange(4), y + rng.randrange(4))
+            x, y = rng.uniform(0, 50), rng.uniform(0, 50)
+            return Rect(x, y, x + rng.uniform(0, 20), y + rng.uniform(0, 20))
+
+        entries = [Entry.for_object(rect(), i) for i in range(rng.randrange(1, 40))]
+        entry = Entry.for_object(rect(), -1)
+        assert RStarTree._choose_min_overlap(entries, entry) == min_overlap_by_loop(
+            entries, entry
+        )
 
 
 class TestSearch:

@@ -54,6 +54,7 @@ HOSTILE = [
     (KNNRequest("a", 1.0, 1.0, 0), "k "),
     (KNNRequest("a", 1.0, 1.0, -1), "k "),
     (KNNRequest("a", 1.0, 1.0, 2.5), "k "),
+    (KNNRequest("a", 1.0, 1.0, True), "k "),
     (WindowRequest("nope", (0.0, 0.0, 1.0, 1.0)), "'nope'"),
     (JoinRequest("a", "nope"), "'nope'"),
 ]

@@ -403,7 +403,6 @@ class TestCheckerPlumbing:
             "buffer-coherence",
             "disk-accounting",
             "clock-monotonicity",
-            "resilience-accounting",
             "recovery-accounting",
             "shard-accounting",
             "protocol:lease",
@@ -411,6 +410,8 @@ class TestCheckerPlumbing:
             "protocol:buffer-directory",
             "protocol:pair-lifecycle",
             "protocol:service-ledger",
+            "protocol:worker-call",
+            "protocol:worker-process",
         ]
 
     def test_run_checkers_replays_everything(self):
@@ -418,7 +419,7 @@ class TestCheckerPlumbing:
         s.emit(EventKind.RUN_START, disks=2, reassign_level="all", task_level=1)
         s.emit(EventKind.RUN_END)
         verdicts = run_checkers(s.events)
-        assert len(verdicts) == 12
+        assert len(verdicts) == 13
         assert all(v.ok for v in verdicts)
 
     def test_violation_storage_is_capped(self):
@@ -545,67 +546,91 @@ def crash_victim_never_closed():
 
 
 class TestResilienceAccounting:
-    """The FLT_*/SUP_* two-ledger reconciliation on handcrafted streams."""
+    """The FLT_*/SUP_* two-ledger reconciliation on handcrafted streams:
+    what the ``worker-call`` (per call id) and ``worker-process`` (per
+    pid) spec monitors report.  The planted-bug table pins that no other
+    monitor speaks on these streams."""
 
-    def verdict(self, stream):
-        from repro.trace import ResilienceAccountingChecker
+    def verdicts(self, stream):
+        return run_checkers(
+            stream.events,
+            [
+                ProtocolConformanceChecker(get_spec("worker-call")),
+                ProtocolConformanceChecker(get_spec("worker-process")),
+            ],
+        )
 
-        return verdict_of(ResilienceAccountingChecker(), stream.events)
+    def violation(self, stream):
+        """The one violation of the worker-call monitor."""
+        calls, processes = self.verdicts(stream)
+        assert processes.ok, processes.violations
+        assert calls.violation_count == 1, calls.violations
+        return calls.violations[0]
 
     def test_healthy_stream_is_vacuously_ok(self):
-        assert self.verdict(healthy_run()).ok
+        for verdict in self.verdicts(healthy_run()):
+            assert verdict.ok
+            assert verdict.stats["instances"] == 0
 
     def test_fault_closed_by_ok_reconciles(self):
-        verdict = self.verdict(fault_closed_by_ok())
-        assert verdict.ok
-        assert verdict.stats["injected_calls"] == 1
-        assert verdict.stats["calls_ok"] == 1
+        calls, _ = self.verdicts(fault_closed_by_ok())
+        assert calls.ok
+        assert (calls.stats["events"], calls.stats["instances"]) == (2, 1)
 
     def test_unclosed_fault_is_a_silent_loss(self):
-        verdict = self.verdict(unclosed_fault())
-        assert not verdict.ok
-        assert any("silently lost" in v for v in verdict.violations)
+        assert self.violation(unclosed_fault()).startswith(
+            "worker-call[5]: stream ended in non-terminal state 'open'"
+        )
 
     def test_failed_then_retried_reconciles(self):
-        assert self.verdict(failed_then_retried()).ok
+        assert all(v.ok for v in self.verdicts(failed_then_retried()))
 
     def test_unanswered_failure_violates(self):
-        verdict = self.verdict(unanswered_failure())
-        assert not verdict.ok
-        assert any("never answered" in v for v in verdict.violations)
+        assert self.violation(unanswered_failure()).startswith(
+            "worker-call[4]: stream ended in non-terminal state 'failing'"
+        )
 
     def test_retry_without_open_failure_violates(self):
-        verdict = self.verdict(retry_without_open_failure())
-        assert not verdict.ok
-        assert any("without an open" in v for v in verdict.violations)
+        calls, _ = self.verdicts(retry_without_open_failure())
+        assert calls.violations[0].startswith(
+            "worker-call[9]: no transition enabled for sup_call_retry in "
+            "state 'open'"
+        )
 
     def test_retry_past_deadline_budget_violates(self):
-        verdict = self.verdict(retry_past_deadline_budget())
-        assert not verdict.ok
-        assert any("deadline budget" in v for v in verdict.violations)
+        calls, _ = self.verdicts(retry_past_deadline_budget())
+        refused = calls.violations[0]
+        assert refused.startswith(
+            "worker-call[2]: no transition enabled for sup_call_retry in "
+            "state 'failing'"
+        )
+        assert "'remaining_s': -0.5" in refused
 
     def test_giveup_must_surface(self):
-        verdict = self.verdict(giveup_vanished())
-        assert not verdict.ok
-        assert any("give-up" in v.lower() for v in verdict.violations)
+        assert self.violation(giveup_vanished()).startswith(
+            "worker-call: end invariant giveups_surface failed"
+        )
 
     def test_giveup_surfaced_as_error_reconciles(self):
-        assert self.verdict(giveup_surfaced_as_error()).ok
+        calls, _ = self.verdicts(giveup_surfaced_as_error())
+        assert calls.ok, calls.violations
+        assert (calls.stats["giveups"], calls.stats["errors"]) == (1, 1)
 
     def test_crash_victim_closed_as_worker_died_reconciles(self):
-        verdict = self.verdict(crash_victim_worker_died())
-        assert verdict.ok, verdict.violations
-        assert verdict.stats["worker_crashes"] == 1
-        assert verdict.stats["worker_respawns"] == 1
-        assert self.verdict(crash_victim_abandoned()).ok
+        calls, processes = self.verdicts(crash_victim_worker_died())
+        assert calls.ok, calls.violations
+        # pid 41 crashed, pid 42 was forked in its place
+        assert processes.ok and processes.stats["instances"] == 2
+        assert all(v.ok for v in self.verdicts(crash_victim_abandoned()))
 
     def test_crash_victim_closed_under_another_cause_violates(self):
-        verdict = self.verdict(crash_victim_closed_under_another_cause())
-        assert not verdict.ok
-        assert any("not as worker-died" in v for v in verdict.violations)
+        calls, _ = self.verdicts(crash_victim_closed_under_another_cause())
+        assert calls.violations[0].startswith(
+            "worker-call[7]: no transition enabled for sup_call_failed in "
+            "state 'victim'"
+        )
 
     def test_crash_victim_never_closed_violates(self):
-        verdict = self.verdict(crash_victim_never_closed())
-        assert not verdict.ok
-        assert any("never closed as worker-died" in v
-                   for v in verdict.violations)
+        assert self.violation(crash_victim_never_closed()).startswith(
+            "worker-call[7]: stream ended in non-terminal state 'victim'"
+        )
