@@ -88,11 +88,10 @@ class TestLawfulStreams:
     def test_kill_expire_requeue_complete_passes(self):
         verdict = verdict_of(lawful_stream().events)
         assert verdict.ok, verdict.violations
-        assert verdict.stats["grants"] == 2
         assert verdict.stats["task_kills"] == 1
         lease = lease_verdict(lawful_stream().events)
         assert lease.ok, lease.violations
-        assert lease.stats["requeues"] == 1
+        assert (lease.stats["grants"], lease.stats["requeues"]) == (2, 1)
 
     def test_empty_stream_is_vacuous(self):
         assert verdict_of([]).ok
