@@ -8,12 +8,11 @@ are the alarm.  The loops themselves call none of them — counted below."""
 
 import math
 import random
-import sys
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.bench.counts import count_work
 from repro.datagen import Region, generate_boundaries, generate_streets
 from repro.datagen.boundaries import RAIL_STEP, RIVER_STEP
 from repro.datagen.streets import STEP_LENGTH
@@ -122,18 +121,8 @@ def test_a_row_costs_no_interpreted_call_but_gauss(generate, seed, include_geome
     feature before the wrappers were spelled inline), and no Python function
     at all once a row but the package's ``gauss`` closure."""
     region = Region(scale=0.02, seed=11)
-    entered = Counter()
-
-    def count_calls(frame, event, _arg):
-        if event == "call":
-            entered[frame.f_code.co_filename, frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count_calls)
-    try:
-        generate(region, 2000, seed, include_geometry)
-    finally:
-        sys.setprofile(previous)
+    _, work = count_work(generate, region, 2000, seed, include_geometry)
+    entered = work.frames
     wrappers = {
         key: calls
         for key, calls in entered.items()
