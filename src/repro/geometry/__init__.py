@@ -7,7 +7,7 @@ plane-sweep formulation reproduced in :mod:`repro.geometry.planesweep`.
 
 from .brute import brute_join_pairs, brute_window_query
 from .hull import ConvexPolygon, convex_hull
-from .planesweep import SweepResult, restrict_to_window, sweep_pairs, x_sorted
+from .planesweep import restrict_rows, sweep_rows
 from .polygon import Polygon
 from .polyline import Polyline
 from .rect import Rect
@@ -25,10 +25,8 @@ __all__ = [
     "Polygon",
     "ConvexPolygon",
     "convex_hull",
-    "sweep_pairs",
-    "x_sorted",
-    "restrict_to_window",
-    "SweepResult",
+    "sweep_rows",
+    "restrict_rows",
     "brute_join_pairs",
     "brute_window_query",
 ]

@@ -18,7 +18,7 @@ from .parallel import ParallelJoinConfig, parallel_spatial_join, prepare_trees
 from .reassign import ReassignLevel, ReassignmentPolicy, VictimChoice, Workload
 from .refinement import ExactRefinement, RefinementModel, overlap_degree
 from .result import ParallelJoinResult, SequentialJoinResult
-from .sequential import PairWindow, sequential_join
+from .sequential import sequential_join
 from .shared_nothing import (
     NetworkParams,
     Placement,
@@ -37,7 +37,6 @@ __all__ = [
     "prepare_trees",
     "multiprocessing_join",
     "Task",
-    "PairWindow",
     "create_tasks",
     "count_root_tasks",
     "expand_node_pair",

@@ -39,7 +39,7 @@ from ..buffer.global_buffer import GlobalDirectory
 from ..buffer.local import ProcessorBufferManager
 from ..geometry.rows import PairTable
 from ..rtree.flat import require_node_trees
-from ..rtree.node import LeafRows, sort_leaves_by_xl
+from ..rtree.node import NodeRows, sort_leaves_by_xl
 from ..rtree.pagestore import PageStore
 from ..rtree.query import require_count
 from ..rtree.rstar import RStarTree
@@ -291,8 +291,8 @@ class _JoinRun(MachineRun):
             Workload(self.task_level, owner=p, tracer=tracer) for p in range(n)
         ]
         self.tasks_by_processor = [0] * n
-        #: Each processor reads its leaves' rows through its own memo.
-        self.leaf_rows = [LeafRows() for _ in range(n)]
+        #: Each processor reads its pages' rows through its own memo.
+        self.node_rows = [NodeRows() for _ in range(n)]
         self.queue: Optional[Store] = None
 
         if tracer.enabled:
@@ -429,7 +429,7 @@ class _JoinRun(MachineRun):
         above them."""
         yield from self.pages.access(p, 0, node_r)
         yield from self.pages.access(p, 1, node_s)
-        matched, tests = join_node_pair(node_r, node_s, rows=self.leaf_rows[p])
+        matched, tests = join_node_pair(node_r, node_s, rows=self.node_rows[p])
         self.metrics.add("intersection_tests", tests)
         cpu_time = tests * KSR1_CONFIG.cpu_rect_test_time
         if cpu_time > 0:
@@ -450,8 +450,8 @@ class _JoinRun(MachineRun):
         else:
             workload = self.workloads[p]
             child_level = node_r.level - 1
-            for er, es in matched:
-                workload.push_pair(child_level, er.child, es.child)
+            for er, es in matched:  # directory rows: (xl, yl, xu, yu, child)
+                workload.push_pair(child_level, er[4], es[4])
 
     # ------------------------------------------------------ work acquisition
     def _acquire_work(self, p: int) -> Generator:

@@ -5,8 +5,10 @@ both trees, with the two CPU tuning techniques of the paper —
 search-space restriction and the node-level plane sweep — individually
 switchable so their effect can be measured (ablation benches).
 
-:func:`join_node_pair` is the one node-pair step of every node-tree join:
-this traversal, task creation (:mod:`repro.join.tasks`), every processor
+:func:`join_node_pair` is the one node-pair step of every node-tree join,
+at every level: a page reads as ``(xl, yl, xu, yu, child or oid)`` rows
+and the one row sweep of :mod:`repro.geometry.planesweep` pairs them.
+This traversal, task creation (:mod:`repro.join.tasks`), every processor
 of the simulator (:mod:`repro.join.parallel`, which also runs the
 shared-nothing cluster) and the forked workers (:mod:`repro.join.mp`, one
 :func:`depth_first_join` per task) all call it.  I/O behaviour of the
@@ -17,42 +19,20 @@ ground truth every parallel variant is validated against.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Optional
 
-from ..geometry.planesweep import (
-    restrict_rows,
-    restrict_to_window,
-    sweep_pairs,
-    sweep_rows,
-)
+from ..geometry.planesweep import restrict_rows, sweep_rows
 from ..geometry.rows import PairTable
-from ..rtree.node import LeafRows, Node
+from ..rtree.node import Node, NodeRows
 from ..rtree.rstar import RStarTree
 from .flat import flat_join, packed_pair
 from .refinement import ExactRefinement
 from .result import SequentialJoinResult
 
-__all__ = ["sequential_join", "depth_first_join", "join_node_pair", "PairWindow"]
+__all__ = ["sequential_join", "depth_first_join", "join_node_pair"]
 
-_xl = attrgetter("xl")
 _row_xl = itemgetter(0)
-
-
-class PairWindow:
-    """MBR intersection of a node pair — the search-space restriction
-    window of [BKS 93] (tuning technique (i))."""
-
-    __slots__ = ("xl", "yl", "xu", "yu", "empty")
-
-    def __init__(self, a: Node, b: Node):
-        a_xl, a_yl, a_xu, a_yu = a.mbr_tuple()
-        b_xl, b_yl, b_xu, b_yu = b.mbr_tuple()
-        self.xl = max(a_xl, b_xl)
-        self.yl = max(a_yl, b_yl)
-        self.xu = min(a_xu, b_xu)
-        self.yu = min(a_yu, b_yu)
-        self.empty = self.xu < self.xl or self.yu < self.yl
 
 
 def sequential_join(
@@ -117,7 +97,7 @@ def depth_first_join(
     called at every node pair.
     """
     node_pairs = tests = 0
-    rows = LeafRows()
+    rows = NodeRows()
     stack: list[tuple[Node, Node]] = [(node_r, node_s)]
     while stack:
         node_r, node_s = stack.pop()
@@ -125,10 +105,10 @@ def depth_first_join(
         if beat is not None:
             beat()
         if node_r.level > node_s.level:
-            tests += _descend_one_side(node_r, node_s, stack, left=True)
+            tests += _descend_one_side(node_r, node_s, stack, True, rows)
             continue
         if node_s.level > node_r.level:
-            tests += _descend_one_side(node_s, node_r, stack, left=False)
+            tests += _descend_one_side(node_s, node_r, stack, False, rows)
             continue
         matched, spent = join_node_pair(
             node_r,
@@ -138,11 +118,12 @@ def depth_first_join(
             rows=rows,
         )
         tests += spent
-        if not node_r.is_leaf:
+        # A matched pair is two rows; row[4] is a child or an oid.
+        if node_r.level:
             # Reversed push: children are processed in plane-sweep order
             # before the next sibling pair (depth-first).
-            stack.extend([(er.child, es.child) for er, es in reversed(matched)])
-        elif refinement is None:  # leaf rows: (xl, yl, xu, yu, oid)
+            stack.extend([(er[4], es[4]) for er, es in reversed(matched)])
+        elif refinement is None:
             left.extend([er[4] for er, _ in matched])
             right.extend([es[4] for _, es in matched])
         else:
@@ -162,65 +143,28 @@ def join_node_pair(
     rows: Callable[[Node], list] = Node.rows,
 ) -> tuple[list, int]:
     """The [BKS 93] step for one pair of same-level nodes: the pair's MBR
-    intersection window, the entries restricted to it, both sides in
-    ``xl`` order, the plane sweep.
+    intersection window, the rows restricted to it, both sides in ``xl``
+    order (a stable sort, so the nodes need not be kept in that order),
+    the plane sweep.
 
-    Returns the intersecting pairs (in local plane-sweep order when the
-    sweep is on) and the rectangle tests spent, the restriction's
-    included; a pair with an empty window costs nothing.  Entries are
-    sorted here, so the nodes need not be kept in ``xl`` order.  Above
-    the leaves a pair is two directory entries; at the leaves
-    (:func:`_join_leaf_pair`) two ``(xl, yl, xu, yu, oid)`` rows, read
-    through *rows* (a traversal passes its :class:`LeafRows`).
+    A page is read through *rows* (a traversal passes its
+    :class:`NodeRows`) as ``(xl, yl, xu, yu, child)`` rows above the
+    leaves and ``(xl, yl, xu, yu, oid)`` rows at them.  Returns the
+    intersecting row pairs (in local plane-sweep order when the sweep is
+    on) and the rectangle tests spent, the restriction's included; a pair
+    with an empty window costs nothing.
     """
-    if node_r.is_leaf:
-        return _join_leaf_pair(
-            node_r,
-            node_s,
-            use_restriction=use_restriction,
-            use_sweep=use_sweep,
-            rows=rows,
-        )
-    window = PairWindow(node_r, node_s)
-    if window.empty:
-        return [], 0
-    entries_r = node_r.entries
-    entries_s = node_s.entries
-    tests = 0
-    if use_restriction:
-        tests = len(entries_r) + len(entries_s)
-        entries_r = restrict_to_window(entries_r, window)
-        entries_s = restrict_to_window(entries_s, window)
-    if use_sweep:
-        sweep = sweep_pairs(sorted(entries_r, key=_xl), sorted(entries_s, key=_xl))
-        return sweep.pairs, tests + sweep.tests
-    matched = [(er, es) for er in entries_r for es in entries_s if er.intersects(es)]
-    return matched, tests + len(entries_r) * len(entries_s)
-
-
-def _join_leaf_pair(
-    leaf_r: Node,
-    leaf_s: Node,
-    *,
-    use_restriction: bool = True,
-    use_sweep: bool = True,
-    rows: Callable[[Node], list] = Node.rows,
-) -> tuple[list, int]:
-    """:func:`join_node_pair` for two data pages: the window from the
-    leaves' MBRs, then the restriction, stable ``xl`` sort and sweep of
-    the directory step done on the leaves' rows — the same pairs in the
-    same order for the same test count."""
-    # PairWindow over the two leaves' MBRs
-    a_xl, a_yl, a_xu, a_yu = leaf_r.mbr
-    b_xl, b_yl, b_xu, b_yu = leaf_s.mbr
+    # A leaf keeps its MBR; a directory node reduces its entries'.
+    a_xl, a_yl, a_xu, a_yu = node_r.mbr_tuple() if node_r.level else node_r.mbr
+    b_xl, b_yl, b_xu, b_yu = node_s.mbr_tuple() if node_s.level else node_s.mbr
     w_xl = a_xl if a_xl > b_xl else b_xl
     w_yl = a_yl if a_yl > b_yl else b_yl
     w_xu = a_xu if a_xu < b_xu else b_xu
     w_yu = a_yu if a_yu < b_yu else b_yu
     if w_xu < w_xl or w_yu < w_yl:
         return [], 0
-    rows_r = rows(leaf_r)
-    rows_s = rows(leaf_s)
+    rows_r = rows(node_r)
+    rows_s = rows(node_s)
     tests = 0
     if use_restriction:
         tests = len(rows_r) + len(rows_s)
@@ -241,18 +185,14 @@ def _descend_one_side(
     shorter: Node,
     stack: list[tuple[Node, Node]],
     left: bool,
+    rows: Callable[[Node], list],
 ) -> int:
     """Unequal heights: only the taller side descends (window query
-    style).  Returns the rectangle tests spent, one an entry."""
-    s_xl, s_yl, s_xu, s_yu = shorter.mbr_tuple()
-    entries = taller.entries
-    matches = [
-        entry.child for entry in entries
-        if entry.xl <= s_xu and s_xl <= entry.xu
-        and entry.yl <= s_yu and s_yl <= entry.yu
-    ]
+    style).  Returns the rectangle tests spent, one a row."""
+    taller_rows = rows(taller)
+    matches = [row[4] for row in restrict_rows(taller_rows, *shorter.mbr_tuple())]
     if left:
         stack.extend((child, shorter) for child in reversed(matches))
     else:
         stack.extend((shorter, child) for child in reversed(matches))
-    return len(entries)
+    return len(taller_rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..rtree.flat import require_node_trees
 from ..rtree.node import Node
 from ..rtree.rstar import RStarTree
-from .sequential import PairWindow, join_node_pair
+from .sequential import join_node_pair
 
 __all__ = [
     "Task",
@@ -44,8 +44,8 @@ class Task:
 
 def expand_node_pair(node_r: Node, node_s: Node) -> list[tuple[Node, Node]]:
     """Child node pairs of a qualifying directory pair: the node-pair
-    step's matches, in plane-sweep order."""
-    return [(er.child, es.child) for er, es in join_node_pair(node_r, node_s)[0]]
+    step's matches, in plane-sweep order (``row[4]`` is the child)."""
+    return [(er[4], es[4]) for er, es in join_node_pair(node_r, node_s)[0]]
 
 
 def create_tasks(
@@ -61,8 +61,7 @@ def create_tasks(
     require_node_trees("create_tasks", tree_r, tree_s)
     if tree_r.size == 0 or tree_s.size == 0:
         return []
-    root_window = PairWindow(tree_r.root, tree_s.root)
-    if root_window.empty:
+    if not tree_r.mbr().intersects(tree_s.mbr()):
         return []
     if tree_r.height != tree_s.height:
         raise ValueError(
@@ -89,8 +88,7 @@ def count_root_tasks(tree_r: RStarTree, tree_s: RStarTree) -> int:
     if tree_r.size == 0 or tree_s.size == 0:
         return 0
     if tree_r.height == 1 or tree_s.height == 1:
-        window = PairWindow(tree_r.root, tree_s.root)
-        return 0 if window.empty else 1
+        return int(tree_r.mbr().intersects(tree_s.mbr()))
     return len(expand_node_pair(tree_r.root, tree_s.root))
 
 

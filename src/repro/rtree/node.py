@@ -17,11 +17,14 @@ through the base arrays of its own table changes it under every tree
 built from it.  Only the permutation is ever written (sorted leaf by
 leaf, :func:`sort_leaves_by_xl`).
 
-The readers take a leaf's rows as builtin tuples (:meth:`Node.rows`, five
-gathers from the table; a join keeps the last leaves' rows in a
-:class:`LeafRows`); an :class:`Entry` per data row is made only at the
-API edge (:meth:`Node.data_entries`) or for the one leaf an insert, split
-or delete is changing.
+The join reads a page of either kind as rows of builtin tuples,
+``(xl, yl, xu, yu, child)`` for a directory page and ``(xl, yl, xu, yu,
+oid)`` for a data page (:meth:`Node.rows`; five gathers from the table
+at a leaf), and keeps the last pages' rows in a :class:`NodeRows`: the
+one plane sweep of :mod:`repro.geometry.planesweep` runs over them at
+every level.  An :class:`Entry` per data row is made only at the API
+edge (:meth:`Node.data_entries`) or for the one leaf an insert, split or
+delete is changing.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from ..geometry.planesweep import restrict_rows
 from ..geometry.table import BoxTable
 from .entry import Entry
 
-__all__ = ["Node", "LeafRows", "sort_leaves_by_xl"]
+__all__ = ["Node", "NodeRows", "sort_leaves_by_xl"]
 
-#: How many leaves' rows a :class:`LeafRows` keeps: the full-scale
+#: How many pages' rows a :class:`NodeRows` keeps: the full-scale
 #: depth-first join reads each leaf in 4.2 leaf pairs close together,
-#: and 32 leaves catch all but 8 % of the re-reads.
-LEAF_ROWS_KEPT = 32
+#: and 32 pages catch all but 8 % of the re-reads.
+ROWS_KEPT = 32
 
 
 class Node:
@@ -152,8 +155,11 @@ class Node:
         return column
 
     def rows(self) -> list[tuple]:
-        """A leaf's data entries as ``(xl, yl, xu, yu, oid)`` tuples of
-        builtin objects, in leaf order."""
+        """The page's entries as tuples, in node order: ``(xl, yl, xu, yu,
+        child)`` on a directory page, ``(xl, yl, xu, yu, oid)`` of builtin
+        objects on a data page."""
+        if self.level:
+            return [(e.xl, e.yl, e.xu, e.yu, e.child) for e in self.entries]
         rows = self.order[self.lo : self.hi]
         table = self.table
         return list(
@@ -238,10 +244,10 @@ def sort_leaves_by_xl(leaves: Iterable[Node]) -> None:
         order[at[real]] = order[by_xl[real]]
 
 
-class LeafRows:
-    """:meth:`Node.rows` for a traversal that reads the same leaves again
-    soon: the rows of the last :data:`LEAF_ROWS_KEPT` leaves read are
-    kept, first in first out.  One traversal owns one; the trees must not
+class NodeRows:
+    """:meth:`Node.rows` for a traversal that reads the same pages again
+    soon: the rows of the last :data:`ROWS_KEPT` pages read are kept,
+    first in first out.  One traversal owns one; the trees must not
     change under it."""
 
     __slots__ = ("_rows",)
@@ -249,12 +255,12 @@ class LeafRows:
     def __init__(self):
         self._rows: dict[Node, list[tuple]] = {}
 
-    def __call__(self, leaf: Node) -> list[tuple]:
-        rows = self._rows.get(leaf)
+    def __call__(self, node: Node) -> list[tuple]:
+        rows = self._rows.get(node)
         if rows is None:
-            if len(self._rows) >= LEAF_ROWS_KEPT:
+            if len(self._rows) >= ROWS_KEPT:
                 del self._rows[next(iter(self._rows))]
-            rows = self._rows[leaf] = leaf.rows()
+            rows = self._rows[node] = node.rows()
         return rows
 
 

@@ -9,6 +9,11 @@ region pairs (duplicates) and overlapping regions need not mean
 overlapping MBRs (z-false hits).  :func:`zorder_join` removes both and
 therefore produces *exactly* the MBR candidate set — making the CPU
 trade-off against the R-tree join directly measurable.
+
+The merge of the two B-tree leaf scans is the package's one plane sweep
+(:func:`~repro.geometry.planesweep.sweep_rows`) over interval rows
+``(lo, 0, hi, 0, oid, rect)``: a z-interval is a box of zero height, so
+every x-overlap the sweep finds is a match.
 """
 
 from __future__ import annotations
@@ -16,25 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+from ..geometry.planesweep import sweep_rows
 from ..geometry.rect import Rect
 from .btree import BPlusTree
 from .curve import Quantizer, decompose
 
 __all__ = ["ZOrderIndex", "ZJoinStats", "zorder_join"]
-
-
-class _IntervalEntry:
-    """One z-interval of one object, shaped for the 1D plane sweep."""
-
-    __slots__ = ("xl", "xu", "yl", "yu", "oid", "rect")
-
-    def __init__(self, lo: int, hi: int, oid, rect: Rect):
-        self.xl = lo
-        self.xu = hi
-        self.yl = 0.0
-        self.yu = 0.0
-        self.oid = oid
-        self.rect = rect
 
 
 class ZOrderIndex:
@@ -56,12 +48,10 @@ class ZOrderIndex:
                 self.tree.insert(region.lo, (region.hi, oid, rect))
                 self.entry_count += 1
 
-    def interval_entries(self) -> list[_IntervalEntry]:
-        """The B-tree leaf scan as sweep-ready interval entries."""
-        return [
-            _IntervalEntry(lo, hi, oid, rect)
-            for lo, (hi, oid, rect) in self.tree.items()
-        ]
+    def interval_rows(self) -> list[tuple]:
+        """The B-tree leaf scan as sweep rows ``(lo, 0, hi, 0, oid,
+        rect)``, in ``lo`` order."""
+        return [(lo, 0, hi, 0, oid, rect) for lo, (hi, oid, rect) in self.tree.items()]
 
     def __repr__(self) -> str:
         return f"<ZOrderIndex {self.entry_count} intervals, {self.tree!r}>"
@@ -102,25 +92,19 @@ def zorder_join(
     index_s = ZOrderIndex(items_s, quantizer, max_regions)
     stats = ZJoinStats(entries_r=index_r.entry_count, entries_s=index_s.entry_count)
 
-    entries_r = index_r.interval_entries()
-    entries_s = index_s.interval_entries()
-    # Ordered merge of the two leaf scans = the 1D plane sweep over
-    # z-intervals (the sweep module works on any xl/xu extents).
-    from ..geometry.planesweep import sweep_pairs
-
-    sweep = sweep_pairs(entries_r, entries_s)
-    stats.interval_tests = sweep.tests
-
+    pairs_found, stats.interval_tests = sweep_rows(
+        index_r.interval_rows(), index_s.interval_rows()
+    )
     seen: set[tuple[Hashable, Hashable]] = set()
     pairs: list[tuple[Hashable, Hashable]] = []
-    for er, es in sweep.pairs:
+    for er, es in pairs_found:
         stats.interval_matches += 1
-        key = (er.oid, es.oid)
+        key = (er[4], es[4])
         if key in seen:
             stats.duplicates += 1
             continue
         seen.add(key)
-        if not er.rect.intersects(es.rect):
+        if not er[5].intersects(es[5]):
             stats.z_false_hits += 1
             continue
         pairs.append(key)

@@ -1,6 +1,7 @@
 """Tests for the synthetic TIGER-like map generators."""
 
 import hashlib
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.datagen import (
     generate_streets,
     paper_maps,
 )
-from repro.geometry import Rect, sweep_pairs, x_sorted
+from repro.geometry import Rect, sweep_rows
 from repro.rtree import tree_stats
 
 
@@ -229,5 +230,6 @@ class TestBuildTree:
         assert t2.height == 3
         s1 = tree_stats(t1)
         assert 0.6 <= s1.avg_leaf_fill <= 0.85
-        m = len(sweep_pairs(x_sorted(t1.root.entries), x_sorted(t2.root.entries)))
+        rows_1, rows_2 = (sorted(t.root.rows(), key=itemgetter(0)) for t in (t1, t2))
+        m = len(sweep_rows(rows_1, rows_2)[0])
         assert 40 <= m <= 1200

@@ -1,59 +1,67 @@
-"""Unit and property tests for the node-level plane sweep (section 2.2)."""
+"""Unit and property tests for the node-level plane sweep (section 2.2).
+
+The sweep runs over rows: tuples that start ``xl, yl, xu, yu``; the rows
+here carry their position as a fifth value."""
 
 import random
+from operator import itemgetter
 
 import pytest
 
-from repro.geometry import (
-    Rect,
-    brute_join_pairs,
-    restrict_to_window,
-    sweep_pairs,
-    x_sorted,
-)
+from repro.geometry import Rect, brute_join_pairs, restrict_rows, sweep_rows
 
 
 def rects(*tuples):
-    return [Rect(*t) for t in tuples]
+    return [tuple(t) + (i,) for i, t in enumerate(tuples)]
+
+
+def x_sorted(rows):
+    return sorted(rows, key=itemgetter(0))
+
+
+def brute(rs, ss):
+    """The nested-loop reference, as a set of position pairs."""
+    boxes_r = [Rect(*r[:4]) for r in rs]
+    boxes_s = [Rect(*s[:4]) for s in ss]
+    at_r = {id(box): r[4] for box, r in zip(boxes_r, rs)}
+    at_s = {id(box): s[4] for box, s in zip(boxes_s, ss)}
+    return {(at_r[id(r)], at_s[id(s)]) for r, s in brute_join_pairs(boxes_r, boxes_s)}
+
+
+def positions(pairs):
+    return {(r[4], s[4]) for r, s in pairs}
 
 
 class TestSweepBasics:
     def test_empty_inputs(self):
-        assert list(sweep_pairs([], [])) == []
-        assert list(sweep_pairs(rects((0, 0, 1, 1)), [])) == []
-        assert list(sweep_pairs([], rects((0, 0, 1, 1)))) == []
+        assert sweep_rows([], []) == ([], 0)
+        assert sweep_rows(rects((0, 0, 1, 1)), []) == ([], 0)
+        assert sweep_rows([], rects((0, 0, 1, 1))) == ([], 0)
 
     def test_single_intersecting_pair(self):
         rs = rects((0, 0, 2, 2))
         ss = rects((1, 1, 3, 3))
-        res = sweep_pairs(rs, ss)
-        assert res.pairs == [(rs[0], ss[0])]
-        assert res.tests >= 1
+        pairs, tests = sweep_rows(rs, ss)
+        assert pairs == [(rs[0], ss[0])]
+        assert tests >= 1
 
     def test_single_disjoint_pair(self):
         rs = rects((0, 0, 1, 1))
         ss = rects((5, 5, 6, 6))
-        assert sweep_pairs(rs, ss).pairs == []
+        assert sweep_rows(rs, ss)[0] == []
 
     def test_pair_orientation_preserved(self):
-        # Output pairs are always (element of rs, element of ss) even when
-        # the sweep line stops at an s-rectangle first.
+        # Output pairs are always (row of rs, row of ss) even when the
+        # sweep line stops at an s-rectangle first.
         rs = rects((1, 0, 3, 2))
         ss = rects((0, 0, 2, 2))
-        (pair,) = sweep_pairs(rs, ss).pairs
+        (pair,) = sweep_rows(rs, ss)[0]
         assert pair == (rs[0], ss[0])
 
     def test_x_overlap_but_y_disjoint(self):
         rs = rects((0, 0, 2, 1))
         ss = rects((1, 5, 3, 6))
-        assert sweep_pairs(rs, ss).pairs == []
-
-    def test_len_and_iter(self):
-        rs = rects((0, 0, 2, 2), (4, 0, 6, 2))
-        ss = rects((1, 1, 5, 1.5))
-        res = sweep_pairs(rs, ss)
-        assert len(res) == 2
-        assert set(res) == {(rs[0], ss[0]), (rs[1], ss[0])}
+        assert sweep_rows(rs, ss)[0] == []
 
 
 class TestPaperFigure1:
@@ -63,18 +71,18 @@ class TestPaperFigure1:
         # Reconstructed so that the sweep stops at r1, s1, r2, s2, r3 and
         # produces the test pairs listed in the figure:
         #   r1: (r1, s1); s1: (s1, r2); r2: (r2, s2); s2: (s2, r3); r3: -
-        self.r1 = Rect(0.0, 2.0, 2.0, 4.0)
-        self.s1 = Rect(1.0, 1.0, 4.0, 3.0)
-        self.r2 = Rect(2.5, 2.5, 5.0, 5.0)
-        self.s2 = Rect(4.5, 0.0, 7.0, 3.0)
-        self.r3 = Rect(5.5, 2.0, 8.0, 4.0)
+        self.r1 = (0.0, 2.0, 2.0, 4.0, "r1")
+        self.s1 = (1.0, 1.0, 4.0, 3.0, "s1")
+        self.r2 = (2.5, 2.5, 5.0, 5.0, "r2")
+        self.s2 = (4.5, 0.0, 7.0, 3.0, "s2")
+        self.r3 = (5.5, 2.0, 8.0, 4.0, "r3")
 
     def test_order_is_local_plane_sweep_order(self):
-        res = sweep_pairs(
-            x_sorted([self.r1, self.r2, self.r3]),
-            x_sorted([self.s1, self.s2]),
+        pairs, _ = sweep_rows(
+            x_sorted([self.r3, self.r1, self.r2]),
+            x_sorted([self.s2, self.s1]),
         )
-        assert res.pairs == [
+        assert pairs == [
             (self.r1, self.s1),
             (self.r2, self.s1),
             (self.r2, self.s2),
@@ -89,30 +97,26 @@ class TestSweepAgainstBrute:
 
         def make(n):
             out = []
-            for _ in range(n):
+            for i in range(n):
                 x = rng.uniform(0, 100)
                 y = rng.uniform(0, 100)
-                out.append(Rect(x, y, x + rng.uniform(0, 10), y + rng.uniform(0, 10)))
+                out.append((x, y, x + rng.uniform(0, 10), y + rng.uniform(0, 10), i))
             return out
 
         rs = x_sorted(make(60))
         ss = x_sorted(make(60))
-        got = set(sweep_pairs(rs, ss).pairs)
-        want = set(brute_join_pairs(rs, ss))
-        assert got == want
+        assert positions(sweep_rows(rs, ss)[0]) == brute(rs, ss)
 
     def test_duplicated_coordinates(self):
         # Ties in xl must not lose pairs.
         rs = x_sorted(rects((0, 0, 1, 1), (0, 2, 1, 3), (0, 0, 3, 3)))
         ss = x_sorted(rects((0, 0, 1, 1), (0, 1.5, 2, 2.5)))
-        got = set(sweep_pairs(rs, ss).pairs)
-        want = set(brute_join_pairs(rs, ss))
-        assert got == want
+        assert positions(sweep_rows(rs, ss)[0]) == brute(rs, ss)
 
     def test_all_identical_rects(self):
         rs = rects(*[(0, 0, 1, 1)] * 5)
         ss = rects(*[(0, 0, 1, 1)] * 4)
-        assert len(sweep_pairs(rs, ss)) == 20
+        assert len(sweep_rows(rs, ss)[0]) == 20
 
 
 class TestSweepCost:
@@ -121,54 +125,48 @@ class TestSweepCost:
         # second r must never be tested.
         rs = x_sorted(rects((0, 0, 1, 1), (100, 0, 101, 1)))
         ss = x_sorted(rects((0.5, 0, 1.5, 1)))
-        res = sweep_pairs(rs, ss)
+        pairs, tests = sweep_rows(rs, ss)
         # r1 stops first and scans s1 (1 test); s1 then stops but r2's xl
         # is beyond s1.xu, so r2 is never tested.
-        assert res.tests == 1
-        assert len(res) == 1
+        assert tests == 1
+        assert len(pairs) == 1
 
     def test_sweep_cheaper_than_brute_on_spread_data(self):
         rng = random.Random(42)
-        rs = x_sorted(
-            [Rect(i * 10.0, 0, i * 10.0 + 1, 1) for i in range(200)]
-        )
+        rs = x_sorted([(i * 10.0, 0, i * 10.0 + 1, 1) for i in range(200)])
         ss = x_sorted(
-            [Rect(i * 10.0 + rng.random(), 0, i * 10.0 + 1.5, 1) for i in range(200)]
+            [(i * 10.0 + rng.random(), 0, i * 10.0 + 1.5, 1) for i in range(200)]
         )
-        res = sweep_pairs(rs, ss)
-        assert res.tests < 200 * 200 / 10  # far below quadratic
+        _, tests = sweep_rows(rs, ss)
+        assert tests < 200 * 200 / 10  # far below quadratic
 
 
 class TestRestrictToWindow:
     def test_filters_non_intersecting(self):
         items = rects((0, 0, 1, 1), (5, 5, 6, 6), (0.5, 0.5, 2, 2))
-        window = Rect(0, 0, 1.2, 1.2)
-        got = restrict_to_window(items, window)
+        got = restrict_rows(items, 0, 0, 1.2, 1.2)
         assert got == [items[0], items[2]]
 
     def test_preserves_order(self):
         items = x_sorted(rects((0, 0, 1, 1), (0.2, 0, 1, 1), (0.4, 0, 1, 1)))
-        got = restrict_to_window(items, Rect(0, 0, 10, 10))
+        got = restrict_rows(items, 0, 0, 10, 10)
         assert got == items
 
     def test_restriction_does_not_change_join_result(self):
         rng = random.Random(7)
-        rs = [
-            Rect(x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5))
-            for x, y in [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(80)]
-        ]
-        ss = [
-            Rect(x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5))
-            for x, y in [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(80)]
-        ]
-        mbr_r = Rect.union_all(rs)
-        mbr_s = Rect.union_all(ss)
+
+        def make():
+            out = []
+            for i in range(80):
+                x, y = rng.uniform(0, 50), rng.uniform(0, 50)
+                out.append((x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5), i))
+            return out
+
+        rs, ss = make(), make()
+        mbr_r = Rect.union_all([Rect(*r[:4]) for r in rs])
+        mbr_s = Rect.union_all([Rect(*s[:4]) for s in ss])
         window = mbr_r.intersection(mbr_s)
         assert window is not None
-        full = set(brute_join_pairs(rs, ss))
-        restricted = set(
-            brute_join_pairs(
-                restrict_to_window(rs, window), restrict_to_window(ss, window)
-            )
-        )
-        assert restricted == full
+        corners = window.as_tuple()
+        restricted = brute(restrict_rows(rs, *corners), restrict_rows(ss, *corners))
+        assert restricted == brute(rs, ss)

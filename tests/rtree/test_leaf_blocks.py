@@ -21,7 +21,7 @@ from repro.datagen import build_tree, paper_maps
 from repro.geometry import BoxTable, Rect
 from repro.rtree import RStarTree, str_bulk_load, tree_stats
 from repro.rtree.entry import Entry
-from repro.rtree.node import LeafRows, Node
+from repro.rtree.node import Node, NodeRows
 
 #: The list-of-``Entry`` leaves traced ~232 B a data entry at this scale,
 #: the packed ``(4, n)`` blocks ~72 B; the row ranges trace ~30 B.
@@ -177,7 +177,7 @@ def test_preparing_sorts_each_leaf_as_its_own_stable_sort_would():
 
 def test_leaf_rows_read_each_leaf_once_while_it_is_kept():
     leaf = Node(0, [Entry(0.0, 0.0, 1.0, 1.0, oid=7)])
-    rows = LeafRows()
+    rows = NodeRows()
     first = rows(leaf)
     assert first == [(0.0, 0.0, 1.0, 1.0, 7)] == leaf.rows()
     assert rows(leaf) is first
