@@ -76,6 +76,9 @@ class ReassignmentPolicy:
         return random.Random(self.seed)
 
 
+_STALE = object()
+
+
 class Workload:
     """Per-processor pending subtree pairs, organised by tree level.
 
@@ -92,6 +95,9 @@ class Workload:
         self.tracer = tracer
         self._pending: dict[int, Deque[tuple[Node, Node]]] = {}
         self._count = 0
+        #: highest_pending()'s answer, kept until a writer of _pending
+        #: (push_pair, pop_deepest, steal_from) makes it stale.
+        self._report: object = _STALE
 
     def __len__(self) -> int:
         return self._count
@@ -111,6 +117,7 @@ class Workload:
             self._pending[level] = queue
         queue.append((node_r, node_s))
         self._count += 1
+        self._report = _STALE
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.PAIR_ENQUEUED,
@@ -127,6 +134,7 @@ class Workload:
         level = min(l for l, q in self._pending.items() if q)
         node_r, node_s = self._pending[level].popleft()
         self._count -= 1
+        self._report = _STALE
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.PAIR_DEQUEUED,
@@ -141,11 +149,13 @@ class Workload:
     def highest_pending(self) -> Optional[tuple[int, int]]:
         """``(hl, ns)``: the highest level with pending pairs and their
         count there — what each processor "reports" (section 3.4)."""
-        best: Optional[tuple[int, int]] = None
-        for level, queue in self._pending.items():
-            if queue and (best is None or level > best[0]):
-                best = (level, len(queue))
-        return best
+        if self._report is _STALE:
+            best: Optional[tuple[int, int]] = None
+            for level, queue in self._pending.items():
+                if queue and (best is None or level > best[0]):
+                    best = (level, len(queue))
+            self._report = best
+        return self._report
 
     def stealable_level(
         self, policy_level: ReassignLevel, min_pairs: int = 1
@@ -179,6 +189,7 @@ class Workload:
         stolen = [queue.pop() for _ in range(count)]
         stolen.reverse()  # keep plane-sweep order for the thief
         self._count -= count
+        self._report = _STALE
         if self.tracer.enabled:
             for node_r, node_s in stolen:
                 self.tracer.emit(
