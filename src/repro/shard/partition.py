@@ -56,6 +56,7 @@ from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
 from ..rtree.bulk import str_bulk_load
 from ..rtree.flat import FlatRTree
+from ..rtree.query import require_count
 from ..zorder.curve import interleave
 
 __all__ = [
@@ -166,8 +167,7 @@ class Partitioner:
     """
 
     def __init__(self, shards: int, mode: str = "grid"):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        require_count("shards", shards)
         if mode not in ("grid", "zrange"):
             raise ValueError(f"unknown partition mode {mode!r}")
         self.shards = shards

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..geometry.rect import Rect
+from ..rtree.query import require_count
 
 __all__ = ["interleave", "interleave_array", "ZRegion", "decompose", "Quantizer"]
 
@@ -42,12 +43,19 @@ def interleave_array(ix, iy, bits: int):
     """
     import numpy as np  # deferred: the scalar curve stays numpy-free
 
-    if bits < 1 or bits > 28:
-        raise ValueError("bits must be in [1, 28]")
+    _require_bits(bits)
     mask = np.uint64((1 << bits) - 1)
     x = np.asarray(ix, dtype=np.uint64) & mask
     y = np.asarray(iy, dtype=np.uint64) & mask
     return _spread_bits(np, x) | (_spread_bits(np, y) << np.uint64(1))
+
+
+def _require_bits(bits) -> None:
+    """Raise ``ValueError`` unless *bits* is a count in ``[1, 28]``: the
+    codes of two 28-bit coordinates fill 56 bits of a ``uint64``."""
+    require_count("bits", bits)
+    if bits > 28:
+        raise ValueError(f"bits must be in [1, 28], got {bits!r}")
 
 
 def _spread_bits(np, v):
@@ -84,8 +92,7 @@ class Quantizer:
     """Maps world coordinates into the ``2^bits`` x ``2^bits`` grid."""
 
     def __init__(self, bounds: Rect, bits: int = 12):
-        if bits < 1 or bits > 28:
-            raise ValueError("bits must be in [1, 28]")
+        _require_bits(bits)
         self.bounds = bounds
         self.bits = bits
         self.cells = 1 << bits
@@ -135,8 +142,7 @@ def decompose(rect: Rect, quantizer: Quantizer, max_regions: int = 4) -> list[ZR
     it is quartered.  More regions = tighter approximation = fewer false
     hits but more B-tree entries — [OM 88]'s central trade-off.
     """
-    if max_regions < 1:
-        raise ValueError("max_regions must be at least 1")
+    require_count("max_regions", max_regions)
     bits = quantizer.bits
     ix0, iy0, ix1, iy1 = quantizer.grid_rect(rect)
 

@@ -228,6 +228,13 @@ class TestBuildSharded:
         with pytest.raises(ValueError, match="unknown backend"):
             build_sharded({"a": make_items(5, 15)}, 2, backend="packed")
 
+    @pytest.mark.parametrize("shards", [True, 2.0, 2.5])
+    def test_a_bool_or_a_fraction_is_not_a_shard_count(self, shards):
+        with pytest.raises(ValueError, match="shards must be an integer"):
+            Partitioner(shards)
+        with pytest.raises(ValueError, match="shards must be an integer"):
+            build_sharded({"a": make_items(5, 15)}, shards)
+
 
 class TestEmptyShards:
     """An empty shard holds an empty tree of the *requested* backend, so
