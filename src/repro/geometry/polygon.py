@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polyline import Polyline
 from .rect import Rect
 from .segment import Segment
 
@@ -95,18 +94,6 @@ class Polygon:
             return True
         sx, sy = self.points[0]
         return other.contains_point(sx, sy)
-
-    def intersects_polyline(self, line: Polyline) -> bool:
-        """True when the polyline touches the polygon boundary or interior."""
-        if not self._mbr.intersects(line.mbr):
-            return False
-        boundary = self.boundary_segments()
-        for a in line.segments():
-            for b in boundary:
-                if a.intersects(b):
-                    return True
-        x, y = line.points[0]
-        return self.contains_point(x, y)
 
     def __repr__(self) -> str:
         return f"Polygon({len(self.points)} vertices, mbr={self._mbr!r})"

@@ -152,16 +152,6 @@ class Rect:
             self.yu if self.yu > other.yu else other.yu,
         )
 
-    def intersection_area(self, other: "Rect") -> float:
-        """Area of the common rectangle (0.0 when disjoint)."""
-        w = min(self.xu, other.xu) - max(self.xl, other.xl)
-        if w < 0.0:
-            return 0.0
-        h = min(self.yu, other.yu) - max(self.yl, other.yl)
-        if h < 0.0:
-            return 0.0
-        return w * h
-
     def enlargement(self, other: "Rect") -> float:
         """Area increase needed to also cover *other* (R-tree insertion cost)."""
         union_area = (

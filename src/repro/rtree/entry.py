@@ -93,15 +93,6 @@ class Entry:
             and other.yl <= self.yu
         )
 
-    def overlap_area(self, other) -> float:
-        w = min(self.xu, other.xu) - max(self.xl, other.xl)
-        if w <= 0.0:
-            return 0.0
-        h = min(self.yu, other.yu) - max(self.yl, other.yl)
-        if h <= 0.0:
-            return 0.0
-        return w * h
-
     def enlargement(self, other) -> float:
         """Area growth if this entry's MBR had to absorb *other*."""
         xl = self.xl if self.xl < other.xl else other.xl

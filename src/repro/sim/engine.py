@@ -25,7 +25,7 @@ given experiment configuration always produces the identical schedule.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Optional
 
 __all__ = ["Environment", "Event", "Process", "SimulationError"]
 
@@ -165,38 +165,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register *generator* as a process starting now."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event firing once every event in *events* has fired.
-
-        Its value is the list of the individual event values in input order.
-        """
-        events = list(events)
-        done = Event(self)
-        if not events:
-            done.succeed([])
-            return done
-        remaining = [len(events)]
-        values: list = [None] * len(events)
-
-        def make_callback(index: int):
-            def callback(event: Event) -> None:
-                values[index] = event._value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed(values)
-
-            return callback
-
-        for index, event in enumerate(events):
-            if event._processed:
-                remaining[0] -= 1
-                values[index] = event._value
-            else:
-                event.callbacks.append(make_callback(index))
-        if remaining[0] == 0 and not done._triggered:
-            done.succeed(values)
-        return done
 
     # -- execution ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:

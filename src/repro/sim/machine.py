@@ -77,8 +77,6 @@ class MachineConfig:
     #: KSR1's custom 20 MHz processors spend on the order of a hundred
     #: cycles per test.
     cpu_rect_test_time: float = 5e-6
-    #: CPU time per comparison when sorting entries by ``xl``.
-    cpu_sort_compare_time: float = 2e-6
     #: Critical-section length for one global-buffer directory update or
     #: one shared-task-queue operation (synchronisation cost, section 3).
     sync_time: float = 5e-5
@@ -102,12 +100,6 @@ class MachineConfig:
     def bus_transfer_time(self) -> float:
         """How long a remote page copy occupies the interconnect."""
         return self.page_size / (self.remote_memory.bandwidth_mb_per_s * MB)
-
-    def sort_time(self, n: int) -> float:
-        """CPU time to sort ``n`` entries by their lower x-coordinate."""
-        if n < 2:
-            return 0.0
-        return n * math.log2(n) * self.cpu_sort_compare_time
 
 
 #: The configuration of the paper's test environment.

@@ -83,9 +83,5 @@ class DiskArray:
     def queue_length(self, disk_id: int) -> int:
         return self._disks[disk_id].queue_length
 
-    def utilisation_counts(self) -> list[int]:
-        """Accesses per disk, index = disk id."""
-        return [self.metrics.per_disk_reads[d] for d in range(self.num_disks)]
-
     def __repr__(self) -> str:
         return f"<DiskArray {self.num_disks} disks, {self.metrics.disk_accesses} reads>"

@@ -115,18 +115,3 @@ class TestPolygon:
         a = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = Polygon([(5, 5), (6, 5), (6, 6), (5, 6)])
         assert not a.intersects_polygon(b)
-
-    def test_polyline_crossing_polygon(self):
-        sq = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-        line = Polyline([(-1, 1), (3, 1)])
-        assert sq.intersects_polyline(line)
-
-    def test_polyline_inside_polygon(self):
-        sq = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-        line = Polyline([(1, 1), (2, 2)])
-        assert sq.intersects_polyline(line)
-
-    def test_polyline_outside_polygon(self):
-        sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        line = Polyline([(2, 2), (3, 3)])
-        assert not sq.intersects_polyline(line)

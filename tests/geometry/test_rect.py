@@ -123,10 +123,6 @@ class TestCombination:
     def test_union(self):
         assert Rect(0, 0, 1, 1).union(Rect(2, 2, 3, 3)) == Rect(0, 0, 3, 3)
 
-    def test_intersection_area(self):
-        assert Rect(0, 0, 2, 2).intersection_area(Rect(1, 1, 3, 3)) == 1.0
-        assert Rect(0, 0, 1, 1).intersection_area(Rect(5, 5, 6, 6)) == 0.0
-
     def test_enlargement_zero_when_contained(self):
         assert Rect(0, 0, 10, 10).enlargement(Rect(1, 1, 2, 2)) == 0.0
 

@@ -43,14 +43,6 @@ class TestEntry:
         e = Entry.for_object(Rect(0, 0, 2, 2), oid=1)
         assert e.intersects(Rect(1, 1, 3, 3))
 
-    def test_overlap_area(self):
-        a = Entry.for_object(Rect(0, 0, 2, 2), oid=1)
-        b = Entry.for_object(Rect(1, 1, 3, 3), oid=2)
-        assert a.overlap_area(b) == 1.0
-        # Touching edges have zero overlap area.
-        c = Entry.for_object(Rect(2, 0, 3, 2), oid=3)
-        assert a.overlap_area(c) == 0.0
-
     def test_enlargement(self):
         a = Entry.for_object(Rect(0, 0, 1, 1), oid=1)
         assert a.enlargement(Entry.for_object(Rect(0, 0, 1, 1), oid=2)) == 0.0

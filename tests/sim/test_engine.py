@@ -200,37 +200,6 @@ class TestBareEvents:
         assert ev.value == 9
 
 
-class TestAllOf:
-    def test_waits_for_all(self):
-        env = Environment()
-        log = []
-
-        def child(delay, value):
-            yield env.timeout(delay)
-            return value
-
-        def parent():
-            procs = [env.process(child(d, d * 10)) for d in (3, 1, 2)]
-            values = yield env.all_of(procs)
-            log.append((env.now, values))
-
-        env.process(parent())
-        env.run()
-        assert log == [(3.0, [30, 10, 20])]
-
-    def test_empty_list_fires_immediately(self):
-        env = Environment()
-        log = []
-
-        def parent():
-            values = yield env.all_of([])
-            log.append((env.now, values))
-
-        env.process(parent())
-        env.run()
-        assert log == [(0.0, [])]
-
-
 class TestRunUntil:
     def test_stops_at_horizon(self):
         env = Environment()

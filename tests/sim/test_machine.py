@@ -47,12 +47,6 @@ class TestKSR1Config:
         cfg = KSR1_CONFIG
         assert cfg.bus_transfer_time < cfg.remote_page_access_time
 
-    def test_sort_time_monotone(self):
-        cfg = KSR1_CONFIG
-        assert cfg.sort_time(0) == 0.0
-        assert cfg.sort_time(1) == 0.0
-        assert cfg.sort_time(100) > cfg.sort_time(10) > 0.0
-
 
 class TestMachine:
     def test_remote_copy_charges_time_and_counts(self):

@@ -6,7 +6,6 @@ from repro.sim import Environment, Metrics
 from repro.storage import (
     DEFAULT_DISK,
     DEFAULT_STORAGE,
-    ClusterStore,
     DiskArray,
     DiskParams,
     PageKind,
@@ -104,7 +103,7 @@ class TestDiskArray:
         env.process(proc())
         env.run()
         assert metrics.disk_accesses == 3
-        assert array.utilisation_counts() == [2, 1]
+        assert metrics.per_disk_reads[0] == 2 and metrics.per_disk_reads[1] == 1
 
     def test_one_disk_is_bottleneck(self):
         # The Figure 9 effect in miniature: with 1 disk, elapsed time is the
@@ -133,40 +132,3 @@ class TestDiskArray:
 
         env.process(proc())
         assert env.run() == pytest.approx(3e-3)
-
-
-class TestClusterStore:
-    def test_store_and_load(self):
-        store = ClusterStore()
-        store.store(5, {"a": "geomA", "b": "geomB"})
-        assert store.load(5) == {"a": "geomA", "b": "geomB"}
-        assert store.geometry(5, "a") == "geomA"
-
-    def test_one_to_one_replacement(self):
-        store = ClusterStore()
-        store.store(5, {"a": 1})
-        store.store(5, {"b": 2})
-        assert store.load(5) == {"b": 2}
-
-    def test_unknown_page_raises(self):
-        store = ClusterStore()
-        with pytest.raises(KeyError):
-            store.load(99)
-
-    def test_contains_len_pages(self):
-        store = ClusterStore()
-        store.store(1, {"x": 0})
-        store.store(2, {"y": 0})
-        assert 1 in store and 2 in store and 3 not in store
-        assert len(store) == 2
-        assert set(store.page_ids()) == {1, 2}
-
-    def test_average_cluster_bytes(self):
-        store = ClusterStore()
-        store.store(1, {"a": 0, "b": 0})
-        store.store(2, {"c": 0, "d": 0, "e": 0, "f": 0})
-        assert store.average_cluster_bytes() == pytest.approx(3.0)
-        assert store.average_cluster_bytes(bytes_per_geometry=1000) == pytest.approx(3000.0)
-
-    def test_empty_average(self):
-        assert ClusterStore().average_cluster_bytes() == 0.0
