@@ -1,16 +1,14 @@
-"""The z-ordering baseline of [OM 88]: Morton curve, B+-tree, merge join."""
+"""The z-ordering baseline of [OM 88]: Morton curve, sorted z-intervals,
+merge join."""
 
-from .btree import BPlusTree
 from .curve import Quantizer, ZRegion, decompose, interleave
-from .join import ZJoinStats, ZOrderIndex, zorder_join
+from .join import ZJoinStats, zorder_join
 
 __all__ = [
     "interleave",
     "ZRegion",
     "Quantizer",
     "decompose",
-    "BPlusTree",
-    "ZOrderIndex",
     "ZJoinStats",
     "zorder_join",
 ]

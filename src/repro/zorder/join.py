@@ -1,17 +1,18 @@
 """The z-order spatial join of [OM 88] — the related-work baseline.
 
 PROBE's filter step: every object's MBR becomes a few z-regions (z-value
-intervals) stored in a B-tree per relation; the join merges the two
-ordered sequences and reports object pairs with overlapping z-intervals.
-Because a z-region is a conservative approximation, this yields a superset
-of the MBR-filter candidates: the same pair may match through several
-region pairs (duplicates) and overlapping regions need not mean
-overlapping MBRs (z-false hits).  :func:`zorder_join` removes both and
-therefore produces *exactly* the MBR candidate set — making the CPU
-trade-off against the R-tree join directly measurable.
+intervals), each relation's intervals are sorted by ``lo``, and the join
+merges the two sorted sequences and reports object pairs with overlapping
+z-intervals.  Because a z-region is a conservative approximation, this
+yields a superset of the MBR-filter candidates: the same pair may match
+through several region pairs (duplicates) and overlapping regions need
+not mean overlapping MBRs (z-false hits).  :func:`zorder_join` removes
+both and therefore produces *exactly* the MBR candidate set — making the
+CPU trade-off against the R-tree join directly measurable.
 
-The merge of the two B-tree leaf scans is the package's one plane sweep
-(:func:`~repro.geometry.planesweep.sweep_rows`) over interval rows
+[OM 88] keeps the sorted intervals in a B-tree, whose leaf level is the
+sorted list; the merge needs nothing else.  It is the package's one plane
+sweep (:func:`~repro.geometry.planesweep.sweep_rows`) over interval rows
 ``(lo, 0, hi, 0, oid, rect)``: a z-interval is a box of zero height, so
 every x-overlap the sweep finds is a match.
 """
@@ -19,42 +20,29 @@ every x-overlap the sweep finds is a match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Sequence
 
 from ..geometry.planesweep import sweep_rows
 from ..geometry.rect import Rect
-from .btree import BPlusTree
 from .curve import Quantizer, decompose
 
-__all__ = ["ZOrderIndex", "ZJoinStats", "zorder_join"]
+__all__ = ["ZJoinStats", "zorder_join"]
 
 
-class ZOrderIndex:
-    """A spatial relation as z-intervals in a B+-tree."""
-
-    def __init__(
-        self,
-        items: Sequence[tuple[Hashable, Rect]],
-        quantizer: Quantizer,
-        max_regions: int = 4,
-        btree_order: int = 64,
-    ):
-        self.quantizer = quantizer
-        self.max_regions = max_regions
-        self.tree = BPlusTree(order=btree_order)
-        self.entry_count = 0
-        for oid, rect in items:
-            for region in decompose(rect, quantizer, max_regions):
-                self.tree.insert(region.lo, (region.hi, oid, rect))
-                self.entry_count += 1
-
-    def interval_rows(self) -> list[tuple]:
-        """The B-tree leaf scan as sweep rows ``(lo, 0, hi, 0, oid,
-        rect)``, in ``lo`` order."""
-        return [(lo, 0, hi, 0, oid, rect) for lo, (hi, oid, rect) in self.tree.items()]
-
-    def __repr__(self) -> str:
-        return f"<ZOrderIndex {self.entry_count} intervals, {self.tree!r}>"
+def _interval_rows(
+    items: Sequence[tuple[Hashable, Rect]], quantizer: Quantizer, max_regions: int
+) -> list[tuple]:
+    """Every object's z-regions as sweep rows ``(lo, 0, hi, 0, oid,
+    rect)``, sorted by ``lo``; rows of equal ``lo`` keep their input order
+    (a stable sort)."""
+    rows = [
+        (region.lo, 0, region.hi, 0, oid, rect)
+        for oid, rect in items
+        for region in decompose(rect, quantizer, max_regions)
+    ]
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 @dataclass
@@ -88,13 +76,11 @@ def zorder_join(
     the pair's MBRs.
     """
     quantizer = Quantizer(bounds, bits=bits)
-    index_r = ZOrderIndex(items_r, quantizer, max_regions)
-    index_s = ZOrderIndex(items_s, quantizer, max_regions)
-    stats = ZJoinStats(entries_r=index_r.entry_count, entries_s=index_s.entry_count)
+    rows_r = _interval_rows(items_r, quantizer, max_regions)
+    rows_s = _interval_rows(items_s, quantizer, max_regions)
+    stats = ZJoinStats(entries_r=len(rows_r), entries_s=len(rows_s))
 
-    pairs_found, stats.interval_tests = sweep_rows(
-        index_r.interval_rows(), index_s.interval_rows()
-    )
+    pairs_found, stats.interval_tests = sweep_rows(rows_r, rows_s)
     seen: set[tuple[Hashable, Hashable]] = set()
     pairs: list[tuple[Hashable, Hashable]] = []
     for er, es in pairs_found:
