@@ -57,7 +57,7 @@ from ..geometry.table import BoxTable
 from ..rtree.bulk import str_bulk_load
 from ..rtree.flat import FlatRTree
 from ..rtree.query import require_count
-from ..zorder.curve import interleave
+from ..zorder.curve import interleave_array
 
 __all__ = [
     "PartitionMap",
@@ -214,10 +214,8 @@ class Partitioner:
         counts = np.bincount(
             _cells_of_points(grid, *table.centers()), minlength=side * side
         ).tolist()
-        order = sorted(
-            range(side * side),
-            key=lambda c: interleave(c % side, c // side, bits),
-        )
+        cells = np.arange(side * side)
+        order = np.argsort(interleave_array(cells % side, cells // side, bits)).tolist()
         owner = [0] * (side * side)
         # Greedy equal-count cut of the Morton order: close shard s once
         # its run holds its proportional share of the objects — but never

@@ -79,9 +79,5 @@ class DiskArray:
                 start=service_start,
             )
 
-    # -- introspection for tests and benches ----------------------------------
-    def queue_length(self, disk_id: int) -> int:
-        return self._disks[disk_id].queue_length
-
     def __repr__(self) -> str:
         return f"<DiskArray {self.num_disks} disks, {self.metrics.disk_accesses} reads>"
