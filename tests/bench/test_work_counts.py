@@ -32,7 +32,7 @@ CANDIDATES = 5058
 #: it would add some 10 s to tier-1.
 ZORDER_SCALE = 0.02
 ZORDER_CANDIDATES = 1354
-#: Seeded requests against map 1's flat tree, each pinned per request.
+#: Seeded requests against map 1's trees, each pinned per request.
 REQUESTS = 100
 BATCH = 16
 
@@ -49,6 +49,7 @@ PINS = {
     "zorder_join[14 bits, 4 regions]": (121.2, 283.3, 3.650, 14468),
     "multi_window_query[flat, 16 a batch]": (27.10, 22.14, 5.17, 1929),
     "nearest_neighbors[flat, k=10]": (122.0, 402.0, 13.23, 878.3),
+    "nearest_neighbors[node, k=10]": (280.1, 967.9, 72.7, 2737),
 }
 
 
@@ -124,6 +125,12 @@ def paths():
         ),
         "nearest_neighbors[flat, k=10]": (
             lambda: [nearest_neighbors(flat[0], x, y, k=10) for x, y in points],
+            "request",
+            REQUESTS,
+            len,
+        ),
+        "nearest_neighbors[node, k=10]": (
+            lambda: [nearest_neighbors(node[0], x, y, k=10) for x, y in points],
             "request",
             REQUESTS,
             len,
