@@ -3,10 +3,8 @@
 What :class:`~repro.geometry.table.BoxTable` is on the way in, these are
 on the way out: a window or kNN answer is a :class:`RowSet` (one oid
 column, plus a ``float64`` distance column for kNN), a join answer a
-:class:`PairTable` (two oid columns).  An oid column is ``int64`` when the
-relation's oids are builtin ints and ``object`` dtype otherwise
-(:func:`oid_column`), so numpy's gather / sort / unique / concatenate
-serve both with one code path.
+:class:`PairTable` (two oid columns).  An oid column is ``int64``
+(:func:`oid_column`), as a table's is.
 
 Each is a read-only :class:`~collections.abc.Sequence` that compares
 equal to the tuple or list of rows it stands for, and pickles as its raw
@@ -31,21 +29,14 @@ __all__ = ["oid_column", "ColumnRows", "RowSet", "PairTable"]
 ITER_BLOCK = 1 << 12
 
 
-def oid_column(oids: Iterable) -> np.ndarray:
-    """*oids* as one column: ``int64`` when every one is a builtin int
-    that fits, ``object`` dtype (the oids themselves) otherwise.  An
-    array that already is such a column is returned as it is."""
+def oid_column(oids: Iterable[int]) -> np.ndarray:
+    """*oids* as one ``int64`` column; an ``int64`` array is returned as
+    it is.  The oids are not checked: they were read out of a table, whose
+    constructor checks them (:func:`~repro.geometry.table.require_oids`)."""
     if isinstance(oids, np.ndarray):
-        if oids.dtype in (np.int64, object):
-            return oids
-        oids = oids.tolist()  # builtin objects, not numpy scalars
+        return oids.astype(np.int64, copy=False)
     oids = oids if isinstance(oids, (list, tuple)) else list(oids)
-    if set(map(type, oids)) <= {int}:
-        try:
-            return np.fromiter(oids, dtype=np.int64, count=len(oids))
-        except OverflowError:
-            pass
-    return np.fromiter(oids, dtype=object, count=len(oids))
+    return np.fromiter(oids, dtype=np.int64, count=len(oids))
 
 
 class ColumnRows(Sequence):

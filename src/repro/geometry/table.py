@@ -1,9 +1,8 @@
 """Columnar boxes: the ingest currency of the builders and the partitioner.
 
-A :class:`BoxTable` holds one dataset as five columns: the object
-identifiers (:func:`~repro.geometry.rows.oid_column` — ``int64`` for
-builtin ints, ``object`` dtype otherwise) and four ``float64`` columns
-``xl / yl / xu / yu`` — row *i* is the box of ``oids[i]``.  Everything
+A :class:`BoxTable` holds one dataset as five columns: the ``int64``
+object identifiers and four ``float64`` columns ``xl / yl / xu / yu`` —
+row *i* is the box of ``oids[i]``.  Everything
 that reads a whole dataset (the flat and STR tree builders,
 :class:`~repro.shard.partition.Partitioner`,
 :func:`~repro.shard.partition.partition_rows`) reads it in this shape, so
@@ -11,8 +10,9 @@ set-up never walks per-object ``(oid, Rect)`` tuples; :class:`Rect`
 objects and builtin oids are made only at the API edge
 (:meth:`BoxTable.items`, :func:`bounding_box`).
 
-The constructor is the input boundary: it rejects non-finite coordinates
-and inverted boxes once, so the array kernels below it never see a NaN.
+The constructor is the input boundary: it rejects an oid that is no
+``int64`` integer (:func:`require_oids`), non-finite coordinates and
+inverted boxes once, so the array kernels below it never see a NaN.
 A table pickles as its five raw column buffers and comes back through
 that same constructor.
 
@@ -26,16 +26,35 @@ built from it.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .rect import Rect
-from .rows import oid_column
 
 __all__ = ["BoxTable", "bounding_box", "box_centers", "require_box"]
 
 COLUMNS = ("xl", "yl", "xu", "yu")
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def require_oids(oids) -> np.ndarray:
+    """*oids* as the ``int64`` oid column — the one input rule for object
+    ids, of a table and of a tree update alike: each is a Python or numpy
+    integer, not a ``bool``, within the ``int64`` range.  Raise
+    ``ValueError`` naming the first row that breaks it."""
+    if isinstance(oids, np.ndarray) and oids.dtype.kind in "iu":
+        if oids.dtype != np.uint64 or not (oids > INT64_MAX).any():
+            return oids.astype(np.int64, copy=False)
+    oids = oids.tolist() if isinstance(oids, np.ndarray) else list(oids)
+    for row, oid in enumerate(oids):
+        if (
+            isinstance(oid, bool)
+            or not isinstance(oid, (int, np.integer))
+            or not INT64_MIN <= oid <= INT64_MAX
+        ):
+            raise ValueError(f"row {row} has oid {oid!r}: an oid is an int64 integer")
+    return np.array(oids, dtype=np.int64)
 
 
 def require_boxes(oids: np.ndarray, xl, yl, xu, yu) -> None:
@@ -48,20 +67,16 @@ def require_boxes(oids: np.ndarray, xl, yl, xu, yu) -> None:
         valid &= np.isfinite(column)
     if not valid.all():
         row = int(np.argmin(valid))
-        oid = oids[row : row + 1].tolist()[0]  # the builtin object
         raise ValueError(
-            f"object {oid!r} has a non-finite or inverted box "
+            f"object {int(oids[row])} has a non-finite or inverted box "
             f"({xl[row]}, {yl[row]}, {xu[row]}, {yu[row]})"
         )
 
 
-def require_box(oid: Hashable, box) -> None:
-    """:func:`require_boxes` for one object and its box (anything with
-    ``xl, yl, xu, yu``)."""
-    oids = np.empty(1, dtype=object)
-    oids[0] = oid
-    corners = (box.xl, box.yl, box.xu, box.yu)
-    require_boxes(oids, *(np.array([c], dtype=np.float64) for c in corners))
+def require_box(oid: int, box) -> None:
+    """The table's rules for one object and its box (anything with ``xl,
+    yl, xu, yu``): an ``int64`` oid and a finite, upright box."""
+    BoxTable([oid], [box.xl], [box.yl], [box.xu], [box.yu])
 
 
 def bounding_box(xl, yl, xu, yu) -> Rect:
@@ -79,10 +94,10 @@ class BoxTable:
 
     __slots__ = ("oids", *COLUMNS)
 
-    def __init__(self, oids: Sequence[Hashable], xl, yl, xu, yu):
+    def __init__(self, oids: Sequence[int], xl, yl, xu, yu):
         # Read-only views: one table is shared by every builder, and the
         # caller's own arrays stay writable.
-        self.oids = oid_column(oids).view()
+        self.oids = require_oids(oids).view()
         columns = [np.asarray(c, dtype=np.float64).view() for c in (xl, yl, xu, yu)]
         shape = (len(self.oids),)
         if any(column.shape != shape for column in (self.oids, *columns)):
@@ -93,7 +108,7 @@ class BoxTable:
         require_boxes(self.oids, *columns)
 
     @classmethod
-    def from_rects(cls, oids: Sequence[Hashable], rects: Sequence) -> "BoxTable":
+    def from_rects(cls, oids: Sequence[int], rects: Sequence) -> "BoxTable":
         """Row *i* is ``oids[i]`` with the box of ``rects[i]`` (anything
         exposing ``xl, yl, xu, yu``)."""
         n = len(rects)
@@ -142,7 +157,7 @@ class BoxTable:
         """The ``(x, y)`` columns of the box centers."""
         return box_centers(self.xl, self.yl, self.xu, self.yu)
 
-    def items(self) -> list[tuple[Hashable, Rect]]:
+    def items(self) -> list[tuple[int, Rect]]:
         """The rows as ``(oid, Rect)`` pairs — the object edge."""
         boxes = zip(
             self.xl.tolist(), self.yl.tolist(), self.xu.tolist(), self.yu.tolist()

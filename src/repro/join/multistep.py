@@ -16,7 +16,7 @@ many exact tests the step saved — the quantity [BKS 94] is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..geometry.hull import ConvexPolygon
 from ..rtree.rstar import RStarTree
@@ -31,13 +31,13 @@ class SecondFilter:
 
     def __init__(
         self,
-        geometry_r: Mapping[Hashable, tuple],
-        geometry_s: Mapping[Hashable, tuple],
+        geometry_r: Mapping[int, tuple],
+        geometry_s: Mapping[int, tuple],
     ):
         self._geometry_r = geometry_r
         self._geometry_s = geometry_s
-        self._hulls_r: dict[Hashable, ConvexPolygon] = {}
-        self._hulls_s: dict[Hashable, ConvexPolygon] = {}
+        self._hulls_r: dict[int, ConvexPolygon] = {}
+        self._hulls_s: dict[int, ConvexPolygon] = {}
         self.tests = 0
         self.eliminated = 0
 
@@ -48,7 +48,7 @@ class SecondFilter:
             cache[oid] = hull
         return hull
 
-    def passes(self, oid_r: Hashable, oid_s: Hashable) -> bool:
+    def passes(self, oid_r: int, oid_s: int) -> bool:
         """False when the hulls are disjoint (candidate is a false hit)."""
         self.tests += 1
         hull_r = self._hull(self._hulls_r, self._geometry_r, oid_r)
@@ -58,7 +58,7 @@ class SecondFilter:
         self.eliminated += 1
         return False
 
-    def filter(self, candidates) -> list[tuple[Hashable, Hashable]]:
+    def filter(self, candidates) -> list[tuple[int, int]]:
         return [(r, s) for r, s in candidates if self.passes(r, s)]
 
 
@@ -66,7 +66,7 @@ class SecondFilter:
 class MultiStepResult:
     """Per-step accounting of one multi-step join."""
 
-    answers: list[tuple[Hashable, Hashable]]
+    answers: list[tuple[int, int]]
     mbr_candidates: int
     hull_survivors: int
     exact_tests: int
@@ -89,8 +89,8 @@ class MultiStepResult:
 def multi_step_join(
     tree_r: RStarTree,
     tree_s: RStarTree,
-    geometry_r: Mapping[Hashable, tuple],
-    geometry_s: Mapping[Hashable, tuple],
+    geometry_r: Mapping[int, tuple],
+    geometry_s: Mapping[int, tuple],
     *,
     use_second_filter: bool = True,
 ) -> MultiStepResult:

@@ -21,7 +21,7 @@ simulation experiments use the cost model, as the paper did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from ..geometry.polyline import Polyline
 
@@ -89,15 +89,15 @@ class ExactRefinement:
 
     def __init__(
         self,
-        geometry_r: Mapping[Hashable, tuple],
-        geometry_s: Mapping[Hashable, tuple],
+        geometry_r: Mapping[int, tuple],
+        geometry_s: Mapping[int, tuple],
     ):
         self._geometry_r = geometry_r
         self._geometry_s = geometry_s
         self.tests = 0
         self.answers = 0
 
-    def is_answer(self, oid_r: Hashable, oid_s: Hashable) -> bool:
+    def is_answer(self, oid_r: int, oid_s: int) -> bool:
         """True when the exact geometries intersect (candidate is a hit)."""
         self.tests += 1
         line_r = Polyline(self._geometry_r[oid_r])
@@ -107,6 +107,6 @@ class ExactRefinement:
             return True
         return False
 
-    def filter_answers(self, candidates) -> list[tuple[Hashable, Hashable]]:
+    def filter_answers(self, candidates) -> list[tuple[int, int]]:
         """Split candidate pairs into answers, dropping the false hits."""
         return [(r, s) for r, s in candidates if self.is_answer(r, s)]

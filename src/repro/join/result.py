@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Optional
 
 from ..geometry.rows import PairTable
 from ..sim.metrics import Metrics, ProcessorTimes
@@ -30,7 +30,7 @@ class SequentialJoinResult:
     def candidates(self) -> int:
         return len(self.pairs)
 
-    def pair_set(self) -> set[tuple[Hashable, Hashable]]:
+    def pair_set(self) -> set[tuple[int, int]]:
         return set(self.pairs)
 
     def __repr__(self) -> str:
@@ -74,8 +74,8 @@ class ParallelJoinResult:
         when asked for, kept nowhere."""
         return PairTable.concat(self.pairs_by_processor)
 
-    def pair_set(self) -> set[tuple[Hashable, Hashable]]:
-        out: set[tuple[Hashable, Hashable]] = set()
+    def pair_set(self) -> set[tuple[int, int]]:
+        out: set[tuple[int, int]] = set()
         for pairs in self.pairs_by_processor:
             out.update(pairs)
         return out

@@ -38,7 +38,6 @@ from ..rtree.pagestore import PageStore
 from ..rtree.query import (
     _min_distance,
     coordinate_error,
-    oid_order_key,
     require_k,
     require_window,
 )
@@ -210,9 +209,9 @@ def parallel_knn(
             )
             tasks = [entry.child for entry in children]
 
-    # Shared pruning state: the k best (distance, oid key, sequence, entry)
+    # Shared pruning state: the k best (distance, oid, sequence, entry)
     # found anywhere, in ascending order, plus the latch guarding updates.
-    # Ties at equal distance go to the smaller oid key, as sequentially.
+    # Ties at equal distance go to the smaller oid, as sequentially.
     best: list[tuple] = []
     latch = Lock(run.env, name="knn-bound")
     counter = itertools.count()
@@ -227,7 +226,7 @@ def parallel_knn(
         yield latch.acquire()
         try:
             yield run.env.timeout(sync)
-            item = (distance, oid_order_key(entry.oid), next(counter), entry)
+            item = (distance, entry.oid, next(counter), entry)
             if len(best) < k or item < best[-1]:
                 bisect.insort(best, item)
                 del best[k:]

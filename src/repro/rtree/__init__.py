@@ -5,7 +5,7 @@ from .entry import Entry
 from .flat import FlatRTree, build_flat_tree
 from .node import Node
 from .pagestore import PageStore
-from .query import QueryStats, nearest_neighbors, oid_order_key, window_query
+from .query import QueryStats, nearest_neighbors, window_query
 from .rstar import RStarTree
 from .stats import TreeStats, tree_stats
 
@@ -21,6 +21,5 @@ __all__ = [
     "tree_stats",
     "window_query",
     "nearest_neighbors",
-    "oid_order_key",
     "QueryStats",
 ]

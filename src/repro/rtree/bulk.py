@@ -128,10 +128,6 @@ def _pack_leaves(table: BoxTable, per_node: int, min_count: int) -> list[Entry]:
     into one row range a leaf — every leaf reads *table* itself through
     that one ``int64`` permutation — and each leaf's MBR reduced from the
     sorted columns (the floats ``Node.mbr_tuple`` finds)."""
-    if table.oids.dtype == object:
-        for row, oid in enumerate(table.oids.tolist()):
-            if oid is None:  # None marks a directory entry
-                raise ValueError(f"row {row} has oid None: a data entry needs an oid")
     total = len(table)
     if total <= per_node:
         order, sizes = np.arange(total, dtype=np.int64), [total]

@@ -49,7 +49,7 @@ from ..geometry.rows import ColumnRows, RowSet
 from ..geometry.table import BoxTable, bounding_box, box_centers
 from ..zorder.curve import Quantizer, interleave_array
 from .entry import Entry
-from .query import QueryStats, oid_order_key, require_k
+from .query import QueryStats, require_k
 
 __all__ = [
     "FlatRTree",
@@ -324,7 +324,7 @@ class FlatRTree:
         """The *k* data entries nearest to ``(x, y)``, with distances.
 
         Best-first search with vectorized per-node ``mindist``; result
-        order is the backend-independent ``(distance, oid key)`` order of
+        order is the backend-independent ``(distance, oid)`` order of
         :func:`repro.rtree.query.nearest_neighbors` — ties at equal
         distance resolve identically on both backends.
         """
@@ -343,7 +343,7 @@ class FlatRTree:
         # Prune bound: the k-th smallest data-entry distance seen so far
         # (a size-k max-heap of negated distances).  Anything strictly
         # farther can never reach the result list, so it is never pushed;
-        # equal distances stay in (ties resolve by oid key).
+        # equal distances stay in (ties go to the smaller oid).
         worst: list[float] = []
         bound = float("inf")
         while heap and len(rows) < k:
@@ -368,8 +368,7 @@ class FlatRTree:
                 for row, oid, dist in zip(at.tolist(), oids, dists):
                     if dist > bound:
                         continue
-                    tie = oid_order_key(oid)
-                    heapq.heappush(heap, (dist, 1, tie, next(seq), 0, row))
+                    heapq.heappush(heap, (dist, 1, oid, next(seq), 0, row))
                     if len(worst) < k:
                         heapq.heappush(worst, -dist)
                         if len(worst) == k:

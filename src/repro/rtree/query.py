@@ -13,7 +13,7 @@ pointer-based :class:`~repro.rtree.rstar.RStarTree` or the packed
 :class:`~repro.rtree.flat.FlatRTree` and produce identical result sets
 either way.  They ask :func:`~repro.rtree.flat.is_flat`, imported inside
 each dispatcher because :mod:`repro.rtree.flat` itself imports
-:class:`QueryStats` and :func:`oid_order_key` from this module.  They are
+:class:`QueryStats` and :func:`require_k` from this module.  They are
 also where query coordinates are checked (:func:`coordinate_error`): a
 NaN compares false with everything, so below this line it would be
 answered with silence or with arbitrary rows, differently per backend.
@@ -25,13 +25,13 @@ import heapq
 import itertools
 import math
 from numbers import Integral, Real
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..geometry.rect import Rect
 from .entry import Entry
 from .rstar import RStarTree
 
-__all__ = ["window_query", "nearest_neighbors", "QueryStats", "oid_order_key"]
+__all__ = ["window_query", "nearest_neighbors", "QueryStats"]
 
 WINDOW_FIELDS = ("window.xl", "window.yl", "window.xu", "window.yu")
 
@@ -89,23 +89,6 @@ class QueryStats:
         return f"QueryStats(dir={self.directory_nodes}, leaf={self.leaf_nodes})"
 
 
-def oid_order_key(oid: Hashable) -> tuple:
-    """A total, backend-independent order over object identifiers.
-
-    Used to break k-NN ties at exactly equal distance: the entry with the
-    smaller key wins the last result slot, on every backend, regardless
-    of tree structure or insertion order.  Numbers order numerically,
-    strings lexicographically; anything else falls back to its ``repr``.
-    ``bool`` is excluded from the numeric branch on purpose (``True``
-    would collide with ``1``).
-    """
-    if isinstance(oid, (int, float)) and not isinstance(oid, bool):
-        return (0, oid, "")
-    if isinstance(oid, str):
-        return (1, 0, oid)
-    return (2, 0, repr(oid))
-
-
 def window_query(
     tree, window: Rect, stats: Optional[QueryStats] = None
 ) -> Sequence[Entry]:
@@ -151,12 +134,11 @@ def nearest_neighbors(
     Returns ``(distance, entry)`` pairs in non-decreasing distance order.
 
     The result — including its order — is deterministic and identical on
-    every backend: ties at exactly equal distance resolve by
-    :func:`oid_order_key`.  The heap orders items by ``(distance, kind,
-    tie)`` with nodes (kind 0) ahead of data entries (kind 1), so any
-    subtree whose minimum distance ties a candidate entry is expanded
-    *before* that entry is emitted; entries therefore pop in exact
-    ``(distance, oid key)`` order.
+    every backend: ties at exactly equal distance go to the smaller oid.
+    The heap orders items by ``(distance, kind, tie)`` with nodes (kind 0)
+    ahead of data entries (kind 1), so any subtree whose minimum distance
+    ties a candidate entry is expanded *before* that entry is emitted;
+    entries therefore pop in exact ``(distance, oid)`` order.
     """
     from .flat import is_flat
 
@@ -179,9 +161,7 @@ def nearest_neighbors(
         if item.is_leaf:
             for entry in item.data_entries():
                 d = _min_distance(entry, x, y)
-                heapq.heappush(
-                    heap, (d, 1, oid_order_key(entry.oid), next(counter), entry)
-                )
+                heapq.heappush(heap, (d, 1, entry.oid, next(counter), entry))
             continue
         for entry in item.entries:
             d = _min_distance(entry, x, y)

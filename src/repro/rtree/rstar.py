@@ -23,7 +23,7 @@ pages hold up to 102 directory or 26 data entries; the minimum fill is
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class RStarTree:
         return self.min_data if node.is_leaf else self.min_dir
 
     # ----------------------------------------------------------------- insert
-    def insert(self, oid: Hashable, rect: Rect) -> None:
+    def insert(self, oid: int, rect: Rect) -> None:
         """Insert an object identified by *oid* with MBR *rect*; a
         non-finite or inverted box is refused as :class:`BoxTable` refuses
         it."""
@@ -258,7 +258,7 @@ class RStarTree:
         return Node(node.level, ordered[k:])
 
     # ----------------------------------------------------------------- delete
-    def delete(self, oid: Hashable, rect: Rect) -> bool:
+    def delete(self, oid: int, rect: Rect) -> bool:
         """Remove the data entry with the given oid and MBR.
 
         Returns True when found.  Underfull nodes along the deletion path
@@ -279,7 +279,7 @@ class RStarTree:
     def _find_leaf(
         self,
         node: Node,
-        oid: Hashable,
+        oid: int,
         rect: Rect,
         path: list[tuple[Node, int]],
     ) -> Optional[tuple[list[tuple[Node, int]], Node, int]]:

@@ -13,8 +13,8 @@ merges are array operations over the answers' columns:
 
 * window — sorted oids (concatenate + unique across shards deduplicates
   the boundary replicas);
-* kNN — ``(distance, oid)`` rows ascending by ``(distance,
-  oid_order_key)``, the exact single-tree tie order;
+* kNN — ``(distance, oid)`` rows ascending, the exact single-tree tie
+  order;
 * join — sorted oid pairs; the reference-point rule — a mask over the
   two trees' lower-left corner columns — makes the per-shard tables
   disjoint, so concatenation needs no dedup (and the checker asserts it
@@ -28,15 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..geometry.rect import Rect
-from ..geometry.rows import PairTable, RowSet, oid_column
+from ..geometry.rows import PairTable, RowSet
 from ..join.sequential import sequential_join
 from ..rtree.flat import is_flat, knn_rows, window_rows
-from ..rtree.query import (
-    _min_distance,
-    nearest_neighbors,
-    oid_order_key,
-    window_query,
-)
+from ..rtree.query import _min_distance, nearest_neighbors, window_query
 from ..service.workers import window_filtered
 from .partition import PartitionMap, ShardedDataset, _cells_of_points
 
@@ -57,9 +52,7 @@ def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         oids, xl, yl = table.oids[rows], table.xl[rows], table.yl[rows]
     else:
         leaves = [node for node in tree.nodes() if node.is_leaf]
-        oids = oid_column(
-            [oid for leaf in leaves for oid in leaf.oids.tolist()]
-        )
+        oids = np.concatenate([leaf.oids for leaf in leaves])
         xl, yl = np.concatenate([leaf.boxes[:2] for leaf in leaves], axis=1)
     order = np.argsort(oids, kind="stable")
     return oids[order], xl[order], yl[order]
@@ -129,15 +122,15 @@ def merge_knn(
 ) -> list:
     """Fold one shard's kNN answer into the running top-k.
 
-    ``best`` holds ``(distance, order_key, oid)`` sorted ascending;
-    boundary replicas (same oid from two shards) deduplicate on oid.
+    ``best`` holds ``(distance, oid)`` sorted ascending; boundary
+    replicas (same oid from two shards) deduplicate on oid.
     """
-    seen = {oid for _, _, oid in best}
+    seen = {oid for _, oid in best}
     for distance, oid in shard_result:
         if oid in seen:
             continue
         seen.add(oid)
-        best.append((distance, oid_order_key(oid), oid))
+        best.append((distance, oid))
     best.sort()
     del best[k:]
     return best
@@ -155,8 +148,8 @@ def sharded_knn(
     synchronous).  A shard is queried only while its mindist can still
     beat the current k-th best; the non-strict boundary (query when
     ``mindist == kth``) is what lets an equal-distance neighbour across a
-    shard edge displace the k-th result by ``oid_order_key``, matching
-    the single-tree tie order exactly.  ``skipped``, if given, collects
+    shard edge displace the k-th result by the smaller oid, matching the
+    single-tree tie order exactly.  ``skipped``, if given, collects
     ``(shard, mindist, kth)`` for the pruned shards."""
     best: list = []
     for bound, shard in knn_shard_order(sharded, name, x, y):
@@ -166,7 +159,7 @@ def sharded_knn(
             continue
         found = nearest_neighbors(sharded.trees[shard][name], x, y, k=k)
         merge_knn(best, knn_rows(found), k)
-    return RowSet.from_knn((d, oid) for d, _, oid in best)
+    return RowSet.from_knn(best)
 
 
 def sharded_join(

@@ -278,7 +278,7 @@ class ShardRouter(FrontDoor):
             )
             total += len(found)
             merge_knn(best, found, k)
-        value = RowSet.from_knn((d, oid) for d, _, oid in best)
+        value = RowSet.from_knn(best)
         self._emit(
             EventKind.SHD_MERGED, req=rid, cls="knn",
             rows=len(value), parts=total, duplicates=total - len(value),

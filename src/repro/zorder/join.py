@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..geometry.planesweep import sweep_rows
 from ..geometry.rect import Rect
@@ -31,7 +31,7 @@ __all__ = ["ZJoinStats", "zorder_join"]
 
 
 def _interval_rows(
-    items: Sequence[tuple[Hashable, Rect]], quantizer: Quantizer, max_regions: int
+    items: Sequence[tuple[int, Rect]], quantizer: Quantizer, max_regions: int
 ) -> list[tuple]:
     """Every object's z-regions as sweep rows ``(lo, 0, hi, 0, oid,
     rect)``, sorted by ``lo``; rows of equal ``lo`` keep their input order
@@ -62,13 +62,13 @@ class ZJoinStats:
 
 
 def zorder_join(
-    items_r: Sequence[tuple[Hashable, Rect]],
-    items_s: Sequence[tuple[Hashable, Rect]],
+    items_r: Sequence[tuple[int, Rect]],
+    items_s: Sequence[tuple[int, Rect]],
     bounds: Rect,
     *,
     bits: int = 12,
     max_regions: int = 4,
-) -> tuple[list[tuple[Hashable, Hashable]], ZJoinStats]:
+) -> tuple[list[tuple[int, int]], ZJoinStats]:
     """[OM 88] filter step; returns (candidate pairs, cost stats).
 
     The candidate set equals the MBR filter's (R-tree join) because
@@ -81,8 +81,8 @@ def zorder_join(
     stats = ZJoinStats(entries_r=len(rows_r), entries_s=len(rows_s))
 
     pairs_found, stats.interval_tests = sweep_rows(rows_r, rows_s)
-    seen: set[tuple[Hashable, Hashable]] = set()
-    pairs: list[tuple[Hashable, Hashable]] = []
+    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     for er, es in pairs_found:
         stats.interval_matches += 1
         key = (er[4], es[4])

@@ -48,8 +48,8 @@ PINS = {
     "fig5[lsr, n=24, 200 pages]": (65.58, 22.83, 0.4734, 658.1),
     "zorder_join[14 bits, 4 regions]": (121.2, 283.3, 3.650, 14468),
     "multi_window_query[flat, 16 a batch]": (27.10, 22.14, 5.17, 1929),
-    "nearest_neighbors[flat, k=10]": (122.0, 402.0, 13.23, 878.3),
-    "nearest_neighbors[node, k=10]": (280.1, 967.9, 72.7, 2737),
+    "nearest_neighbors[flat, k=10]": (94.6, 347.2, 13.23, 878.3),
+    "nearest_neighbors[node, k=10]": (221.7, 851.2, 72.7, 2737),
 }
 
 

@@ -21,12 +21,7 @@ import random
 from repro.geometry.rect import Rect
 from repro.rtree import str_bulk_load
 from repro.rtree.flat import FlatRTree
-from repro.rtree.query import (
-    QueryStats,
-    nearest_neighbors,
-    oid_order_key,
-    window_query,
-)
+from repro.rtree.query import QueryStats, nearest_neighbors, window_query
 
 # -- seeded datasets ---------------------------------------------------------
 
@@ -131,12 +126,8 @@ def mindist(rect, x, y):
 
 
 def brute_knn(items, x, y, k):
-    """The exact ordered ``(distance, oid)`` answer, ties by oid key."""
-    ranked = sorted(
-        ((mindist(rect, x, y), oid) for oid, rect in items),
-        key=lambda pair: (pair[0], oid_order_key(pair[1])),
-    )
-    return ranked[:k]
+    """The exact ordered ``(distance, oid)`` answer, ties by oid."""
+    return sorted((mindist(rect, x, y), oid) for oid, rect in items)[:k]
 
 
 def brute_join(items_r, items_s):

@@ -23,15 +23,6 @@ class TestOidColumn:
         assert oid_column(range(3)).dtype == np.int64
         assert oid_column(()).dtype == np.int64  # the typed empty column
 
-    @pytest.mark.parametrize(
-        "oids", [["a", "b"], [1, "a"], [True, 2], [1.0, 2], [(1, 2), (3, 4)], [2**70]]
-    )
-    def test_anything_else_keeps_the_objects(self, oids):
-        column = oid_column(oids)
-        assert column.dtype == object and column.shape == (len(oids),)
-        assert column.tolist() == oids
-        assert [type(o) for o in column.tolist()] == [type(o) for o in oids]
-
 
 class TestSequence:
     def test_equals_the_rows_it_stands_for_in_both_directions(self):
@@ -118,8 +109,8 @@ class TestPickle:
         assert type(back) is type(table) and back == table
         assert not any(column.flags.writeable for column in back._columns)
 
-    def test_empty_and_object_tables_round_trip(self):
-        for table in (RowSet.from_oids(()), PairTable.from_pairs([("a", 1), ("b", 2)])):
+    def test_empty_tables_round_trip(self):
+        for table in (RowSet.from_oids(()), PairTable.from_pairs(())):
             assert pickle.loads(pickle.dumps(table)) == table
 
 
@@ -128,8 +119,8 @@ class TestMerges:
         parts = [RowSet.from_oids([5, 1, 9]), RowSet.from_oids([9, 2]), RowSet.from_oids(())]
         assert RowSet.union(parts) == (1, 2, 5, 9)
         assert parts[0].sorted() == (1, 5, 9)
-        words = [RowSet.from_oids(["pear", "fig"]), RowSet.from_oids(["fig", "apple"])]
-        assert RowSet.union(words) == ("apple", "fig", "pear")
+        negative = [RowSet.from_oids([-4, 7]), RowSet.from_oids([7, -9])]
+        assert RowSet.union(negative) == (-9, -4, 7)
 
     def test_pair_table_concat_takes_tables_and_row_lists(self):
         merged = PairTable.concat([PAIRS, [[0, 1]], (), [(9, 9)]])
@@ -137,6 +128,3 @@ class TestMerges:
         assert merged == [(1, 10), (1, 11), (4, 10), (0, 1), (9, 9)]
         assert merged.sorted() == sorted(merged)
 
-    def test_pair_table_sorts_object_columns(self):
-        table = PairTable.from_pairs([("b", 2), ("a", 9), ("b", 1)])
-        assert table.sorted() == [("a", 9), ("b", 1), ("b", 2)]

@@ -10,8 +10,8 @@ from repro.geometry import BoxTable, Rect
 
 ITEMS = [
     (7, Rect(0.0, 1.0, 2.0, 3.0)),
-    ("b", Rect(-1.0, -1.0, -1.0, 4.0)),
-    ((3, "c"), Rect(5.0, 5.0, 6.5, 5.0)),
+    (2, Rect(-1.0, -1.0, -1.0, 4.0)),
+    (3, Rect(5.0, 5.0, 6.5, 5.0)),
 ]
 
 
@@ -19,7 +19,7 @@ class TestShape:
     def test_from_items_round_trips(self):
         table = BoxTable.from_items(ITEMS)
         assert len(table) == 3
-        assert table.oids.tolist() == [7, "b", (3, "c")]
+        assert table.oids.tolist() == [7, 2, 3]
         assert table.xl.dtype == np.float64
         assert table.xu.tolist() == [2.0, -1.0, 6.5]
         assert table.items() == ITEMS
@@ -68,8 +68,9 @@ class TestShape:
 
 
 class TestOidColumn:
-    """``oids`` is one column — ``int64`` for builtin ints, ``object``
-    otherwise — gathered and concatenated by numpy like the other four."""
+    """``oids`` is one ``int64`` column, gathered and concatenated by numpy
+    like the other four; the constructor refuses any other oid, naming
+    the first row that holds one."""
 
     def table(self, oids):
         n = len(oids)
@@ -79,8 +80,59 @@ class TestOidColumn:
         assert self.table([3, 1, 2]).oids.dtype == np.int64
         assert self.table(range(3)).oids.dtype == np.int64
         assert self.table([]).oids.dtype == np.int64
-        assert self.table([3, "b"]).oids.dtype == object
-        assert self.table([2**70]).oids.tolist() == [2**70]
+
+    @pytest.mark.parametrize(
+        "oids",
+        [
+            [5, -6, 2**63 - 1, -(2**63)],
+            np.array([4, 2, 9], dtype=np.int32),
+            np.array([4, 2, 2**32 - 1], dtype=np.uint32),
+            np.array([1, 2**63 - 1], dtype=np.uint64),
+            np.array([3, 8], dtype=object),
+        ],
+        ids=["python ints", "int32", "uint32", "uint64 in range", "object ints"],
+    )
+    def test_integers_are_accepted(self, oids):
+        table = self.table(oids)
+        assert table.oids.dtype == np.int64
+        assert table.oids.tolist() == [int(oid) for oid in oids]
+
+    def test_numpy_integer_scalars_are_accepted_from_items(self):
+        items = [(np.int32(3), ITEMS[0][1]), (np.uint64(2**40), ITEMS[1][1])]
+        table = BoxTable.from_items(items)
+        assert table.oids.dtype == np.int64
+        assert table.items() == [(3, ITEMS[0][1]), (2**40, ITEMS[1][1])]
+
+    @pytest.mark.parametrize(
+        "oids, row",
+        [
+            ([1, "b"], 1),
+            ([4, None], 1),
+            ([5, True], 1),
+            ([6, 7, 2.0], 2),
+            ([0, 2**63], 1),
+            ([-(2**63) - 1], 0),
+            (np.array([1, 2**63], dtype=np.uint64), 1),
+            (np.array([3, "c"], dtype=object), 1),
+            (np.array([1.0, 2.0]), 0),
+            (np.array([False, True]), 0),
+        ],
+        ids=[
+            "str",
+            "None",
+            "bool",
+            "float",
+            "2**63",
+            "below int64",
+            "uint64 past int64",
+            "object array holding a str",
+            "float64 column",
+            "bool column",
+        ],
+    )
+    def test_any_other_oid_is_refused_naming_its_row(self, oids, row):
+        with pytest.raises(ValueError, match=f"^row {row} has oid .*int64"):
+            self.table(oids)
 
     def test_an_oid_array_is_taken_as_it_is(self):
         column = np.arange(5, dtype=np.int64)
@@ -89,19 +141,18 @@ class TestOidColumn:
         assert not table.oids.flags.writeable and column.flags.writeable
         # any other integer array becomes int64, not an array of scalars
         assert self.table(np.arange(5, dtype=np.int32)).oids.dtype == np.int64
-        assert self.table(np.array(["a", "b"])).items()[0][0] == "a"
 
     def test_a_second_dimension_is_refused(self):
         with pytest.raises(ValueError, match="one length"):
             BoxTable(np.zeros((2, 2), np.int64), [0.0] * 2, [0.0] * 2, [1.0] * 2, [1.0] * 2)
 
     def test_take_and_concat_keep_the_column(self):
-        ints, mixed = self.table([5, 6, 7]), BoxTable.from_items(ITEMS)
+        ints, items = self.table([5, 6, 7]), BoxTable.from_items(ITEMS)
         assert ints.take([2, 0]).oids.dtype == np.int64
-        assert mixed.take([2, 0]).oids.tolist() == [(3, "c"), 7]
-        both = BoxTable.concat([ints, mixed])
-        assert both.oids.tolist() == [5, 6, 7, 7, "b", (3, "c")]
-        assert {type(oid) for oid in both.oids.tolist()[:4]} == {int}
+        assert items.take([2, 0]).oids.tolist() == [3, 7]
+        both = BoxTable.concat([ints, items])
+        assert both.oids.dtype == np.int64
+        assert both.oids.tolist() == [5, 6, 7, 7, 2, 3]
 
     def test_items_hands_out_builtin_oids(self):
         assert [type(oid) for oid, _ in self.table([5, 6]).items()] == [int, int]
@@ -120,7 +171,7 @@ class TestPickle:
         rebuild, columns = BoxTable.from_items(ITEMS).__reduce__()
         columns = [column.copy() for column in columns]
         columns[3][1] = math.nan
-        with pytest.raises(ValueError, match="object 'b' "):
+        with pytest.raises(ValueError, match="object 2 "):
             rebuild(*columns)
 
 
@@ -159,8 +210,8 @@ class TestBoundary:
         columns = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
         columns[column][1] = bad
         columns[column][2] = bad
-        with pytest.raises(ValueError, match="'second'"):
-            BoxTable(["first", "second", "third"], *columns)
+        with pytest.raises(ValueError, match="object 11 "):
+            BoxTable([10, 11, 12], *columns)
 
     def test_nan_hidden_inside_a_rect_is_caught(self):
         # Rect lets NaN through (``nan < 0`` is false); the table does not.

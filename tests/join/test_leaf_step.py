@@ -87,11 +87,10 @@ def node(draw, base, level):
     one-entry leaves of their own box."""
     rows = draw(st.lists(boxes, min_size=1, max_size=12))
     shift = draw(st.sampled_from([0.0, 0.0, 0.5, 20.0]))  # 20: disjoint
-    named = draw(st.booleans())
     entries = []
     for i, (xl, yl, xu, yu) in enumerate(rows):
         box = (xl + shift, yl, xu + shift, yu)
-        oid = f"{base}-{i}" if named else base + i
+        oid = base + i
         if level:
             entries.append(Entry(*box, child=Node(0, [Entry(*box, oid=oid)])))
         else:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree.flat import FlatRTree
-from repro.rtree.query import oid_order_key, window_query
+from repro.rtree.query import window_query
 
 from tests.flat_oracle import brute_join, brute_knn, brute_window
 
@@ -123,9 +123,3 @@ class TestDifferentialKernels:
         tree = FlatRTree.build([])
         assert tree.nearest(x, y, k) == []
         assert window_query(tree, Rect(x, y, x + 1, y + 1)) == []
-
-    @given(st.lists(st.one_of(st.integers(), st.text(), st.floats(allow_nan=False)), max_size=30))
-    @settings(max_examples=30, deadline=None)
-    def test_oid_order_key_total_and_consistent(self, oids):
-        keys = sorted(oid_order_key(o) for o in oids)  # must not raise
-        assert len(keys) == len(oids)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import BoxTable, Rect
-from repro.rtree.query import oid_order_key
 from repro.shard.ops import sharded_knn, sharded_window
 from repro.shard.partition import (
     Partitioner,
@@ -148,10 +147,8 @@ class TestRoutedQueryLaws:
             dy = max(rect.yl - y, 0.0, y - rect.yu)
             return math.sqrt(dx * dx + dy * dy)
 
-        ranked = sorted(
-            ((dist(rect), oid_order_key(oid), oid) for oid, rect in items),
-        )
-        want = tuple((float(d), oid) for d, _, oid in ranked[:k])
+        ranked = sorted((dist(rect), oid) for oid, rect in items)
+        want = tuple((float(d), oid) for d, oid in ranked[:k])
         assert got == want
 
 
@@ -201,9 +198,7 @@ def probe_rects(draw, pmap):
     return Rect(xs[0], ys[0], xs[1], ys[1])
 
 
-oid_values = st.one_of(
-    st.integers(), st.text(max_size=4), st.tuples(st.integers(), st.text(max_size=2))
-)
+oid_values = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 class TestKernelMatchesScalarRule:

@@ -120,8 +120,8 @@ REFUSED_UPDATES = [
     (lambda t: t.insert(99, Rect(0, 0, 1, INF)), (99, Rect(0, 0, 1, INF))),
     (lambda t: t.insert(99, Rect(-INF, 0, 1, 1)), (99, Rect(-INF, 0, 1, 1))),
     (
-        lambda t: t.insert("x", SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
-        ("x", SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
+        lambda t: t.insert(98, SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
+        (98, SimpleNamespace(xl=2.0, yl=0.0, xu=1.0, yu=1.0)),
     ),
     (lambda t: t.delete(99, Rect(NAN, 0, 1, 1)), (99, Rect(NAN, 0, 1, 1))),
     (lambda t: t.delete(3, Rect(3, 3, 4, INF)), (3, Rect(3, 3, 4, INF))),
@@ -140,3 +140,18 @@ def test_node_tree_updates_refuse_what_the_table_refuses(update, row):
     assert f"object {oid!r} has a non-finite or inverted box" in str(by_tree.value)
     tree.validate()
     assert tree.size == 50 == len(window_query(tree, EVERYTHING))
+
+
+@pytest.mark.parametrize("oid", ["x", None, True, 2.0, 2**63], ids=repr)
+@pytest.mark.parametrize("update", ["insert", "delete"])
+def test_node_tree_updates_refuse_the_oids_the_table_refuses(update, oid):
+    box = Rect(3, 3, 4, 4)
+    with pytest.raises(ValueError) as by_table:
+        BoxTable.from_rects([oid], [box])
+    tree = str_bulk_load([(i, Rect(i, i, i + 1.0, i + 1.0)) for i in range(50)])
+    with pytest.raises(ValueError) as by_tree:
+        getattr(tree, update)(oid, box)
+    assert str(by_tree.value) == str(by_table.value)
+    assert str(by_tree.value).startswith(f"row 0 has oid {oid!r}: ")
+    tree.validate()
+    assert tree.size == 50

@@ -8,14 +8,14 @@ from repro.rtree import Entry, Node
 
 class TestEntry:
     def test_data_entry(self):
-        e = Entry.for_object(Rect(0, 0, 1, 1), oid="a")
+        e = Entry.for_object(Rect(0, 0, 1, 1), oid=7)
         assert e.is_data
-        assert e.oid == "a"
+        assert e.oid == 7
         assert e.child is None
         assert e.rect == Rect(0, 0, 1, 1)
 
     def test_child_entry(self):
-        leaf = Node(0, [Entry.for_object(Rect(0, 0, 1, 1), oid="a")])
+        leaf = Node(0, [Entry.for_object(Rect(0, 0, 1, 1), oid=7)])
         e = Entry.for_child(leaf)
         assert not e.is_data
         assert e.child is leaf
@@ -25,7 +25,7 @@ class TestEntry:
         with pytest.raises(ValueError):
             Entry(0, 0, 1, 1)
         with pytest.raises(ValueError):
-            Entry(0, 0, 1, 1, child=Node(0), oid="a")
+            Entry(0, 0, 1, 1, child=Node(0), oid=7)
 
     def test_area_margin(self):
         e = Entry.for_object(Rect(0, 0, 2, 3), oid=1)

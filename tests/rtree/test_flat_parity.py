@@ -134,13 +134,13 @@ class TestEdgeShapes:
             tree.mbr()
 
     def test_single_item(self):
-        tree = FlatRTree.build([("only", Rect(1, 1, 2, 2))])
+        tree = FlatRTree.build([(5, Rect(1, 1, 2, 2))])
         tree.validate()
         assert tree.height == 1
-        assert [e.oid for e in window_query(tree, Rect(0, 0, 3, 3))] == ["only"]
+        assert [e.oid for e in window_query(tree, Rect(0, 0, 3, 3))] == [5]
         assert window_query(tree, Rect(5, 5, 6, 6)) == []
         (found,) = nearest_neighbors(tree, 0.0, 0.0, k=3)
-        assert found[1].oid == "only"
+        assert found[1].oid == 5
 
     def test_build_rejects_tiny_node_size(self):
         with pytest.raises(ValueError):

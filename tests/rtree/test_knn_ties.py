@@ -3,9 +3,9 @@
 The original best-first search broke distance ties by heap insertion
 order, so the entry filling the last result slot depended on tree shape
 and insertion history — two trees over the same data could answer the
-same query differently.  Ties now resolve by
-:func:`repro.rtree.query.oid_order_key`; these tests pin the ordering on
-both backends and across insertion orders.
+same query differently.  Ties now go to the smaller oid (an ``int64``);
+these tests pin the ordering on both backends and across insertion
+orders.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 from repro.geometry.rect import Rect
 from repro.rtree import RStarTree
 from repro.rtree.flat import FlatRTree
-from repro.rtree.query import nearest_neighbors, oid_order_key
+from repro.rtree.query import nearest_neighbors
 
 #: Eight coincident points — every pair ties at every query point — plus
 #: four distinct ones at a strictly greater distance.
@@ -64,22 +64,11 @@ class TestTieOrdering:
             ]
             assert got_node == got_flat
 
-    def test_mixed_oid_types_order_totally(self):
-        items = [
-            ("b", Rect(0, 0, 0, 0)),
-            ("a", Rect(0, 0, 0, 0)),
-            (2, Rect(0, 0, 0, 0)),
-            (1, Rect(0, 0, 0, 0)),
-            ((3, 4), Rect(0, 0, 0, 0)),
-        ]
-        tree = node_tree(items)
+    def test_ties_order_by_the_int64_oid_on_both_backends(self):
+        oids = [2**62, -3, 7, -(2**62), 0]
+        items = [(oid, Rect(1.0, 1.0, 1.0, 1.0)) for oid in oids]
         flat = FlatRTree.build(items, node_size=4)
-        got_node = [e.oid for _, e in nearest_neighbors(tree, 0.0, 0.0, 5)]
-        got_flat = [e.oid for _, e in nearest_neighbors(flat, 0.0, 0.0, 5)]
-        # Numbers first, then strings, then everything else by repr.
-        assert got_node == got_flat == [1, 2, "a", "b", (3, 4)]
-
-    def test_oid_order_key_is_total_on_common_types(self):
-        keys = [oid_order_key(o) for o in (0, 1.5, True, "x", None, (1,))]
-        keys.sort()  # must not raise (total order across types)
-        assert oid_order_key(True) != oid_order_key(1)
+        tree = node_tree(items)
+        for backend in (tree, flat):
+            got = [e.oid for _, e in nearest_neighbors(backend, 0.0, 0.0, 5)]
+            assert got == sorted(oids)

@@ -107,27 +107,22 @@ def random_updates(tree, live, rng, steps=600):
     are *live* (oid -> Rect) and stay so."""
     for step in range(steps):
         if live and rng.random() < 0.35:
-            oid = rng.choice(sorted(live, key=repr))
+            oid = rng.choice(sorted(live))
             assert tree.delete(oid, live.pop(oid))
         else:
             x, y = rng.uniform(0, 50), rng.uniform(0, 50)
-            oid = step if step % 4 else f"s{step}"  # int64 and object leaves
+            oid = step
             live[oid] = Rect(x, y, x + rng.uniform(0, 2), y + rng.uniform(0, 2))
             tree.insert(oid, live[oid])
     tree.validate()
     assert_packed(tree)
-    assert sorted(map(repr, (e.oid for e in tree.data_entries()))) == sorted(
-        map(repr, live)
-    )
+    assert sorted(e.oid for e in tree.data_entries()) == sorted(live)
 
 
 def test_updates_keep_every_leaf_a_block():
     tree = RStarTree(data_capacity=6, dir_capacity=4)
     random_updates(tree, {}, random.Random(11))
-    assert {type(oid) for leaf in leaves(tree) for oid in leaf.oids.tolist()} == {
-        int,
-        str,
-    }
+    assert {type(oid) for leaf in leaves(tree) for oid in leaf.oids.tolist()} == {int}
 
 
 def test_updates_on_a_bulk_loaded_tree_keep_its_leaves_row_ranges():

@@ -56,11 +56,11 @@ class TestConstruction:
 class TestInsert:
     def test_single_insert(self):
         tree = RStarTree(dir_capacity=4, data_capacity=4)
-        tree.insert("a", Rect(0, 0, 1, 1))
+        tree.insert(1, Rect(0, 0, 1, 1))
         assert len(tree) == 1
         assert tree.height == 1
         [found] = window_query(tree, Rect(0, 0, 2, 2))
-        assert found.oid == "a"
+        assert found.oid == 1
         tree.validate()
 
     def test_leaf_split_grows_height(self):

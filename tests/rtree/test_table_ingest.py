@@ -89,15 +89,6 @@ class TestSameTrees:
                 assert leaf_sequence(tree) == leaf_sequence(from_items)
                 tree.validate()
 
-    def test_non_integer_oids_survive_both_builders(self):
-        items = [(("k", i), Rect(i, i, i + 1.0, i + 2.0)) for i in range(40)]
-        flat = FlatRTree.build(BoxTable.from_items(items))
-        flat_oids = sorted(flat.table.oids[flat.rows])
-        assert flat_oids == sorted(oid for oid, _ in items)
-        node = str_bulk_load(BoxTable.from_items(items))
-        leaves, _ = leaf_sequence(node)
-        assert sorted(row[0] for leaf in leaves for row in leaf) == flat_oids
-
 
 def node_sequence(tree):
     """Every node depth-first: its level and its entries in order, each
@@ -189,9 +180,8 @@ class TestLeafPackerParity:
         x = [0.0 if tied == "x" else float(row[0]) for row in rows]
         y = [0.0 if tied == "y" else float(row[1]) for row in rows]
         w = [float(row[2]) for row in rows]
-        oids = [("row", i) for i in range(len(rows))]
         table = BoxTable(
-            oids, x, y, [a + b for a, b in zip(x, w)], [a + b for a, b in zip(y, w)]
+            range(len(rows)), x, y, [a + b for a, b in zip(x, w)], [a + b for a, b in zip(y, w)]
         )
         assert_leaf_packer_parity(table, **options)
 

@@ -9,7 +9,7 @@ it applies:
 * the **instrument contract** — ``perf/`` is frozen, so every call shape
   it uses on an answer is exercised here against the real
   ``perf.oracle`` functions;
-* the ``object``-dtype path (string oids) and the typed empty answers.
+* the typed empty answers.
 """
 
 import asyncio
@@ -21,7 +21,7 @@ import pytest
 from perf.oracle import MapOracle, pair_keys
 from repro import GD, ParallelJoinConfig, parallel_spatial_join, prepare_trees
 from repro.datagen import build_tree, paper_maps
-from repro.geometry import BoxTable, PairTable, Rect, RowSet
+from repro.geometry import PairTable, Rect, RowSet
 from repro.join import multiprocessing_join, sequential_join
 from repro.query.batch import multi_window_query
 from repro.recovery import RecoveryConfig
@@ -32,8 +32,6 @@ from repro.rtree.query import QueryStats, nearest_neighbors, window_query
 from repro.service import Engine, EngineConfig, WorkerPool
 from repro.service.model import JoinRequest, KNNRequest, WindowRequest
 from repro.shard import ShardConfig, ShardRouter
-from repro.shard.ops import sharded_join, sharded_window
-from repro.shard.partition import build_sharded
 
 from tests.flat_oracle import query_windows
 
@@ -238,37 +236,3 @@ def test_all_miss_batch_and_k_beyond_n_are_typed_tables(maps):
     assert nothing == ()
     assert (nothing.oids.dtype, nothing.distances.dtype) == (np.int64, np.float64)
     assert sequential_join(tree, FlatRTree.build([])).pairs.left.dtype == np.int64
-
-
-# -- string oids: the object-dtype path ---------------------------------------------
-def test_string_oids_through_flat_window_join_and_shard_merge(maps, windows):
-    def renamed(data, prefix):
-        table = data.table()
-        return BoxTable(
-            [f"{prefix}{oid:05d}" for oid in table.oids],
-            table.xl, table.yl, table.xu, table.yu,
-        )
-
-    tables = {"map1": renamed(maps[0], "r"), "map2": renamed(maps[1], "s")}
-    flat = {name: FlatRTree.build(table) for name, table in tables.items()}
-    ints = sequential_join(*(build_flat_tree(data) for data in maps)).pairs
-    expected_join = sorted((f"r{a:05d}", f"s{b:05d}") for a, b in ints)
-    rect = Rect(*windows[-1])
-    expected_window = tuple(
-        f"r{oid:05d}" for oid in MapOracle(maps[0].items()).window(windows[-1])
-    )
-
-    assert flat["map1"].table.oids.dtype == object
-    assert window_rows(window_query(flat["map1"], rect)).sorted() == expected_window
-    pairs = sequential_join(flat["map1"], flat["map2"]).pairs
-    assert pairs.left.dtype == object and pairs.sorted() == expected_join
-    assert multiprocessing_join(flat["map1"], flat["map2"], 2).sorted() == expected_join
-
-    sharded = build_sharded(tables, 3, mode="zrange", backend="flat")
-    assert sharded_window(sharded, "map1", rect) == expected_window
-    assert sharded_join(sharded, "map1", "map2") == expected_join
-    router = ShardRouter(tables, ShardConfig(shards=3, backend="flat", workers=0))
-    window, join = ask(
-        router, [WindowRequest("map1", rect), JoinRequest("map1", "map2")]
-    )
-    assert window == expected_window and join == expected_join

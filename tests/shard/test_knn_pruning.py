@@ -7,8 +7,8 @@ Two hand-built geometries pin the pruning contract:
   sub-request sent) without changing the answer;
 * a mirror-symmetric layout where both shards sit at *exactly* the k-th
   distance — an equal bound must still be queried (strict-inequality
-  prune) so boundary ties resolve by ``oid_order_key`` identically to a
-  single tree.
+  prune) so boundary ties go to the smaller oid, identically to a single
+  tree.
 """
 
 import asyncio
@@ -45,7 +45,7 @@ MIRROR = {
         # equidistant from (50, 50), one on each side of the x=50 cut;
         # the lower oid is on the LEFT so a left-first scan that pruned
         # the right shard on an equal bound would return the wrong oid
-        # only if oid_order_key prefers 3 — which it does.
+        # only if the smaller oid, 3, wins the tie — which it does.
         point(5, 40, 50),
         point(3, 60, 50),
         point(20, 0, 45), point(21, 100, 55),

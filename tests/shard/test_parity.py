@@ -13,7 +13,7 @@ import pytest
 from repro.geometry.rect import Rect
 from repro.join.sequential import sequential_join
 from repro.rtree.bulk import str_bulk_load
-from repro.rtree.query import nearest_neighbors, oid_order_key, window_query
+from repro.rtree.query import nearest_neighbors, window_query
 from repro.shard.ops import (
     shard_join_pairs,
     sharded_join,
