@@ -144,6 +144,11 @@ def decompose(rect: Rect, quantizer: Quantizer, max_regions: int = 4) -> list[ZR
     hits but more z-intervals to sort and merge — [OM 88]'s central trade-off.
     """
     require_count("max_regions", max_regions)
+    return _decompose(rect, quantizer, max_regions)
+
+
+def _decompose(rect: Rect, quantizer: Quantizer, max_regions: int) -> list[ZRegion]:
+    """:func:`decompose` for a *max_regions* already checked."""
     bits = quantizer.bits
     ix0, iy0, ix1, iy1 = quantizer.grid_rect(rect)
 

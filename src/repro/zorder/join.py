@@ -25,7 +25,8 @@ from typing import Sequence
 
 from ..geometry.planesweep import sweep_rows
 from ..geometry.rect import Rect
-from .curve import Quantizer, decompose
+from ..rtree.query import require_count
+from .curve import Quantizer, _decompose
 
 __all__ = ["ZJoinStats", "zorder_join"]
 
@@ -39,7 +40,7 @@ def _interval_rows(
     rows = [
         (region.lo, 0, region.hi, 0, oid, rect)
         for oid, rect in items
-        for region in decompose(rect, quantizer, max_regions)
+        for region in _decompose(rect, quantizer, max_regions)
     ]
     rows.sort(key=itemgetter(0))
     return rows
@@ -75,6 +76,7 @@ def zorder_join(
     z-duplicates are removed and every interval match is verified against
     the pair's MBRs.
     """
+    require_count("max_regions", max_regions)
     quantizer = Quantizer(bounds, bits=bits)
     rows_r = _interval_rows(items_r, quantizer, max_regions)
     rows_s = _interval_rows(items_s, quantizer, max_regions)

@@ -223,6 +223,11 @@ class TestZOrderJoin:
         assert pairs == []
         assert stats.candidates == 0
 
+    @pytest.mark.parametrize("max_regions", [0, True, 2.5, -1])
+    def test_max_regions_is_checked_even_with_no_object(self, max_regions):
+        with pytest.raises(ValueError, match="max_regions must be an integer"):
+            zorder_join([], [], UNIT, max_regions=max_regions)
+
 
 #: The z-order join of the paper maps at scale 0.05, seed 42, with the
 #: bench's 14 bits: every counter, and a sha-256 over the candidate pairs,
