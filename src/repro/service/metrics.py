@@ -8,7 +8,7 @@ rendering and the invariant checkers all work on serving traces unchanged.
 
 Per request class the sink keeps a latency reservoir (p50/p95/p99), the
 terminal-outcome counters and a queue-depth high-water mark; batch sizes
-get their own distribution.  ``report()`` renders everything as one
+get their own distribution, one count per size.  ``report()`` renders everything as one
 JSON-able dict — the ``"metrics"`` block of every tier's ``snapshot()``.
 """
 
@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Dict, Optional, Sequence
 
 from ..trace import EventKind, TraceEvent
+from . import batcher
 
 __all__ = ["LatencyReservoir", "ServiceMetrics", "percentile"]
 
@@ -28,16 +31,22 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
     ``nan`` for an empty sample set — serialised as ``null`` in JSON.
     """
-    if not samples:
-        return float("nan")
     ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
+    return _interpolate(ordered.__getitem__, len(ordered), q)
+
+
+def _interpolate(nth: Callable[[int], float], n: int, q: float) -> float:
+    """The *q*-th percentile of *n* ascending values, ``nth(i)`` the
+    *i*-th of them."""
+    if not n:
+        return float("nan")
+    if n == 1:
+        return nth(0)
+    rank = (n - 1) * (q / 100.0)
     low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
+    high = min(low + 1, n - 1)
     fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    return nth(low) * (1.0 - fraction) + nth(high) * fraction
 
 
 class LatencyReservoir:
@@ -130,7 +139,10 @@ class ServiceMetrics:
     def __init__(self) -> None:
         self.per_class: Dict[str, _ClassStats] = {}
         self.overall = LatencyReservoir()
-        self.batch_sizes: List[int] = []
+        #: ``batch_counts[size]``: how many batches of *size* requests
+        #: ran — one slot a size up to the batcher's cap, however long
+        #: the engine lives.
+        self.batch_counts = [0] * (batcher.MAX_BATCH + 1)
         self.queue_depth_max = 0
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
@@ -175,7 +187,7 @@ class ServiceMetrics:
         elif kind == EventKind.SUP_CALL_GIVEUP:
             self._cls(event).giveups += 1
         elif kind == EventKind.SVC_BATCH_EXECUTED:
-            self.batch_sizes.append(int(event.data.get("size", 0)))
+            self.batch_counts[int(event.data.get("size", 0))] += 1
         elif kind == EventKind.SVC_ENGINE_START:
             self.started_at = event.time
         elif kind == EventKind.SVC_ENGINE_STOP:
@@ -211,13 +223,17 @@ class ServiceMetrics:
         return self.completed / duration_s if duration_s > 0 else float("nan")
 
     def batch_size_distribution(self) -> dict:
-        sizes = self.batch_sizes
+        counts = self.batch_counts
+        batches = sum(counts)
+        requests = sum(size * count for size, count in enumerate(counts))
+        below = list(accumulate(counts))  # batches of at most each size
         return {
-            "batches": len(sizes),
-            "requests_batched": sum(sizes),
-            "mean": (sum(sizes) / len(sizes)) if sizes else float("nan"),
-            "max": max(sizes) if sizes else 0,
-            "p95": percentile([float(s) for s in sizes], 95),
+            "batches": batches,
+            "requests_batched": requests,
+            "mean": requests / batches if batches else float("nan"),
+            "max": max((s for s, c in enumerate(counts) if c), default=0),
+            # the i-th smallest batch is the first size with more than i below
+            "p95": _interpolate(lambda i: float(bisect_right(below, i)), batches, 95),
         }
 
     def report(self, duration_s: Optional[float] = None) -> dict:

@@ -74,15 +74,15 @@ class TestMicroBatching:
                 responses = await asyncio.gather(
                     *(engine.submit(r) for r in requests)
                 )
-                return requests, responses, engine.metrics.batch_sizes
+                return requests, responses, engine.metrics.report()["batch_sizes"]
 
-        requests, responses, batch_sizes = asyncio.run(main())
+        requests, responses, batches = asyncio.run(main())
         assert all(r.ok for r in responses)
         # 40 requests arriving together within a 50 ms window coalesce
         # into far fewer batches, and at least one real batch formed.
-        assert sum(batch_sizes) == 40
-        assert len(batch_sizes) < 40
-        assert max(batch_sizes) > 1
+        assert batches["requests_batched"] == 40
+        assert batches["batches"] < 40
+        assert batches["max"] > 1
         for request, response in zip(requests, responses):
             want = tuple(
                 sorted(i for i, r in items if r.intersects(request.window))
@@ -102,8 +102,8 @@ class TestMicroBatching:
                         for _ in range(8)
                     )
                 )
-                return responses, engine.metrics.batch_sizes
+                return responses, engine.metrics.report()["batch_sizes"]
 
-        responses, batch_sizes = asyncio.run(main())
+        responses, batches = asyncio.run(main())
         assert all(r.ok and r.batch_size == 1 for r in responses)
-        assert batch_sizes == []  # no batcher events without the batcher
+        assert batches["batches"] == 0  # no batcher events without the batcher

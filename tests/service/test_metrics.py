@@ -105,3 +105,29 @@ class TestServiceMetricsSink:
         assert metrics.throughput(10.0) == 0.1
         # start/stop span: 10 time units, 1 completion
         assert abs(metrics.throughput() - 0.1) < 1e-12
+
+    def test_batch_sizes_report_as_the_list_of_every_size_did(self):
+        """One count per size gives the report a list of every batch's
+        size gave, from a store that does not grow with the batches."""
+
+        def from_the_list(sizes):
+            return {
+                "batches": len(sizes),
+                "requests_batched": sum(sizes),
+                "mean": (sum(sizes) / len(sizes)) if sizes else float("nan"),
+                "max": max(sizes) if sizes else 0,
+                "p95": percentile([float(s) for s in sizes], 95),
+            }
+
+        rng = random.Random(31)
+        metrics = ServiceMetrics()
+        slots = len(metrics.batch_counts)
+        sizes = []
+        for count in (0, 1, 2, 3, 20, 777):
+            while len(sizes) < count:
+                size = min(int(rng.expovariate(0.3)) + 1, slots - 1)
+                sizes.append(size)
+                metrics.handle(event(len(sizes), EventKind.SVC_BATCH_EXECUTED, size=size))
+            got, want = metrics.report()["batch_sizes"], from_the_list(sizes)
+            assert repr(got) == repr(want)
+        assert len(metrics.batch_counts) == slots
