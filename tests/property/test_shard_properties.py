@@ -104,14 +104,24 @@ class TestRoutedQueryLaws:
         pmap = sharded.pmap
         # the geometric router set == brute-force cell-overlap set for
         # in-bounds windows; clamping makes it a (safe) superset when the
-        # window lies outside the fitted data MBR
+        # window lies outside the fitted data MBR.  Cells are half-open
+        # (the last row and column closed): a window that only touches a
+        # cell's upper edge does not overlap it.
+        def overlaps(cell):
+            ix, iy = cell % pmap.gx, cell // pmap.gx
+            return all(
+                (i == n - 1 or (lo - origin) / side < i + 1)
+                and (i == 0 or (hi - origin) / side >= i)
+                for i, n, lo, hi, origin, side in (
+                    (ix, pmap.gx, window.xl, window.xu, pmap.x0, pmap.cell_w),
+                    (iy, pmap.gy, window.yl, window.yu, pmap.y0, pmap.cell_h),
+                )
+            )
+
         brute = {
             shard
             for shard in range(k)
-            if any(
-                window.intersects(pmap.cell_rect(cell))
-                for cell in pmap.shard_cells(shard)
-            )
+            if any(overlaps(cell) for cell in pmap.shard_cells(shard))
         }
         geometric = set(pmap.shards_of_rect(window))
         if window.intersects(pmap.bounds()):
