@@ -47,6 +47,11 @@ def require_oids(oids) -> np.ndarray:
         if oids.dtype != np.uint64 or not (oids > INT64_MAX).any():
             return oids.astype(np.int64, copy=False)
     oids = oids.tolist() if isinstance(oids, np.ndarray) else list(oids)
+    if set(map(type, oids)) <= {int}:  # builtin ints: only the range to check
+        try:
+            return np.array(oids, dtype=np.int64)
+        except OverflowError:
+            pass
     for row, oid in enumerate(oids):
         if (
             isinstance(oid, bool)

@@ -386,7 +386,6 @@ class RStarTree:
             assert 0 <= node.lo <= node.hi <= len(node.order), "leaf row range"
             rows = node.order[node.lo : node.hi]
             assert ((rows >= 0) & (rows < len(node.table))).all(), "row outside table"
-            assert all(oid is not None for oid in node.oids.tolist()), "no oid"
             if len(node):
                 xl, yl, xu, yu = node.boxes.tolist()
                 assert node.mbr == (min(xl), min(yl), max(xu), max(yu)), "leaf MBR"

@@ -233,8 +233,7 @@ class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_hostile_item(self, enabled):
         (gc.enable if enabled else gc.disable)()
-        # None passes the table (any hashable is an oid); a data entry
-        # needs one, so the node builder refuses it before packing
+        # the table refuses a None oid before the node builder packs
         items = [(i, Rect(i, i, i + 1, i + 1)) for i in range(50)]
         items[30] = (None, items[30][1])
         with pytest.raises(ValueError, match="row 30 has oid None"):
