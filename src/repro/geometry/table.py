@@ -2,9 +2,8 @@
 
 A :class:`BoxTable` holds one dataset as five columns: the ``int64``
 object identifiers and four ``float64`` columns ``xl / yl / xu / yu`` —
-row *i* is the box of ``oids[i]``.  Everything
-that reads a whole dataset (the flat and STR tree builders,
-:class:`~repro.shard.partition.Partitioner`,
+row *i* is the box of ``oids[i]``.  Everything that reads a whole dataset
+(the flat and STR tree builders, :class:`~repro.shard.partition.Partitioner`,
 :func:`~repro.shard.partition.partition_rows`) reads it in this shape, so
 set-up never walks per-object ``(oid, Rect)`` tuples; :class:`Rect`
 objects and builtin oids are made only at the API edge

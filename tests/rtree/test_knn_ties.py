@@ -63,12 +63,3 @@ class TestTieOrdering:
                 (d, e.oid) for d, e in nearest_neighbors(flat, 5.0, 5.0, k)
             ]
             assert got_node == got_flat
-
-    def test_ties_order_by_the_int64_oid_on_both_backends(self):
-        oids = [2**62, -3, 7, -(2**62), 0]
-        items = [(oid, Rect(1.0, 1.0, 1.0, 1.0)) for oid in oids]
-        flat = FlatRTree.build(items, node_size=4)
-        tree = node_tree(items)
-        for backend in (tree, flat):
-            got = [e.oid for _, e in nearest_neighbors(backend, 0.0, 0.0, 5)]
-            assert got == sorted(oids)
