@@ -4,11 +4,13 @@ Each path runs once uncounted (first-call imports and caches are not its
 work), then once under :func:`repro.bench.counts.count_work`, on the paper
 maps at scale 0.05, seed 42 (the z-order join at 0.02).  A pin is a count
 per unit of work — per node pair visited for the node join, per candidate
-for the other joins, per request for the window and kNN queries — and the
+for the other joins, per request for the window and kNN queries and the
+serving tiers — and the
 bound is the pin times :data:`SLACK`.  A change that lowers a count lowers
 its pin with it; one that raises a pin names the cause.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from repro.join import GD, LSR, ParallelJoinConfig, flat_join, parallel_spatial_
 from repro.join import prepare_trees, sequential_join
 from repro.query.batch import multi_window_query
 from repro.rtree import build_flat_tree, nearest_neighbors
+from repro.service import Engine, EngineConfig, WindowRequest
+from repro.shard import ShardConfig, ShardRouter
 from repro.zorder import zorder_join
 
 SCALE = 0.05
@@ -40,7 +44,9 @@ BATCH = 16
 #: of work.  Python calls leave out comprehension frames (see
 #: repro.bench.counts); with them, the node join makes 10.67 a node pair.
 #: The flat join's live blocks move from run to run (50-66 here: numpy
-#: keeps a cache of small buffers), so that one is not pinned.
+#: keeps a cache of small buffers), so that one is not pinned.  A serving
+#: tier is counted on its event-loop thread only (the profile is per
+#: thread) and its memory not at all: the worker threads allocate too.
 PINS = {
     "sequential_join[node]": (6.660, 20.01, 0.09177, 173.4),
     "flat_join": (0.05675, 0.04745, None, 828.5),
@@ -50,6 +56,8 @@ PINS = {
     "multi_window_query[flat, 16 a batch]": (27.10, 22.14, 5.17, 1929),
     "nearest_neighbors[flat, k=10]": (94.6, 347.2, 13.23, 878.3),
     "nearest_neighbors[node, k=10]": (221.7, 851.2, 72.7, 2737),
+    "Engine[window, flat, unbatched]": (221.7, 173.6, None, None),
+    "ShardRouter[window, flat, 2 shards]": (288.9, 216.9, None, None),
 }
 
 
@@ -64,6 +72,23 @@ def seeded_requests(side):
         windows.append(Rect(x, y, x + extent, y + extent))
     points = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(REQUESTS)]
     return windows, points
+
+
+def served(tier, windows, stops):
+    """A run that submits *windows* one at a time, uncached, to *tier*,
+    started on an event loop of its own; its stop goes on *stops*."""
+    loop = asyncio.new_event_loop()
+    loop.run_until_complete(tier.start())
+
+    async def serve():
+        return [await tier.submit(WindowRequest("map1", w)) for w in windows]
+
+    def stop():
+        loop.run_until_complete(tier.stop())
+        loop.close()
+
+    stops.append(stop)
+    return lambda: loop.run_until_complete(serve())
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +110,19 @@ def paths():
     def candidates(result):
         return result.candidates
 
-    return {
+    def answered(responses):
+        return sum(response.ok for response in responses)
+
+    stops = []
+    engine = Engine(
+        {"map1": flat[0]},
+        EngineConfig(workers=0, batching=False, cache_capacity=0),
+    )
+    router = ShardRouter(
+        {"map1": map1.table()},
+        ShardConfig(shards=2, backend="flat", workers=0, cache_capacity=0),
+    )
+    yield {
         "sequential_join[node]": (
             lambda: sequential_join(*node),
             "node pair",
@@ -135,7 +172,15 @@ def paths():
             REQUESTS,
             len,
         ),
+        "Engine[window, flat, unbatched]": (
+            served(engine, windows, stops), "request", REQUESTS, answered,
+        ),
+        "ShardRouter[window, flat, 2 shards]": (
+            served(router, windows, stops), "request", REQUESTS, answered,
+        ),
     }
+    for stop in stops:
+        stop()
 
 
 def measure(run):

@@ -4,12 +4,15 @@ snapshot shape, and the shared code exists exactly once in the source."""
 import ast
 import asyncio
 import math
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.datagen import build_tree, paper_maps
+from repro.faults import FaultPlan
 from repro.rtree.bulk import str_bulk_load
 from repro.service import (
     Engine,
@@ -22,6 +25,7 @@ from repro.service import (
 )
 from repro.shard import ShardConfig, ShardRouter
 from repro.trace import ListSink, run_checkers, service_checkers
+from tests.service.test_engine import random_window
 from tests.shard.test_router import make_items
 
 SRC = Path(repro.__file__).parent
@@ -208,3 +212,52 @@ class TestWrittenOnce:
             assert len(found) == 1, (kind, found)
             assert found[0].startswith("service/frontdoor.py:"), found
         assert semaphores == {"service/frontdoor.py"}
+
+
+#: A plan that fails two worker calls in five: three crashes in a row
+#: exhaust a request's attempts, a short hang only delays its call.
+FAULTY = FaultPlan(seed=21, worker_crash_p=0.4, worker_hang_p=0.1, hang_s=0.01)
+
+
+@pytest.fixture(scope="module")
+def map1():
+    return paper_maps(0.01)[0]
+
+
+class TestFailedCalls:
+    """Both tiers retry a failed worker call under one rule; what that
+    rule makes of a faulty run is pinned request by request."""
+
+    @pytest.mark.parametrize("tier, statuses, retries", [
+        ("engine", "." * 34 + "e" + "." * 18 + "e" + "." * 5 + "e", 41),
+        ("router", "." * 33 + "e" + "." * 18 + "e" + "." * 3 + "e" + "." * 3, 45),
+    ], ids=["engine", "router"])
+    def test_each_request_status_and_the_retries_are_pinned(
+        self, map1, tier, statuses, retries
+    ):
+        rng = random.Random(42)
+        windows = [random_window(rng, map1.region.side) for _ in range(60)]
+        if tier == "engine":
+            served = Engine(
+                {"map1": build_tree(map1)},
+                EngineConfig(workers=0, cache_capacity=0, faults=FAULTY),
+            )
+        else:
+            served = ShardRouter(
+                {"map1": map1.table()},
+                ShardConfig(shards=2, replicas=2, workers=0, cache_capacity=0,
+                            faults=FAULTY),
+            )
+
+        async def main():
+            async with served:
+                return [
+                    await served.submit(WindowRequest("map1", w), timeout=5.0)
+                    for w in windows
+                ]
+
+        responses = asyncio.run(main())
+        assert "".join(
+            "." if r.ok else r.status.value[0] for r in responses
+        ) == statuses
+        assert served.metrics.retries == retries
