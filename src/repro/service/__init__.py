@@ -23,12 +23,12 @@ virtual memory of :mod:`repro.join.mp`), with
   open-loop arrival model, prints a latency/throughput report and keeps
   nothing (a run under a seeded fault plan is replayed through the
   invariant checkers and exits 1 on a red verdict);
-* a **resilience layer** (:mod:`repro.service.resilience`,
-  :mod:`repro.service.workers`): supervised worker calls with typed
-  :class:`WorkerError` outcomes, capped-backoff retries inside the
-  request's deadline budget, and a worker pool that is told of a
-  worker's death as it happens, fails exactly the call that worker held
-  and forks its replacement.
+* a **resilience layer** (:mod:`repro.service.workers`): supervised
+  worker calls with typed :class:`WorkerError` outcomes, a failed call
+  retried at once inside the request's deadline budget (one rule for
+  both tiers, :data:`~repro.service.frontdoor.MAX_ATTEMPTS`), and a
+  worker pool that is told of a worker's death as it happens, fails
+  exactly the call that worker held and forks its replacement.
 """
 
 from .batcher import MicroBatcher
@@ -36,7 +36,6 @@ from .cache import MISS, ResultCache
 from .engine import Engine, EngineConfig
 from .frontdoor import FrontDoor
 from .metrics import LatencyReservoir, ServiceMetrics, percentile
-from .resilience import RetryPolicy, WorkerError
 from .model import (
     JoinRequest,
     KNNRequest,
@@ -47,7 +46,7 @@ from .model import (
     WindowRequest,
     canonical_rect,
 )
-from .workers import WorkerPool, fork_available
+from .workers import WorkerError, WorkerPool, fork_available
 
 __all__ = [
     "Engine",
@@ -69,6 +68,5 @@ __all__ = [
     "percentile",
     "WorkerPool",
     "fork_available",
-    "RetryPolicy",
     "WorkerError",
 ]

@@ -16,14 +16,15 @@ the `join/mp.py` SVM trick, or threads where fork is unavailable) — and
 Around the execution backend sits the **resilience layer**:
 
 * every worker-pool call is supervised (typed :class:`WorkerError`
-  outcomes, per-attempt deadlines) and failed calls are **retried** with
-  capped exponential backoff — always inside the request's original
-  admission-timeout budget, never beyond it; when the budget or the
-  attempts run out, the typed failure becomes the request's ``error``
-  response.  The pool is told of a worker's death the moment it happens
-  and fails exactly the call that worker held (``worker-died``), forks a
-  replacement, and kills a worker whose call outlives its attempt
-  deadline, so nothing is polled;
+  outcomes, per-attempt deadlines) and a failed call is **retried at
+  once** on the same pool, by the front door's attempt rule — always
+  inside the request's original admission-timeout budget; when the
+  budget or the attempts run out, the typed failure becomes the
+  request's ``error`` response.  The pool is told of a worker's death
+  the moment it happens and fails exactly the call that worker held
+  (``worker-died``), forks a replacement, and kills a worker whose call
+  outlives its attempt deadline, so nothing is polled and the retry
+  waits only in the pool's queue;
 * a seeded :class:`~repro.faults.plan.FaultPlan` can inject worker
   crashes, hangs and slow I/O at the pool seam for chaos testing — the
   ``FLT_*``/``SUP_*`` ledgers reconcile as the ``worker-call`` and
@@ -33,7 +34,7 @@ Around the execution backend sits the **resilience layer**:
 from __future__ import annotations
 
 import asyncio
-import random
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -48,15 +49,12 @@ from .model import (
     WindowRequest,
     canonical_rect,
 )
-from .resilience import RetryPolicy, WorkerError
-from .workers import WorkerPool
+from .workers import WorkerError, WorkerPool
 
 __all__ = ["Engine", "EngineConfig"]
 
 #: Concurrent join executions; each is one whole join on one worker.
 JOIN_LIMIT = 2
-#: Backoff for a failed worker call, always inside the request's budget.
-RETRY = RetryPolicy()
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,9 @@ class EngineConfig:
                            the request's remaining budget);
     ``faults``           — seeded fault plan injected at the pool seam
                            (None = healthy);
-    ``seed``             — seeds retry jitter (None = nondeterministic).
+    ``seed``             — read by nothing: retries no longer sleep a
+                           jittered backoff.  Kept only because the
+                           benchmark harness still passes it.
     """
 
     workers: int = 0
@@ -109,7 +109,6 @@ class Engine(FrontDoor):
             tracer=self.tracer,
         )
         self.batcher = MicroBatcher()
-        self._retry_rng = random.Random(self.config.seed)
 
     # -- the execution plan ---------------------------------------------------
     def _tree_names(self):
@@ -165,53 +164,20 @@ class Engine(FrontDoor):
         deadline: Optional[float] = None,
     ):
         """One worker-pool execution under the class concurrency limit,
-        with retries inside the deadline budget."""
-        return self._in_slot(
-            cls, self._execute_with_retry, cls, kind, args, deadline
-        )
+        its attempts run by the front door's rule."""
+        return self._in_slot(cls, self._attempts, cls, kind, args, deadline)
 
-    async def _execute_with_retry(
+    async def _attempts(
         self, cls: RequestClass, kind: str, args: tuple,
         deadline: Optional[float],
     ):
-        attempt = 0
-        while True:
-            timeout_s = self.config.attempt_timeout_s
-            if deadline is not None:
-                remaining = deadline - self._now()
-                if remaining <= 0:
-                    raise WorkerError(
-                        f"deadline budget exhausted before attempt "
-                        f"{attempt + 1}",
-                        cause_type="deadline",
-                        kind=kind,
-                    )
-                timeout_s = (
-                    remaining if timeout_s is None
-                    else min(timeout_s, remaining)
-                )
+        for attempt in itertools.count():
+            timeout_s = self._attempt_clock(deadline, attempt, kind)
             try:
                 return await self.pool.run(kind, *args, timeout_s=timeout_s)
             except WorkerError as exc:
-                failure = exc
-            attempt += 1
-            budget = None if deadline is None else deadline - self._now()
-            delay = RETRY.next_delay(attempt, self._retry_rng, budget)
-            if delay is None:
-                self._emit(
-                    EventKind.SUP_CALL_GIVEUP,
-                    cls,
-                    call=failure.call_id,
-                    attempts=attempt,
-                    error=failure.cause_type,
-                )
-                raise failure
-            payload = {"call": failure.call_id, "attempt": attempt,
-                       "delay_s": delay}
-            if budget is not None:
-                payload["remaining_s"] = budget
-            self._emit(EventKind.SUP_CALL_RETRY, cls, **payload)
-            await asyncio.sleep(delay)
+                if not self._retry(cls, attempt + 1, exc, deadline):
+                    raise
 
     async def _run_window_group(self, tree_name: str, items: list) -> None:
         """Execute one micro-batch and settle every member's future."""

@@ -13,18 +13,25 @@
 4. the per-request **deadline** — the admission timeout is the request's
    whole fault budget, handed to the execution plan — and caller
    cancellation;
-5. every transition as an ``SVC_*`` event on a wall-clocked
+5. the **attempt rule** of a worker call, one for both tiers: each
+   attempt's clock is ``attempt_timeout_s`` clipped to the remaining
+   budget, and a failed attempt is retried at once (``SUP_CALL_RETRY``)
+   until :data:`MAX_ATTEMPTS` attempts or the budget are spent
+   (``SUP_CALL_GIVEUP``);
+6. every transition as an ``SVC_*`` event on a wall-clocked
    :class:`~repro.trace.tracer.Tracer` with :class:`ServiceMetrics` as a
    standing sink, so sinks, timelines and the ``service-ledger`` spec's
    monitor (``protocol:service-ledger``) work on every tier alike;
-6. the **life cycle**: ``start()``, and a ``stop()`` that stops admitting,
+7. the **life cycle**: ``start()``, and a ``stop()`` that stops admitting,
    drains every in-flight request, then releases the backend.
 
 A tier supplies only its execution plan, through three hooks:
 
 * ``_execute(request, deadline) -> (value, batch_size)`` — answer one
   validated cache miss inside the deadline budget, taking a class slot
-  with :meth:`FrontDoor._in_slot` around each backend call;
+  with :meth:`FrontDoor._in_slot` around each backend call and running
+  its attempts by :meth:`FrontDoor._attempt_clock` and
+  :meth:`FrontDoor._retry`;
 * ``_start_backend() -> dict`` / ``async _stop_backend()`` — bring the
   pools up (returning the tier's fields of ``SVC_ENGINE_START``) and
   down;
@@ -48,6 +55,7 @@ from ..rtree.query import (
 from ..trace import EventKind, Tracer
 from .cache import MISS, ResultCache
 from .metrics import ServiceMetrics
+from .workers import WorkerError
 from .model import (
     JoinRequest,
     KNNRequest,
@@ -73,6 +81,8 @@ KNN_LIMIT = 16
 #: long a cached answer stays fresh.
 DEFAULT_TIMEOUT_S = 10.0
 CACHE_TTL_S = 60.0
+#: Attempts a worker call gets, on either tier, before its request errors.
+MAX_ATTEMPTS = 3
 
 #: Each count setting's least value under which a tier still serves a
 #: request.  A field the tier's config lacks is not checked.
@@ -271,7 +281,7 @@ class FrontDoor:
             inflight=self._inflight,
         )
         # The admission timeout is the request's whole fault budget:
-        # every retry backoff and execution attempt fits inside it.
+        # every execution attempt fits inside it.
         deadline = None if timeout is None else t0 + timeout
         try:
             try:
@@ -383,6 +393,49 @@ class FrontDoor:
             return await work(*args)
         finally:
             self._sems[cls].release()
+
+    # -- the attempt rule -----------------------------------------------------
+    def _attempt_clock(
+        self, deadline: Optional[float], attempt: int, kind: str
+    ) -> Optional[float]:
+        """The clock of a worker call's *attempt* (0-based):
+        ``attempt_timeout_s`` clipped to the remaining budget.  A budget
+        spent before the first attempt is a typed ``deadline``
+        :class:`WorkerError` that reaches no pool; a retry was decided on
+        a live budget, so it goes out with what is left, at least 0 s
+        (which its pool fails at once as ``deadline``)."""
+        timeout_s = self.config.attempt_timeout_s
+        if deadline is None:
+            return timeout_s
+        remaining = deadline - self._now()
+        if remaining <= 0 and attempt == 0:
+            raise WorkerError(
+                "deadline budget exhausted before attempt 1",
+                cause_type="deadline", kind=kind,
+            )
+        remaining = max(0.0, remaining)
+        return remaining if timeout_s is None else min(timeout_s, remaining)
+
+    def _retry(
+        self, cls: RequestClass, attempts: int, failure: WorkerError,
+        deadline: Optional[float],
+    ) -> bool:
+        """After *attempts* failed attempts of a call, whether to retry it
+        at once: ``SUP_CALL_RETRY`` while attempts and budget are left,
+        else ``SUP_CALL_GIVEUP``; either answers the pool's
+        ``SUP_CALL_FAILED`` for *failure*."""
+        remaining = None if deadline is None else deadline - self._now()
+        if attempts >= MAX_ATTEMPTS or (remaining is not None and remaining <= 0):
+            self._emit(
+                EventKind.SUP_CALL_GIVEUP, cls, call=failure.call_id,
+                attempts=attempts, error=failure.cause_type,
+            )
+            return False
+        self._emit(
+            EventKind.SUP_CALL_RETRY, cls, call=failure.call_id,
+            attempt=attempts, remaining_s=remaining,
+        )
+        return True
 
     # -- helpers --------------------------------------------------------------
     def _now(self) -> float:

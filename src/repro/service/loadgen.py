@@ -335,7 +335,7 @@ def _build_target(args, faults: Optional[FaultPlan]):
         common["attempt_timeout_s"] = _FAULTED_ATTEMPT_TIMEOUT_S
     if not args.shards:
         trees, region = build_trees(args.scale, args.seed, args.backend)
-        config = EngineConfig(seed=args.seed, **common)
+        config = EngineConfig(**common)
         return lambda sinks: Engine(trees, config, sinks=sinks), region
 
     from ..shard import ShardConfig, ShardRouter

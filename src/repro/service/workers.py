@@ -18,7 +18,7 @@ GIL-bound, and sufficient for tests and small deployments.
 
 Every call through :meth:`WorkerPool.run` is **supervised**: it carries a
 call id and a deadline, and it always terminates in a typed outcome — the
-value, a :class:`~repro.service.resilience.WorkerError` (worker
+value, a :class:`WorkerError` (worker
 exception, ``worker-died``, ``deadline``, ``pool-closed``), or a
 propagated cancellation — never a silently pending future.  Nothing is
 polled.  A worker holds one call at a time and the pool knows which, so a
@@ -31,7 +31,8 @@ A fresh worker has nothing to build before its first answer, so that
 clock never charges a call for a cold start.
 Fault directives from a :class:`~repro.faults.injector.FaultInjector`
 ride along to the worker, and the pool emits the ``SUP_CALL_*`` side of
-the resilience ledger.
+the resilience ledger; the retry that answers a failure is the tier's
+(:mod:`repro.service.frontdoor`).
 """
 
 from __future__ import annotations
@@ -54,9 +55,49 @@ from ..recovery.procs import PipedWorkers, fork_available
 from ..rtree.flat import knn_rows, window_rows
 from ..rtree.query import nearest_neighbors, window_query
 from ..trace import NULL_TRACER, EventKind, Tracer
-from .resilience import WorkerError
 
-__all__ = ["WorkerPool", "fork_available", "window_filtered"]
+__all__ = ["WorkerError", "WorkerPool", "fork_available", "window_filtered"]
+
+#: The deadline of a fork-mode call given none: it still bounds a *hung*
+#: worker whose caller set no deadline (a dead one is reported at once).
+DEFAULT_TIMEOUT_S = 30.0
+
+
+class WorkerError(RuntimeError):
+    """A worker-pool call failed: crash, hang past deadline, or a raised
+    exception — always typed, always picklable, so the caller's future is
+    guaranteed to resolve (never a silently pending future).
+
+    ``cause_type`` names the original exception class (or the synthetic
+    reason: ``"worker-died"``, ``"deadline"``, ``"pool-closed"``);
+    ``call_id`` threads the pool-call identity through to the retry rule
+    so the trace ledger can match each failure to its retry or give-up.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        cause_type: str = "WorkerError",
+        call_id: int = -1,
+        kind: str = "",
+    ):
+        super().__init__(message)
+        self.cause_type = cause_type
+        self.call_id = call_id
+        self.kind = kind
+
+    def __reduce__(self):
+        return (
+            _rebuild_worker_error,
+            (str(self), self.cause_type, self.call_id, self.kind),
+        )
+
+
+def _rebuild_worker_error(message, cause_type, call_id, kind):
+    return WorkerError(
+        message, cause_type=cause_type, call_id=call_id, kind=kind
+    )
 
 
 # -- execution functions (run inside a worker process or thread) --------------
@@ -173,11 +214,9 @@ class WorkerPool:
     ``processes > 0`` asks for that many forked workers; 0 (or a platform
     without ``fork``, with a warning) selects the thread fallback.
     ``injector`` enables fault injection on calls; ``tracer`` receives
-    the ``SUP_*`` ledger.  ``default_timeout_s`` is the deadline a
-    fork-mode call falls back to when :meth:`run` is given none: it still
-    bounds a *hung* worker whose caller gave no deadline (a dead one is
-    reported at once either way).  Thread-mode calls always resolve and
-    use the caller's timeout verbatim.
+    the ``SUP_*`` ledger.  A fork-mode call given no timeout runs under
+    :data:`DEFAULT_TIMEOUT_S`; thread-mode calls always resolve and use
+    the caller's timeout verbatim.
     """
 
     def __init__(
@@ -187,21 +226,17 @@ class WorkerPool:
         *,
         injector: Optional[FaultInjector] = None,
         tracer: Tracer = NULL_TRACER,
-        default_timeout_s: Optional[float] = 30.0,
         label: str = "",
         call_id_base: int = 0,
     ):
         if processes < 0:
             raise ValueError("processes must be >= 0")
-        if default_timeout_s is not None and default_timeout_s <= 0:
-            raise ValueError("default_timeout_s must be positive (or None)")
         if call_id_base < 0:
             raise ValueError("call_id_base must be >= 0")
         self.trees = dict(trees)
         self.requested_processes = processes
         self.injector = injector
         self.tracer = tracer
-        self.default_timeout_s = default_timeout_s
         #: Names this pool in the ``SUP_*`` ledger.  A single-pool engine
         #: leaves it empty; the sharded tier labels each replica pool so
         #: per-pool deaths stay distinguishable in one stream.
@@ -280,7 +315,7 @@ class WorkerPool:
             raise KeyError(f"unknown execution kind {kind!r}")
         workers = self._workers
         if timeout_s is None and workers is not None:
-            timeout_s = self.default_timeout_s
+            timeout_s = DEFAULT_TIMEOUT_S
         loop = asyncio.get_running_loop()
         call_id = self._call_seq
         self._call_seq += 1

@@ -25,10 +25,11 @@ hooks a tier implements (``_execute``, ``_start_backend`` /
   the announced shard geometry;
 * each shard runs **R replica pools** with round-robin read routing: a
   crashed or hung replica fails the attempt — a crash at once, as
-  ``worker-died``, a hang at the attempt deadline — and the sub-request
-  **fails over** to the next replica (``SHD_FAILOVER``, carrying the
-  cause) instead of failing the request — with one replica, the retry
-  lands on the same pool, which has already forked the dead worker's
+  ``worker-died``, a hang at the attempt deadline — and, by the front
+  door's attempt rule (the engine's too), the sub-request **fails over**
+  at once to the next replica (``SHD_FAILOVER``, carrying the cause)
+  instead of failing the request — with one replica, the retry lands on
+  the same pool, which has already forked the dead worker's
   replacement.  The attempt loop returns on the first success and a
   failed attempt's holder is dead, so every ``SHD_SUBREQUEST_SENT``
   settles exactly once (``DONE | FAILOVER | FAILED``, monitored by the
@@ -61,8 +62,7 @@ from ..service.model import (
     WindowRequest,
     canonical_rect,
 )
-from ..service.resilience import WorkerError
-from ..service.workers import WorkerPool
+from ..service.workers import WorkerError, WorkerPool
 from ..trace import EventKind
 from .ops import knn_shard_order, merge_knn
 from .partition import ShardedDataset, build_sharded
@@ -75,8 +75,6 @@ __all__ = ["ShardRouter", "ShardConfig"]
 _CALL_ID_STRIDE = 1_000_000
 #: Concurrent join executions; each fans out to the shards it overlaps.
 JOIN_LIMIT = 4
-#: Attempts per sub-request across replicas before the request errors.
-MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,9 @@ class ShardConfig:
     ``shards`` / ``mode`` — the partitioner
     (:class:`~repro.shard.partition.Partitioner`);
     ``replicas``         — replica pools per shard (round-robin reads,
-                           failover target on a crashed attempt, up to
-                           :data:`MAX_ATTEMPTS` attempts);
+                           failover target on a failed attempt, up to
+                           :data:`~repro.service.frontdoor.MAX_ATTEMPTS`
+                           attempts);
     ``backend``          — per-shard tree backend (``node`` | ``flat``);
     ``workers``          — forked processes per replica pool (0 = threads);
     the remaining knobs mirror
@@ -377,19 +376,18 @@ class ShardRouter(FrontDoor):
         args: tuple,
         deadline: Optional[float],
     ):
-        """One routed sub-request: execution with replica failover.
+        """One routed sub-request: the front door's attempt rule, each
+        retry on the shard's next replica.
 
         Every ``SENT`` settles exactly once — DONE on success, FAILOVER
-        between attempts, FAILED on the last attempt (or on abandonment
+        when the rule retries, FAILED when it gives up (or on abandonment
         by a cancelled request).  Three consequences the settlement spec
         (``repro.analysis.protocol``) holds us to:
 
         * a budget exhausted *before* the first attempt raises without
           any settlement event (there is no SENT to settle);
-        * give-up vs failover is decided *before* a FAILOVER is emitted,
-          so a FAILOVER always keeps its promise of a following SENT —
-          a budget that dies between attempts settles the failed SENT
-          as FAILED instead of announcing a retry that never comes;
+        * the rule decides before a FAILOVER is emitted, so a FAILOVER
+          always keeps its promise of a following SENT;
         * a cancelled request emits FAILED only when the current
           attempt's SENT is still unsettled.
         """
@@ -402,36 +400,9 @@ class ShardRouter(FrontDoor):
         self._rr[shard] = (start + 1) % replicas
         pending_sent = False  # the current attempt's SENT is unsettled
         try:
-            for attempt in range(MAX_ATTEMPTS):
+            for attempt in itertools.count():
                 replica = (start + attempt) % replicas
-                pool = self.pools[shard][replica]
-                timeout_s = self.config.attempt_timeout_s
-                if deadline is not None:
-                    remaining = deadline - self._now()
-                    if remaining <= 0 and attempt == 0:
-                        # Nothing was ever sent: fail the sub-request
-                        # with no settlement event — FAILED may only
-                        # settle a SENT.
-                        raise self._give_up(
-                            rid, shard, cls, attempt, "deadline",
-                            WorkerError(
-                                "sub-request budget exhausted before "
-                                f"attempt {attempt + 1}",
-                                cause_type="deadline",
-                                kind=kind,
-                            ),
-                            sent=False,
-                        )
-                    # attempt > 0: a FAILOVER promised this resend (the
-                    # give-up decision already saw a live budget; the
-                    # clock may have advanced since).  Send with the
-                    # clamped remainder — an expired budget surfaces as
-                    # an immediate attempt timeout, which settles the
-                    # SENT lawfully through the WorkerError path.
-                    timeout_s = (
-                        max(0.0, remaining) if timeout_s is None
-                        else min(timeout_s, max(0.0, remaining))
-                    )
+                timeout_s = self._attempt_clock(deadline, attempt, kind)
                 self._emit(
                     EventKind.SHD_SUBREQUEST_SENT,
                     req=rid, shard=shard, replica=replica,
@@ -439,34 +410,25 @@ class ShardRouter(FrontDoor):
                 )
                 pending_sent = True
                 try:
-                    value = await pool.run(kind, *args, timeout_s=timeout_s)
-                except WorkerError as exc:
-                    # Decide give-up vs failover *now*, before promising
-                    # a resend: out of attempts, or out of budget for
-                    # another one.
-                    out_of_budget = (
-                        deadline is not None and deadline - self._now() <= 0
+                    value = await self.pools[shard][replica].run(
+                        kind, *args, timeout_s=timeout_s
                     )
-                    if attempt + 1 >= MAX_ATTEMPTS or out_of_budget:
-                        pending_sent = False
-                        raise self._give_up(
-                            rid, shard, cls, attempt + 1, exc.cause_type, exc
+                except WorkerError as exc:
+                    pending_sent = False
+                    if not self._retry(cls, attempt + 1, exc, deadline):
+                        self._emit(
+                            EventKind.SHD_SUBREQUEST_FAILED,
+                            req=rid, shard=shard, attempts=attempt + 1,
+                            error=exc.cause_type,
                         )
+                        raise
                     stats["failovers"] += 1
-                    # The failover IS this tier's retry: answer the pool's
-                    # SUP_CALL_FAILED so the resilience ledger balances.
-                    payload = {"call": exc.call_id, "attempt": attempt + 1,
-                               "delay_s": 0.0}
-                    if deadline is not None:
-                        payload["remaining_s"] = deadline - self._now()
-                    self._emit(EventKind.SUP_CALL_RETRY, cls, **payload)
                     self._emit(
                         EventKind.SHD_FAILOVER,
                         req=rid, shard=shard, replica=replica,
                         next_replica=(start + attempt + 1) % replicas,
                         attempt=attempt, error=exc.cause_type,
                     )
-                    pending_sent = False
                     continue
                 rows = self._row_count(kind, value)
                 stats["rows"] += rows
@@ -477,7 +439,6 @@ class ShardRouter(FrontDoor):
                 )
                 pending_sent = False
                 return value
-            raise AssertionError("unreachable: attempts exhausted silently")
         except asyncio.CancelledError:
             # The awaiting request timed out or was cancelled: if the
             # attempt's SENT is still unsettled, the sub-request settles
@@ -493,29 +454,6 @@ class ShardRouter(FrontDoor):
             raise
         finally:
             stats["inflight"] -= 1
-
-    def _give_up(
-        self, rid: int, shard: int, cls: RequestClass, attempts: int,
-        error: str, exc: WorkerError, sent: bool = True,
-    ) -> WorkerError:
-        if exc.call_id >= 0:
-            # Answer the last attempt's SUP_CALL_FAILED (a synthetic
-            # deadline error made no pool call, so there is none to
-            # answer and call_id stays -1).
-            self._emit(
-                EventKind.SUP_CALL_GIVEUP, cls,
-                call=exc.call_id, attempts=attempts, error=error,
-            )
-        if sent:
-            # FAILED settles the attempt's SENT; with nothing sent (a
-            # budget that expired before the first attempt) the failure
-            # is the raised exception alone — an unmatched FAILED would
-            # unbalance the settlement ledger.
-            self._emit(
-                EventKind.SHD_SUBREQUEST_FAILED,
-                req=rid, shard=shard, attempts=attempts, error=error,
-            )
-        return exc
 
     @staticmethod
     def _row_count(kind: str, value) -> int:

@@ -18,12 +18,11 @@ from repro.rtree.query import window_query
 from repro.service import (
     Engine,
     EngineConfig,
-    RetryPolicy,
     Status,
     WindowRequest,
     fork_available,
 )
-from repro.service import engine as service_engine
+from repro.service import frontdoor
 from repro.trace import ListSink, run_checkers, service_checkers
 
 from tests.service.test_engine import random_window
@@ -50,7 +49,6 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
         workers=workers,
         cache_capacity=0,
         faults=plan,
-        seed=7,
         attempt_timeout_s=0.5,
     )
     sink = ListSink()
@@ -70,7 +68,7 @@ def run_chaos(trees, side, *, workers, requests, plan, timeout=10.0):
             return responses, snapshot
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(service_engine, "RETRY", RetryPolicy(max_attempts=4))
+        patch.setattr(frontdoor, "MAX_ATTEMPTS", 4)
         responses, snapshot = asyncio.run(main())
     return reqs, responses, snapshot, sink
 
@@ -182,8 +180,8 @@ class TestChaosInvariantThreads:
         trees, side = workload
         plan = FaultPlan(seed=21, worker_crash_p=0.2, worker_hang_p=0.1,
                          hang_s=0.01)
-        config = EngineConfig(workers=0, cache_capacity=0, faults=plan, seed=7)
-        monkeypatch.setattr(service_engine, "RETRY", RetryPolicy(max_attempts=4))
+        config = EngineConfig(workers=0, cache_capacity=0, faults=plan)
+        monkeypatch.setattr(frontdoor, "MAX_ATTEMPTS", 4)
         rng = random.Random(3)
         windows = [random_window(rng, side) for _ in range(30)]
 

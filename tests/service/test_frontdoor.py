@@ -22,9 +22,12 @@ from repro.service import (
     KNNRequest,
     Status,
     WindowRequest,
+    WorkerError,
+    WorkerPool,
 )
+from repro.service import frontdoor
 from repro.shard import ShardConfig, ShardRouter
-from repro.trace import ListSink, run_checkers, service_checkers
+from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 from tests.service.test_engine import random_window
 from tests.shard.test_router import make_items
 
@@ -217,6 +220,8 @@ class TestWrittenOnce:
 #: A plan that fails two worker calls in five: three crashes in a row
 #: exhaust a request's attempts, a short hang only delays its call.
 FAULTY = FaultPlan(seed=21, worker_crash_p=0.4, worker_hang_p=0.1, hang_s=0.01)
+#: A window of tree "a" that the two-shard router sends to one shard.
+ONE_SHARD = (10.0, 10.0, 20.0, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +232,61 @@ def map1():
 class TestFailedCalls:
     """Both tiers retry a failed worker call under one rule; what that
     rule makes of a faulty run is pinned request by request."""
+
+    @pytest.mark.parametrize("make", TIERS)
+    def test_a_spent_budget_fails_typed_before_any_attempt(
+        self, make, monkeypatch
+    ):
+        """A call whose deadline budget is already spent fails as a typed
+        ``deadline`` WorkerError without reaching a pool or settling a
+        sub-request, and the tier serves the next request."""
+        calls = []
+        run = WorkerPool.run
+
+        def counted(pool, *args, **kwargs):
+            calls.append(args[0])
+            return run(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run", counted)
+        request = WindowRequest("a", ONE_SHARD)
+        sink = ListSink()
+
+        async def main():
+            async with make([sink], cache_capacity=0) as tier:
+                with pytest.raises(WorkerError) as spent:
+                    await tier._execute(request, tier._now() - 1.0)
+                before = [list(calls), [e.kind for e in sink.events]]
+                return spent.value, before, await tier.submit(request)
+
+        error, (unsent, kinds), served = asyncio.run(main())
+        assert error.cause_type == "deadline"
+        assert "before attempt 1" in str(error)
+        assert unsent == [] and served.ok
+        assert not [kind for kind in kinds if kind.name.startswith(
+            ("SUP_CALL_", "SHD_SUBREQUEST_", "SHD_FAILOVER")
+        )]
+
+    @pytest.mark.parametrize("attempts", [frontdoor.MAX_ATTEMPTS, 5])
+    @pytest.mark.parametrize("make", TIERS)
+    def test_a_call_that_always_fails_gets_max_attempts(
+        self, make, attempts, monkeypatch
+    ):
+        """Every attempt crashes: the call is tried ``MAX_ATTEMPTS``
+        times, each failure but the last answered by a retry and the last
+        by one give-up, and the request is an error."""
+        monkeypatch.setattr(frontdoor, "MAX_ATTEMPTS", attempts)
+        doomed = FaultPlan(seed=1, worker_crash_p=1.0)
+        (response,), _, sink = serve(
+            lambda sinks: make(sinks, faults=doomed),
+            [WindowRequest("a", ONE_SHARD)],
+        )
+        assert response.status is Status.ERROR
+        kinds = [e.kind for e in sink.events]
+        assert kinds.count(EventKind.SUP_CALL_FAILED) == attempts
+        assert kinds.count(EventKind.SUP_CALL_RETRY) == attempts - 1
+        assert kinds.count(EventKind.SUP_CALL_GIVEUP) == 1
+        verdicts = run_checkers(sink.events, service_checkers())
+        assert all(v.ok for v in verdicts), [v.violations for v in verdicts]
 
     @pytest.mark.parametrize("tier, statuses, retries", [
         ("engine", "." * 34 + "e" + "." * 18 + "e" + "." * 5 + "e", 41),

@@ -14,6 +14,7 @@ from repro.analysis.protocol import ProtocolConformanceChecker, get_spec
 from repro.datagen import build_tree, paper_maps
 from repro.faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
 from repro.service import WorkerError, WorkerPool, fork_available
+from repro.service import workers as service_workers
 from repro.trace import EventKind, ListSink, Tracer, run_checkers
 
 
@@ -149,7 +150,9 @@ class TestForkModeFailures:
         assert str(CRASH_EXIT_CODE) in str(error)
         assert injector.crashes == 1
 
-    def test_crashed_worker_without_timeout_uses_pool_default(self, trees):
+    def test_crashed_worker_without_timeout_uses_pool_default(
+        self, trees, monkeypatch
+    ):
         """Regression: with ``timeout_s=None`` a fork-mode call used to
         pend forever behind a dead worker (and a draining engine
         deadlocked behind it).  A death now fails the call by itself; the
@@ -170,9 +173,8 @@ class TestForkModeFailures:
         injector = FaultInjector(
             FaultPlan(seed=3, worker_hang_p=1.0, hang_s=30.0)
         )
-        error = run_pool(
-            trees, 2, crashed, injector=injector, default_timeout_s=0.2
-        )
+        monkeypatch.setattr(service_workers, "DEFAULT_TIMEOUT_S", 0.2)
+        error = run_pool(trees, 2, crashed, injector=injector)
         assert error.cause_type == "deadline"
 
     def test_hung_worker_frees_its_slot(self, trees):

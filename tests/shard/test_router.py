@@ -20,10 +20,9 @@ from repro.service.model import (
     WindowRequest,
     canonical_rect,
 )
-from repro.service.resilience import WorkerError
-from repro.service.workers import WorkerPool
+from repro.service import frontdoor
+from repro.service.workers import WorkerError, WorkerPool
 from repro.shard import ShardConfig, ShardRouter
-from repro.shard import router as shard_router
 from repro.trace import (
     EventKind,
     ListSink,
@@ -154,7 +153,7 @@ class TestFailover:
     def test_crashes_fail_over_to_replicas_zero_lost(self, monkeypatch):
         sink = ListSink()
         plan = FaultPlan(seed=11, worker_crash_p=0.3)
-        monkeypatch.setattr(shard_router, "MAX_ATTEMPTS", 4)
+        monkeypatch.setattr(frontdoor, "MAX_ATTEMPTS", 4)
 
         async def main():
             statuses = []
@@ -285,7 +284,7 @@ class TestSettlementDiscipline:
             )
 
         monkeypatch.setattr(WorkerPool, "run", dying_run)
-        monkeypatch.setattr(shard_router, "MAX_ATTEMPTS", 4)
+        monkeypatch.setattr(frontdoor, "MAX_ATTEMPTS", 4)
 
         async def main():
             async with ShardRouter(
