@@ -151,6 +151,19 @@ class BoxTable:
             self.oids[rows], self.xl[rows], self.yl[rows], self.xu[rows], self.yu[rows]
         )
 
+    def append(self, rows, oid: int, box) -> "BoxTable":
+        """The table of *rows* (as :meth:`take`), then one row: *oid* with
+        *box* (anything with ``xl, yl, xu, yu``), which the caller has
+        held to the rules (:func:`require_box`).  No row is checked
+        again: each already was."""
+        rows = np.asarray(rows, dtype=np.intp)
+        table = BoxTable.__new__(BoxTable)
+        for name, value in zip(("oids", *COLUMNS), (oid, box.xl, box.yl, box.xu, box.yu)):
+            column = np.concatenate((getattr(self, name)[rows], (value,)))
+            column.setflags(write=False)
+            setattr(table, name, column)
+        return table
+
     def bbox(self) -> Rect:
         """The MBR of every box; an empty table has none."""
         if not len(self):

@@ -117,6 +117,18 @@ class Node:
             )
         )
 
+    def append(self, entry: Entry) -> None:
+        """Add a data entry the tree has checked to this leaf: its rows
+        and the entry become a one-leaf table of its own, its MBR grows
+        by the entry's box, and no old row is made an ``Entry`` or
+        checked again."""
+        table = self.table.append(self.order[self.lo : self.hi], entry.oid, entry)
+        box = (entry.xl, entry.yl, entry.xu, entry.yu)
+        if self.mbr is not None:
+            xl, yl, xu, yu = self.mbr
+            box = (min(xl, box[0]), min(yl, box[1]), max(xu, box[2]), max(yu, box[3]))
+        self.set_rows(table, np.arange(len(table), dtype=np.int64), 0, len(table), box)
+
     def set_table(self, table: BoxTable) -> None:
         """Make every row of *table*, in table order, this leaf's
         entries."""

@@ -114,7 +114,7 @@ class RStarTree:
         if level:
             node.entries.append(entry)
         else:
-            node.set_entries(node.data_entries() + [entry])
+            node.append(entry)
         self._handle_overflow(node, path)
 
     def _handle_overflow(self, node: Node, path: list[tuple[Node, int]]) -> None:

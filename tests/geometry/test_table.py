@@ -60,6 +60,16 @@ class TestShape:
         )
         assert table.items() == ITEMS
 
+    def test_append_takes_rows_then_adds_one(self):
+        table = BoxTable.from_items(ITEMS)
+        grown = table.append([2, 0], 9, Rect(1.0, 1.0, 2.0, 2.0))
+        assert grown.items() == [ITEMS[2], ITEMS[0], (9, Rect(1.0, 1.0, 2.0, 2.0))]
+        assert grown.oids.dtype == np.int64 and grown.xl.dtype == np.float64
+        empty = BoxTable.from_items([]).append([], 4, ITEMS[0][1])
+        assert empty.items() == [(4, ITEMS[0][1])]
+        for name in ("oids", "xl", "yl", "xu", "yu"):
+            assert not getattr(grown, name).flags.writeable
+
     def test_empty_table(self):
         table = BoxTable.from_items([])
         assert len(table) == 0 and table.items() == []
