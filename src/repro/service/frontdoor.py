@@ -55,7 +55,6 @@ from ..rtree.query import (
 from ..trace import EventKind, Tracer
 from .cache import MISS, ResultCache
 from .metrics import ServiceMetrics
-from .workers import WorkerError
 from .model import (
     JoinRequest,
     KNNRequest,
@@ -66,6 +65,7 @@ from .model import (
     WindowRequest,
     canonical_rect,
 )
+from .workers import WorkerError
 
 __all__ = ["FrontDoor", "pool_totals"]
 

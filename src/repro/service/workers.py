@@ -18,9 +18,9 @@ GIL-bound, and sufficient for tests and small deployments.
 
 Every call through :meth:`WorkerPool.run` is **supervised**: it carries a
 call id and a deadline, and it always terminates in a typed outcome — the
-value, a :class:`WorkerError` (worker
-exception, ``worker-died``, ``deadline``, ``pool-closed``), or a
-propagated cancellation — never a silently pending future.  Nothing is
+value, a :class:`WorkerError` (worker exception, ``worker-died``,
+``deadline``, ``pool-closed``), or a propagated cancellation — never a
+silently pending future.  Nothing is
 polled.  A worker holds one call at a time and the pool knows which, so a
 death is an event that fails exactly that call, at once, and is recorded
 as ``SUP_WORKER_CRASH_DETECTED`` / ``SUP_WORKER_RESPAWNED`` with its

@@ -266,6 +266,38 @@ class TestFailedCalls:
             ("SUP_CALL_", "SHD_SUBREQUEST_", "SHD_FAILOVER")
         )]
 
+    @pytest.mark.parametrize("make", TIERS)
+    def test_a_failure_that_spends_the_budget_gives_up_at_once(
+        self, make, monkeypatch
+    ):
+        """Attempts are left, but the failed one used up the budget: the
+        call gives up instead of retrying, and no resend is promised."""
+        budget_s = 0.05
+
+        async def spent(pool, kind, *args, timeout_s=None):
+            await asyncio.sleep(2 * budget_s)
+            pool.tracer.emit(EventKind.SUP_CALL_FAILED, call=7, op=kind, error="x")
+            raise WorkerError("failed late", cause_type="x", call_id=7, kind=kind)
+
+        monkeypatch.setattr(WorkerPool, "run", spent)
+        sink = ListSink()
+
+        async def main():
+            async with make([sink], cache_capacity=0) as tier:
+                with pytest.raises(WorkerError):
+                    await tier._execute(
+                        WindowRequest("a", ONE_SHARD), tier._now() + budget_s
+                    )
+
+        asyncio.run(main())
+        kinds = [e.kind for e in sink.events]
+        assert kinds.count(EventKind.SUP_CALL_GIVEUP) == 1
+        assert EventKind.SUP_CALL_RETRY not in kinds
+        assert EventKind.SHD_FAILOVER not in kinds
+        assert kinds.count(EventKind.SHD_SUBREQUEST_FAILED) == kinds.count(
+            EventKind.SHD_SUBREQUEST_SENT
+        )
+
     @pytest.mark.parametrize("attempts", [frontdoor.MAX_ATTEMPTS, 5])
     @pytest.mark.parametrize("make", TIERS)
     def test_a_call_that_always_fails_gets_max_attempts(
