@@ -19,19 +19,15 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Optional
 
-import numpy as np
-
 from ..geometry.rect import Rect
-from ..geometry.table import BoxTable
 
-__all__ = ["Region", "SpatialObject", "BoxColumns", "check_count", "check_seed", "gauss_from"]
+__all__ = ["Region", "SpatialObject", "check_count", "check_seed"]
 
 Chain = tuple[tuple[float, float], ...]
 
@@ -61,48 +57,6 @@ def check_seed(seed) -> None:
     """A *seed* argument: an integer (``Random(None)`` is another map a call)."""
     if not isinstance(seed, Integral):
         raise ValueError(f"seed must be an integer, not {seed!r}")
-
-
-def gauss_from(random_):
-    """``Random.gauss`` over the bound *random_* as CPython spells it — the
-    Box–Muller pair: cosine now, sine kept as the spare — so a generator's
-    loop enters no frame of ``random.py``.  The spare lives in the closure
-    as it lived in the ``Random``: loops sharing one share the closure."""
-    spare = None
-    cos, sin, sqrt, log, two_pi = math.cos, math.sin, math.sqrt, math.log, 2.0 * math.pi
-
-    def gauss(mu, sigma):
-        nonlocal spare
-        z, spare = spare, None
-        if z is None:
-            x2pi = random_() * two_pi
-            g2rad = sqrt(-2.0 * log(1.0 - random_()))
-            z = cos(x2pi) * g2rad
-            spare = sin(x2pi) * g2rad
-        return mu + z * sigma
-
-    return gauss
-
-
-class BoxColumns:
-    """What a generator writes: one box a point chain, as four raw-double
-    columns, and the chains themselves only when exact geometry is kept.
-    A generator's loop appends to the columns itself — a row is the MBR of
-    its chain, the floats :meth:`Rect.from_points` would pick (the first
-    of equal extremes)."""
-
-    def __init__(self, include_geometry: bool):
-        self.xl, self.yl, self.xu, self.yu = (array("d") for _ in range(4))
-        self.chains: Optional[list[Chain]] = [] if include_geometry else None
-
-    def __len__(self) -> int:
-        return len(self.xl)
-
-    def finish(self) -> tuple[BoxTable, Optional[list[Chain]]]:
-        """The table over the columns — no copy: the arrays stay its
-        storage — with the row numbers as oids, and the chains."""
-        rows = np.arange(len(self))
-        return BoxTable(rows, self.xl, self.yl, self.xu, self.yu), self.chains
 
 
 class Region:

@@ -7,28 +7,42 @@ one to three short steps.  Streets therefore produce small, thin, heavily
 clustered MBRs — the MBR population whose skew drives the paper's task
 imbalance.
 
-The generator writes columns — four doubles a street into a
-:class:`BoxColumns`, no per-street object — and its loop runs nothing
-interpreted but the :func:`gauss_from` closure: the :class:`Region` rules
-and ``random.py``'s wrappers are spelled inline (``tests/datagen`` holds
-each pair equal).  The order in which ``random()`` and ``getrandbits()`` are
-consumed *is* the data set (digests are pinned there too): reorder no draw.
+The rule is the one ``tests/datagen`` states with the :class:`Region`
+methods and ``random.Random``'s own wrappers; it runs in the three stages
+of :mod:`.words`, a block of streets at a time: a cursor pass that finds
+where each street starts in the word stream, then every street's floats in
+numpy, its steps in lock-step with the other streets'.  The order in which
+the draws are consumed *is* the data set (digests are pinned there too):
+reorder no draw.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from typing import Optional
 
+import numpy as np
+
 from ..geometry.table import BoxTable
-from .region import BoxColumns, Chain, Region, check_count, check_seed, gauss_from
+from .region import Chain, Region, check_count, check_seed
+from .words import BELOW_015, BELOW_085, REDRAW_3, REDRAW_4, TWO_PI, WordStream, clamp, walk
 
 __all__ = ["generate_streets"]
 
 #: Mean street-segment step length, absolute units of the unit-scale region.
 STEP_LENGTH = 0.00009
+
+GRID_ANGLES = np.array((0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0))
+
+#: Words from a street's ``randint`` word to its end: the word, then per
+#: step a ``random()`` and, on every even ``gauss`` call, a new Box–Muller
+#: pair — indexed by the count's parity, then by ``getrandbits(2)``.
+STEP_WORDS = tuple(
+    tuple(1 + 2 * n + 4 * ((n + 1 - odd) // 2) for n in range(1, 5)) for odd in (0, 1)
+)
+#: Words of the settlement, by the code byte of its first word.
+SETTLEMENT_WORDS = tuple(6 if code & BELOW_015 else 8 for code in range(256))
 
 
 def generate_streets(
@@ -43,65 +57,123 @@ def generate_streets(
     ``(region, count, seed)``; keeping the geometry perturbs no draw."""
     check_count(count)
     check_seed(seed)
-    rng = random.Random(seed)
-    random_, getrandbits, gauss = rng.random, rng.getrandbits, gauss_from(rng.random)
-    columns = BoxColumns(include_geometry)
-    add_xl, add_yl = columns.xl.append, columns.yl.append
-    add_xu, add_yu = columns.xu.append, columns.yu.append
-    chains = columns.chains
+    stream = WordStream(random.Random(seed))
+    columns = np.empty((4, count))
+    chains: Optional[list[Chain]] = [] if include_geometry else None
+    made = 0
+    while True:
+        done, starts = _cursor(stream, count - made)
+        _streets(stream, region, starts, columns[:, made : made + done], chains)
+        made += done
+        if made == count:
+            return BoxTable(np.arange(count), *columns), chains
+        stream.advance()
+
+
+def _cursor(stream: WordStream, todo: int) -> tuple[int, list]:
+    """Walk up to *todo* streets through the coded words, keeping only the
+    parity of the ``gauss`` count: how many the window held, and for each
+    its first word and the words its two ``_randbelow`` loops ended at (-1:
+    no ``choice`` drawn).  The cursor is left at the first street the
+    window did not hold."""
+    code, c, odd = stream.code, stream.cursor, stream.gauss & 1
+    starts: list[int] = []
+    record, settlement = starts.extend, SETTLEMENT_WORDS
+    even_steps, odd_steps = STEP_WORDS
+    try:
+        for _ in range(todo):
+            c0 = c
+            c += settlement[code[c]]  # rural x, y, or the city and one pair
+            if code[c] & BELOW_085:
+                c += 2
+                while code[c] >= REDRAW_4:  # choice: _randbelow(4)
+                    c += 1
+                grid = c
+                if odd:  # the spare
+                    c += 1
+                    odd = 0
+                else:  # a new pair
+                    c += 5
+                    odd = 1
+            else:
+                grid = -1
+                c += 4  # the flag, uniform(0, 2 pi)
+            while code[c] >= REDRAW_3:  # randint(1, 3): 1 + _randbelow(3)
+                c += 1
+            record((c0, grid, c))
+            bits = code[c] >> 4
+            c += odd_steps[bits] if odd else even_steps[bits]
+            odd ^= ~bits & 1  # 1 + bits steps, one gauss each
+    except IndexError:
+        c = c0
+    stream.cursor = c
+    return len(starts) // 3, starts
+
+
+def _streets(stream, region, starts, columns, chains) -> None:
+    """The floats of the streets *starts* recorded into *columns*, and their
+    chains; the stream's ``gauss`` count moves past their calls."""
+    if not starts:
+        return
+    c0, grid_at, steps_at = np.fromiter(starts, np.int64, len(starts)).reshape(-1, 3).T
+    n = len(c0)
+    code = np.frombuffer(stream.code, np.uint8)
     side = region.side
-    cities, sigmas, cumulative = region.cities, region.city_sigmas, region.cumulative
-    last_city = len(cities) - 1
-    cos, sin, two_pi = math.cos, math.sin, 2.0 * math.pi
-    grid_angles = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
-    for _ in range(count):
-        # Region.sample_settlement_point (with pick_city and clamp), spelled
-        # without the calls: the same draws in the same order, the same floats
-        if random_() < 0.15:
-            x = side * random_()  # uniform(0, side)
-            y = side * random_()
-        else:
-            index = bisect_left(cumulative, random_(), 0, last_city)
-            cx, cy = cities[index]
-            sigma = sigmas[index]
-            x = gauss(cx, sigma)
-            y = gauss(cy, sigma)
-            x = 0.0 if x < 0.0 else side if x > side else x
-            y = 0.0 if y < 0.0 else side if y > side else y
-        if random_() < 0.85:
-            while (r := getrandbits(3)) >= 4:  # choice: _randbelow(4)
-                pass
-            angle = grid_angles[r] + gauss(0.0, 0.06)
-        else:
-            angle = two_pi * random_()  # uniform(0.0, 2 pi)
-        # the chain's MBR, kept as it grows: Rect.from_points' floats
-        xl = xu = x
-        yl = yu = y
-        if chains is not None:
-            points = [(x, y)]
-        while (r := getrandbits(2)) >= 3:  # randint(1, 3): 1 + _randbelow(3)
-            pass
-        for _ in range(1 + r):
-            length = (0.5 + random_()) * STEP_LENGTH  # uniform(0.5, 1.5)
-            angle += gauss(0.0, 0.15)
-            x += length * cos(angle)
-            y += length * sin(angle)
-            x = 0.0 if x < 0.0 else side if x > side else x
-            y = 0.0 if y < 0.0 else side if y > side else y
-            if x < xl:
-                xl = x
-            elif x > xu:
-                xu = x
-            if y < yl:
-                yl = y
-            elif y > yu:
-                yu = y
-            if chains is not None:
-                points.append((x, y))
-        add_xl(xl)
-        add_yl(yl)
-        add_xu(xu)
-        add_yu(yu)
-        if chains is not None:
-            chains.append(tuple(points))
-    return columns.finish()
+    city = code[c0] & BELOW_015 == 0
+    on_grid = grid_at >= 0
+    steps = 1 + stream.bits(steps_at, 2)
+    calls = 2 * city + on_grid + steps
+    first = stream.gauss
+    g0 = first + np.cumsum(calls) - calls
+    sites, pairs_at = [], []  # the even gauss calls and their words
+
+    # Region.sample_settlement_point: the city streets draw one pair for x, y
+    g = g0 + 2 * city
+    sites.append((g0 + (g0 & 1))[city])
+    pairs_at.append(c0[city] + 4)
+    # the heading: choice(grid angles) + gauss(0, 0.06), or uniform(0, 2 pi)
+    heading_call = g[on_grid]
+    new = heading_call & 1 == 0
+    sites.append(heading_call[new])
+    pairs_at.append(grid_at[on_grid][new] + 1)
+    g = g + on_grid
+    # randint(1, 3) steps of a random() and a gauss each, in lock-step
+    at = steps_at + 1
+    step_at, step_call = np.empty((3, n), np.int64), np.empty((3, n), np.int64)
+    for t in range(3):
+        moving = steps > t
+        step_at[t], step_call[t] = at, g
+        new = moving & (g & 1 == 0)
+        sites.append(g[new])
+        pairs_at.append(at[new] + 2)
+        at = at + 2 * moving + 4 * new
+        g = g + moving
+    z = stream.deviates(int(calls.sum()), np.concatenate(sites), np.concatenate(pairs_at))
+
+    # the settlement: a rural point, or the city picked and two deviates
+    drawn = stream.randoms(c0 + 2)
+    x, y = side * drawn, np.empty(n)
+    rural = ~city
+    y[rural] = side * stream.randoms(c0[rural] + 4)
+    cumulative = np.array(region.cumulative[: len(region.cities) - 1])
+    index = np.searchsorted(cumulative, drawn[city])
+    centers = np.array(region.cities)[index]
+    sigma = np.array(region.city_sigmas)[index]
+    x[city] = clamp(centers[:, 0] + z[g0[city] - first] * sigma, side)
+    y[city] = clamp(centers[:, 1] + z[g0[city] + 1 - first] * sigma, side)
+    heading = np.empty(n)
+    off_grid = ~on_grid
+    heading[off_grid] = TWO_PI * stream.randoms(c0[off_grid] + 8 + 2 * city[off_grid])
+    heading[on_grid] = GRID_ANGLES[stream.bits(grid_at[on_grid], 3)] + (
+        0.0 + z[heading_call - first] * 0.06
+    )
+    moving = steps > np.arange(3)[:, None]
+    lengths, turns = np.zeros((3, n)), np.zeros((3, n))
+    lengths[moving] = (0.5 + stream.randoms(step_at[moving])) * STEP_LENGTH
+    turns[moving] = 0.0 + z[step_call[moving] - first] * 0.15
+    points = walk(side, x, y, heading, turns, lengths)
+    columns[:2], columns[2:] = points.min(axis=0), points.max(axis=0)
+    if chains is not None:
+        xs, ys = points[:, 0].T.tolist(), points[:, 1].T.tolist()
+        for street_xs, street_ys, length in zip(xs, ys, (steps + 1).tolist()):
+            chains.append(tuple(zip(street_xs[:length], street_ys[:length])))

@@ -34,8 +34,10 @@ timer here), ``done(task, ok, value)`` (*value* is the worker function's
 return, or ``(exception type name, message)`` when it raised) and
 ``died(task, pid, exitcode, killed, replacement_pid)`` (*task* is None
 for an idle or dropped holder, *killed* tells a :meth:`drop` from a
-crash).  All three run in the parent, inside :meth:`wait` or a reader
-callback.
+crash, *replacement_pid* is None when nothing was forked in its place).
+All three run in the parent, inside :meth:`wait` or a reader callback —
+``died`` also inside :meth:`close`, for a dropped worker whose death was
+not reaped yet.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ class PipedWorkers:
         return worker
 
     def close(self) -> None:
-        """Kill every worker and forget every task, reporting nothing:
-        whoever still waits on a task is the sink's to fail."""
+        """Kill every worker and forget every task.  Whoever still waits on
+        a task is the sink's to fail; the one death reported is a worker
+        :meth:`drop` killed that was not reaped yet — killed, with no
+        replacement — so no kill goes uncounted."""
         self._queue.clear()
         self._idle.clear()
         workers, self._workers = self._workers, []
@@ -136,6 +140,10 @@ class PipedWorkers:
             worker.process.kill()
         for worker in workers:
             self._release(worker)
+        for worker in workers:
+            if worker.killed:
+                process = worker.process
+                self._sink.died(None, process.pid, process.exitcode, True, None)
 
     def _release(self, worker: _Worker) -> None:
         if self._loop is not None:

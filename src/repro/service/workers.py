@@ -411,6 +411,8 @@ class WorkerPool:
                 if call_id is not None:
                     payload["call"] = call_id
                 self.tracer.emit(EventKind.SUP_WORKER_CRASH_DETECTED, **payload)
+        if replacement_pid is None:
+            return  # reaped as the pool closed: nothing was forked
         self.respawns_detected += 1
         if traced:
             self.tracer.emit(

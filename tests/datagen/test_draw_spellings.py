@@ -1,116 +1,168 @@
-"""Each inline spelling against the ``random.Random`` method it replaces.
+"""The word-stream spellings against the ``random.Random`` methods.
 
-The generators' loops consume ``random()`` and ``getrandbits()`` directly
-and spell the arithmetic of ``uniform`` / ``randint`` / ``choice`` / ``gauss``
-where it is used.  The forms below are those spellings, as the loops write
-them; each must return the method's value (``==`` on the floats, no
-tolerance) and leave the generator where the method leaves it — the same
-words consumed — alone and interleaved with the others, so a ``gauss``
-spare is carried across ``random()`` and ``getrandbits()`` draws."""
+The generators draw their private stream's MT19937 words in bulk
+(:class:`repro.datagen.words.WordStream`) and read every draw from them:
+``random()`` from two words, ``getrandbits(2)`` / ``getrandbits(3)`` from
+one, the ``_randbelow`` rejection loops of ``randint`` / ``choice`` over
+the code bytes, and the j-th ``gauss`` from Box–Muller pair j // 2.  Each
+spelling must return the method's value (``==`` on the floats, no
+tolerance) and use the words the method uses — alone, interleaved with
+the others, and across the edge of a block."""
 
-import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.datagen import Region, generate_boundaries
-from repro.datagen.region import gauss_from
-
-from .test_generator_loops import (
-    GRID_ANGLES,
-    assert_rows_are_the_chains_mbrs,
-    reference_boundaries,
+from repro.datagen import Region, generate_boundaries, generate_streets, words
+from repro.datagen.words import (
+    BELOW_015,
+    BELOW_025,
+    BELOW_085,
+    REDRAW_3,
+    REDRAW_4,
+    WordStream,
 )
 
+from .test_generator_loops import assert_rows_are_the_chains_mbrs, reference_boundaries
+
+SEED = 2024
 DRAWS = 10_000
-SIDE = math.sqrt(0.37)
-TWO_PI = 2.0 * math.pi
 
 
-def below(getrandbits, bits, n):
-    while (r := getrandbits(bits)) >= n:
-        pass
-    return r
+def stream_and_twin(seed=SEED):
+    """A stream with one block drawn, and a ``Random`` at its first word."""
+    stream = WordStream(random.Random(seed))
+    stream.advance()
+    return stream, random.Random(seed)
 
 
-#: name -> (the method on a ``Random``, the spelling over its bound draws)
-FORMS = {
-    "uniform(0, side)": (
-        lambda rng: rng.uniform(0, SIDE),
-        lambda random_, getrandbits, gauss: SIDE * random_(),
-    ),
-    "uniform(0.0, 2 pi)": (
-        lambda rng: rng.uniform(0.0, 2.0 * math.pi),
-        lambda random_, getrandbits, gauss: TWO_PI * random_(),
-    ),
-    "uniform(0.5, 1.5)": (
-        lambda rng: rng.uniform(0.5, 1.5),
-        lambda random_, getrandbits, gauss: 0.5 + random_(),
-    ),
-    "uniform(0.0006, 0.002)": (
-        lambda rng: rng.uniform(0.0006, 0.002),
-        lambda random_, getrandbits, gauss: 0.0006 + (0.002 - 0.0006) * random_(),
-    ),
-    "randint(1, 3)": (
-        lambda rng: rng.randint(1, 3),
-        lambda random_, getrandbits, gauss: 1 + below(getrandbits, 2, 3),
-    ),
-    "randint(2, 4)": (
-        lambda rng: rng.randint(2, 4),
-        lambda random_, getrandbits, gauss: 2 + below(getrandbits, 2, 3),
-    ),
-    "choice(grid_angles)": (
-        lambda rng: rng.choice(GRID_ANGLES),
-        lambda random_, getrandbits, gauss: GRID_ANGLES[below(getrandbits, 3, 4)],
-    ),
-    "gauss(0.0, 0.15)": (
-        lambda rng: rng.gauss(0.0, 0.15),
-        lambda random_, getrandbits, gauss: gauss(0.0, 0.15),
-    ),
-    "gauss(cx, sigma)": (
-        lambda rng: rng.gauss(0.41, 0.033),
-        lambda random_, getrandbits, gauss: gauss(0.41, 0.033),
-    ),
-}
+def next_word(twin):
+    return twin.getrandbits(32)
 
 
-def assert_same_draws(schedule):
-    """Run *schedule* (form names) by method on one generator and by
-    spelling on another started from the same state."""
-    by_method = random.Random(2024)
-    by_method.random()  # any state but a fresh seed's
-    spelled = random.Random()
-    spelled.setstate(by_method.getstate())
-    draws = (spelled.random, spelled.getrandbits, gauss_from(spelled.random))
-    for step, name in enumerate(schedule):
-        method, spelling = FORMS[name]
-        assert spelling(*draws) == method(by_method), (step, name)
-    # the Mersenne Twister's words and position; the spare (the third item
-    # of the state) is the closure's now, and the last draws compared it
-    assert spelled.getstate()[1] == by_method.getstate()[1]
+def test_the_bulk_words_are_successive_getrandbits():
+    stream, twin = stream_and_twin()
+    first = stream.words.tolist()
+    assert first == [next_word(twin) for _ in range(words.BLOCK)]
+    stream.cursor = words.BLOCK - 100  # keep a tail, draw the next block
+    stream.advance()
+    assert stream.words[:100].tolist() == first[-100:]
+    assert stream.words[100:].tolist() == [next_word(twin) for _ in range(words.BLOCK)]
 
 
-@pytest.mark.parametrize("name", sorted(FORMS))
-def test_each_spelling_alone(name):
-    assert_same_draws([name] * DRAWS)
+def test_random_is_two_words():
+    stream, twin = stream_and_twin()
+    drawn = stream.randoms(np.arange(0, 2 * DRAWS, 2))
+    assert drawn.tolist() == [twin.random() for _ in range(DRAWS)]
+    assert next_word(twin) == stream.words[2 * DRAWS]
 
 
-def test_interleaved_the_spare_crosses_the_other_draws():
-    names = sorted(FORMS)
-    picker = random.Random(7)
-    schedule = [picker.choice(names) for _ in range(DRAWS)]
-    gausses = [i for i, name in enumerate(schedule) if name.startswith("gauss")]
-    # some spare waits while random() and getrandbits() are both drawn
-    assert any(
-        {"uniform(0.5, 1.5)", "randint(1, 3)"} <= set(schedule[first:second])
-        for first, second in zip(gausses[::2], gausses[1::2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_getrandbits_is_one_word(k):
+    stream, twin = stream_and_twin()
+    assert stream.bits(np.arange(DRAWS), k).tolist() == [
+        twin.getrandbits(k) for _ in range(DRAWS)
+    ]
+    assert next_word(twin) == stream.words[DRAWS]
+
+
+@pytest.mark.parametrize(
+    "method, redraw, shift",
+    [
+        (lambda rng: rng.randint(1, 3) - 1, REDRAW_3, 4),  # _randbelow(3)
+        (lambda rng: rng.choice(range(4)), REDRAW_4, 3),  # _randbelow(4)
+    ],
+)
+def test_the_rejection_loops_read_the_code_bytes(method, redraw, shift):
+    stream, twin = stream_and_twin()
+    c, redrawn = 0, 0
+    for _ in range(DRAWS):
+        start = c
+        while stream.code[c] >= redraw:
+            c += 1
+        redrawn += c - start
+        assert stream.code[c] >> shift == method(twin)
+        c += 1
+    assert redrawn > DRAWS // 4  # the loops did loop
+    assert next_word(twin) == stream.words[c]
+
+
+def test_the_code_flags_are_random_below_the_thresholds():
+    stream, _ = stream_and_twin()
+    code = np.frombuffer(stream.code, np.uint8)
+    drawn = stream.randoms(np.arange(len(code)))
+    for below, bit in ((0.15, BELOW_015), (0.85, BELOW_085), (0.25, BELOW_025)):
+        assert np.array_equal(code & bit != 0, drawn < below), below
+    assert np.array_equal(code >> 3, stream.bits(np.arange(len(code)), 3))
+    # some words fall in a top half the threshold cuts: the exact check ran
+    halves = stream.words[: len(code)] >> 16
+    assert np.isin(halves, [int(0.15 * 65536), int(0.85 * 65536)]).any()
+
+
+def deviates_of(schedule, stream):
+    """Walk *schedule* ("random" / "gauss") over the stream's words as the
+    generators do, in two blocks split mid-way; the gauss values."""
+    values, c, call = [], 0, 0
+    half = len(schedule) // 2
+    for part in (schedule[:half], schedule[half:]):
+        first, sites, pairs_at = call, [], []
+        for name in part:
+            if name == "random":
+                c += 2
+            else:
+                if call % 2 == 0:  # a new pair: two random() draws
+                    sites.append(call)
+                    pairs_at.append(c)
+                    c += 4
+                call += 1
+        z = stream.deviates(call - first, np.array(sites, np.int64), np.array(pairs_at, np.int64))
+        values += z[: call - first].tolist()
+    return values, c
+
+
+@pytest.mark.parametrize("pattern", ["gauss only", "interleaved"])
+def test_gauss_j_is_the_cos_or_sin_of_pair_j_halved(pattern):
+    if pattern == "gauss only":
+        schedule = ["gauss"] * 2001  # an odd first half: the spare crosses
+    else:
+        picker = random.Random(7)
+        schedule = [picker.choice(["random", "gauss"]) for _ in range(DRAWS)]
+    stream, twin = stream_and_twin()
+    values, used = deviates_of(schedule, stream)
+    expected = []
+    for name in schedule:
+        if name == "random":
+            twin.random()
+        else:
+            expected.append(twin.gauss(0.0, 1.0))
+    assert values == expected
+    # the words the twin used, its spare (if any) held inside it
+    assert next_word(twin) == stream.words[used]
+
+
+@pytest.mark.parametrize("block", [64, 301])
+def test_the_edge_of_a_block_moves_no_row(monkeypatch, block):
+    """Blocks small enough that rings, streets and whole walks straddle
+    their edges, and a walk outgrows one: the rows and chains stay."""
+    region = Region(scale=0.02, seed=11)
+    default = (
+        generate_streets(region, 400, 12, True),
+        generate_boundaries(region, 401, 13, True, (0.2, 0.3, 0.5)),
     )
-    assert_same_draws(schedule + ["gauss(0.0, 0.15)"] * 2)
+    monkeypatch.setattr(words, "BLOCK", block)
+    small = (
+        generate_streets(region, 400, 12, True),
+        generate_boundaries(region, 401, 13, True, (0.2, 0.3, 0.5)),
+    )
+    for (table, chains), (small_table, small_chains) in zip(default, small):
+        assert_rows_are_the_chains_mbrs(small_table, chains)
+        assert small_chains == chains
 
 
 @pytest.mark.parametrize("count, parity", [(303, 1), (300, 0)])
 def test_the_spare_is_handed_from_the_rivers_to_the_railways(count, parity):
-    """One ``Random`` owned the spare across map 2's three loops.  The ring
+    """One stream owns the spare across map 2's three loops.  The ring
     loop draws ``gauss`` in pairs and always ends without one; the river
     loop draws one a step, so it hands its spare to the railway loop
     whenever its steps are odd in number — a loop that started over with a

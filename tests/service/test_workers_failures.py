@@ -363,3 +363,36 @@ class TestForkModeFailures:
 
         outcomes = asyncio.run(main())
         assert [o.cause_type for o in outcomes] == ["pool-closed"] * 2
+
+    def test_a_kill_the_close_reaps_is_counted(self, trees):
+        """The deadline kills the worker that holds a hung call, and the
+        pool closes in the same loop turn, before the death is reaped:
+        the kill still reaches ``workers_killed``, and nothing is
+        respawned or reported as respawned."""
+        sink = ListSink()
+        tracer = Tracer(clock=time.monotonic, sinks=[sink])
+        injector = FaultInjector(
+            FaultPlan(seed=10, worker_hang_p=1.0, hang_s=30.0)
+        )
+
+        async def main():
+            pool = WorkerPool(trees, 1, injector=injector, tracer=tracer)
+            pool.start()
+            call = asyncio.ensure_future(
+                pool.run("knn", "map1", 0.5, 0.5, 3, timeout_s=30.0)
+            )
+            await wait_until(lambda: injector.hangs)  # a worker holds it
+            (held,) = pool._inflight.values()
+            held.timer.cancel()
+            pool._expire(held)  # what the deadline timer runs
+            await pool.close()  # no reader callback ran in between
+            (outcome,) = await asyncio.gather(call, return_exceptions=True)
+            return pool, outcome
+
+        pool, outcome = asyncio.run(main())
+        assert outcome.cause_type == "deadline"
+        assert (pool.workers_killed, pool.crashes_detected) == (1, 0)
+        assert pool.respawns_detected == 0
+        assert not [
+            e for e in sink.events if e.kind is EventKind.SUP_WORKER_RESPAWNED
+        ]
