@@ -3,13 +3,16 @@
 :func:`paper_maps` generates stand-ins for the two TIGER county maps —
 131,443 street and 127,312 boundary/river/railway objects at full scale,
 each map one columnar :class:`BoxTable` — over one shared :class:`Region`.
-The maps are two independent seeded tasks, so map 2 is generated in a
-forked helper (:class:`_Map2Helper`) while the caller generates map 1: the
-paper's lesson — an idle processor takes the next task — applied to
-set-up.  :func:`build_tree` packs a map's table into an R*-tree whose
-occupancy matches the paper's dynamically built trees (the STR
-``fill``/``dir_fill`` values below reproduce Table 1's page counts and
-height 3 at full scale).
+Each generator reads its own seeded word stream in blocks and computes a
+block's floats at once (:mod:`.words`).  The maps are independent seeded
+tasks, and so are the head and the tail of map 1's stream once the tail
+has passed the head with the cursor alone (:func:`.streets.street_part`):
+a forked helper (:class:`_Helper`) generates map 2 and the head while the
+caller generates the tail, the paper's lesson — an idle processor takes
+the next task — applied to set-up.  :func:`build_tree` packs a
+map's table into an R*-tree whose occupancy matches the paper's
+dynamically built trees (the STR ``fill``/``dir_fill`` values below
+reproduce Table 1's page counts and height 3 at full scale).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from ..rtree.bulk import str_bulk_load
 from ..rtree.rstar import RStarTree
 from .boundaries import generate_boundaries
 from .region import Region, SpatialObject
-from .streets import generate_streets
+from .streets import generate_streets, street_part
 
 __all__ = ["MapData", "paper_maps", "build_tree", "MAP1_COUNT", "MAP2_COUNT"]
 
@@ -89,84 +92,101 @@ def paper_maps(
     region = Region(scale=scale, seed=seed)
     count1 = max(1, round(MAP1_COUNT * scale))
     count2 = max(1, round(MAP2_COUNT * scale))
-    # Map 2 in a forked helper, map 1 — the longer task — here; who runs a
-    # generator changes no draw.
-    map2 = (region, count2, seed + 2, include_geometry)
-    helper = _Map2Helper(*map2)
+    streets = (region, count1, seed + 1, include_geometry)
+    features = (region, count2, seed + 2, include_geometry)
+    # Map 2 and the head of map 1 in a forked helper, the tail of map 1 —
+    # the longest part — here; who runs a generator changes no draw.
+    helper = _Helper(streets, features)
     try:
-        streets = generate_streets(region, count1, seed + 1, include_geometry)
-        features = helper.result()
+        if helper.columns is None:
+            map1 = generate_streets(*streets)
+        else:
+            _, tail = street_part(*streets, helper.columns[0], head=False)
+        reply = helper.result()
     finally:
         helper.close()
-    if features is None:
-        features = generate_boundaries(*map2)
+    if reply is None:
+        map2 = generate_boundaries(*features)
+    else:
+        map2, head = reply
+    if helper.columns is not None:
+        if reply is None:
+            _, head = street_part(*streets, helper.columns[0], head=True)
+        chains = head + tail if include_geometry else None
+        map1 = BoxTable(np.arange(count1), *helper.columns[0]), chains
     return (
-        MapData("map 1 (streets)", region, *streets),
-        MapData("map 2 (boundaries, rivers, railways)", region, *features),
+        MapData("map 1 (streets)", region, *map1),
+        MapData("map 2 (boundaries, rivers, railways)", region, *map2),
     )
 
 
-def _boundaries_into(columns, args, _task):
-    """Worker body: generate map 2, leave its four columns in *columns*,
-    answer with the chains."""
-    table, chains = generate_boundaries(*args)
-    for column, name in zip(columns, COLUMNS):
+def _helper_work(columns, args, _task):
+    """Worker body: generate map 2 and the head of map 1, leave their
+    columns in *columns*, answer with their chains."""
+    streets, features = args
+    table, chains = generate_boundaries(*features)
+    for column, name in zip(columns[1], COLUMNS):
         column[:] = getattr(table, name)
-    return chains
+    _, head = street_part(*streets, columns[0], head=True)
+    return chains, head
 
 
-class _Map2Helper:
-    """``generate_boundaries(*args)`` in one forked worker of the one
-    process substrate: a one-worker, one-task :class:`PipedWorkers`, this
-    object its sink.  The worker inherits *args* at fork, and with them a
-    block of anonymous shared memory for the four columns; only the point
-    chains (None without geometry) are pickled onto the pipe.  The block
-    re-enters through the validating :class:`BoxTable` constructor, which
-    takes it as its storage without a copy — a 5 MB message received and
-    freed this early would cost every later tree build resident memory
-    (DESIGN.md section 5, "Set-up on both cores").
+class _Helper:
+    """``generate_boundaries(*features)`` and the head of
+    ``generate_streets(*streets)`` (:func:`.streets.street_part`) in one
+    forked worker of the one process substrate: a one-worker, one-task
+    :class:`PipedWorkers`, this object its sink.  The worker inherits the
+    arguments at fork, and with them a block of anonymous shared memory
+    for both maps' four columns; only the point chains (None without
+    geometry) are pickled onto the pipe.  The columns re-enter through the
+    validating :class:`BoxTable` constructor, which takes them as its
+    storage without a copy — a 5 MB message received and freed this early
+    would cost every later tree build resident memory (DESIGN.md section
+    5, "Set-up on both cores").
 
-    :meth:`result` is None whenever the caller has to do the work itself:
-    no helper could be had (no ``fork`` start method, a daemonic caller —
-    which may have no children — or the fork failed), the helper died, or
-    the generator raised there (it will raise here, where it can be read)."""
+    :attr:`columns` is None when no helper could be had (no ``fork``
+    start method, a daemonic caller — which may have no children — or the
+    fork failed): the caller generates both maps itself.  :meth:`result`
+    is None whenever the caller has to generate map 2 and the head itself:
+    no helper, the helper died, or a generator raised there (it will raise
+    here, where it can be read)."""
 
-    def __init__(self, region, count, seed, include_geometry):
+    def __init__(self, streets, features):
         self._workers = None
         self._held = False
         self._reply = None  # (ok, value) once the worker answered or died
+        self.columns = None
         if not fork_available() or multiprocessing.current_process().daemon:
             return
-        block = mmap.mmap(-1, 4 * 8 * count)
-        self._columns = np.frombuffer(block, dtype=np.float64).reshape(4, count)
-        self._workers = PipedWorkers(
-            1,
-            _boundaries_into,
-            (self._columns, (region, count, seed, include_geometry)),
-            self,
-        )
+        count1, count2 = streets[1], features[1]
+        block = np.frombuffer(mmap.mmap(-1, 4 * 8 * (count1 + count2)), dtype=np.float64)
+        columns = block[: 4 * count1].reshape(4, count1), block[4 * count1 :].reshape(4, count2)
+        self._workers = PipedWorkers(1, _helper_work, (columns, (streets, features)), self)
         try:
             self._workers.start()
         except OSError:
             self.close()
             return
-        self._workers.submit("map 2")
+        self.columns = columns
+        self._workers.submit("map 2 and the head of map 1")
         # A worker is handed work once it has said *ready*: hear that now,
         # or the helper would idle for as long as the caller is busy.
         while not self._held and self._reply is None:
             self._workers.wait(1.0)
 
     def result(self):
-        """Block until the helper answered or died; ``(table, chains)``,
-        or None."""
+        """Block until the helper answered or died; ``((table, chains),
+        head chains)`` of map 2 and map 1's head, or None."""
         if self._workers is None:
             return None
         while self._reply is None:
             self._workers.wait(1.0)
-        ok, chains = self._reply
+        ok, value = self._reply
         if not ok:
             return None
-        return BoxTable(np.arange(self._columns.shape[1]), *self._columns), chains
+        chains, head = value
+        map2 = self.columns[1]
+        return (BoxTable(np.arange(map2.shape[1]), *map2), chains), head
 
     def close(self) -> None:
         """Reap the helper (killing it if it still runs) and close its pipe."""

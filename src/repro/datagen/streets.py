@@ -45,6 +45,12 @@ STEP_WORDS = tuple(
 SETTLEMENT_WORDS = tuple(6 if code & BELOW_015 else 8 for code in range(256))
 
 
+#: The share of the streets that :func:`.maps.paper_maps`' helper generates
+#: after map 2, while the caller skips them and generates the rest: about
+#: what levels the two processes' work.
+HEAD_SHARE = 0.4
+
+
 def generate_streets(
     region: Region,
     count: int,
@@ -57,16 +63,45 @@ def generate_streets(
     ``(region, count, seed)``; keeping the geometry perturbs no draw."""
     check_count(count)
     check_seed(seed)
-    stream = WordStream(random.Random(seed))
     columns = np.empty((4, count))
     chains: Optional[list[Chain]] = [] if include_geometry else None
+    _generate(WordStream(random.Random(seed)), region, count, columns, chains)
+    return BoxTable(np.arange(count), *columns), chains
+
+
+def street_part(region: Region, count: int, seed: int, include_geometry: bool, columns, head: bool):
+    """The head or the tail of ``generate_streets(region, count, seed)``:
+    its rows written into *columns* (four columns of *count* rows), and
+    ``(split, chains)``.  The head is the streets before the split: the
+    first street from about :data:`HEAD_SHARE` of *count* on that starts
+    with an even ``gauss`` count, so the tail, which passes the head's
+    streets with the cursor alone, starts with no spare waiting."""
+    stream = WordStream(random.Random(seed))
+    chains: Optional[list[Chain]] = [] if include_geometry else None
+    split = round(count * HEAD_SHARE)
+    _generate(stream, region, split, columns[:, :split] if head else None, chains)
+    while split < count and stream.gauss & 1:
+        _generate(stream, region, 1, columns[:, split : split + 1] if head else None, chains)
+        split += 1
+    if not head:
+        _generate(stream, region, count - split, columns[:, split:], chains)
+    return split, chains
+
+
+def _generate(stream: WordStream, region: Region, todo: int, columns, chains) -> None:
+    """The next *todo* streets of *stream* into *columns* (four columns of
+    *todo* rows) and *chains*; with *columns* None, past them: the cursor
+    pass alone, and the ``gauss`` count it moved."""
     made = 0
     while True:
-        done, starts = _cursor(stream, count - made)
-        _streets(stream, region, starts, columns[:, made : made + done], chains)
+        done, starts = _cursor(stream, todo - made)
+        if columns is None:
+            stream.gauss += int(_unpack(stream, starts)[-1].sum())
+        else:
+            _streets(stream, region, starts, columns[:, made : made + done], chains)
         made += done
-        if made == count:
-            return BoxTable(np.arange(count), *columns), chains
+        if made == todo:
+            return
         stream.advance()
 
 
@@ -110,19 +145,25 @@ def _cursor(stream: WordStream, todo: int) -> tuple[int, list]:
     return len(starts) // 3, starts
 
 
+def _unpack(stream: WordStream, starts: list):
+    """The records of :func:`_cursor` as columns, what they imply — city
+    or rural, on the grid or not, the steps — and each street's ``gauss``
+    calls."""
+    c0, grid_at, steps_at = np.fromiter(starts, np.int64, len(starts)).reshape(-1, 3).T
+    city = np.frombuffer(stream.code, np.uint8)[c0] & BELOW_015 == 0
+    on_grid = grid_at >= 0
+    steps = 1 + stream.bits(steps_at, 2)
+    return c0, grid_at, steps_at, city, on_grid, steps, 2 * city + on_grid + steps
+
+
 def _streets(stream, region, starts, columns, chains) -> None:
     """The floats of the streets *starts* recorded into *columns*, and their
     chains; the stream's ``gauss`` count moves past their calls."""
     if not starts:
         return
-    c0, grid_at, steps_at = np.fromiter(starts, np.int64, len(starts)).reshape(-1, 3).T
+    c0, grid_at, steps_at, city, on_grid, steps, calls = _unpack(stream, starts)
     n = len(c0)
-    code = np.frombuffer(stream.code, np.uint8)
     side = region.side
-    city = code[c0] & BELOW_015 == 0
-    on_grid = grid_at >= 0
-    steps = 1 + stream.bits(steps_at, 2)
-    calls = 2 * city + on_grid + steps
     first = stream.gauss
     g0 = first + np.cumsum(calls) - calls
     sites, pairs_at = [], []  # the even gauss calls and their words
@@ -136,18 +177,15 @@ def _streets(stream, region, starts, columns, chains) -> None:
     new = heading_call & 1 == 0
     sites.append(heading_call[new])
     pairs_at.append(grid_at[on_grid][new] + 1)
+    # randint(1, 3) steps, each a random() and then a gauss call
     g = g + on_grid
-    # randint(1, 3) steps of a random() and a gauss each, in lock-step
-    at = steps_at + 1
-    step_at, step_call = np.empty((3, n), np.int64), np.empty((3, n), np.int64)
-    for t in range(3):
-        moving = steps > t
-        step_at[t], step_call[t] = at, g
-        new = moving & (g & 1 == 0)
-        sites.append(g[new])
-        pairs_at.append(at[new] + 2)
-        at = at + 2 * moving + 4 * new
-        g = g + moving
+    t = np.arange(3)[:, None]
+    moving = t < steps
+    step_call = g + t
+    step_at = steps_at + 1 + 2 * t + 4 * ((t + 1 - (g & 1)) // 2)
+    new = moving & (step_call & 1 == 0)
+    sites.append(step_call[new])
+    pairs_at.append(step_at[new] + 2)
     z = stream.deviates(int(calls.sum()), np.concatenate(sites), np.concatenate(pairs_at))
 
     # the settlement: a rural point, or the city picked and two deviates
@@ -167,7 +205,6 @@ def _streets(stream, region, starts, columns, chains) -> None:
     heading[on_grid] = GRID_ANGLES[stream.bits(grid_at[on_grid], 3)] + (
         0.0 + z[heading_call - first] * 0.06
     )
-    moving = steps > np.arange(3)[:, None]
     lengths, turns = np.zeros((3, n)), np.zeros((3, n))
     lengths[moving] = (0.5 + stream.randoms(step_at[moving])) * STEP_LENGTH
     turns[moving] = 0.0 + z[step_call[moving] - first] * 0.15

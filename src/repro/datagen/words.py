@@ -37,8 +37,8 @@ import numpy as np
 
 __all__ = ["WordStream", "walk", "clamp"]
 
-#: Words drawn at a time: 1 MB of them, the most a block's objects hold.
-BLOCK = 1 << 18
+#: Words drawn at a time: 512 KB of them, about what a block's objects hold.
+BLOCK = 1 << 17
 #: The last words of a window get no code byte.  Every object reads a code
 #: byte within *TAIL* words of its last word, so an object whose read falls
 #: past the coded words (an ``IndexError``) is retried on the next window

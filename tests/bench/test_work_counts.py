@@ -1,11 +1,12 @@
-"""Work counts of the paper's join and query paths, pinned as upper bounds.
+"""Work counts of the paper's set-up, join and query paths, pinned as upper
+bounds.
 
 Each path runs once uncounted (first-call imports and caches are not its
 work), then once under :func:`repro.bench.counts.count_work`, on the paper
 maps at scale 0.05, seed 42 (the z-order join at 0.02).  A pin is a count
-per unit of work — per node pair visited for the node join, per candidate
-for the other joins, per request for the window and kNN queries and the
-serving tiers — and the
+per unit of work — per generated row for the maps, per node pair visited
+for the node join, per candidate for the other joins, per request for the
+window and kNN queries and the serving tiers — and the
 bound is the pin times :data:`SLACK`.  A change that lowers a count lowers
 its pin with it; one that raises a pin names the cause.
 """
@@ -30,6 +31,8 @@ from repro.zorder import zorder_join
 
 SCALE = 0.05
 SLACK = 1.05
+#: Rows of both maps at 0.05: 6,572 streets and 6,366 map-2 features.
+ROWS = 12938
 NODE_PAIRS = 1482
 CANDIDATES = 5058
 #: The z-order join runs at 0.02, where it finds 1,354 candidates: at 0.05
@@ -47,7 +50,11 @@ BATCH = 16
 #: keeps a cache of small buffers), so that one is not pinned.  A serving
 #: tier is counted on its event-loop thread only (the profile is per
 #: thread) and its memory not at all: the worker threads allocate too.
+#: ``paper_maps`` is counted in the caller, which generates map 1 while
+#: its forked helper generates map 2; the parent commit's scalar loops
+#: made 2.337 Python and 15.69 C calls a row there.
 PINS = {
+    "paper_maps": (0.02798, 0.5380, None, None),
     "sequential_join[node]": (6.660, 20.01, 0.09177, 173.4),
     "flat_join": (0.05675, 0.04745, None, 828.5),
     "gd8": (40.20, 23.67, 0.3053, 254.4),
@@ -123,6 +130,12 @@ def paths():
         ShardConfig(shards=2, backend="flat", workers=0, cache_capacity=0),
     )
     yield {
+        "paper_maps": (
+            lambda: paper_maps(scale=SCALE, seed=42),
+            "row",
+            ROWS,
+            lambda maps: len(maps[0]) + len(maps[1]),
+        ),
         "sequential_join[node]": (
             lambda: sequential_join(*node),
             "node pair",

@@ -113,10 +113,11 @@ class TestHelperDeath:
         assert multiprocessing.active_children() == []
 
     def test_a_failing_street_generator_leaves_no_helper_behind(self, monkeypatch):
-        def generate(*args):
+        def generate(*args, **kwargs):
             raise RuntimeError("map 1 failed")
 
         monkeypatch.setattr(maps_module, "generate_streets", generate)
+        monkeypatch.setattr(maps_module, "street_part", generate)
         with pytest.raises(RuntimeError, match="map 1 failed"):
             paper_maps(0.02, 42)
         assert multiprocessing.active_children() == []

@@ -31,7 +31,7 @@ def no_fork(monkeypatch):
     def refuse(*args):
         raise AssertionError("a helper was forked for arguments nobody can use")
 
-    monkeypatch.setattr(maps_module, "_Map2Helper", refuse)
+    monkeypatch.setattr(maps_module, "_Helper", refuse)
 
 
 @pytest.mark.parametrize("scale", BAD_SCALES)
