@@ -147,11 +147,12 @@ def walk(side: float, x, y, heading, turns, lengths) -> np.ndarray:
     *heading*; at step t it turns by ``turns[t]`` and moves ``lengths[t]``,
     clamped to the region.  Returns the points, ``[t, 0]`` the x and
     ``[t, 1]`` the y after t steps.  A padded step turns and moves by 0.0
-    and repeats the point."""
+    and repeats the point: its length is 0.0, a real one's never is."""
     headings = np.add.accumulate(np.vstack((heading, turns)), axis=0)[1:]
-    moves = np.empty((len(turns), 2, len(x)))
-    np.cos(headings, out=moves[:, 0])
-    np.sin(headings, out=moves[:, 1])
+    moving = lengths != 0.0
+    moves = np.zeros((len(turns), 2, len(x)))
+    np.cos(headings, out=moves[:, 0], where=moving)
+    np.sin(headings, out=moves[:, 1], where=moving)
     moves *= lengths[:, None]
     points = np.empty((len(turns) + 1, 2, len(x)))
     points[0] = x, y
