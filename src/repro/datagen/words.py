@@ -37,8 +37,9 @@ import numpy as np
 
 __all__ = ["WordStream", "walk", "clamp"]
 
-#: Words drawn at a time: 512 KB of them, about what a block's objects hold.
-BLOCK = 1 << 17
+#: Words drawn at a time: 256 KB of them, small enough that the allocator
+#: reuses a block's temporaries instead of mapping and faulting them anew.
+BLOCK = 1 << 16
 #: The last words of a window get no code byte.  Every object reads a code
 #: byte within *TAIL* words of its last word, so an object whose read falls
 #: past the coded words (an ``IndexError``) is retried on the next window
