@@ -50,11 +50,12 @@ BATCH = 16
 #: keeps a cache of small buffers), so that one is not pinned.  A serving
 #: tier is counted on its event-loop thread only (the profile is per
 #: thread) and its memory not at all: the worker threads allocate too.
-#: ``paper_maps`` is counted in the caller, which generates map 1 while
-#: its forked helper generates map 2; the parent commit's scalar loops
-#: made 2.337 Python and 15.69 C calls a row there.
+#: ``paper_maps`` is counted in the caller, which generates the tail of
+#: map 1 while its forked helper generates map 2 and the head; with a
+#: scalar loop an object, the caller made 2.337 Python and 15.69 C calls a
+#: row.
 PINS = {
-    "paper_maps": (0.02798, 0.5380, None, None),
+    "paper_maps": (0.03146, 0.5448, None, None),
     "sequential_join[node]": (6.660, 20.01, 0.09177, 173.4),
     "flat_join": (0.05675, 0.04745, None, 828.5),
     "gd8": (40.20, 23.67, 0.3053, 254.4),

@@ -9,6 +9,7 @@ spelling must return the method's value (``==`` on the floats, no
 tolerance) and use the words the method uses — alone, interleaved with
 the others, and across the edge of a block."""
 
+import math
 import random
 
 import numpy as np
@@ -21,13 +22,19 @@ from repro.datagen.words import (
     BELOW_085,
     REDRAW_3,
     REDRAW_4,
+    TWO_PI,
     WordStream,
 )
 
-from .test_generator_loops import assert_rows_are_the_chains_mbrs, reference_boundaries
+from .test_generator_loops import (
+    GRID_ANGLES,
+    assert_rows_are_the_chains_mbrs,
+    reference_boundaries,
+)
 
 SEED = 2024
 DRAWS = 10_000
+SIDE = math.sqrt(0.37)
 
 
 def stream_and_twin(seed=SEED):
@@ -67,25 +74,91 @@ def test_getrandbits_is_one_word(k):
     assert next_word(twin) == stream.words[DRAWS]
 
 
-@pytest.mark.parametrize(
-    "method, redraw, shift",
-    [
-        (lambda rng: rng.randint(1, 3) - 1, REDRAW_3, 4),  # _randbelow(3)
-        (lambda rng: rng.choice(range(4)), REDRAW_4, 3),  # _randbelow(4)
-    ],
-)
-def test_the_rejection_loops_read_the_code_bytes(method, redraw, shift):
-    stream, twin = stream_and_twin()
-    c, redrawn = 0, 0
-    for _ in range(DRAWS):
-        start = c
-        while stream.code[c] >= redraw:
-            c += 1
-        redrawn += c - start
-        assert stream.code[c] >> shift == method(twin)
-        c += 1
-    assert redrawn > DRAWS // 4  # the loops did loop
-    assert next_word(twin) == stream.words[c]
+class Reader:
+    """The generators' spellings one draw at a time: a cursor over a
+    stream's words, and the ``gauss`` spare of the last pair."""
+
+    def __init__(self, stream):
+        self.stream, self.c, self.spare = stream, 0, None
+
+    def random(self):
+        value = self.stream.randoms(np.array([self.c]))[0]
+        self.c += 2
+        return value
+
+    def below(self, redraw, shift):
+        """``_randbelow(3)`` (*redraw* REDRAW_3) or ``_randbelow(4)``."""
+        while self.stream.code[self.c] >= redraw:
+            self.c += 1
+        self.c += 1
+        return self.stream.code[self.c - 1] >> shift
+
+    def gauss(self, mu, sigma):
+        if self.spare is None:  # an even call: a new pair at the cursor
+            call = np.array([self.stream.gauss])
+            z, self.spare = self.stream.deviates(2, call, np.array([self.c]))
+            self.c += 4
+        else:
+            z, self.spare = self.spare, None
+        return mu + z * sigma
+
+
+#: name -> (the method on a ``Random``, the spelling over a :class:`Reader`)
+FORMS = {
+    "uniform(0, side)": (lambda rng: rng.uniform(0, SIDE), lambda r: SIDE * r.random()),
+    "uniform(0.0, 2 pi)": (
+        lambda rng: rng.uniform(0.0, 2.0 * math.pi),
+        lambda r: TWO_PI * r.random(),
+    ),
+    "uniform(0.5, 1.5)": (lambda rng: rng.uniform(0.5, 1.5), lambda r: 0.5 + r.random()),
+    "uniform(0.0006, 0.002)": (
+        lambda rng: rng.uniform(0.0006, 0.002),
+        lambda r: 0.0006 + (0.002 - 0.0006) * r.random(),
+    ),
+    "randint(1, 3)": (lambda rng: rng.randint(1, 3), lambda r: 1 + r.below(REDRAW_3, 4)),
+    "randint(2, 4)": (lambda rng: rng.randint(2, 4), lambda r: 2 + r.below(REDRAW_3, 4)),
+    "choice(grid_angles)": (
+        lambda rng: rng.choice(GRID_ANGLES),
+        lambda r: GRID_ANGLES[r.below(REDRAW_4, 3)],
+    ),
+    "gauss(0.0, 0.15)": (lambda rng: rng.gauss(0.0, 0.15), lambda r: r.gauss(0.0, 0.15)),
+    "gauss(cx, sigma)": (lambda rng: rng.gauss(0.41, 0.033), lambda r: r.gauss(0.41, 0.033)),
+}
+
+
+def assert_same_draws(schedule):
+    """Run *schedule* (form names) by method on one generator and by
+    spelling over the words of another started from the same state."""
+    by_method = random.Random(SEED)
+    by_method.random()  # any state but a fresh seed's
+    spelled = random.Random()
+    spelled.setstate(by_method.getstate())
+    stream = WordStream(spelled)
+    stream.advance()
+    reader = Reader(stream)
+    for step, name in enumerate(schedule):
+        method, spelling = FORMS[name]
+        assert spelling(reader) == method(by_method), (step, name)
+    # the same words consumed; a spare waiting is held by each, not a word
+    assert next_word(by_method) == stream.words[reader.c]
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_each_spelling_alone(name):
+    assert_same_draws([name] * DRAWS)
+
+
+def test_interleaved_the_spare_crosses_the_other_draws():
+    names = sorted(FORMS)
+    picker = random.Random(7)
+    schedule = [picker.choice(names) for _ in range(DRAWS)]
+    gausses = [i for i, name in enumerate(schedule) if name.startswith("gauss")]
+    # some spare waits while random() and getrandbits() are both drawn
+    assert any(
+        {"uniform(0.5, 1.5)", "randint(1, 3)"} <= set(schedule[first:second])
+        for first, second in zip(gausses[::2], gausses[1::2])
+    )
+    assert_same_draws(schedule + ["gauss(0.0, 0.15)"] * 2)
 
 
 def test_the_code_flags_are_random_below_the_thresholds():
