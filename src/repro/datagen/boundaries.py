@@ -36,7 +36,7 @@ import numpy as np
 
 from ..geometry.table import BoxTable
 from .region import Chain, Region, check_count, check_seed
-from .words import BELOW_025, REDRAW_3, TWO_PI, WordStream, clamp, walk
+from .words import BELOW_025, REDRAW_3, TWO_PI, WordStream, clamp, settlements, walk
 
 __all__ = ["generate_boundaries"]
 
@@ -125,14 +125,8 @@ def _ring_edges(stream, region, records, columns, chains) -> None:
     first = stream.gauss
     g0 = first + 2 * (np.cumsum(city) - city)
     z = stream.deviates(2 * int(city.sum()), (g0 + (g0 & 1))[city], c0[city] + 4)
-    # Region.sample_settlement_point(rng, rural_fraction=0.25)
-    cx, cy = side * stream.randoms(c0 + 2), side * stream.randoms(c0 + 4)
-    cumulative = np.array(region.cumulative[: len(region.cities) - 1])
-    index = np.searchsorted(cumulative, stream.randoms(c0[city] + 2))
-    centers = np.array(region.cities)[index]
-    sigma = np.array(region.city_sigmas)[index]
-    cx[city] = clamp(centers[:, 0] + z[g0[city] - first] * sigma, side)
-    cy[city] = clamp(centers[:, 1] + z[g0[city] + 1 - first] * sigma, side)
+    # sample_settlement_point(rng, rural_fraction=0.25)
+    cx, cy = settlements(stream, region, c0, city, z[g0[city] - first], z[g0[city] + 1 - first])
     sizes = c0 + 6 + 2 * city
     w = 0.0006 + (0.002 - 0.0006) * stream.randoms(sizes)  # uniform(0.0006, 0.002)
     h = 0.0006 + (0.002 - 0.0006) * stream.randoms(sizes + 2)

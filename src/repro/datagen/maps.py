@@ -97,23 +97,23 @@ def paper_maps(
     # Map 2 and the head of map 1 in a forked helper, the tail of map 1 —
     # the longest part — here; who runs a generator changes no draw.
     helper = _Helper(streets, features)
+    columns = helper.columns
     try:
-        if helper.columns is None:
+        if columns is None:
             map1 = generate_streets(*streets)
         else:
-            _, tail = street_part(*streets, helper.columns[0], head=False)
+            _, tail = street_part(*streets, columns[0], head=False)
         reply = helper.result()
     finally:
         helper.close()
-    if reply is None:
+    if reply is None:  # no helper, or it died or raised: its share is done here
         map2 = generate_boundaries(*features)
+        if columns is not None:
+            _, head = street_part(*streets, columns[0], head=True)
     else:
         map2, head = reply
-    if helper.columns is not None:
-        if reply is None:
-            _, head = street_part(*streets, helper.columns[0], head=True)
-        chains = head + tail if include_geometry else None
-        map1 = BoxTable(np.arange(count1), *helper.columns[0]), chains
+    if columns is not None:
+        map1 = BoxTable(np.arange(count1), *columns[0]), head + tail if include_geometry else None
     return (
         MapData("map 1 (streets)", region, *map1),
         MapData("map 2 (boundaries, rivers, railways)", region, *map2),

@@ -26,9 +26,9 @@ import numpy as np
 
 from ..geometry.table import BoxTable
 from .region import Chain, Region, check_count, check_seed
-from .words import BELOW_015, BELOW_085, REDRAW_3, REDRAW_4, TWO_PI, WordStream, clamp, walk
+from .words import BELOW_015, BELOW_085, REDRAW_3, REDRAW_4, TWO_PI, WordStream, settlements, walk
 
-__all__ = ["generate_streets"]
+__all__ = ["generate_streets", "street_part"]
 
 #: Mean street-segment step length, absolute units of the unit-scale region.
 STEP_LENGTH = 0.00009
@@ -188,17 +188,7 @@ def _streets(stream, region, starts, columns, chains) -> None:
     pairs_at.append(step_at[new] + 2)
     z = stream.deviates(int(calls.sum()), np.concatenate(sites), np.concatenate(pairs_at))
 
-    # the settlement: a rural point, or the city picked and two deviates
-    drawn = stream.randoms(c0 + 2)
-    x, y = side * drawn, np.empty(n)
-    rural = ~city
-    y[rural] = side * stream.randoms(c0[rural] + 4)
-    cumulative = np.array(region.cumulative[: len(region.cities) - 1])
-    index = np.searchsorted(cumulative, drawn[city])
-    centers = np.array(region.cities)[index]
-    sigma = np.array(region.city_sigmas)[index]
-    x[city] = clamp(centers[:, 0] + z[g0[city] - first] * sigma, side)
-    y[city] = clamp(centers[:, 1] + z[g0[city] + 1 - first] * sigma, side)
+    x, y = settlements(stream, region, c0, city, z[g0[city] - first], z[g0[city] + 1 - first])
     heading = np.empty(n)
     off_grid = ~on_grid
     heading[off_grid] = TWO_PI * stream.randoms(c0[off_grid] + 8 + 2 * city[off_grid])

@@ -35,7 +35,7 @@ from itertools import starmap
 
 import numpy as np
 
-__all__ = ["WordStream", "walk", "clamp"]
+__all__ = ["WordStream", "clamp", "settlements", "walk"]
 
 #: Words drawn at a time: 256 KB of them, small enough that the allocator
 #: reuses a block's temporaries instead of mapping and faulting them anew.
@@ -141,6 +141,24 @@ class WordStream:
 def clamp(values: np.ndarray, side: float) -> np.ndarray:
     """``Region.clamp`` on one coordinate, in place."""
     return np.minimum(np.maximum(values, 0.0, out=values), side, out=values)
+
+
+def settlements(stream: WordStream, region, flags, city, zx, zy) -> tuple[np.ndarray, np.ndarray]:
+    """``Region.sample_settlement_point`` drawn after the flag at each word
+    of *flags*: a rural point, or — where *city* — the city its ``random()``
+    picks, moved by the city's two unit deviates *zx*, *zy* and clamped."""
+    side = region.side
+    drawn = stream.randoms(flags + 2)
+    x, y = side * drawn, np.empty(len(flags))
+    rural = ~city
+    y[rural] = side * stream.randoms(flags[rural] + 4)
+    cumulative = np.array(region.cumulative[: len(region.cities) - 1])
+    index = np.searchsorted(cumulative, drawn[city])  # Region.pick_city
+    centers = np.array(region.cities)[index]
+    sigma = np.array(region.city_sigmas)[index]
+    x[city] = clamp(centers[:, 0] + zx * sigma, side)
+    y[city] = clamp(centers[:, 1] + zy * sigma, side)
+    return x, y
 
 
 def walk(side: float, x, y, heading, turns, lengths) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""``paper_maps`` generates map 2 in a forked helper: the data set is the
-in-process one to the byte, the helper's death or absence costs nothing
-but time, and nothing of the helper outlives the call."""
+"""``paper_maps`` generates map 2 and the head of map 1 in a forked helper:
+the data set is the in-process one to the byte, the helper's death or
+absence costs nothing but time, and nothing of the helper outlives the
+call."""
 
 import asyncio
 import multiprocessing
@@ -8,10 +9,12 @@ import os
 import signal
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.datagen.maps as maps_module
-from repro.datagen import paper_maps
+from repro.datagen import Region, generate_streets, paper_maps
+from repro.datagen.streets import street_part
 from repro.recovery.procs import PipedWorkers
 
 from .test_datagen import GOLDEN, table_digest
@@ -50,6 +53,21 @@ def assert_same_maps(ours, theirs):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         assert a.oids.dtype == b.oids.dtype and a.oids.tolist() == b.oids.tolist()
         assert [o.points for o in mine.objects] == [o.points for o in other.objects]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 3000])
+def test_the_head_and_the_tail_are_the_streets(count):
+    """Split where either side of the fork would: the two parts write the
+    rows and chains of the whole, and agree on where they meet."""
+    region = Region(scale=0.02, seed=11)
+    table, chains = generate_streets(region, count, 12, True)
+    columns = np.full((4, count), np.nan)
+    split, head = street_part(region, count, 12, True, columns, head=True)
+    assert np.isnan(columns[:, split:]).all()
+    assert street_part(region, count, 12, True, columns, head=False) == (split, chains[split:])
+    assert head == chains[:split]
+    whole = np.stack([table.xl, table.yl, table.xu, table.yu])
+    assert columns.tobytes() == whole.tobytes()
 
 
 @needs_fork
