@@ -104,7 +104,7 @@ def _enabled(
     vars_view = dict(var_items)
     moves: list[tuple[int, Transition]] = []
     for t in spec.transitions:
-        if not t.model or t.source != shared:
+        if t.source != shared:
             continue
         for actor in range(spec.actors):
             if t.bound is not None and not t.bound(vars_view, actor, {}):

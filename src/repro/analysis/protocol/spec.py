@@ -16,8 +16,7 @@ signature ``(vars, actor, data)``:
 
 Model-only concerns are kept out of the semantic guard: ``bound`` caps
 state-space growth (e.g. "at most 3 grants") and is never evaluated at
-runtime, and ``model=False`` marks runtime-only transitions (duplicate
-drops, late echoes) the checker should not explore.
+runtime.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class Transition:
     #: Model-only state-space cap (never evaluated during conformance).
     bound: Optional[Guard] = None
     effect: Optional[Effect] = None
-    #: Explored by the model checker; ``False`` = conformance-only edge.
-    model: bool = True
 
 
 @dataclass(frozen=True)

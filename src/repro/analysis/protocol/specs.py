@@ -4,8 +4,8 @@ Seven protocols, each an explicit automaton with safety properties and
 trace-event bindings:
 
 * ``lease`` — per-task grant -> heartbeat -> {complete, expire ->
-  requeue}, each edge naming the task's current lease id
-  (:class:`repro.recovery.lease.LeaseTable` + result ledger);
+  requeue}, each edge naming the task's current lease id (the forked
+  join's driver, :mod:`repro.join.mp`);
 * ``shard-settlement`` — per ``(request, shard)`` settle-exactly-once
   with replica failover (:class:`repro.shard.router.ShardRouter`);
 * ``buffer-directory`` — per-page register/deregister/remote-fetch
@@ -105,9 +105,6 @@ _LEASE = ProtocolSpec(
             effect=_inc("expirations"),
         ),
         Transition("requeue", "orphaned", "queued", effect=_inc("requeues")),
-        # Late duplicates of an already-committed task are dropped by
-        # the exactly-once ledger: lawful echoes, not explored edges.
-        Transition("dup_done", "done", "done", model=False),
     ),
     properties=(
         SafetyProperty(
@@ -138,7 +135,6 @@ _LEASE = ProtocolSpec(
         EventBinding(EventKind.LSE_COMPLETED, ("complete",)),
         EventBinding(EventKind.LSE_EXPIRED, ("expire",)),
         EventBinding(EventKind.LSE_REQUEUED, ("requeue",)),
-        EventBinding(EventKind.LSE_DUP_DROPPED, ("dup_done",)),
     ),
     counters=(
         CounterBinding("grants", EventKind.LSE_GRANTED),

@@ -22,7 +22,7 @@ arrays — as their start argument, so they inherit it from the parent
 without any serialisation: the process-level analogue of the paper's
 shared virtual memory.  Only chunk bounds travel to the workers and only
 the two oid columns of a chunk's :class:`~repro.geometry.rows.PairTable`
-travel back — raw buffers on the pipe, concatenated once by the ledger;
+travel back — raw buffers on the pipe, concatenated once at the end;
 no row is pickled, unpickled or re-listed on the way.
 
 **Fault tolerance** (:mod:`repro.recovery`) is not a mode but how the
@@ -35,15 +35,16 @@ losing a lease.  A worker death is an event, not a timeout: the substrate report
 it at once, naming the chunk the worker held; that lease expires
 (``reason="died"``) and the chunk is requeued, so a death loses at most
 one chunk's partial work.  A *silent* worker is expired by its lease and
-killed — it never keeps its slot — and its chunk requeued.  The result
-multiset is exactly-once: the :class:`~repro.recovery.ledger.ResultLedger`
-commits the first completion per chunk and drops duplicates.  A dead
-*parent* loses the join; it is rerun from scratch, which costs no more
-than any resume could save.
+killed — it never keeps its slot — and its chunk requeued.  The driver
+alone owns each chunk's lease and result, and the substrate delivers no
+reply from a holder it killed, so each chunk commits exactly once.  A
+dead *parent* loses the join; it is rerun from scratch, which costs no
+more than any resume could save.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -54,8 +55,6 @@ from typing import Optional
 from ..faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
 from ..geometry.rows import PairTable
 from ..recovery.config import RecoveryConfig, wall_clock
-from ..recovery.ledger import ResultLedger
-from ..recovery.lease import LeaseTable
 from ..recovery.procs import PipedWorkers, fork_available
 from ..rtree.query import require_count
 from ..rtree.rstar import RStarTree
@@ -172,7 +171,6 @@ def multiprocessing_join(
     *,
     geometry_r=None,
     geometry_s=None,
-    timeout_s: Optional[float] = None,
     recovery: Optional[RecoveryConfig] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
@@ -186,7 +184,7 @@ def multiprocessing_join(
     runs the exact refinement on the candidates it produced.  Both
     backends run the same chunked, lease-monitored driver — this is
     :func:`fault_tolerant_join` without the statistics; see there for
-    ``processes``, ``timeout_s``, ``recovery`` and ``faults``.  Runs
+    ``processes``, ``recovery`` and ``faults``.  Runs
     the chunks inline in the parent when ``processes`` is 1 or fork is
     unavailable.
     """
@@ -196,7 +194,6 @@ def multiprocessing_join(
         processes,
         geometry_r=geometry_r,
         geometry_s=geometry_s,
-        timeout_s=timeout_s,
         recovery=recovery,
         faults=faults,
         tracer=tracer,
@@ -212,12 +209,15 @@ def multiprocessing_join(
 class _Engine:
     """One forked join: chunking, leases, redispatch.
 
-    The parent is the coordinator and the substrate's *sink*: it grants
-    one lease per chunk at hand-off, reads the fork-inherited progress
-    counters as heartbeats, requeues the chunk of a worker that died or
-    went silent (inline in the parent after :data:`MAX_REDISPATCH` strikes —
-    guaranteed progress whatever the workers do).  Results commit through
-    the exactly-once ledger.
+    The parent is the coordinator and the substrate's *sink*, and it alone
+    owns each chunk's life.  A chunk a worker holds is in ``inflight``
+    under its lease id and deadline: granted at hand-off, renewed when the
+    fork-inherited progress counter moved, completed by the chunk's result
+    (kept in ``results``), and expired by a death, a raise or a passed
+    deadline — then the chunk is requeued (inline in the parent after
+    :data:`MAX_REDISPATCH` strikes: guaranteed progress whatever the
+    workers do).  The substrate never delivers a reply from a holder it
+    killed, so every chunk completes once.
     """
 
     def __init__(
@@ -229,38 +229,77 @@ class _Engine:
         recovery: RecoveryConfig,
         faults: Optional[FaultPlan],
         tracer: Tracer,
-        timeout_s: Optional[float],
     ):
         self.work = (plan, geometry_r, geometry_s)
-        self.n_tasks = n_tasks = len(plan)
+        n_tasks = len(plan)
         self.processes = processes
         self.recovery = recovery
         self.tracer = tracer
-        self.timeout_s = timeout_s
         self.clock = wall_clock()
         self.injector = (
             FaultInjector(faults, tracer=tracer)
             if faults is not None and faults.active
             else None
         )
-        self.chunk_tasks = chunk = _chunk_tasks(n_tasks, processes)
+        chunk = _chunk_tasks(n_tasks, processes)
         self.n_chunks = math.ceil(n_tasks / chunk)
         self.bounds = [
             (cid * chunk, min(n_tasks, (cid + 1) * chunk))
             for cid in range(self.n_chunks)
         ]
-        self.lease_table = LeaseTable(
-            clock=self.clock,
-            lease_s=recovery.lease_s,
-            tracer=tracer,
-        )
-        self.ledger = ResultLedger(tracer=tracer)
         self.pending: deque = deque(range(self.n_chunks))
         self.redispatches = {cid: 0 for cid in range(self.n_chunks)}
         self.inline_runs = 0
+        self.expired = 0
+        self._lease_ids = itertools.count()
         self._last_progress = [0] * self.n_chunks
         self._progress = None  # the heartbeat RawArray of a forked run
-        self.inflight: dict[int, int] = {}  # chunk a worker holds -> lease id
+        #: chunk a worker holds -> (lease id, deadline)
+        self.inflight: dict[int, tuple[int, float]] = {}
+        self.results: dict[int, PairTable] = {}  # chunk -> its rows
+
+    # -- the lease of one chunk ------------------------------------------------
+    def _grant(self, cid: int) -> None:
+        lease_id = next(self._lease_ids)
+        deadline = self.clock() + self.recovery.lease_s
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.LSE_GRANTED,
+                proc=cid, task=cid, lease=lease_id, deadline=deadline,
+            )
+        self.inflight[cid] = (lease_id, deadline)
+
+    def _renew(self, cid: int) -> None:
+        lease_id = self.inflight[cid][0]
+        deadline = self.clock() + self.recovery.lease_s
+        self.inflight[cid] = (lease_id, deadline)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.LSE_RENEWED,
+                proc=cid, task=cid, lease=lease_id, deadline=deadline,
+            )
+
+    def _complete(self, cid: int, rows: PairTable) -> None:
+        lease_id = self.inflight.pop(cid)[0]
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.LSE_COMPLETED,
+                proc=cid, task=cid, lease=lease_id, rows=len(rows),
+            )
+        self.results[cid] = rows
+
+    def _expire(self, cid: int, reason: str) -> None:
+        """Chunk *cid* lost its worker: expire its lease, requeue it."""
+        lease_id = self.inflight.pop(cid)[0]
+        self.expired += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.LSE_EXPIRED,
+                proc=cid, task=cid, lease=lease_id, reason=reason,
+            )
+            self.tracer.emit(EventKind.LSE_REQUEUED, task=cid, lease=lease_id)
+        self.redispatches[cid] += 1
+        self.pending.append(cid)
 
     # -- chunk execution -------------------------------------------------------
     def _kill_directive(self, cid: int) -> Optional[int]:
@@ -277,18 +316,10 @@ class _Engine:
 
     def _run_inline(self, cid: int) -> None:
         """Execute one chunk in the parent (serial path / last resort)."""
-        start, stop = self.bounds[cid]
-        lease = self.lease_table.grant(cid, holder=cid)
-        pairs = _chunk_pairs(self.work, start, stop)
+        self._grant(cid)
+        rows = _chunk_pairs(self.work, *self.bounds[cid])
         self.inline_runs += 1
-        self.lease_table.complete(lease.id, rows=len(pairs))
-        self.ledger.commit(cid, pairs, lease=lease.id, proc=cid)
-
-    def _requeue(self, lease_id: int, cid: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(EventKind.LSE_REQUEUED, task=cid, lease=lease_id)
-        self.redispatches[cid] += 1
-        self.pending.append(cid)
+        self._complete(cid, rows)
 
     # -- main loops ------------------------------------------------------------
     def run_serial(self) -> None:
@@ -298,20 +329,17 @@ class _Engine:
     def run_parallel(self) -> None:
         context = multiprocessing.get_context("fork")
         self._progress = context.RawArray("Q", max(1, self.n_chunks))
-        deadline = (
-            self.clock() + self.timeout_s if self.timeout_s is not None else None
-        )
         workers = PipedWorkers(
             self.processes, _run_chunk, (self.work, self._progress), self
         )
         workers.start()
         try:
-            self._coordinate(workers, deadline)
+            self._coordinate(workers)
         finally:
             workers.close()
 
-    def _coordinate(self, workers: PipedWorkers, deadline) -> None:
-        while len(self.ledger) < self.n_chunks:
+    def _coordinate(self, workers: PipedWorkers) -> None:
+        while len(self.results) < self.n_chunks:
             if self.pending:
                 cid = self.pending.popleft()
                 if self.redispatches[cid] > MAX_REDISPATCH:
@@ -325,91 +353,57 @@ class _Engine:
             # below); block until the first or the sweep interval.
             workers.wait(self.recovery.sweep_s)
             # Heartbeats: a progress counter that moved renews the lease.
-            for cid, lease_id in self.inflight.items():
+            for cid in self.inflight:
                 current = self._progress[cid]
                 if current != self._last_progress[cid]:
                     self._last_progress[cid] = current
-                    self.lease_table.renew(lease_id)
+                    self._renew(cid)
             # Sweep: silence past the deadline costs the holder its life
             # (a hung worker must not keep its slot) and requeues the chunk.
-            for lease in self.lease_table.sweep():
-                del self.inflight[lease.task]
-                workers.drop(lease.task)
-                self._requeue(lease.id, lease.task)
-            if deadline is not None and self.clock() > deadline:
-                if len(self.ledger) < self.n_chunks:
-                    self._rescue_timeout()
-                break
+            now = self.clock()
+            for cid in [c for c, (_, end) in self.inflight.items() if end < now]:
+                workers.drop(cid)
+                self._expire(cid, "deadline")
 
     # -- the substrate's sink --------------------------------------------------
     def handoff(self, cid: int, pid: int) -> tuple:
         """An idle worker takes chunk *cid*: its lease clock starts now."""
         kill_at = self._kill_directive(cid)
-        lease = self.lease_table.grant(cid, holder=cid)
+        self._grant(cid)
         self._last_progress[cid] = self._progress[cid]
-        self.inflight[cid] = lease.id
         return (cid, *self.bounds[cid], kill_at)
 
     def done(self, cid: int, ok: bool, value) -> None:
-        if not ok:  # the worker raised (not crashed)
-            self._orphan(cid, "error")
-            return
-        lease_id = self.inflight.pop(cid)
-        rows = value[1]
-        self.lease_table.complete(lease_id, rows=len(rows))
-        self.ledger.commit(cid, rows, lease=lease_id, proc=cid)
+        if ok:
+            self._complete(cid, value[1])
+        else:  # the worker raised (not crashed)
+            self._expire(cid, "error")
 
     def died(self, cid, pid, exitcode, killed, replacement_pid) -> None:
         if cid is not None:  # None: idle, or killed by the sweep above
-            self._orphan(cid, "died")
-
-    def _orphan(self, cid: int, reason: str) -> None:
-        """Chunk *cid* lost its worker: expire its lease, requeue it."""
-        lease_id = self.inflight.pop(cid)
-        self.lease_table.expire(lease_id, reason)
-        self._requeue(lease_id, cid)
-
-    def _rescue_timeout(self) -> None:
-        """Deadline fired: abandon the workers, finish missing chunks inline."""
-        warnings.warn(
-            f"fault-tolerant join did not finish within {self.timeout_s}s; "
-            f"completing {self.n_chunks - len(self.ledger)} missing "
-            f"chunk(s) on the inline path",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        for cid in list(self.inflight):
-            self._orphan(cid, "timeout")
-        self.pending.clear()
-        for cid in range(self.n_chunks):
-            if cid not in self.ledger:
-                self._run_inline(cid)
+            self._expire(cid, "died")
 
     # -- results ---------------------------------------------------------------
-    def stats(self) -> dict:
-        out = {
-            "tasks": self.n_tasks,
-            "chunks": self.n_chunks,
-            "chunk_tasks": self.chunk_tasks,
-            "inline_runs": self.inline_runs,
-            "redispatches": sum(self.redispatches.values()),
-            **self.ledger.stats(),
-            **self.lease_table.stats(),
-        }
-        if self.injector is not None:
-            out["fault_counts"] = self.injector.counts()
-        return out
-
     def finish(self) -> tuple[PairTable, dict]:
-        pairs = self.ledger.all_rows()
+        pairs = PairTable.concat(self.results[cid] for cid in sorted(self.results))
+        redispatches = sum(self.redispatches.values())
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.RUN_END,
                 candidates=len(pairs),
                 chunks=self.n_chunks,
-                redispatches=sum(self.redispatches.values()),
+                redispatches=redispatches,
             )
-        return pairs, self.stats()
+        stats = {
+            "chunks": self.n_chunks,
+            "redispatches": redispatches,
+            "inline_runs": self.inline_runs,
+            "expired": self.expired,
+            "tasks_committed": len(self.results),
+        }
+        if self.injector is not None:
+            stats["fault_counts"] = self.injector.counts()
+        return pairs, stats
 
 
 def fault_tolerant_join(
@@ -419,7 +413,6 @@ def fault_tolerant_join(
     *,
     geometry_r=None,
     geometry_s=None,
-    timeout_s: Optional[float] = None,
     recovery: Optional[RecoveryConfig] = None,
     faults: Optional[FaultPlan] = None,
     tracer: Tracer = NULL_TRACER,
@@ -428,24 +421,18 @@ def fault_tolerant_join(
 
     ``pairs`` is the exactly-once result multiset as one table, grouped by
     ascending chunk id (deterministic given the task list).  ``stats``
-    reports chunking, lease and ledger counters and redispatches.
+    counts ``chunks``, ``tasks_committed``, ``redispatches``, ``expired``
+    leases and ``inline_runs``, plus the injector's ``fault_counts``.
 
-    ``timeout_s`` bounds the whole join: when the deadline fires the
-    workers are abandoned and only the *missing* chunks are finished
-    inline in the parent, with a :class:`RuntimeWarning` — the caller
-    always gets the answer.  Without a deadline a dead worker's chunk is
-    requeued the moment it dies, and a hung worker is killed when its
-    chunk's lease expires (inline after :data:`MAX_REDISPATCH`
-    strikes).  ``faults`` injects worker kills.  ``processes`` must be
-    an integer >= 1 (default: the CPU count, at most 8) and ``timeout_s``
-    finite and > 0, or None.
+    A dead worker's chunk is requeued the moment it dies, and a hung
+    worker is killed when its chunk's lease expires; after
+    :data:`MAX_REDISPATCH` strikes the parent runs the chunk inline, so
+    the caller always gets the answer.  ``faults`` injects worker kills.
+    ``processes`` must be an integer >= 1 (default: the CPU count, at
+    most 8).
     """
     if (geometry_r is None) != (geometry_s is None):
         raise ValueError("pass geometry for both relations or for neither")
-    if timeout_s is not None and not (
-        math.isfinite(timeout_s) and timeout_s > 0
-    ):
-        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s!r}")
     if processes is None:
         processes = min(8, os.cpu_count() or 1)
     else:
@@ -459,7 +446,6 @@ def fault_tolerant_join(
         recovery or RecoveryConfig(),
         faults,
         tracer,
-        timeout_s,
     )
     if not engine.pending:
         return engine.finish()

@@ -215,7 +215,8 @@ class PipedWorkers:
             while worker.conn.poll():
                 reply = worker.conn.recv()
                 task, worker.task = worker.task, None
-                self._idle.append(worker)
+                if not worker.killed:  # a dropped holder never idles again
+                    self._idle.append(worker)
                 if reply is not None and task is not None:
                     self._sink.done(task, *reply)
                 self._pump()

@@ -331,11 +331,12 @@ class ClockMonotonicityChecker(InvariantChecker):
 class RecoveryAccountingChecker(InvariantChecker):
     """No result row lost or double-counted, and every kill detected.
 
-    The forked join (:mod:`repro.join.mp`) emits one ``LSE_*`` event per
-    lease transition; the fault injector emits the task-kill sabotage
-    ledger.  The lease life cycle — per task and per lease id — is the
-    ``lease`` spec's statement (``protocol:lease``).  What it cannot say
-    is checked here:
+    The forked join's driver (:mod:`repro.join.mp`), the one owner of
+    each chunk's lease and result, emits one ``LSE_*`` event per lease
+    transition; the fault injector emits the task-kill sabotage ledger.
+    The lease life cycle — per task and per lease id — is the ``lease``
+    spec's statement (``protocol:lease``).  What it cannot say is
+    checked here:
 
     * the final result size carried by ``RUN_END`` (``candidates``)
       equals the completed rows — no row lost, none counted twice;

@@ -101,17 +101,13 @@ class EventKind(str, enum.Enum):
     # fault injection (the forked join's seam, repro.recovery)
     FLT_INJECT_TASK_KILL = "flt_inject_task_kill"    # processor dies at a task
 
-    # task leases (repro.recovery) — grants must reconcile with
+    # task leases (repro.join.mp) — grants must reconcile with
     # completions + expirations; every expiry requeues its task.
     LSE_GRANTED = "lse_granted"
     LSE_RENEWED = "lse_renewed"
     LSE_EXPIRED = "lse_expired"
     LSE_COMPLETED = "lse_completed"
     LSE_REQUEUED = "lse_requeued"
-    #: A late duplicate result (hung holder finishing after its lease
-    #: expired and the task was re-run) discarded by the exactly-once
-    #: result ledger.
-    LSE_DUP_DROPPED = "lse_dup_dropped"
 
     # resilience / supervision — the recovery ledger
     SUP_CALL_OK = "sup_call_ok"            # a faulted call completed anyway

@@ -105,7 +105,6 @@ class TestLease:
             ev(2, EventKind.LSE_REQUEUED, 0, task=7),
             ev(3, EventKind.LSE_GRANTED, 1, task=7, lease=2),
             ev(4, EventKind.LSE_COMPLETED, 1, task=7, lease=2),
-            ev(5, EventKind.LSE_DUP_DROPPED, 0, task=7),
         ])
         assert verdict.ok, verdict.violations
 

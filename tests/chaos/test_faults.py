@@ -134,6 +134,7 @@ NAN, INF = math.nan, math.inf
     [
         (RecoveryConfig, "lease_s", NAN),
         (RecoveryConfig, "lease_s", INF),
+        (RecoveryConfig, "lease_s", 0.0),
         (RecoveryConfig, "sweep_s", INF),
         (FaultPlan, "hang_s", NAN),
         (FaultPlan, "hang_s", INF),
@@ -145,8 +146,8 @@ NAN, INF = math.nan, math.inf
 )
 def test_non_finite_settings_are_refused(setting, field, value):
     """One ``ValueError`` naming the field and the value: an infinite
-    lease never expires, so a hung worker would never be detected, and a
-    bool is no task id."""
+    lease never expires, so a hung worker would never be detected, a zero
+    lease expires every chunk at hand-off, and a bool is no task id."""
     shown = repr(value[0] if isinstance(value, tuple) else value)
     with pytest.raises(ValueError, match=rf"^{field}\b.*{shown}$"):
         setting(**{field: value})

@@ -48,7 +48,7 @@ def test_the_guard_sees_the_modules_and_resolves_relative_imports():
     names = {path.relative_to(SRC).as_posix() for path in fault_free_modules()}
     assert {"join/parallel.py", "storage/page.py", "buffer/local.py"} <= names
     # The forked join is where recovery lives: the resolver must see it.
-    assert "repro.recovery.lease" in set(
+    assert "repro.recovery.procs" in set(
         imported_modules(SRC / "join" / "mp.py")
     )
 

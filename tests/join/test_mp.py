@@ -80,7 +80,7 @@ class TestJoinPlan:
 
     def test_chunks_are_delivered_as_tables(self, trees):
         """A chunk result is made a table in the worker and crosses the
-        pipe as its two columns (one beat per shipped table); the ledger's
+        pipe as its two columns (one beat per shipped table); the driver's
         one concatenation keeps the serial row order."""
         tree_r, tree_s = trees
         serial = multiprocessing_join(tree_r, tree_s, processes=1)
@@ -137,29 +137,13 @@ def _hang_forever(*_):
 
 
 class TestDeadline:
-    def test_hung_workers_fall_back_to_serial(self, trees, monkeypatch):
-        """Workers that never deliver must not block the caller forever:
-        the deadline abandons the pool, warns, and finishes the missing
-        chunks inline (regression: pool.map had no timeout)."""
-        tree_r, tree_s = trees
-        # The inline path runs the plan directly and is unaffected by
-        # the patch.
-        monkeypatch.setattr(mp_module, "_run_chunk", _hang_forever)
-        started = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="did not finish within"):
-            pairs = multiprocessing_join(
-                tree_r, tree_s, processes=2, timeout_s=0.5
-            )
-        assert time.perf_counter() - started < 30
-        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
-        assert_nothing_left_behind()
-
     def test_hung_workers_without_deadline_are_expired_by_their_lease(
         self, trees, monkeypatch
     ):
-        """No ``timeout_s`` either: silent chunks lose their lease, and
-        after ``MAX_REDISPATCH`` strikes the parent finishes them inline
-        — the static ``pool.map`` path blocked forever here."""
+        """Workers that never deliver must not block the caller forever:
+        silent chunks lose their lease, and after ``MAX_REDISPATCH``
+        strikes the parent finishes them inline — the static ``pool.map``
+        path blocked forever here."""
         from repro.recovery import RecoveryConfig
 
         tree_r, tree_s = trees
@@ -189,6 +173,7 @@ class TestDeadline:
         re-run by a worker — nothing falls back to the inline path."""
         from repro.join.mp import fault_tolerant_join
         from repro.recovery import RecoveryConfig
+        from repro.trace import EventKind, ListSink, Tracer, run_checkers
 
         tree_r, tree_s = trees
         run_chunk, hung_once = mp_module._run_chunk, tmp_path / "hung-once"
@@ -200,6 +185,7 @@ class TestDeadline:
             return run_chunk(work, progress, spec)
 
         monkeypatch.setattr(mp_module, "_run_chunk", hang_chunk_1_once)
+        sink = ListSink()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pairs, stats = fault_tolerant_join(
@@ -209,26 +195,21 @@ class TestDeadline:
                 recovery=RecoveryConfig(
                     lease_s=0.2, sweep_s=0.05
                 ),
+                tracer=Tracer(sinks=[sink]),
             )
         assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
         assert len(pairs) == len(set(pairs))
         assert stats["expired"] == stats["redispatches"] == 1
         assert stats["inline_runs"] == 0
+        expired = [e for e in sink.events if e.kind is EventKind.LSE_EXPIRED]
+        assert [(e.data["task"], e.data["reason"]) for e in expired] == [
+            (1, "deadline")
+        ]
+        for verdict in run_checkers(sink.events):
+            assert verdict.ok, (verdict.checker, verdict.violations)
         assert_nothing_left_behind()
 
-    def test_generous_deadline_runs_parallel_without_warning(self, trees):
-        tree_r, tree_s = trees
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pairs = multiprocessing_join(
-                tree_r, tree_s, processes=2, timeout_s=120.0
-            )
-        assert set(pairs) == sequential_join(tree_r, tree_s).pair_set()
-
     REFUSED = [
-        ("timeout_s", 0.0),
-        ("timeout_s", float("nan")),
-        ("timeout_s", float("inf")),
         ("processes", 0),
         ("processes", -2),
         ("processes", True),
@@ -242,14 +223,11 @@ class TestDeadline:
     def test_bad_deadline_or_process_count_is_refused(
         self, trees, setting, value
     ):
-        """Refused at the edge, before any fork: a NaN deadline never
-        fires, and a process count below 1 used to run serially while a
-        float or a string failed deep in the substrate."""
+        """Refused at the edge, before any fork: a process count below 1
+        used to run serially while a float or a string failed deep in the
+        substrate."""
         tree_r, tree_s = trees
-        message = {
-            "timeout_s": "timeout_s must be finite and > 0, got ",
-            "processes": "processes must be an integer >= 1, got ",
-        }[setting]
+        message = "processes must be an integer >= 1, got "
         with pytest.raises(ValueError, match=message + re.escape(repr(value))):
             multiprocessing_join(
                 tree_r, tree_s, **{"processes": 2, setting: value}

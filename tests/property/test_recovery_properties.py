@@ -1,18 +1,17 @@
 """Property-based worker-death testing of the recoverable join.
 
-Hypothesis draws a kill schedule, a set of chunks that hang once, a chunk
-size and an optional short deadline against the forked driver
+Hypothesis draws a kill schedule, a set of chunks that hang once and a
+chunk size against the forked driver
 (:func:`repro.join.mp.fault_tolerant_join`) on both index backends; the
 property is the recovery layer's whole contract: the trace is lawful,
 every chunk commits exactly once, and the result is the sequential
-oracle's multiset — no matter where the kills, hangs, lease expiries and
-the deadline landed.
+oracle's multiset — no matter where the kills, hangs and lease expiries
+landed.
 """
 
 import multiprocessing
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -77,24 +76,20 @@ def hang_once(chunks, marks: Path):
     return run
 
 
-def fork_run(backend, chunk_tasks, faults, hangs, timeout_s):
+def fork_run(backend, chunk_tasks, faults, hangs):
     """One traced join, *chunk_tasks* tasks a chunk; returns ``(pairs,
     stats)`` after replaying the trace through every checker."""
     sink = ListSink()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(mp_module, "_chunk_tasks", lambda tasks, processes: chunk_tasks)
         patch.setattr(mp_module, "_run_chunk", hang_once(hangs, Path(tmp)))
-        with warnings.catch_warnings():
-            # A deadline that fires warns before finishing inline.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            outcome = fault_tolerant_join(
-                *fork_workload(backend),
-                2,
-                timeout_s=timeout_s,
-                recovery=RecoveryConfig(lease_s=0.3, sweep_s=0.02),
-                faults=faults,
-                tracer=Tracer(sinks=[sink]),
-            )
+        outcome = fault_tolerant_join(
+            *fork_workload(backend),
+            2,
+            recovery=RecoveryConfig(lease_s=0.3, sweep_s=0.02),
+            faults=faults,
+            tracer=Tracer(sinks=[sink]),
+        )
     for verdict in run_checkers(sink.events):
         assert verdict.ok, (verdict.checker, verdict.violations)
     return outcome
@@ -112,23 +107,21 @@ class TestForkRecoveryProperty:
         ),
         hangs=st.frozensets(st.integers(min_value=0, max_value=7), max_size=2),
         chunk_tasks=st.integers(min_value=1, max_value=4),
-        timeout_s=st.none() | st.floats(min_value=0.05, max_value=0.5),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=6, deadline=None)
     def test_killed_hung_or_timed_out_is_exactly_once(
-        self, backend, kills, hangs, chunk_tasks, timeout_s, seed
+        self, backend, kills, hangs, chunk_tasks, seed
     ):
-        """Task kills and hung chunks cost lease expiries and redispatches,
-        a deadline costs an inline finish — either way every chunk commits
-        once and the result is the oracle multiset, on the pointer plan and
-        on the packed plan alike."""
+        """Task kills and hung chunks — a hang times out on its lease —
+        cost lease expiries and redispatches; either way every chunk
+        commits once and the result is the oracle multiset, on the pointer
+        plan and on the packed plan alike."""
         pairs, stats = fork_run(
             backend,
             chunk_tasks,
             FaultPlan(seed=seed, kill_at_task=tuple(kills)),
             hangs,
-            timeout_s,
         )
         assert stats["tasks_committed"] == stats["chunks"]
         assert sorted(pairs) == workload()[2]

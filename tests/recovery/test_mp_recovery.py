@@ -58,10 +58,11 @@ class FlatBackend(Backend):
 
 
 class _SlowPlan:
-    """A join plan whose every slice first idles for ``IDLE_S``, beating
-    — a small join that outlasts a short lease."""
+    """A join plan whose every slice first idles for ``IDLE_S`` in
+    ``BEATS`` beats — a small join that outlasts a short lease."""
 
     IDLE_S = 0.2
+    BEATS = 5
 
     def __init__(self, plan):
         self.plan = plan
@@ -70,10 +71,18 @@ class _SlowPlan:
         return len(self.plan)
 
     def run(self, start, stop, beat=None):
-        for _ in range(5):
-            time.sleep(self.IDLE_S / 5)
-            beat()
+        for _ in range(self.BEATS):
+            time.sleep(self.IDLE_S / self.BEATS)
+            if beat is not None:  # None: run inline in the parent
+                beat()
         return self.plan.run(start, stop, beat)
+
+
+class _BeatingPlan(_SlowPlan):
+    """One slice runs twice a lease, beating every 2 % of it."""
+
+    IDLE_S = 0.5
+    BEATS = 25
 
 
 def assert_lawful(sink):
@@ -129,6 +138,30 @@ class TestHealthyRuns(Backend):
         assert stats["chunks"] >= 6
         assert stats["expired"] == 0
         assert stats["redispatches"] == 0 and stats["inline_runs"] == 0
+
+    @needs_fork
+    def test_a_beating_chunk_outlives_its_lease(
+        self, trees, expected, monkeypatch
+    ):
+        """A moved progress counter renews the lease: one chunk that runs
+        twice ``lease_s`` but beats keeps its lease and its worker."""
+        monkeypatch.setattr(
+            mp_module, "plan_join", lambda *a: _BeatingPlan(plan_join(*a))
+        )
+        monkeypatch.setattr(mp_module, "_chunk_tasks", lambda tasks, _: tasks)
+        sink = ListSink()
+        pairs, stats = fault_tolerant_join(
+            *trees,
+            2,
+            recovery=RecoveryConfig(lease_s=0.25, sweep_s=0.02),
+            tracer=Tracer(sinks=[sink]),
+        )
+        assert set(pairs) == expected
+        assert (stats["chunks"], stats["expired"], stats["inline_runs"]) == (
+            1, 0, 0
+        )
+        assert any(e.kind is EventKind.LSE_RENEWED for e in sink.events)
+        assert_lawful(sink)
 
     def test_serial_fallback_matches(self, trees, expected):
         pairs, stats = fault_tolerant_join(*trees, 1, recovery=FAST)

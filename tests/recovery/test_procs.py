@@ -197,6 +197,32 @@ def test_dropped_while_held_costs_the_holder_its_life(pool):
 
 
 @needs_fork
+def test_a_dropped_holders_late_reply_does_not_make_it_idle():
+    """Regression: a reply drained from a worker :meth:`drop` killed put
+    that worker back among the idle, and the next queued task was handed
+    to it and reported lost with it.  The replacement runs that task."""
+    sink = Sink()
+    workers = PipedWorkers(1, work, ("hello",), sink)
+    workers.start()
+    try:
+        first, second = ("sleep", 0.1), ("echo", "second")
+        workers.submit(first)
+        pump(workers, lambda: first in sink.handed)
+        (holder,) = workers._workers
+        assert holder.conn.poll(WAIT_S)  # the reply is written, not yet read
+        workers.drop(first)
+        workers.submit(second)
+        pump(workers, lambda: second in sink.results)
+        assert sink.results == {second: (True, "hello second")}
+        (death,) = sink.deaths
+        assert death[:4] == (None, sink.handed[first], -signal.SIGKILL, True)
+        assert sink.handed[second] == death[4] != sink.handed[first]
+    finally:
+        workers.close()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_close_with_a_task_in_flight_returns():
     sink = Sink()
     workers = PipedWorkers(2, work, ("hello",), sink)

@@ -121,8 +121,44 @@ def requeue_without_expiry():
     return rc.Stream().emit(EventKind.LSE_REQUEUED, proc=0, task=1)
 
 
-def dup_drop_without_first_copy():
-    return rc.Stream().emit(EventKind.LSE_DUP_DROPPED, proc=0, task=4)
+# A closed lease takes no renewal, completion or expiry, and a task that
+# was never granted has no lease to renew, complete or expire.
+def granted_then(kind, **data):
+    s = rc.Stream().emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
+    s.emit(kind, proc=0, task=1, lease=0, **data)
+    return s
+
+
+def expiry_of_a_completed_lease():
+    s = granted_then(EventKind.LSE_COMPLETED, rows=1)
+    return s.emit(EventKind.LSE_EXPIRED, proc=0, task=1, lease=0, reason="x")
+
+
+def renewal_of_a_completed_lease():
+    s = granted_then(EventKind.LSE_COMPLETED, rows=1)
+    return s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
+
+
+def renewal_of_an_expired_lease():
+    s = granted_then(EventKind.LSE_EXPIRED, reason="x")
+    s.emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=0)
+    return s.emit(EventKind.LSE_REQUEUED, proc=0, task=1)
+
+
+def renewal_of_an_unknown_lease():
+    return rc.Stream().emit(EventKind.LSE_RENEWED, proc=0, task=1, lease=9)
+
+
+def completion_of_an_unknown_lease():
+    return rc.Stream().emit(
+        EventKind.LSE_COMPLETED, proc=0, task=1, lease=9, rows=1
+    )
+
+
+def expiry_of_an_unknown_lease():
+    return rc.Stream().emit(
+        EventKind.LSE_EXPIRED, proc=0, task=1, lease=9, reason="x"
+    )
 
 
 # -- shard settlement: (request, shard) settles exactly once ------------------
@@ -252,7 +288,12 @@ ROWS = [
     (completion_naming_another_lease, LEASE),
     (unrequeued_orphan, LEASE),
     (requeue_without_expiry, LEASE),
-    (dup_drop_without_first_copy, LEASE),
+    (expiry_of_a_completed_lease, LEASE),
+    (renewal_of_a_completed_lease, LEASE),
+    (renewal_of_an_expired_lease, LEASE),
+    (renewal_of_an_unknown_lease, LEASE),
+    (completion_of_an_unknown_lease, LEASE),
+    (expiry_of_an_unknown_lease, LEASE),
     (double_done, SETTLEMENT),
     (unsettled_subrequest, SETTLEMENT),
     (failed_after_done, SETTLEMENT),
@@ -311,7 +352,6 @@ ROWS = [
     (pid_reused_after_respawn, LAWFUL),
     (crash_naming_no_call, LAWFUL),
     (rc.lawful_stream, LAWFUL),
-    (rc.dup_drop_after_commit, LAWFUL),
     (sc.window_fanout_settles, LAWFUL),
     (sc.knn_with_lawful_skip, LAWFUL),
     (sc.failover_then_success, LAWFUL),

@@ -45,16 +45,6 @@ def lawful_stream():
     return s
 
 
-def dup_drop_after_commit():
-    s = lawful_stream()
-    # Insert before RUN_END so ordering stays realistic.
-    s.events.insert(
-        -1,
-        TraceEvent(len(s.events), 0.0, EventKind.LSE_DUP_DROPPED, 0, {"task": 1}),
-    )
-    return s
-
-
 def leaked_lease():
     return Stream().emit(EventKind.LSE_GRANTED, proc=0, task=1, lease=0)
 
@@ -95,9 +85,6 @@ class TestLawfulStreams:
 
     def test_empty_stream_is_vacuous(self):
         assert verdict_of([]).ok
-
-    def test_dup_drop_after_commit_is_lawful(self):
-        assert verdict_of(dup_drop_after_commit().events).ok
 
 
 class TestViolations:
