@@ -440,7 +440,7 @@ _LEDGER = ProtocolSpec(
     description=(
         "Serving ledger: submitted = admitted + rejected; after stop every "
         "admitted request has one outcome; a cache insert follows a miss; "
-        "evictions + expirations <= inserts; lookups match admitted "
+        "evictions <= inserts; lookups match admitted "
         "cacheable requests up to timeouts + cancellations; batches are "
         "non-empty"
     ),
@@ -495,7 +495,6 @@ _LEDGER = ProtocolSpec(
         CounterBinding("misses", EventKind.SVC_CACHE_MISS),
         CounterBinding("inserts", EventKind.SVC_CACHE_INSERT),
         CounterBinding("evictions", EventKind.SVC_CACHE_EVICT),
-        CounterBinding("expirations", EventKind.SVC_CACHE_EXPIRE),
         CounterBinding("stops", EventKind.SVC_ENGINE_STOP),
     ),
     end_invariants=(
@@ -512,8 +511,8 @@ _LEDGER = ProtocolSpec(
         ),
         EndInvariant(
             "entries_leave_once",
-            "evictions + expirations <= inserts",
-            lambda c: c["evictions"] + c["expirations"] <= c["inserts"],
+            "evictions <= inserts",
+            lambda c: c["evictions"] <= c["inserts"],
         ),
         EndInvariant(
             "lookups_reconcile",

@@ -59,6 +59,7 @@ __all__ = [
     "require_node_trees",
     "window_rows",
     "knn_rows",
+    "serving_refusal",
 ]
 
 #: Default fan-out.  Wider nodes amortise numpy's per-call overhead but
@@ -87,6 +88,16 @@ def require_node_trees(function: str, *trees) -> None:
             "sequential_join, multiprocessing_join / fault_tolerant_join "
             "and the shard tier"
         )
+
+
+def serving_refusal(subject: str) -> ValueError:
+    """The one error of a serving tier handed anything but a packed tree;
+    *subject* names the refused tree (or ``backend`` value)."""
+    return ValueError(
+        f"{subject}: the serving and shard tiers serve packed FlatRTree "
+        "trees only; build one with build_flat_tree (a BoxTable: "
+        "FlatRTree.build)"
+    )
 
 
 #: How a parent box reduces its children's ``xl, yl, xu, yu`` columns.
@@ -468,19 +479,15 @@ class EntryRows(ColumnRows):
         return list, (self._rows(),)  # entries travel; the table never does
 
 
-def window_rows(found) -> RowSet:
-    """A window answer of either backend as its oid column; a packed
-    tree's answer makes no :class:`Entry` on the way."""
-    if isinstance(found, EntryRows):
-        return RowSet(found.oids)
-    return RowSet.from_oids([entry.oid for entry in found])
+def window_rows(found: EntryRows) -> RowSet:
+    """A packed tree's window answer as its oid column, made without one
+    :class:`Entry`."""
+    return RowSet(found.oids)
 
 
-def knn_rows(found) -> RowSet:
-    """A kNN answer of either backend as ``(distance, oid)`` columns."""
-    if isinstance(found, EntryRows):
-        return RowSet(found.oids, found.distances)
-    return RowSet.from_knn((distance, entry.oid) for distance, entry in found)
+def knn_rows(found: EntryRows) -> RowSet:
+    """A packed tree's kNN answer as ``(distance, oid)`` columns."""
+    return RowSet(found.oids, found.distances)
 
 
 def build_flat_tree(map_data, *, node_size: int = DEFAULT_NODE_SIZE) -> FlatRTree:

@@ -1,11 +1,12 @@
-"""A concurrent spatial-query serving engine over pre-built R*-trees.
+"""A concurrent spatial-query serving engine over pre-built packed R-trees.
 
 The paper closes by asking for "a larger framework for parallel spatial
 query processing" (section 5); this package is that framework's serving
 tier.  An asyncio :class:`Engine` accepts concurrent **window**, **kNN**
 and **spatial-join** requests and executes them on a pool of forked
-workers that inherit the in-memory trees (the process-level shared
-virtual memory of :mod:`repro.join.mp`), with
+workers that inherit the packed :class:`~repro.rtree.flat.FlatRTree`
+trees (the process-level shared virtual memory of :mod:`repro.join.mp`),
+with
 
 * one **front door** (:class:`FrontDoor`, shared with the sharded tier of
   :mod:`repro.shard`): request validation, admission control — global
@@ -13,7 +14,7 @@ virtual memory of :mod:`repro.join.mp`), with
   per-request timeout, graceful draining stop;
 * a **micro-batcher** coalescing near-simultaneous window queries into
   one shared tree traversal (:mod:`repro.service.batcher`);
-* an **LRU + TTL result cache** on canonicalised query keys
+* an **LRU result cache** on canonicalised query keys
   (:mod:`repro.service.cache`);
 * a **metrics layer** fed purely by ``SVC_*`` events on the
   :mod:`repro.trace` bus (:mod:`repro.service.metrics`), so the existing

@@ -1,4 +1,4 @@
-"""The serving engine: concurrent spatial queries over pre-built R*-trees.
+"""The serving engine: concurrent spatial queries over pre-built packed trees.
 
 ``Engine`` is the single-pool tier of :mod:`repro.service`.  Its front
 door — validation, admission control, the result cache, the per-request
@@ -87,7 +87,9 @@ class EngineConfig:
 
 
 class Engine(FrontDoor):
-    """Concurrent spatial-query engine over a named-tree registry."""
+    """Concurrent spatial-query engine over a registry of named packed
+    trees (:class:`~repro.rtree.flat.FlatRTree`; any other tree is a
+    ``ValueError`` naming it)."""
 
     def __init__(
         self,

@@ -8,7 +8,7 @@
 2. **admission control** — a global in-flight bound, a per-class
    waiting-room bound and per-class execution slots; a request over a
    bound is rejected immediately rather than queued unboundedly;
-3. the **result cache** (LRU + TTL, canonical query keys) around the
+3. the **result cache** (LRU, canonical query keys) around the
    execution;
 4. the per-request **deadline** — the admission timeout is the request's
    whole fault budget, handed to the execution plan — and caller
@@ -77,10 +77,8 @@ _UNSET = object()
 QUEUE_LIMIT = 1024
 WINDOW_LIMIT = 32
 KNN_LIMIT = 16
-#: A request's whole budget unless ``submit`` is given a timeout, and how
-#: long a cached answer stays fresh.
+#: A request's whole budget unless ``submit`` is given a timeout.
 DEFAULT_TIMEOUT_S = 10.0
-CACHE_TTL_S = 60.0
 #: Attempts a worker call gets, on either tier, before its request errors.
 MAX_ATTEMPTS = 3
 
@@ -152,18 +150,13 @@ class FrontDoor:
         self.config = config
         self.metrics = ServiceMetrics()
         # The serving tier owns real time; tests inject a fake clock and
-        # everything downstream (tracer, deadlines, cache, leases)
-        # follows it.  The parts get a closure, not the bound ``_now``:
-        # no part refers back to the tier, so a dropped tier is freed at
-        # once, not at the next full collection.
+        # everything downstream (tracer, deadlines) follows it.  The parts
+        # get a closure, not the bound ``_now``: no part refers back to the
+        # tier, so a dropped tier is freed at once, not at the next full
+        # collection.
         self._clock = _elapsed(clock)
         self.tracer = Tracer(clock=self._clock, sinks=[self.metrics, *sinks])
-        self.cache = ResultCache(
-            config.cache_capacity,
-            CACHE_TTL_S,
-            clock=self._clock,
-            tracer=self.tracer,
-        )
+        self.cache = ResultCache(config.cache_capacity, tracer=self.tracer)
         self.injector = (
             FaultInjector(config.faults, tracer=self.tracer)
             if config.faults is not None and config.faults.active

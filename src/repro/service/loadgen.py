@@ -44,7 +44,7 @@ from collections import Counter
 from typing import Optional
 
 from ..bench.render import heading, render_table
-from ..datagen import build_tree, paper_maps
+from ..datagen import paper_maps
 from ..faults import FaultPlan
 from ..geometry.rect import Rect
 from ..rtree.flat import build_flat_tree
@@ -64,20 +64,11 @@ __all__ = [
 _FAULTED_ATTEMPT_TIMEOUT_S = 0.5
 
 
-def build_trees(scale: float, seed: int, backend: str = "node"):
-    """The two paper maps as a named-tree registry for the engine.
-
-    ``backend="flat"`` serves the packed numpy backend instead: forked
-    workers then inherit contiguous arrays (copy-on-write) rather than
-    pointer trees, and every execution function dispatches transparently.
-    """
+def build_trees(scale: float, seed: int):
+    """The two paper maps as a named registry of packed trees for the
+    engine, and the maps' region."""
     map1, map2 = paper_maps(scale=scale, seed=seed)
-    if backend == "flat":
-        trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
-    elif backend == "node":
-        trees = {"map1": build_tree(map1), "map2": build_tree(map2)}
-    else:
-        raise ValueError(f"unknown backend {backend!r} (expected node|flat)")
+    trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
     return trees, map1.region
 
 
@@ -334,7 +325,7 @@ def _build_target(args, faults: Optional[FaultPlan]):
     if faults is not None:
         common["attempt_timeout_s"] = _FAULTED_ATTEMPT_TIMEOUT_S
     if not args.shards:
-        trees, region = build_trees(args.scale, args.seed, args.backend)
+        trees, region = build_trees(args.scale, args.seed)
         config = EngineConfig(**common)
         return lambda sinks: Engine(trees, config, sinks=sinks), region
 
@@ -343,10 +334,7 @@ def _build_target(args, faults: Optional[FaultPlan]):
     map1, map2 = paper_maps(scale=args.scale, seed=args.seed)
     datasets = {"map1": map1.table(), "map2": map2.table()}
     shard_config = ShardConfig(
-        shards=args.shards,
-        replicas=args.replicas,
-        backend=args.backend,
-        **common,
+        shards=args.shards, replicas=args.replicas, **common
     )
     return (
         lambda sinks: ShardRouter(datasets, shard_config, sinks=sinks),
@@ -370,8 +358,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.02,
                         help="fraction of the paper's map sizes")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", choices=("node", "flat"), default="node",
-                        help="index backend served (flat = packed numpy)")
     parser.add_argument("--workers", type=int, default=2,
                         help="forked worker processes per pool (0 = threads)")
     parser.add_argument("--join-share", type=float, default=0.0)
@@ -413,7 +399,7 @@ def main(argv=None) -> int:
         faults = plan if plan.active else None
         print(heading(
             f"loadgen {args.mode} loop — {args.duration}s, "
-            f"{tier}, {args.backend} backend, workers={args.workers}"
+            f"{tier}, workers={args.workers}"
             f", scale={args.scale}, seed={args.seed}"
             + (f", {faults!r}" if faults else "")
         ), flush=True)

@@ -1,16 +1,19 @@
 """Execution backend of the serving engine: forked workers or threads.
 
-The process mode is a task source of the one process substrate,
+A pool serves packed :class:`~repro.rtree.flat.FlatRTree` trees only —
+the paged node R*-tree is the paper's instrument, not a serving index —
+and refuses any other tree when it is built.  The process mode is a task
+source of the one process substrate,
 :class:`~repro.recovery.procs.PipedWorkers` (the same one the forked join
 of :mod:`repro.join.mp` runs on): the workers are forked with this pool's
 tree registry as their start argument, so every worker — and every
-replacement forked after a death — inherits the in-memory R*-trees
-through copy-on-write, the process-level analogue of the paper's shared
-virtual memory, and two live pools cannot see each other's trees.  Only
+replacement forked after a death — inherits the trees' arrays through
+copy-on-write, the process-level analogue of the paper's shared virtual
+memory, and two live pools cannot see each other's trees.  Only
 primitive arguments (tree names, rect tuples, coordinates) travel to the
 workers and only the answers' columns (:mod:`repro.geometry.rows`) travel
-back; no tree is ever pickled, and a packed tree's answer is gathered from
-its columns without one ``Entry`` being made.
+back; no tree is ever pickled, and an answer is gathered from the
+columns without one ``Entry`` being made.
 
 On platforms without ``fork`` (or with ``processes=0``) the pool degrades
 to a thread executor over the very same execution functions — correct,
@@ -52,7 +55,7 @@ from ..geometry.rows import PairTable, RowSet
 from ..join.sequential import sequential_join
 from ..query.batch import multi_window_query
 from ..recovery.procs import PipedWorkers, fork_available
-from ..rtree.flat import knn_rows, window_rows
+from ..rtree.flat import is_flat, knn_rows, serving_refusal, window_rows
 from ..rtree.query import nearest_neighbors, window_query
 from ..trace import NULL_TRACER, EventKind, Tracer
 
@@ -211,8 +214,10 @@ class _Call:
 class WorkerPool:
     """Executes query work for the engine, off the event loop.
 
-    ``processes > 0`` asks for that many forked workers; 0 (or a platform
-    without ``fork``, with a warning) selects the thread fallback.
+    *trees* maps names to packed trees; any other tree is a
+    ``ValueError`` naming it.  ``processes > 0`` asks for that many forked
+    workers; 0 (or a platform without ``fork``, with a warning) selects
+    the thread fallback.
     ``injector`` enables fault injection on calls; ``tracer`` receives
     the ``SUP_*`` ledger.  A fork-mode call given no timeout runs under
     :data:`DEFAULT_TIMEOUT_S`; thread-mode calls always resolve and use
@@ -233,6 +238,9 @@ class WorkerPool:
             raise ValueError("processes must be >= 0")
         if call_id_base < 0:
             raise ValueError("call_id_base must be >= 0")
+        for name, tree in trees.items():
+            if not is_flat(tree):
+                raise serving_refusal(f"tree {name!r} is a {type(tree).__name__}")
         self.trees = dict(trees)
         self.requested_processes = processes
         self.injector = injector

@@ -2,10 +2,10 @@
 
 The dataset is split by a spatial :class:`Partitioner` (uniform ``grid``
 or Morton-ordered ``zrange`` cuts) into K shards, each owning its own
-R-tree; the :class:`ShardRouter` fans each window / kNN / join request
-out to only the shards its geometry overlaps — through per-shard replica
-:class:`~repro.service.workers.WorkerPool`\\ s with lease-backed failover
-— and merges the parts back into exactly the single-tree answer
+packed R-tree; the :class:`ShardRouter` fans each window / kNN / join
+request out to only the shards its geometry overlaps — through per-shard
+replica :class:`~repro.service.workers.WorkerPool`\\ s with failover —
+and merges the parts back into exactly the single-tree answer
 (set-union for windows, best-first pruning for kNN, reference-point
 duplicate elimination for joins).
 """

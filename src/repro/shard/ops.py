@@ -4,8 +4,8 @@ Pure synchronous functions shared by three callers: the
 :class:`~repro.shard.router.ShardRouter` (which runs the shard-local
 parts in per-shard worker pools and the merges on the event loop), the
 worker-side ``shard_join`` execution function, and the parity tests —
-which exercise the whole K × mode × backend grid against the unsharded
-oracles without touching asyncio.
+which exercise the whole K × mode grid against the unsharded oracles
+without touching asyncio.
 
 Result values use the canonical formats of :mod:`repro.service.model`,
 so a merged sharded answer is *equal* to the single-tree answer, and the
@@ -30,7 +30,7 @@ import numpy as np
 from ..geometry.rect import Rect
 from ..geometry.rows import PairTable, RowSet
 from ..join.sequential import sequential_join
-from ..rtree.flat import is_flat, knn_rows, window_rows
+from ..rtree.flat import knn_rows, window_rows
 from ..rtree.query import _min_distance, nearest_neighbors, window_query
 from ..service.workers import window_filtered
 from .partition import PartitionMap, ShardedDataset, _cells_of_points
@@ -45,15 +45,10 @@ __all__ = [
 
 
 def _lower_left(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(oids, xl, yl)`` of the data boxes of either backend, ascending
-    by oid, so ``np.searchsorted`` finds an oid's row."""
-    if is_flat(tree):
-        rows, table = tree.rows, tree.table
-        oids, xl, yl = table.oids[rows], table.xl[rows], table.yl[rows]
-    else:
-        leaves = [node for node in tree.nodes() if node.is_leaf]
-        oids = np.concatenate([leaf.oids for leaf in leaves])
-        xl, yl = np.concatenate([leaf.boxes[:2] for leaf in leaves], axis=1)
+    """``(oids, xl, yl)`` of a packed tree's data boxes, ascending by
+    oid, so ``np.searchsorted`` finds an oid's row."""
+    rows, table = tree.rows, tree.table
+    oids, xl, yl = table.oids[rows], table.xl[rows], table.yl[rows]
     order = np.argsort(oids, kind="stable")
     return oids[order], xl[order], yl[order]
 

@@ -5,8 +5,7 @@ assignment of the data to the different disks is of special interest" —
 as the step beyond its shared-virtual-memory model.  This module does
 that assignment for the serving tier: it splits a dataset's space into
 cells, assigns every cell to exactly one of *K* shards, and builds one
-R-tree per shard (node or flat backend) over the objects that shard can
-see.
+packed R-tree per shard over the objects that shard can see.
 
 Two assignments coexist on purpose, and the distinction carries every
 correctness argument downstream:
@@ -54,8 +53,7 @@ import numpy as np
 
 from ..geometry.rect import Rect
 from ..geometry.table import BoxTable
-from ..rtree.bulk import str_bulk_load
-from ..rtree.flat import FlatRTree
+from ..rtree.flat import FlatRTree, serving_refusal
 from ..rtree.query import require_count
 from ..zorder.curve import interleave_array
 
@@ -287,16 +285,6 @@ def partition_items(items, pmap: PartitionMap) -> tuple[list, list]:
     )
 
 
-#: One shard-local tree over a table's *rows*, by backend: a packed tree
-#: indexes the shared table in place, a node tree is built from a copy of
-#: the rows.  An empty shard gets an empty tree of the same backend, so a
-#: shard never joins a mixed pair.
-_BUILDERS = {
-    "flat": lambda table, rows: FlatRTree.build(table, rows=rows),
-    "node": lambda table, rows: str_bulk_load(table.take(rows)),
-}
-
-
 @dataclass(frozen=True)
 class ShardedDataset:
     """K shard-local tree registries plus the routing geometry.
@@ -310,7 +298,6 @@ class ShardedDataset:
     """
 
     pmap: PartitionMap
-    backend: str
     trees: Tuple[Mapping[str, object], ...]
     content_mbrs: Tuple[Mapping[str, Optional[Rect]], ...]
     counts: Tuple[Mapping[str, int], ...]
@@ -352,24 +339,33 @@ class ShardedDataset:
         return out
 
 
+def require_flat_backend(backend) -> None:
+    """Refuse a ``backend`` other than ``"flat"``: the shards serve
+    packed trees only."""
+    if backend != "flat":
+        raise serving_refusal(f"backend {backend!r}")
+
+
 def build_sharded(
     datasets: Mapping[str, object],
     shards: int,
     *,
     mode: str = "grid",
-    backend: str = "node",
+    backend: str = "flat",
 ) -> ShardedDataset:
     """Partition every named dataset (``(oid, rect)`` pairs or a
-    :class:`BoxTable`) with ONE shared map and build the per-shard trees.
+    :class:`BoxTable`) with ONE shared map and build the per-shard trees:
+    packed trees over the shard's rows of the shared table, copying none
+    of it (an empty shard gets an empty one).
 
     A single :class:`PartitionMap` (fitted on the union of all datasets)
     covers every tree, so a join between two trees agrees with itself
-    about which shard owns any reference point.
+    about which shard owns any reference point.  ``backend`` takes
+    ``"flat"`` only, the one index the shards serve.
     """
+    require_flat_backend(backend)
     if not datasets:
         raise ValueError("need at least one dataset")
-    if backend not in _BUILDERS:
-        raise ValueError(f"unknown backend {backend!r}")
     tables = {
         name: BoxTable.from_items(items) for name, items in datasets.items()
     }
@@ -382,12 +378,11 @@ def build_sharded(
     for name, table in tables.items():
         _, replicated = partition_rows(table, pmap)
         for shard, rows in enumerate(replicated):
-            tree = trees[shard][name] = _BUILDERS[backend](table, rows)
+            tree = trees[shard][name] = FlatRTree.build(table, rows=rows)
             content_mbrs[shard][name] = tree.mbr() if len(rows) else None
             counts[shard][name] = len(rows)
     return ShardedDataset(
         pmap=pmap,
-        backend=backend,
         trees=tuple(trees),
         content_mbrs=tuple(content_mbrs),
         counts=tuple(counts),

@@ -65,7 +65,7 @@ from ..service.model import (
 from ..service.workers import WorkerError, WorkerPool
 from ..trace import EventKind
 from .ops import knn_shard_order, merge_knn
-from .partition import ShardedDataset, build_sharded
+from .partition import ShardedDataset, build_sharded, require_flat_backend
 
 __all__ = ["ShardRouter", "ShardConfig"]
 
@@ -87,7 +87,8 @@ class ShardConfig:
                            failover target on a failed attempt, up to
                            :data:`~repro.service.frontdoor.MAX_ATTEMPTS`
                            attempts);
-    ``backend``          — per-shard tree backend (``node`` | ``flat``);
+    ``backend``          — ``"flat"`` only: the shards serve packed trees
+                           (any other value is a ``ValueError``);
     ``workers``          — forked processes per replica pool (0 = threads);
     the remaining knobs mirror
     :class:`~repro.service.engine.EngineConfig` and behave identically
@@ -97,12 +98,15 @@ class ShardConfig:
     shards: int = 4
     mode: str = "grid"
     replicas: int = 1
-    backend: str = "node"
+    backend: str = "flat"
     workers: int = 0
     max_inflight: int = 128
     attempt_timeout_s: Optional[float] = 2.0
     cache_capacity: int = 1024
     faults: Optional[FaultPlan] = None
+
+    def __post_init__(self):
+        require_flat_backend(self.backend)
 
 
 class ShardRouter(FrontDoor):
@@ -119,10 +123,7 @@ class ShardRouter(FrontDoor):
         super().__init__(config or ShardConfig(), sinks=sinks, clock=clock)
         self.join_limit = JOIN_LIMIT
         self.sharded: ShardedDataset = build_sharded(
-            datasets,
-            self.config.shards,
-            mode=self.config.mode,
-            backend=self.config.backend,
+            datasets, self.config.shards, mode=self.config.mode
         )
         self.pools: list[list[WorkerPool]] = []
         for shard in range(self.config.shards):
@@ -182,7 +183,6 @@ class ShardRouter(FrontDoor):
             "shards": self.config.shards,
             "replicas": self.config.replicas,
             "mode": self.config.mode,
-            "backend": self.config.backend,
         }
 
     def _announce_topology(self) -> None:
@@ -496,7 +496,6 @@ class ShardRouter(FrontDoor):
                 "mode": self.sharded.pmap.mode,
                 "shards": self.config.shards,
                 "replicas": self.config.replicas,
-                "backend": self.config.backend,
                 "grid": f"{self.sharded.pmap.gx}x{self.sharded.pmap.gy}",
             },
             "shards": shards,

@@ -74,7 +74,6 @@ class EventKind(str, enum.Enum):
     SVC_CACHE_MISS = "svc_cache_miss"
     SVC_CACHE_INSERT = "svc_cache_insert"
     SVC_CACHE_EVICT = "svc_cache_evict"
-    SVC_CACHE_EXPIRE = "svc_cache_expire"
 
     # sharded serving tier (repro.shard) — routing / fan-out ledger
     #: One per (shard, tree) at router start: the shard's stored-content

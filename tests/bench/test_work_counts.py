@@ -128,7 +128,7 @@ def paths():
     )
     router = ShardRouter(
         {"map1": map1.table()},
-        ShardConfig(shards=2, backend="flat", workers=0, cache_capacity=0),
+        ShardConfig(shards=2, workers=0, cache_capacity=0),
     )
     yield {
         "paper_maps": (

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.datagen import build_tree, paper_maps
+from repro.datagen import paper_maps
 from repro.faults import FaultPlan
+from repro.rtree import build_flat_tree
 from repro.rtree.query import window_query
 from repro.service import (
     Engine,
@@ -40,7 +41,7 @@ CHAOS_PLAN = FaultPlan(
 @pytest.fixture(scope="module")
 def workload():
     map1, map2 = paper_maps(scale=0.01)
-    trees = {"map1": build_tree(map1), "map2": build_tree(map2)}
+    trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
     return trees, map1.region.side
 
 

@@ -9,7 +9,6 @@ back, a packed tree handed to a page-walking function is a ``TypeError``
 that names the function and where packed trees *are* taken, and the
 forked node driver's equal-height precondition keeps its message."""
 
-import asyncio
 import warnings
 
 import pytest
@@ -25,7 +24,6 @@ from repro.join import (
 )
 from repro.join.mp import fault_tolerant_join, plan_join
 from repro.rtree import tree_stats
-from repro.service import Engine, EngineConfig, JoinRequest, Status
 from repro.shard.ops import sharded_join
 from repro.shard.partition import build_sharded
 
@@ -36,14 +34,13 @@ BUILDERS = {"node": build_node, "flat": build_flat}
 SIM = ParallelJoinConfig(processors=2, disks=2, total_buffer_pages=16)
 
 
-def via_shards(backend):
+def via_shards(_backend):
     """``sharded_join`` as a two-tree join: the relations (plus an anchor
-    that keeps the partitioner's fit non-empty) sharded four ways."""
+    that keeps the partitioner's fit non-empty) sharded four ways, on
+    packed shard trees."""
 
     def join(items_r, items_s):
-        sharded = build_sharded(
-            {"r": items_r, "s": items_s, "anchor": ITEMS}, 4, backend=backend
-        )
+        sharded = build_sharded({"r": items_r, "s": items_s, "anchor": ITEMS}, 4)
         return list(sharded_join(sharded, "r", "s"))
 
     return join
@@ -77,7 +74,7 @@ JOINS = {
     "parallel_spatial_join": (
         ("node",), on_trees(lambda r, s: parallel_spatial_join(r, s, SIM).pair_set())
     ),
-    "sharded_join": (("node", "flat"), via_shards),
+    "sharded_join": (("flat",), via_shards),
 }
 GRID = [
     pytest.param(make(backend), id=f"{name}-{backend}")
@@ -121,22 +118,6 @@ def test_a_mixed_pair_is_refused_naming_both_backends(call):
             call(*pair)
         assert "node R*-tree" in str(refused.value)
         assert "FlatRTree" in str(refused.value)
-
-
-def test_a_mixed_pair_behind_an_engine_is_an_error_response():
-    """Not a hang and not a silent conversion: the worker's refusal comes
-    back as the response."""
-    trees = {"r": build_node(ITEMS), "s": build_flat(ITEMS)}
-    config = EngineConfig(workers=0, batching=False)
-
-    async def main():
-        async with Engine(trees, config) as engine:
-            return await engine.submit(JoinRequest(tree_r="r", tree_s="s"), timeout=30)
-
-    response = asyncio.run(main())
-    assert response.status is Status.ERROR
-    assert "mixed backends" in response.detail
-    assert "node R*-tree" in response.detail and "FlatRTree" in response.detail
 
 
 NODE_ONLY = {

@@ -262,8 +262,8 @@ def test_flat_build_makes_no_per_object_rect(monkeypatch):
 
 def test_set_up_makes_no_per_object_rect_or_spatial_object(monkeypatch):
     """The whole columnar path, generators included: ~5,000 objects go from
-    ``paper_maps`` into the node trees, the flat trees and a shard router
-    over a constant number of Rects (region bounds, bounding boxes) and
+    ``paper_maps`` into the node trees, the flat trees and a (packed) shard
+    router over a constant number of Rects (region bounds, bounding boxes) and
     not one SpatialObject."""
     made = {Rect: 0, SpatialObject: 0}
     for cls in made:
@@ -277,10 +277,7 @@ def test_set_up_makes_no_per_object_rect_or_spatial_object(monkeypatch):
     for data in maps:
         assert len(build_tree(data)) == len(data)
         assert build_flat_tree(data).size == len(data)
-    for backend in ("node", "flat"):
-        ShardRouter.from_maps(
-            {"map1": maps[0], "map2": maps[1]}, ShardConfig(backend=backend)
-        )
+    ShardRouter.from_maps({"map1": maps[0], "map2": maps[1]}, ShardConfig())
     assert made[SpatialObject] == 0
     assert made[Rect] <= 64
     # the guard is live: the object edge does make them

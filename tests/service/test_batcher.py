@@ -5,16 +5,21 @@ import random
 
 from repro.geometry import Rect
 from repro.query import multi_window_query
-from repro.rtree import RStarTree, str_bulk_load, window_query
+from repro.rtree import FlatRTree, RStarTree, str_bulk_load, window_query
 from repro.service import Engine, EngineConfig, WindowRequest, batcher
 
 
-def build_random_tree(seed, count=800):
+def random_items(seed, count=800):
     rng = random.Random(seed)
     items = []
     for i in range(count):
         x, y = rng.uniform(0, 100), rng.uniform(0, 100)
         items.append((i, Rect(x, y, x + rng.uniform(0, 3), y + rng.uniform(0, 3))))
+    return items
+
+
+def build_random_tree(seed, count=800):
+    items = random_items(seed, count)
     return str_bulk_load(items, dir_capacity=8, data_capacity=8), items
 
 
@@ -57,7 +62,8 @@ class TestMultiWindowQuery:
 
 class TestMicroBatching:
     def test_concurrent_windows_coalesce(self, monkeypatch):
-        tree, items = build_random_tree(7)
+        items = random_items(7)
+        tree = FlatRTree.build(items)
         monkeypatch.setattr(batcher, "WINDOW_S", 0.05)
         monkeypatch.setattr(batcher, "MAX_BATCH", 64)
         config = EngineConfig(workers=0, batching=True, cache_capacity=0)
@@ -91,7 +97,7 @@ class TestMicroBatching:
             assert response.batch_size >= 1
 
     def test_batching_off_means_batches_of_one(self):
-        tree, _ = build_random_tree(9)
+        tree = FlatRTree.build(random_items(9))
         config = EngineConfig(workers=0, batching=False, cache_capacity=0)
 
         async def main():

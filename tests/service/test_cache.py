@@ -1,4 +1,4 @@
-"""Unit tests for the LRU + TTL result cache and the canonical keys."""
+"""Unit tests for the LRU result cache and the canonical keys."""
 
 import pytest
 
@@ -11,17 +11,6 @@ from repro.service import (
     WindowRequest,
     canonical_rect,
 )
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
 
 
 class TestCanonicalRect:
@@ -70,17 +59,6 @@ class TestResultCache:
         assert cache.get("a") == 1
         assert cache.get("c") == 3
 
-    def test_ttl_expiry_counts_as_miss(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_s=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.9)
-        assert cache.get("a") == 1
-        clock.advance(0.2)  # past the original expiry (hits don't refresh TTL)
-        assert cache.get("a") is MISS
-        assert cache.expirations == 1
-        assert cache.misses == 1
-
     def test_zero_capacity_disables(self):
         cache = ResultCache(capacity=0)
         cache.put("a", 1)
@@ -101,8 +79,6 @@ class TestResultCache:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=-1)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_s=0.0)
 
     def test_put_refreshes_existing_key(self):
         cache = ResultCache(capacity=2)
@@ -113,18 +89,3 @@ class TestResultCache:
         assert cache.get("b") is MISS
         assert cache.get("a") == 99
 
-
-class TestStaleness:
-    """An expired entry is never served again: the read that finds it
-    expired counts a miss and deletes it."""
-
-    def test_expired_entry_deleted_without_keep_stale(self):
-        clock = FakeClock()
-        cache = ResultCache(capacity=4, ttl_s=10.0, clock=clock)
-        cache.put("a", (1, 2))
-        clock.advance(11.0)  # expire it
-        assert cache.get("a") is MISS
-        assert cache.expirations == 1
-        assert len(cache) == 0
-        assert cache.get("a") is MISS  # gone, not merely expired
-        assert cache.expirations == 1

@@ -13,9 +13,10 @@ from dataclasses import fields
 
 import pytest
 
-from repro.datagen import build_tree, paper_maps
+from repro.datagen import paper_maps
 from repro.geometry import Rect
 from repro.join import sequential_join
+from repro.rtree import build_flat_tree
 from repro.rtree.query import nearest_neighbors, window_query
 from repro.service import batcher, frontdoor
 from repro.service import engine as service_engine
@@ -36,7 +37,7 @@ from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 @pytest.fixture(scope="module")
 def workload():
     map1, map2 = paper_maps(scale=0.01)
-    trees = {"map1": build_tree(map1), "map2": build_tree(map2)}
+    trees = {"map1": build_flat_tree(map1), "map2": build_flat_tree(map2)}
     return trees, map1.region.side
 
 
@@ -65,10 +66,7 @@ def make_router(trees, config=None, sinks=()):
         for f in fields(ShardConfig)
         if hasattr(config, f.name)
     }
-    datasets = {
-        name: [(e.oid, e.rect) for e in tree.data_entries()]
-        for name, tree in trees.items()
-    }
+    datasets = {name: tree.table for name, tree in trees.items()}
     return ShardRouter(datasets, ShardConfig(shards=2, **shared), sinks=sinks)
 
 

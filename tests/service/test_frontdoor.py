@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.datagen import build_tree, paper_maps
+from repro.datagen import paper_maps
 from repro.faults import FaultPlan
-from repro.rtree.bulk import str_bulk_load
+from repro.rtree import FlatRTree, build_flat_tree, str_bulk_load
 from repro.service import (
     Engine,
     EngineConfig,
@@ -26,7 +26,7 @@ from repro.service import (
     WorkerPool,
 )
 from repro.service import frontdoor
-from repro.shard import ShardConfig, ShardRouter
+from repro.shard import ShardConfig, ShardRouter, build_sharded
 from repro.trace import EventKind, ListSink, run_checkers, service_checkers
 from tests.service.test_engine import random_window
 from tests.shard.test_router import make_items
@@ -39,7 +39,7 @@ DATASETS = {"a": make_items(100, 1), "b": make_items(80, 2)}
 
 
 def make_engine(sinks=(), **settings):
-    trees = {name: str_bulk_load(items) for name, items in DATASETS.items()}
+    trees = {name: FlatRTree.build(items) for name, items in DATASETS.items()}
     return Engine(trees, EngineConfig(**{"workers": 0, **settings}), sinks=sinks)
 
 
@@ -156,6 +156,26 @@ class TestSettings:
             rf"got {re.escape(repr(value))}"
         )
         assert re.fullmatch(expected, str(refused.value)), refused.value
+
+    def test_only_packed_trees_are_served(self):
+        """Every door to a serving tree refuses the node R*-tree with the
+        one error naming what to build instead; the ``backend="flat"``
+        that frozen ``perf`` passes still builds."""
+        node = {"a": str_bulk_load(DATASETS["a"])}
+        refusals = {
+            "Engine": lambda: Engine(node, EngineConfig(workers=0)),
+            "WorkerPool": lambda: WorkerPool(node),
+            "ShardConfig": lambda: ShardConfig(backend="node"),
+            "build_sharded": lambda: build_sharded(DATASETS, 2, backend="node"),
+        }
+        for door, build in refusals.items():
+            with pytest.raises(ValueError) as refused:
+                build()
+            message = str(refused.value)
+            assert "'a' is a RStarTree" in message or "backend 'node'" in message
+            assert "FlatRTree trees only; build one with build_flat_tree" in message, door
+        ShardRouter(DATASETS, ShardConfig(shards=2, backend="flat", workers=0))
+        build_sharded(DATASETS, 2, mode="grid", backend="flat")
 
 
 #: Each tier's top-level ``snapshot()`` keys, as ``perf/`` and ``loadgen``
@@ -331,7 +351,7 @@ class TestFailedCalls:
         windows = [random_window(rng, map1.region.side) for _ in range(60)]
         if tier == "engine":
             served = Engine(
-                {"map1": build_tree(map1)},
+                {"map1": build_flat_tree(map1)},
                 EngineConfig(workers=0, cache_capacity=0, faults=FAULTY),
             )
         else:

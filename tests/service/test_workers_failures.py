@@ -11,8 +11,9 @@ import time
 import pytest
 
 from repro.analysis.protocol import ProtocolConformanceChecker, get_spec
-from repro.datagen import build_tree, paper_maps
+from repro.datagen import paper_maps
 from repro.faults import CRASH_EXIT_CODE, FaultInjector, FaultPlan
+from repro.rtree import build_flat_tree
 from repro.service import WorkerError, WorkerPool, fork_available
 from repro.service import workers as service_workers
 from repro.trace import EventKind, ListSink, Tracer, run_checkers
@@ -21,7 +22,7 @@ from repro.trace import EventKind, ListSink, Tracer, run_checkers
 @pytest.fixture(scope="module")
 def trees():
     map1, _ = paper_maps(scale=0.01)
-    return {"map1": build_tree(map1)}
+    return {"map1": build_flat_tree(map1)}
 
 
 def run_pool(trees, processes, coro_fn, **pool_kwargs):
@@ -270,7 +271,7 @@ class TestForkModeFailures:
         replacement worker auto-forked by pool A after a crash inherited
         pool B's trees and failed every call it served."""
         _, map2 = paper_maps(scale=0.01)
-        trees_b = {"map2": build_tree(map2)}
+        trees_b = {"map2": build_flat_tree(map2)}
         # Crash pool A's worker mid-call (os._exit, like a segfault —
         # an idle SIGKILL would die holding the pool's queue lock and
         # wedge the whole pool, which is not the scenario under test).

@@ -1,9 +1,9 @@
 """Differential parity: the sharded kernels vs the single-tree oracles.
 
-The acceptance bar of the sharded tier: for K ∈ {1, 4, 8}, both
-partitioning modes and both backends, every routed-and-merged answer is
-*exactly* the unsharded answer — window oid sets, kNN results including
-tie order, and join pair sets with zero duplicates.
+The acceptance bar of the sharded tier: for K ∈ {1, 4, 8} and both
+partitioning modes, every routed-and-merged answer over the packed shard
+trees is *exactly* the unsharded node-tree answer — window oid sets, kNN
+results including tie order, and join pair sets with zero duplicates.
 """
 
 import random
@@ -49,18 +49,14 @@ POINTS = [
     for _ in range(25)
 ]
 
-GRID = [
-    (k, mode, backend)
-    for k in (1, 4, 8)
-    for mode in ("grid", "zrange")
-    for backend in ("node", "flat")
-]
+GRID = [(k, mode) for k in (1, 4, 8) for mode in ("grid", "zrange")]
 
 
-@pytest.fixture(scope="module", params=GRID, ids=lambda p: f"K{p[0]}-{p[1]}-{p[2]}")
+# Each id names the packed index the shards serve.
+@pytest.fixture(scope="module", params=GRID, ids=lambda p: f"K{p[0]}-{p[1]}-flat")
 def sharded(request):
-    k, mode, backend = request.param
-    return build_sharded(DATASETS, k, mode=mode, backend=backend)
+    k, mode = request.param
+    return build_sharded(DATASETS, k, mode=mode)
 
 
 class TestWindowParity:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.geometry import BoxTable, Rect
 from repro.join import multiprocessing_join, sequential_join
-from repro.rtree import FlatRTree, RStarTree
+from repro.rtree import FlatRTree
 from repro.shard.ops import shard_join_pairs, sharded_join
 from repro.shard.partition import (
     PartitionMap,
@@ -158,10 +158,9 @@ class TestDegenerate:
 
 
 class TestBuildSharded:
-    @pytest.mark.parametrize("backend", ["node", "flat"])
-    def test_trees_match_replicated_counts(self, backend):
+    def test_trees_match_replicated_counts(self):
         datasets = {"a": make_items(120, 10), "b": make_items(80, 11)}
-        sharded = build_sharded(datasets, 4, backend=backend)
+        sharded = build_sharded(datasets, 4)
         assert sharded.shards == 4
         for shard in range(4):
             for name in ("a", "b"):
@@ -183,8 +182,8 @@ class TestBuildSharded:
     def test_tables_and_items_build_the_same_shards(self):
         datasets = {"a": make_items(120, 10), "b": make_items(80, 11)}
         tables = {name: BoxTable.from_items(items) for name, items in datasets.items()}
-        from_items = build_sharded(datasets, 4, mode="zrange", backend="flat")
-        from_tables = build_sharded(tables, 4, mode="zrange", backend="flat")
+        from_items = build_sharded(datasets, 4, mode="zrange")
+        from_tables = build_sharded(tables, 4, mode="zrange")
         assert from_tables.pmap == from_items.pmap
         assert from_tables.counts == from_items.counts
         assert from_tables.content_mbrs == from_items.content_mbrs
@@ -202,7 +201,7 @@ class TestBuildSharded:
     @pytest.mark.parametrize("mode", ["grid", "zrange"])
     def test_shard_trees_hold_exactly_the_replicated_rows(self, mode):
         items = make_items(150, 12)
-        sharded = build_sharded({"a": items}, 5, mode=mode, backend="flat")
+        sharded = build_sharded({"a": items}, 5, mode=mode)
         _, replicated = partition_items(items, sharded.pmap)
         _, replicated_rows = partition_rows(BoxTable.from_items(items), sharded.pmap)
         for shard, per_shard in enumerate(replicated):
@@ -216,16 +215,15 @@ class TestBuildSharded:
                 Rect.union_all(rect for _, rect in per_shard) if per_shard else None
             )
 
-    @pytest.mark.parametrize("backend", ["node", "flat"])
-    def test_bad_box_is_rejected_at_ingest(self, backend):
+    def test_bad_box_is_rejected_at_ingest(self):
         items = make_items(30, 13) + [(99, Rect(1.0, 1.0, math.nan, 2.0))]
         with pytest.raises(ValueError, match="object 99 "):
-            build_sharded({"a": make_items(10, 14), "b": items}, 3, backend=backend)
+            build_sharded({"a": make_items(10, 14), "b": items}, 3)
         with pytest.raises(ValueError, match="object 99 "):
             Partitioner(3).fit(items)
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ValueError, match="backend 'packed'.*build_flat_tree"):
             build_sharded({"a": make_items(5, 15)}, 2, backend="packed")
 
     @pytest.mark.parametrize("shards", [True, 2.0, 2.5])
@@ -237,22 +235,19 @@ class TestBuildSharded:
 
 
 class TestEmptyShards:
-    """An empty shard holds an empty tree of the *requested* backend, so
-    no join on it is a mixed pair."""
+    """An empty shard holds an empty packed tree, so no join on it is a
+    mixed pair."""
 
-    @pytest.mark.parametrize(
-        "backend, kind", [("flat", FlatRTree), ("node", RStarTree)]
-    )
-    def test_every_shard_tree_is_of_the_requested_backend(self, backend, kind):
+    def test_every_shard_tree_is_packed(self):
         datasets = {"a": make_items(100, 16), "b": [(1000, Rect(1, 1, 2, 2))]}
-        sharded = build_sharded(datasets, 4, backend=backend)
+        sharded = build_sharded(datasets, 4)
         assert sum(1 for c in sharded.counts if c["b"] == 0) == 3
         for trees in sharded.trees:
-            assert all(type(tree) is kind for tree in trees.values())
+            assert all(type(tree) is FlatRTree for tree in trees.values())
 
     def test_sharded_flat_join_never_builds_a_node_tree(self):
         datasets = {"a": make_items(100, 16), "b": [(1000, Rect(1, 1, 2, 2))]}
-        sharded = build_sharded(datasets, 4, backend="flat")
+        sharded = build_sharded(datasets, 4)
         whole_a = FlatRTree.build(datasets["a"])
         whole_b = FlatRTree.build(datasets["b"])
         expected = tuple(sorted(sequential_join(whole_a, whole_b).pairs))
@@ -283,6 +278,6 @@ def test_build_sharded_makes_no_per_object_rect(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Rect, "__init__", counting)
-    sharded = build_sharded(datasets, shards, mode="zrange", backend="flat")
+    sharded = build_sharded(datasets, shards, mode="zrange")
     assert sum(c["a"] + c["b"] for c in sharded.counts) >= 10000
     assert len(made) <= 4 * shards * len(datasets)
